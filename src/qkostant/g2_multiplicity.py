@@ -151,9 +151,7 @@ def qmultiplicity_closed(lam: FundCoord, mu: FundCoord) -> MultiplicityResult:
         name: qpartition(term_coords(name, case))
         for name in CASE_TERMS[case.case_label]
     }
-    mq = QPoly()
-    for name, poly in terms.items():
-        mq = mq + poly if TERM_SIGNS[name] > 0 else mq - poly
+    mq = QPoly.signed_sum((TERM_SIGNS[name], poly) for name, poly in terms.items())
     if any(coeff < 0 for coeff in mq.coeffs):
         raise InternalConsistencyError(
             f"negative coefficient in m_q({tuple(lam)}, {tuple(mu)}) = {mq!r}"
@@ -163,11 +161,9 @@ def qmultiplicity_closed(lam: FundCoord, mu: FundCoord) -> MultiplicityResult:
 
 def qmultiplicity_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:
     """m_q(lam, mu) as the alternating sum over all 12 Weyl elements."""
-    total = QPoly()
-    for sigma in weyl_group():
-        term = qpartition(sigma_shift(sigma, lam, mu))
-        total = total + term if sigma.sign > 0 else total - term
-    return total
+    return QPoly.signed_sum(
+        (sigma.sign, qpartition(sigma_shift(sigma, lam, mu))) for sigma in weyl_group()
+    )
 
 
 def multiplicity(lam: FundCoord, mu: FundCoord, method: str = "qpoly") -> int:

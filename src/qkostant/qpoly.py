@@ -8,6 +8,8 @@ and multiplicities never need products of polynomials.
 
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add, sub
 from typing import Iterable
 
 from .errors import CoefficientOverflowError
@@ -24,6 +26,14 @@ def _checked(value: int) -> int:
     return value
 
 
+def _raise_first_bad(cs: list) -> None:
+    """Raise for the first coefficient that is not an int in the 64-bit range."""
+    for c in cs:
+        if not isinstance(c, int):
+            raise TypeError(f"coefficients must be integers, got {type(c).__name__}")
+        _checked(c)
+
+
 class QPoly:
     """Immutable polynomial in q, stored as ascending coefficients.
 
@@ -36,10 +46,12 @@ class QPoly:
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         cs = list(coeffs)
-        for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"coefficients must be integers, got {type(c).__name__}")
-            _checked(c)
+        # One type scan and one min/max pass; a failing list is walked again
+        # only to name its first bad coefficient.
+        if cs and not (
+            all(map(isinstance, cs, repeat(int))) and INT64_MIN <= min(cs) and max(cs) <= INT64_MAX
+        ):
+            _raise_first_bad(cs)
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs: tuple[int, ...] = tuple(cs)
@@ -50,6 +62,28 @@ class QPoly:
         if degree < 0:
             raise ValueError(f"monomial degree must be nonnegative, got {degree}")
         return cls([0] * degree + [1])
+
+    @classmethod
+    def signed_sum(cls, terms: Iterable[tuple[int, "QPoly"]]) -> "QPoly":
+        """The sum of sign * poly over (sign, poly) pairs, each sign +1 or -1.
+
+        Every term is added into one list and the result is range-checked
+        once, so intermediate sums may leave the 64-bit range as long as
+        the result does not.
+        """
+        acc: list[int] = []
+        for sign, poly in terms:
+            if sign == 1:
+                op = add
+            elif sign == -1:
+                op = sub
+            else:
+                raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+            cs = poly._coeffs
+            if len(cs) > len(acc):
+                acc.extend(repeat(0, len(cs) - len(acc)))
+            acc[: len(cs)] = map(op, acc, cs)
+        return cls(acc)
 
     @property
     def coeffs(self) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import InternalConsistencyError
 from .qpoly import QPoly
@@ -34,16 +34,18 @@ def qpartition_c2(v: RootCoord) -> QPoly:
     """q-analog of Kostant's partition function for sp4, closed double sum.
 
     For i copies of the long root 2a1+a2, the remaining decompositions
-    contribute one q^j for every j from max(m-i, n) to m+n-2i.
+    contribute one q^j for every j from max(m-i, n) to m+n-2i. Each such
+    run is one pair of entries in a difference array, so the double sum
+    costs O(N) for N = m + n.
     """
     m, n = v
     if m < 0 or n < 0:
         return QPoly()
-    coeffs = [0] * (m + n + 1)
+    diff = [0] * (m + n + 2)
     for i in range(min(m // 2, n) + 1):
-        for j in range(max(m - i, n), m + n - 2 * i + 1):
-            coeffs[j] += 1
-    return QPoly(coeffs)
+        diff[max(m - i, n)] += 1
+        diff[m + n - 2 * i + 1] -= 1
+    return QPoly(accumulate(diff))
 
 
 def qpartition_c2_bruteforce(v: RootCoord) -> QPoly:
@@ -292,13 +294,12 @@ def multiplicity_c2_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:
     """
     lam2 = _doubled_shifted(lam)
     mu2 = _doubled_shifted(mu)
-    total = QPoly()
+    terms = []
     for matrix, length in weyl_group_c2():
         (p, q), (r, s) = matrix
         u = p * lam2[0] + q * lam2[1] - mu2[0]
         v = r * lam2[0] + s * lam2[1] - mu2[1]
         if u % 2 or v % 2:
             continue
-        term = qpartition_c2(RootCoord(u // 2, v // 2))
-        total = total + term if length % 2 == 0 else total - term
-    return total
+        terms.append(((-1) ** length, qpartition_c2(RootCoord(u // 2, v // 2))))
+    return QPoly.signed_sum(terms)

@@ -57,6 +57,39 @@ class TestArithmetic:
         assert not p.coeffs or p.coeffs[-1] != 0
 
 
+class TestSignedSum:
+    def test_empty_sum_is_zero(self):
+        assert QPoly.signed_sum([]) == QPoly()
+
+    def test_hand_sum(self):
+        # signs + - - + over polynomials of different lengths
+        terms = [(1, QPoly([0, 1, 2, 2, 1, 1])), (-1, QPoly([0, 0, 2, 1, 1])),
+                 (-1, QPoly([0, 1])), (1, QPoly([0, 0, 0, 0, 0, 0, 1]))]
+        assert QPoly.signed_sum(terms) == QPoly([0, 0, 0, 1, 0, 1, 1])
+
+    @given(st.lists(st.tuples(st.sampled_from([1, -1]), polys), max_size=12))
+    def test_matches_chained_add_and_sub(self, terms):
+        total = QPoly()
+        for sign, poly in terms:
+            total = total + poly if sign > 0 else total - poly
+        assert QPoly.signed_sum(terms) == total
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_other_signs_rejected(self, sign):
+        with pytest.raises(ValueError):
+            QPoly.signed_sum([(sign, QPoly([1]))])
+
+    def test_only_the_result_is_range_checked(self):
+        top = QPoly([INT64_MAX])
+        assert QPoly.signed_sum([(1, top), (1, top), (-1, top)]) == top
+
+    def test_result_past_the_boundary_fails(self):
+        with pytest.raises(CoefficientOverflowError):
+            QPoly.signed_sum([(1, QPoly([0, INT64_MAX])), (1, QPoly([0, 1]))])
+        with pytest.raises(CoefficientOverflowError):
+            QPoly.signed_sum([(-1, QPoly([INT64_MIN]))])
+
+
 class TestEvaluation:
     @pytest.mark.parametrize(
         "coeffs,expected",
@@ -120,6 +153,24 @@ class TestOverflow:
     def test_addition_past_the_boundary_fails(self):
         with pytest.raises(CoefficientOverflowError):
             QPoly([INT64_MAX]) + QPoly([1])
+
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("bad", [INT64_MAX + 1, INT64_MIN - 1])
+    def test_out_of_range_at_any_position_fails(self, position, bad):
+        coeffs = [1, -2, 3, -4, 5]
+        coeffs[position] = bad
+        with pytest.raises(CoefficientOverflowError, match=str(bad)):
+            QPoly(coeffs)
+
+    def test_non_integer_in_the_middle_is_a_type_error(self):
+        with pytest.raises(TypeError, match="float"):
+            QPoly([1, 2, 2.0, 4, 5])
+
+    def test_first_bad_coefficient_decides_the_error(self):
+        with pytest.raises(CoefficientOverflowError):
+            QPoly([1, INT64_MAX + 1, "x"])
+        with pytest.raises(TypeError):
+            QPoly([1, "x", INT64_MAX + 1])
 
     def test_evaluation_past_the_boundary_fails(self):
         with pytest.raises(CoefficientOverflowError):
