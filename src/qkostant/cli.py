@@ -205,23 +205,22 @@ def _verify_g2(grid_max: int) -> dict:
         {"name": "tarski_vs_qpartition_at_one", "cases": len(pairs), "mismatches": mismatches}
     )
 
-    mismatches = 0
+    # One closed evaluation per tuple serves two checks: its m_at_one is
+    # exactly what multiplicity(..., "qpoly") returns.
+    weyl_mismatches = tarski_mismatches = 0
     for m, n, x, y in quads:
         lam, mu = FundCoord(m, n), FundCoord(x, y)
-        if qmultiplicity_closed(lam, mu).mq != qmultiplicity_weyl_sum(lam, mu):
-            mismatches += 1
+        closed = qmultiplicity_closed(lam, mu)
+        if closed.mq != qmultiplicity_weyl_sum(lam, mu):
+            weyl_mismatches += 1
+        if closed.m_at_one != multiplicity(lam, mu, "tarski"):
+            tarski_mismatches += 1
     checks.append(
-        {"name": "qmult_closed_vs_weyl_sum", "cases": len(quads), "mismatches": mismatches}
-    )
-
-    mismatches = sum(
-        1
-        for m, n, x, y in quads
-        if multiplicity(FundCoord(m, n), FundCoord(x, y), "qpoly")
-        != multiplicity(FundCoord(m, n), FundCoord(x, y), "tarski")
+        {"name": "qmult_closed_vs_weyl_sum", "cases": len(quads), "mismatches": weyl_mismatches}
     )
     checks.append(
-        {"name": "multiplicity_qpoly_vs_tarski", "cases": len(quads), "mismatches": mismatches}
+        {"name": "multiplicity_qpoly_vs_tarski", "cases": len(quads),
+         "mismatches": tarski_mismatches}
     )
 
     audit = audit_cases(grid_max)
@@ -254,24 +253,23 @@ def _verify_c2(grid_max: int) -> dict:
         {"name": "partition_closed_vs_qpartition_at_one", "cases": len(pairs), "mismatches": mismatches}
     )
 
-    mismatches = 0
+    # One Weyl sum per tuple serves both checks; an odd m - x puts mu off
+    # lam's root-lattice coset, where the case flags and the sum must vanish.
+    weyl_mismatches = parity_mismatches = 0
     for m, n, x, y in quads:
         lam, mu = FundCoord(m, n), FundCoord(x, y)
-        if multiplicity_c2_closed(lam, mu).value != multiplicity_c2_weyl_sum(lam, mu).eval_at_one():
-            mismatches += 1
+        closed = multiplicity_c2_closed(lam, mu)
+        weyl = multiplicity_c2_weyl_sum(lam, mu)
+        if closed.value != weyl.eval_at_one():
+            weyl_mismatches += 1
+        if (m - x) % 2 and (closed.case.b_in_n or closed.case.d_in_n or weyl):
+            parity_mismatches += 1
     checks.append(
-        {"name": "mult_closed_vs_weyl_sum_at_one", "cases": len(quads), "mismatches": mismatches}
+        {"name": "mult_closed_vs_weyl_sum_at_one", "cases": len(quads),
+         "mismatches": weyl_mismatches}
     )
-
-    mismatches = 0
-    for m, n, x, y in quads:
-        lam, mu = FundCoord(m, n), FundCoord(x, y)
-        if (m - x) % 2:
-            case = compute_case_c2(lam, mu)
-            if case.b_in_n or case.d_in_n or multiplicity_c2_weyl_sum(lam, mu):
-                mismatches += 1
     checks.append(
-        {"name": "odd_parity_vanishing", "cases": len(quads), "mismatches": mismatches}
+        {"name": "odd_parity_vanishing", "cases": len(quads), "mismatches": parity_mismatches}
     )
     return {"algebra": "c2", "grid_max": grid_max, "checks": checks}
 
@@ -304,11 +302,12 @@ def _table_lines(algebra: str, grid_max: int) -> list[str]:
         lines.append("m,n,x,y,a,two_b,c,two_d,case,mq_coeffs,m_at_1")
         for m, n, x, y in product(range(grid_max + 1), repeat=4):
             lam, mu = FundCoord(m, n), FundCoord(x, y)
-            case = compute_case_c2(lam, mu)
+            closed = multiplicity_c2_closed(lam, mu)
+            case = closed.case
             coeffs = "|".join(str(c) for c in multiplicity_c2_weyl_sum(lam, mu).coeffs)
             lines.append(
                 f"{m},{n},{x},{y},{case.a},{case.two_b},{case.c},{case.two_d},"
-                f"{case.case_label},{coeffs},{multiplicity_c2_closed(lam, mu).value}"
+                f"{case.case_label},{coeffs},{closed.value}"
             )
     return lines
 

@@ -9,13 +9,14 @@ recover the classical multiplicity at q = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Mapping
 
 from .errors import InternalConsistencyError
 from .g2_partition import partition_tarski, qpartition
 from .qpoly import QPoly
-from .rootsys import FundCoord, RootCoord, sigma_shift, weyl_group
+from .rootsys import ORBIT_CACHE_SIZE, RHO, FundCoord, RootCoord, fund_to_root, weyl_group
 
 TERM_NAMES = ("P", "Q", "R", "S", "T")
 TERM_SIGNS: Mapping[str, int] = {"P": 1, "Q": -1, "R": -1, "S": 1, "T": 1}
@@ -125,11 +126,7 @@ def active_terms(case: CaseData) -> tuple[str, ...]:
     with nonnegative root coordinates has at least its all-simple-roots
     decomposition.
     """
-    return tuple(
-        name
-        for name in TERM_NAMES
-        if term_coords(name, case).c1 >= 0 and term_coords(name, case).c2 >= 0
-    )
+    return tuple(name for name in TERM_NAMES if min(term_coords(name, case)) >= 0)
 
 
 @dataclass(frozen=True)
@@ -159,10 +156,34 @@ def qmultiplicity_closed(lam: FundCoord, mu: FundCoord) -> MultiplicityResult:
     return MultiplicityResult(lam, mu, case, terms, mq, mq.eval_at_one())
 
 
+@lru_cache(maxsize=ORBIT_CACHE_SIZE, typed=True)
+def _shifted_orbit(m: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    """(sign, c1, c2) of sigma(lam + rho) - rho for all 12 Weyl elements.
+
+    Root coordinates, lam = m*w1 + n*w2. The orbit depends on lam alone, so
+    a grid sweep computes it once per lam instead of once per (lam, mu).
+    """
+    c1, c2 = fund_to_root(FundCoord(m, n))
+    shifted = RootCoord(c1 + RHO.c1, c2 + RHO.c2)
+    orbit = []
+    for sigma in weyl_group():
+        moved = sigma.apply(shifted)
+        orbit.append((sigma.sign, moved.c1 - RHO.c1, moved.c2 - RHO.c2))
+    return tuple(orbit)
+
+
 def qmultiplicity_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:
-    """m_q(lam, mu) as the alternating sum over all 12 Weyl elements."""
+    """m_q(lam, mu) as the alternating sum over all 12 Weyl elements.
+
+    The term of sigma is the q-partition of sigma(lam + rho) - (mu + rho),
+    which is zero unless both root coordinates are nonnegative; only the
+    terms inside that cone are evaluated.
+    """
+    mu1, mu2 = fund_to_root(mu)
     return QPoly.signed_sum(
-        (sigma.sign, qpartition(sigma_shift(sigma, lam, mu))) for sigma in weyl_group()
+        (sign, qpartition(RootCoord(c1 - mu1, c2 - mu2)))
+        for sign, c1, c2 in _shifted_orbit(*lam)
+        if c1 >= mu1 and c2 >= mu2
     )
 
 

@@ -73,8 +73,9 @@ _ROOT_TO_FUND: Mat = ((2, -3), (-1, 2))  # exact inverse, determinant 1
 
 def fund_to_root(w: FundCoord) -> RootCoord:
     """(m, n) in the fundamental basis -> (2m+3n, m+2n) in the root basis."""
+    m, n = w
     (p, q), (r, s) = FUND_TO_ROOT
-    return RootCoord(p * w.m + q * w.n, r * w.m + s * w.n)
+    return RootCoord(p * m + q * n, r * m + s * n)
 
 
 def root_to_fund(v: RootCoord) -> FundCoord:
@@ -102,6 +103,10 @@ class WeylElement:
         (p, q), (r, s) = self.matrix
         return RootCoord(p * v.c1 + q * v.c2, r * v.c1 + s * v.c2)
 
+
+# Distinct highest weights whose shifted Weyl orbit the Weyl-sum oracles keep
+# cached (g2 and sp4 each); 256 covers every lambda of a [0,15]^2 grid.
+ORBIT_CACHE_SIZE = 256
 
 # Generator matrices, columns = images of the simple roots:
 # s1: a1 -> -a1, a2 -> 3a1 + a2;  s2: a1 -> a1 + a2, a2 -> -a2.

@@ -14,7 +14,7 @@ from itertools import accumulate, combinations
 
 from .errors import InternalConsistencyError
 from .qpoly import QPoly
-from .rootsys import IDENTITY, FundCoord, Mat, RootCoord, mat_det, mat_mul
+from .rootsys import IDENTITY, ORBIT_CACHE_SIZE, FundCoord, Mat, RootCoord, mat_det, mat_mul
 
 POSITIVE_ROOTS_C2: tuple[RootCoord, ...] = (
     RootCoord(1, 0),
@@ -279,27 +279,41 @@ def root_to_fund_c2(v: RootCoord) -> FundCoord:
 
 def _doubled_shifted(w: FundCoord) -> tuple[int, int]:
     """2 * (w + rho) in root coordinates."""
+    m, n = w
     w1, w2, rho = fundamental_weights_c2()
     return (
-        w.m * w1[0] + w.n * w2[0] + rho[0],
-        w.m * w1[1] + w.n * w2[1] + rho[1],
+        m * w1[0] + n * w2[0] + rho[0],
+        m * w1[1] + n * w2[1] + rho[1],
     )
+
+
+@lru_cache(maxsize=ORBIT_CACHE_SIZE, typed=True)
+def _doubled_orbit(m: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    """(sign, u, v) of sigma(2 * (lam + rho)) for all 8 Weyl elements.
+
+    Doubled root coordinates, lam = m*w1 + n*w2. The orbit depends on lam
+    alone, so a grid sweep computes it once per lam instead of once per
+    (lam, mu).
+    """
+    lam2 = _doubled_shifted(FundCoord(m, n))
+    orbit = []
+    for ((p, q), (r, s)), length in weyl_group_c2():
+        sign = -1 if length % 2 else 1
+        orbit.append((sign, p * lam2[0] + q * lam2[1], r * lam2[0] + s * lam2[1]))
+    return tuple(orbit)
 
 
 def multiplicity_c2_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:
     """m_q(lam, mu) for sp4 as the alternating sum over its 8 Weyl elements.
 
-    Terms whose shifted weight has an odd doubled coordinate lie outside
-    the root lattice and contribute nothing.
+    The term of sigma is the q-partition of sigma(lam + rho) - (mu + rho).
+    It is zero when that weight has a negative coordinate, or an odd
+    doubled one (it then lies outside the root lattice); only the other
+    terms are evaluated.
     """
-    lam2 = _doubled_shifted(lam)
-    mu2 = _doubled_shifted(mu)
-    terms = []
-    for matrix, length in weyl_group_c2():
-        (p, q), (r, s) = matrix
-        u = p * lam2[0] + q * lam2[1] - mu2[0]
-        v = r * lam2[0] + s * lam2[1] - mu2[1]
-        if u % 2 or v % 2:
-            continue
-        terms.append(((-1) ** length, qpartition_c2(RootCoord(u // 2, v // 2))))
-    return QPoly.signed_sum(terms)
+    mu1, mu2 = _doubled_shifted(mu)
+    return QPoly.signed_sum(
+        (sign, qpartition_c2(RootCoord((u - mu1) // 2, (v - mu2) // 2)))
+        for sign, u, v in _doubled_orbit(*lam)
+        if u >= mu1 and v >= mu2 and not (u - mu1) % 2 and not (v - mu2) % 2
+    )

@@ -1,13 +1,21 @@
-"""The direct q-partition sums, kept as a second oracle for the fast kernels.
+"""Direct, unoptimised forms of the package's sums, kept as second oracles.
 
-``qpartition`` and ``qpartition_c2`` in the package evaluate these same
+``qpartition`` and ``qpartition_c2`` in the package evaluate the q-partition
 sums through strided difference arrays. The loops below walk the sums
 term by term instead: O(N^3) for g2 and O(N^2) for sp4, still far cheaper
 than enumerating decompositions, so they can check the kernels at points
 where brute force is out of reach.
+
+The package's Weyl sums cache the shifted orbit of lambda and skip the
+terms that are zero. The unpruned sums below evaluate every term of the
+alternating sum as written: all 12 ``sigma_shift`` terms for g2 and all 8
+matrix terms for sp4, dropping only those off the root lattice.
 """
 
+from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
+from qkostant.rootsys import RootCoord, sigma_shift, weyl_group
+from qkostant.sp4 import fundamental_weights_c2, qpartition_c2, weyl_group_c2
 
 
 def qpartition_triple_sum(m: int, n: int) -> QPoly:
@@ -45,3 +53,38 @@ def qpartition_c2_double_sum(m: int, n: int) -> QPoly:
         for j in range(max(m - i, n), m + n - 2 * i + 1):
             coeffs[j] += 1
     return QPoly(coeffs)
+
+
+def qmultiplicity_weyl_sum_unpruned(lam, mu) -> QPoly:
+    """g2: m_q(lam, mu) as the alternating sum over all 12 Weyl elements."""
+    return QPoly.signed_sum(
+        (sigma.sign, qpartition(sigma_shift(sigma, lam, mu))) for sigma in weyl_group()
+    )
+
+
+def _doubled_shifted(w) -> tuple[int, int]:
+    """2 * (w + rho) in root coordinates."""
+    w1, w2, rho = fundamental_weights_c2()
+    return (
+        w.m * w1[0] + w.n * w2[0] + rho[0],
+        w.m * w1[1] + w.n * w2[1] + rho[1],
+    )
+
+
+def multiplicity_c2_weyl_sum_unpruned(lam, mu) -> QPoly:
+    """sp4: m_q(lam, mu) as the alternating sum over its 8 Weyl elements.
+
+    Terms whose shifted weight has an odd doubled coordinate lie outside
+    the root lattice and contribute nothing.
+    """
+    lam2 = _doubled_shifted(lam)
+    mu2 = _doubled_shifted(mu)
+    terms = []
+    for matrix, length in weyl_group_c2():
+        (p, q), (r, s) = matrix
+        u = p * lam2[0] + q * lam2[1] - mu2[0]
+        v = r * lam2[0] + s * lam2[1] - mu2[1]
+        if u % 2 or v % 2:
+            continue
+        terms.append(((-1) ** length, qpartition_c2(RootCoord(u // 2, v // 2))))
+    return QPoly.signed_sum(terms)

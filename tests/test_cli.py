@@ -1,11 +1,42 @@
 """Command-line interface tests, driven through run() for speed."""
 
+import dataclasses
+import hashlib
 import json
 
+import pytest
+
+from qkostant import cli
 from qkostant.cli import run
 from qkostant.qpoly import QPoly
 from qkostant.rootsys import RootCoord
 from qkostant.g2_partition import qpartition
+
+# Recorded from the CLI before the verify loops were fused; any change to
+# the checks, their order or their counts shows up here.
+TABLE_MAX6_SHA256 = {
+    "g2": "3d89a33398f92e26cf545b4c32dab2ecdd64103b607f00c28a4a7fc71311be90",
+    "c2": "3933187990f30d6e738fa8d69b243de4290f36cadf1b4b867a71274a500d9fdf",
+}
+VERIFY_MAX6_STDOUT = {
+    "g2": (
+        '{"algebra":"g2","checks":['
+        '{"cases":49,"mismatches":0,"name":"qpartition_vs_bruteforce"},'
+        '{"cases":49,"mismatches":0,"name":"tarski_vs_qpartition_at_one"},'
+        '{"cases":2401,"mismatches":0,"name":"qmult_closed_vs_weyl_sum"},'
+        '{"cases":2401,"mismatches":0,"name":"multiplicity_qpoly_vs_tarski"},'
+        '{"cases":2401,"mismatches":0,"name":"case_audit"}'
+        '],"grid_max":6}\n'
+    ),
+    "c2": (
+        '{"algebra":"c2","checks":['
+        '{"cases":49,"mismatches":0,"name":"qpartition_vs_bruteforce"},'
+        '{"cases":49,"mismatches":0,"name":"partition_closed_vs_qpartition_at_one"},'
+        '{"cases":2401,"mismatches":0,"name":"mult_closed_vs_weyl_sum_at_one"},'
+        '{"cases":2401,"mismatches":0,"name":"odd_parity_vanishing"}'
+        '],"grid_max":6}\n'
+    ),
+}
 
 
 def invoke(capsys, *argv):
@@ -191,3 +222,104 @@ class TestTable:
         target = tmp_path / "missing" / "out.csv"
         code, _, err = invoke(capsys, "table", "--max", "0", "--output", str(target))
         assert code == 1 and err
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("algebra", ["g2", "c2"])
+    def test_table_max6_hash(self, capsys, algebra):
+        code, out, _ = invoke(capsys, "table", "--algebra", algebra, "--max", "6")
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == TABLE_MAX6_SHA256[algebra]
+
+    @pytest.mark.parametrize("algebra", ["g2", "c2"])
+    def test_verify_max6_stdout(self, capsys, algebra):
+        assert invoke(capsys, "verify", "--algebra", algebra, "--max", "6") == (
+            0,
+            VERIFY_MAX6_STDOUT[algebra],
+            "",
+        )
+
+
+def _mismatch_counts(capsys, algebra):
+    code, out, _ = invoke(capsys, "verify", "--algebra", algebra, "--max", "3")
+    counts = {check["name"]: check["mismatches"] for check in json.loads(out)["checks"]}
+    return code, counts
+
+
+class TestFusedChecksStayIndependent:
+    """verify evaluates each tuple once; each check must still count on its own."""
+
+    def test_wrong_weyl_sum_counts_once(self, capsys, monkeypatch):
+        real = cli.qmultiplicity_weyl_sum
+
+        def corrupted(lam, mu):
+            poly = real(lam, mu)
+            return poly + QPoly([1]) if (tuple(lam), tuple(mu)) == ((2, 1), (1, 0)) else poly
+
+        monkeypatch.setattr(cli, "qmultiplicity_weyl_sum", corrupted)
+        code, counts = _mismatch_counts(capsys, "g2")
+        assert code == 1
+        assert counts == {
+            "qpartition_vs_bruteforce": 0,
+            "tarski_vs_qpartition_at_one": 0,
+            "qmult_closed_vs_weyl_sum": 1,
+            "multiplicity_qpoly_vs_tarski": 0,
+            "case_audit": 0,
+        }
+
+    def test_wrong_tarski_multiplicity_counts_once(self, capsys, monkeypatch):
+        real = cli.multiplicity
+
+        def corrupted(lam, mu, method="qpoly"):
+            value = real(lam, mu, method)
+            wrong = method == "tarski" and (tuple(lam), tuple(mu)) == ((3, 0), (0, 1))
+            return value + 1 if wrong else value
+
+        monkeypatch.setattr(cli, "multiplicity", corrupted)
+        code, counts = _mismatch_counts(capsys, "g2")
+        assert code == 1
+        assert counts == {
+            "qpartition_vs_bruteforce": 0,
+            "tarski_vs_qpartition_at_one": 0,
+            "qmult_closed_vs_weyl_sum": 0,
+            "multiplicity_qpoly_vs_tarski": 1,
+            "case_audit": 0,
+        }
+
+    def test_wrong_c2_weyl_sum_at_odd_parity_counts_in_both(self, capsys, monkeypatch):
+        real = cli.multiplicity_c2_weyl_sum
+        odd = ((3, 1), (0, 2))  # m - x = 3 is odd: the true sum is zero
+
+        def corrupted(lam, mu):
+            poly = real(lam, mu)
+            return poly + QPoly([0, 1]) if (tuple(lam), tuple(mu)) == odd else poly
+
+        monkeypatch.setattr(cli, "multiplicity_c2_weyl_sum", corrupted)
+        code, counts = _mismatch_counts(capsys, "c2")
+        assert code == 1
+        assert counts == {
+            "qpartition_vs_bruteforce": 0,
+            "partition_closed_vs_qpartition_at_one": 0,
+            "mult_closed_vs_weyl_sum_at_one": 1,
+            "odd_parity_vanishing": 1,
+        }
+
+    def test_wrong_c2_case_flag_at_odd_parity_counts_in_parity_only(self, capsys, monkeypatch):
+        real = cli.multiplicity_c2_closed
+        odd = ((3, 1), (0, 2))
+
+        def corrupted(lam, mu):
+            result = real(lam, mu)
+            if (tuple(lam), tuple(mu)) != odd:
+                return result
+            return dataclasses.replace(result, case=dataclasses.replace(result.case, b_in_n=True))
+
+        monkeypatch.setattr(cli, "multiplicity_c2_closed", corrupted)
+        code, counts = _mismatch_counts(capsys, "c2")
+        assert code == 1
+        assert counts == {
+            "qpartition_vs_bruteforce": 0,
+            "partition_closed_vs_qpartition_at_one": 0,
+            "mult_closed_vs_weyl_sum_at_one": 0,
+            "odd_parity_vanishing": 1,
+        }

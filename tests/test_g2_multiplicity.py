@@ -145,6 +145,12 @@ class TestWeylSum:
         lam, mu = FundCoord(3, 2), FundCoord(1, 1)
         assert qmultiplicity_weyl_sum(lam, mu) == qmultiplicity_closed(lam, mu).mq
 
+    def test_plain_tuples_match_fund_coords(self):
+        for lam, mu in [((0, 1), (0, 0)), ((3, 2), (1, 1)), ((4, 0), (0, 1)), ((1, 1), (4, 4))]:
+            assert qmultiplicity_weyl_sum(lam, mu) == qmultiplicity_weyl_sum(
+                FundCoord(*lam), FundCoord(*mu)
+            )
+
 
 class TestMultiplicity:
     @pytest.mark.parametrize(
@@ -154,6 +160,13 @@ class TestMultiplicity:
     def test_fixtures_under_both_methods(self, lam, mu, expected):
         for method in ("qpoly", "tarski"):
             assert multiplicity(FundCoord(*lam), FundCoord(*mu), method) == expected
+
+    def test_qpoly_method_is_closed_m_at_one(self):
+        # verify compares m_at_one with Tarski in place of a second
+        # multiplicity(..., "qpoly") call; this is the identity it relies on.
+        for m, n, x, y in product(range(6), repeat=4):
+            lam, mu = FundCoord(m, n), FundCoord(x, y)
+            assert multiplicity(lam, mu, "qpoly") == qmultiplicity_closed(lam, mu).m_at_one
 
     def test_methods_agree_on_grid(self):
         for m, n, x, y in product(range(5), repeat=4):

@@ -1,8 +1,9 @@
-"""The fast partition kernels against the direct sums in reference_kernels.
+"""The fast kernels and Weyl sums against the direct forms in reference_kernels.
 
 Brute-force enumeration stays the primary oracle on the small grids in
 test_g2_partition.py and test_sp4.py; the direct sums reach the large
-points where enumeration is out of reach.
+points where enumeration is out of reach. The pruned, orbit-cached Weyl
+sums are held equal to the unpruned alternating sums term for term.
 """
 
 from itertools import product
@@ -10,14 +11,35 @@ from random import Random
 
 import pytest
 
+from qkostant import g2_multiplicity, sp4
+from qkostant.g2_multiplicity import qmultiplicity_weyl_sum
 from qkostant.g2_partition import qpartition
-from qkostant.rootsys import RootCoord
-from qkostant.sp4 import qpartition_c2
-from reference_kernels import qpartition_c2_double_sum, qpartition_triple_sum
+from qkostant.rootsys import FundCoord, RootCoord
+from qkostant.sp4 import multiplicity_c2_weyl_sum, qpartition_c2
+from reference_kernels import (
+    multiplicity_c2_weyl_sum_unpruned,
+    qmultiplicity_weyl_sum_unpruned,
+    qpartition_c2_double_sum,
+    qpartition_triple_sum,
+)
 
 _rng = Random(20030781)
 G2_POINTS = sorted((_rng.randint(0, 600), _rng.randint(0, 400)) for _ in range(30))
 C2_POINTS = sorted((_rng.randint(0, 3000), _rng.randint(0, 3000)) for _ in range(30))
+
+
+def _weyl_points(rng, lam_max, count):
+    """(m, n, x, y) with lambda up to lam_max; mu ranges past lambda, so some
+    pairs have mu not below lambda and a zero multiplicity."""
+    points = []
+    for _ in range(count):
+        m, n = rng.randint(0, lam_max), rng.randint(0, lam_max)
+        points.append((m, n, rng.randint(0, m + 4), rng.randint(0, n + 4)))
+    return sorted(points)
+
+
+G2_WEYL_POINTS = _weyl_points(_rng, 40, 30)
+C2_WEYL_POINTS = _weyl_points(_rng, 300, 30)
 
 # Points whose (i, j) terms reach every regime of the g2 kernel's k-runs.
 G2_REGIME_POINTS = [(0, 0), (5, 9), (6, 6), (12, 9), (8, 4), (9, 4), (20, 3), (1, 0), (0, 1)]
@@ -74,3 +96,52 @@ class TestC2Kernel:
     @pytest.mark.parametrize("m,n", C2_POINTS)
     def test_equals_double_sum_at_seeded_points(self, m, n):
         assert qpartition_c2(RootCoord(m, n)) == qpartition_c2_double_sum(m, n)
+
+
+class TestWeylSums:
+    def test_g2_equals_unpruned_on_grid(self):
+        for m, n, x, y in product(range(8), repeat=4):
+            lam, mu = FundCoord(m, n), FundCoord(x, y)
+            assert qmultiplicity_weyl_sum(lam, mu) == qmultiplicity_weyl_sum_unpruned(
+                lam, mu
+            ), (m, n, x, y)
+
+    def test_c2_equals_unpruned_on_grid(self):
+        for m, n, x, y in product(range(8), repeat=4):
+            lam, mu = FundCoord(m, n), FundCoord(x, y)
+            assert multiplicity_c2_weyl_sum(lam, mu) == multiplicity_c2_weyl_sum_unpruned(
+                lam, mu
+            ), (m, n, x, y)
+
+    @pytest.mark.parametrize("m,n,x,y", G2_WEYL_POINTS)
+    def test_g2_equals_unpruned_at_seeded_points(self, m, n, x, y):
+        lam, mu = FundCoord(m, n), FundCoord(x, y)
+        assert qmultiplicity_weyl_sum(lam, mu) == qmultiplicity_weyl_sum_unpruned(lam, mu)
+
+    @pytest.mark.parametrize("m,n,x,y", C2_WEYL_POINTS)
+    def test_c2_equals_unpruned_at_seeded_points(self, m, n, x, y):
+        lam, mu = FundCoord(m, n), FundCoord(x, y)
+        assert multiplicity_c2_weyl_sum(lam, mu) == multiplicity_c2_weyl_sum_unpruned(lam, mu)
+
+    def test_seeded_points_include_zero_and_nonzero_results(self):
+        g2 = [qmultiplicity_weyl_sum(FundCoord(m, n), FundCoord(x, y)).is_zero()
+              for m, n, x, y in G2_WEYL_POINTS]
+        c2 = [multiplicity_c2_weyl_sum(FundCoord(m, n), FundCoord(x, y)).is_zero()
+              for m, n, x, y in C2_WEYL_POINTS]
+        assert any(g2) and not all(g2)
+        assert any(c2) and not all(c2)
+
+    @pytest.mark.parametrize("orbit", [g2_multiplicity._shifted_orbit, sp4._doubled_orbit])
+    def test_orbit_cache_is_bounded(self, orbit):
+        maxsize = orbit.cache_info().maxsize
+        assert maxsize is not None and maxsize > 0
+        for m in range(maxsize + 10):
+            orbit(m, 1)
+        assert orbit.cache_info().currsize <= maxsize
+
+    @pytest.mark.parametrize("orbit", [g2_multiplicity._shifted_orbit, sp4._doubled_orbit])
+    def test_orbit_cache_keeps_types_apart(self, orbit):
+        # 1001.0 == 1001 and hashes alike; a shared entry would hand integer
+        # callers the float orbit cached first.
+        orbit(1001.0, 7)
+        assert all(type(c) is int for term in orbit(1001, 7) for c in term)

@@ -193,6 +193,12 @@ class TestMultiplicity:
             [0, 0, 1, 0, 1]
         )
 
+    def test_weyl_sum_plain_tuples_match_fund_coords(self):
+        for lam, mu in [((0, 2), (0, 0)), ((2, 1), (0, 0)), ((3, 1), (1, 1)), ((3, 1), (0, 2))]:
+            assert multiplicity_c2_weyl_sum(lam, mu) == multiplicity_c2_weyl_sum(
+                FundCoord(*lam), FundCoord(*mu)
+            )
+
 
 class TestPositiveRoots:
     def test_root_list(self):
