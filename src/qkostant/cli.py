@@ -12,20 +12,25 @@ import argparse
 import json
 import sys
 from itertools import product
-from typing import Sequence
+from operator import add
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import CoefficientOverflowError
 from .g2_multiplicity import (
-    audit_cases,
+    ALLOWED_SIGNATURES,
+    CaseData,
+    active_terms,
     compute_abcdef,
     multiplicity,
     qmultiplicity_closed,
     qmultiplicity_weyl_sum,
+    signature,
 )
 from .g2_partition import partition_tarski, qpartition, qpartition_bruteforce
 from .qpoly import QPoly
 from .rootsys import FundCoord, RootCoord, fund_to_root, root_to_fund
 from .sp4 import (
+    Sp4CaseData,
     compute_case_c2,
     fund_to_root_c2,
     multiplicity_c2_closed,
@@ -140,175 +145,146 @@ def _cmd_mult(args: argparse.Namespace) -> int:
     return 0
 
 
+def _g2_row(lam: FundCoord, mu: FundCoord) -> tuple[CaseData, QPoly, int]:
+    res = qmultiplicity_closed(lam, mu)
+    return res.case, res.mq, res.m_at_one
+
+
+def _c2_row(lam: FundCoord, mu: FundCoord) -> tuple[Sp4CaseData, QPoly, int]:
+    closed = multiplicity_c2_closed(lam, mu)
+    return closed.case, multiplicity_c2_weyl_sum(lam, mu), closed.value
+
+
+def _g2_pair_mismatches(m: int, n: int) -> tuple[bool, ...]:
+    v = RootCoord(m, n)
+    poly = qpartition(v)
+    return poly != qpartition_bruteforce(v), poly.eval_at_one() != partition_tarski(v)
+
+
+def _c2_pair_mismatches(m: int, n: int) -> tuple[bool, ...]:
+    v = RootCoord(m, n)
+    poly = qpartition_c2(v)
+    return poly != qpartition_c2_bruteforce(v), partition_c2_closed(v) != poly.eval_at_one()
+
+
+def _g2_tuple_mismatches(m: int, n: int, x: int, y: int) -> tuple[bool, ...]:
+    # One closed evaluation serves three checks: its m_at_one is exactly
+    # what multiplicity(..., "qpoly") returns, and its case is the one
+    # audit_cases reads.
+    lam, mu = FundCoord(m, n), FundCoord(x, y)
+    closed = qmultiplicity_closed(lam, mu)
+    return (
+        closed.mq != qmultiplicity_weyl_sum(lam, mu),
+        closed.m_at_one != multiplicity(lam, mu, "tarski"),
+        signature(active_terms(closed.case)) not in ALLOWED_SIGNATURES,
+    )
+
+
+def _c2_tuple_mismatches(m: int, n: int, x: int, y: int) -> tuple[bool, ...]:
+    # One Weyl sum serves both checks; an odd m - x puts mu off lam's
+    # root-lattice coset, where the case flags and the sum must vanish.
+    lam, mu = FundCoord(m, n), FundCoord(x, y)
+    closed = multiplicity_c2_closed(lam, mu)
+    weyl = multiplicity_c2_weyl_sum(lam, mu)
+    return (
+        closed.value != weyl.eval_at_one(),
+        bool((m - x) % 2 and (closed.case.b_in_n or closed.case.d_in_n or weyl)),
+    )
+
+
+class _Algebra(NamedTuple):
+    """What `case`, `verify` and `table` need from one algebra.
+
+    The callables look the library functions up as module globals when
+    they run, so a traced or patched function is the one called.
+    """
+
+    case_fields: tuple[str, ...]  # names of the values in case.as_tuple()
+    case: Callable[[FundCoord, FundCoord], object]
+    row: Callable[[FundCoord, FundCoord], tuple]  # (case, m_q, m at q = 1)
+    pair_checks: tuple[str, ...]  # one mismatch flag each per (m, n)
+    pair_mismatches: Callable[[int, int], tuple[bool, ...]]
+    tuple_checks: tuple[str, ...]  # one mismatch flag each per (m, n, x, y)
+    tuple_mismatches: Callable[[int, int, int, int], tuple[bool, ...]]
+
+
+_ALGEBRAS = {
+    "g2": _Algebra(
+        ("a", "b", "c", "d", "e", "f"),
+        lambda lam, mu: compute_abcdef(lam, mu),
+        _g2_row,
+        ("qpartition_vs_bruteforce", "tarski_vs_qpartition_at_one"),
+        _g2_pair_mismatches,
+        ("qmult_closed_vs_weyl_sum", "multiplicity_qpoly_vs_tarski", "case_audit"),
+        _g2_tuple_mismatches,
+    ),
+    "c2": _Algebra(
+        ("a", "two_b", "c", "two_d"),
+        lambda lam, mu: compute_case_c2(lam, mu),
+        _c2_row,
+        ("qpartition_vs_bruteforce", "partition_closed_vs_qpartition_at_one"),
+        _c2_pair_mismatches,
+        ("mult_closed_vs_weyl_sum_at_one", "odd_parity_vanishing"),
+        _c2_tuple_mismatches,
+    ),
+}
+
+
 def _cmd_case(args: argparse.Namespace) -> int:
     lam, mu = _weight_pair(args)
-    if args.algebra == "g2":
-        case = compute_abcdef(lam, mu)
+    algebra = _ALGEBRAS[args.algebra]
+    case = algebra.case(lam, mu)
+    fields = dict(zip(algebra.case_fields, case.as_tuple()))
+    if args.fmt == "json":
         payload = {
-            "algebra": "g2",
+            "algebra": args.algebra,
             "lambda": [lam.m, lam.n],
             "mu": [mu.m, mu.n],
-            "a": case.a,
-            "b": case.b,
-            "c": case.c,
-            "d": case.d,
-            "e": case.e,
-            "f": case.f,
+            **fields,
             "in_n": list(case.in_n),
             "case": case.case_label,
         }
-        text = (
-            f"case {case.case_label}: a={case.a} b={case.b} c={case.c}"
-            f" d={case.d} e={case.e} f={case.f}"
-        )
+        print(json.dumps(payload, **_JSON))
     else:
-        c2 = compute_case_c2(lam, mu)
-        payload = {
-            "algebra": "c2",
-            "lambda": [lam.m, lam.n],
-            "mu": [mu.m, mu.n],
-            "a": c2.a,
-            "two_b": c2.two_b,
-            "c": c2.c,
-            "two_d": c2.two_d,
-            "in_n": [c2.a_in_n, c2.b_in_n, c2.c_in_n, c2.d_in_n],
-            "case": c2.case_label,
-        }
-        text = (
-            f"case {c2.case_label}: a={c2.a} two_b={c2.two_b}"
-            f" c={c2.c} two_d={c2.two_d}"
-        )
-    print(json.dumps(payload, **_JSON) if args.fmt == "json" else text)
+        print(f"case {case.case_label}: " + " ".join(f"{k}={v}" for k, v in fields.items()))
     return 0
-
-
-def _verify_g2(grid_max: int) -> dict:
-    pairs = list(product(range(grid_max + 1), repeat=2))
-    quads = list(product(range(grid_max + 1), repeat=4))
-    checks = []
-
-    mismatches = sum(
-        1
-        for m, n in pairs
-        if qpartition(RootCoord(m, n)) != qpartition_bruteforce(RootCoord(m, n))
-    )
-    checks.append(
-        {"name": "qpartition_vs_bruteforce", "cases": len(pairs), "mismatches": mismatches}
-    )
-
-    mismatches = sum(
-        1
-        for m, n in pairs
-        if qpartition(RootCoord(m, n)).eval_at_one() != partition_tarski(RootCoord(m, n))
-    )
-    checks.append(
-        {"name": "tarski_vs_qpartition_at_one", "cases": len(pairs), "mismatches": mismatches}
-    )
-
-    # One closed evaluation per tuple serves two checks: its m_at_one is
-    # exactly what multiplicity(..., "qpoly") returns.
-    weyl_mismatches = tarski_mismatches = 0
-    for m, n, x, y in quads:
-        lam, mu = FundCoord(m, n), FundCoord(x, y)
-        closed = qmultiplicity_closed(lam, mu)
-        if closed.mq != qmultiplicity_weyl_sum(lam, mu):
-            weyl_mismatches += 1
-        if closed.m_at_one != multiplicity(lam, mu, "tarski"):
-            tarski_mismatches += 1
-    checks.append(
-        {"name": "qmult_closed_vs_weyl_sum", "cases": len(quads), "mismatches": weyl_mismatches}
-    )
-    checks.append(
-        {"name": "multiplicity_qpoly_vs_tarski", "cases": len(quads),
-         "mismatches": tarski_mismatches}
-    )
-
-    audit = audit_cases(grid_max)
-    checks.append(
-        {"name": "case_audit", "cases": len(quads), "mismatches": len(audit.counterexamples)}
-    )
-    return {"algebra": "g2", "grid_max": grid_max, "checks": checks}
-
-
-def _verify_c2(grid_max: int) -> dict:
-    pairs = list(product(range(grid_max + 1), repeat=2))
-    quads = list(product(range(grid_max + 1), repeat=4))
-    checks = []
-
-    mismatches = sum(
-        1
-        for m, n in pairs
-        if qpartition_c2(RootCoord(m, n)) != qpartition_c2_bruteforce(RootCoord(m, n))
-    )
-    checks.append(
-        {"name": "qpartition_vs_bruteforce", "cases": len(pairs), "mismatches": mismatches}
-    )
-
-    mismatches = sum(
-        1
-        for m, n in pairs
-        if partition_c2_closed(RootCoord(m, n)) != qpartition_c2(RootCoord(m, n)).eval_at_one()
-    )
-    checks.append(
-        {"name": "partition_closed_vs_qpartition_at_one", "cases": len(pairs), "mismatches": mismatches}
-    )
-
-    # One Weyl sum per tuple serves both checks; an odd m - x puts mu off
-    # lam's root-lattice coset, where the case flags and the sum must vanish.
-    weyl_mismatches = parity_mismatches = 0
-    for m, n, x, y in quads:
-        lam, mu = FundCoord(m, n), FundCoord(x, y)
-        closed = multiplicity_c2_closed(lam, mu)
-        weyl = multiplicity_c2_weyl_sum(lam, mu)
-        if closed.value != weyl.eval_at_one():
-            weyl_mismatches += 1
-        if (m - x) % 2 and (closed.case.b_in_n or closed.case.d_in_n or weyl):
-            parity_mismatches += 1
-    checks.append(
-        {"name": "mult_closed_vs_weyl_sum_at_one", "cases": len(quads),
-         "mismatches": weyl_mismatches}
-    )
-    checks.append(
-        {"name": "odd_parity_vanishing", "cases": len(quads), "mismatches": parity_mismatches}
-    )
-    return {"algebra": "c2", "grid_max": grid_max, "checks": checks}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max < 0:
         raise ValueError("--max must be nonnegative")
-    report = _verify_g2(args.max) if args.algebra == "g2" else _verify_c2(args.max)
+    algebra = _ALGEBRAS[args.algebra]
+    axis = range(args.max + 1)
+    checks = []
+    for names, dim, mismatches in (
+        (algebra.pair_checks, 2, algebra.pair_mismatches),
+        (algebra.tuple_checks, 4, algebra.tuple_mismatches),
+    ):
+        totals = [0] * len(names)
+        for point in product(axis, repeat=dim):
+            totals = list(map(add, totals, mismatches(*point)))
+        checks += (
+            {"name": name, "cases": len(axis) ** dim, "mismatches": total}
+            for name, total in zip(names, totals)
+        )
     if args.fmt == "json":
+        report = {"algebra": args.algebra, "grid_max": args.max, "checks": checks}
         print(json.dumps(report, **_JSON))
     else:
-        for check in report["checks"]:
+        for check in checks:
             print(f"{check['name']}: {check['cases']} cases, {check['mismatches']} mismatches")
-    return 0 if all(check["mismatches"] == 0 for check in report["checks"]) else 1
+    return 0 if all(check["mismatches"] == 0 for check in checks) else 1
 
 
 def _table_lines(algebra: str, grid_max: int) -> list[str]:
-    lines = []
-    if algebra == "g2":
-        lines.append("m,n,x,y,a,b,c,d,e,f,case,mq_coeffs,m_at_1")
-        for m, n, x, y in product(range(grid_max + 1), repeat=4):
-            res = qmultiplicity_closed(FundCoord(m, n), FundCoord(x, y))
-            case = res.case
-            coeffs = "|".join(str(c) for c in res.mq.coeffs)
-            lines.append(
-                f"{m},{n},{x},{y},{case.a},{case.b},{case.c},{case.d},{case.e},{case.f},"
-                f"{case.case_label},{coeffs},{res.m_at_one}"
-            )
-    else:
-        lines.append("m,n,x,y,a,two_b,c,two_d,case,mq_coeffs,m_at_1")
-        for m, n, x, y in product(range(grid_max + 1), repeat=4):
-            lam, mu = FundCoord(m, n), FundCoord(x, y)
-            closed = multiplicity_c2_closed(lam, mu)
-            case = closed.case
-            coeffs = "|".join(str(c) for c in multiplicity_c2_weyl_sum(lam, mu).coeffs)
-            lines.append(
-                f"{m},{n},{x},{y},{case.a},{case.two_b},{case.c},{case.two_d},"
-                f"{case.case_label},{coeffs},{closed.value}"
-            )
+    spec = _ALGEBRAS[algebra]
+    lines = [f"m,n,x,y,{','.join(spec.case_fields)},case,mq_coeffs,m_at_1"]
+    case_template = ",".join(["%d"] * len(spec.case_fields))
+    for m, n, x, y in product(range(grid_max + 1), repeat=4):
+        case, mq, m_at_one = spec.row(FundCoord(m, n), FundCoord(x, y))
+        values = case_template % case.as_tuple()
+        coeffs = "|".join(map(str, mq.coeffs))
+        lines.append(f"{m},{n},{x},{y},{values},{case.case_label},{coeffs},{m_at_one}")
     return lines
 
 

@@ -9,14 +9,13 @@ recover the classical multiplicity at q = 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Mapping
 
 from .errors import InternalConsistencyError
 from .g2_partition import partition_tarski, qpartition
-from .qpoly import QPoly
-from .rootsys import ORBIT_CACHE_SIZE, RHO, FundCoord, RootCoord, fund_to_root, weyl_group
+from .qpoly import QPoly, checked_int
+from .rootsys import G2, FundCoord, RootCoord, weyl_sum
 
 TERM_NAMES = ("P", "Q", "R", "S", "T")
 TERM_SIGNS: Mapping[str, int] = {"P": 1, "Q": -1, "R": -1, "S": 1, "T": 1}
@@ -156,22 +155,6 @@ def qmultiplicity_closed(lam: FundCoord, mu: FundCoord) -> MultiplicityResult:
     return MultiplicityResult(lam, mu, case, terms, mq, mq.eval_at_one())
 
 
-@lru_cache(maxsize=ORBIT_CACHE_SIZE, typed=True)
-def _shifted_orbit(m: int, n: int) -> tuple[tuple[int, int, int], ...]:
-    """(sign, c1, c2) of sigma(lam + rho) - rho for all 12 Weyl elements.
-
-    Root coordinates, lam = m*w1 + n*w2. The orbit depends on lam alone, so
-    a grid sweep computes it once per lam instead of once per (lam, mu).
-    """
-    c1, c2 = fund_to_root(FundCoord(m, n))
-    shifted = RootCoord(c1 + RHO.c1, c2 + RHO.c2)
-    orbit = []
-    for sigma in weyl_group():
-        moved = sigma.apply(shifted)
-        orbit.append((sigma.sign, moved.c1 - RHO.c1, moved.c2 - RHO.c2))
-    return tuple(orbit)
-
-
 def qmultiplicity_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:
     """m_q(lam, mu) as the alternating sum over all 12 Weyl elements.
 
@@ -179,28 +162,25 @@ def qmultiplicity_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:
     which is zero unless both root coordinates are nonnegative; only the
     terms inside that cone are evaluated.
     """
-    mu1, mu2 = fund_to_root(mu)
-    return QPoly.signed_sum(
-        (sign, qpartition(RootCoord(c1 - mu1, c2 - mu2)))
-        for sign, c1, c2 in _shifted_orbit(*lam)
-        if c1 >= mu1 and c2 >= mu2
-    )
+    return weyl_sum(G2, qpartition, lam, mu)
 
 
 def multiplicity(lam: FundCoord, mu: FundCoord, method: str = "qpoly") -> int:
     """Classical weight multiplicity m(lam, mu).
 
     method="qpoly" evaluates the q-polynomial route at q = 1; "tarski"
-    combines Tarski's integer partition values case by case instead.
+    combines Tarski's integer partition values case by case instead. A
+    value outside the signed 64-bit range raises CoefficientOverflowError.
     """
     if method == "qpoly":
         return qmultiplicity_closed(lam, mu).m_at_one
     if method == "tarski":
         case = compute_abcdef(lam, mu)
-        return sum(
+        value = sum(
             TERM_SIGNS[name] * partition_tarski(term_coords(name, case))
             for name in CASE_TERMS[case.case_label]
         )
+        return checked_int(value)
     raise ValueError(f"unknown method {method!r}, expected 'qpoly' or 'tarski'")
 
 

@@ -16,8 +16,8 @@ from operator import add
 from typing import Iterator, NamedTuple
 
 from .errors import InternalConsistencyError
-from .qpoly import QPoly
-from .rootsys import RootCoord
+from .qpoly import QPoly, checked_int
+from .rootsys import POSITIVE_ROOTS, RootCoord, decompositions, qpartition_enumerated
 
 
 class PartitionWitness(NamedTuple):
@@ -39,35 +39,17 @@ class PartitionWitness(NamedTuple):
 
 
 def partition_witnesses(v: RootCoord) -> Iterator[PartitionWitness]:
-    """Yield every decomposition of v into positive roots.
+    """Iterate over every decomposition of v into positive roots.
 
     Loops run over the non-simple roots highest first; the simple-root
-    counts n1, n2 are then forced by the target coordinates. The loop
-    bounds keep every intermediate remainder nonnegative, so each tuple
-    yielded is a genuine witness.
+    counts n1, n2 are then forced by the target coordinates.
     """
-    m, n = v
-    if m < 0 or n < 0:
-        return
-    for n6 in range(min(m // 3, n // 2) + 1):
-        m6, r6 = m - 3 * n6, n - 2 * n6
-        for n5 in range(min(m6 // 3, r6) + 1):
-            m5, r5 = m6 - 3 * n5, r6 - n5
-            for n4 in range(min(m5 // 2, r5) + 1):
-                m4, r4 = m5 - 2 * n4, r5 - n4
-                for n3 in range(min(m4, r4) + 1):
-                    yield PartitionWitness(m4 - n3, r4 - n3, n3, n4, n5, n6)
+    return map(PartitionWitness._make, decompositions(POSITIVE_ROOTS, v))
 
 
 def qpartition_bruteforce(v: RootCoord) -> QPoly:
     """Definitional q-analog: one q^(number of roots) per witness."""
-    m, n = v
-    if m < 0 or n < 0:
-        return QPoly()
-    counts = [0] * (m + n + 1)
-    for w in partition_witnesses(v):
-        counts[w.total_roots] += 1
-    return QPoly(counts)
+    return qpartition_enumerated(POSITIVE_ROOTS, v)
 
 
 @lru_cache(maxsize=None)
@@ -163,16 +145,22 @@ def partition_tarski(v: RootCoord) -> int:
 
     Adjacent regions overlap on their boundary lines (m = n, 2m = 3n,
     m = 2n, m = 3n) and agree there; dispatch takes the first match.
+    Non-integer coordinates raise ValueError, and a count outside the
+    signed 64-bit range raises CoefficientOverflowError.
     """
     m, n = v
+    if type(m) is not int or type(n) is not int:  # bool is rejected too
+        raise ValueError(f"partition_tarski needs integer coordinates, got {tuple(v)!r}")
     if m < 0 or n < 0:
         return 0
     if m <= n:
-        return tarski_g(m)
-    if 2 * m <= 3 * n:  # n <= m <= 3n/2
-        return tarski_g(m) - tarski_h(m - n - 1)
-    if m <= 2 * n:  # 3n/2 <= m <= 2n
-        return tarski_h(n) - tarski_g(3 * n - m - 1) + tarski_h(2 * n - m - 2)
-    if m <= 3 * n:  # 2n <= m <= 3n
-        return tarski_h(n) - tarski_g(3 * n - m - 1)
-    return tarski_h(n)  # 3n <= m
+        value = tarski_g(m)
+    elif 2 * m <= 3 * n:  # n <= m <= 3n/2
+        value = tarski_g(m) - tarski_h(m - n - 1)
+    elif m <= 2 * n:  # 3n/2 <= m <= 2n
+        value = tarski_h(n) - tarski_g(3 * n - m - 1) + tarski_h(2 * n - m - 2)
+    elif m <= 3 * n:  # 2n <= m <= 3n
+        value = tarski_h(n) - tarski_g(3 * n - m - 1)
+    else:  # 3n <= m
+        value = tarski_h(n)
+    return checked_int(value)

@@ -18,7 +18,12 @@ INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
 
 
-def _checked(value: int) -> int:
+def checked_int(value: int) -> int:
+    """Return an exact integer result unchanged, or raise if it leaves 64 bits.
+
+    The integer partition and multiplicity results pass through here, as
+    every QPoly coefficient does, so both share one range and one error.
+    """
     if not INT64_MIN <= value <= INT64_MAX:
         raise CoefficientOverflowError(
             f"exact value {value} is outside the signed 64-bit range"
@@ -31,7 +36,7 @@ def _raise_first_bad(cs: list) -> None:
     for c in cs:
         if not isinstance(c, int):
             raise TypeError(f"coefficients must be integers, got {type(c).__name__}")
-        _checked(c)
+        checked_int(c)
 
 
 class QPoly:
@@ -95,7 +100,7 @@ class QPoly:
 
     def eval_at_one(self) -> int:
         """Sum of coefficients: recovers the plain count from a q-count."""
-        return _checked(sum(self._coeffs))
+        return checked_int(sum(self._coeffs))
 
     def eval_at(self, value: int) -> int:
         """Exact value at an integer point; the result must fit in 64 bits."""
@@ -104,7 +109,7 @@ class QPoly:
         acc = 0
         for c in reversed(self._coeffs):
             acc = acc * value + c
-        return _checked(acc)
+        return checked_int(acc)
 
     def __add__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):

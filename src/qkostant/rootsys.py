@@ -1,17 +1,21 @@
-"""g2 root-system constants and its Weyl group as exact integer matrices.
+"""The rank-2 root-system core shared by g2 and sp4, and the g2 constants.
 
 All weights live in the simple-root basis: c1*a1 + c2*a2 is the pair
 (c1, c2), and a group element acts as a 2x2 integer matrix on such pairs.
+A :class:`RootSystem` record holds the data that tells g2 and sp4 apart.
+The Weyl group, the brute-force partition enumerator, the coordinate
+conversions and the alternating Weyl sum are written once against it.
 """
 
 from __future__ import annotations
 
 import collections
 from dataclasses import dataclass
-from functools import cache
-from typing import NamedTuple
+from functools import cache, lru_cache
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import InternalConsistencyError
+from .qpoly import QPoly
 
 Mat = tuple[tuple[int, int], tuple[int, int]]
 
@@ -41,47 +45,120 @@ class RootCoord(NamedTuple):
 class FundCoord(collections.namedtuple("FundCoord", ("m", "n"))):
     """A dominant weight m*w1 + n*w2 in the fundamental-weight basis.
 
-    Dominance is part of the type: negative coordinates are rejected, so a
-    FundCoord always names a genuine highest weight.
+    Dominance is part of the type: non-integer and negative coordinates are
+    rejected, so a FundCoord always names a genuine highest weight.
     """
 
     __slots__ = ()
 
     def __new__(cls, m: int, n: int) -> "FundCoord":
+        if type(m) is not int or type(n) is not int:  # bool is rejected too
+            raise ValueError(f"fundamental coordinates must be integers, got ({m!r}, {n!r})")
         if m < 0 or n < 0:
             raise ValueError(f"fundamental coordinates must be nonnegative, got ({m}, {n})")
         return super().__new__(cls, m, n)
 
 
-# Positive roots of g2 as (c1, c2), lowest to highest.
-POSITIVE_ROOTS: tuple[RootCoord, ...] = (
-    RootCoord(1, 0),
-    RootCoord(0, 1),
-    RootCoord(1, 1),
-    RootCoord(2, 1),
-    RootCoord(3, 1),
-    RootCoord(3, 2),
+@dataclass(frozen=True, eq=False)
+class RootSystem:
+    """The data of one rank-2 algebra, in the simple-root basis.
+
+    ``positive_roots`` lists a1, a2 first and the other roots lowest to
+    highest. ``s1`` and ``s2`` are the simple reflections, their columns the
+    images of a1 and a2. ``two_w1`` and ``two_w2`` are the fundamental
+    weights doubled, which keeps sp4's half-integral weights integral.
+    eq=False keeps hashing by identity, so a cache keyed on a record never
+    hashes its fields.
+    """
+
+    name: str
+    positive_roots: tuple[RootCoord, ...]
+    s1: Mat
+    s2: Mat
+    two_w1: tuple[int, int]
+    two_w2: tuple[int, int]
+
+
+G2 = RootSystem(
+    name="g2",
+    positive_roots=(
+        RootCoord(1, 0),
+        RootCoord(0, 1),
+        RootCoord(1, 1),
+        RootCoord(2, 1),
+        RootCoord(3, 1),
+        RootCoord(3, 2),
+    ),
+    # s1: a1 -> -a1, a2 -> 3a1 + a2;  s2: a1 -> a1 + a2, a2 -> -a2.
+    s1=((-1, 3), (0, 1)),
+    s2=((1, 0), (1, -1)),
+    two_w1=(4, 2),  # w1 = 2a1 + a2
+    two_w2=(6, 4),  # w2 = 3a1 + 2a2
 )
+
+C2 = RootSystem(
+    name="c2",
+    positive_roots=(RootCoord(1, 0), RootCoord(0, 1), RootCoord(1, 1), RootCoord(2, 1)),
+    # s1: a1 -> -a1, a2 -> 2a1 + a2;  s2: a1 -> a1 + a2, a2 -> -a2.
+    s1=((-1, 2), (0, 1)),
+    s2=((1, 0), (1, -1)),
+    two_w1=(2, 1),  # w1 = a1 + a2/2
+    two_w2=(2, 2),  # w2 = a1 + a2
+)
+
+# Positive roots of g2 as (c1, c2), lowest to highest.
+POSITIVE_ROOTS: tuple[RootCoord, ...] = G2.positive_roots
 
 # Half-sum of the positive roots; also w1 + w2.
 RHO = RootCoord(5, 3)
 
 # Columns are w1 = 2a1 + a2 and w2 = 3a1 + 2a2.
 FUND_TO_ROOT: Mat = ((2, 3), (1, 2))
-_ROOT_TO_FUND: Mat = ((2, -3), (-1, 2))  # exact inverse, determinant 1
+
+
+def doubled(rs: RootSystem, w: tuple[int, int]) -> tuple[int, int]:
+    """2 * (m*w1 + n*w2) in root coordinates, for w = (m, n)."""
+    m, n = w
+    (p, r), (q, s) = rs.two_w1, rs.two_w2
+    return (p * m + q * n, r * m + s * n)
+
+
+def to_root(rs: RootSystem, w: tuple[int, int]) -> RootCoord | None:
+    """Root coordinates of m*w1 + n*w2, or None off the root lattice.
+
+    Only sp4 has such weights: odd m gives a half-integral a2-coordinate,
+    where the partition count is zero by definition.
+    """
+    u, v = doubled(rs, w)
+    if u % 2 or v % 2:
+        return None
+    return RootCoord(u // 2, v // 2)
+
+
+def to_fund(rs: RootSystem, v: RootCoord) -> FundCoord:
+    """Fundamental coordinates of a root-lattice weight.
+
+    Raises ValueError when the weight is not dominant; the solve itself is
+    always exact because the root lattice sits inside the weight lattice.
+    """
+    c1, c2 = v
+    (p, r), (q, s) = rs.two_w1, rs.two_w2
+    det = p * s - q * r
+    m_num = 2 * (s * c1 - q * c2)
+    n_num = 2 * (p * c2 - r * c1)
+    if m_num % det or n_num % det:
+        raise InternalConsistencyError(f"non-integral fundamental coordinates for {tuple(v)}")
+    return FundCoord(m_num // det, n_num // det)
 
 
 def fund_to_root(w: FundCoord) -> RootCoord:
-    """(m, n) in the fundamental basis -> (2m+3n, m+2n) in the root basis."""
-    m, n = w
-    (p, q), (r, s) = FUND_TO_ROOT
-    return RootCoord(p * m + q * n, r * m + s * n)
+    """(m, n) in the fundamental basis -> (2m+3n, m+2n) in the g2 root basis."""
+    return to_root(G2, w)
 
 
 def root_to_fund(v: RootCoord) -> FundCoord:
     """Inverse conversion; raises ValueError when the weight is not dominant."""
-    (p, q), (r, s) = _ROOT_TO_FUND
-    return FundCoord(p * v.c1 + q * v.c2, r * v.c1 + s * v.c2)
+    return to_fund(G2, v)
 
 
 @dataclass(frozen=True)
@@ -104,90 +181,131 @@ class WeylElement:
         return RootCoord(p * v.c1 + q * v.c2, r * v.c1 + s * v.c2)
 
 
-# Distinct highest weights whose shifted Weyl orbit the Weyl-sum oracles keep
-# cached (g2 and sp4 each); 256 covers every lambda of a [0,15]^2 grid.
-ORBIT_CACHE_SIZE = 256
-
-# Generator matrices, columns = images of the simple roots:
-# s1: a1 -> -a1, a2 -> 3a1 + a2;  s2: a1 -> a1 + a2, a2 -> -a2.
-_S1: Mat = ((-1, 3), (0, 1))
-_S2: Mat = ((1, 0), (1, -1))
-_GENERATORS: dict[int, Mat] = {1: _S1, 2: _S2}
-
-# Reduced words in length order; the letters list the factors left to right.
-_WORDS: tuple[tuple[str, tuple[int, ...]], ...] = (
-    ("1", ()),
-    ("s1", (1,)),
-    ("s2", (2,)),
-    ("s2s1", (2, 1)),
-    ("s1s2", (1, 2)),
-    ("s1s2s1", (1, 2, 1)),
-    ("s2s1s2", (2, 1, 2)),
-    ("(s1s2)^2", (1, 2, 1, 2)),
-    ("(s2s1)^2", (2, 1, 2, 1)),
-    ("s1(s2s1)^2", (1, 2, 1, 2, 1)),
-    ("s2(s1s2)^2", (2, 1, 2, 1, 2)),
-    ("(s1s2)^3", (1, 2, 1, 2, 1, 2)),
-)
-
-# Independently transcribed action of every element on the simple roots,
-# as (image of a1, image of a2). The composed matrices must reproduce this;
-# a mismatch means one of the two transcriptions is damaged.
-_EXPECTED_ACTION: dict[str, tuple[RootCoord, RootCoord]] = {
-    "1": (RootCoord(1, 0), RootCoord(0, 1)),
-    "s1": (RootCoord(-1, 0), RootCoord(3, 1)),
-    "s2": (RootCoord(1, 1), RootCoord(0, -1)),
-    "s2s1": (RootCoord(-1, -1), RootCoord(3, 2)),
-    "s1s2": (RootCoord(2, 1), RootCoord(-3, -1)),
-    "s1s2s1": (RootCoord(-2, -1), RootCoord(3, 2)),
-    "s2s1s2": (RootCoord(2, 1), RootCoord(-3, -2)),
-    "(s1s2)^2": (RootCoord(1, 1), RootCoord(-3, -2)),
-    "(s2s1)^2": (RootCoord(-2, -1), RootCoord(3, 1)),
-    "s1(s2s1)^2": (RootCoord(-1, -1), RootCoord(0, 1)),
-    "s2(s1s2)^2": (RootCoord(1, 0), RootCoord(-3, -1)),
-    "(s1s2)^3": (RootCoord(-1, 0), RootCoord(0, -1)),
-}
+def _word(letters: tuple[int, ...]) -> str:
+    """Name of a reduced word: "1", "s2s1", "s1s2s1", "(s1s2)^2", "s1(s2s1)^2"."""
+    if not letters:
+        return "1"
+    pairs, odd = divmod(len(letters), 2)
+    if pairs < 2:
+        return "".join(f"s{letter}" for letter in letters)
+    head = f"s{letters[0]}" if odd else ""
+    return f"{head}(s{letters[odd]}s{letters[odd + 1]})^{pairs}"
 
 
 @cache
-def weyl_group() -> tuple[WeylElement, ...]:
-    """All 12 elements in length order, built by composing the generators.
+def weyl_elements(rs: RootSystem) -> tuple[WeylElement, ...]:
+    """The Weyl group of rs in length order, grown from the simple reflections.
 
-    Construction re-derives every matrix from the generator action and
-    checks it against the transcribed per-element action, pairwise
-    distinctness, closure under multiplication, and det = (-1)^length.
+    A breadth-first closure that multiplies on the right reaches each
+    element first through a reduced word, whose letters name the factors
+    left to right. The group of a rank-2 root system has twice as many
+    elements as positive roots; that order and det = (-1)^length are checked.
     """
-    elements: list[WeylElement] = []
-    for word, letters in _WORDS:
-        matrix = IDENTITY
-        for letter in letters:
-            matrix = mat_mul(matrix, _GENERATORS[letter])
-        elem = WeylElement(word, len(letters), matrix)
-        expected = _EXPECTED_ACTION[word]
-        composed = (elem.apply(RootCoord(1, 0)), elem.apply(RootCoord(0, 1)))
-        if composed != expected:
-            raise InternalConsistencyError(
-                f"composed action of {word} is {composed}, transcription says {expected}"
-            )
-        if mat_det(matrix) != elem.sign:
-            raise InternalConsistencyError(f"det of {word} is not (-1)^length")
-        elements.append(elem)
+    words: dict[Mat, tuple[int, ...]] = {IDENTITY: ()}
+    queue = [IDENTITY]
+    for matrix in queue:  # the loop also visits the elements appended below
+        for letter, generator in ((1, rs.s1), (2, rs.s2)):
+            product = mat_mul(matrix, generator)
+            if product not in words:
+                words[product] = words[matrix] + (letter,)
+                queue.append(product)
+    elements = tuple(WeylElement(_word(w), len(w), m) for m, w in words.items())
+    if len(elements) != 2 * len(rs.positive_roots):
+        raise InternalConsistencyError(
+            f"{rs.name} Weyl group has order {len(elements)}, not {2 * len(rs.positive_roots)}"
+        )
+    for elem in elements:
+        if mat_det(elem.matrix) != elem.sign:
+            raise InternalConsistencyError(f"det of {rs.name} {elem.word} is not (-1)^length")
+    return elements
 
-    matrices = {e.matrix for e in elements}
-    if len(matrices) != 12:
-        raise InternalConsistencyError("Weyl matrices are not pairwise distinct")
-    for a in elements:
-        for b in elements:
-            if mat_mul(a.matrix, b.matrix) not in matrices:
-                raise InternalConsistencyError(
-                    f"product {a.word} * {b.word} escapes the group"
-                )
-    return tuple(elements)
+
+def weyl_group() -> tuple[WeylElement, ...]:
+    """All 12 elements of the g2 Weyl group in length order."""
+    return weyl_elements(G2)
 
 
 def sigma_shift(sigma: WeylElement, lam: FundCoord, mu: FundCoord) -> RootCoord:
-    """sigma(lam + rho) - (mu + rho), everything in root coordinates."""
+    """sigma(lam + rho) - (mu + rho), everything in g2 root coordinates."""
     lr = fund_to_root(lam)
     mr = fund_to_root(mu)
     moved = sigma.apply(RootCoord(lr.c1 + RHO.c1, lr.c2 + RHO.c2))
     return RootCoord(moved.c1 - mr.c1 - RHO.c1, moved.c2 - mr.c2 - RHO.c2)
+
+
+def _decompose(roots, m: int, n: int, counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    if not roots:
+        yield (m, n, *counts)
+        return
+    (a, b), rest = roots[0], roots[1:]
+    for k in range(min(m // a, n // b) + 1):
+        yield from _decompose(rest, m - k * a, n - k * b, (k, *counts))
+
+
+def decompositions(roots: tuple[RootCoord, ...], v: RootCoord) -> Iterator[tuple[int, ...]]:
+    """Yield the count of each root in every decomposition of v into roots.
+
+    ``roots`` starts with the simple roots a1, a2, and the counts come in
+    the same order. Loops run over the non-simple roots highest first; the
+    simple-root counts are then forced by the target coordinates. The loop
+    bounds keep every remainder nonnegative, so each tuple yielded is a
+    genuine decomposition.
+    """
+    m, n = v
+    if m >= 0 and n >= 0:
+        yield from _decompose(roots[:1:-1], m, n, ())
+
+
+def qpartition_enumerated(roots: tuple[RootCoord, ...], v: RootCoord) -> QPoly:
+    """Definitional q-analog: one q^(number of roots) per decomposition."""
+    m, n = v
+    if m < 0 or n < 0:
+        return QPoly()
+    counts = [0] * (m + n + 1)
+    for witness in decompositions(roots, v):
+        counts[sum(witness)] += 1
+    return QPoly(counts)
+
+
+# Distinct (algebra, highest weight) pairs whose shifted Weyl orbit the Weyl
+# sum keeps cached; 512 covers every lambda of a [0,15]^2 grid for both algebras.
+ORBIT_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=ORBIT_CACHE_SIZE, typed=True)
+def shifted_orbit(rs: RootSystem, m: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    """(sign, u, v) of sigma(2 * (lam + rho)) for every Weyl element sigma.
+
+    Doubled root coordinates, lam = m*w1 + n*w2 and rho = w1 + w2. The
+    orbit depends on lam alone, so a grid sweep computes it once per lam
+    instead of once per (lam, mu).
+    """
+    u, v = doubled(rs, (m + 1, n + 1))
+    orbit = []
+    for elem in weyl_elements(rs):
+        (p, q), (r, s) = elem.matrix
+        orbit.append((elem.sign, p * u + q * v, r * u + s * v))
+    return tuple(orbit)
+
+
+def weyl_sum(
+    rs: RootSystem,
+    qpartition: Callable[[RootCoord], QPoly],
+    lam: tuple[int, int],
+    mu: tuple[int, int],
+) -> QPoly:
+    """m_q(lam, mu) as the alternating sum over the Weyl group of rs.
+
+    The term of sigma is qpartition(sigma(lam + rho) - (mu + rho)). It is
+    zero when that weight has a negative coordinate, or an odd doubled one
+    (it then lies outside the root lattice, which happens for sp4 only);
+    only the other terms are evaluated. lam and mu are (m, n) pairs in the
+    fundamental basis.
+    """
+    x, y = mu
+    mu1, mu2 = doubled(rs, (x + 1, y + 1))
+    return QPoly.signed_sum(
+        (sign, qpartition(RootCoord((u - mu1) // 2, (v - mu2) // 2)))
+        for sign, u, v in shifted_orbit(rs, *lam)
+        if u >= mu1 and v >= mu2 and not (u - mu1) % 2 and not (v - mu2) % 2
+    )

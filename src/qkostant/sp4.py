@@ -10,23 +10,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from .errors import InternalConsistencyError
-from .qpoly import QPoly
-from .rootsys import IDENTITY, ORBIT_CACHE_SIZE, FundCoord, Mat, RootCoord, mat_det, mat_mul
-
-POSITIVE_ROOTS_C2: tuple[RootCoord, ...] = (
-    RootCoord(1, 0),
-    RootCoord(0, 1),
-    RootCoord(1, 1),
-    RootCoord(2, 1),
+from .qpoly import QPoly, checked_int
+from .rootsys import (
+    C2,
+    FundCoord,
+    Mat,
+    RootCoord,
+    doubled,
+    qpartition_enumerated,
+    to_fund,
+    to_root,
+    weyl_elements,
+    weyl_sum,
 )
 
-# Simple reflections, columns = images of the simple roots:
-# s1: a1 -> -a1, a2 -> 2a1 + a2;  s2: a1 -> a1 + a2, a2 -> -a2.
-_S1: Mat = ((-1, 2), (0, 1))
-_S2: Mat = ((1, 0), (1, -1))
+POSITIVE_ROOTS_C2: tuple[RootCoord, ...] = C2.positive_roots
 
 
 @lru_cache(maxsize=None)
@@ -50,16 +51,7 @@ def qpartition_c2(v: RootCoord) -> QPoly:
 
 def qpartition_c2_bruteforce(v: RootCoord) -> QPoly:
     """Definitional oracle: enumerate decompositions into the four roots."""
-    m, n = v
-    if m < 0 or n < 0:
-        return QPoly()
-    counts = [0] * (m + n + 1)
-    for n4 in range(min(m // 2, n) + 1):  # copies of 2a1+a2
-        for n3 in range(min(m - 2 * n4, n - n4) + 1):  # copies of a1+a2
-            n1 = m - 2 * n4 - n3
-            n2 = n - n4 - n3
-            counts[n1 + n2 + n3 + n4] += 1
-    return QPoly(counts)
+    return qpartition_enumerated(POSITIVE_ROOTS_C2, v)
 
 
 def _closed_form(m: int, n: int, edge_region: bool = True) -> int:
@@ -86,11 +78,16 @@ def _closed_form(m: int, n: int, edge_region: bool = True) -> int:
 
 
 def partition_c2_closed(v: RootCoord) -> int:
-    """Partition count at q = 1 for sp4; requires nonnegative coordinates."""
+    """Partition count at q = 1 for sp4; requires nonnegative integer coordinates.
+
+    A count outside the signed 64-bit range raises CoefficientOverflowError.
+    """
     m, n = v
+    if type(m) is not int or type(n) is not int:  # bool is rejected too
+        raise ValueError(f"partition_c2_closed needs integer coordinates, got {tuple(v)!r}")
     if m < 0 or n < 0:
         raise ValueError(f"partition_c2_closed needs nonnegative coordinates, got {tuple(v)}")
-    return _closed_form(m, n)
+    return checked_int(_closed_form(m, n))
 
 
 @dataclass(frozen=True)
@@ -111,6 +108,13 @@ class Sp4CaseData:
     c_in_n: bool
     d_in_n: bool
     case_label: str
+
+    def as_tuple(self) -> tuple[int, int, int, int]:
+        return (self.a, self.two_b, self.c, self.two_d)
+
+    @property
+    def in_n(self) -> tuple[bool, bool, bool, bool]:
+        return (self.a_in_n, self.b_in_n, self.c_in_n, self.d_in_n)
 
 
 def compute_case_c2(lam: FundCoord, mu: FundCoord) -> Sp4CaseData:
@@ -168,84 +172,19 @@ def multiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> Sp4MultiplicityResu
         raise InternalConsistencyError(
             f"negative multiplicity {value} for ({tuple(lam)}, {tuple(mu)})"
         )
-    return Sp4MultiplicityResult(lam, mu, case, value)
+    return Sp4MultiplicityResult(lam, mu, case, checked_int(value))
 
 
 @cache
 def weyl_group_c2() -> tuple[tuple[Mat, int], ...]:
-    """The 8 sp4 Weyl elements as (matrix, length), grown from the reflections.
-
-    Breadth-first closure assigns each matrix its reduced length; the result
-    is checked for order 8 and det = (-1)^length.
-    """
-    lengths: dict[Mat, int] = {IDENTITY: 0}
-    frontier: list[Mat] = [IDENTITY]
-    depth = 0
-    while frontier:
-        depth += 1
-        grown: list[Mat] = []
-        for matrix in frontier:
-            for generator in (_S1, _S2):
-                product = mat_mul(generator, matrix)
-                if product not in lengths:
-                    lengths[product] = depth
-                    grown.append(product)
-        frontier = grown
-    if len(lengths) != 8:
-        raise InternalConsistencyError(f"sp4 Weyl group has order {len(lengths)}, not 8")
-    for matrix, length in lengths.items():
-        if mat_det(matrix) != (-1) ** length:
-            raise InternalConsistencyError("sp4 element with det != (-1)^length")
-    return tuple(sorted(lengths.items(), key=lambda item: (item[1], item[0])))
+    """The 8 sp4 Weyl elements as (matrix, length), sorted by length, then matrix."""
+    group = ((elem.matrix, elem.length) for elem in weyl_elements(C2))
+    return tuple(sorted(group, key=lambda item: (item[1], item[0])))
 
 
-def _solve_weight(rhs1: tuple[int, int], rhs2: tuple[int, int]) -> tuple[int, int]:
-    """Solve (s_i - 1) w = rhs_i for w in doubled root coordinates.
-
-    The four scalar equations are overdetermined; Cramer's rule on any
-    independent pair must satisfy the rest exactly and integrally.
-    """
-    equations: list[tuple[int, int, int]] = []
-    for matrix, rhs in ((_S1, rhs1), (_S2, rhs2)):
-        (p, q), (r, s) = matrix
-        equations.append((p - 1, q, rhs[0]))
-        equations.append((r, s - 1, rhs[1]))
-    for (a1, b1, c1), (a2, b2, c2) in combinations(equations, 2):
-        det = a1 * b2 - a2 * b1
-        if det == 0:
-            continue
-        p_num = c1 * b2 - c2 * b1
-        q_num = a1 * c2 - a2 * c1
-        if p_num % det or q_num % det:
-            raise InternalConsistencyError("fundamental weight is not half-integral")
-        w = (p_num // det, q_num // det)
-        for (ea, eb, ec) in equations:
-            if ea * w[0] + eb * w[1] != ec:
-                raise InternalConsistencyError("inconsistent reflection equations")
-        return w
-    raise InternalConsistencyError("degenerate reflection data")
-
-
-@cache
 def fundamental_weights_c2() -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-    """(w1, w2, rho) in doubled root coordinates, derived from the reflections.
-
-    w_i is pinned down by s_i(w_i) = w_i - a_i and s_j(w_i) = w_i for j != i;
-    rho = w1 + w2 must equal the plain sum of the positive roots, which is
-    the doubled half-sum.
-    """
-    w1 = _solve_weight((-2, 0), (0, 0))
-    w2 = _solve_weight((0, 0), (0, -2))
-    rho = (w1[0] + w2[0], w1[1] + w2[1])
-    pos_sum = (
-        sum(root.c1 for root in POSITIVE_ROOTS_C2),
-        sum(root.c2 for root in POSITIVE_ROOTS_C2),
-    )
-    if rho != pos_sum:
-        raise InternalConsistencyError(
-            f"w1 + w2 = {rho} but the positive roots sum to {pos_sum}"
-        )
-    return w1, w2, rho
+    """(w1, w2, rho) in doubled root coordinates: (2, 1), (2, 2) and (4, 3)."""
+    return C2.two_w1, C2.two_w2, doubled(C2, (1, 1))
 
 
 def fund_to_root_c2(w: FundCoord) -> RootCoord | None:
@@ -254,53 +193,15 @@ def fund_to_root_c2(w: FundCoord) -> RootCoord | None:
     Odd m puts the weight off the root lattice (its a2-coordinate is a
     half-integer), where the partition count is zero by definition.
     """
-    w1, w2, _ = fundamental_weights_c2()
-    u = w.m * w1[0] + w.n * w2[0]
-    v = w.m * w1[1] + w.n * w2[1]
-    if u % 2 or v % 2:
-        return None
-    return RootCoord(u // 2, v // 2)
+    return to_root(C2, w)
 
 
 def root_to_fund_c2(v: RootCoord) -> FundCoord:
     """Fundamental coordinates of a root-lattice weight.
 
-    Raises ValueError when the weight is not dominant; the solve itself is
-    always exact because the root lattice sits inside the weight lattice.
+    Raises ValueError when the weight is not dominant.
     """
-    w1, w2, _ = fundamental_weights_c2()
-    det = w1[0] * w2[1] - w2[0] * w1[1]
-    m_num = 2 * v.c1 * w2[1] - 2 * v.c2 * w2[0]
-    n_num = w1[0] * 2 * v.c2 - w1[1] * 2 * v.c1
-    if m_num % det or n_num % det:
-        raise InternalConsistencyError(f"non-integral fundamental coordinates for {tuple(v)}")
-    return FundCoord(m_num // det, n_num // det)
-
-
-def _doubled_shifted(w: FundCoord) -> tuple[int, int]:
-    """2 * (w + rho) in root coordinates."""
-    m, n = w
-    w1, w2, rho = fundamental_weights_c2()
-    return (
-        m * w1[0] + n * w2[0] + rho[0],
-        m * w1[1] + n * w2[1] + rho[1],
-    )
-
-
-@lru_cache(maxsize=ORBIT_CACHE_SIZE, typed=True)
-def _doubled_orbit(m: int, n: int) -> tuple[tuple[int, int, int], ...]:
-    """(sign, u, v) of sigma(2 * (lam + rho)) for all 8 Weyl elements.
-
-    Doubled root coordinates, lam = m*w1 + n*w2. The orbit depends on lam
-    alone, so a grid sweep computes it once per lam instead of once per
-    (lam, mu).
-    """
-    lam2 = _doubled_shifted(FundCoord(m, n))
-    orbit = []
-    for ((p, q), (r, s)), length in weyl_group_c2():
-        sign = -1 if length % 2 else 1
-        orbit.append((sign, p * lam2[0] + q * lam2[1], r * lam2[0] + s * lam2[1]))
-    return tuple(orbit)
+    return to_fund(C2, v)
 
 
 def multiplicity_c2_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:
@@ -311,9 +212,4 @@ def multiplicity_c2_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:
     doubled one (it then lies outside the root lattice); only the other
     terms are evaluated.
     """
-    mu1, mu2 = _doubled_shifted(mu)
-    return QPoly.signed_sum(
-        (sign, qpartition_c2(RootCoord((u - mu1) // 2, (v - mu2) // 2)))
-        for sign, u, v in _doubled_orbit(*lam)
-        if u >= mu1 and v >= mu2 and not (u - mu1) % 2 and not (v - mu2) % 2
-    )
+    return weyl_sum(C2, qpartition_c2, lam, mu)

@@ -10,9 +10,13 @@ The package's Weyl sums cache the shifted orbit of lambda and skip the
 terms that are zero. The unpruned sums below evaluate every term of the
 alternating sum as written: all 12 ``sigma_shift`` terms for g2 and all 8
 matrix terms for sp4, dropping only those off the root lattice.
+
+The package enumerates decompositions with one recursive walk over any
+list of positive roots. The hand-written g2 and sp4 loop nests it replaced
+are kept below, so the walk can be held to them witness for witness.
 """
 
-from qkostant.g2_partition import qpartition
+from qkostant.g2_partition import PartitionWitness, qpartition
 from qkostant.qpoly import QPoly
 from qkostant.rootsys import RootCoord, sigma_shift, weyl_group
 from qkostant.sp4 import fundamental_weights_c2, qpartition_c2, weyl_group_c2
@@ -88,3 +92,48 @@ def multiplicity_c2_weyl_sum_unpruned(lam, mu) -> QPoly:
             continue
         terms.append(((-1) ** length, qpartition_c2(RootCoord(u // 2, v // 2))))
     return QPoly.signed_sum(terms)
+
+
+def partition_witnesses_nested(v):
+    """g2: every decomposition of v into positive roots, as nested loops.
+
+    Loops run over the non-simple roots highest first; the simple-root
+    counts n1, n2 are then forced by the target coordinates. The loop
+    bounds keep every intermediate remainder nonnegative, so each tuple
+    yielded is a genuine witness.
+    """
+    m, n = v
+    if m < 0 or n < 0:
+        return
+    for n6 in range(min(m // 3, n // 2) + 1):
+        m6, r6 = m - 3 * n6, n - 2 * n6
+        for n5 in range(min(m6 // 3, r6) + 1):
+            m5, r5 = m6 - 3 * n5, r6 - n5
+            for n4 in range(min(m5 // 2, r5) + 1):
+                m4, r4 = m5 - 2 * n4, r5 - n4
+                for n3 in range(min(m4, r4) + 1):
+                    yield PartitionWitness(m4 - n3, r4 - n3, n3, n4, n5, n6)
+
+
+def qpartition_c2_bruteforce_nested(v: RootCoord) -> QPoly:
+    """sp4: enumerate decompositions into the four roots, as nested loops."""
+    m, n = v
+    if m < 0 or n < 0:
+        return QPoly()
+    counts = [0] * (m + n + 1)
+    for n4 in range(min(m // 2, n) + 1):  # copies of 2a1+a2
+        for n3 in range(min(m - 2 * n4, n - n4) + 1):  # copies of a1+a2
+            n1 = m - 2 * n4 - n3
+            n2 = n - n4 - n3
+            counts[n1 + n2 + n3 + n4] += 1
+    return QPoly(counts)
+
+
+def witnesses_c2_nested(m: int, n: int):
+    """sp4: the loops of qpartition_c2_bruteforce_nested, yielding each
+    decomposition as (n1, n2, n3, n4) instead of counting it."""
+    if m < 0 or n < 0:
+        return
+    for n4 in range(min(m // 2, n) + 1):  # copies of 2a1+a2
+        for n3 in range(min(m - 2 * n4, n - n4) + 1):  # copies of a1+a2
+            yield (m - 2 * n4 - n3, n - n4 - n3, n3, n4)

@@ -151,6 +151,19 @@ class TestErrors:
         code, _, err = invoke(capsys, "qpartition", "3,2", "--at-q", "100000")
         assert code == 2 and "overflow" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("partition", "100000000,100000000"),
+            ("mult", "--algebra", "c2", "--lambda", "10000000000,10000000000", "--mu", "0,0"),
+            ("mult", "--lambda", "1000000,1000000", "--mu", "0,0", "--method", "tarski"),
+        ],
+        ids=["g2-partition", "c2-mult", "g2-mult-tarski"],
+    )
+    def test_integer_result_outside_int64_exits_two(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "") and "overflow" in err
+
     def test_negative_grid_rejected(self, capsys):
         code, _, err = invoke(capsys, "verify", "--max", "-1")
         assert code == 1

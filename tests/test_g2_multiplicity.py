@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkostant.errors import CoefficientOverflowError
 from qkostant.g2_multiplicity import (
     ALLOWED_SIGNATURES,
     CASE_TERMS,
@@ -172,6 +173,10 @@ class TestMultiplicity:
         for m, n, x, y in product(range(5), repeat=4):
             lam, mu = FundCoord(m, n), FundCoord(x, y)
             assert multiplicity(lam, mu, "qpoly") == multiplicity(lam, mu, "tarski")
+
+    def test_tarski_value_outside_int64_overflows(self):
+        with pytest.raises(CoefficientOverflowError):
+            multiplicity(FundCoord(10**6, 10**6), FundCoord(0, 0), method="tarski")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkostant.errors import CoefficientOverflowError
 from qkostant.g2_partition import (
     partition_tarski,
     partition_witnesses,
@@ -153,6 +154,15 @@ class TestPartitionTarski:
     @pytest.mark.parametrize("coords,expected", [((3, 2), 7), ((2, 2), 4), ((3, 0), 1)])
     def test_fixture_values(self, coords, expected):
         assert partition_tarski(RootCoord(*coords)) == expected
+
+    @pytest.mark.parametrize("coords", [(2.5, 1), (1, True), (3, 2.0)])
+    def test_rejects_non_integer_coordinates(self, coords):
+        with pytest.raises(ValueError):
+            partition_tarski(RootCoord(*coords))
+
+    def test_count_outside_int64_overflows(self):
+        with pytest.raises(CoefficientOverflowError):
+            partition_tarski(RootCoord(10**8, 10**8))
 
     def test_negative_input_counts_nothing(self):
         assert partition_tarski(RootCoord(-1, 4)) == 0

@@ -3,7 +3,8 @@
 Brute-force enumeration stays the primary oracle on the small grids in
 test_g2_partition.py and test_sp4.py; the direct sums reach the large
 points where enumeration is out of reach. The pruned, orbit-cached Weyl
-sums are held equal to the unpruned alternating sums term for term.
+sums are held equal to the unpruned alternating sums term for term, and
+the shared decomposition enumerator to the hand-written loops it replaced.
 """
 
 from itertools import product
@@ -11,16 +12,31 @@ from random import Random
 
 import pytest
 
-from qkostant import g2_multiplicity, sp4
 from qkostant.g2_multiplicity import qmultiplicity_weyl_sum
-from qkostant.g2_partition import qpartition
-from qkostant.rootsys import FundCoord, RootCoord
-from qkostant.sp4 import multiplicity_c2_weyl_sum, qpartition_c2
+from qkostant.g2_partition import partition_witnesses, qpartition
+from qkostant.rootsys import (
+    C2,
+    G2,
+    POSITIVE_ROOTS,
+    FundCoord,
+    RootCoord,
+    decompositions,
+    shifted_orbit,
+)
+from qkostant.sp4 import (
+    POSITIVE_ROOTS_C2,
+    multiplicity_c2_weyl_sum,
+    qpartition_c2,
+    qpartition_c2_bruteforce,
+)
 from reference_kernels import (
     multiplicity_c2_weyl_sum_unpruned,
+    partition_witnesses_nested,
     qmultiplicity_weyl_sum_unpruned,
+    qpartition_c2_bruteforce_nested,
     qpartition_c2_double_sum,
     qpartition_triple_sum,
+    witnesses_c2_nested,
 )
 
 _rng = Random(20030781)
@@ -131,17 +147,45 @@ class TestWeylSums:
         assert any(g2) and not all(g2)
         assert any(c2) and not all(c2)
 
-    @pytest.mark.parametrize("orbit", [g2_multiplicity._shifted_orbit, sp4._doubled_orbit])
-    def test_orbit_cache_is_bounded(self, orbit):
-        maxsize = orbit.cache_info().maxsize
+    @pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
+    def test_orbit_cache_is_bounded(self, rs):
+        maxsize = shifted_orbit.cache_info().maxsize
         assert maxsize is not None and maxsize > 0
         for m in range(maxsize + 10):
-            orbit(m, 1)
-        assert orbit.cache_info().currsize <= maxsize
+            shifted_orbit(rs, m, 1)
+        assert shifted_orbit.cache_info().currsize <= maxsize
 
-    @pytest.mark.parametrize("orbit", [g2_multiplicity._shifted_orbit, sp4._doubled_orbit])
-    def test_orbit_cache_keeps_types_apart(self, orbit):
+    @pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
+    def test_orbit_cache_keeps_types_apart(self, rs):
         # 1001.0 == 1001 and hashes alike; a shared entry would hand integer
         # callers the float orbit cached first.
-        orbit(1001.0, 7)
-        assert all(type(c) is int for term in orbit(1001, 7) for c in term)
+        shifted_orbit(rs, 1001.0, 7)
+        assert all(type(c) is int for term in shifted_orbit(rs, 1001, 7) for c in term)
+
+
+class TestEnumerator:
+    """The shared enumerator against the hand-written loops it replaced."""
+
+    def test_g2_witnesses_match_nested_loops_in_order(self):
+        for m, n in product(range(21), repeat=2):
+            v = RootCoord(m, n)
+            assert list(partition_witnesses(v)) == list(partition_witnesses_nested(v)), (m, n)
+
+    def test_c2_witnesses_match_nested_loops_in_order(self):
+        for m, n in product(range(21), repeat=2):
+            assert list(decompositions(POSITIVE_ROOTS_C2, RootCoord(m, n))) == list(
+                witnesses_c2_nested(m, n)
+            ), (m, n)
+
+    def test_c2_bruteforce_matches_nested_loops(self):
+        for m, n in product(range(21), repeat=2):
+            v = RootCoord(m, n)
+            assert qpartition_c2_bruteforce(v) == qpartition_c2_bruteforce_nested(v), (m, n)
+
+    @pytest.mark.parametrize("roots", [POSITIVE_ROOTS, POSITIVE_ROOTS_C2], ids=["g2", "c2"])
+    def test_every_witness_sums_to_its_target(self, roots):
+        for m, n in product(range(13), repeat=2):
+            for counts in decompositions(roots, RootCoord(m, n)):
+                assert min(counts) >= 0
+                assert sum(k * r.c1 for k, r in zip(counts, roots)) == m
+                assert sum(k * r.c2 for k, r in zip(counts, roots)) == n

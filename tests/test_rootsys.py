@@ -1,11 +1,15 @@
 """Structural tests for the g2 root system and its Weyl group."""
 
 import random
+import re
 from itertools import product
 
 import pytest
 
 from qkostant.rootsys import (
+    C2,
+    FUND_TO_ROOT,
+    G2,
     IDENTITY,
     POSITIVE_ROOTS,
     RHO,
@@ -16,6 +20,9 @@ from qkostant.rootsys import (
     mat_mul,
     root_to_fund,
     sigma_shift,
+    to_fund,
+    to_root,
+    weyl_elements,
     weyl_group,
 )
 
@@ -49,6 +56,10 @@ class TestConstants:
     def test_fund_to_root(self, fund, root):
         assert fund_to_root(FundCoord(*fund)) == RootCoord(*root)
 
+    def test_fund_to_root_matrix_is_half_the_doubled_weights(self):
+        (p, q), (r, s) = FUND_TO_ROOT
+        assert ((2 * p, 2 * r), (2 * q, 2 * s)) == (G2.two_w1, G2.two_w2)
+
     def test_round_trip_on_grid(self):
         for m, n in product(range(8), repeat=2):
             w = FundCoord(m, n)
@@ -57,6 +68,11 @@ class TestConstants:
     def test_root_to_fund_rejects_non_dominant(self):
         with pytest.raises(ValueError):
             root_to_fund(RootCoord(1, 0))  # a1 = 2w1 - 3w2
+
+    @pytest.mark.parametrize("coords", [(True, 0), (0, False), (2.5, 0), (0, 1.0), ("1", 0)])
+    def test_fund_coord_rejects_non_integers(self, coords):
+        with pytest.raises(ValueError):
+            FundCoord(*coords)
 
     def test_fund_coord_rejects_negatives(self):
         with pytest.raises(ValueError):
@@ -144,3 +160,68 @@ class TestSigmaShift:
                     nonneg_seen[w.word] = True
         contributors = {word for word, seen in nonneg_seen.items() if seen}
         assert contributors == {"1", "s1", "s2", "s2s1", "s1s2"}
+
+
+def expand(word):
+    """Letters of a word such as "1", "s2s1", "(s1s2)^2" or "s1(s2s1)^2"."""
+    if word == "1":
+        return []
+    power = re.fullmatch(r"(.*)\((.*)\)\^(\d+)", word)
+    if power:
+        head, pair, times = power.groups()
+        word = head + pair * int(times)
+    return [int(digit) for digit in word[1::2]]
+
+
+def act(matrix, v):
+    (p, q), (r, s) = matrix
+    return (p * v[0] + q * v[1], r * v[0] + s * v[1])
+
+
+@pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
+class TestRootSystemRecords:
+    """Each record's literals against what its reflections force."""
+
+    def test_simple_roots_come_first(self, rs):
+        assert rs.positive_roots[:2] == (RootCoord(1, 0), RootCoord(0, 1))
+
+    def test_reflections_negate_their_simple_root(self, rs):
+        assert act(rs.s1, (1, 0)) == (-1, 0)
+        assert act(rs.s2, (0, 1)) == (0, -1)
+
+    def test_doubled_fundamental_weights_from_the_reflections(self, rs):
+        # s_i(w_i) = w_i - a_i and s_j(w_i) = w_i for j != i, doubled.
+        (u1, v1), (u2, v2) = rs.two_w1, rs.two_w2
+        assert act(rs.s1, rs.two_w1) == (u1 - 2, v1)
+        assert act(rs.s2, rs.two_w1) == rs.two_w1
+        assert act(rs.s2, rs.two_w2) == (u2, v2 - 2)
+        assert act(rs.s1, rs.two_w2) == rs.two_w2
+
+    def test_two_rho_is_the_sum_of_positive_roots(self, rs):
+        two_rho = (rs.two_w1[0] + rs.two_w2[0], rs.two_w1[1] + rs.two_w2[1])
+        assert two_rho == (
+            sum(r.c1 for r in rs.positive_roots),
+            sum(r.c2 for r in rs.positive_roots),
+        )
+
+    def test_weyl_group_permutes_the_roots(self, rs):
+        roots = set(rs.positive_roots) | {(-r.c1, -r.c2) for r in rs.positive_roots}
+        group = weyl_elements(rs)
+        assert len(group) == 2 * len(rs.positive_roots)
+        assert len({elem.matrix for elem in group}) == len(group)
+        for elem in group:
+            assert {act(elem.matrix, r) for r in roots} == roots
+
+    def test_words_rebuild_their_matrices(self, rs):
+        for elem in weyl_elements(rs):
+            letters = expand(elem.word)
+            matrix = IDENTITY
+            for letter in letters:
+                matrix = mat_mul(matrix, rs.s1 if letter == 1 else rs.s2)
+            assert (matrix, len(letters)) == (elem.matrix, elem.length), elem.word
+
+    def test_coordinate_round_trip(self, rs):
+        for m, n in product(range(8), repeat=2):
+            root = to_root(rs, (m, n))
+            if root is not None:
+                assert to_fund(rs, root) == FundCoord(m, n)

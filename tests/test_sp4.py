@@ -10,6 +10,7 @@ from itertools import product
 
 import pytest
 
+from qkostant.errors import CoefficientOverflowError
 from qkostant.qpoly import QPoly
 from qkostant.rootsys import FundCoord, RootCoord, mat_det
 from qkostant.sp4 import (
@@ -75,6 +76,15 @@ class TestClosedPartitionForm:
         with pytest.raises(ValueError):
             partition_c2_closed(RootCoord(-1, 0))
 
+    @pytest.mark.parametrize("coords", [(2.5, 1), (2, 1.0), (True, 1)])
+    def test_rejects_non_integer_coordinates(self, coords):
+        with pytest.raises(ValueError):
+            partition_c2_closed(RootCoord(*coords))
+
+    def test_count_outside_int64_overflows(self):
+        with pytest.raises(CoefficientOverflowError):
+            partition_c2_closed(RootCoord(10**10, 10**10))
+
     def test_edge_region_is_load_bearing(self):
         """Without the m = 2n-1 region the dispatch falls back to the
         m >= 2n formula and the oracle equivalence breaks."""
@@ -99,6 +109,19 @@ class TestWeylGroupData:
         assert sorted(length for _, length in group) == [0, 1, 1, 2, 2, 3, 3, 4]
         for matrix, length in group:
             assert mat_det(matrix) == (-1) ** length
+
+    def test_elements_are_unchanged(self):
+        # Recorded from the breadth-first closure that sp4 had on its own.
+        assert weyl_group_c2() == (
+            (((1, 0), (0, 1)), 0),
+            (((-1, 2), (0, 1)), 1),
+            (((1, 0), (1, -1)), 1),
+            (((-1, 2), (-1, 1)), 2),
+            (((1, -2), (1, -1)), 2),
+            (((-1, 0), (-1, 1)), 3),
+            (((1, -2), (0, -1)), 3),
+            (((-1, 0), (0, -1)), 4),
+        )
 
     def test_derived_weights(self):
         w1, w2, rho = fundamental_weights_c2()
@@ -155,6 +178,14 @@ class TestMultiplicity:
     def test_closed_fixtures(self, lam, mu, expected):
         assert multiplicity_c2_closed(FundCoord(*lam), FundCoord(*mu)).value == expected
 
+    def test_rejects_non_integer_weights(self):
+        with pytest.raises(ValueError):
+            multiplicity_c2_closed(FundCoord(2.5, 0), FundCoord(0.5, 0))
+
+    def test_value_outside_int64_overflows(self):
+        with pytest.raises(CoefficientOverflowError):
+            multiplicity_c2_closed(FundCoord(10**10, 10**10), FundCoord(0, 0))
+
     def test_highest_weight_has_multiplicity_one(self):
         for m, n in product(range(7), repeat=2):
             lam = FundCoord(m, n)
@@ -181,8 +212,10 @@ class TestMultiplicity:
 
     def test_adjoint_zero_weight_fixture(self):
         # L(2w1) is the 10-dimensional adjoint: its zero weight space has
-        # dimension 2, the rank.
+        # dimension 2, the rank, and m_q(theta, 0) = q + q^3 carries the
+        # exponents 1 and 3 of sp4 (Kostant).
         assert multiplicity_c2_closed(FundCoord(2, 0), FundCoord(0, 0)).value == 2
+        assert multiplicity_c2_weyl_sum(FundCoord(2, 0), FundCoord(0, 0)) == QPoly([0, 1, 0, 1])
 
     def test_fourteen_dimensional_fixture(self):
         # L(2w2) has a two-dimensional zero weight space (q^2 + q^4). A
