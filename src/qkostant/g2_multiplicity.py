@@ -8,9 +8,8 @@ recover the classical multiplicity at q = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InternalConsistencyError
 from .g2_partition import partition_tarski, qpartition
@@ -49,8 +48,7 @@ def signature(terms: tuple[str, ...]) -> str:
 ALLOWED_SIGNATURES = frozenset(signature(terms) for terms in CASE_TERMS.values())
 
 
-@dataclass(frozen=True)
-class CaseData:
+class CaseData(NamedTuple):
     """The six case integers for a weight pair, with their sign pattern."""
 
     a: int
@@ -128,8 +126,7 @@ def active_terms(case: CaseData) -> tuple[str, ...]:
     return tuple(name for name in TERM_NAMES if min(term_coords(name, case)) >= 0)
 
 
-@dataclass(frozen=True)
-class MultiplicityResult:
+class MultiplicityResult(NamedTuple):
     """Full provenance of one closed-formula evaluation."""
 
     lam: FundCoord
@@ -184,8 +181,7 @@ def multiplicity(lam: FundCoord, mu: FundCoord, method: str = "qpoly") -> int:
     raise ValueError(f"unknown method {method!r}, expected 'qpoly' or 'tarski'")
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Which signed term combinations actually occur on a dominant grid."""
 
     grid_max: int

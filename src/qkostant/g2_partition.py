@@ -95,8 +95,8 @@ def qpartition(v: RootCoord) -> QPoly:
     return QPoly(accumulate(map(add, map(add, flat, accumulate(unit)), even)))
 
 
-def tarski_g(k: int) -> int:
-    """Tarski's g: the partition count in the region m <= n, by residue mod 6.
+def _tarski_g(k: int) -> int:
+    """Tarski's g without the 64-bit check.
 
     The division by 432 is performed last and must be exact; a remainder
     means the polynomial data was mistranscribed.
@@ -124,8 +124,8 @@ def tarski_g(k: int) -> int:
     return value
 
 
-def tarski_h(k: int) -> int:
-    """Tarski's h: the partition count in the region m >= 3n, by parity of k."""
+def _tarski_h(k: int) -> int:
+    """Tarski's h without the 64-bit check."""
     if k < -2:
         raise ValueError(f"tarski_h is defined for k >= -2, got {k}")
     if k % 2 == 0:
@@ -138,6 +138,22 @@ def tarski_h(k: int) -> int:
     if value < 0:
         raise InternalConsistencyError(f"h({k}) = {value} is negative")
     return value
+
+
+def tarski_g(k: int) -> int:
+    """Tarski's g: the partition count in the region m <= n, by residue mod 6.
+
+    A value outside the signed 64-bit range raises CoefficientOverflowError.
+    """
+    return checked_int(_tarski_g(k))
+
+
+def tarski_h(k: int) -> int:
+    """Tarski's h: the partition count in the region m >= 3n, by parity of k.
+
+    A value outside the signed 64-bit range raises CoefficientOverflowError.
+    """
+    return checked_int(_tarski_h(k))
 
 
 def partition_tarski(v: RootCoord) -> int:
@@ -154,13 +170,13 @@ def partition_tarski(v: RootCoord) -> int:
     if m < 0 or n < 0:
         return 0
     if m <= n:
-        value = tarski_g(m)
+        value = _tarski_g(m)
     elif 2 * m <= 3 * n:  # n <= m <= 3n/2
-        value = tarski_g(m) - tarski_h(m - n - 1)
+        value = _tarski_g(m) - _tarski_h(m - n - 1)
     elif m <= 2 * n:  # 3n/2 <= m <= 2n
-        value = tarski_h(n) - tarski_g(3 * n - m - 1) + tarski_h(2 * n - m - 2)
+        value = _tarski_h(n) - _tarski_g(3 * n - m - 1) + _tarski_h(2 * n - m - 2)
     elif m <= 3 * n:  # 2n <= m <= 3n
-        value = tarski_h(n) - tarski_g(3 * n - m - 1)
+        value = _tarski_h(n) - _tarski_g(3 * n - m - 1)
     else:  # 3n <= m
-        value = tarski_h(n)
+        value = _tarski_h(n)
     return checked_int(value)

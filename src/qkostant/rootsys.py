@@ -10,7 +10,6 @@ conversions and the alternating Weyl sum are written once against it.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -59,15 +58,14 @@ class FundCoord(collections.namedtuple("FundCoord", ("m", "n"))):
         return super().__new__(cls, m, n)
 
 
-@dataclass(frozen=True, eq=False)
-class RootSystem:
+class RootSystem(NamedTuple):
     """The data of one rank-2 algebra, in the simple-root basis.
 
     ``positive_roots`` lists a1, a2 first and the other roots lowest to
     highest. ``s1`` and ``s2`` are the simple reflections, their columns the
     images of a1 and a2. ``two_w1`` and ``two_w2`` are the fundamental
     weights doubled, which keeps sp4's half-integral weights integral.
-    eq=False keeps hashing by identity, so a cache keyed on a record never
+    A record compares and hashes by identity, so a cache keyed on one never
     hashes its fields.
     """
 
@@ -77,6 +75,10 @@ class RootSystem:
     s2: Mat
     two_w1: tuple[int, int]
     two_w2: tuple[int, int]
+
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__  # else tuple's field-wise __ne__ would answer
 
 
 G2 = RootSystem(
@@ -161,8 +163,7 @@ def root_to_fund(v: RootCoord) -> FundCoord:
     return to_fund(G2, v)
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple):
     """One Weyl group element: reduced word, length, and root-basis matrix.
 
     The word reads right to left, so "s2s1" applies s1 first and s2 second.

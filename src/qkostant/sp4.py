@@ -8,9 +8,9 @@ term whose shifted weight fails to land back on the root lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import InternalConsistencyError
 from .qpoly import QPoly, checked_int
@@ -90,8 +90,7 @@ def partition_c2_closed(v: RootCoord) -> int:
     return checked_int(_closed_form(m, n))
 
 
-@dataclass(frozen=True)
-class Sp4CaseData:
+class Sp4CaseData(NamedTuple):
     """Case integers for an sp4 weight pair; b and d are stored doubled.
 
     b = n - y + (m - x)/2 and d = -y - 1 + (m - x)/2 are half-integers when
@@ -141,8 +140,7 @@ def compute_case_c2(lam: FundCoord, mu: FundCoord) -> Sp4CaseData:
     return Sp4CaseData(a, two_b, c, two_d, a_ok, b_ok, c_ok, d_ok, label)
 
 
-@dataclass(frozen=True)
-class Sp4MultiplicityResult:
+class Sp4MultiplicityResult(NamedTuple):
     lam: FundCoord
     mu: FundCoord
     case: Sp4CaseData

@@ -1,8 +1,11 @@
 """Command-line interface tests, driven through run() for speed."""
 
-import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,7 +328,7 @@ class TestFusedChecksStayIndependent:
             result = real(lam, mu)
             if (tuple(lam), tuple(mu)) != odd:
                 return result
-            return dataclasses.replace(result, case=dataclasses.replace(result.case, b_in_n=True))
+            return result._replace(case=result.case._replace(b_in_n=True))
 
         monkeypatch.setattr(cli, "multiplicity_c2_closed", corrupted)
         code, counts = _mismatch_counts(capsys, "c2")
@@ -336,3 +339,18 @@ class TestFusedChecksStayIndependent:
             "mult_closed_vs_weyl_sum_at_one": 0,
             "odd_parity_vanishing": 1,
         }
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # A one-shot CLI call pays for every module it imports; these two
+    # alone cost more than the rest of the package.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys; before = set(sys.modules); import qkostant.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "[]\n"

@@ -117,6 +117,17 @@ class TestTarskiPolynomials:
         with pytest.raises(ValueError):
             tarski_h(-3)
 
+    def test_values_outside_int64_overflow(self):
+        with pytest.raises(CoefficientOverflowError):
+            tarski_g(10**8)  # 231481527777780972222310185186 unchecked
+        with pytest.raises(CoefficientOverflowError):
+            tarski_h(160000)  # 13654357360000280001 unchecked
+
+    def test_g_range_edge(self):
+        assert tarski_g(251237) == 9223276340246567508
+        with pytest.raises(CoefficientOverflowError):
+            tarski_g(251238)
+
     def test_g_matches_small_region_counts(self):
         # In the region m <= n the count depends on m alone.
         for m in range(10):
@@ -163,6 +174,11 @@ class TestPartitionTarski:
     def test_count_outside_int64_overflows(self):
         with pytest.raises(CoefficientOverflowError):
             partition_tarski(RootCoord(10**8, 10**8))
+
+    def test_in_range_count_from_out_of_range_terms(self):
+        # Region 3n/2 <= m <= 2n: h(160000) - g(239998) + h(79997), whose
+        # first term alone is past int64 while the count is not.
+        assert partition_tarski(RootCoord(240001, 160000)) == 6827306687200260001
 
     def test_negative_input_counts_nothing(self):
         assert partition_tarski(RootCoord(-1, 4)) == 0
