@@ -1,7 +1,7 @@
 """Kostant's partition function for g2 and its q-analog, three ways.
 
 ``qpartition`` evaluates the quadruple-sum closed form of the q-analog in
-O(N^2) time, ``partition_witnesses``/``qpartition_bruteforce`` enumerate
+O(N) time, ``partition_witnesses``/``qpartition_bruteforce`` enumerate
 the actual decompositions into positive roots, and ``tarski_g``/
 ``tarski_h``/``partition_tarski`` give Tarski's classical piecewise values
 at q = 1.
@@ -57,42 +57,89 @@ def qpartition(v: RootCoord) -> QPoly:
     """q-analog of Kostant's partition function for g2, closed form.
 
     Evaluates the quadruple sum over counts (i, j, k, l) of the roots
-    3a1+2a2, 3a1+a2, 2a1+a2, a1+a2 in O(N^2) time for N = m + n. For
-    fixed (i, j), with A = m-3i-3j, B = n-2i-j and T = m+n-4i-3j, each
-    k = 0..min(A//2, B) contributes the exponent run [start(k), T-2k]
-    over l. The run ends step by -2 in k; the starts are T-B-k while
-    k < A-B and T-A from then on. Both progressions go into strided
-    second-difference arrays, so no loop over k or l is run.
+    3a1+2a2, 3a1+a2, 2a1+a2, a1+a2 in O(N) time for N = m + n, with O(1)
+    work per i. For fixed (i, j), with a = m-3i-3j, b = n-2i-j and
+    t = m+n-4i-3j, each k = 0..min(a//2, b) contributes the exponent run
+    [start(k), t-2k] over l; the starts are t-b-k while k < a-b and t-a
+    from then on.
+
+    The coefficients are the prefix sums of +1 at each run start and -1
+    just past each run end. With S_d the stride-d prefix sum, they are
+    S_1(S_2(E)) for a marker list E: w starts at x enter E as +w at x and
+    -w at x+2, and the run ends t+1, t-1, ... of one (i, j) as -1 at the
+    lowest and +1 at t+3. As j steps, each entry moves in an arithmetic
+    progression with two breakpoints: below j1 = a0-2*b0 the k-runs reach
+    k = b, and from j2 = ceil((a0-b0)/2) on no start moves. Here a0, b0
+    are a, b at j = 0, and j1, j2 are clamped to [0, J+1] for
+    J = min(a0//3, b0). So per i, E gets one stride-3 progression (kept in
+    ``tops``), up to two unit-stride runs (``runs``) and three closed-form
+    weights (``points``): E = points + S_3(tops) + S_1(runs). No loop over
+    j, k or l is run.
     """
     m, n = v
     if m < 0 or n < 0:
         return QPoly()
-    size = m + n + 4
-    flat = [0] * size  # first differences: runs starting at one fixed exponent
-    unit = [0] * size  # second differences, unit stride: the moving run starts
-    even = [0] * size  # second differences, stride 2: the run ends
-    for i in range(min(m // 3, n // 2) + 1):
-        a, b, t = m - 3 * i, n - 2 * i, m + n - 4 * i
-        while a >= 0 and b >= 0:
-            k_max = a // 2 if a // 2 < b else b  # min() is a slower call here
-            # -1 just past each run end t - 2k; the lowest, t - 2*k_max + 1, is >= 1.
-            even[t - 2 * k_max + 1] -= 1
-            even[t + 3] += 1
-            split = a - b
-            if split > 0:
-                last = k_max if k_max < split else split - 1
-                unit[t - b - last] += 1
-                unit[t - b + 1] -= 1
-                if k_max >= split:
-                    flat[t - a] += k_max - split + 1
-            else:
-                flat[t - a] += k_max + 1
-            a -= 3
-            b -= 1
-            t -= 3
-    even[0::2] = accumulate(even[0::2])
-    even[1::2] = accumulate(even[1::2])
-    return QPoly(accumulate(map(add, map(add, flat, accumulate(unit)), even)))
+    size = m + n + 7
+    points = [0] * size  # entries of E at n-i, n-i+1 and n-i+2
+    tops = [0] * size  # second differences, stride 3: the +1 at t+3 over j
+    runs = [0] * size  # first differences: unit-stride runs of E
+    long_runs = 0  # runs [m-n-j1+1, m-n], one for every i with j1 > 0
+    a0, b0, t0 = m, n, m + n  # a, b and t at j = 0 for the current i
+    for _ in range(min(m // 3, n // 2) + 1):
+        stop = a0 // 3 + 1 if a0 // 3 < b0 else b0 + 1  # J + 1
+        j1 = a0 - 2 * b0
+        if j1 >= stop:
+            j1 = stop
+        if j1 > 0:
+            # j < j1: a > 2b and k runs to b. The lowest start t-2b and the
+            # lowest run end t-2b+1 leave one entry, +1 at t-2b = m-n-j.
+            runs[m - n + 1 - j1] += 1
+            long_runs += 1
+        else:
+            j1 = 0
+        j2 = (a0 - b0 + 1) // 2
+        if j2 < j1:
+            j2 = j1
+        elif j2 > stop:
+            j2 = stop
+        if j2:
+            # j < j2: the moving starts end at t-b = m-2i-2j, so E has -1 at
+            # m-2i-2j+1 and m-2i-2j+2, one run over all these j.
+            hi = t0 - b0 + 3
+            runs[hi - 2 * j2] -= 1
+            runs[hi] += 1
+        tops[t0 + 6 - 3 * stop] += 1
+        tops[t0 + 6] -= 1
+        # j >= j1: k runs to a//2, and the lowest run end is n-i+1 or n-i+2
+        # by the parity of a; odd counts the odd a = a0-3j over [j1, J].
+        span = stop - j1
+        odd = (span + ((a0 + j1) & 1)) // 2
+        # j in [j1, j2): the moving starts begin at n-i+1. The fixed starts
+        # at t-a = n-i number b-a+1+a//2 there and a//2+1 for j >= j2; the
+        # a//2 are summed in closed form over [j1, J].
+        moving = j2 - j1
+        fixed = (
+            moving * (b0 - a0 + j1 + j2)
+            + (span * (2 * a0 - 3 * (j1 + stop - 1)) // 2 - odd) // 2
+            + stop
+            - j2
+        )
+        p = t0 - a0
+        points[p] += fixed
+        points[p + 1] += moving - span + odd
+        points[p + 2] += moving - odd - fixed
+        a0 -= 3
+        b0 -= 2
+        t0 -= 4
+    runs[m - n + 1] -= long_runs
+    tops[0::3] = accumulate(tops[0::3])
+    tops[1::3] = accumulate(tops[1::3])
+    tops[2::3] = accumulate(tops[2::3])
+    marks = list(map(add, map(add, points, tops), accumulate(runs)))
+    del marks[m + n + 1 :]  # the degree is m + n, and prefix sums never look ahead
+    marks[0::2] = accumulate(marks[0::2])
+    marks[1::2] = accumulate(marks[1::2])
+    return QPoly(accumulate(marks))
 
 
 def _tarski_g(k: int) -> int:

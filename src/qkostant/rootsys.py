@@ -77,8 +77,14 @@ class RootSystem(NamedTuple):
     two_w2: tuple[int, int]
 
     __hash__ = object.__hash__
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__  # else tuple's field-wise __ne__ would answer
+
+    # Both answer outright: object.__eq__ would decline against a plain
+    # tuple, and the reflected tuple.__eq__ would then compare fields.
+    def __eq__(self, other: object) -> bool:
+        return self is other
+
+    def __ne__(self, other: object) -> bool:
+        return self is not other
 
 
 G2 = RootSystem(

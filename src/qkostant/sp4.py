@@ -9,7 +9,8 @@ term whose shifted weight fails to land back on the root lattice.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import sub
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -34,18 +35,25 @@ POSITIVE_ROOTS_C2: tuple[RootCoord, ...] = C2.positive_roots
 def qpartition_c2(v: RootCoord) -> QPoly:
     """q-analog of Kostant's partition function for sp4, closed double sum.
 
-    For i copies of the long root 2a1+a2, the remaining decompositions
-    contribute one q^j for every j from max(m-i, n) to m+n-2i. Each such
-    run is one pair of entries in a difference array, so the double sum
-    costs O(N) for N = m + n.
+    For i = 0..min(m//2, n) copies of the long root 2a1+a2, the remaining
+    decompositions contribute one q^j for every j from max(m-i, n) to
+    m+n-2i. In one difference array, the run starts m-i (while i <= m-n)
+    are one unit-stride slice, the starts at n are one point, and the run
+    ends m+n-2i+1 are one stride-2 slice, so the sum costs O(N) for
+    N = m + n with no Python loop.
     """
     m, n = v
     if m < 0 or n < 0:
         return QPoly()
+    top = m // 2 if m // 2 < n else n  # min() is a slower call here
+    moving = m - n + 1 if m - n < top else top + 1  # how many i start at m-i
+    if moving < 0:
+        moving = 0
     diff = [0] * (m + n + 2)
-    for i in range(min(m // 2, n) + 1):
-        diff[max(m - i, n)] += 1
-        diff[m + n - 2 * i + 1] -= 1
+    diff[m + 1 - moving : m + 1] = [1] * moving
+    diff[n] += top + 1 - moving
+    ends = m + n + 1 - 2 * top
+    diff[ends::2] = map(sub, diff[ends::2], repeat(1))
     return QPoly(accumulate(diff))
 
 
@@ -54,13 +62,8 @@ def qpartition_c2_bruteforce(v: RootCoord) -> QPoly:
     return qpartition_enumerated(POSITIVE_ROOTS_C2, v)
 
 
-def _closed_form(m: int, n: int, edge_region: bool = True) -> int:
-    """Four-region closed form of the sp4 partition count.
-
-    edge_region=False removes the m = 2n-1 region, collapsing the dispatch
-    to three regions; the regression tests use this mutant to show the
-    extra region is load-bearing.
-    """
+def _closed_form(m: int, n: int) -> int:
+    """Four-region closed form of the sp4 partition count."""
     half = m // 2
     if n >= m:
         return (half + 1) * (m - half + 1)
@@ -69,7 +72,7 @@ def _closed_form(m: int, n: int, edge_region: bool = True) -> int:
         if rem:
             raise InternalConsistencyError(f"odd quadratic term at ({m}, {n})")
         return quad + half * (m - half) + 1
-    if edge_region and 2 * n > m >= 2 * n - 1 > n:
+    if 2 * n > m >= 2 * n - 1 > n:
         value, rem = divmod((half + 1) * (2 * n - half + 2), 2)
         if rem:
             raise InternalConsistencyError(f"odd edge-region value at ({m}, {n})")

@@ -1,10 +1,14 @@
 """Direct, unoptimised forms of the package's sums, kept as second oracles.
 
 ``qpartition`` and ``qpartition_c2`` in the package evaluate the q-partition
-sums through strided difference arrays. The loops below walk the sums
-term by term instead: O(N^3) for g2 and O(N^2) for sp4, still far cheaper
-than enumerating decompositions, so they can check the kernels at points
-where brute force is out of reach.
+sums in O(N) through strided difference arrays, with a loop over i only
+for g2 and no loop for sp4. The loops below walk the sums term by term
+instead: O(N^3) for g2 and O(N^2) for sp4, still far cheaper than
+enumerating decompositions, so they can check the kernels at points where
+brute force is out of reach. Between the two sit the kernels the package
+used before: ``qpartition_double_loop`` (g2, O(N^2), loops over i and j)
+and ``qpartition_c2_loop`` (sp4, O(N), loops over i), kept verbatim with
+their caches dropped; they reach larger points still.
 
 The package's Weyl sums cache the shifted orbit of lambda and skip the
 terms that are zero. The unpruned sums below evaluate every term of the
@@ -15,6 +19,9 @@ The package enumerates decompositions with one recursive walk over any
 list of positive roots. The hand-written g2 and sp4 loop nests it replaced
 are kept below, so the walk can be held to them witness for witness.
 """
+
+from itertools import accumulate
+from operator import add
 
 from qkostant.g2_partition import PartitionWitness, qpartition
 from qkostant.qpoly import QPoly
@@ -46,6 +53,66 @@ def qpartition_triple_sum(m: int, n: int) -> QPoly:
         acc += d
         coeffs.append(acc)
     return QPoly(coeffs)
+
+
+def qpartition_double_loop(v: RootCoord) -> QPoly:
+    """q-analog of Kostant's partition function for g2, closed form.
+
+    Evaluates the quadruple sum over counts (i, j, k, l) of the roots
+    3a1+2a2, 3a1+a2, 2a1+a2, a1+a2 in O(N^2) time for N = m + n. For
+    fixed (i, j), with A = m-3i-3j, B = n-2i-j and T = m+n-4i-3j, each
+    k = 0..min(A//2, B) contributes the exponent run [start(k), T-2k]
+    over l. The run ends step by -2 in k; the starts are T-B-k while
+    k < A-B and T-A from then on. Both progressions go into strided
+    second-difference arrays, so no loop over k or l is run.
+    """
+    m, n = v
+    if m < 0 or n < 0:
+        return QPoly()
+    size = m + n + 4
+    flat = [0] * size  # first differences: runs starting at one fixed exponent
+    unit = [0] * size  # second differences, unit stride: the moving run starts
+    even = [0] * size  # second differences, stride 2: the run ends
+    for i in range(min(m // 3, n // 2) + 1):
+        a, b, t = m - 3 * i, n - 2 * i, m + n - 4 * i
+        while a >= 0 and b >= 0:
+            k_max = a // 2 if a // 2 < b else b  # min() is a slower call here
+            # -1 just past each run end t - 2k; the lowest, t - 2*k_max + 1, is >= 1.
+            even[t - 2 * k_max + 1] -= 1
+            even[t + 3] += 1
+            split = a - b
+            if split > 0:
+                last = k_max if k_max < split else split - 1
+                unit[t - b - last] += 1
+                unit[t - b + 1] -= 1
+                if k_max >= split:
+                    flat[t - a] += k_max - split + 1
+            else:
+                flat[t - a] += k_max + 1
+            a -= 3
+            b -= 1
+            t -= 3
+    even[0::2] = accumulate(even[0::2])
+    even[1::2] = accumulate(even[1::2])
+    return QPoly(accumulate(map(add, map(add, flat, accumulate(unit)), even)))
+
+
+def qpartition_c2_loop(v: RootCoord) -> QPoly:
+    """q-analog of Kostant's partition function for sp4, closed double sum.
+
+    For i copies of the long root 2a1+a2, the remaining decompositions
+    contribute one q^j for every j from max(m-i, n) to m+n-2i. Each such
+    run is one pair of entries in a difference array, so the double sum
+    costs O(N) for N = m + n.
+    """
+    m, n = v
+    if m < 0 or n < 0:
+        return QPoly()
+    diff = [0] * (m + n + 2)
+    for i in range(min(m // 2, n) + 1):
+        diff[max(m - i, n)] += 1
+        diff[m + n - 2 * i + 1] -= 1
+    return QPoly(accumulate(diff))
 
 
 def qpartition_c2_double_sum(m: int, n: int) -> QPoly:

@@ -42,6 +42,7 @@ from qkostant.sp4 import (
     qpartition_c2,
     qpartition_c2_bruteforce,
 )
+from mutants import closed_form_without_edge_region
 from shift_forms import SHIFT_FORMS
 
 
@@ -181,7 +182,7 @@ def test_criterion_07_sp4_partition_correction():
     mutated_bad = [
         (m, n)
         for m, n in product(range(61), repeat=2)
-        if _closed_form(m, n, edge_region=False) != qpartition_c2(RootCoord(m, n)).eval_at_one()
+        if closed_form_without_edge_region(m, n) != qpartition_c2(RootCoord(m, n)).eval_at_one()
     ]
     report(
         "7 sp4 closed partition on [0,60]^2; edge region load-bearing",

@@ -21,6 +21,12 @@ TABLE_MAX6_SHA256 = {
     "g2": "3d89a33398f92e26cf545b4c32dab2ecdd64103b607f00c28a4a7fc71311be90",
     "c2": "3933187990f30d6e738fa8d69b243de4290f36cadf1b4b867a71274a500d9fdf",
 }
+# table --max 10, the grid size the benchmark runs, recorded at the same
+# commit as the benchmark's own copy of these digests.
+TABLE_MAX10_SHA256 = {
+    "g2": "00b0a4baa51beca9b2c0353d16a48d1e2e3c0822bd5461da255f13da710e8e3d",
+    "c2": "a34d7d02e44588ad936907cb1076df2053fdfef81323904848b71dc7050be107",
+}
 VERIFY_MAX6_STDOUT = {
     "g2": (
         '{"algebra":"g2","checks":['
@@ -246,6 +252,12 @@ class TestPinnedOutput:
         code, out, _ = invoke(capsys, "table", "--algebra", algebra, "--max", "6")
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == TABLE_MAX6_SHA256[algebra]
+
+    @pytest.mark.parametrize("algebra", ["g2", "c2"])
+    def test_table_max10_hash(self, capsys, algebra):
+        code, out, _ = invoke(capsys, "table", "--algebra", algebra, "--max", "10")
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == TABLE_MAX10_SHA256[algebra]
 
     @pytest.mark.parametrize("algebra", ["g2", "c2"])
     def test_verify_max6_stdout(self, capsys, algebra):

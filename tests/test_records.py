@@ -72,3 +72,14 @@ def test_root_systems_compare_and_hash_by_identity(rs):
     assert hash(rs) == object.__hash__(rs)
     assert hash(copy) == object.__hash__(copy)
     assert G2 != C2
+
+
+@pytest.mark.parametrize("rs", [G2, C2], ids=lambda rs: rs.name)
+def test_root_systems_differ_from_a_plain_tuple_of_their_fields(rs):
+    # The hashes differ, so == must not hold in either operand order.
+    fields = tuple(rs)
+    assert hash(fields) != hash(rs)
+    assert not rs == fields
+    assert not fields == rs
+    assert rs != fields
+    assert fields != rs

@@ -2,7 +2,9 @@
 
 Brute-force enumeration stays the primary oracle on the small grids in
 test_g2_partition.py and test_sp4.py; the direct sums reach the large
-points where enumeration is out of reach. The pruned, orbit-cached Weyl
+points where enumeration is out of reach, and the kernels the package
+used before (the g2 loop over i and j, the sp4 loop over i) larger ones
+still. The pruned, orbit-cached Weyl
 sums are held equal to the unpruned alternating sums term for term, and
 the shared decomposition enumerator to the hand-written loops it replaced.
 """
@@ -35,6 +37,8 @@ from reference_kernels import (
     qmultiplicity_weyl_sum_unpruned,
     qpartition_c2_bruteforce_nested,
     qpartition_c2_double_sum,
+    qpartition_c2_loop,
+    qpartition_double_loop,
     qpartition_triple_sum,
     witnesses_c2_nested,
 )
@@ -56,6 +60,11 @@ def _weyl_points(rng, lam_max, count):
 
 G2_WEYL_POINTS = _weyl_points(_rng, 40, 30)
 C2_WEYL_POINTS = _weyl_points(_rng, 300, 30)
+
+# Seeded points for the kernels the package used before, which reach further.
+_loop_rng = Random(6)
+G2_LOOP_POINTS = sorted((_loop_rng.randint(0, 3000), _loop_rng.randint(0, 3000)) for _ in range(30))
+C2_LOOP_POINTS = sorted((_loop_rng.randint(0, 6000), _loop_rng.randint(0, 6000)) for _ in range(30))
 
 # Points whose (i, j) terms reach every regime of the g2 kernel's k-runs.
 G2_REGIME_POINTS = [(0, 0), (5, 9), (6, 6), (12, 9), (8, 4), (9, 4), (20, 3), (1, 0), (0, 1)]
@@ -86,6 +95,43 @@ def g2_regimes(m, n):
     return seen
 
 
+# Points whose i-steps reach every j-range and clamp of the g2 kernel.
+G2_J_RANGE_POINTS = [(0, 0), (1, 0), (12, 6), (15, 7), (300, 130)]
+
+
+def g2_j_ranges(m, n):
+    """Which j-ranges and clamps the i-steps of qpartition(m, n) reach.
+
+    For fixed i, with a0 = m-3i, b0 = n-2i and J = min(a0//3, b0), each
+    j = 0..J has a = a0-3j and b = b0-j. The k-runs reach b while a > 2b
+    (j < j1); below that the run starts move while a > b (j < j2) and are
+    all fixed from there on. The ranges are taken from a and b for every
+    j here, not from the kernel's formulas for j1 and j2.
+    """
+    seen = set()
+    for i in range(min(m // 3, n // 2) + 1):
+        a0, b0 = m - 3 * i, n - 2 * i
+        top = min(a0 // 3, b0)
+        parities = {"k runs to b": set(), "moving starts": set(), "fixed starts": set()}
+        for j in range(top + 1):
+            a, b = a0 - 3 * j, b0 - j
+            name = "k runs to b" if a > 2 * b else "moving starts" if a > b else "fixed starts"
+            parities[name].add(a % 2)
+        for name, found in parities.items():
+            seen.update((name, parity) for parity in found)
+        if all(parities.values()):
+            seen.add("all three at one i")
+            if len(parities["moving starts"]) == len(parities["fixed starts"]) == 2:
+                seen.add("all three at one i, both parities in the last two")
+        if a0 - 2 * b0 <= 0:
+            seen.add("j1 = 0")
+        if a0 - 2 * b0 >= top + 1:
+            seen.add("j1 = J+1")
+        if (a0 - b0 + 1) // 2 >= top + 1:
+            seen.add("j2 = J+1")
+    return seen
+
+
 class TestG2Kernel:
     def test_equals_triple_sum_on_grid(self):
         for m, n in product(range(45), repeat=2):
@@ -103,6 +149,38 @@ class TestG2Kernel:
     def test_equals_triple_sum_at_regime_points(self, m, n):
         assert qpartition(RootCoord(m, n)) == qpartition_triple_sum(m, n)
 
+    def test_equals_double_loop_on_grid(self):
+        for m, n in product(range(45), repeat=2):
+            v = RootCoord(m, n)
+            assert qpartition(v) == qpartition_double_loop(v), (m, n)
+
+    @pytest.mark.parametrize("m,n", G2_LOOP_POINTS)
+    def test_equals_double_loop_at_seeded_points(self, m, n):
+        v = RootCoord(m, n)
+        assert qpartition(v) == qpartition_double_loop(v)
+
+    def test_j_range_points_cover_every_range_parity_and_clamp(self):
+        covered = set().union(*(g2_j_ranges(m, n) for m, n in G2_J_RANGE_POINTS))
+        assert covered == {
+            ("k runs to b", 0),
+            ("k runs to b", 1),
+            ("moving starts", 0),
+            ("moving starts", 1),
+            ("fixed starts", 0),
+            ("fixed starts", 1),
+            "all three at one i",
+            "all three at one i, both parities in the last two",
+            "j1 = 0",
+            "j1 = J+1",
+            "j2 = J+1",
+        }
+
+    @pytest.mark.parametrize("m,n", G2_J_RANGE_POINTS)
+    def test_equals_double_loop_at_j_range_points(self, m, n):
+        v = RootCoord(m, n)
+        assert qpartition(v) == qpartition_double_loop(v)
+        assert qpartition(v) == qpartition_triple_sum(m, n)
+
 
 class TestC2Kernel:
     def test_equals_double_sum_on_grid(self):
@@ -112,6 +190,16 @@ class TestC2Kernel:
     @pytest.mark.parametrize("m,n", C2_POINTS)
     def test_equals_double_sum_at_seeded_points(self, m, n):
         assert qpartition_c2(RootCoord(m, n)) == qpartition_c2_double_sum(m, n)
+
+    def test_equals_loop_on_grid(self):
+        for m, n in product(range(45), repeat=2):
+            v = RootCoord(m, n)
+            assert qpartition_c2(v) == qpartition_c2_loop(v), (m, n)
+
+    @pytest.mark.parametrize("m,n", C2_LOOP_POINTS)
+    def test_equals_loop_at_seeded_points(self, m, n):
+        v = RootCoord(m, n)
+        assert qpartition_c2(v) == qpartition_c2_loop(v)
 
 
 class TestWeylSums:

@@ -15,7 +15,6 @@ from qkostant.qpoly import QPoly
 from qkostant.rootsys import FundCoord, RootCoord, mat_det
 from qkostant.sp4 import (
     POSITIVE_ROOTS_C2,
-    _closed_form,
     compute_case_c2,
     fund_to_root_c2,
     fundamental_weights_c2,
@@ -27,6 +26,7 @@ from qkostant.sp4 import (
     root_to_fund_c2,
     weyl_group_c2,
 )
+from mutants import closed_form_without_edge_region
 
 # Enumerator outputs, frozen. (1,1) is {a1+a2} and {a1, a2}; (2,1) is
 # {2a1+a2}, {a1, a1+a2}, {a1, a1, a2}.
@@ -88,12 +88,12 @@ class TestClosedPartitionForm:
     def test_edge_region_is_load_bearing(self):
         """Without the m = 2n-1 region the dispatch falls back to the
         m >= 2n formula and the oracle equivalence breaks."""
-        assert _closed_form(3, 2, edge_region=False) == 6
+        assert closed_form_without_edge_region(3, 2) == 6
         assert qpartition_c2(RootCoord(3, 2)).eval_at_one() == 5
         mismatches = [
             (m, n)
             for m, n in product(range(61), repeat=2)
-            if _closed_form(m, n, edge_region=False)
+            if closed_form_without_edge_region(m, n)
             != qpartition_c2(RootCoord(m, n)).eval_at_one()
         ]
         assert mismatches
