@@ -25,15 +25,12 @@ from .g2_partition import (
 )
 from .qpoly import QPoly
 from .rootsys import (
-    FUND_TO_ROOT,
     POSITIVE_ROOTS,
-    RHO,
     FundCoord,
     RootCoord,
     WeylElement,
     fund_to_root,
     root_to_fund,
-    sigma_shift,
     weyl_group,
 )
 from .sp4 import (
@@ -59,7 +56,6 @@ __all__ = [
     "AuditReport",
     "CaseData",
     "CoefficientOverflowError",
-    "FUND_TO_ROOT",
     "FundCoord",
     "InternalConsistencyError",
     "MultiplicityResult",
@@ -67,7 +63,6 @@ __all__ = [
     "POSITIVE_ROOTS_C2",
     "PartitionWitness",
     "QPoly",
-    "RHO",
     "RootCoord",
     "Sp4CaseData",
     "Sp4MultiplicityResult",
@@ -92,7 +87,6 @@ __all__ = [
     "qpartition_c2_bruteforce",
     "root_to_fund",
     "root_to_fund_c2",
-    "sigma_shift",
     "tarski_g",
     "tarski_h",
     "weyl_group",

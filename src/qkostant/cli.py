@@ -167,11 +167,10 @@ def _c2_pair_mismatches(m: int, n: int) -> tuple[bool, ...]:
     return poly != qpartition_c2_bruteforce(v), partition_c2_closed(v) != poly.eval_at_one()
 
 
-def _g2_tuple_mismatches(m: int, n: int, x: int, y: int) -> tuple[bool, ...]:
+def _g2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
     # One closed evaluation serves three checks: its m_at_one is exactly
     # what multiplicity(..., "qpoly") returns, and its case is the one
     # audit_cases reads.
-    lam, mu = FundCoord(m, n), FundCoord(x, y)
     closed = qmultiplicity_closed(lam, mu)
     return (
         closed.mq != qmultiplicity_weyl_sum(lam, mu),
@@ -180,15 +179,14 @@ def _g2_tuple_mismatches(m: int, n: int, x: int, y: int) -> tuple[bool, ...]:
     )
 
 
-def _c2_tuple_mismatches(m: int, n: int, x: int, y: int) -> tuple[bool, ...]:
+def _c2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
     # One Weyl sum serves both checks; an odd m - x puts mu off lam's
     # root-lattice coset, where the case flags and the sum must vanish.
-    lam, mu = FundCoord(m, n), FundCoord(x, y)
     closed = multiplicity_c2_closed(lam, mu)
     weyl = multiplicity_c2_weyl_sum(lam, mu)
     return (
         closed.value != weyl.eval_at_one(),
-        bool((m - x) % 2 and (closed.case.b_in_n or closed.case.d_in_n or weyl)),
+        bool((lam.m - mu.m) % 2 and (closed.case.b_in_n or closed.case.d_in_n or weyl)),
     )
 
 
@@ -204,8 +202,8 @@ class _Algebra(NamedTuple):
     row: Callable[[FundCoord, FundCoord], tuple]  # (case, m_q, m at q = 1)
     pair_checks: tuple[str, ...]  # one mismatch flag each per (m, n)
     pair_mismatches: Callable[[int, int], tuple[bool, ...]]
-    tuple_checks: tuple[str, ...]  # one mismatch flag each per (m, n, x, y)
-    tuple_mismatches: Callable[[int, int, int, int], tuple[bool, ...]]
+    tuple_checks: tuple[str, ...]  # one mismatch flag each per (lam, mu)
+    tuple_mismatches: Callable[[FundCoord, FundCoord], tuple[bool, ...]]
 
 
 _ALGEBRAS = {
@@ -255,13 +253,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("--max must be nonnegative")
     algebra = _ALGEBRAS[args.algebra]
     axis = range(args.max + 1)
+    weights = [FundCoord(m, n) for m, n in product(axis, repeat=2)]
     checks = []
-    for names, dim, mismatches in (
-        (algebra.pair_checks, 2, algebra.pair_mismatches),
-        (algebra.tuple_checks, 4, algebra.tuple_mismatches),
+    for names, dim, points, mismatches in (
+        (algebra.pair_checks, 2, product(axis, repeat=2), algebra.pair_mismatches),
+        (algebra.tuple_checks, 4, product(weights, repeat=2), algebra.tuple_mismatches),
     ):
         totals = [0] * len(names)
-        for point in product(axis, repeat=dim):
+        for point in points:
             totals = list(map(add, totals, mismatches(*point)))
         checks += (
             {"name": name, "cases": len(axis) ** dim, "mismatches": total}
@@ -280,11 +279,12 @@ def _table_lines(algebra: str, grid_max: int) -> list[str]:
     spec = _ALGEBRAS[algebra]
     lines = [f"m,n,x,y,{','.join(spec.case_fields)},case,mq_coeffs,m_at_1"]
     case_template = ",".join(["%d"] * len(spec.case_fields))
-    for m, n, x, y in product(range(grid_max + 1), repeat=4):
-        case, mq, m_at_one = spec.row(FundCoord(m, n), FundCoord(x, y))
+    weights = [(FundCoord(m, n), f"{m},{n}") for m, n in product(range(grid_max + 1), repeat=2)]
+    for (lam, lam_text), (mu, mu_text) in product(weights, repeat=2):
+        case, mq, m_at_one = spec.row(lam, mu)
         values = case_template % case.as_tuple()
         coeffs = "|".join(map(str, mq.coeffs))
-        lines.append(f"{m},{n},{x},{y},{values},{case.case_label},{coeffs},{m_at_one}")
+        lines.append(f"{lam_text},{mu_text},{values},{case.case_label},{coeffs},{m_at_one}")
     return lines
 
 

@@ -1,9 +1,9 @@
 """Weight q-multiplicities for g2.
 
-The closed route evaluates at most five partition terms P, Q, R, S, T
-selected by sign conditions on six affine integers a..f of the weight
-pair; the oracle route runs the full 12-term alternating Weyl sum. Both
-recover the classical multiplicity at q = 1.
+The closed route evaluates at most five partition terms P, Q, R, S, T,
+those of the Weyl alternation set 1, s1, s2, s2s1, s1s2, as selected by the
+signs of their coordinates a..f; the oracle route runs the full 12-term
+alternating Weyl sum. Both recover the classical multiplicity at q = 1.
 """
 
 from __future__ import annotations
@@ -14,21 +14,19 @@ from typing import Mapping, NamedTuple
 from .errors import InternalConsistencyError
 from .g2_partition import partition_tarski, qpartition
 from .qpoly import QPoly, checked_int
-from .rootsys import G2, FundCoord, RootCoord, weyl_sum
+from .rootsys import G2, FundCoord, RootCoord, alternation_shifts, weyl_sum
 
-TERM_NAMES = ("P", "Q", "R", "S", "T")
+TERM_NAMES = tuple(name for name, _ in G2.alternation)
 TERM_SIGNS: Mapping[str, int] = {"P": 1, "Q": -1, "R": -1, "S": 1, "T": 1}
 
-# The eight admissible case labels and the terms each one combines.
+# Each term's root coordinates as case integers, by index into CaseData: P = (a, b),
+# Q = (c, b), ... s_i moves only the a_i-coordinate, so s_i w shares the other with w.
+TERM_FIELDS = {"P": (0, 1), "Q": (2, 1), "R": (0, 3), "S": (2, 4), "T": (5, 3)}
+
+# The eight admissible case labels; each spells the terms it combines.
 CASE_TERMS: Mapping[str, tuple[str, ...]] = {
-    "PQRST": ("P", "Q", "R", "S", "T"),
-    "PQRS": ("P", "Q", "R", "S"),
-    "PQRT": ("P", "Q", "R", "T"),
-    "PQR": ("P", "Q", "R"),
-    "PQ": ("P", "Q"),
-    "PR": ("P", "R"),
-    "P": ("P",),
-    "ZERO": (),
+    label: tuple(label) if label != "ZERO" else ()
+    for label in ("PQRST", "PQRS", "PQRT", "PQR", "PQ", "PR", "P", "ZERO")
 }
 
 
@@ -87,33 +85,17 @@ def _case_label(in_n: tuple[bool, ...]) -> str:
     return "ZERO"
 
 
-def compute_abcdef(lam: FundCoord, mu: FundCoord) -> CaseData:
-    """The affine case integers of (lam, mu) and the case they select."""
-    m, n = lam
-    x, y = mu
-    a = 2 * m + 3 * n - 2 * x - 3 * y
-    b = m + 2 * n - x - 2 * y
-    c = m + 3 * n - 2 * x - 3 * y - 1
-    d = m + n - x - 2 * y - 1
-    e = n - x - 2 * y - 2
-    f = m - 2 * x - 3 * y - 4
-    in_n = tuple(value >= 0 for value in (a, b, c, d, e, f))
+def _case_data(shifts: list[tuple[int, int, int]]) -> CaseData:
+    # The fields of TERM_FIELDS, halved: g2 weights lie in the root lattice.
+    (_, a, b), (_, c, _), (_, _, d), (_, _, e), (_, f, _) = shifts
+    a, b, c, d, e, f = a >> 1, b >> 1, c >> 1, d >> 1, e >> 1, f >> 1
+    in_n = (a >= 0, b >= 0, c >= 0, d >= 0, e >= 0, f >= 0)
     return CaseData(a, b, c, d, e, f, in_n, _case_label(in_n))
 
 
-def term_coords(name: str, case: CaseData) -> RootCoord:
-    """Root coordinates of the partition argument behind one term."""
-    if name == "P":
-        return RootCoord(case.a, case.b)
-    if name == "Q":
-        return RootCoord(case.c, case.b)
-    if name == "R":
-        return RootCoord(case.a, case.d)
-    if name == "S":
-        return RootCoord(case.c, case.e)
-    if name == "T":
-        return RootCoord(case.f, case.d)
-    raise ValueError(f"unknown term {name!r}")
+def compute_abcdef(lam: FundCoord, mu: FundCoord) -> CaseData:
+    """The case integers of (lam, mu), read off the alternation set, and their case."""
+    return _case_data(alternation_shifts(G2, lam, mu))
 
 
 def active_terms(case: CaseData) -> tuple[str, ...]:
@@ -123,7 +105,16 @@ def active_terms(case: CaseData) -> tuple[str, ...]:
     with nonnegative root coordinates has at least its all-simple-roots
     decomposition.
     """
-    return tuple(name for name in TERM_NAMES if min(term_coords(name, case)) >= 0)
+    in_n = case.in_n
+    return tuple(name for name, (i, j) in TERM_FIELDS.items() if in_n[i] and in_n[j])
+
+
+def _selected_terms(lam: FundCoord, mu: FundCoord) -> tuple[CaseData, list]:
+    """The case of (lam, mu) and (name, sign, partition argument) of each term it combines."""
+    shifts = alternation_shifts(G2, lam, mu)
+    case = _case_data(shifts)
+    picked = ((name, shifts[TERM_NAMES.index(name)]) for name in CASE_TERMS[case.case_label])
+    return case, [(name, sign, RootCoord(u >> 1, v >> 1)) for name, (sign, u, v) in picked]
 
 
 class MultiplicityResult(NamedTuple):
@@ -139,13 +130,10 @@ class MultiplicityResult(NamedTuple):
 
 def qmultiplicity_closed(lam: FundCoord, mu: FundCoord) -> MultiplicityResult:
     """m_q(lam, mu) via the case-selected combination of partition terms."""
-    case = compute_abcdef(lam, mu)
-    terms = {
-        name: qpartition(term_coords(name, case))
-        for name in CASE_TERMS[case.case_label]
-    }
-    mq = QPoly.signed_sum((TERM_SIGNS[name], poly) for name, poly in terms.items())
-    if any(coeff < 0 for coeff in mq.coeffs):
+    case, selected = _selected_terms(lam, mu)
+    terms = {name: qpartition(v) for name, _, v in selected}
+    mq = QPoly.signed_sum((sign, terms[name]) for name, sign, _ in selected)
+    if mq.coeffs and min(mq.coeffs) < 0:
         raise InternalConsistencyError(
             f"negative coefficient in m_q({tuple(lam)}, {tuple(mu)}) = {mq!r}"
         )
@@ -172,12 +160,8 @@ def multiplicity(lam: FundCoord, mu: FundCoord, method: str = "qpoly") -> int:
     if method == "qpoly":
         return qmultiplicity_closed(lam, mu).m_at_one
     if method == "tarski":
-        case = compute_abcdef(lam, mu)
-        value = sum(
-            TERM_SIGNS[name] * partition_tarski(term_coords(name, case))
-            for name in CASE_TERMS[case.case_label]
-        )
-        return checked_int(value)
+        _, selected = _selected_terms(lam, mu)
+        return checked_int(sum(sign * partition_tarski(v) for _, sign, v in selected))
     raise ValueError(f"unknown method {method!r}, expected 'qpoly' or 'tarski'")
 
 

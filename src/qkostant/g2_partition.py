@@ -77,6 +77,8 @@ def qpartition(v: RootCoord) -> QPoly:
     j, k or l is run.
     """
     m, n = v
+    if type(m) is not int or type(n) is not int:  # bool is rejected too
+        raise ValueError(f"qpartition needs integer coordinates, got {tuple(v)!r}")
     if m < 0 or n < 0:
         return QPoly()
     size = m + n + 7
@@ -148,8 +150,8 @@ def _tarski_g(k: int) -> int:
     The division by 432 is performed last and must be exact; a remainder
     means the polynomial data was mistranscribed.
     """
-    if k < -2:
-        raise ValueError(f"tarski_g is defined for k >= -2, got {k}")
+    if type(k) is not int or k < -2:  # bool is rejected too
+        raise ValueError(f"tarski_g is defined for integers k >= -2, got {k!r}")
     r = k % 6
     if r == 0:
         num = (k + 6) * (k**3 + 14 * k * k + 54 * k + 72)
@@ -173,8 +175,8 @@ def _tarski_g(k: int) -> int:
 
 def _tarski_h(k: int) -> int:
     """Tarski's h without the 64-bit check."""
-    if k < -2:
-        raise ValueError(f"tarski_h is defined for k >= -2, got {k}")
+    if type(k) is not int or k < -2:  # bool is rejected too
+        raise ValueError(f"tarski_h is defined for integers k >= -2, got {k!r}")
     if k % 2 == 0:
         num = (k + 2) * (k + 4) * (k * k + 6 * k + 6)
     else:

@@ -65,6 +65,8 @@ class RootSystem(NamedTuple):
     highest. ``s1`` and ``s2`` are the simple reflections, their columns the
     images of a1 and a2. ``two_w1`` and ``two_w2`` are the fundamental
     weights doubled, which keeps sp4's half-integral weights integral.
+    ``alternation`` names the terms of the closed formulas by Weyl word:
+    no other element shifts a dominant pair into the positive cone.
     A record compares and hashes by identity, so a cache keyed on one never
     hashes its fields.
     """
@@ -75,6 +77,7 @@ class RootSystem(NamedTuple):
     s2: Mat
     two_w1: tuple[int, int]
     two_w2: tuple[int, int]
+    alternation: tuple[tuple[str, str], ...]  # (term name, Weyl word)
 
     __hash__ = object.__hash__
 
@@ -102,6 +105,7 @@ G2 = RootSystem(
     s2=((1, 0), (1, -1)),
     two_w1=(4, 2),  # w1 = 2a1 + a2
     two_w2=(6, 4),  # w2 = 3a1 + 2a2
+    alternation=(("P", "1"), ("Q", "s1"), ("R", "s2"), ("S", "s2s1"), ("T", "s1s2")),
 )
 
 C2 = RootSystem(
@@ -112,16 +116,11 @@ C2 = RootSystem(
     s2=((1, 0), (1, -1)),
     two_w1=(2, 1),  # w1 = a1 + a2/2
     two_w2=(2, 2),  # w2 = a1 + a2
+    alternation=(("P", "1"), ("Q", "s1"), ("R", "s2")),
 )
 
 # Positive roots of g2 as (c1, c2), lowest to highest.
 POSITIVE_ROOTS: tuple[RootCoord, ...] = G2.positive_roots
-
-# Half-sum of the positive roots; also w1 + w2.
-RHO = RootCoord(5, 3)
-
-# Columns are w1 = 2a1 + a2 and w2 = 3a1 + 2a2.
-FUND_TO_ROOT: Mat = ((2, 3), (1, 2))
 
 
 def doubled(rs: RootSystem, w: tuple[int, int]) -> tuple[int, int]:
@@ -150,6 +149,8 @@ def to_fund(rs: RootSystem, v: RootCoord) -> FundCoord:
     always exact because the root lattice sits inside the weight lattice.
     """
     c1, c2 = v
+    if type(c1) is not int or type(c2) is not int:  # bool is rejected too
+        raise ValueError(f"root coordinates must be integers, got {tuple(v)!r}")
     (p, r), (q, s) = rs.two_w1, rs.two_w2
     det = p * s - q * r
     m_num = 2 * (s * c1 - q * c2)
@@ -232,14 +233,6 @@ def weyl_group() -> tuple[WeylElement, ...]:
     return weyl_elements(G2)
 
 
-def sigma_shift(sigma: WeylElement, lam: FundCoord, mu: FundCoord) -> RootCoord:
-    """sigma(lam + rho) - (mu + rho), everything in g2 root coordinates."""
-    lr = fund_to_root(lam)
-    mr = fund_to_root(mu)
-    moved = sigma.apply(RootCoord(lr.c1 + RHO.c1, lr.c2 + RHO.c2))
-    return RootCoord(moved.c1 - mr.c1 - RHO.c1, moved.c2 - mr.c2 - RHO.c2)
-
-
 def _decompose(roots, m: int, n: int, counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     if not roots:
         yield (m, n, *counts)
@@ -279,20 +272,41 @@ def qpartition_enumerated(roots: tuple[RootCoord, ...], v: RootCoord) -> QPoly:
 ORBIT_CACHE_SIZE = 512
 
 
+@cache
+def _orbit_order(rs: RootSystem) -> tuple[WeylElement, ...]:
+    """The Weyl elements of rs: those of rs.alternation first, in its order."""
+    by_word = {elem.word: elem for elem in weyl_elements(rs)}
+    first = [by_word.pop(word) for _, word in rs.alternation]
+    return (*first, *by_word.values())
+
+
 @lru_cache(maxsize=ORBIT_CACHE_SIZE, typed=True)
 def shifted_orbit(rs: RootSystem, m: int, n: int) -> tuple[tuple[int, int, int], ...]:
     """(sign, u, v) of sigma(2 * (lam + rho)) for every Weyl element sigma.
 
     Doubled root coordinates, lam = m*w1 + n*w2 and rho = w1 + w2. The
     orbit depends on lam alone, so a grid sweep computes it once per lam
-    instead of once per (lam, mu).
+    instead of once per (lam, mu). rs.alternation comes first, in order.
     """
     u, v = doubled(rs, (m + 1, n + 1))
     orbit = []
-    for elem in weyl_elements(rs):
+    for elem in _orbit_order(rs):
         (p, q), (r, s) = elem.matrix
         orbit.append((elem.sign, p * u + q * v, r * u + s * v))
     return tuple(orbit)
+
+
+def alternation_shifts(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> list:
+    """(sign, u, v) of each term of rs.alternation, in order, off the cached orbit.
+
+    The sign is (-1)^length(sigma) and (u, v) = 2 * (sigma(lam + rho) - (mu + rho))
+    in root coordinates. A non-dominant lam or mu raises ValueError.
+    """
+    m, n = lam if type(lam) is FundCoord else FundCoord(*lam)
+    x, y = mu if type(mu) is FundCoord else FundCoord(*mu)
+    mu1, mu2 = doubled(rs, (x + 1, y + 1))
+    orbit = shifted_orbit(rs, m, n)
+    return [(sign, u - mu1, v - mu2) for sign, u, v in orbit[: len(rs.alternation)]]
 
 
 def weyl_sum(
@@ -307,12 +321,13 @@ def weyl_sum(
     zero when that weight has a negative coordinate, or an odd doubled one
     (it then lies outside the root lattice, which happens for sp4 only);
     only the other terms are evaluated. lam and mu are (m, n) pairs in the
-    fundamental basis.
+    fundamental basis; a non-dominant one raises ValueError.
     """
-    x, y = mu
+    m, n = lam if type(lam) is FundCoord else FundCoord(*lam)
+    x, y = mu if type(mu) is FundCoord else FundCoord(*mu)
     mu1, mu2 = doubled(rs, (x + 1, y + 1))
     return QPoly.signed_sum(
         (sign, qpartition(RootCoord((u - mu1) // 2, (v - mu2) // 2)))
-        for sign, u, v in shifted_orbit(rs, *lam)
+        for sign, u, v in shifted_orbit(rs, m, n)
         if u >= mu1 and v >= mu2 and not (u - mu1) % 2 and not (v - mu2) % 2
     )

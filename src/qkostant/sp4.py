@@ -20,6 +20,7 @@ from .rootsys import (
     FundCoord,
     Mat,
     RootCoord,
+    alternation_shifts,
     doubled,
     qpartition_enumerated,
     to_fund,
@@ -43,6 +44,8 @@ def qpartition_c2(v: RootCoord) -> QPoly:
     N = m + n with no Python loop.
     """
     m, n = v
+    if type(m) is not int or type(n) is not int:  # bool is rejected too
+        raise ValueError(f"qpartition_c2 needs integer coordinates, got {tuple(v)!r}")
     if m < 0 or n < 0:
         return QPoly()
     top = m // 2 if m // 2 < n else n  # min() is a slower call here
@@ -96,7 +99,7 @@ def partition_c2_closed(v: RootCoord) -> int:
 class Sp4CaseData(NamedTuple):
     """Case integers for an sp4 weight pair; b and d are stored doubled.
 
-    b = n - y + (m - x)/2 and d = -y - 1 + (m - x)/2 are half-integers when
+    b and d, the a2-coordinates of the terms P and R, are half-integers when
     m - x is odd, so membership in N means "doubled value nonnegative and
     even". All arithmetic stays in plain integers this way.
     """
@@ -119,13 +122,10 @@ class Sp4CaseData(NamedTuple):
         return (self.a_in_n, self.b_in_n, self.c_in_n, self.d_in_n)
 
 
-def compute_case_c2(lam: FundCoord, mu: FundCoord) -> Sp4CaseData:
-    m, n = lam
-    x, y = mu
-    a = m + n - x - y
-    two_b = 2 * n - 2 * y + m - x
-    c = n - x - y - 1
-    two_d = m - x - 2 * y - 2
+def _case_data(shifts: list[tuple[int, int, int]]) -> Sp4CaseData:
+    # Doubled P = (2a, 2b), Q = (2c, 2b), R = (2a, 2d); sp4's u is always even.
+    (_, two_a, two_b), (_, two_c, _), (_, _, two_d) = shifts
+    a, c = two_a >> 1, two_c >> 1
     a_ok = a >= 0
     b_ok = two_b >= 0 and two_b % 2 == 0
     c_ok = c >= 0
@@ -143,6 +143,11 @@ def compute_case_c2(lam: FundCoord, mu: FundCoord) -> Sp4CaseData:
     return Sp4CaseData(a, two_b, c, two_d, a_ok, b_ok, c_ok, d_ok, label)
 
 
+def compute_case_c2(lam: FundCoord, mu: FundCoord) -> Sp4CaseData:
+    """The case integers of (lam, mu), read off the alternation set, and their case."""
+    return _case_data(alternation_shifts(C2, lam, mu))
+
+
 class Sp4MultiplicityResult(NamedTuple):
     lam: FundCoord
     mu: FundCoord
@@ -153,22 +158,20 @@ class Sp4MultiplicityResult(NamedTuple):
 def multiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> Sp4MultiplicityResult:
     """Classical multiplicity m(lam, mu) for sp4 via the corrected cases.
 
-    Each contributing term is the regional partition count at that term's
-    own coordinates: P at (a, b), Q at (c, b), R at (a, d). Since b > c and
+    The terms P, Q, R are those of the Weyl elements 1, s1, s2. Each
+    contributing term is the regional partition count at that term's own
+    coordinates: P at (a, b), Q at (c, b), R at (a, d). Since b > c and
     a > 2d whenever those terms are selected, Q always reduces to
     floor((c+2)/2) * ceil((c+2)/2) and R to (d+1)(d+2)/2.
     """
-    case = compute_case_c2(lam, mu)
+    shifts = alternation_shifts(C2, lam, mu)
+    case = _case_data(shifts)
     label = case.case_label
-    if label == "ZERO":
-        value = 0
-    else:
-        b = case.two_b // 2
-        value = partition_c2_closed(RootCoord(case.a, b))
-        if "Q" in label:
-            value -= partition_c2_closed(RootCoord(case.c, b))
-        if "R" in label:
-            value -= partition_c2_closed(RootCoord(case.a, case.two_d // 2))
+    value = 0
+    if label != "ZERO":
+        for (name, _), (sign, u, v) in zip(C2.alternation, shifts):
+            if name in label:
+                value += sign * partition_c2_closed(RootCoord(u >> 1, v >> 1))
     if value < 0:
         raise InternalConsistencyError(
             f"negative multiplicity {value} for ({tuple(lam)}, {tuple(mu)})"

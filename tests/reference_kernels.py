@@ -15,6 +15,10 @@ terms that are zero. The unpruned sums below evaluate every term of the
 alternating sum as written: all 12 ``sigma_shift`` terms for g2 and all 8
 matrix terms for sp4, dropping only those off the root lattice.
 
+The package reads the sp4 case integers off the alternation terms of the
+cached Weyl orbit. ``compute_case_c2_affine`` is the hand-written affine
+form it replaced, kept verbatim.
+
 The package enumerates decompositions with one recursive walk over any
 list of positive roots. The hand-written g2 and sp4 loop nests it replaced
 are kept below, so the walk can be held to them witness for witness.
@@ -25,8 +29,10 @@ from operator import add
 
 from qkostant.g2_partition import PartitionWitness, qpartition
 from qkostant.qpoly import QPoly
-from qkostant.rootsys import RootCoord, sigma_shift, weyl_group
-from qkostant.sp4 import fundamental_weights_c2, qpartition_c2, weyl_group_c2
+from qkostant.rootsys import RootCoord, weyl_group
+from qkostant.sp4 import Sp4CaseData, fundamental_weights_c2, qpartition_c2, weyl_group_c2
+
+from shift_forms import sigma_shift
 
 
 def qpartition_triple_sum(m: int, n: int) -> QPoly:
@@ -204,3 +210,27 @@ def witnesses_c2_nested(m: int, n: int):
     for n4 in range(min(m // 2, n) + 1):  # copies of 2a1+a2
         for n3 in range(min(m - 2 * n4, n - n4) + 1):  # copies of a1+a2
             yield (m - 2 * n4 - n3, n - n4 - n3, n3, n4)
+
+
+def compute_case_c2_affine(lam, mu) -> Sp4CaseData:
+    m, n = lam
+    x, y = mu
+    a = m + n - x - y
+    two_b = 2 * n - 2 * y + m - x
+    c = n - x - y - 1
+    two_d = m - x - 2 * y - 2
+    a_ok = a >= 0
+    b_ok = two_b >= 0 and two_b % 2 == 0
+    c_ok = c >= 0
+    d_ok = two_d >= 0 and two_d % 2 == 0
+    if not (a_ok and b_ok):
+        label = "ZERO"
+    elif c_ok and d_ok:
+        label = "PQR"
+    elif c_ok:
+        label = "PQ"
+    elif d_ok:
+        label = "PR"
+    else:
+        label = "P"
+    return Sp4CaseData(a, two_b, c, two_d, a_ok, b_ok, c_ok, d_ok, label)

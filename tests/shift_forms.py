@@ -1,6 +1,29 @@
 """Shared fixture data: the affine form of sigma(lam+rho)-(mu+rho) for every
 Weyl element, as functions of the fundamental coordinates (m, n, x, y).
-Transcribed independently of the matrix machinery they are checked against."""
+Transcribed independently of the matrix machinery they are checked against.
+
+``sigma_shift`` computes the same weights from the group matrices. The
+package no longer uses it: its closed routes and Weyl sums read the shifts
+off the cached orbit in doubled coordinates. It stays here, with the g2
+constants it needs, for the tests that hold the matrices to these forms.
+"""
+
+from qkostant.rootsys import FundCoord, Mat, RootCoord, WeylElement, fund_to_root
+
+# Half-sum of the positive roots; also w1 + w2.
+RHO = RootCoord(5, 3)
+
+# Columns are w1 = 2a1 + a2 and w2 = 3a1 + 2a2.
+FUND_TO_ROOT: Mat = ((2, 3), (1, 2))
+
+
+def sigma_shift(sigma: WeylElement, lam: FundCoord, mu: FundCoord) -> RootCoord:
+    """sigma(lam + rho) - (mu + rho), everything in g2 root coordinates."""
+    lr = fund_to_root(lam)
+    mr = fund_to_root(mu)
+    moved = sigma.apply(RootCoord(lr.c1 + RHO.c1, lr.c2 + RHO.c2))
+    return RootCoord(moved.c1 - mr.c1 - RHO.c1, moved.c2 - mr.c2 - RHO.c2)
+
 
 SHIFT_FORMS = {
     "1": lambda m, n, x, y: (2 * m + 3 * n - 2 * x - 3 * y, m + 2 * n - x - 2 * y),

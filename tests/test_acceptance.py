@@ -32,7 +32,6 @@ from qkostant.rootsys import (
     RootCoord,
     mat_det,
     mat_mul,
-    sigma_shift,
     weyl_group,
 )
 from qkostant.sp4 import (
@@ -43,7 +42,7 @@ from qkostant.sp4 import (
     qpartition_c2_bruteforce,
 )
 from mutants import closed_form_without_edge_region
-from shift_forms import SHIFT_FORMS
+from shift_forms import SHIFT_FORMS, sigma_shift
 
 
 def report(criterion: str, ok: bool) -> None:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,13 @@ TABLE_MAX6_SHA256 = {
 TABLE_MAX10_SHA256 = {
     "g2": "00b0a4baa51beca9b2c0353d16a48d1e2e3c0822bd5461da255f13da710e8e3d",
     "c2": "a34d7d02e44588ad936907cb1076df2053fdfef81323904848b71dc7050be107",
+}
+# SHA-256 of the concatenated `case --format json` stdout over every tuple
+# of [0,4]^4 in lexicographic order; it covers in_n, including the sp4
+# parity flags that the table CSV leaves out.
+CASE_JSON_GRID4_SHA256 = {
+    "g2": "cdd34f0e9afd0a75d2367b06859515081b0d93ab197321e7d3c1365736a87ed9",
+    "c2": "b4b737dc9171b401ab54ac6a41ec918d38c7373863700d5be7ebff83c0447c9e",
 }
 VERIFY_MAX6_STDOUT = {
     "g2": (
@@ -258,6 +266,18 @@ class TestPinnedOutput:
         code, out, _ = invoke(capsys, "table", "--algebra", algebra, "--max", "10")
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == TABLE_MAX10_SHA256[algebra]
+
+    @pytest.mark.parametrize("algebra", ["g2", "c2"])
+    def test_case_json_grid_hash(self, capsys, algebra):
+        digest = hashlib.sha256()
+        for m, n, x, y in product(range(5), repeat=4):
+            code, out, _ = invoke(
+                capsys, "case", "--algebra", algebra, "--lambda", f"{m},{n}",
+                "--mu", f"{x},{y}", "--format", "json",
+            )
+            assert code == 0
+            digest.update(out.encode("ascii"))
+        assert digest.hexdigest() == CASE_JSON_GRID4_SHA256[algebra]
 
     @pytest.mark.parametrize("algebra", ["g2", "c2"])
     def test_verify_max6_stdout(self, capsys, algebra):

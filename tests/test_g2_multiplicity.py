@@ -14,6 +14,7 @@ from qkostant.errors import CoefficientOverflowError
 from qkostant.g2_multiplicity import (
     ALLOWED_SIGNATURES,
     CASE_TERMS,
+    TERM_FIELDS,
     TERM_NAMES,
     active_terms,
     audit_cases,
@@ -24,7 +25,9 @@ from qkostant.g2_multiplicity import (
     signature,
 )
 from qkostant.qpoly import QPoly
-from qkostant.rootsys import FundCoord
+from qkostant.rootsys import G2, FundCoord
+
+from shift_forms import SHIFT_FORMS
 
 # One witness per admissible case, with its full (a, b, c, d, e, f) vector.
 CASE_WITNESSES = [
@@ -61,6 +64,18 @@ class TestCaseData:
         for m, n, x, y in product(range(7), repeat=4):
             case = compute_abcdef(FundCoord(m, n), FundCoord(x, y))
             assert active_terms(case) == CASE_TERMS[case.case_label], (m, n, x, y)
+
+    def test_case_integers_are_the_shift_forms_of_the_alternation_set(self):
+        # Each term's Weyl word, and the case integers that are its root coordinates.
+        words = {"P": "1", "Q": "s1", "R": "s2", "S": "s2s1", "T": "s1s2"}
+        coords = {"P": "ab", "Q": "cb", "R": "ad", "S": "ce", "T": "fd"}
+        assert G2.alternation == tuple(words.items())
+        assert {name: "".join("abcdef"[i] for i in pair) for name, pair in TERM_FIELDS.items()} == coords
+        for m, n, x, y in product(range(9), repeat=4):
+            case = compute_abcdef(FundCoord(m, n), FundCoord(x, y))
+            for name, word in words.items():
+                expected = SHIFT_FORMS[word](m, n, x, y)
+                assert tuple(getattr(case, f) for f in coords[name]) == expected, (m, n, x, y, name)
 
     def test_impossible_sign_patterns_never_occur(self):
         # Each pair/triple below is contradictory for dominant weights.

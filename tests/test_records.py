@@ -22,7 +22,7 @@ LAM, MU = FundCoord(2, 1), FundCoord(0, 1)
 
 # Field names in the order the records have always had them.
 FIELDS = {
-    RootSystem: ("name", "positive_roots", "s1", "s2", "two_w1", "two_w2"),
+    RootSystem: ("name", "positive_roots", "s1", "s2", "two_w1", "two_w2", "alternation"),
     WeylElement: ("word", "length", "matrix"),
     CaseData: ("a", "b", "c", "d", "e", "f", "in_n", "case_label"),
     MultiplicityResult: ("lam", "mu", "case", "terms", "mq", "m_at_one"),

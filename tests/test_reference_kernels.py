@@ -7,6 +7,8 @@ used before (the g2 loop over i and j, the sp4 loop over i) larger ones
 still. The pruned, orbit-cached Weyl
 sums are held equal to the unpruned alternating sums term for term, and
 the shared decomposition enumerator to the hand-written loops it replaced.
+The sp4 case integers, read off the alternation set, are held to the
+affine forms they replaced.
 """
 
 from itertools import product
@@ -27,11 +29,13 @@ from qkostant.rootsys import (
 )
 from qkostant.sp4 import (
     POSITIVE_ROOTS_C2,
+    compute_case_c2,
     multiplicity_c2_weyl_sum,
     qpartition_c2,
     qpartition_c2_bruteforce,
 )
 from reference_kernels import (
+    compute_case_c2_affine,
     multiplicity_c2_weyl_sum_unpruned,
     partition_witnesses_nested,
     qmultiplicity_weyl_sum_unpruned,
@@ -249,6 +253,12 @@ class TestWeylSums:
         # callers the float orbit cached first.
         shifted_orbit(rs, 1001.0, 7)
         assert all(type(c) is int for term in shifted_orbit(rs, 1001, 7) for c in term)
+
+
+def test_sp4_case_integers_equal_the_affine_forms():
+    for m, n, x, y in product(range(9), repeat=4):
+        lam, mu = FundCoord(m, n), FundCoord(x, y)
+        assert compute_case_c2(lam, mu) == compute_case_c2_affine(lam, mu), (m, n, x, y)
 
 
 class TestEnumerator:

@@ -8,25 +8,24 @@ import pytest
 
 from qkostant.rootsys import (
     C2,
-    FUND_TO_ROOT,
     G2,
     IDENTITY,
     POSITIVE_ROOTS,
-    RHO,
     FundCoord,
     RootCoord,
+    alternation_shifts,
+    doubled,
     fund_to_root,
     mat_det,
     mat_mul,
     root_to_fund,
-    sigma_shift,
     to_fund,
     to_root,
     weyl_elements,
     weyl_group,
 )
 
-from shift_forms import SHIFT_FORMS
+from shift_forms import FUND_TO_ROOT, RHO, SHIFT_FORMS, sigma_shift
 
 
 def by_word():
@@ -225,3 +224,21 @@ class TestRootSystemRecords:
             root = to_root(rs, (m, n))
             if root is not None:
                 assert to_fund(rs, root) == FundCoord(m, n)
+
+    def test_alternation_set_is_where_dominant_pairs_reach_the_positive_cone(self, rs):
+        """alternation_shifts against the matrices, and no element outside the
+        alternation set ever shifts a dominant pair into the positive cone of
+        the root lattice."""
+        words = [word for _, word in rs.alternation]
+        reached = set()
+        for m, n, x, y in product(range(7), repeat=4):
+            lam2 = doubled(rs, (m + 1, n + 1))
+            mu1, mu2 = doubled(rs, (x + 1, y + 1))
+            shifts = {}
+            for elem in weyl_elements(rs):
+                u, v = act(elem.matrix, lam2)
+                shifts[elem.word] = (elem.sign, u - mu1, v - mu2)
+                if u >= mu1 and v >= mu2 and not (u - mu1) % 2 and not (v - mu2) % 2:
+                    reached.add(elem.word)
+            assert alternation_shifts(rs, (m, n), (x, y)) == [shifts[w] for w in words]
+        assert reached == set(words)
