@@ -19,8 +19,8 @@ from .rootsys import G2, FundCoord, RootCoord, alternation_shifts, weyl_sum
 TERM_NAMES = tuple(name for name, _ in G2.alternation)
 TERM_SIGNS: Mapping[str, int] = {"P": 1, "Q": -1, "R": -1, "S": 1, "T": 1}
 
-# Each term's root coordinates as case integers, by index into CaseData: P = (a, b),
-# Q = (c, b), ... s_i moves only the a_i-coordinate, so s_i w shares the other with w.
+# Each term's root coordinates as CaseData indices: P = (a, b), Q = (c, b), and so on.
+# s_i moves only the a_i-coordinate, so the term of s_i w keeps the other one of w's.
 TERM_FIELDS = {"P": (0, 1), "Q": (2, 1), "R": (0, 3), "S": (2, 4), "T": (5, 3)}
 
 # The eight admissible case labels; each spells the terms it combines.

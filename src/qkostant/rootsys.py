@@ -4,7 +4,8 @@ All weights live in the simple-root basis: c1*a1 + c2*a2 is the pair
 (c1, c2), and a group element acts as a 2x2 integer matrix on such pairs.
 A :class:`RootSystem` record holds the data that tells g2 and sp4 apart.
 The Weyl group, the brute-force partition enumerator, the coordinate
-conversions and the alternating Weyl sum are written once against it.
+conversions, the alternating Weyl sum and the alternation-set terms that
+the closed formulas read are written once against it.
 """
 
 from __future__ import annotations
