@@ -70,12 +70,13 @@ class TestCaseData:
         words = {"P": "1", "Q": "s1", "R": "s2", "S": "s2s1", "T": "s1s2"}
         coords = {"P": "ab", "Q": "cb", "R": "ad", "S": "ce", "T": "fd"}
         assert G2.alternation == tuple(words.items())
-        assert {name: "".join("abcdef"[i] for i in pair) for name, pair in TERM_FIELDS.items()} == coords
+        assert {name: "abcdef"[i] + "abcdef"[j] for name, (i, j) in TERM_FIELDS.items()} == coords
         for m, n, x, y in product(range(9), repeat=4):
             case = compute_abcdef(FundCoord(m, n), FundCoord(x, y))
             for name, word in words.items():
                 expected = SHIFT_FORMS[word](m, n, x, y)
-                assert tuple(getattr(case, f) for f in coords[name]) == expected, (m, n, x, y, name)
+                got = tuple(getattr(case, field) for field in coords[name])
+                assert got == expected, (m, n, x, y, name)
 
     def test_impossible_sign_patterns_never_occur(self):
         # Each pair/triple below is contradictory for dominant weights.
