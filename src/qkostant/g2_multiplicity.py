@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple
 from .errors import InternalConsistencyError
 from .g2_partition import partition_tarski, qpartition
 from .qpoly import QPoly, checked_int
-from .rootsys import G2, FundCoord, RootCoord, alternation_shifts, weyl_sum
+from .rootsys import G2, FundCoord, RootCoord, alternation_shifts, weyl_terms
 
 TERM_NAMES = tuple(name for name, _ in G2.alternation)
 TERM_SIGNS: Mapping[str, int] = {"P": 1, "Q": -1, "R": -1, "S": 1, "T": 1}
@@ -147,7 +147,7 @@ def qmultiplicity_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:
     which is zero unless both root coordinates are nonnegative; only the
     terms inside that cone are evaluated.
     """
-    return weyl_sum(G2, qpartition, lam, mu)
+    return QPoly.signed_sum((sign, qpartition(v)) for sign, v in weyl_terms(G2, lam, mu))
 
 
 def multiplicity(lam: FundCoord, mu: FundCoord, method: str = "qpoly") -> int:

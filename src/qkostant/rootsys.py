@@ -4,15 +4,15 @@ All weights live in the simple-root basis: c1*a1 + c2*a2 is the pair
 (c1, c2), and a group element acts as a 2x2 integer matrix on such pairs.
 A :class:`RootSystem` record holds the data that tells g2 and sp4 apart.
 The Weyl group, the brute-force partition enumerator, the coordinate
-conversions, the alternating Weyl sum and the alternation-set terms that
-the closed formulas read are written once against it.
+conversions, the nonzero Weyl-sum terms and the alternation-set terms
+that the closed formulas read are written once against it.
 """
 
 from __future__ import annotations
 
 import collections
 from functools import cache, lru_cache
-from typing import Callable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import InternalConsistencyError
 from .qpoly import QPoly
@@ -131,13 +131,25 @@ def doubled(rs: RootSystem, w: tuple[int, int]) -> tuple[int, int]:
     return (p * m + q * n, r * m + s * n)
 
 
+def _as_fund(w: tuple[int, int]) -> FundCoord:
+    """w as a FundCoord; anything but a pair of nonnegative integers raises ValueError."""
+    if type(w) is FundCoord:
+        return w
+    try:
+        m, n = w
+    except (TypeError, ValueError):
+        raise ValueError(f"a weight must be an (m, n) pair, got {w!r}") from None
+    return FundCoord(m, n)
+
+
 def to_root(rs: RootSystem, w: tuple[int, int]) -> RootCoord | None:
     """Root coordinates of m*w1 + n*w2, or None off the root lattice.
 
     Only sp4 has such weights: odd m gives a half-integral a2-coordinate,
-    where the partition count is zero by definition.
+    where the partition count is zero by definition. A w that is not a
+    dominant weight raises ValueError.
     """
-    u, v = doubled(rs, w)
+    u, v = doubled(rs, _as_fund(w))
     if u % 2 or v % 2:
         return None
     return RootCoord(u // 2, v // 2)
@@ -303,32 +315,26 @@ def alternation_shifts(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]
     The sign is (-1)^length(sigma) and (u, v) = 2 * (sigma(lam + rho) - (mu + rho))
     in root coordinates. A non-dominant lam or mu raises ValueError.
     """
-    m, n = lam if type(lam) is FundCoord else FundCoord(*lam)
-    x, y = mu if type(mu) is FundCoord else FundCoord(*mu)
+    m, n = _as_fund(lam)
+    x, y = _as_fund(mu)
     mu1, mu2 = doubled(rs, (x + 1, y + 1))
     orbit = shifted_orbit(rs, m, n)
     return [(sign, u - mu1, v - mu2) for sign, u, v in orbit[: len(rs.alternation)]]
 
 
-def weyl_sum(
-    rs: RootSystem,
-    qpartition: Callable[[RootCoord], QPoly],
-    lam: tuple[int, int],
-    mu: tuple[int, int],
-) -> QPoly:
-    """m_q(lam, mu) as the alternating sum over the Weyl group of rs.
+def weyl_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> list:
+    """(sign, sigma(lam + rho) - (mu + rho)) of each nonzero term of the Weyl sum.
 
-    The term of sigma is qpartition(sigma(lam + rho) - (mu + rho)). It is
-    zero when that weight has a negative coordinate, or an odd doubled one
-    (it then lies outside the root lattice, which happens for sp4 only);
-    only the other terms are evaluated. lam and mu are (m, n) pairs in the
-    fundamental basis; a non-dominant one raises ValueError.
+    The q-partition of that weight is zero when it has a negative coordinate
+    or an odd doubled one (off the root lattice, for sp4 only), so only the
+    other elements sigma are listed, with sign (-1)^length(sigma). lam and mu
+    are (m, n) pairs in the fundamental basis; a non-dominant one raises ValueError.
     """
-    m, n = lam if type(lam) is FundCoord else FundCoord(*lam)
-    x, y = mu if type(mu) is FundCoord else FundCoord(*mu)
+    m, n = _as_fund(lam)
+    x, y = _as_fund(mu)
     mu1, mu2 = doubled(rs, (x + 1, y + 1))
-    return QPoly.signed_sum(
-        (sign, qpartition(RootCoord((u - mu1) // 2, (v - mu2) // 2)))
+    return [
+        (sign, RootCoord((u - mu1) >> 1, (v - mu2) >> 1))
         for sign, u, v in shifted_orbit(rs, m, n)
         if u >= mu1 and v >= mu2 and not (u - mu1) % 2 and not (v - mu2) % 2
-    )
+    ]

@@ -3,14 +3,16 @@
 Positive roots in the simple-root basis: a1, a2, a1+a2, 2a1+a2. The
 fundamental weights live outside the root lattice (w1 = a1 + a2/2), so the
 Weyl-sum oracle tracks weights in doubled root coordinates and drops any
-term whose shifted weight fails to land back on the root lattice.
+term whose shifted weight fails to land back on the root lattice. It adds
+the other terms' signed run markers into one difference array and takes one
+prefix sum, with no per-term polynomial and no per-term cache entry.
 """
 
 from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import accumulate, repeat
-from operator import sub
+from operator import add, sub
 from typing import NamedTuple
 
 from .errors import InternalConsistencyError
@@ -26,37 +28,48 @@ from .rootsys import (
     to_fund,
     to_root,
     weyl_elements,
-    weyl_sum,
+    weyl_terms,
 )
 
 POSITIVE_ROOTS_C2: tuple[RootCoord, ...] = C2.positive_roots
+
+
+def _c2_marks(diff: list[int], m: int, n: int, sign: int) -> None:
+    """Add sign times the run markers of the sp4 q-partition at (m, n) into diff.
+
+    For i = 0..min(m//2, n) copies of the long root 2a1+a2, the remaining
+    decompositions contribute one q^j for every j from max(m-i, n) to
+    m+n-2i. In a difference array, the run starts m-i (while i <= m-n)
+    are one unit-stride slice, the starts at n are one point, and the run
+    ends m+n-2i+1 are one stride-2 slice that stops at m+n+1, since diff
+    may be longer than m+n+2. Its prefix sum is then the q-partition.
+    """
+    top = m // 2 if m // 2 < n else n  # min() is a slower call here
+    moving = m - n + 1 if m - n < top else top + 1  # how many i start at m-i
+    if moving > 0:
+        first = m + 1 - moving
+        diff[first : m + 1] = map(add, diff[first : m + 1], repeat(sign))
+    else:
+        moving = 0
+    diff[n] += sign * (top + 1 - moving)
+    ends, stop = m + n + 1 - 2 * top, m + n + 2
+    diff[ends:stop:2] = map(sub, diff[ends:stop:2], repeat(sign))
 
 
 @lru_cache(maxsize=None)
 def qpartition_c2(v: RootCoord) -> QPoly:
     """q-analog of Kostant's partition function for sp4, closed double sum.
 
-    For i = 0..min(m//2, n) copies of the long root 2a1+a2, the remaining
-    decompositions contribute one q^j for every j from max(m-i, n) to
-    m+n-2i. In one difference array, the run starts m-i (while i <= m-n)
-    are one unit-stride slice, the starts at n are one point, and the run
-    ends m+n-2i+1 are one stride-2 slice, so the sum costs O(N) for
-    N = m + n with no Python loop.
+    One prefix sum of the markers that _c2_marks sets, so the sum costs
+    O(N) for N = m + n with no Python loop.
     """
     m, n = v
     if type(m) is not int or type(n) is not int:  # bool is rejected too
         raise ValueError(f"qpartition_c2 needs integer coordinates, got {tuple(v)!r}")
     if m < 0 or n < 0:
         return QPoly()
-    top = m // 2 if m // 2 < n else n  # min() is a slower call here
-    moving = m - n + 1 if m - n < top else top + 1  # how many i start at m-i
-    if moving < 0:
-        moving = 0
     diff = [0] * (m + n + 2)
-    diff[m + 1 - moving : m + 1] = [1] * moving
-    diff[n] += top + 1 - moving
-    ends = m + n + 1 - 2 * top
-    diff[ends::2] = map(sub, diff[ends::2], repeat(1))
+    _c2_marks(diff, m, n, 1)
     return QPoly(accumulate(diff))
 
 
@@ -212,8 +225,13 @@ def multiplicity_c2_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:
     """m_q(lam, mu) for sp4 as the alternating sum over its 8 Weyl elements.
 
     The term of sigma is the q-partition of sigma(lam + rho) - (mu + rho).
-    It is zero when that weight has a negative coordinate, or an odd
-    doubled one (it then lies outside the root lattice); only the other
-    terms are evaluated.
+    A prefix sum is linear, so each nonzero term adds its signed markers
+    into one difference array, whose one prefix sum is the result.
     """
-    return weyl_sum(C2, qpartition_c2, lam, mu)
+    terms = weyl_terms(C2, lam, mu)
+    if not terms:
+        return QPoly()
+    diff = [0] * (max(m + n for _, (m, n) in terms) + 2)
+    for sign, (m, n) in terms:
+        _c2_marks(diff, m, n, sign)
+    return QPoly(accumulate(diff))

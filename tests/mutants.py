@@ -4,7 +4,10 @@ A test that runs one of these and sees it disagree with an oracle shows
 that the part it removes is load-bearing.
 """
 
-from qkostant.sp4 import _closed_form
+from itertools import repeat
+from operator import sub
+
+from qkostant.sp4 import _c2_marks, _closed_form
 
 
 def closed_form_without_edge_region(m: int, n: int) -> int:
@@ -16,3 +19,19 @@ def closed_form_without_edge_region(m: int, n: int) -> int:
     if 2 * n > m >= 2 * n - 1 > n:
         return (n + 1) * (n + 2) // 2
     return _closed_form(m, n)
+
+
+def c2_marks_ignoring_sign(diff: list[int], m: int, n: int, sign: int) -> None:
+    """sp4's marker builder with every term added as if its sign were +1."""
+    _c2_marks(diff, m, n, 1)
+
+
+def c2_marks_unclipped(diff: list[int], m: int, n: int, sign: int) -> None:
+    """sp4's marker builder with its run ends not stopped at m+n+1.
+
+    The stride-2 run ends go on through every later index of the same
+    parity, as ``diff[ends::2]`` would in a list longer than the term.
+    """
+    _c2_marks(diff, m, n, sign)
+    tail = slice(m + n + 3, None, 2)
+    diff[tail] = map(sub, diff[tail], repeat(sign))

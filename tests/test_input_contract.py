@@ -8,8 +8,14 @@ import pytest
 
 from qkostant.g2_multiplicity import qmultiplicity_closed, qmultiplicity_weyl_sum
 from qkostant.g2_partition import qpartition, tarski_g, tarski_h
-from qkostant.rootsys import RootCoord, root_to_fund
-from qkostant.sp4 import compute_case_c2, multiplicity_c2_closed, qpartition_c2
+from qkostant.rootsys import RootCoord, fund_to_root, root_to_fund
+from qkostant.sp4 import (
+    compute_case_c2,
+    fund_to_root_c2,
+    multiplicity_c2_closed,
+    multiplicity_c2_weyl_sum,
+    qpartition_c2,
+)
 
 
 def _uncached(kernel, v):
@@ -30,6 +36,15 @@ BAD_CALLS = {
     "qpartition-float": lambda: _uncached(qpartition, RootCoord(2.0, 1)),
     "qpartition_c2-float": lambda: _uncached(qpartition_c2, RootCoord(2.0, 1)),
     "root_to_fund-half": lambda: root_to_fund(RootCoord(1.5, 1)),
+    "qmultiplicity_closed-triple": lambda: qmultiplicity_closed((1, 2, 3), (0, 0)),
+    "qmultiplicity_closed-scalar": lambda: qmultiplicity_closed(5, (0, 0)),
+    "qmultiplicity_weyl_sum-scalar-mu": lambda: qmultiplicity_weyl_sum((1, 1), 5),
+    "multiplicity_c2_weyl_sum-triple": lambda: multiplicity_c2_weyl_sum((1, 2, 3), (0, 0)),
+    "compute_case_c2-single": lambda: compute_case_c2((2,), (0, 0)),
+    "fund_to_root-float": lambda: fund_to_root((2.0, 0)),
+    "fund_to_root-bool": lambda: fund_to_root((True, 0)),
+    "fund_to_root_c2-float": lambda: fund_to_root_c2((2.0, 0)),
+    "fund_to_root_c2-bool": lambda: fund_to_root_c2((0, True)),
 }
 
 

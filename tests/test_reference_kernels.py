@@ -8,7 +8,10 @@ still. The pruned, orbit-cached Weyl
 sums are held equal to the unpruned alternating sums term for term, and
 the shared decomposition enumerator to the hand-written loops it replaced.
 The sp4 case integers, read off the alternation set, are held to the
-affine forms they replaced.
+affine forms they replaced. The sp4 Weyl sum adds every term's markers
+into one difference array; the unpruned sum builds each term on its own,
+and mutants of the shared marker builder show the grid check catches a
+lost sign or an unclipped run end.
 """
 
 from itertools import product
@@ -16,6 +19,7 @@ from random import Random
 
 import pytest
 
+from qkostant import sp4
 from qkostant.g2_multiplicity import qmultiplicity_weyl_sum
 from qkostant.g2_partition import partition_witnesses, qpartition
 from qkostant.rootsys import (
@@ -26,6 +30,7 @@ from qkostant.rootsys import (
     RootCoord,
     decompositions,
     shifted_orbit,
+    weyl_terms,
 )
 from qkostant.sp4 import (
     POSITIVE_ROOTS_C2,
@@ -34,6 +39,7 @@ from qkostant.sp4 import (
     qpartition_c2,
     qpartition_c2_bruteforce,
 )
+from mutants import c2_marks_ignoring_sign, c2_marks_unclipped
 from reference_kernels import (
     compute_case_c2_affine,
     multiplicity_c2_weyl_sum_unpruned,
@@ -64,6 +70,26 @@ def _weyl_points(rng, lam_max, count):
 
 G2_WEYL_POINTS = _weyl_points(_rng, 40, 30)
 C2_WEYL_POINTS = _weyl_points(_rng, 300, 30)
+
+
+def _deep_c2_points(rng, per_count):
+    """(m, n, x, y) with lambda in [1000, 2500]^2, mu <= lambda/4 and m - x
+    even: per_count pairs with two nonzero Weyl terms and per_count with
+    three, every term of a pair of a different length. Only the terms of
+    1, s1 and s2 can be nonzero for sp4, so three is the most there are."""
+    found = {2: [], 3: []}
+    while min(map(len, found.values())) < per_count:
+        m, n = rng.randint(1000, 2500), rng.randint(1000, 2500)
+        x, y = rng.randint(1, m // 4), rng.randint(0, n // 4)
+        x -= (m - x) % 2
+        terms = weyl_terms(C2, (m, n), (x, y))
+        count = len({c1 + c2 for _, (c1, c2) in terms})
+        if count == len(terms) and count in found and len(found[count]) < per_count:
+            found[count].append((m, n, x, y))
+    return found[2] + found[3]
+
+
+C2_DEEP_POINTS = _deep_c2_points(Random(8), 4)
 
 # Seeded points for the kernels the package used before, which reach further.
 _loop_rng = Random(6)
@@ -230,6 +256,26 @@ class TestWeylSums:
     def test_c2_equals_unpruned_at_seeded_points(self, m, n, x, y):
         lam, mu = FundCoord(m, n), FundCoord(x, y)
         assert multiplicity_c2_weyl_sum(lam, mu) == multiplicity_c2_weyl_sum_unpruned(lam, mu)
+
+    @pytest.mark.parametrize("m,n,x,y", C2_DEEP_POINTS)
+    def test_c2_equals_unpruned_at_deep_points(self, m, n, x, y):
+        lam, mu = FundCoord(m, n), FundCoord(x, y)
+        assert multiplicity_c2_weyl_sum(lam, mu) == multiplicity_c2_weyl_sum_unpruned(lam, mu)
+
+    def test_c2_weyl_sum_leaves_the_partition_cache_alone(self):
+        before = qpartition_c2.cache_info()
+        assert not multiplicity_c2_weyl_sum(FundCoord(2400, 1300), FundCoord(300, 200)).is_zero()
+        assert qpartition_c2.cache_info() == before
+
+    @pytest.mark.parametrize(
+        "mutant", [c2_marks_ignoring_sign, c2_marks_unclipped], ids=["sign", "clip"]
+    )
+    def test_c2_marker_details_are_load_bearing(self, monkeypatch, mutant):
+        """Both mutants agree with the builder on qpartition_c2's own calls
+        (sign 1, a list of exactly m+n+2), so only the fused sum changes."""
+        monkeypatch.setattr(sp4, "_c2_marks", mutant)
+        with pytest.raises(AssertionError):
+            self.test_c2_equals_unpruned_on_grid()
 
     def test_seeded_points_include_zero_and_nonzero_results(self):
         g2 = [qmultiplicity_weyl_sum(FundCoord(m, n), FundCoord(x, y)).is_zero()
