@@ -19,12 +19,11 @@ from .errors import CoefficientOverflowError
 from .g2_multiplicity import (
     ALLOWED_SIGNATURES,
     CaseData,
-    active_terms,
     compute_abcdef,
+    label_signature,
     multiplicity,
     qmultiplicity_closed,
     qmultiplicity_weyl_sum,
-    signature,
 )
 from .g2_partition import partition_tarski, qpartition, qpartition_bruteforce
 from .qpoly import QPoly
@@ -175,7 +174,7 @@ def _g2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
     return (
         closed.mq != qmultiplicity_weyl_sum(lam, mu),
         closed.m_at_one != multiplicity(lam, mu, "tarski"),
-        signature(active_terms(closed.case)) not in ALLOWED_SIGNATURES,
+        label_signature(closed.case.case_label) not in ALLOWED_SIGNATURES,
     )
 
 

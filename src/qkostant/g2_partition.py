@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import InternalConsistencyError
 from .qpoly import QPoly, checked_int
-from .rootsys import POSITIVE_ROOTS, RootCoord, decompositions, qpartition_enumerated
+from .rootsys import POSITIVE_ROOTS, RootCoord, _as_root, decompositions, qpartition_enumerated
 
 
 class PartitionWitness(NamedTuple):
@@ -76,9 +76,7 @@ def qpartition(v: RootCoord) -> QPoly:
     weights (``points``): E = points + S_3(tops) + S_1(runs). No loop over
     j, k or l is run.
     """
-    m, n = v
-    if type(m) is not int or type(n) is not int:  # bool is rejected too
-        raise ValueError(f"qpartition needs integer coordinates, got {tuple(v)!r}")
+    m, n = _as_root(v)
     if m < 0 or n < 0:
         return QPoly()
     size = m + n + 7
@@ -213,9 +211,7 @@ def partition_tarski(v: RootCoord) -> int:
     Non-integer coordinates raise ValueError, and a count outside the
     signed 64-bit range raises CoefficientOverflowError.
     """
-    m, n = v
-    if type(m) is not int or type(n) is not int:  # bool is rejected too
-        raise ValueError(f"partition_tarski needs integer coordinates, got {tuple(v)!r}")
+    m, n = _as_root(v)
     if m < 0 or n < 0:
         return 0
     if m <= n:

@@ -142,6 +142,17 @@ def _as_fund(w: tuple[int, int]) -> FundCoord:
     return FundCoord(m, n)
 
 
+def _as_root(v: tuple[int, int]) -> tuple[int, int]:
+    """v as two ints, negative ones included; anything but a pair of integers raises ValueError."""
+    try:
+        c1, c2 = v
+    except (TypeError, ValueError):
+        raise ValueError(f"a root-basis weight must be a (c1, c2) pair, got {v!r}") from None
+    if type(c1) is not int or type(c2) is not int:  # bool is rejected too
+        raise ValueError(f"root coordinates must be integers, got {(c1, c2)!r}")
+    return c1, c2
+
+
 def to_root(rs: RootSystem, w: tuple[int, int]) -> RootCoord | None:
     """Root coordinates of m*w1 + n*w2, or None off the root lattice.
 
@@ -161,15 +172,13 @@ def to_fund(rs: RootSystem, v: RootCoord) -> FundCoord:
     Raises ValueError when the weight is not dominant; the solve itself is
     always exact because the root lattice sits inside the weight lattice.
     """
-    c1, c2 = v
-    if type(c1) is not int or type(c2) is not int:  # bool is rejected too
-        raise ValueError(f"root coordinates must be integers, got {tuple(v)!r}")
+    c1, c2 = _as_root(v)
     (p, r), (q, s) = rs.two_w1, rs.two_w2
     det = p * s - q * r
     m_num = 2 * (s * c1 - q * c2)
     n_num = 2 * (p * c2 - r * c1)
     if m_num % det or n_num % det:
-        raise InternalConsistencyError(f"non-integral fundamental coordinates for {tuple(v)}")
+        raise InternalConsistencyError(f"non-integral fundamental coordinates for {(c1, c2)}")
     return FundCoord(m_num // det, n_num // det)
 
 
@@ -264,14 +273,14 @@ def decompositions(roots: tuple[RootCoord, ...], v: RootCoord) -> Iterator[tuple
     bounds keep every remainder nonnegative, so each tuple yielded is a
     genuine decomposition.
     """
-    m, n = v
+    m, n = _as_root(v)
     if m >= 0 and n >= 0:
         yield from _decompose(roots[:1:-1], m, n, ())
 
 
 def qpartition_enumerated(roots: tuple[RootCoord, ...], v: RootCoord) -> QPoly:
     """Definitional q-analog: one q^(number of roots) per decomposition."""
-    m, n = v
+    m, n = _as_root(v)
     if m < 0 or n < 0:
         return QPoly()
     counts = [0] * (m + n + 1)
@@ -309,17 +318,31 @@ def shifted_orbit(rs: RootSystem, m: int, n: int) -> tuple[tuple[int, int, int],
     return tuple(orbit)
 
 
-def alternation_shifts(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> list:
-    """(sign, u, v) of each term of rs.alternation, in order, off the cached orbit.
+def alternation_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> tuple:
+    """(shifts, label, terms) of the alternation set of (lam, mu), off the cached orbit.
 
-    The sign is (-1)^length(sigma) and (u, v) = 2 * (sigma(lam + rho) - (mu + rho))
-    in root coordinates. A non-dominant lam or mu raises ValueError.
+    shifts holds (sign, u, v) for each term of rs.alternation, in order: the
+    sign is (-1)^length(sigma) and (u, v) = 2 * (sigma(lam + rho) - (mu + rho))
+    in root coordinates. A term contributes exactly when its shifted weight
+    lies on the positive cone and the root lattice, that is when u and v are
+    nonnegative and even, as in weyl_terms. label spells the contributing
+    names in order, or is "ZERO"; terms holds (name, sign, RootCoord) of each.
+    A non-dominant lam or mu raises ValueError.
     """
     m, n = _as_fund(lam)
     x, y = _as_fund(mu)
     mu1, mu2 = doubled(rs, (x + 1, y + 1))
-    orbit = shifted_orbit(rs, m, n)
-    return [(sign, u - mu1, v - mu2) for sign, u, v in orbit[: len(rs.alternation)]]
+    shifts = []
+    label = ""
+    terms = []
+    for (name, _), (sign, u, v) in zip(rs.alternation, shifted_orbit(rs, m, n)):
+        u -= mu1
+        v -= mu2
+        shifts.append((sign, u, v))
+        if u >= 0 and v >= 0 and not (u | v) & 1:
+            label += name
+            terms.append((name, sign, RootCoord(u >> 1, v >> 1)))
+    return shifts, label or "ZERO", terms
 
 
 def weyl_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> list:

@@ -22,7 +22,8 @@ from .rootsys import (
     FundCoord,
     Mat,
     RootCoord,
-    alternation_shifts,
+    _as_root,
+    alternation_terms,
     doubled,
     qpartition_enumerated,
     to_fund,
@@ -63,9 +64,7 @@ def qpartition_c2(v: RootCoord) -> QPoly:
     One prefix sum of the markers that _c2_marks sets, so the sum costs
     O(N) for N = m + n with no Python loop.
     """
-    m, n = v
-    if type(m) is not int or type(n) is not int:  # bool is rejected too
-        raise ValueError(f"qpartition_c2 needs integer coordinates, got {tuple(v)!r}")
+    m, n = _as_root(v)
     if m < 0 or n < 0:
         return QPoly()
     diff = [0] * (m + n + 2)
@@ -101,9 +100,7 @@ def partition_c2_closed(v: RootCoord) -> int:
 
     A count outside the signed 64-bit range raises CoefficientOverflowError.
     """
-    m, n = v
-    if type(m) is not int or type(n) is not int:  # bool is rejected too
-        raise ValueError(f"partition_c2_closed needs integer coordinates, got {tuple(v)!r}")
+    m, n = _as_root(v)
     if m < 0 or n < 0:
         raise ValueError(f"partition_c2_closed needs nonnegative coordinates, got {tuple(v)}")
     return checked_int(_closed_form(m, n))
@@ -135,30 +132,19 @@ class Sp4CaseData(NamedTuple):
         return (self.a_in_n, self.b_in_n, self.c_in_n, self.d_in_n)
 
 
-def _case_data(shifts: list[tuple[int, int, int]]) -> Sp4CaseData:
+def _case_data(shifts: list[tuple[int, int, int]], label: str) -> Sp4CaseData:
     # Doubled P = (2a, 2b), Q = (2c, 2b), R = (2a, 2d); sp4's u is always even.
     (_, two_a, two_b), (_, two_c, _), (_, _, two_d) = shifts
     a, c = two_a >> 1, two_c >> 1
-    a_ok = a >= 0
     b_ok = two_b >= 0 and two_b % 2 == 0
-    c_ok = c >= 0
     d_ok = two_d >= 0 and two_d % 2 == 0
-    if not (a_ok and b_ok):
-        label = "ZERO"
-    elif c_ok and d_ok:
-        label = "PQR"
-    elif c_ok:
-        label = "PQ"
-    elif d_ok:
-        label = "PR"
-    else:
-        label = "P"
-    return Sp4CaseData(a, two_b, c, two_d, a_ok, b_ok, c_ok, d_ok, label)
+    return Sp4CaseData(a, two_b, c, two_d, a >= 0, b_ok, c >= 0, d_ok, label)
 
 
 def compute_case_c2(lam: FundCoord, mu: FundCoord) -> Sp4CaseData:
     """The case integers of (lam, mu), read off the alternation set, and their case."""
-    return _case_data(alternation_shifts(C2, lam, mu))
+    shifts, label, _ = alternation_terms(C2, lam, mu)
+    return _case_data(shifts, label)
 
 
 class Sp4MultiplicityResult(NamedTuple):
@@ -177,19 +163,15 @@ def multiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> Sp4MultiplicityResu
     a > 2d whenever those terms are selected, Q always reduces to
     floor((c+2)/2) * ceil((c+2)/2) and R to (d+1)(d+2)/2.
     """
-    shifts = alternation_shifts(C2, lam, mu)
-    case = _case_data(shifts)
-    label = case.case_label
+    shifts, label, terms = alternation_terms(C2, lam, mu)
     value = 0
-    if label != "ZERO":
-        for (name, _), (sign, u, v) in zip(C2.alternation, shifts):
-            if name in label:
-                value += sign * partition_c2_closed(RootCoord(u >> 1, v >> 1))
+    for _, sign, v in terms:
+        value += sign * partition_c2_closed(v)
     if value < 0:
         raise InternalConsistencyError(
             f"negative multiplicity {value} for ({tuple(lam)}, {tuple(mu)})"
         )
-    return Sp4MultiplicityResult(lam, mu, case, checked_int(value))
+    return Sp4MultiplicityResult(lam, mu, _case_data(shifts, label), checked_int(value))
 
 
 @cache

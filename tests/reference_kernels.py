@@ -15,9 +15,12 @@ terms that are zero. The unpruned sums below evaluate every term of the
 alternating sum as written: all 12 ``sigma_shift`` terms for g2 and all 8
 matrix terms for sp4, dropping only those off the root lattice.
 
-The package reads the sp4 case integers off the alternation terms of the
-cached Weyl orbit. ``compute_case_c2_affine`` is the hand-written affine
-form it replaced, kept verbatim.
+The package reads the case integers of both algebras off the alternation
+terms of the cached Weyl orbit, and their case labels off the terms whose
+shifted weight lies on the positive cone. ``compute_case_c2_affine`` is the
+hand-written sp4 affine form, labels included, that this replaced, and
+``case_label_g2_tree`` the g2 decision tree over the signs of a..f; both
+are kept verbatim.
 
 The package enumerates decompositions with one recursive walk over any
 list of positive roots. The hand-written g2 and sp4 loop nests it replaced
@@ -234,3 +237,26 @@ def compute_case_c2_affine(lam, mu) -> Sp4CaseData:
     else:
         label = "P"
     return Sp4CaseData(a, two_b, c, two_d, a_ok, b_ok, c_ok, d_ok, label)
+
+
+def case_label_g2_tree(in_n: tuple[bool, ...]) -> str:
+    a_ok, b_ok, c_ok, d_ok, e_ok, f_ok = in_n
+    if not (a_ok and b_ok):
+        return "ZERO"
+    if c_ok and d_ok:
+        if e_ok and f_ok:
+            return "PQRST"
+        if e_ok:
+            return "PQRS"
+        if f_ok:
+            return "PQRT"
+        return "PQR"
+    if c_ok and not d_ok and not e_ok and not f_ok:
+        return "PQ"
+    if d_ok and not c_ok and not e_ok and not f_ok:
+        return "PR"
+    if not c_ok and not d_ok and not e_ok and not f_ok:
+        return "P"
+    # No dominant pair realizes the remaining sign patterns; should one ever
+    # appear, all five terms are provably trivial there.
+    return "ZERO"

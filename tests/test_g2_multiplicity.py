@@ -13,10 +13,7 @@ from hypothesis import strategies as st
 from qkostant.errors import CoefficientOverflowError
 from qkostant.g2_multiplicity import (
     ALLOWED_SIGNATURES,
-    CASE_TERMS,
-    TERM_FIELDS,
     TERM_NAMES,
-    active_terms,
     audit_cases,
     compute_abcdef,
     multiplicity,
@@ -27,6 +24,7 @@ from qkostant.g2_multiplicity import (
 from qkostant.qpoly import QPoly
 from qkostant.rootsys import G2, FundCoord
 
+from reference_kernels import case_label_g2_tree
 from shift_forms import SHIFT_FORMS
 
 # One witness per admissible case, with its full (a, b, c, d, e, f) vector.
@@ -60,17 +58,29 @@ class TestCaseData:
         assert case.as_tuple() == (3, 2, 2, 0, -1, -4)
         assert case.case_label == "PQR"
 
-    def test_selected_terms_are_exactly_the_nonzero_ones(self):
-        for m, n, x, y in product(range(7), repeat=4):
-            case = compute_abcdef(FundCoord(m, n), FundCoord(x, y))
-            assert active_terms(case) == CASE_TERMS[case.case_label], (m, n, x, y)
+    @staticmethod
+    def _tree_label(m, n, x, y):
+        case = compute_abcdef(FundCoord(m, n), FundCoord(x, y))
+        return case.case_label, case_label_g2_tree(tuple(v >= 0 for v in case.as_tuple()))
+
+    def test_case_labels_follow_the_decision_tree(self):
+        # The label names the terms on the positive cone; the tree reads it
+        # off the signs of a..f instead.
+        for point in product(range(11), repeat=4):
+            label, tree = self._tree_label(*point)
+            assert label == tree, point
+
+    @given(st.tuples(*[st.integers(0, 400)] * 4))
+    @settings(max_examples=300, deadline=None)
+    def test_case_labels_follow_the_decision_tree_at_large_weights(self, point):
+        label, tree = self._tree_label(*point)
+        assert label == tree
 
     def test_case_integers_are_the_shift_forms_of_the_alternation_set(self):
         # Each term's Weyl word, and the case integers that are its root coordinates.
         words = {"P": "1", "Q": "s1", "R": "s2", "S": "s2s1", "T": "s1s2"}
         coords = {"P": "ab", "Q": "cb", "R": "ad", "S": "ce", "T": "fd"}
         assert G2.alternation == tuple(words.items())
-        assert {name: "abcdef"[i] + "abcdef"[j] for name, (i, j) in TERM_FIELDS.items()} == coords
         for m, n, x, y in product(range(9), repeat=4):
             case = compute_abcdef(FundCoord(m, n), FundCoord(x, y))
             for name, word in words.items():
@@ -142,7 +152,7 @@ class TestClosedFormula:
         signs = {"P": 1, "Q": -1, "R": -1, "S": 1, "T": 1}
         for m, n, x, y in product(range(5), repeat=4):
             result = qmultiplicity_closed(FundCoord(m, n), FundCoord(x, y))
-            assert set(result.terms) == set(CASE_TERMS[result.case.case_label])
+            assert ("".join(result.terms) or "ZERO") == result.case.case_label
             combined = QPoly()
             for name, poly in result.terms.items():
                 combined = combined + poly if signs[name] > 0 else combined - poly

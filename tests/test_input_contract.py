@@ -6,14 +6,22 @@ InternalConsistencyError instead.
 
 import pytest
 
-from qkostant.g2_multiplicity import qmultiplicity_closed, qmultiplicity_weyl_sum
-from qkostant.g2_partition import qpartition, tarski_g, tarski_h
+from qkostant.g2_multiplicity import audit_cases, qmultiplicity_closed, qmultiplicity_weyl_sum
+from qkostant.g2_partition import (
+    partition_tarski,
+    partition_witnesses,
+    qpartition,
+    qpartition_bruteforce,
+    tarski_g,
+    tarski_h,
+)
 from qkostant.rootsys import RootCoord, fund_to_root, root_to_fund
 from qkostant.sp4 import (
     compute_case_c2,
     fund_to_root_c2,
     multiplicity_c2_closed,
     multiplicity_c2_weyl_sum,
+    partition_c2_closed,
     qpartition_c2,
 )
 
@@ -45,6 +53,17 @@ BAD_CALLS = {
     "fund_to_root-bool": lambda: fund_to_root((True, 0)),
     "fund_to_root_c2-float": lambda: fund_to_root_c2((2.0, 0)),
     "fund_to_root_c2-bool": lambda: fund_to_root_c2((0, True)),
+    "root_to_fund-scalar": lambda: root_to_fund(5),
+    "qpartition-scalar": lambda: qpartition(5),
+    "qpartition_c2-scalar": lambda: qpartition_c2(5),
+    "partition_c2_closed-scalar": lambda: partition_c2_closed(5),
+    "partition_tarski-scalar": lambda: partition_tarski(5),
+    "qpartition_bruteforce-float": lambda: qpartition_bruteforce((2.0, 1)),
+    "qpartition_bruteforce-bool": lambda: qpartition_bruteforce((True, 1)),
+    "partition_witnesses-float": lambda: list(partition_witnesses((2.5, 1))),
+    "audit_cases-float": lambda: audit_cases(2.5),
+    "audit_cases-str": lambda: audit_cases("3"),
+    "audit_cases-bool": lambda: audit_cases(True),
 }
 
 

@@ -7,8 +7,8 @@ used before (the g2 loop over i and j, the sp4 loop over i) larger ones
 still. The pruned, orbit-cached Weyl
 sums are held equal to the unpruned alternating sums term for term, and
 the shared decomposition enumerator to the hand-written loops it replaced.
-The sp4 case integers, read off the alternation set, are held to the
-affine forms they replaced. The sp4 Weyl sum adds every term's markers
+The sp4 case integers and labels, read off the alternation set, are held
+to the affine forms they replaced. The sp4 Weyl sum adds every term's markers
 into one difference array; the unpruned sum builds each term on its own,
 and mutants of the shared marker builder show the grid check catches a
 lost sign or an unclipped run end.
@@ -18,6 +18,8 @@ from itertools import product
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkostant import sp4
 from qkostant.g2_multiplicity import qmultiplicity_weyl_sum
@@ -302,9 +304,19 @@ class TestWeylSums:
 
 
 def test_sp4_case_integers_equal_the_affine_forms():
-    for m, n, x, y in product(range(9), repeat=4):
+    # The records carry the case label, which the affine form reads off its
+    # decision tree and the package off the terms on the positive cone.
+    for m, n, x, y in product(range(11), repeat=4):
         lam, mu = FundCoord(m, n), FundCoord(x, y)
         assert compute_case_c2(lam, mu) == compute_case_c2_affine(lam, mu), (m, n, x, y)
+
+
+@given(st.tuples(*[st.integers(0, 400)] * 4))
+@settings(max_examples=300, deadline=None)
+def test_sp4_case_integers_equal_the_affine_forms_at_large_weights(point):
+    m, n, x, y = point
+    lam, mu = FundCoord(m, n), FundCoord(x, y)
+    assert compute_case_c2(lam, mu) == compute_case_c2_affine(lam, mu)
 
 
 class TestEnumerator:

@@ -13,7 +13,7 @@ from qkostant.rootsys import (
     POSITIVE_ROOTS,
     FundCoord,
     RootCoord,
-    alternation_shifts,
+    alternation_terms,
     doubled,
     fund_to_root,
     mat_det,
@@ -226,7 +226,7 @@ class TestRootSystemRecords:
                 assert to_fund(rs, root) == FundCoord(m, n)
 
     def test_alternation_set_is_where_dominant_pairs_reach_the_positive_cone(self, rs):
-        """alternation_shifts against the matrices, and no element outside the
+        """alternation_terms' shifts against the matrices, and no element outside the
         alternation set ever shifts a dominant pair into the positive cone of
         the root lattice."""
         words = [word for _, word in rs.alternation]
@@ -240,5 +240,5 @@ class TestRootSystemRecords:
                 shifts[elem.word] = (elem.sign, u - mu1, v - mu2)
                 if u >= mu1 and v >= mu2 and not (u - mu1) % 2 and not (v - mu2) % 2:
                     reached.add(elem.word)
-            assert alternation_shifts(rs, (m, n), (x, y)) == [shifts[w] for w in words]
+            assert alternation_terms(rs, (m, n), (x, y))[0] == [shifts[w] for w in words]
         assert reached == set(words)
