@@ -16,6 +16,8 @@ from .errors import CoefficientOverflowError
 
 INT64_MIN = -(1 << 63)
 INT64_MAX = (1 << 63) - 1
+# About 300 digits: always printable, as Python's int-to-str limit is at least 640 digits.
+_MAX_SHOWN_BITS = 1024
 
 
 def checked_int(value: int) -> int:
@@ -23,11 +25,13 @@ def checked_int(value: int) -> int:
 
     The integer partition and multiplicity results pass through here, as
     every QPoly coefficient does, so both share one range and one error.
+    A value too long to print (Python refuses int-to-str conversion past a
+    few thousand digits) is reported by its bit length instead.
     """
     if not INT64_MIN <= value <= INT64_MAX:
-        raise CoefficientOverflowError(
-            f"exact value {value} is outside the signed 64-bit range"
-        )
+        bits = value.bit_length()
+        shown = str(value) if bits <= _MAX_SHOWN_BITS else f"of {bits} bits"
+        raise CoefficientOverflowError(f"exact value {shown} is outside the signed 64-bit range")
     return value
 
 
@@ -51,11 +55,16 @@ class QPoly:
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
         cs = list(coeffs)
-        # One type scan and one min/max pass; a failing list is walked again
-        # only to name its first bad coefficient.
-        if cs and not (
-            all(map(isinstance, cs, repeat(int))) and INT64_MIN <= min(cs) and max(cs) <= INT64_MAX
-        ):
+        # One pass: the unbound int.bit_length takes exactly the int instances
+        # (bool and subclasses too) and raises TypeError for anything else, and
+        # a bit length of at most 63 means |c| <= INT64_MAX. A failing list,
+        # or one holding INT64_MIN (64 bits, in range), is walked again to
+        # name its first bad coefficient.
+        try:
+            wide = cs and max(map(int.bit_length, cs)) > 63
+        except TypeError:
+            wide = True
+        if wide:
             _raise_first_bad(cs)
         while cs and cs[-1] == 0:
             cs.pop()
@@ -103,12 +112,20 @@ class QPoly:
         return checked_int(sum(self._coeffs))
 
     def eval_at(self, value: int) -> int:
-        """Exact value at an integer point; the result must fit in 64 bits."""
+        """Exact value at an integer point; the result must fit in 64 bits.
+
+        For |value| >= 2 Horner's rule stops once |acc| >= 2**64: every
+        |c| <= 2**63, so each later step gives |acc * value + c| >=
+        2|acc| - 2**63 > |acc|, and the result is bound to overflow.
+        """
         if not isinstance(value, int):
             raise TypeError(f"evaluation point must be an integer, got {type(value).__name__}")
+        can_stop = not -1 <= value <= 1
         acc = 0
         for c in reversed(self._coeffs):
             acc = acc * value + c
+            if can_stop and acc.bit_length() > 64:
+                break
         return checked_int(acc)
 
     def __add__(self, other: "QPoly") -> "QPoly":

@@ -181,6 +181,20 @@ class TestErrors:
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, "") and "overflow" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("qpartition", "20000,10000", "--at-q", "3"),
+            ("partition", ",".join(["9" * 1100] * 2)),
+        ],
+        ids=["qpartition-at-q", "g2-partition-1100-digits"],
+    )
+    def test_overflow_too_long_to_print_exits_two(self, capsys, argv):
+        # Both values are past Python's 4300-digit int-to-str limit; the
+        # overflow must still exit 2, not fail while formatting its message.
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "") and "arithmetic overflow" in err
+
     def test_negative_grid_rejected(self, capsys):
         code, _, err = invoke(capsys, "verify", "--max", "-1")
         assert code == 1

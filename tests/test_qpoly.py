@@ -1,16 +1,63 @@
 """Unit and property tests for the exact polynomial type."""
 
 import json
+import time
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qkostant.errors import CoefficientOverflowError
-from qkostant.qpoly import INT64_MAX, INT64_MIN, QPoly
+from qkostant.qpoly import INT64_MAX, INT64_MIN, QPoly, checked_int
 
 coeff_lists = st.lists(st.integers(-(10**6), 10**6), max_size=12)
 polys = coeff_lists.map(QPoly)
+
+
+class IntSub(int):
+    """An int subclass: an int instance, so a valid coefficient."""
+
+
+class IndexOnly:
+    """Converts to an int through __index__ but is not one, as numpy scalars do."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def reference_check(cs):
+    """The three-scan rule QPoly used before its one-pass check.
+
+    Returns None when the list is accepted, else the exception type and the
+    first bad coefficient that decides it.
+    """
+    if cs and not (
+        all(isinstance(c, int) for c in cs) and INT64_MIN <= min(cs) and max(cs) <= INT64_MAX
+    ):
+        for c in cs:
+            if not isinstance(c, int):
+                return TypeError, c
+            if not INT64_MIN <= c <= INT64_MAX:
+                return CoefficientOverflowError, c
+    return None
+
+
+EDGES = [INT64_MIN - 1, INT64_MIN, INT64_MIN + 1, -1, 0, 1, INT64_MAX - 1, INT64_MAX, INT64_MAX + 1]
+ints = st.one_of(st.sampled_from(EDGES), st.integers(-(2**70), 2**70), st.integers(-9, 9))
+# ints twice, so that many lists hold only valid entries.
+entries = st.one_of(
+    ints,
+    ints,
+    st.booleans(),
+    ints.map(IntSub),
+    ints.map(IndexOnly),
+    st.floats(allow_nan=False),
+    st.text(max_size=2),
+    st.none(),
+)
 
 
 class TestArithmetic:
@@ -88,6 +135,49 @@ class TestSignedSum:
             QPoly.signed_sum([(1, QPoly([0, INT64_MAX])), (1, QPoly([0, 1]))])
         with pytest.raises(CoefficientOverflowError):
             QPoly.signed_sum([(-1, QPoly([INT64_MIN]))])
+
+
+class TestCoefficientCheck:
+    @given(st.lists(entries, max_size=12))
+    def test_matches_the_three_scan_rule(self, cs):
+        expected = reference_check(cs)
+        if expected is None:
+            stored = list(cs)
+            while stored and stored[-1] == 0:
+                stored.pop()
+            assert QPoly(cs).coeffs == tuple(stored)
+            return
+        kind, bad = expected
+        with pytest.raises(kind) as info:
+            QPoly(cs)
+        assert type(info.value) is kind
+        assert (str(bad) if kind is CoefficientOverflowError else type(bad).__name__) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "c", [INT64_MIN, INT64_MAX, True, False, IntSub(5), IntSub(INT64_MIN)],
+        ids=["int64-min", "int64-max", "true", "false", "int-subclass", "int-subclass-min"],
+    )
+    def test_accepted(self, c):
+        assert reference_check([1, c]) is None
+        assert QPoly([1, c]).coeffs == ((1, c) if c else (1,))
+
+    @pytest.mark.parametrize(
+        "c,kind",
+        [
+            (INT64_MIN - 1, CoefficientOverflowError),
+            (INT64_MAX + 1, CoefficientOverflowError),
+            (IntSub(INT64_MAX + 1), CoefficientOverflowError),
+            (10**5000, CoefficientOverflowError),
+            (IndexOnly(3), TypeError),
+            (2.0, TypeError),
+            (None, TypeError),
+        ],
+        ids=["int64-min-1", "int64-max+1", "int-subclass-past-max", "huge", "index-only",
+             "float", "none"],
+    )
+    def test_rejected(self, c, kind):
+        with pytest.raises(kind):
+            QPoly([1, c, 2])
 
 
 class TestEvaluation:
@@ -178,6 +268,62 @@ class TestOverflow:
 
     def test_evaluation_at_the_boundary_is_fine(self):
         assert QPoly.monomial(62).eval_at(2) == 2**62
+
+    @pytest.mark.parametrize(
+        "value", [2**5000, -(10**5000), 10**5000 + 1], ids=["2^5000", "-10^5000", "10^5000+1"]
+    )
+    def test_unprintably_long_values_still_overflow(self, value):
+        # Python refuses to print ints past a few thousand digits; the error
+        # reports the bit length instead of raising ValueError.
+        with pytest.raises(CoefficientOverflowError, match=f"{value.bit_length()} bits"):
+            checked_int(value)
+
+    def test_evaluation_far_past_the_boundary_fails(self):
+        with pytest.raises(CoefficientOverflowError):
+            QPoly.monomial(20000).eval_at(2)
+
+    def test_evaluation_stops_once_overflow_is_certain(self):
+        start = time.perf_counter()
+        with pytest.raises(CoefficientOverflowError):
+            QPoly([1] * 200000).eval_at(3)
+        # Stopping at the first partial sum past 2**64 takes milliseconds;
+        # the bound is generous for slow machines.
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize(
+        "coeffs,value,expected",
+        [
+            ([0] * 63 + [1], -2, INT64_MIN),
+            ([-INT64_MAX, INT64_MAX], 2, INT64_MAX),
+            ([INT64_MAX, -INT64_MAX], 2, -INT64_MAX),
+            ([INT64_MIN, 1 << 62], 2, 0),
+        ],
+    )
+    def test_results_at_the_boundary_are_not_cut_short(self, coeffs, value, expected):
+        assert QPoly(coeffs).eval_at(value) == expected
+
+    @given(st.lists(ints.filter(lambda c: INT64_MIN <= c <= INT64_MAX), max_size=70),
+           st.integers(-5, 5))
+    def test_evaluation_is_exact_or_overflows(self, coeffs, value):
+        exact = sum(c * value**i for i, c in enumerate(coeffs))
+        if INT64_MIN <= exact <= INT64_MAX:
+            assert QPoly(coeffs).eval_at(value) == exact
+        else:
+            with pytest.raises(CoefficientOverflowError):
+                QPoly(coeffs).eval_at(value)
+
+    @pytest.mark.parametrize(
+        "coeffs,value,expected",
+        [
+            ([-INT64_MAX, -INT64_MAX, -INT64_MAX, INT64_MAX, INT64_MAX, INT64_MAX], 1, 0),
+            ([INT64_MAX, -INT64_MAX, INT64_MAX, INT64_MAX, -INT64_MAX, INT64_MAX], -1, 0),
+            ([5, INT64_MAX, INT64_MAX, INT64_MAX], 0, 5),
+        ],
+    )
+    def test_evaluation_at_small_points_is_exact(self, coeffs, value, expected):
+        # At 1 and -1 the Horner partial sums pass 2**64 and come back, and
+        # at 0 only the constant term counts; only the result is checked.
+        assert QPoly(coeffs).eval_at(value) == expected
 
 
 class TestDisplay:
