@@ -13,9 +13,9 @@ from itertools import product
 from typing import Mapping, NamedTuple
 
 from .errors import InternalConsistencyError
-from .g2_partition import partition_tarski, qpartition
+from .g2_partition import _g2_chain, _g2_marks, partition_tarski, qpartition
 from .qpoly import QPoly, checked_int
-from .rootsys import G2, FundCoord, alternation_terms, weyl_elements, weyl_terms
+from .rootsys import G2, FundCoord, RootCoord, alternation_terms, weyl_elements, weyl_terms
 
 TERM_NAMES = tuple(name for name, _ in G2.alternation)
 _WORD_SIGNS = {elem.word: elem.sign for elem in weyl_elements(G2)}
@@ -79,26 +79,53 @@ def compute_abcdef(lam: FundCoord, mu: FundCoord) -> CaseData:
 
 
 class MultiplicityResult(NamedTuple):
-    """Full provenance of one closed-formula evaluation."""
+    """Full provenance of one closed-formula evaluation.
+
+    terms holds (name, sign, RootCoord) of each contributing term; the
+    term's polynomial is qpartition of its RootCoord.
+    """
 
     lam: FundCoord
     mu: FundCoord
     case: CaseData
-    terms: Mapping[str, QPoly]
+    terms: tuple[tuple[str, int, RootCoord], ...]
     mq: QPoly
     m_at_one: int
 
 
+# Every term qmultiplicity_closed has met; keys only, unbounded like the
+# qpartition cache.
+_met_terms: set[RootCoord] = set()
+
+
 def qmultiplicity_closed(lam: FundCoord, mu: FundCoord) -> MultiplicityResult:
-    """m_q(lam, mu) as the signed sum of the partition terms its case combines."""
-    shifts, label, selected = alternation_terms(G2, lam, mu)
-    terms = {name: qpartition(v) for name, _, v in selected}
-    mq = QPoly.signed_sum((sign, terms[name]) for name, sign, _ in selected)
+    """m_q(lam, mu) as the signed sum of the partition terms its case combines.
+
+    A query none of whose terms was met before adds every term's markers
+    into one set of lists and runs one chain, with no per-term polynomial
+    and no qpartition cache entry. A query that meets a term again sums
+    the cached qpartition polynomials instead, so a sweep over many
+    overlapping queries computes each term once.
+    """
+    shifts, label, terms = alternation_terms(G2, lam, mu)
+    keys = [v for _, _, v in terms]
+    if keys and _met_terms.isdisjoint(keys):
+        degree = max(m + n for m, n in keys)
+        size = degree + 7
+        points, tops, runs = [0] * size, [0] * size, [0] * size
+        for _, sign, (m, n) in terms:
+            _g2_marks(points, tops, runs, m, n, sign)
+        mq = _g2_chain(points, tops, runs, degree)
+    else:
+        mq = QPoly.signed_sum((sign, qpartition(v)) for _, sign, v in terms)
+    _met_terms.update(keys)
     if mq.coeffs and min(mq.coeffs) < 0:
         raise InternalConsistencyError(
             f"negative coefficient in m_q({tuple(lam)}, {tuple(mu)}) = {mq!r}"
         )
-    return MultiplicityResult(lam, mu, _case_data(shifts, label), terms, mq, mq.eval_at_one())
+    return MultiplicityResult(
+        lam, mu, _case_data(shifts, label), tuple(terms), mq, mq.eval_at_one()
+    )
 
 
 def qmultiplicity_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:

@@ -52,12 +52,14 @@ def qpartition_bruteforce(v: RootCoord) -> QPoly:
     return qpartition_enumerated(POSITIVE_ROOTS, v)
 
 
-@lru_cache(maxsize=None)
-def qpartition(v: RootCoord) -> QPoly:
-    """q-analog of Kostant's partition function for g2, closed form.
+def _g2_marks(
+    points: list[int], tops: list[int], runs: list[int], m: int, n: int, sign: int
+) -> None:
+    """Add sign times the markers of the g2 q-partition at (m, n) >= 0 into three lists.
 
-    Evaluates the quadruple sum over counts (i, j, k, l) of the roots
-    3a1+2a2, 3a1+a2, 2a1+a2, a1+a2 in O(N) time for N = m + n, with O(1)
+    The lists must hold at least m + n + 7 entries; _g2_chain turns them
+    into the coefficients. Evaluates the quadruple sum over counts
+    (i, j, k, l) of the roots 3a1+2a2, 3a1+a2, 2a1+a2, a1+a2 with O(1)
     work per i. For fixed (i, j), with a = m-3i-3j, b = n-2i-j and
     t = m+n-4i-3j, each k = 0..min(a//2, b) contributes the exponent run
     [start(k), t-2k] over l; the starts are t-b-k while k < a-b and t-a
@@ -74,15 +76,9 @@ def qpartition(v: RootCoord) -> QPoly:
     J = min(a0//3, b0). So per i, E gets one stride-3 progression (kept in
     ``tops``), up to two unit-stride runs (``runs``) and three closed-form
     weights (``points``): E = points + S_3(tops) + S_1(runs). No loop over
-    j, k or l is run.
+    j, k or l is run. Every marker of one term cancels past its degree
+    m + n, so the chain of a longer list gives exact zeros there.
     """
-    m, n = _as_root(v)
-    if m < 0 or n < 0:
-        return QPoly()
-    size = m + n + 7
-    points = [0] * size  # entries of E at n-i, n-i+1 and n-i+2
-    tops = [0] * size  # second differences, stride 3: the +1 at t+3 over j
-    runs = [0] * size  # first differences: unit-stride runs of E
     long_runs = 0  # runs [m-n-j1+1, m-n], one for every i with j1 > 0
     a0, b0, t0 = m, n, m + n  # a, b and t at j = 0 for the current i
     for _ in range(min(m // 3, n // 2) + 1):
@@ -93,7 +89,7 @@ def qpartition(v: RootCoord) -> QPoly:
         if j1 > 0:
             # j < j1: a > 2b and k runs to b. The lowest start t-2b and the
             # lowest run end t-2b+1 leave one entry, +1 at t-2b = m-n-j.
-            runs[m - n + 1 - j1] += 1
+            runs[m - n + 1 - j1] += sign
             long_runs += 1
         else:
             j1 = 0
@@ -106,10 +102,10 @@ def qpartition(v: RootCoord) -> QPoly:
             # j < j2: the moving starts end at t-b = m-2i-2j, so E has -1 at
             # m-2i-2j+1 and m-2i-2j+2, one run over all these j.
             hi = t0 - b0 + 3
-            runs[hi - 2 * j2] -= 1
-            runs[hi] += 1
-        tops[t0 + 6 - 3 * stop] += 1
-        tops[t0 + 6] -= 1
+            runs[hi - 2 * j2] -= sign
+            runs[hi] += sign
+        tops[t0 + 6 - 3 * stop] += sign
+        tops[t0 + 6] -= sign
         # j >= j1: k runs to a//2, and the lowest run end is n-i+1 or n-i+2
         # by the parity of a; odd counts the odd a = a0-3j over [j1, J].
         span = stop - j1
@@ -125,21 +121,43 @@ def qpartition(v: RootCoord) -> QPoly:
             - j2
         )
         p = t0 - a0
-        points[p] += fixed
-        points[p + 1] += moving - span + odd
-        points[p + 2] += moving - odd - fixed
+        points[p] += sign * fixed
+        points[p + 1] += sign * (moving - span + odd)
+        points[p + 2] += sign * (moving - odd - fixed)
         a0 -= 3
         b0 -= 2
         t0 -= 4
-    runs[m - n + 1] -= long_runs
+    runs[m - n + 1] -= sign * long_runs
+
+
+def _g2_chain(points: list[int], tops: list[int], runs: list[int], degree: int) -> QPoly:
+    """The polynomial S_1(S_2(points + S_3(tops) + S_1(runs))) up to q^degree."""
     tops[0::3] = accumulate(tops[0::3])
     tops[1::3] = accumulate(tops[1::3])
     tops[2::3] = accumulate(tops[2::3])
     marks = list(map(add, map(add, points, tops), accumulate(runs)))
-    del marks[m + n + 1 :]  # the degree is m + n, and prefix sums never look ahead
+    del marks[degree + 1 :]  # prefix sums never look ahead
     marks[0::2] = accumulate(marks[0::2])
     marks[1::2] = accumulate(marks[1::2])
     return QPoly(accumulate(marks))
+
+
+@lru_cache(maxsize=None)
+def qpartition(v: RootCoord) -> QPoly:
+    """q-analog of Kostant's partition function for g2, closed form.
+
+    The chain of the markers that _g2_marks sets, in O(N) time for
+    N = m + n.
+    """
+    m, n = _as_root(v)
+    if m < 0 or n < 0:
+        return QPoly()
+    size = m + n + 7
+    points = [0] * size  # entries of E at n-i, n-i+1 and n-i+2
+    tops = [0] * size  # second differences, stride 3: the +1 at t+3 over j
+    runs = [0] * size  # first differences: unit-stride runs of E
+    _g2_marks(points, tops, runs, m, n, 1)
+    return _g2_chain(points, tops, runs, m + n)
 
 
 def _tarski_g(k: int) -> int:

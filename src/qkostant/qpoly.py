@@ -35,7 +35,7 @@ def checked_int(value: int) -> int:
     return value
 
 
-def _raise_first_bad(cs: list) -> None:
+def _raise_first_bad(cs: tuple) -> None:
     """Raise for the first coefficient that is not an int in the 64-bit range."""
     for c in cs:
         if not isinstance(c, int):
@@ -54,10 +54,10 @@ class QPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()) -> None:
-        cs = list(coeffs)
+        cs = tuple(coeffs)
         # One pass: the unbound int.bit_length takes exactly the int instances
         # (bool and subclasses too) and raises TypeError for anything else, and
-        # a bit length of at most 63 means |c| <= INT64_MAX. A failing list,
+        # a bit length of at most 63 means |c| <= INT64_MAX. A failing tuple,
         # or one holding INT64_MIN (64 bits, in range), is walked again to
         # name its first bad coefficient.
         try:
@@ -66,9 +66,12 @@ class QPoly:
             wide = True
         if wide:
             _raise_first_bad(cs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs: tuple[int, ...] = tuple(cs)
+        if cs and cs[-1] == 0:
+            end = len(cs) - 1
+            while end and cs[end - 1] == 0:
+                end -= 1
+            cs = cs[:end]
+        self._coeffs: tuple[int, ...] = cs
 
     @classmethod
     def monomial(cls, degree: int) -> "QPoly":

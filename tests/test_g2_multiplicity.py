@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkostant import g2_multiplicity
 from qkostant.errors import CoefficientOverflowError
 from qkostant.g2_multiplicity import (
     ALLOWED_SIGNATURES,
@@ -21,6 +22,7 @@ from qkostant.g2_multiplicity import (
     qmultiplicity_weyl_sum,
     signature,
 )
+from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
 from qkostant.rootsys import G2, FundCoord
 
@@ -106,7 +108,7 @@ class TestClosedFormula:
         result = qmultiplicity_closed(FundCoord(0, 1), FundCoord(0, 0))
         assert result.mq == QPoly([0, 1, 0, 0, 0, 1])  # q + q^5: the exponents 1, 5
         assert result.m_at_one == 2
-        assert set(result.terms) == {"P", "Q", "R"}
+        assert [name for name, _, _ in result.terms] == ["P", "Q", "R"]
 
     def test_single_power_fixture(self):
         result = qmultiplicity_closed(FundCoord(0, 3), FundCoord(1, 2))
@@ -152,11 +154,89 @@ class TestClosedFormula:
         signs = {"P": 1, "Q": -1, "R": -1, "S": 1, "T": 1}
         for m, n, x, y in product(range(5), repeat=4):
             result = qmultiplicity_closed(FundCoord(m, n), FundCoord(x, y))
-            assert ("".join(result.terms) or "ZERO") == result.case.case_label
+            label = "".join(name for name, _, _ in result.terms) or "ZERO"
+            assert label == result.case.case_label
             combined = QPoly()
-            for name, poly in result.terms.items():
+            for name, sign, v in result.terms:
+                assert sign == signs[name]
+                poly = qpartition(v)
                 combined = combined + poly if signs[name] > 0 else combined - poly
             assert combined == result.mq
+
+
+def _forget_met_terms():
+    g2_multiplicity._met_terms.clear()
+    qpartition.cache_clear()
+
+
+@pytest.fixture
+def cold_closed_route():
+    """No term met by the closed route and no cached qpartition; the rest of
+    the suite would otherwise warm both, and the fused path would hardly run."""
+    _forget_met_terms()
+
+
+def _recombined(result):
+    return QPoly.signed_sum((sign, qpartition(v)) for _, sign, v in result.terms)
+
+
+small_lam_pairs = st.tuples(
+    st.integers(0, 80), st.integers(0, 80), st.integers(0, 80), st.integers(0, 80)
+)
+
+
+class TestClosedRoutePaths:
+    """A query with no term met before is fused: one marker list, one chain,
+    no qpartition cache entry. A query that meets a term again sums the
+    cached qpartition polynomials."""
+
+    def test_cold_queries_are_fused_and_match_the_weyl_sum(self):
+        for m, n, x, y in product(range(7), repeat=4):
+            lam, mu = FundCoord(m, n), FundCoord(x, y)
+            _forget_met_terms()
+            result = qmultiplicity_closed(lam, mu)
+            assert qpartition.cache_info().currsize == 0, (m, n, x, y)
+            assert result.mq == qmultiplicity_weyl_sum(lam, mu), (m, n, x, y)
+            assert result.mq == _recombined(result), (m, n, x, y)
+
+    def test_warm_queries_sum_cached_terms(self, cold_closed_route):
+        grid = [(FundCoord(m, n), FundCoord(x, y)) for m, n, x, y in product(range(7), repeat=4)]
+        first = [qmultiplicity_closed(lam, mu).mq for lam, mu in grid]
+        for (lam, mu), mq in zip(grid, first):
+            hits = qpartition.cache_info().hits
+            misses = qpartition.cache_info().misses
+            result = qmultiplicity_closed(lam, mu)
+            info = qpartition.cache_info()
+            # Every term is read from the qpartition cache, once per term.
+            assert info.hits + info.misses - hits - misses == len(result.terms)
+            assert result.mq == mq == qmultiplicity_weyl_sum(lam, mu), (lam, mu)
+            assert result.mq == _recombined(result), (lam, mu)
+
+    @given(small_lam_pairs)
+    @settings(max_examples=60, deadline=None)
+    def test_both_paths_match_the_weyl_sum(self, point):
+        m, n, x, y = point
+        lam, mu = FundCoord(m, n), FundCoord(x, y)
+        _forget_met_terms()
+        oracle = qmultiplicity_weyl_sum(lam, mu)
+        _forget_met_terms()
+        cold = qmultiplicity_closed(lam, mu)
+        assert qpartition.cache_info().currsize == 0
+        warm = qmultiplicity_closed(lam, mu)
+        assert qpartition.cache_info().currsize == len(warm.terms)
+        assert cold.mq == warm.mq == oracle
+        assert cold.terms == warm.terms
+
+    def test_a_reused_term_fills_the_cache(self, cold_closed_route):
+        first = qmultiplicity_closed(FundCoord(5, 6), FundCoord(0, 0))
+        assert len(first.terms) == 5
+        assert qpartition.cache_info().currsize == 0
+        # Adding w1 to both weights keeps P = lam - mu and moves Q.
+        second = qmultiplicity_closed(FundCoord(6, 6), FundCoord(1, 0))
+        assert second.terms[0] == first.terms[0]
+        assert second.terms[1] != first.terms[1]
+        assert qpartition.cache_info().currsize == len(second.terms)
+        assert second.mq == qmultiplicity_weyl_sum(FundCoord(6, 6), FundCoord(1, 0))
 
 
 class TestWeylSum:
