@@ -24,28 +24,17 @@ from .g2_partition import (
     tarski_h,
 )
 from .qpoly import QPoly
-from .rootsys import (
-    POSITIVE_ROOTS,
-    FundCoord,
-    RootCoord,
-    WeylElement,
-    fund_to_root,
-    root_to_fund,
-    weyl_group,
-)
+from .rootsys import C2, G2, FundCoord, RootCoord, WeylElement, to_fund, to_root, weyl_group
 from .sp4 import (
-    POSITIVE_ROOTS_C2,
     Sp4CaseData,
     Sp4MultiplicityResult,
     compute_case_c2,
-    fund_to_root_c2,
     fundamental_weights_c2,
     multiplicity_c2_closed,
     multiplicity_c2_weyl_sum,
     partition_c2_closed,
     qpartition_c2,
     qpartition_c2_bruteforce,
-    root_to_fund_c2,
     weyl_group_c2,
 )
 
@@ -54,13 +43,13 @@ __version__ = "0.1.0"
 __all__ = [
     "ALLOWED_SIGNATURES",
     "AuditReport",
+    "C2",
     "CaseData",
     "CoefficientOverflowError",
     "FundCoord",
+    "G2",
     "InternalConsistencyError",
     "MultiplicityResult",
-    "POSITIVE_ROOTS",
-    "POSITIVE_ROOTS_C2",
     "PartitionWitness",
     "QPoly",
     "RootCoord",
@@ -70,8 +59,6 @@ __all__ = [
     "audit_cases",
     "compute_abcdef",
     "compute_case_c2",
-    "fund_to_root",
-    "fund_to_root_c2",
     "fundamental_weights_c2",
     "multiplicity",
     "multiplicity_c2_closed",
@@ -85,10 +72,10 @@ __all__ = [
     "qpartition_bruteforce",
     "qpartition_c2",
     "qpartition_c2_bruteforce",
-    "root_to_fund",
-    "root_to_fund_c2",
     "tarski_g",
     "tarski_h",
+    "to_fund",
+    "to_root",
     "weyl_group",
     "weyl_group_c2",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from itertools import product
 from operator import add
@@ -25,19 +26,25 @@ from .g2_multiplicity import (
     qmultiplicity_closed,
     qmultiplicity_weyl_sum,
 )
-from .g2_partition import partition_tarski, qpartition, qpartition_bruteforce
+from .g2_partition import partition_tarski, qpartition
 from .qpoly import QPoly
-from .rootsys import FundCoord, RootCoord, fund_to_root, root_to_fund
+from .rootsys import (
+    C2,
+    G2,
+    FundCoord,
+    RootCoord,
+    RootSystem,
+    qpartition_enumerated,
+    to_fund,
+    to_root,
+)
 from .sp4 import (
     Sp4CaseData,
     compute_case_c2,
-    fund_to_root_c2,
     multiplicity_c2_closed,
     multiplicity_c2_weyl_sum,
     partition_c2_closed,
     qpartition_c2,
-    qpartition_c2_bruteforce,
-    root_to_fund_c2,
 )
 
 _JSON = {"separators": (",", ":"), "sort_keys": True}
@@ -51,34 +58,42 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# int() alone would also take "1_0" and non-ASCII digits, such as Arabic-Indic ones.
+_INTEGER = re.compile(r"\s*[+-]?[0-9]+\s*", re.ASCII)
+
+
+def _integer(text: str) -> int:
+    """An optional sign and ASCII digits, with surrounding spaces allowed."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"expected an integer, got {text!r}")
+    return int(text)
+
+
+_integer.__name__ = "integer"  # argparse names a rejected --at-q value's type by it
+
+
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected two comma-separated integers, got {text!r}")
     try:
-        return int(parts[0]), int(parts[1])
+        return _integer(parts[0]), _integer(parts[1])
     except ValueError:
         raise ValueError(f"expected two comma-separated integers, got {text!r}") from None
 
 
-def _partition_weight(args: argparse.Namespace) -> RootCoord | None:
+def _partition_weight(args: argparse.Namespace, rs: RootSystem) -> RootCoord | None:
     """Weight for the partition commands; None when off the root lattice."""
-    c1, c2 = _parse_pair(args.coords)
-    if args.basis == "fund":
-        w = FundCoord(c1, c2)
-        if args.algebra == "g2":
-            return fund_to_root(w)
-        return fund_to_root_c2(w)
-    return RootCoord(c1, c2)
+    pair = _parse_pair(args.coords)
+    return to_root(rs, pair) if args.basis == "fund" else RootCoord(*pair)
 
 
-def _weight_pair(args: argparse.Namespace) -> tuple[FundCoord, FundCoord]:
+def _weight_pair(args: argparse.Namespace, rs: RootSystem) -> tuple[FundCoord, FundCoord]:
     """lambda and mu for the multiplicity commands, fundamental basis."""
     lam_pair = _parse_pair(args.lam)
     mu_pair = _parse_pair(args.mu)
     if args.basis == "root":
-        convert = root_to_fund if args.algebra == "g2" else root_to_fund_c2
-        return convert(RootCoord(*lam_pair)), convert(RootCoord(*mu_pair))
+        return to_fund(rs, lam_pair), to_fund(rs, mu_pair)
     return FundCoord(*lam_pair), FundCoord(*mu_pair)
 
 
@@ -99,41 +114,33 @@ def _poly_output(poly: QPoly, fmt: str, at_q: int | None) -> str:
 
 
 def _cmd_qpartition(args: argparse.Namespace) -> int:
-    weight = _partition_weight(args)
-    if weight is None:
-        poly = QPoly()
-    elif args.algebra == "g2":
-        poly = qpartition(weight)
-    else:
-        poly = qpartition_c2(weight)
+    algebra = _ALGEBRAS[args.algebra]
+    weight = _partition_weight(args, algebra.rs)
+    poly = QPoly() if weight is None else algebra.qpartition(weight)
     print(_poly_output(poly, args.fmt, args.at_q))
     return 0
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    weight = _partition_weight(args)
+    algebra = _ALGEBRAS[args.algebra]
+    weight = _partition_weight(args, algebra.rs)
     if weight is None or weight.c1 < 0 or weight.c2 < 0:
         value = 0
-    elif args.algebra == "g2":
-        value = partition_tarski(weight)
     else:
-        value = partition_c2_closed(weight)
+        value = algebra.count(weight)
     print(_value_output(value, args.fmt))
     return 0
 
 
 def _cmd_qmult(args: argparse.Namespace) -> int:
-    lam, mu = _weight_pair(args)
-    if args.algebra == "g2":
-        poly = qmultiplicity_closed(lam, mu).mq
-    else:
-        poly = multiplicity_c2_weyl_sum(lam, mu)
-    print(_poly_output(poly, args.fmt, args.at_q))
+    algebra = _ALGEBRAS[args.algebra]
+    lam, mu = _weight_pair(args, algebra.rs)
+    print(_poly_output(algebra.qmult(lam, mu), args.fmt, args.at_q))
     return 0
 
 
 def _cmd_mult(args: argparse.Namespace) -> int:
-    lam, mu = _weight_pair(args)
+    lam, mu = _weight_pair(args, _ALGEBRAS[args.algebra].rs)
     if args.algebra == "g2":
         value = multiplicity(lam, mu, method=args.method)
     else:
@@ -152,18 +159,6 @@ def _g2_row(lam: FundCoord, mu: FundCoord) -> tuple[CaseData, QPoly, int]:
 def _c2_row(lam: FundCoord, mu: FundCoord) -> tuple[Sp4CaseData, QPoly, int]:
     closed = multiplicity_c2_closed(lam, mu)
     return closed.case, multiplicity_c2_weyl_sum(lam, mu), closed.value
-
-
-def _g2_pair_mismatches(m: int, n: int) -> tuple[bool, ...]:
-    v = RootCoord(m, n)
-    poly = qpartition(v)
-    return poly != qpartition_bruteforce(v), poly.eval_at_one() != partition_tarski(v)
-
-
-def _c2_pair_mismatches(m: int, n: int) -> tuple[bool, ...]:
-    v = RootCoord(m, n)
-    poly = qpartition_c2(v)
-    return poly != qpartition_c2_bruteforce(v), partition_c2_closed(v) != poly.eval_at_one()
 
 
 def _g2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
@@ -190,37 +185,53 @@ def _c2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
 
 
 class _Algebra(NamedTuple):
-    """What `case`, `verify` and `table` need from one algebra.
+    """What every subcommand needs from one algebra.
 
     The callables look the library functions up as module globals when
     they run, so a traced or patched function is the one called.
     """
 
+    rs: RootSystem
+    qpartition: Callable[[RootCoord], QPoly]  # the q-analog kernel
+    count: Callable[[RootCoord], int]  # closed partition count at q = 1
+    qmult: Callable[[FundCoord, FundCoord], QPoly]  # what `qmult` prints
     case_fields: tuple[str, ...]  # names of the values in case.as_tuple()
     case: Callable[[FundCoord, FundCoord], object]
     row: Callable[[FundCoord, FundCoord], tuple]  # (case, m_q, m at q = 1)
-    pair_checks: tuple[str, ...]  # one mismatch flag each per (m, n)
-    pair_mismatches: Callable[[int, int], tuple[bool, ...]]
+    pair_checks: tuple[str, ...]  # the two flags of pair_mismatches
     tuple_checks: tuple[str, ...]  # one mismatch flag each per (lam, mu)
     tuple_mismatches: Callable[[FundCoord, FundCoord], tuple[bool, ...]]
+
+    def pair_mismatches(self, m: int, n: int) -> tuple[bool, bool]:
+        """The kernel at (m, n) against the enumerator, and at q = 1 against the count."""
+        v = RootCoord(m, n)
+        poly = self.qpartition(v)
+        enumerated = qpartition_enumerated(self.rs.positive_roots, v)
+        return poly != enumerated, poly.eval_at_one() != self.count(v)
 
 
 _ALGEBRAS = {
     "g2": _Algebra(
+        G2,
+        lambda v: qpartition(v),
+        lambda v: partition_tarski(v),
+        lambda lam, mu: qmultiplicity_closed(lam, mu).mq,
         ("a", "b", "c", "d", "e", "f"),
         lambda lam, mu: compute_abcdef(lam, mu),
         _g2_row,
         ("qpartition_vs_bruteforce", "tarski_vs_qpartition_at_one"),
-        _g2_pair_mismatches,
         ("qmult_closed_vs_weyl_sum", "multiplicity_qpoly_vs_tarski", "case_audit"),
         _g2_tuple_mismatches,
     ),
     "c2": _Algebra(
+        C2,
+        lambda v: qpartition_c2(v),
+        lambda v: partition_c2_closed(v),
+        lambda lam, mu: multiplicity_c2_weyl_sum(lam, mu),
         ("a", "two_b", "c", "two_d"),
         lambda lam, mu: compute_case_c2(lam, mu),
         _c2_row,
         ("qpartition_vs_bruteforce", "partition_closed_vs_qpartition_at_one"),
-        _c2_pair_mismatches,
         ("mult_closed_vs_weyl_sum_at_one", "odd_parity_vanishing"),
         _c2_tuple_mismatches,
     ),
@@ -228,8 +239,8 @@ _ALGEBRAS = {
 
 
 def _cmd_case(args: argparse.Namespace) -> int:
-    lam, mu = _weight_pair(args)
     algebra = _ALGEBRAS[args.algebra]
+    lam, mu = _weight_pair(args, algebra.rs)
     case = algebra.case(lam, mu)
     fields = dict(zip(algebra.case_fields, case.as_tuple()))
     if args.fmt == "json":
@@ -312,7 +323,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("qpartition", help="q-analog of the partition count of one weight")
     p.add_argument("coords", help="weight as 'c1,c2' in the root basis (see --basis)")
     p.add_argument("--basis", choices=("root", "fund"), default="root")
-    p.add_argument("--at-q", dest="at_q", type=int, default=None, metavar="V",
+    p.add_argument("--at-q", dest="at_q", type=_integer, default=None, metavar="V",
                    help="evaluate the polynomial at the integer V")
     common(p)
     p.set_defaults(handler=_cmd_qpartition)
@@ -335,7 +346,7 @@ def _build_parser() -> _Parser:
                        help="target weight in the fundamental basis (see --basis)")
         p.add_argument("--basis", choices=("fund", "root"), default="fund")
         if name == "qmult":
-            p.add_argument("--at-q", dest="at_q", type=int, default=None, metavar="V",
+            p.add_argument("--at-q", dest="at_q", type=_integer, default=None, metavar="V",
                            help="evaluate the polynomial at the integer V")
         if name == "mult":
             p.add_argument("--method", choices=("qpoly", "tarski"), default="qpoly")

@@ -17,7 +17,7 @@ from typing import Iterator, NamedTuple
 
 from .errors import InternalConsistencyError
 from .qpoly import QPoly, checked_int
-from .rootsys import POSITIVE_ROOTS, RootCoord, _as_root, decompositions, qpartition_enumerated
+from .rootsys import G2, RootCoord, _as_root, decompositions, qpartition_enumerated
 
 
 class PartitionWitness(NamedTuple):
@@ -44,12 +44,12 @@ def partition_witnesses(v: RootCoord) -> Iterator[PartitionWitness]:
     Loops run over the non-simple roots highest first; the simple-root
     counts n1, n2 are then forced by the target coordinates.
     """
-    return map(PartitionWitness._make, decompositions(POSITIVE_ROOTS, v))
+    return map(PartitionWitness._make, decompositions(G2.positive_roots, v))
 
 
 def qpartition_bruteforce(v: RootCoord) -> QPoly:
     """Definitional q-analog: one q^(number of roots) per witness."""
-    return qpartition_enumerated(POSITIVE_ROOTS, v)
+    return qpartition_enumerated(G2.positive_roots, v)
 
 
 def _g2_marks(

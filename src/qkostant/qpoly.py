@@ -107,9 +107,6 @@ class QPoly:
         """Coefficients in ascending degree, canonical form."""
         return self._coeffs
 
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
     def eval_at_one(self) -> int:
         """Sum of coefficients: recovers the plain count from a q-count."""
         return checked_int(sum(self._coeffs))
@@ -191,7 +188,3 @@ class QPoly:
 
     def __repr__(self) -> str:
         return f"QPoly({list(self._coeffs)!r})"
-
-
-ZERO = QPoly()
-ONE = QPoly([1])

@@ -120,10 +120,6 @@ C2 = RootSystem(
     alternation=(("P", "1"), ("Q", "s1"), ("R", "s2")),
 )
 
-# Positive roots of g2 as (c1, c2), lowest to highest.
-POSITIVE_ROOTS: tuple[RootCoord, ...] = G2.positive_roots
-
-
 def doubled(rs: RootSystem, w: tuple[int, int]) -> tuple[int, int]:
     """2 * (m*w1 + n*w2) in root coordinates, for w = (m, n)."""
     m, n = w
@@ -169,8 +165,9 @@ def to_root(rs: RootSystem, w: tuple[int, int]) -> RootCoord | None:
 def to_fund(rs: RootSystem, v: RootCoord) -> FundCoord:
     """Fundamental coordinates of a root-lattice weight.
 
-    Raises ValueError when the weight is not dominant; the solve itself is
-    always exact because the root lattice sits inside the weight lattice.
+    Raises ValueError, naming v and its fundamental coordinates, when the
+    weight is not dominant; the solve itself is always exact because the
+    root lattice sits inside the weight lattice.
     """
     c1, c2 = _as_root(v)
     (p, r), (q, s) = rs.two_w1, rs.two_w2
@@ -179,17 +176,13 @@ def to_fund(rs: RootSystem, v: RootCoord) -> FundCoord:
     n_num = 2 * (p * c2 - r * c1)
     if m_num % det or n_num % det:
         raise InternalConsistencyError(f"non-integral fundamental coordinates for {(c1, c2)}")
-    return FundCoord(m_num // det, n_num // det)
-
-
-def fund_to_root(w: FundCoord) -> RootCoord:
-    """(m, n) in the fundamental basis -> (2m+3n, m+2n) in the g2 root basis."""
-    return to_root(G2, w)
-
-
-def root_to_fund(v: RootCoord) -> FundCoord:
-    """Inverse conversion; raises ValueError when the weight is not dominant."""
-    return to_fund(G2, v)
+    m, n = m_num // det, n_num // det
+    if m < 0 or n < 0:
+        raise ValueError(
+            f"root-basis weight ({c1}, {c2}) is not dominant: its fundamental"
+            f" coordinates ({m}, {n}) must be nonnegative"
+        )
+    return FundCoord(m, n)
 
 
 class WeylElement(NamedTuple):

@@ -26,14 +26,9 @@ from .rootsys import (
     alternation_terms,
     doubled,
     qpartition_enumerated,
-    to_fund,
-    to_root,
     weyl_elements,
     weyl_terms,
 )
-
-POSITIVE_ROOTS_C2: tuple[RootCoord, ...] = C2.positive_roots
-
 
 def _c2_marks(diff: list[int], m: int, n: int, sign: int) -> None:
     """Add sign times the run markers of the sp4 q-partition at (m, n) into diff.
@@ -74,7 +69,7 @@ def qpartition_c2(v: RootCoord) -> QPoly:
 
 def qpartition_c2_bruteforce(v: RootCoord) -> QPoly:
     """Definitional oracle: enumerate decompositions into the four roots."""
-    return qpartition_enumerated(POSITIVE_ROOTS_C2, v)
+    return qpartition_enumerated(C2.positive_roots, v)
 
 
 def _closed_form(m: int, n: int) -> int:
@@ -184,23 +179,6 @@ def weyl_group_c2() -> tuple[tuple[Mat, int], ...]:
 def fundamental_weights_c2() -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
     """(w1, w2, rho) in doubled root coordinates: (2, 1), (2, 2) and (4, 3)."""
     return C2.two_w1, C2.two_w2, doubled(C2, (1, 1))
-
-
-def fund_to_root_c2(w: FundCoord) -> RootCoord | None:
-    """Root coordinates of m*w1 + n*w2, or None when m is odd.
-
-    Odd m puts the weight off the root lattice (its a2-coordinate is a
-    half-integer), where the partition count is zero by definition.
-    """
-    return to_root(C2, w)
-
-
-def root_to_fund_c2(v: RootCoord) -> FundCoord:
-    """Fundamental coordinates of a root-lattice weight.
-
-    Raises ValueError when the weight is not dominant.
-    """
-    return to_fund(C2, v)
 
 
 def multiplicity_c2_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:

@@ -8,7 +8,7 @@ off the cached orbit in doubled coordinates. It stays here, with the g2
 constants it needs, for the tests that hold the matrices to these forms.
 """
 
-from qkostant.rootsys import FundCoord, Mat, RootCoord, WeylElement, fund_to_root
+from qkostant.rootsys import G2, FundCoord, Mat, RootCoord, WeylElement, to_root
 
 # Half-sum of the positive roots; also w1 + w2.
 RHO = RootCoord(5, 3)
@@ -19,8 +19,8 @@ FUND_TO_ROOT: Mat = ((2, 3), (1, 2))
 
 def sigma_shift(sigma: WeylElement, lam: FundCoord, mu: FundCoord) -> RootCoord:
     """sigma(lam + rho) - (mu + rho), everything in g2 root coordinates."""
-    lr = fund_to_root(lam)
-    mr = fund_to_root(mu)
+    lr = to_root(G2, lam)
+    mr = to_root(G2, mu)
     moved = sigma.apply(RootCoord(lr.c1 + RHO.c1, lr.c2 + RHO.c2))
     return RootCoord(moved.c1 - mr.c1 - RHO.c1, moved.c2 - mr.c2 - RHO.c2)
 

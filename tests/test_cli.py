@@ -13,7 +13,7 @@ import pytest
 from qkostant import cli
 from qkostant.cli import run
 from qkostant.qpoly import QPoly
-from qkostant.rootsys import RootCoord
+from qkostant.rootsys import C2, G2, RootCoord, to_root
 from qkostant.g2_partition import qpartition
 
 # Recorded from the CLI before the verify loops were fused; any change to
@@ -91,6 +91,7 @@ class TestSingleEvaluations:
     def test_at_q_reproduces_classical_count(self, capsys):
         code, out, _ = invoke(capsys, "qpartition", "3,2", "--at-q", "1")
         assert (code, out) == (0, "7\n")
+        assert invoke(capsys, "qpartition", " 3, +2 ", "--at-q", " 1 ")[:2] == (0, "7\n")
         code, out, _ = invoke(
             capsys, "qmult", "--lambda", "0,1", "--mu", "0,0", "--at-q", "1",
             "--format", "json",
@@ -122,12 +123,29 @@ class TestSingleEvaluations:
             :2
         ] == (0, "3\n")
 
-    def test_root_basis_multiplicity(self, capsys):
-        direct = invoke(capsys, "qmult", "--lambda", "0,1", "--mu", "0,0")
-        via_root = invoke(
-            capsys, "qmult", "--basis", "root", "--lambda", "3,2", "--mu", "0,0"
-        )
-        assert direct == via_root
+    @pytest.mark.parametrize("algebra", ["g2", "c2"])
+    @pytest.mark.parametrize("command", ["qmult", "mult", "case", "qpartition"])
+    def test_root_basis_multiplicity(self, capsys, command, algebra):
+        # Every dominant weight of [0,3]^2, except sp4's with odd m, which
+        # are off the root lattice and have no root-basis name.
+        rs = {"g2": G2, "c2": C2}[algebra]
+        names = {
+            (m, n): (f"{m},{n}", "%d,%d" % to_root(rs, (m, n)))
+            for m, n in product(range(4), repeat=2)
+            if algebra == "g2" or m % 2 == 0
+        }
+        if command == "qpartition":
+            argvs = [([w], [r]) for w, r in names.values()]
+        else:
+            argvs = [
+                (["--lambda", lam_w, "--mu", mu_w], ["--lambda", lam_r, "--mu", mu_r])
+                for (lam_w, lam_r), (mu_w, mu_r) in product(names.values(), repeat=2)
+            ]
+        for fund, root in argvs:
+            head = [command, "--algebra", algebra]
+            via_fund = invoke(capsys, *head, "--basis", "fund", *fund)
+            assert via_fund[0] == 0
+            assert invoke(capsys, *head, "--basis", "root", *root) == via_fund, (fund, root)
 
     def test_case_json(self, capsys):
         code, out, _ = invoke(
@@ -149,9 +167,29 @@ class TestErrors:
         code, _, err = invoke(capsys, "bogus")
         assert code == 1 and err
 
-    def test_malformed_coordinates(self, capsys):
-        code, _, err = invoke(capsys, "qpartition", "1,2,3")
-        assert code == 1 and "comma-separated" in err
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("qpartition", "1,2,3"), "comma-separated"),
+            (("qmult", "--lambda", "1_0,0", "--mu", "0,0"), "comma-separated"),
+            (("qmult", "--lambda", "\u0663,0", "--mu", "0,0"), "comma-separated"),
+            (("partition", "3,\uff12"), "comma-separated"),
+            (("qpartition", "3,2", "--at-q", "1_0"), "invalid integer value"),
+            (("qmult", "--lambda", "0,1", "--mu", "0,0", "--at-q", "\u0663"), "invalid integer"),
+        ],
+        ids=["three-values", "underscore", "arabic-indic-digit", "fullwidth-digit",
+             "at-q-underscore", "at-q-arabic-indic-digit"],
+    )
+    def test_malformed_coordinates(self, capsys, argv, message):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "") and message in err
+
+    def test_root_basis_error_names_the_typed_weight(self, capsys):
+        code, out, err = invoke(
+            capsys, "mult", "--lambda", "0,1", "--mu", "1,0", "--basis", "root"
+        )
+        assert (code, out) == (1, "")
+        assert "(0, 1)" in err and err.index("(0, 1)") < err.index("(-3, 2)")
 
     def test_negative_fundamental_coordinates(self, capsys):
         code, _, err = invoke(capsys, "qmult", "--lambda=-1,0", "--mu", "0,0")

@@ -17,7 +17,7 @@ from qkostant.g2_partition import (
     tarski_g,
     tarski_h,
 )
-from qkostant.rootsys import POSITIVE_ROOTS, RootCoord
+from qkostant.rootsys import G2, RootCoord
 
 # Values computed by the enumerator and frozen; (7,4) is the cross-check
 # point between the enumerator and the quadruple sum.
@@ -39,8 +39,8 @@ class TestWitnesses:
             target = RootCoord(m, n)
             for w in partition_witnesses(target):
                 counts = (w.n1, w.n2, w.n3, w.n4, w.n5, w.n6)
-                c1 = sum(k * r.c1 for k, r in zip(counts, POSITIVE_ROOTS))
-                c2 = sum(k * r.c2 for k, r in zip(counts, POSITIVE_ROOTS))
+                c1 = sum(k * r.c1 for k, r in zip(counts, G2.positive_roots))
+                c2 = sum(k * r.c2 for k, r in zip(counts, G2.positive_roots))
                 assert (c1, c2) == (m, n)
                 assert w.total_roots == sum(counts)
 

@@ -15,10 +15,9 @@ from qkostant.g2_partition import (
     tarski_g,
     tarski_h,
 )
-from qkostant.rootsys import RootCoord, fund_to_root, root_to_fund
+from qkostant.rootsys import C2, G2, RootCoord, to_fund, to_root
 from qkostant.sp4 import (
     compute_case_c2,
-    fund_to_root_c2,
     multiplicity_c2_closed,
     multiplicity_c2_weyl_sum,
     partition_c2_closed,
@@ -33,6 +32,7 @@ def _uncached(kernel, v):
     return kernel(v)
 
 
+# The fund_to_root and root_to_fund ids name the direction of to_root and to_fund.
 BAD_CALLS = {
     "tarski_g-float": lambda: tarski_g(2.0),
     "tarski_h-float": lambda: tarski_h(2.0),
@@ -43,17 +43,17 @@ BAD_CALLS = {
     "qmultiplicity_closed-float": lambda: qmultiplicity_closed((1.0, 0), (0, 0)),
     "qpartition-float": lambda: _uncached(qpartition, RootCoord(2.0, 1)),
     "qpartition_c2-float": lambda: _uncached(qpartition_c2, RootCoord(2.0, 1)),
-    "root_to_fund-half": lambda: root_to_fund(RootCoord(1.5, 1)),
+    "root_to_fund-half": lambda: to_fund(G2, RootCoord(1.5, 1)),
     "qmultiplicity_closed-triple": lambda: qmultiplicity_closed((1, 2, 3), (0, 0)),
     "qmultiplicity_closed-scalar": lambda: qmultiplicity_closed(5, (0, 0)),
     "qmultiplicity_weyl_sum-scalar-mu": lambda: qmultiplicity_weyl_sum((1, 1), 5),
     "multiplicity_c2_weyl_sum-triple": lambda: multiplicity_c2_weyl_sum((1, 2, 3), (0, 0)),
     "compute_case_c2-single": lambda: compute_case_c2((2,), (0, 0)),
-    "fund_to_root-float": lambda: fund_to_root((2.0, 0)),
-    "fund_to_root-bool": lambda: fund_to_root((True, 0)),
-    "fund_to_root_c2-float": lambda: fund_to_root_c2((2.0, 0)),
-    "fund_to_root_c2-bool": lambda: fund_to_root_c2((0, True)),
-    "root_to_fund-scalar": lambda: root_to_fund(5),
+    "fund_to_root-float": lambda: to_root(G2, (2.0, 0)),
+    "fund_to_root-bool": lambda: to_root(G2, (True, 0)),
+    "fund_to_root_c2-float": lambda: to_root(C2, (2.0, 0)),
+    "fund_to_root_c2-bool": lambda: to_root(C2, (0, True)),
+    "root_to_fund-scalar": lambda: to_fund(G2, 5),
     "qpartition-scalar": lambda: qpartition(5),
     "qpartition_c2-scalar": lambda: qpartition_c2(5),
     "partition_c2_closed-scalar": lambda: partition_c2_closed(5),

@@ -1,0 +1,50 @@
+"""The package's public names, and the names the benchmark imports from it."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import qkostant
+from qkostant.qpoly import QPoly
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# Removed wrappers and aliases, with what replaces them: to_root(G2 or C2, w),
+# to_fund(G2 or C2, v), G2.positive_roots, C2.positive_roots, QPoly() and
+# QPoly([1]).
+REMOVED = {
+    "qkostant.rootsys": ("fund_to_root", "root_to_fund", "POSITIVE_ROOTS"),
+    "qkostant.sp4": ("fund_to_root_c2", "root_to_fund_c2", "POSITIVE_ROOTS_C2"),
+    "qkostant.qpoly": ("ZERO", "ONE"),
+}
+
+
+def _bench_imports():
+    """(file, module, name) of every `from qkostant... import name` in bench/*.py."""
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module and (
+                node.module == "qkostant" or node.module.startswith("qkostant.")
+            ):
+                for alias in node.names:
+                    yield path.name, node.module, alias.name
+
+
+def test_public_removed_and_bench_names():
+    assert [name for name in qkostant.__all__ if not hasattr(qkostant, name)] == []
+
+    for module, names in REMOVED.items():
+        present = [n for n in names if hasattr(importlib.import_module(module), n)]
+        assert present == [], module
+        assert [n for n in names if hasattr(qkostant, n) or n in qkostant.__all__] == []
+    assert not hasattr(QPoly, "is_zero")
+
+    imports = list(_bench_imports())
+    assert imports, "no qkostant imports found in bench/"
+    unresolved = [
+        f"{file}: {module}.{name}"
+        for file, module, name in imports
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert unresolved == []

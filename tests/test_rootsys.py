@@ -10,15 +10,12 @@ from qkostant.rootsys import (
     C2,
     G2,
     IDENTITY,
-    POSITIVE_ROOTS,
     FundCoord,
     RootCoord,
     alternation_terms,
     doubled,
-    fund_to_root,
     mat_det,
     mat_mul,
-    root_to_fund,
     to_fund,
     to_root,
     weyl_elements,
@@ -34,7 +31,7 @@ def by_word():
 
 class TestConstants:
     def test_positive_roots(self):
-        assert POSITIVE_ROOTS == (
+        assert G2.positive_roots == (
             RootCoord(1, 0),
             RootCoord(0, 1),
             RootCoord(1, 1),
@@ -44,7 +41,7 @@ class TestConstants:
         )
 
     def test_rho_is_half_sum(self):
-        total = (sum(r.c1 for r in POSITIVE_ROOTS), sum(r.c2 for r in POSITIVE_ROOTS))
+        total = (sum(r.c1 for r in G2.positive_roots), sum(r.c2 for r in G2.positive_roots))
         assert total == (2 * RHO.c1, 2 * RHO.c2)
         assert RHO == RootCoord(5, 3)
 
@@ -53,7 +50,7 @@ class TestConstants:
         [((0, 1), (3, 2)), ((0, 0), (0, 0)), ((1, 1), (5, 3)), ((1, 0), (2, 1))],
     )
     def test_fund_to_root(self, fund, root):
-        assert fund_to_root(FundCoord(*fund)) == RootCoord(*root)
+        assert to_root(G2, FundCoord(*fund)) == RootCoord(*root)
 
     def test_fund_to_root_matrix_is_half_the_doubled_weights(self):
         (p, q), (r, s) = FUND_TO_ROOT
@@ -62,11 +59,11 @@ class TestConstants:
     def test_round_trip_on_grid(self):
         for m, n in product(range(8), repeat=2):
             w = FundCoord(m, n)
-            assert root_to_fund(fund_to_root(w)) == w
+            assert to_fund(G2, to_root(G2, w)) == w
 
     def test_root_to_fund_rejects_non_dominant(self):
-        with pytest.raises(ValueError):
-            root_to_fund(RootCoord(1, 0))  # a1 = 2w1 - 3w2
+        with pytest.raises(ValueError, match=r"\(1, 0\) is not dominant.*\(2, -1\)"):
+            to_fund(G2, RootCoord(1, 0))  # a1 = 2w1 - w2
 
     @pytest.mark.parametrize("coords", [(True, 0), (0, False), (2.5, 0), (0, 1.0), ("1", 0)])
     def test_fund_coord_rejects_non_integers(self, coords):
@@ -121,7 +118,7 @@ class TestGroupStructure:
             assert mat_mul(a.matrix, b.matrix) in mats
 
     def test_permutes_all_roots(self):
-        roots = set(POSITIVE_ROOTS) | {RootCoord(-r.c1, -r.c2) for r in POSITIVE_ROOTS}
+        roots = set(G2.positive_roots) | {RootCoord(-r.c1, -r.c2) for r in G2.positive_roots}
         for w in weyl_group():
             assert {w.apply(r) for r in roots} == roots
 

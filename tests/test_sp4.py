@@ -12,18 +12,15 @@ import pytest
 
 from qkostant.errors import CoefficientOverflowError
 from qkostant.qpoly import QPoly
-from qkostant.rootsys import FundCoord, RootCoord, mat_det
+from qkostant.rootsys import C2, FundCoord, RootCoord, mat_det, to_fund, to_root
 from qkostant.sp4 import (
-    POSITIVE_ROOTS_C2,
     compute_case_c2,
-    fund_to_root_c2,
     fundamental_weights_c2,
     multiplicity_c2_closed,
     multiplicity_c2_weyl_sum,
     partition_c2_closed,
     qpartition_c2,
     qpartition_c2_bruteforce,
-    root_to_fund_c2,
     weyl_group_c2,
 )
 from mutants import closed_form_without_edge_region
@@ -129,11 +126,11 @@ class TestWeylGroupData:
         assert rho == (4, 3)
 
     def test_coordinate_conversions(self):
-        assert fund_to_root_c2(FundCoord(2, 1)) == RootCoord(3, 2)
-        assert fund_to_root_c2(FundCoord(1, 0)) is None  # off the root lattice
-        assert root_to_fund_c2(RootCoord(3, 2)) == FundCoord(2, 1)
-        with pytest.raises(ValueError):
-            root_to_fund_c2(RootCoord(1, 0))  # a1 is not dominant
+        assert to_root(C2, FundCoord(2, 1)) == RootCoord(3, 2)
+        assert to_root(C2, FundCoord(1, 0)) is None  # off the root lattice
+        assert to_fund(C2, RootCoord(3, 2)) == FundCoord(2, 1)
+        with pytest.raises(ValueError, match=r"\(1, 0\) is not dominant.*\(2, -1\)"):
+            to_fund(C2, RootCoord(1, 0))  # a1 = 2w1 - w2 is not dominant
 
 
 class TestCaseSelection:
@@ -235,7 +232,7 @@ class TestMultiplicity:
 
 class TestPositiveRoots:
     def test_root_list(self):
-        assert POSITIVE_ROOTS_C2 == (
+        assert C2.positive_roots == (
             RootCoord(1, 0),
             RootCoord(0, 1),
             RootCoord(1, 1),
