@@ -69,7 +69,7 @@ def _integer(text: str) -> int:
     return int(text)
 
 
-_integer.__name__ = "integer"  # argparse names a rejected --at-q value's type by it
+_integer.__name__ = "integer"  # argparse names a rejected value's type by it
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -354,13 +354,13 @@ def _build_parser() -> _Parser:
         p.set_defaults(handler=handler)
 
     p = sub.add_parser("verify", help="run the oracle-equivalence grids")
-    p.add_argument("--max", type=int, required=True, metavar="N",
+    p.add_argument("--max", type=_integer, required=True, metavar="N",
                    help="grid bound: pairs in [0,N]^2, tuples in [0,N]^4")
     common(p)
     p.set_defaults(handler=_cmd_verify, fmt="json")
 
     p = sub.add_parser("table", help="CSV of case data and multiplicities on a grid")
-    p.add_argument("--max", type=int, required=True, metavar="N",
+    p.add_argument("--max", type=_integer, required=True, metavar="N",
                    help="one row per (m,n,x,y) in [0,N]^4, lexicographic")
     p.add_argument("--output", "-o", default=None, metavar="PATH",
                    help="output file; '-' or omitted writes to stdout")

@@ -12,8 +12,9 @@ from __future__ import annotations
 from itertools import product
 from typing import Mapping, NamedTuple
 
+from . import g2_partition
 from .errors import InternalConsistencyError
-from .g2_partition import _g2_chain, _g2_marks, partition_tarski, qpartition
+from .g2_partition import partition_tarski, qpartition
 from .qpoly import QPoly, checked_int
 from .rootsys import G2, FundCoord, RootCoord, alternation_terms, weyl_elements, weyl_terms
 
@@ -110,12 +111,7 @@ def qmultiplicity_closed(lam: FundCoord, mu: FundCoord) -> MultiplicityResult:
     shifts, label, terms = alternation_terms(G2, lam, mu)
     keys = [v for _, _, v in terms]
     if keys and _met_terms.isdisjoint(keys):
-        degree = max(m + n for m, n in keys)
-        size = degree + 7
-        points, tops, runs = [0] * size, [0] * size, [0] * size
-        for _, sign, (m, n) in terms:
-            _g2_marks(points, tops, runs, m, n, sign)
-        mq = _g2_chain(points, tops, runs, degree)
+        mq = g2_partition._g2_sum([(sign, v) for _, sign, v in terms])
     else:
         mq = QPoly.signed_sum((sign, qpartition(v)) for _, sign, v in terms)
     _met_terms.update(keys)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from operator import add
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import InternalConsistencyError
 from .qpoly import QPoly, checked_int
@@ -57,7 +57,7 @@ def _g2_marks(
 ) -> None:
     """Add sign times the markers of the g2 q-partition at (m, n) >= 0 into three lists.
 
-    The lists must hold at least m + n + 7 entries; _g2_chain turns them
+    The lists must hold at least m + n + 7 entries; _g2_sum turns them
     into the coefficients. Evaluates the quadruple sum over counts
     (i, j, k, l) of the roots 3a1+2a2, 3a1+a2, 2a1+a2, a1+a2 with O(1)
     work per i. For fixed (i, j), with a = m-3i-3j, b = n-2i-j and
@@ -130,8 +130,21 @@ def _g2_marks(
     runs[m - n + 1] -= sign * long_runs
 
 
-def _g2_chain(points: list[int], tops: list[int], runs: list[int], degree: int) -> QPoly:
-    """The polynomial S_1(S_2(points + S_3(tops) + S_1(runs))) up to q^degree."""
+def _g2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
+    """The sum of sign * qpartition((m, n)) over (sign, (m, n)) pairs with m, n >= 0.
+
+    The polynomial S_1(S_2(points + S_3(tops) + S_1(runs))) of the markers
+    that _g2_marks adds for every term, up to the largest degree m + n.
+    """
+    if not terms:
+        return QPoly()
+    degree = max(m + n for _, (m, n) in terms)
+    size = degree + 7
+    points = [0] * size  # entries of E at n-i, n-i+1 and n-i+2
+    tops = [0] * size  # second differences, stride 3: the +1 at t+3 over j
+    runs = [0] * size  # first differences: unit-stride runs of E
+    for sign, (m, n) in terms:
+        _g2_marks(points, tops, runs, m, n, sign)
     tops[0::3] = accumulate(tops[0::3])
     tops[1::3] = accumulate(tops[1::3])
     tops[2::3] = accumulate(tops[2::3])
@@ -146,18 +159,12 @@ def _g2_chain(points: list[int], tops: list[int], runs: list[int], degree: int) 
 def qpartition(v: RootCoord) -> QPoly:
     """q-analog of Kostant's partition function for g2, closed form.
 
-    The chain of the markers that _g2_marks sets, in O(N) time for
-    N = m + n.
+    The one-term _g2_sum, in O(N) time for N = m + n.
     """
     m, n = _as_root(v)
     if m < 0 or n < 0:
         return QPoly()
-    size = m + n + 7
-    points = [0] * size  # entries of E at n-i, n-i+1 and n-i+2
-    tops = [0] * size  # second differences, stride 3: the +1 at t+3 over j
-    runs = [0] * size  # first differences: unit-stride runs of E
-    _g2_marks(points, tops, runs, m, n, 1)
-    return _g2_chain(points, tops, runs, m + n)
+    return _g2_sum([(1, (m, n))])
 
 
 def _tarski_g(k: int) -> int:

@@ -131,21 +131,15 @@ class QPoly:
     def __add__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
             return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        return QPoly.signed_sum(((1, self), (1, other)))
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         if not isinstance(other, QPoly):
             return NotImplemented
-        return self + (-other)
+        return QPoly.signed_sum(((1, self), (-1, other)))
 
     def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self._coeffs])
+        return QPoly.signed_sum(((-1, self),))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, QPoly):

@@ -10,10 +10,10 @@ prefix sum, with no per-term polynomial and no per-term cache entry.
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate, repeat
 from operator import add, sub
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError
 from .qpoly import QPoly, checked_int
@@ -52,19 +52,29 @@ def _c2_marks(diff: list[int], m: int, n: int, sign: int) -> None:
     diff[ends:stop:2] = map(sub, diff[ends:stop:2], repeat(sign))
 
 
-@lru_cache(maxsize=None)
+def _c2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
+    """The sum of sign * qpartition_c2((m, n)) over (sign, (m, n)) pairs with m, n >= 0.
+
+    A prefix sum is linear, so each term adds its signed markers into one
+    difference array, whose one prefix sum is the result.
+    """
+    if not terms:
+        return QPoly()
+    diff = [0] * (max(m + n for _, (m, n) in terms) + 2)
+    for sign, (m, n) in terms:
+        _c2_marks(diff, m, n, sign)
+    return QPoly(accumulate(diff))
+
+
 def qpartition_c2(v: RootCoord) -> QPoly:
     """q-analog of Kostant's partition function for sp4, closed double sum.
 
-    One prefix sum of the markers that _c2_marks sets, so the sum costs
-    O(N) for N = m + n with no Python loop.
+    The one-term _c2_sum, in O(N) time for N = m + n with no Python loop.
     """
     m, n = _as_root(v)
     if m < 0 or n < 0:
         return QPoly()
-    diff = [0] * (m + n + 2)
-    _c2_marks(diff, m, n, 1)
-    return QPoly(accumulate(diff))
+    return _c2_sum([(1, (m, n))])
 
 
 def qpartition_c2_bruteforce(v: RootCoord) -> QPoly:
@@ -185,13 +195,5 @@ def multiplicity_c2_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:
     """m_q(lam, mu) for sp4 as the alternating sum over its 8 Weyl elements.
 
     The term of sigma is the q-partition of sigma(lam + rho) - (mu + rho).
-    A prefix sum is linear, so each nonzero term adds its signed markers
-    into one difference array, whose one prefix sum is the result.
     """
-    terms = weyl_terms(C2, lam, mu)
-    if not terms:
-        return QPoly()
-    diff = [0] * (max(m + n for _, (m, n) in terms) + 2)
-    for sign, (m, n) in terms:
-        _c2_marks(diff, m, n, sign)
-    return QPoly(accumulate(diff))
+    return _c2_sum(weyl_terms(C2, lam, mu))

@@ -7,6 +7,7 @@ that the part it removes is load-bearing.
 from itertools import repeat
 from operator import sub
 
+from qkostant.g2_partition import _g2_marks
 from qkostant.sp4 import _c2_marks, _closed_form
 
 
@@ -19,6 +20,13 @@ def closed_form_without_edge_region(m: int, n: int) -> int:
     if 2 * n > m >= 2 * n - 1 > n:
         return (n + 1) * (n + 2) // 2
     return _closed_form(m, n)
+
+
+def g2_marks_ignoring_sign(
+    points: list[int], tops: list[int], runs: list[int], m: int, n: int, sign: int
+) -> None:
+    """g2's marker builder with every term added as if its sign were +1."""
+    _g2_marks(points, tops, runs, m, n, 1)
 
 
 def c2_marks_ignoring_sign(diff: list[int], m: int, n: int, sign: int) -> None:

@@ -233,6 +233,12 @@ class TestErrors:
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, "") and "arithmetic overflow" in err
 
+    @pytest.mark.parametrize("command", ["verify", "table"])
+    @pytest.mark.parametrize("bound", ["1_0", "\u0663"], ids=["underscore", "arabic-indic-digit"])
+    def test_lenient_grid_bound_rejected(self, capsys, command, bound):
+        code, out, _ = invoke(capsys, command, "--max", bound)
+        assert (code, out) == (1, "")
+
     def test_negative_grid_rejected(self, capsys):
         code, _, err = invoke(capsys, "verify", "--max", "-1")
         assert code == 1

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkostant import g2_multiplicity
+from qkostant import g2_multiplicity, g2_partition
 from qkostant.errors import CoefficientOverflowError
 from qkostant.g2_multiplicity import (
     ALLOWED_SIGNATURES,
@@ -26,6 +26,7 @@ from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
 from qkostant.rootsys import G2, FundCoord
 
+from mutants import g2_marks_ignoring_sign
 from reference_kernels import case_label_g2_tree
 from shift_forms import SHIFT_FORMS
 
@@ -198,6 +199,13 @@ class TestClosedRoutePaths:
             assert qpartition.cache_info().currsize == 0, (m, n, x, y)
             assert result.mq == qmultiplicity_weyl_sum(lam, mu), (m, n, x, y)
             assert result.mq == _recombined(result), (m, n, x, y)
+
+    def test_fused_marker_signs_are_load_bearing(self, monkeypatch, cold_closed_route):
+        """The mutant agrees with the builder on qpartition's own one-term
+        sums (sign 1), so only the fused sum of a cold query changes."""
+        monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_ignoring_sign)
+        with pytest.raises(AssertionError):
+            self.test_cold_queries_are_fused_and_match_the_weyl_sum()
 
     def test_warm_queries_sum_cached_terms(self, cold_closed_route):
         grid = [(FundCoord(m, n), FundCoord(x, y)) for m, n, x, y in product(range(7), repeat=4)]

@@ -2,6 +2,7 @@
 
 import json
 import time
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,10 @@ from qkostant.qpoly import INT64_MAX, INT64_MIN, QPoly, checked_int
 
 coeff_lists = st.lists(st.integers(-(10**6), 10**6), max_size=12)
 polys = coeff_lists.map(QPoly)
+int64_lists = st.lists(
+    st.integers(INT64_MIN, INT64_MAX) | st.sampled_from([INT64_MIN, -1, 0, 1, INT64_MAX]),
+    max_size=6,
+)
 
 
 class IntSub(int):
@@ -243,6 +248,26 @@ class TestOverflow:
     def test_addition_past_the_boundary_fails(self):
         with pytest.raises(CoefficientOverflowError):
             QPoly([INT64_MAX]) + QPoly([1])
+
+    def test_difference_is_exact_where_the_negation_overflows(self):
+        # -INT64_MIN is outside the range; the exact difference INT64_MAX is not.
+        assert QPoly([-1]) - QPoly([INT64_MIN]) == QPoly([INT64_MAX])
+
+    @given(int64_lists, int64_lists)
+    def test_operators_are_exact_integer_arithmetic(self, a, b):
+        pairs = list(zip_longest(a, b, fillvalue=0))
+        for op, exact in (
+            (lambda: QPoly(a) + QPoly(b), [x + y for x, y in pairs]),
+            (lambda: QPoly(a) - QPoly(b), [x - y for x, y in pairs]),
+            (lambda: -QPoly(a), [-x for x in a]),
+        ):
+            if all(INT64_MIN <= c <= INT64_MAX for c in exact):
+                while exact and exact[-1] == 0:
+                    exact.pop()
+                assert op().coeffs == tuple(exact)
+            else:
+                with pytest.raises(CoefficientOverflowError):
+                    op()
 
     @pytest.mark.parametrize("position", [0, 2, 4])
     @pytest.mark.parametrize("bad", [INT64_MAX + 1, INT64_MIN - 1])

@@ -262,11 +262,6 @@ class TestWeylSums:
         lam, mu = FundCoord(m, n), FundCoord(x, y)
         assert multiplicity_c2_weyl_sum(lam, mu) == multiplicity_c2_weyl_sum_unpruned(lam, mu)
 
-    def test_c2_weyl_sum_leaves_the_partition_cache_alone(self):
-        before = qpartition_c2.cache_info()
-        assert multiplicity_c2_weyl_sum(FundCoord(2400, 1300), FundCoord(300, 200))
-        assert qpartition_c2.cache_info() == before
-
     @pytest.mark.parametrize(
         "mutant", [c2_marks_ignoring_sign, c2_marks_unclipped], ids=["sign", "clip"]
     )
