@@ -18,10 +18,9 @@ from typing import Callable, NamedTuple, Sequence
 
 from .errors import CoefficientOverflowError
 from .g2_multiplicity import (
-    ALLOWED_SIGNATURES,
+    CASE_LABELS,
     CaseData,
     compute_abcdef,
-    label_signature,
     multiplicity,
     qmultiplicity_closed,
     qmultiplicity_weyl_sum,
@@ -124,10 +123,7 @@ def _cmd_qpartition(args: argparse.Namespace) -> int:
 def _cmd_partition(args: argparse.Namespace) -> int:
     algebra = _ALGEBRAS[args.algebra]
     weight = _partition_weight(args, algebra.rs)
-    if weight is None or weight.c1 < 0 or weight.c2 < 0:
-        value = 0
-    else:
-        value = algebra.count(weight)
+    value = 0 if weight is None else algebra.count(weight)
     print(_value_output(value, args.fmt))
     return 0
 
@@ -169,7 +165,7 @@ def _g2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
     return (
         closed.mq != qmultiplicity_weyl_sum(lam, mu),
         closed.m_at_one != multiplicity(lam, mu, "tarski"),
-        label_signature(closed.case.case_label) not in ALLOWED_SIGNATURES,
+        closed.case.case_label not in CASE_LABELS,
     )
 
 
@@ -180,7 +176,7 @@ def _c2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
     weyl = multiplicity_c2_weyl_sum(lam, mu)
     return (
         closed.value != weyl.eval_at_one(),
-        bool((lam.m - mu.m) % 2 and (closed.case.b_in_n or closed.case.d_in_n or weyl)),
+        bool((lam.m - mu.m) % 2 and (closed.case.in_n[1] or closed.case.in_n[3] or weyl)),
     )
 
 
@@ -216,7 +212,7 @@ _ALGEBRAS = {
         lambda v: qpartition(v),
         lambda v: partition_tarski(v),
         lambda lam, mu: qmultiplicity_closed(lam, mu).mq,
-        ("a", "b", "c", "d", "e", "f"),
+        CaseData._fields[:-2],
         lambda lam, mu: compute_abcdef(lam, mu),
         _g2_row,
         ("qpartition_vs_bruteforce", "tarski_vs_qpartition_at_one"),
@@ -228,7 +224,7 @@ _ALGEBRAS = {
         lambda v: qpartition_c2(v),
         lambda v: partition_c2_closed(v),
         lambda lam, mu: multiplicity_c2_weyl_sum(lam, mu),
-        ("a", "two_b", "c", "two_d"),
+        Sp4CaseData._fields[:-2],
         lambda lam, mu: compute_case_c2(lam, mu),
         _c2_row,
         ("qpartition_vs_bruteforce", "partition_closed_vs_qpartition_at_one"),
@@ -314,11 +310,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qkostant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, formats: bool = True) -> None:
         p.add_argument("--algebra", choices=("g2", "c2"), default="g2")
-        p.add_argument(
-            "--format", choices=("text", "json", "latex"), default="text", dest="fmt"
-        )
+        if formats:
+            p.add_argument(
+                "--format", choices=("text", "json", "latex"), default="text", dest="fmt"
+            )
 
     p = sub.add_parser("qpartition", help="q-analog of the partition count of one weight")
     p.add_argument("coords", help="weight as 'c1,c2' in the root basis (see --basis)")
@@ -364,7 +361,7 @@ def _build_parser() -> _Parser:
                    help="one row per (m,n,x,y) in [0,N]^4, lexicographic")
     p.add_argument("--output", "-o", default=None, metavar="PATH",
                    help="output file; '-' or omitted writes to stdout")
-    common(p)
+    common(p, formats=False)  # always CSV
     p.set_defaults(handler=_cmd_table)
 
     return parser

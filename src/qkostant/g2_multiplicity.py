@@ -16,7 +16,15 @@ from . import g2_partition
 from .errors import InternalConsistencyError
 from .g2_partition import partition_tarski, qpartition
 from .qpoly import QPoly, checked_int
-from .rootsys import G2, FundCoord, RootCoord, alternation_terms, weyl_elements, weyl_terms
+from .rootsys import (
+    G2,
+    FundCoord,
+    RootCoord,
+    _as_fund,
+    alternation_terms,
+    weyl_elements,
+    weyl_terms,
+)
 
 TERM_NAMES = tuple(name for name, _ in G2.alternation)
 _WORD_SIGNS = {elem.word: elem.sign for elem in weyl_elements(G2)}
@@ -120,7 +128,7 @@ def qmultiplicity_closed(lam: FundCoord, mu: FundCoord) -> MultiplicityResult:
             f"negative coefficient in m_q({tuple(lam)}, {tuple(mu)}) = {mq!r}"
         )
     return MultiplicityResult(
-        lam, mu, _case_data(shifts, label), tuple(terms), mq, mq.eval_at_one()
+        _as_fund(lam), _as_fund(mu), _case_data(shifts, label), tuple(terms), mq, mq.eval_at_one()
     )
 
 
@@ -155,16 +163,6 @@ class AuditReport(NamedTuple):
     grid_max: int
     observed_signatures: tuple[str, ...]
     counterexamples: tuple[tuple[tuple[int, int, int, int], str], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "grid_max": self.grid_max,
-            "observed_signatures": list(self.observed_signatures),
-            "counterexamples": [
-                {"tuple": list(point), "signature": sig}
-                for point, sig in self.counterexamples
-            ],
-        }
 
 
 def audit_cases(grid_max: int) -> AuditReport:

@@ -22,6 +22,7 @@ from .rootsys import (
     FundCoord,
     Mat,
     RootCoord,
+    _as_fund,
     _as_root,
     alternation_terms,
     doubled,
@@ -101,13 +102,13 @@ def _closed_form(m: int, n: int) -> int:
 
 
 def partition_c2_closed(v: RootCoord) -> int:
-    """Partition count at q = 1 for sp4; requires nonnegative integer coordinates.
+    """Partition count at q = 1 for sp4; 0 when a coordinate is negative.
 
     A count outside the signed 64-bit range raises CoefficientOverflowError.
     """
     m, n = _as_root(v)
     if m < 0 or n < 0:
-        raise ValueError(f"partition_c2_closed needs nonnegative coordinates, got {tuple(v)}")
+        return 0
     return checked_int(_closed_form(m, n))
 
 
@@ -123,18 +124,11 @@ class Sp4CaseData(NamedTuple):
     two_b: int
     c: int
     two_d: int
-    a_in_n: bool
-    b_in_n: bool
-    c_in_n: bool
-    d_in_n: bool
+    in_n: tuple[bool, bool, bool, bool]
     case_label: str
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.a, self.two_b, self.c, self.two_d)
-
-    @property
-    def in_n(self) -> tuple[bool, bool, bool, bool]:
-        return (self.a_in_n, self.b_in_n, self.c_in_n, self.d_in_n)
 
 
 def _case_data(shifts: list[tuple[int, int, int]], label: str) -> Sp4CaseData:
@@ -143,7 +137,7 @@ def _case_data(shifts: list[tuple[int, int, int]], label: str) -> Sp4CaseData:
     a, c = two_a >> 1, two_c >> 1
     b_ok = two_b >= 0 and two_b % 2 == 0
     d_ok = two_d >= 0 and two_d % 2 == 0
-    return Sp4CaseData(a, two_b, c, two_d, a >= 0, b_ok, c >= 0, d_ok, label)
+    return Sp4CaseData(a, two_b, c, two_d, (a >= 0, b_ok, c >= 0, d_ok), label)
 
 
 def compute_case_c2(lam: FundCoord, mu: FundCoord) -> Sp4CaseData:
@@ -176,7 +170,9 @@ def multiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> Sp4MultiplicityResu
         raise InternalConsistencyError(
             f"negative multiplicity {value} for ({tuple(lam)}, {tuple(mu)})"
         )
-    return Sp4MultiplicityResult(lam, mu, _case_data(shifts, label), checked_int(value))
+    return Sp4MultiplicityResult(
+        _as_fund(lam), _as_fund(mu), _case_data(shifts, label), checked_int(value)
+    )
 
 
 @cache

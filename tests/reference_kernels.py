@@ -236,7 +236,7 @@ def compute_case_c2_affine(lam, mu) -> Sp4CaseData:
         label = "PR"
     else:
         label = "P"
-    return Sp4CaseData(a, two_b, c, two_d, a_ok, b_ok, c_ok, d_ok, label)
+    return Sp4CaseData(a, two_b, c, two_d, (a_ok, b_ok, c_ok, d_ok), label)
 
 
 def case_label_g2_tree(in_n: tuple[bool, ...]) -> str:

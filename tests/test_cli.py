@@ -103,6 +103,17 @@ class TestSingleEvaluations:
         assert invoke(capsys, "partition", "--algebra", "c2", "3,2")[:2] == (0, "5\n")
         assert invoke(capsys, "partition", "--", "-1,5")[:2] == (0, "0\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("qpartition", "--", "-1,2"), ("partition", "--algebra", "c2", "--", "-1,2")],
+        ids=["g2-qpartition", "c2-partition"],
+    )
+    def test_negative_root_coordinates_follow_a_double_dash(self, capsys, argv):
+        # Without "--", argparse reads -1,2 as an option and the weight is missing.
+        assert invoke(capsys, *argv)[:2] == (0, "0\n")
+        code, out, err = invoke(capsys, *(arg for arg in argv if arg != "--"))
+        assert (code, out) == (1, "") and "required: coords" in err
+
     def test_partition_fundamental_basis(self, capsys):
         # w2 = 3a1 + 2a2, so the fundamental pair (0,1) names the same weight
         assert invoke(capsys, "partition", "--basis", "fund", "0,1")[:2] == (0, "7\n")
@@ -306,6 +317,11 @@ class TestTable:
         assert rows[0] == "m,n,x,y,a,two_b,c,two_d,case,mq_coeffs,m_at_1"
         assert "0,1,0,1,0,0,-1,-4,P,1,1" in rows
 
+    def test_format_option_rejected(self, capsys):
+        # The table is always CSV.
+        code, out, err = invoke(capsys, "table", "--max", "1", "--format", "json")
+        assert (code, out) == (1, "") and "--format" in err
+
     def test_unwritable_path_fails(self, tmp_path, capsys):
         target = tmp_path / "missing" / "out.csv"
         code, _, err = invoke(capsys, "table", "--max", "0", "--output", str(target))
@@ -392,6 +408,27 @@ class TestFusedChecksStayIndependent:
             "case_audit": 0,
         }
 
+    def test_forbidden_case_label_counts_once(self, capsys, monkeypatch):
+        real = cli.qmultiplicity_closed
+
+        def corrupted(lam, mu):
+            result = real(lam, mu)
+            if (tuple(lam), tuple(mu)) != ((2, 1), (1, 0)):
+                return result
+            # P and S without Q: a term set no case combines.
+            return result._replace(case=result.case._replace(case_label="PS"))
+
+        monkeypatch.setattr(cli, "qmultiplicity_closed", corrupted)
+        code, counts = _mismatch_counts(capsys, "g2")
+        assert code == 1
+        assert counts == {
+            "qpartition_vs_bruteforce": 0,
+            "tarski_vs_qpartition_at_one": 0,
+            "qmult_closed_vs_weyl_sum": 0,
+            "multiplicity_qpoly_vs_tarski": 0,
+            "case_audit": 1,
+        }
+
     def test_wrong_c2_weyl_sum_at_odd_parity_counts_in_both(self, capsys, monkeypatch):
         real = cli.multiplicity_c2_weyl_sum
         odd = ((3, 1), (0, 2))  # m - x = 3 is odd: the true sum is zero
@@ -418,7 +455,8 @@ class TestFusedChecksStayIndependent:
             result = real(lam, mu)
             if (tuple(lam), tuple(mu)) != odd:
                 return result
-            return result._replace(case=result.case._replace(b_in_n=True))
+            a_ok, _, c_ok, d_ok = result.case.in_n
+            return result._replace(case=result.case._replace(in_n=(a_ok, True, c_ok, d_ok)))
 
         monkeypatch.setattr(cli, "multiplicity_c2_closed", corrupted)
         code, counts = _mismatch_counts(capsys, "c2")

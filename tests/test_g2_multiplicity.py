@@ -325,12 +325,6 @@ class TestAudit:
         observed = set(audit_cases(6).observed_signatures)
         assert observed & forbidden == set()
 
-    def test_report_serializes(self):
-        payload = audit_cases(1).to_json_dict()
-        assert payload["grid_max"] == 1
-        assert payload["counterexamples"] == []
-        assert isinstance(payload["observed_signatures"], list)
-
     def test_negative_grid_rejected(self):
         with pytest.raises(ValueError):
             audit_cases(-1)

@@ -119,12 +119,16 @@ class TestSignedSum:
                  (-1, QPoly([0, 1])), (1, QPoly([0, 0, 0, 0, 0, 0, 1]))]
         assert QPoly.signed_sum(terms) == QPoly([0, 0, 0, 1, 0, 1, 1])
 
-    @given(st.lists(st.tuples(st.sampled_from([1, -1]), polys), max_size=12))
-    def test_matches_chained_add_and_sub(self, terms):
-        total = QPoly()
-        for sign, poly in terms:
-            total = total + poly if sign > 0 else total - poly
-        assert QPoly.signed_sum(terms) == total
+    @given(st.lists(st.tuples(st.sampled_from([1, -1]), coeff_lists), max_size=12))
+    def test_matches_exact_integer_sums(self, terms):
+        # + and - call signed_sum themselves, so the reference is plain int arithmetic.
+        exact = [0] * max((len(cs) for _, cs in terms), default=0)
+        for sign, cs in terms:
+            for i, c in enumerate(cs):
+                exact[i] += sign * c
+        while exact and exact[-1] == 0:
+            exact.pop()
+        assert QPoly.signed_sum([(sign, QPoly(cs)) for sign, cs in terms]).coeffs == tuple(exact)
 
     @pytest.mark.parametrize("sign", [0, 2, -2])
     def test_other_signs_rejected(self, sign):

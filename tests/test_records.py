@@ -27,9 +27,7 @@ FIELDS = {
     CaseData: ("a", "b", "c", "d", "e", "f", "in_n", "case_label"),
     MultiplicityResult: ("lam", "mu", "case", "terms", "mq", "m_at_one"),
     AuditReport: ("grid_max", "observed_signatures", "counterexamples"),
-    Sp4CaseData: (
-        "a", "two_b", "c", "two_d", "a_in_n", "b_in_n", "c_in_n", "d_in_n", "case_label",
-    ),
+    Sp4CaseData: ("a", "two_b", "c", "two_d", "in_n", "case_label"),
     Sp4MultiplicityResult: ("lam", "mu", "case", "value"),
 }
 
@@ -83,3 +81,15 @@ def test_root_systems_differ_from_a_plain_tuple_of_their_fields(rs):
     assert not fields == rs
     assert rs != fields
     assert fields != rs
+
+
+@pytest.mark.parametrize(
+    "route", [qmultiplicity_closed, multiplicity_c2_closed], ids=lambda f: f.__name__
+)
+@pytest.mark.parametrize("convert", [tuple, list], ids=lambda f: f.__name__)
+def test_result_holds_fund_coords_of_plain_inputs(route, convert):
+    result = route(convert((2, 1)), convert((0, 1)))
+    assert type(result.lam) is FundCoord and type(result.mu) is FundCoord
+    assert (result.lam.m, result.mu.n) == (2, 1)
+    assert result == route(LAM, MU)
+    hash(result)

@@ -69,9 +69,11 @@ class TestClosedPartitionForm:
             v = RootCoord(m, n)
             assert partition_c2_closed(v) == qpartition_c2(v).eval_at_one(), (m, n)
 
-    def test_rejects_negative_coordinates(self):
-        with pytest.raises(ValueError):
-            partition_c2_closed(RootCoord(-1, 0))
+    def test_zero_off_the_positive_cone(self):
+        for m, n in product(range(-3, 4), repeat=2):
+            if m < 0 or n < 0:
+                v = RootCoord(m, n)
+                assert partition_c2_closed(v) == 0 == qpartition_c2(v).eval_at_one(), (m, n)
 
     @pytest.mark.parametrize("coords", [(2.5, 1), (2, 1.0), (True, 1)])
     def test_rejects_non_integer_coordinates(self, coords):
@@ -143,7 +145,7 @@ class TestCaseSelection:
         for m, n, x, y in product(range(9), repeat=4):
             case = compute_case_c2(FundCoord(m, n), FundCoord(x, y))
             if (m - x) % 2:
-                assert not case.b_in_n and not case.d_in_n
+                assert not case.in_n[1] and not case.in_n[3]
                 assert case.case_label == "ZERO"
             else:
                 assert case.two_b % 2 == 0 and case.two_d % 2 == 0
