@@ -33,6 +33,7 @@ from .sp4 import (
     multiplicity_c2_closed,
     multiplicity_c2_weyl_sum,
     partition_c2_closed,
+    qmultiplicity_c2_closed,
     qpartition_c2,
     qpartition_c2_bruteforce,
     weyl_group_c2,
@@ -66,6 +67,7 @@ __all__ = [
     "partition_c2_closed",
     "partition_tarski",
     "partition_witnesses",
+    "qmultiplicity_c2_closed",
     "qmultiplicity_closed",
     "qmultiplicity_weyl_sum",
     "qpartition",

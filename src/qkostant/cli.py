@@ -31,6 +31,7 @@ from .rootsys import (
     C2,
     G2,
     FundCoord,
+    MultiplicityResult,
     RootCoord,
     RootSystem,
     qpartition_enumerated,
@@ -43,6 +44,7 @@ from .sp4 import (
     multiplicity_c2_closed,
     multiplicity_c2_weyl_sum,
     partition_c2_closed,
+    qmultiplicity_c2_closed,
     qpartition_c2,
 )
 
@@ -131,7 +133,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _cmd_qmult(args: argparse.Namespace) -> int:
     algebra = _ALGEBRAS[args.algebra]
     lam, mu = _weight_pair(args, algebra.rs)
-    print(_poly_output(algebra.qmult(lam, mu), args.fmt, args.at_q))
+    print(_poly_output(algebra.closed(lam, mu).mq, args.fmt, args.at_q))
     return 0
 
 
@@ -145,16 +147,6 @@ def _cmd_mult(args: argparse.Namespace) -> int:
         value = multiplicity_c2_closed(lam, mu).value
     print(_value_output(value, args.fmt))
     return 0
-
-
-def _g2_row(lam: FundCoord, mu: FundCoord) -> tuple[CaseData, QPoly, int]:
-    res = qmultiplicity_closed(lam, mu)
-    return res.case, res.mq, res.m_at_one
-
-
-def _c2_row(lam: FundCoord, mu: FundCoord) -> tuple[Sp4CaseData, QPoly, int]:
-    closed = multiplicity_c2_closed(lam, mu)
-    return closed.case, multiplicity_c2_weyl_sum(lam, mu), closed.value
 
 
 def _g2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
@@ -190,10 +182,9 @@ class _Algebra(NamedTuple):
     rs: RootSystem
     qpartition: Callable[[RootCoord], QPoly]  # the q-analog kernel
     count: Callable[[RootCoord], int]  # closed partition count at q = 1
-    qmult: Callable[[FundCoord, FundCoord], QPoly]  # what `qmult` prints
+    closed: Callable[[FundCoord, FundCoord], MultiplicityResult]  # what qmult and table print
     case_fields: tuple[str, ...]  # names of the values in case.as_tuple()
     case: Callable[[FundCoord, FundCoord], object]
-    row: Callable[[FundCoord, FundCoord], tuple]  # (case, m_q, m at q = 1)
     pair_checks: tuple[str, ...]  # the two flags of pair_mismatches
     tuple_checks: tuple[str, ...]  # one mismatch flag each per (lam, mu)
     tuple_mismatches: Callable[[FundCoord, FundCoord], tuple[bool, ...]]
@@ -211,10 +202,9 @@ _ALGEBRAS = {
         G2,
         lambda v: qpartition(v),
         lambda v: partition_tarski(v),
-        lambda lam, mu: qmultiplicity_closed(lam, mu).mq,
+        lambda lam, mu: qmultiplicity_closed(lam, mu),
         CaseData._fields[:-2],
         lambda lam, mu: compute_abcdef(lam, mu),
-        _g2_row,
         ("qpartition_vs_bruteforce", "tarski_vs_qpartition_at_one"),
         ("qmult_closed_vs_weyl_sum", "multiplicity_qpoly_vs_tarski", "case_audit"),
         _g2_tuple_mismatches,
@@ -223,10 +213,9 @@ _ALGEBRAS = {
         C2,
         lambda v: qpartition_c2(v),
         lambda v: partition_c2_closed(v),
-        lambda lam, mu: multiplicity_c2_weyl_sum(lam, mu),
+        lambda lam, mu: qmultiplicity_c2_closed(lam, mu),
         Sp4CaseData._fields[:-2],
         lambda lam, mu: compute_case_c2(lam, mu),
-        _c2_row,
         ("qpartition_vs_bruteforce", "partition_closed_vs_qpartition_at_one"),
         ("mult_closed_vs_weyl_sum_at_one", "odd_parity_vanishing"),
         _c2_tuple_mismatches,
@@ -287,7 +276,7 @@ def _table_lines(algebra: str, grid_max: int) -> list[str]:
     case_template = ",".join(["%d"] * len(spec.case_fields))
     weights = [(FundCoord(m, n), f"{m},{n}") for m, n in product(range(grid_max + 1), repeat=2)]
     for (lam, lam_text), (mu, mu_text) in product(weights, repeat=2):
-        case, mq, m_at_one = spec.row(lam, mu)
+        _, _, case, _, mq, m_at_one = spec.closed(lam, mu)
         values = case_template % case.as_tuple()
         coeffs = "|".join(map(str, mq.coeffs))
         lines.append(f"{lam_text},{mu_text},{values},{case.case_label},{coeffs},{m_at_one}")
@@ -310,12 +299,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="qkostant", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p: argparse.ArgumentParser, formats: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, formats=("text", "json", "latex")) -> None:
         p.add_argument("--algebra", choices=("g2", "c2"), default="g2")
         if formats:
-            p.add_argument(
-                "--format", choices=("text", "json", "latex"), default="text", dest="fmt"
-            )
+            p.add_argument("--format", choices=formats, default="text", dest="fmt")
 
     p = sub.add_parser("qpartition", help="q-analog of the partition count of one weight")
     p.add_argument("coords", help="weight as 'c1,c2' in the root basis (see --basis)")
@@ -353,7 +340,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("verify", help="run the oracle-equivalence grids")
     p.add_argument("--max", type=_integer, required=True, metavar="N",
                    help="grid bound: pairs in [0,N]^2, tuples in [0,N]^4")
-    common(p)
+    common(p, formats=("text", "json"))
     p.set_defaults(handler=_cmd_verify, fmt="json")
 
     p = sub.add_parser("table", help="CSV of case data and multiplicities on a grid")
@@ -361,7 +348,7 @@ def _build_parser() -> _Parser:
                    help="one row per (m,n,x,y) in [0,N]^4, lexicographic")
     p.add_argument("--output", "-o", default=None, metavar="PATH",
                    help="output file; '-' or omitted writes to stdout")
-    common(p, formats=False)  # always CSV
+    common(p, formats=())  # always CSV
     p.set_defaults(handler=_cmd_table)
 
     return parser

@@ -13,15 +13,15 @@ from itertools import product
 from typing import Mapping, NamedTuple
 
 from . import g2_partition
-from .errors import InternalConsistencyError
 from .g2_partition import partition_tarski, qpartition
 from .qpoly import QPoly, checked_int
 from .rootsys import (
     G2,
     FundCoord,
+    MultiplicityResult,
     RootCoord,
-    _as_fund,
     alternation_terms,
+    closed_result,
     weyl_elements,
     weyl_terms,
 )
@@ -87,21 +87,6 @@ def compute_abcdef(lam: FundCoord, mu: FundCoord) -> CaseData:
     return _case_data(shifts, label)
 
 
-class MultiplicityResult(NamedTuple):
-    """Full provenance of one closed-formula evaluation.
-
-    terms holds (name, sign, RootCoord) of each contributing term; the
-    term's polynomial is qpartition of its RootCoord.
-    """
-
-    lam: FundCoord
-    mu: FundCoord
-    case: CaseData
-    terms: tuple[tuple[str, int, RootCoord], ...]
-    mq: QPoly
-    m_at_one: int
-
-
 # Every term qmultiplicity_closed has met; keys only, unbounded like the
 # qpartition cache.
 _met_terms: set[RootCoord] = set()
@@ -123,13 +108,7 @@ def qmultiplicity_closed(lam: FundCoord, mu: FundCoord) -> MultiplicityResult:
     else:
         mq = QPoly.signed_sum((sign, qpartition(v)) for _, sign, v in terms)
     _met_terms.update(keys)
-    if mq.coeffs and min(mq.coeffs) < 0:
-        raise InternalConsistencyError(
-            f"negative coefficient in m_q({tuple(lam)}, {tuple(mu)}) = {mq!r}"
-        )
-    return MultiplicityResult(
-        _as_fund(lam), _as_fund(mu), _case_data(shifts, label), tuple(terms), mq, mq.eval_at_one()
-    )
+    return closed_result(lam, mu, _case_data(shifts, label), terms, mq)
 
 
 def qmultiplicity_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:

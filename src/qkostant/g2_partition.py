@@ -155,16 +155,22 @@ def _g2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
     return QPoly(accumulate(marks))
 
 
-@lru_cache(maxsize=None)
 def qpartition(v: RootCoord) -> QPoly:
     """q-analog of Kostant's partition function for g2, closed form.
 
-    The one-term _g2_sum, in O(N) time for N = m + n.
+    The one-term _g2_sum, in O(N) time for N = m + n, cached. v is checked
+    before the cache is read, so an equal float or bool key never answers.
     """
-    m, n = _as_root(v)
-    if m < 0 or n < 0:
-        return QPoly()
-    return _g2_sum([(1, (m, n))])
+    return _qpartition(*_as_root(v))
+
+
+@lru_cache(maxsize=None)
+def _qpartition(m: int, n: int) -> QPoly:
+    return QPoly() if m < 0 or n < 0 else _g2_sum([(1, (m, n))])
+
+
+qpartition.cache_info = _qpartition.cache_info  # type: ignore[attr-defined]
+qpartition.cache_clear = _qpartition.cache_clear  # type: ignore[attr-defined]
 
 
 def _tarski_g(k: int) -> int:

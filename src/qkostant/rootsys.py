@@ -4,8 +4,8 @@ All weights live in the simple-root basis: c1*a1 + c2*a2 is the pair
 (c1, c2), and a group element acts as a 2x2 integer matrix on such pairs.
 A :class:`RootSystem` record holds the data that tells g2 and sp4 apart.
 The Weyl group, the brute-force partition enumerator, the coordinate
-conversions, the nonzero Weyl-sum terms and the alternation-set terms
-that the closed formulas read are written once against it.
+conversions, the nonzero Weyl-sum terms, the alternation-set terms that
+the closed formulas read and the record they return are written once against it.
 """
 
 from __future__ import annotations
@@ -336,6 +336,26 @@ def alternation_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int])
             label += name
             terms.append((name, sign, RootCoord(u >> 1, v >> 1)))
     return shifts, label or "ZERO", terms
+
+
+class MultiplicityResult(NamedTuple):
+    """One closed q-route evaluation of either algebra: its case record, and in
+    terms (name, sign, RootCoord) of each term, whose q-partition it sums."""
+
+    lam: FundCoord
+    mu: FundCoord
+    case: tuple
+    terms: tuple[tuple[str, int, RootCoord], ...]
+    mq: QPoly
+    m_at_one: int
+
+
+def closed_result(lam, mu, case: tuple, terms: list, mq: QPoly) -> MultiplicityResult:
+    """The record of a closed q route; a negative coefficient raises InternalConsistencyError."""
+    lam, mu = _as_fund(lam), _as_fund(mu)
+    if mq.coeffs and min(mq.coeffs) < 0:
+        raise InternalConsistencyError(f"negative coefficient in m_q({lam}, {mu}) = {mq!r}")
+    return MultiplicityResult(lam, mu, case, tuple(terms), mq, mq.eval_at_one())
 
 
 def weyl_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> list:

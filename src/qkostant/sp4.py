@@ -3,9 +3,9 @@
 Positive roots in the simple-root basis: a1, a2, a1+a2, 2a1+a2. The
 fundamental weights live outside the root lattice (w1 = a1 + a2/2), so the
 Weyl-sum oracle tracks weights in doubled root coordinates and drops any
-term whose shifted weight fails to land back on the root lattice. It adds
-the other terms' signed run markers into one difference array and takes one
-prefix sum, with no per-term polynomial and no per-term cache entry.
+term whose shifted weight fails to land back on the root lattice; the closed
+q route sums only the terms P, Q, R of the alternation set. Each adds its
+terms' signed run markers into one difference array and takes one prefix sum.
 """
 
 from __future__ import annotations
@@ -21,10 +21,12 @@ from .rootsys import (
     C2,
     FundCoord,
     Mat,
+    MultiplicityResult,
     RootCoord,
     _as_fund,
     _as_root,
     alternation_terms,
+    closed_result,
     doubled,
     qpartition_enumerated,
     weyl_elements,
@@ -173,6 +175,13 @@ def multiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> Sp4MultiplicityResu
     return Sp4MultiplicityResult(
         _as_fund(lam), _as_fund(mu), _case_data(shifts, label), checked_int(value)
     )
+
+
+def qmultiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> MultiplicityResult:
+    """m_q(lam, mu) for sp4: one _c2_sum of the terms of P, Q, R that its case combines."""
+    shifts, label, terms = alternation_terms(C2, lam, mu)
+    mq = _c2_sum([(sign, v) for _, sign, v in terms])
+    return closed_result(lam, mu, _case_data(shifts, label), terms, mq)
 
 
 @cache

@@ -285,6 +285,11 @@ class TestVerify:
         assert code == 0
         assert "0 mismatches" in out
 
+    def test_latex_format_rejected(self, capsys):
+        # The report has no LaTeX form.
+        code, out, err = invoke(capsys, "verify", "--max", "1", "--format", "latex")
+        assert (code, out) == (1, "") and "--format" in err
+
 
 class TestTable:
     def test_single_row_grid(self, capsys):
@@ -352,6 +357,21 @@ class TestPinnedOutput:
             assert code == 0
             digest.update(out.encode("ascii"))
         assert digest.hexdigest() == CASE_JSON_GRID4_SHA256[algebra]
+
+    def test_c2_qmult_and_table_do_not_run_the_weyl_sum(self, capsys, monkeypatch):
+        # They print the closed q route; only verify runs the oracle.
+        def oracle(lam, mu):
+            raise AssertionError("the sp4 Weyl sum ran")
+
+        monkeypatch.setattr(cli, "multiplicity_c2_weyl_sum", oracle)
+        qmult = ["qmult", "--algebra", "c2", "--lambda", "2,0", "--mu", "0,0"]
+        assert invoke(capsys, *qmult) == (0, "q^3 + q\n", "")
+        assert invoke(capsys, *qmult, "--format", "json") == (0, '{"coeffs":[0,1,0,1]}\n', "")
+        latex = invoke(capsys, *qmult[:4], "0,2", "--mu", "0,0", "--format", "latex")
+        assert latex == (0, "q^{4} + q^{2}\n", "")
+        code, out, _ = invoke(capsys, "table", "--algebra", "c2", "--max", "6")
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == TABLE_MAX6_SHA256["c2"]
 
     @pytest.mark.parametrize("algebra", ["g2", "c2"])
     def test_verify_max6_stdout(self, capsys, algebra):

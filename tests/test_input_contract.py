@@ -25,10 +25,10 @@ from qkostant.sp4 import (
 )
 
 
-def _uncached(kernel, v):
-    # The cached kernel checks its argument on a cache miss; an equal
-    # integer key cached earlier would answer for it.
-    kernel.cache_clear()
+def _warm(kernel, v):
+    # An equal integer key is cached first: the check must come before the
+    # cache lookup, or the cached integer answer would be returned for v.
+    kernel(tuple(map(int, v)))
     return kernel(v)
 
 
@@ -41,7 +41,8 @@ BAD_CALLS = {
     "qmultiplicity_weyl_sum-negative": lambda: qmultiplicity_weyl_sum((-3, 0), (0, 0)),
     "compute_case_c2-float": lambda: compute_case_c2((2.0, 0), (0, 0)),
     "qmultiplicity_closed-float": lambda: qmultiplicity_closed((1.0, 0), (0, 0)),
-    "qpartition-float": lambda: _uncached(qpartition, RootCoord(2.0, 1)),
+    "qpartition-float": lambda: _warm(qpartition, RootCoord(2.0, 1)),
+    "qpartition-bool": lambda: _warm(qpartition, (True, 0)),
     "qpartition_c2-float": lambda: qpartition_c2(RootCoord(2.0, 1)),
     "root_to_fund-half": lambda: to_fund(G2, RootCoord(1.5, 1)),
     "qmultiplicity_closed-triple": lambda: qmultiplicity_closed((1, 2, 3), (0, 0)),
@@ -71,3 +72,11 @@ BAD_CALLS = {
 def test_bad_input_raises_value_error(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize("kernel", [qpartition, qpartition_c2], ids=lambda f: f.__name__)
+def test_a_list_pair_is_a_weight(kernel):
+    # A list is not hashable; the cached g2 kernel must check and convert it
+    # before its cache is read, as the uncached sp4 kernel does.
+    assert kernel(RootCoord(3, 2))
+    assert kernel([3, 2]) == kernel((3, 2)) == kernel(RootCoord(3, 2))

@@ -11,7 +11,7 @@ import pytest
 
 from qkostant.g2_multiplicity import multiplicity, qmultiplicity_closed
 from qkostant.rootsys import FundCoord
-from qkostant.sp4 import multiplicity_c2_closed, multiplicity_c2_weyl_sum
+from qkostant.sp4 import multiplicity_c2_closed, multiplicity_c2_weyl_sum, qmultiplicity_c2_closed
 
 from kostka_foulkes import ALGEBRAS, kostka_foulkes, level, root_in_fund
 
@@ -52,4 +52,5 @@ def test_sp4_routes_equal_kostka_foulkes(m):
         lam, mu = FundCoord(m, n), FundCoord(x, y)
         expected = kostka_foulkes("c2", lam, mu)
         assert list(multiplicity_c2_weyl_sum(lam, mu).coeffs) == expected, (m, n, x, y)
+        assert list(qmultiplicity_c2_closed(lam, mu).mq.coeffs) == expected, (m, n, x, y)
         assert multiplicity_c2_closed(lam, mu).value == sum(expected), (m, n, x, y)

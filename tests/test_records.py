@@ -16,6 +16,7 @@ from qkostant.sp4 import (
     Sp4MultiplicityResult,
     compute_case_c2,
     multiplicity_c2_closed,
+    qmultiplicity_c2_closed,
 )
 
 LAM, MU = FundCoord(2, 1), FundCoord(0, 1)
@@ -84,7 +85,9 @@ def test_root_systems_differ_from_a_plain_tuple_of_their_fields(rs):
 
 
 @pytest.mark.parametrize(
-    "route", [qmultiplicity_closed, multiplicity_c2_closed], ids=lambda f: f.__name__
+    "route",
+    [qmultiplicity_closed, multiplicity_c2_closed, qmultiplicity_c2_closed],
+    ids=lambda f: f.__name__,
 )
 @pytest.mark.parametrize("convert", [tuple, list], ids=lambda f: f.__name__)
 def test_result_holds_fund_coords_of_plain_inputs(route, convert):

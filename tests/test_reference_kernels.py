@@ -4,14 +4,14 @@ Brute-force enumeration stays the primary oracle on the small grids in
 test_g2_partition.py and test_sp4.py; the direct sums reach the large
 points where enumeration is out of reach, and the kernels the package
 used before (the g2 loop over i and j, the sp4 loop over i) larger ones
-still. The pruned, orbit-cached Weyl
-sums are held equal to the unpruned alternating sums term for term, and
-the shared decomposition enumerator to the hand-written loops it replaced.
+still. The pruned, orbit-cached Weyl sums and the sp4 closed q route are
+held equal to the unpruned alternating sums term for term, and the shared
+decomposition enumerator to the hand-written loops it replaced.
 The sp4 case integers and labels, read off the alternation set, are held
 to the affine forms they replaced. The sp4 Weyl sum adds every term's markers
-into one difference array; the unpruned sum builds each term on its own,
-and mutants of the shared marker builder show the grid check catches a
-lost sign or an unclipped run end.
+into one difference array, and so does the closed q route; the unpruned sum
+builds each term on its own, and mutants of the shared marker builder show
+that the grid checks of both catch a lost sign or an unclipped run end.
 """
 
 from itertools import product
@@ -36,6 +36,7 @@ from qkostant.rootsys import (
 from qkostant.sp4 import (
     compute_case_c2,
     multiplicity_c2_weyl_sum,
+    qmultiplicity_c2_closed,
     qpartition_c2,
     qpartition_c2_bruteforce,
 )
@@ -260,17 +261,29 @@ class TestWeylSums:
     @pytest.mark.parametrize("m,n,x,y", C2_DEEP_POINTS)
     def test_c2_equals_unpruned_at_deep_points(self, m, n, x, y):
         lam, mu = FundCoord(m, n), FundCoord(x, y)
-        assert multiplicity_c2_weyl_sum(lam, mu) == multiplicity_c2_weyl_sum_unpruned(lam, mu)
+        unpruned = multiplicity_c2_weyl_sum_unpruned(lam, mu)
+        assert multiplicity_c2_weyl_sum(lam, mu) == unpruned
+        assert qmultiplicity_c2_closed(lam, mu).mq == unpruned
+
+    def test_c2_closed_route_equals_unpruned_on_grid(self):
+        for m, n, x, y in product(range(8), repeat=4):
+            lam, mu = FundCoord(m, n), FundCoord(x, y)
+            assert sp4.qmultiplicity_c2_closed(lam, mu).mq == multiplicity_c2_weyl_sum_unpruned(
+                lam, mu
+            ), (m, n, x, y)
 
     @pytest.mark.parametrize(
         "mutant", [c2_marks_ignoring_sign, c2_marks_unclipped], ids=["sign", "clip"]
     )
     def test_c2_marker_details_are_load_bearing(self, monkeypatch, mutant):
         """Both mutants agree with the builder on qpartition_c2's own calls
-        (sign 1, a list of exactly m+n+2), so only the fused sum changes."""
+        (sign 1, a list of exactly m+n+2), so only the fused sums change:
+        the Weyl sum's and the closed q route's, each caught on its own."""
         monkeypatch.setattr(sp4, "_c2_marks", mutant)
         with pytest.raises(AssertionError):
             self.test_c2_equals_unpruned_on_grid()
+        with pytest.raises(AssertionError):
+            self.test_c2_closed_route_equals_unpruned_on_grid()
 
     def test_seeded_points_include_zero_and_nonzero_results(self):
         g2 = [not qmultiplicity_weyl_sum(FundCoord(m, n), FundCoord(x, y))

@@ -19,6 +19,7 @@ from qkostant.sp4 import (
     multiplicity_c2_closed,
     multiplicity_c2_weyl_sum,
     partition_c2_closed,
+    qmultiplicity_c2_closed,
     qpartition_c2,
     qpartition_c2_bruteforce,
     weyl_group_c2,
@@ -192,12 +193,15 @@ class TestMultiplicity:
             assert multiplicity_c2_weyl_sum(lam, lam) == QPoly([1])
 
     def test_closed_matches_weyl_sum_on_grid(self):
-        for m, n, x, y in product(range(6), repeat=4):
+        # Both closed routes, the q route and the integer one, on the
+        # [0,10]^4 grid of `table --max 10`.
+        for m, n, x, y in product(range(11), repeat=4):
             lam, mu = FundCoord(m, n), FundCoord(x, y)
-            assert (
-                multiplicity_c2_closed(lam, mu).value
-                == multiplicity_c2_weyl_sum(lam, mu).eval_at_one()
-            ), (m, n, x, y)
+            weyl = multiplicity_c2_weyl_sum(lam, mu)
+            closed = qmultiplicity_c2_closed(lam, mu)
+            assert closed.mq == weyl, (m, n, x, y)
+            value = multiplicity_c2_closed(lam, mu).value
+            assert closed.m_at_one == value == weyl.eval_at_one(), (m, n, x, y)
 
     def test_weyl_sum_coefficients_are_nonnegative(self):
         for m, n, x, y in product(range(6), repeat=4):

@@ -25,7 +25,7 @@ from qkostant import g2_multiplicity
 from qkostant.g2_multiplicity import multiplicity, qmultiplicity_closed
 from qkostant.g2_partition import qpartition
 from qkostant.rootsys import FundCoord
-from qkostant.sp4 import multiplicity_c2_closed, multiplicity_c2_weyl_sum
+from qkostant.sp4 import multiplicity_c2_closed, multiplicity_c2_weyl_sum, qmultiplicity_c2_closed
 
 # Positive roots in the simple-root basis, |a_i|^2 / 2 of the two simple
 # roots (a1 short in both algebras), and the order of the Weyl group.
@@ -90,9 +90,13 @@ HARMONIC = {
     "c2": (10, (2, 4), lambda m, n: (2 * (m + n), m + 2 * n), (4, 2)),
 }
 
+# The q routes of each algebra that the identity checks.
 Q_MULTIPLICITY = {
-    "g2": lambda lam: qmultiplicity_closed(lam, FundCoord(0, 0)).mq,
-    "c2": lambda lam: multiplicity_c2_weyl_sum(lam, FundCoord(0, 0)),
+    "g2": (lambda lam: qmultiplicity_closed(lam, FundCoord(0, 0)).mq,),
+    "c2": (
+        lambda lam: multiplicity_c2_weyl_sum(lam, FundCoord(0, 0)),
+        lambda lam: qmultiplicity_c2_closed(lam, FundCoord(0, 0)).mq,
+    ),
 }
 
 HARMONIC_DEGREE = 40
@@ -120,17 +124,20 @@ def test_harmonic_identity(algebra):
 
     g2 reaches lam at root coordinates (120, 80). The closed route forgets
     the terms it has met first, so these queries start on its fused path.
+    sp4 holds its Weyl sum and its closed q route to the identity each.
     """
     g2_multiplicity._met_terms.clear()
     qpartition.cache_clear()
     _, _, doubled_root, (t1, t2) = HARMONIC[algebra]
     top = HARMONIC_DEGREE
-    totals = [0] * (top + 1)
+    routes = Q_MULTIPLICITY[algebra]
+    totals = [[0] * (top + 1) for _ in routes]
     for m, n in product(range(2 * top + 1), repeat=2):
         c1, c2 = doubled_root(m, n)
         if c1 > top * t1 or c2 > top * t2:
             continue
         dim = weyl_dimension(algebra, m, n)
-        for k, c in enumerate(Q_MULTIPLICITY[algebra](FundCoord(m, n)).coeffs[: top + 1]):
-            totals[k] += dim * c
-    assert totals == harmonic_series(algebra, top)
+        for route, total in zip(routes, totals):
+            for k, c in enumerate(route(FundCoord(m, n)).coeffs[: top + 1]):
+                total[k] += dim * c
+    assert totals == [harmonic_series(algebra, top)] * len(routes)
