@@ -24,6 +24,7 @@ from .g2_multiplicity import (
     multiplicity,
     qmultiplicity_closed,
     qmultiplicity_weyl_sum,
+    tarski_sum,
 )
 from .g2_partition import partition_tarski, qpartition
 from .qpoly import QPoly
@@ -151,12 +152,13 @@ def _cmd_mult(args: argparse.Namespace) -> int:
 
 def _g2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
     # One closed evaluation serves three checks: its m_at_one is exactly
-    # what multiplicity(..., "qpoly") returns, and its case is the one
-    # audit_cases reads.
+    # what multiplicity(..., "qpoly") returns, its terms are the ones
+    # multiplicity(..., "tarski") sums, and its case is the one audit_cases
+    # reads.
     closed = qmultiplicity_closed(lam, mu)
     return (
         closed.mq != qmultiplicity_weyl_sum(lam, mu),
-        closed.m_at_one != multiplicity(lam, mu, "tarski"),
+        closed.m_at_one != tarski_sum(closed.terms),
         closed.case.case_label not in CASE_LABELS,
     )
 

@@ -13,7 +13,7 @@ from itertools import product
 from typing import Mapping, NamedTuple
 
 from . import g2_partition
-from .g2_partition import partition_tarski, qpartition
+from .g2_partition import _partition_tarski, qpartition
 from .qpoly import QPoly, checked_int
 from .rootsys import (
     G2,
@@ -121,18 +121,28 @@ def qmultiplicity_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:
     return QPoly.signed_sum((sign, qpartition(v)) for sign, v in weyl_terms(G2, lam, mu))
 
 
+def tarski_sum(terms) -> int:
+    """The signed sum of Tarski's counts over (name, sign, RootCoord) terms.
+
+    The terms' exact counts are summed first and only the total is
+    range-checked, so a term outside the signed 64-bit range is fine when
+    the multiplicity is not.
+    """
+    return checked_int(sum(sign * _partition_tarski(m, n) for _, sign, (m, n) in terms))
+
+
 def multiplicity(lam: FundCoord, mu: FundCoord, method: str = "qpoly") -> int:
     """Classical weight multiplicity m(lam, mu).
 
     method="qpoly" evaluates the q-polynomial route at q = 1; "tarski"
-    combines Tarski's integer partition values case by case instead. A
-    value outside the signed 64-bit range raises CoefficientOverflowError.
+    combines Tarski's integer partition values case by case instead
+    (tarski_sum). A value outside the signed 64-bit range raises
+    CoefficientOverflowError.
     """
     if method == "qpoly":
         return qmultiplicity_closed(lam, mu).m_at_one
     if method == "tarski":
-        _, _, selected = alternation_terms(G2, lam, mu)
-        return checked_int(sum(sign * partition_tarski(v) for _, sign, v in selected))
+        return tarski_sum(alternation_terms(G2, lam, mu)[2])
     raise ValueError(f"unknown method {method!r}, expected 'qpoly' or 'tarski'")
 
 

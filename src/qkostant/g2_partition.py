@@ -234,25 +234,30 @@ def tarski_h(k: int) -> int:
     return checked_int(_tarski_h(k))
 
 
-def partition_tarski(v: RootCoord) -> int:
-    """Kostant's partition function at q = 1 via Tarski's five regions.
+def _partition_tarski(m: int, n: int) -> int:
+    """Tarski's count at m, n >= 0, without the 64-bit check.
 
     Adjacent regions overlap on their boundary lines (m = n, 2m = 3n,
     m = 2n, m = 3n) and agree there; dispatch takes the first match.
+    """
+    if m <= n:
+        return _tarski_g(m)
+    if 2 * m <= 3 * n:  # n <= m <= 3n/2
+        return _tarski_g(m) - _tarski_h(m - n - 1)
+    if m <= 2 * n:  # 3n/2 <= m <= 2n
+        return _tarski_h(n) - _tarski_g(3 * n - m - 1) + _tarski_h(2 * n - m - 2)
+    if m <= 3 * n:  # 2n <= m <= 3n
+        return _tarski_h(n) - _tarski_g(3 * n - m - 1)
+    return _tarski_h(n)  # 3n <= m
+
+
+def partition_tarski(v: RootCoord) -> int:
+    """Kostant's partition function at q = 1 via Tarski's five regions.
+
     Non-integer coordinates raise ValueError, and a count outside the
     signed 64-bit range raises CoefficientOverflowError.
     """
     m, n = _as_root(v)
     if m < 0 or n < 0:
         return 0
-    if m <= n:
-        value = _tarski_g(m)
-    elif 2 * m <= 3 * n:  # n <= m <= 3n/2
-        value = _tarski_g(m) - _tarski_h(m - n - 1)
-    elif m <= 2 * n:  # 3n/2 <= m <= 2n
-        value = _tarski_h(n) - _tarski_g(3 * n - m - 1) + _tarski_h(2 * n - m - 2)
-    elif m <= 3 * n:  # 2n <= m <= 3n
-        value = _tarski_h(n) - _tarski_g(3 * n - m - 1)
-    else:  # 3n <= m
-        value = _tarski_h(n)
-    return checked_int(value)
+    return checked_int(_partition_tarski(m, n))

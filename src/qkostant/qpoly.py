@@ -43,6 +43,16 @@ def _raise_first_bad(cs: tuple) -> None:
         checked_int(c)
 
 
+def _stripped(cs: tuple) -> tuple:
+    """cs without its trailing zeros."""
+    if cs and cs[-1] == 0:
+        end = len(cs) - 1
+        while end and cs[end - 1] == 0:
+            end -= 1
+        cs = cs[:end]
+    return cs
+
+
 class QPoly:
     """Immutable polynomial in q, stored as ascending coefficients.
 
@@ -66,12 +76,14 @@ class QPoly:
             wide = True
         if wide:
             _raise_first_bad(cs)
-        if cs and cs[-1] == 0:
-            end = len(cs) - 1
-            while end and cs[end - 1] == 0:
-                end -= 1
-            cs = cs[:end]
-        self._coeffs: tuple[int, ...] = cs
+        self._coeffs: tuple[int, ...] = _stripped(cs)
+
+    @classmethod
+    def _from_checked(cls, cs: tuple[int, ...]) -> "QPoly":
+        """A QPoly of a tuple of ints that the caller has range-checked."""
+        poly = cls.__new__(cls)
+        poly._coeffs = _stripped(cs)
+        return poly
 
     @classmethod
     def monomial(cls, degree: int) -> "QPoly":

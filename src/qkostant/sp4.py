@@ -4,19 +4,19 @@ Positive roots in the simple-root basis: a1, a2, a1+a2, 2a1+a2. The
 fundamental weights live outside the root lattice (w1 = a1 + a2/2), so the
 Weyl-sum oracle tracks weights in doubled root coordinates and drops any
 term whose shifted weight fails to land back on the root lattice; the closed
-q route sums only the terms P, Q, R of the alternation set. Each adds its
-terms' signed run markers into one difference array and takes one prefix sum.
+q route sums only the terms P, Q, R of the alternation set. Both add their
+terms' O(1) breakpoint events into one list and walk it once, writing each
+linear piece of the coefficients with one slice assignment.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate, repeat
-from operator import add, sub
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError
-from .qpoly import QPoly, checked_int
+from .qpoly import INT64_MAX, INT64_MIN, QPoly, checked_int
 from .rootsys import (
     C2,
     FundCoord,
@@ -33,46 +33,103 @@ from .rootsys import (
     weyl_terms,
 )
 
-def _c2_marks(diff: list[int], m: int, n: int, sign: int) -> None:
-    """Add sign times the run markers of the sp4 q-partition at (m, n) into diff.
 
-    For i = 0..min(m//2, n) copies of the long root 2a1+a2, the remaining
-    decompositions contribute one q^j for every j from max(m-i, n) to
-    m+n-2i. In a difference array, the run starts m-i (while i <= m-n)
-    are one unit-stride slice, the starts at n are one point, and the run
-    ends m+n-2i+1 are one stride-2 slice that stops at m+n+1, since diff
-    may be longer than m+n+2. Its prefix sum is then the q-partition.
+def _c2_events(events: list, m: int, n: int, sign: int) -> None:
+    """Append sign times the breakpoint events of the sp4 q-partition at (m, n).
+
+    Its coefficient c_j counts the copies i = 0..top, top = min(m//2, n),
+    of the long root 2a1+a2 with max(m-i, n) <= j <= m+n-2i. So c_j =
+    c_{j-2} + g_j on each parity class, where g is a step function of j
+    apart from a few one-off jumps. An event (j, step, jump, jump_next)
+    adds step to g from j on, jump to g_j alone and jump_next to g_{j+1}
+    alone. The first `moving` copies (i <= m-n) start their runs at m-i,
+    one per index from x = m+1-moving to m; the other copies start at n;
+    the run ends m+n-2i+1 lower g by 1 from e = m+n+1-2*top, until the
+    event at m+n+3 cancels that past the term's degree m+n.
     """
     top = m // 2 if m // 2 < n else n  # min() is a slower call here
     moving = m - n + 1 if m - n < top else top + 1  # how many i start at m-i
     if moving > 0:
-        first = m + 1 - moving
-        diff[first : m + 1] = map(add, diff[first : m + 1], repeat(sign))
+        rise = 2 * sign
+        events += ((m + 1 - moving, rise, -sign, 0), (m + 1, -rise, sign, 0))
     else:
         moving = 0
-    diff[n] += sign * (top + 1 - moving)
-    ends, stop = m + n + 1 - 2 * top, m + n + 2
-    diff[ends:stop:2] = map(sub, diff[ends:stop:2], repeat(sign))
+    w = sign * (top + 1 - moving)
+    t = m + n
+    events += ((n, 0, w, w), (t + 1 - 2 * top, -sign, 0, 0), (t + 3, sign, 0, 0))
+
+
+def _c2_walk(events: list, degree: int) -> QPoly:
+    """The coefficients 0..degree that the events describe, as a QPoly.
+
+    Sorts the events in place, appends an end marker and walks them once.
+    Between two event positions g is constant, so each parity class is an
+    arithmetic progression, written with one strided slice assignment from
+    a range and range-checked at its two ends; a coefficient outside the
+    signed 64-bit range raises CoefficientOverflowError.
+    """
+    stop = degree + 1
+    events.sort()
+    events.append((stop, 0, 0, 0))  # the first event at or past stop ends the walk
+    out = [0] * stop
+    # The piece from a on: u = c_{a-2} plus the jump at a, v = c_{a-1} plus
+    # the jump at a+1, and g its step.
+    a = u = v = g = 0
+    for j, step, jump, jump_next in events:
+        if j > a:
+            if j > stop:
+                j = stop
+            na = (j - a + 1) >> 1  # coefficients of a's class in [a, j)
+            nb = j - a - na  # and of the other class
+            if g:
+                first, u = u + g, u + na * g
+                if not (INT64_MIN <= first <= INT64_MAX and INT64_MIN <= u <= INT64_MAX):
+                    checked_int(first)
+                    checked_int(u)
+                out[a:j:2] = range(first, u + g, g)
+                if nb:
+                    first, v = v + g, v + nb * g
+                    if not (INT64_MIN <= first <= INT64_MAX and INT64_MIN <= v <= INT64_MAX):
+                        checked_int(first)
+                        checked_int(v)
+                    out[a + 1 : j : 2] = range(first, v + g, g)
+            else:
+                if u:
+                    out[a:j:2] = repeat(checked_int(u), na)
+                if nb and v:
+                    out[a + 1 : j : 2] = repeat(checked_int(v), nb)
+            if na != nb:  # j lies in the other class: swap to keep u for j's
+                u, v = v, u
+            a = j
+            if j == stop:
+                break
+        g += step
+        u += jump
+        v += jump_next
+    return QPoly._from_checked(tuple(out))
 
 
 def _c2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
     """The sum of sign * qpartition_c2((m, n)) over (sign, (m, n)) pairs with m, n >= 0.
 
-    A prefix sum is linear, so each term adds its signed markers into one
-    difference array, whose one prefix sum is the result.
+    The events of a sum are its terms' events together, so any number of
+    terms is one walk, with no per-term polynomial.
     """
     if not terms:
         return QPoly()
-    diff = [0] * (max(m + n for _, (m, n) in terms) + 2)
+    events: list = []
+    degree = 0
     for sign, (m, n) in terms:
-        _c2_marks(diff, m, n, sign)
-    return QPoly(accumulate(diff))
+        _c2_events(events, m, n, sign)
+        if m + n > degree:
+            degree = m + n
+    return _c2_walk(events, degree)
 
 
 def qpartition_c2(v: RootCoord) -> QPoly:
     """q-analog of Kostant's partition function for sp4, closed double sum.
 
-    The one-term _c2_sum, in O(N) time for N = m + n with no Python loop.
+    The one-term _c2_sum: O(1) Python work and O(N) C-level fill for N = m + n.
     """
     m, n = _as_root(v)
     if m < 0 or n < 0:
@@ -162,12 +219,14 @@ def multiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> Sp4MultiplicityResu
     contributing term is the regional partition count at that term's own
     coordinates: P at (a, b), Q at (c, b), R at (a, d). Since b > c and
     a > 2d whenever those terms are selected, Q always reduces to
-    floor((c+2)/2) * ceil((c+2)/2) and R to (d+1)(d+2)/2.
+    floor((c+2)/2) * ceil((c+2)/2) and R to (d+1)(d+2)/2. The exact
+    counts are summed first and only the total is range-checked, so a
+    term outside the signed 64-bit range is fine when the value is not.
     """
     shifts, label, terms = alternation_terms(C2, lam, mu)
     value = 0
-    for _, sign, v in terms:
-        value += sign * partition_c2_closed(v)
+    for _, sign, (m, n) in terms:
+        value += sign * _closed_form(m, n)
     if value < 0:
         raise InternalConsistencyError(
             f"negative multiplicity {value} for ({tuple(lam)}, {tuple(mu)})"

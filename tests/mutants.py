@@ -4,11 +4,8 @@ A test that runs one of these and sees it disagree with an oracle shows
 that the part it removes is load-bearing.
 """
 
-from itertools import repeat
-from operator import sub
-
 from qkostant.g2_partition import _g2_marks
-from qkostant.sp4 import _c2_marks, _closed_form
+from qkostant.sp4 import _c2_events, _closed_form
 
 
 def closed_form_without_edge_region(m: int, n: int) -> int:
@@ -29,17 +26,16 @@ def g2_marks_ignoring_sign(
     _g2_marks(points, tops, runs, m, n, 1)
 
 
-def c2_marks_ignoring_sign(diff: list[int], m: int, n: int, sign: int) -> None:
-    """sp4's marker builder with every term added as if its sign were +1."""
-    _c2_marks(diff, m, n, 1)
+def c2_events_ignoring_sign(events: list, m: int, n: int, sign: int) -> None:
+    """sp4's event builder with every term added as if its sign were +1."""
+    _c2_events(events, m, n, 1)
 
 
-def c2_marks_unclipped(diff: list[int], m: int, n: int, sign: int) -> None:
-    """sp4's marker builder with its run ends not stopped at m+n+1.
+def c2_events_unclipped(events: list, m: int, n: int, sign: int) -> None:
+    """sp4's event builder without the event at m+n+3 that cancels its run ends.
 
-    The stride-2 run ends go on through every later index of the same
-    parity, as ``diff[ends::2]`` would in a list longer than the term.
+    The run ends then go on lowering every coefficient past m+n+2, which
+    shows only in a sum with a longer term.
     """
-    _c2_marks(diff, m, n, sign)
-    tail = slice(m + n + 3, None, 2)
-    diff[tail] = map(sub, diff[tail], repeat(sign))
+    _c2_events(events, m, n, sign)
+    events.remove((m + n + 3, sign, 0, 0))

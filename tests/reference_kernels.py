@@ -8,7 +8,10 @@ enumerating decompositions, so they can check the kernels at points where
 brute force is out of reach. Between the two sit the kernels the package
 used before: ``qpartition_double_loop`` (g2, O(N^2), loops over i and j)
 and ``qpartition_c2_loop`` (sp4, O(N), loops over i), kept verbatim with
-their caches dropped; they reach larger points still.
+their caches dropped; they reach larger points still. ``c2_sum_markers``
+is the sp4 sum kernel that the breakpoint walk replaced, kept verbatim:
+every term adds its signed run markers into one difference array, whose
+one prefix sum is the result.
 
 The package's Weyl sums cache the shifted orbit of lambda and skip the
 terms that are zero. The unpruned sums below evaluate every term of the
@@ -27,8 +30,8 @@ list of positive roots. The hand-written g2 and sp4 loop nests it replaced
 are kept below, so the walk can be held to them witness for witness.
 """
 
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, sub
 
 from qkostant.g2_partition import PartitionWitness, qpartition
 from qkostant.qpoly import QPoly
@@ -121,6 +124,42 @@ def qpartition_c2_loop(v: RootCoord) -> QPoly:
     for i in range(min(m // 2, n) + 1):
         diff[max(m - i, n)] += 1
         diff[m + n - 2 * i + 1] -= 1
+    return QPoly(accumulate(diff))
+
+
+def _c2_marks(diff: list[int], m: int, n: int, sign: int) -> None:
+    """Add sign times the run markers of the sp4 q-partition at (m, n) into diff.
+
+    For i = 0..min(m//2, n) copies of the long root 2a1+a2, the remaining
+    decompositions contribute one q^j for every j from max(m-i, n) to
+    m+n-2i. In a difference array, the run starts m-i (while i <= m-n)
+    are one unit-stride slice, the starts at n are one point, and the run
+    ends m+n-2i+1 are one stride-2 slice that stops at m+n+1, since diff
+    may be longer than m+n+2. Its prefix sum is then the q-partition.
+    """
+    top = m // 2 if m // 2 < n else n  # min() is a slower call here
+    moving = m - n + 1 if m - n < top else top + 1  # how many i start at m-i
+    if moving > 0:
+        first = m + 1 - moving
+        diff[first : m + 1] = map(add, diff[first : m + 1], repeat(sign))
+    else:
+        moving = 0
+    diff[n] += sign * (top + 1 - moving)
+    ends, stop = m + n + 1 - 2 * top, m + n + 2
+    diff[ends:stop:2] = map(sub, diff[ends:stop:2], repeat(sign))
+
+
+def c2_sum_markers(terms) -> QPoly:
+    """The sum of sign * qpartition_c2((m, n)) over (sign, (m, n)) pairs with m, n >= 0.
+
+    A prefix sum is linear, so each term adds its signed markers into one
+    difference array, whose one prefix sum is the result.
+    """
+    if not terms:
+        return QPoly()
+    diff = [0] * (max(m + n for _, (m, n) in terms) + 2)
+    for sign, (m, n) in terms:
+        _c2_marks(diff, m, n, sign)
     return QPoly(accumulate(diff))
 
 

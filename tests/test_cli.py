@@ -13,7 +13,7 @@ import pytest
 from qkostant import cli
 from qkostant.cli import run
 from qkostant.qpoly import QPoly
-from qkostant.rootsys import C2, G2, RootCoord, to_root
+from qkostant.rootsys import C2, G2, RootCoord, alternation_terms, to_root
 from qkostant.g2_partition import qpartition
 
 # Recorded from the CLI before the verify loops were fused; any change to
@@ -231,6 +231,20 @@ class TestErrors:
         assert (code, out) == (2, "") and "overflow" in err
 
     @pytest.mark.parametrize(
+        "argv,value",
+        [
+            (("mult", "--algebra", "c2", "--lambda", "0,6074000998", "--mu", "0,0"), 3037000500),
+            (("mult", "--method", "tarski", "--lambda", "0,86249", "--mu", "0,0"), 53469191637500),
+            (("mult", "--lambda", "0,86249", "--mu", "0,0"), 53469191637500),
+        ],
+        ids=["c2-mult", "g2-mult-tarski", "g2-mult-qpoly"],
+    )
+    def test_integer_result_inside_int64_with_a_term_outside(self, capsys, argv, value):
+        # The P term's count is past INT64_MAX (9223372037000250000 for c2,
+        # 9223542489342780625 for g2); only the multiplicity is range-checked.
+        assert invoke(capsys, *argv)[:2] == (0, f"{value}\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("qpartition", "20000,10000", "--at-q", "3"),
@@ -410,14 +424,14 @@ class TestFusedChecksStayIndependent:
         }
 
     def test_wrong_tarski_multiplicity_counts_once(self, capsys, monkeypatch):
-        real = cli.multiplicity
+        real = cli.tarski_sum
+        target = tuple(alternation_terms(G2, (3, 0), (0, 1))[2])
 
-        def corrupted(lam, mu, method="qpoly"):
-            value = real(lam, mu, method)
-            wrong = method == "tarski" and (tuple(lam), tuple(mu)) == ((3, 0), (0, 1))
-            return value + 1 if wrong else value
+        def corrupted(terms):
+            value = real(terms)
+            return value + 1 if tuple(terms) == target else value
 
-        monkeypatch.setattr(cli, "multiplicity", corrupted)
+        monkeypatch.setattr(cli, "tarski_sum", corrupted)
         code, counts = _mismatch_counts(capsys, "g2")
         assert code == 1
         assert counts == {

@@ -8,10 +8,12 @@ still. The pruned, orbit-cached Weyl sums and the sp4 closed q route are
 held equal to the unpruned alternating sums term for term, and the shared
 decomposition enumerator to the hand-written loops it replaced.
 The sp4 case integers and labels, read off the alternation set, are held
-to the affine forms they replaced. The sp4 Weyl sum adds every term's markers
-into one difference array, and so does the closed q route; the unpruned sum
-builds each term on its own, and mutants of the shared marker builder show
-that the grid checks of both catch a lost sign or an unclipped run end.
+to the affine forms they replaced. The sp4 sum kernel walks the breakpoint
+events of all its terms at once; it is held to the difference-array kernel
+it replaced on single terms, on seeded signed sums and at deep points. The
+sp4 Weyl sum and the closed q route both run it, the unpruned sum builds
+each term on its own, and mutants of the shared event builder show that
+the grid checks of both catch a lost sign or an unclipped run end.
 """
 
 from itertools import product
@@ -24,6 +26,7 @@ from hypothesis import strategies as st
 from qkostant import sp4
 from qkostant.g2_multiplicity import qmultiplicity_weyl_sum
 from qkostant.g2_partition import partition_witnesses, qpartition
+from qkostant.qpoly import QPoly
 from qkostant.rootsys import (
     C2,
     G2,
@@ -40,8 +43,9 @@ from qkostant.sp4 import (
     qpartition_c2,
     qpartition_c2_bruteforce,
 )
-from mutants import c2_marks_ignoring_sign, c2_marks_unclipped
+from mutants import c2_events_ignoring_sign, c2_events_unclipped
 from reference_kernels import (
+    c2_sum_markers,
     compute_case_c2_affine,
     multiplicity_c2_weyl_sum_unpruned,
     partition_witnesses_nested,
@@ -233,6 +237,65 @@ class TestC2Kernel:
         assert qpartition_c2(v) == qpartition_c2_loop(v)
 
 
+def _seeded_c2_sums(rng, count):
+    """Signed sums of 1-8 terms in [0,40]^2. Every third one is followed by
+    its own negation, so its whole sum cancels; and every sum but the first
+    shares one term's degree m+n with another term, half the time at the
+    top degree."""
+    sums = []
+    for index in range(count):
+        terms = [(rng.choice((1, -1)), (rng.randint(0, 40), rng.randint(0, 40)))
+                 for _ in range(rng.randint(1, 8))]
+        if index:
+            _, (m, n) = terms[0] if index % 2 else max(terms, key=lambda term: sum(term[1]))
+            shift = rng.randint(-min(m, 40 - n), min(n, 40 - m))
+            terms.append((rng.choice((1, -1)), (m + shift, n - shift)))
+        if index % 3 == 0:
+            terms += [(-sign, v) for sign, v in terms]
+        rng.shuffle(terms)
+        sums.append(terms)
+    return sums
+
+
+C2_SEEDED_SUMS = _seeded_c2_sums(Random(16), 3000)
+
+
+def _assert_canonical(poly):
+    assert not poly.coeffs or poly.coeffs[-1] != 0
+
+
+class TestC2SumKernel:
+    """The breakpoint walk against the difference-array kernel it replaced."""
+
+    def test_equals_markers_on_every_single_term(self):
+        for m, n in product(range(61), repeat=2):
+            for sign in (1, -1):
+                got = sp4._c2_sum([(sign, (m, n))])
+                assert got == c2_sum_markers([(sign, (m, n))]), (sign, m, n)
+                _assert_canonical(got)
+
+    def test_equals_markers_on_seeded_sums(self):
+        for terms in C2_SEEDED_SUMS:
+            got = sp4._c2_sum(terms)
+            assert got == c2_sum_markers(terms), terms
+            _assert_canonical(got)
+
+    def test_seeded_sums_cancel_and_share_degrees(self):
+        assert all(sp4._c2_sum(terms) == QPoly() for terms in C2_SEEDED_SUMS[::3])
+        for terms in C2_SEEDED_SUMS[1:]:
+            degrees = [m + n for _, (m, n) in terms]
+            assert len(set(degrees)) < len(degrees), terms
+
+    @pytest.mark.parametrize("m,n,x,y", C2_DEEP_POINTS)
+    def test_equals_markers_at_deep_points(self, m, n, x, y):
+        lam, mu = FundCoord(m, n), FundCoord(x, y)
+        closed = [(sign, v) for _, sign, v in qmultiplicity_c2_closed(lam, mu).terms]
+        for terms in (list(weyl_terms(C2, lam, mu)), closed):
+            got = sp4._c2_sum(terms)
+            assert got == c2_sum_markers(terms)
+            _assert_canonical(got)
+
+
 class TestWeylSums:
     def test_g2_equals_unpruned_on_grid(self):
         for m, n, x, y in product(range(8), repeat=4):
@@ -273,13 +336,14 @@ class TestWeylSums:
             ), (m, n, x, y)
 
     @pytest.mark.parametrize(
-        "mutant", [c2_marks_ignoring_sign, c2_marks_unclipped], ids=["sign", "clip"]
+        "mutant", [c2_events_ignoring_sign, c2_events_unclipped], ids=["sign", "clip"]
     )
     def test_c2_marker_details_are_load_bearing(self, monkeypatch, mutant):
         """Both mutants agree with the builder on qpartition_c2's own calls
-        (sign 1, a list of exactly m+n+2), so only the fused sums change:
-        the Weyl sum's and the closed q route's, each caught on its own."""
-        monkeypatch.setattr(sp4, "_c2_marks", mutant)
+        (sign 1, no event past the degree m+n), so only the fused sums
+        change: the Weyl sum's and the closed q route's, each caught on its
+        own."""
+        monkeypatch.setattr(sp4, "_c2_events", mutant)
         with pytest.raises(AssertionError):
             self.test_c2_equals_unpruned_on_grid()
         with pytest.raises(AssertionError):

@@ -10,8 +10,9 @@ from itertools import product
 
 import pytest
 
+from qkostant import sp4
 from qkostant.errors import CoefficientOverflowError
-from qkostant.qpoly import QPoly
+from qkostant.qpoly import INT64_MAX, INT64_MIN, QPoly
 from qkostant.rootsys import C2, FundCoord, RootCoord, mat_det, to_fund, to_root
 from qkostant.sp4 import (
     compute_case_c2,
@@ -58,6 +59,51 @@ class TestQPartition:
     def test_negative_coordinates_count_nothing(self):
         assert qpartition_c2(RootCoord(-1, 3)) == QPoly()
         assert qpartition_c2(RootCoord(3, -1)) == QPoly()
+
+
+class TestWalk:
+    """The event walk checks each linear piece at its two ends only."""
+
+    # One event at index 0 with step g: the even coefficients are
+    # c_2r = jump + g(r+1), so jump puts value at index.
+    @pytest.mark.parametrize(
+        "step,index,value",
+        [
+            (1, 10, INT64_MAX),  # the rising end
+            (1, 10, INT64_MAX + 1),
+            (-1, 10, INT64_MIN),  # the falling end
+            (-1, 10, INT64_MIN - 1),
+            (-1, 0, INT64_MAX),  # the falling start
+            (-1, 0, INT64_MAX + 1),
+            (0, 10, INT64_MAX),  # a constant piece
+            (0, 10, INT64_MAX + 1),
+            (0, 10, INT64_MIN),
+            (0, 10, INT64_MIN - 1),
+        ],
+    )
+    def test_piece_ends_are_range_checked(self, step, index, value):
+        events = [(0, step, value - step * (index // 2 + 1), 0)]
+        if INT64_MIN <= value <= INT64_MAX:
+            assert sp4._c2_walk(events, 10).coeffs[index] == value
+        else:
+            with pytest.raises(CoefficientOverflowError):
+                sp4._c2_walk(events, 10)
+
+    @pytest.mark.parametrize(
+        "events,coeffs",
+        [
+            ([(4, 1, -1, 0)], ()),  # c_4 = 0 ends a rising piece of one
+            ([(3, 1, -1, -1)], ()),  # c_3 = c_4 = 0: in both classes
+            ([(0, 0, 2, 0), (4, 1, -3, 0)], (2, 0, 2)),
+            ([(0, 1, -1, 0), (2, 0, 0, 0)], (0, 1, 1, 2, 2)),
+        ],
+    )
+    def test_no_trailing_zero(self, events, coeffs):
+        assert sp4._c2_walk(events, 4).coeffs == coeffs
+
+    def test_events_past_the_degree_are_ignored(self):
+        assert sp4._c2_walk([(2, 1, 0, 0), (5, 7, 1, 1)], 4).coeffs == (0, 0, 1, 1, 2)
+        assert sp4._c2_walk([(5, 1, 0, 0)], 4) == QPoly()
 
 
 class TestClosedPartitionForm:
