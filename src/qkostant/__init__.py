@@ -4,20 +4,15 @@ oracles for every closed formula."""
 
 from .errors import CoefficientOverflowError, InternalConsistencyError
 from .g2_multiplicity import (
-    ALLOWED_SIGNATURES,
-    AuditReport,
     CaseData,
     MultiplicityResult,
-    audit_cases,
     compute_abcdef,
     multiplicity,
     qmultiplicity_closed,
     qmultiplicity_weyl_sum,
 )
 from .g2_partition import (
-    PartitionWitness,
     partition_tarski,
-    partition_witnesses,
     qpartition,
     qpartition_bruteforce,
     tarski_g,
@@ -42,8 +37,6 @@ from .sp4 import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALLOWED_SIGNATURES",
-    "AuditReport",
     "C2",
     "CaseData",
     "CoefficientOverflowError",
@@ -51,13 +44,11 @@ __all__ = [
     "G2",
     "InternalConsistencyError",
     "MultiplicityResult",
-    "PartitionWitness",
     "QPoly",
     "RootCoord",
     "Sp4CaseData",
     "Sp4MultiplicityResult",
     "WeylElement",
-    "audit_cases",
     "compute_abcdef",
     "compute_case_c2",
     "fundamental_weights_c2",
@@ -66,7 +57,6 @@ __all__ = [
     "multiplicity_c2_weyl_sum",
     "partition_c2_closed",
     "partition_tarski",
-    "partition_witnesses",
     "qmultiplicity_c2_closed",
     "qmultiplicity_closed",
     "qmultiplicity_weyl_sum",

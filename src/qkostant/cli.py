@@ -17,37 +17,23 @@ from operator import add
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import CoefficientOverflowError
-from .g2_multiplicity import (
-    CASE_LABELS,
-    CaseData,
-    compute_abcdef,
-    multiplicity,
-    qmultiplicity_closed,
-    qmultiplicity_weyl_sum,
-    tarski_sum,
-)
+from . import g2_multiplicity, sp4
+from .g2_multiplicity import CASE_LABELS, CaseData, multiplicity, tarski_sum
 from .g2_partition import partition_tarski, qpartition
 from .qpoly import QPoly
 from .rootsys import (
-    C2,
-    G2,
+    Algebra,
     FundCoord,
-    MultiplicityResult,
     RootCoord,
     RootSystem,
+    case,
+    closed,
     qpartition_enumerated,
     to_fund,
     to_root,
+    weyl_sum,
 )
-from .sp4 import (
-    Sp4CaseData,
-    compute_case_c2,
-    multiplicity_c2_closed,
-    multiplicity_c2_weyl_sum,
-    partition_c2_closed,
-    qmultiplicity_c2_closed,
-    qpartition_c2,
-)
+from .sp4 import Sp4CaseData, multiplicity_c2_closed, partition_c2_closed, qpartition_c2
 
 _JSON = {"separators": (",", ":"), "sort_keys": True}
 
@@ -117,7 +103,7 @@ def _poly_output(poly: QPoly, fmt: str, at_q: int | None) -> str:
 
 def _cmd_qpartition(args: argparse.Namespace) -> int:
     algebra = _ALGEBRAS[args.algebra]
-    weight = _partition_weight(args, algebra.rs)
+    weight = _partition_weight(args, algebra.record.rs)
     poly = QPoly() if weight is None else algebra.qpartition(weight)
     print(_poly_output(poly, args.fmt, args.at_q))
     return 0
@@ -125,21 +111,21 @@ def _cmd_qpartition(args: argparse.Namespace) -> int:
 
 def _cmd_partition(args: argparse.Namespace) -> int:
     algebra = _ALGEBRAS[args.algebra]
-    weight = _partition_weight(args, algebra.rs)
+    weight = _partition_weight(args, algebra.record.rs)
     value = 0 if weight is None else algebra.count(weight)
     print(_value_output(value, args.fmt))
     return 0
 
 
 def _cmd_qmult(args: argparse.Namespace) -> int:
-    algebra = _ALGEBRAS[args.algebra]
-    lam, mu = _weight_pair(args, algebra.rs)
-    print(_poly_output(algebra.closed(lam, mu).mq, args.fmt, args.at_q))
+    record = _ALGEBRAS[args.algebra].record
+    lam, mu = _weight_pair(args, record.rs)
+    print(_poly_output(closed(record, lam, mu).mq, args.fmt, args.at_q))
     return 0
 
 
 def _cmd_mult(args: argparse.Namespace) -> int:
-    lam, mu = _weight_pair(args, _ALGEBRAS[args.algebra].rs)
+    lam, mu = _weight_pair(args, _ALGEBRAS[args.algebra].record.rs)
     if args.algebra == "g2":
         value = multiplicity(lam, mu, method=args.method)
     else:
@@ -153,40 +139,40 @@ def _cmd_mult(args: argparse.Namespace) -> int:
 def _g2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
     # One closed evaluation serves three checks: its m_at_one is exactly
     # what multiplicity(..., "qpoly") returns, its terms are the ones
-    # multiplicity(..., "tarski") sums, and its case is the one audit_cases
-    # reads.
-    closed = qmultiplicity_closed(lam, mu)
+    # multiplicity(..., "tarski") sums, and its case is the one the case
+    # command prints. It runs before the Weyl sum, so on a cold tuple the
+    # fused kernel is held to the cached per-term polynomials.
+    result = closed(g2_multiplicity.ALGEBRA, lam, mu)
     return (
-        closed.mq != qmultiplicity_weyl_sum(lam, mu),
-        closed.m_at_one != tarski_sum(closed.terms),
-        closed.case.case_label not in CASE_LABELS,
+        result.mq != weyl_sum(g2_multiplicity.ALGEBRA, lam, mu),
+        result.m_at_one != tarski_sum(result.terms),
+        result.case.case_label not in CASE_LABELS,
     )
 
 
 def _c2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
     # One Weyl sum serves both checks; an odd m - x puts mu off lam's
     # root-lattice coset, where the case flags and the sum must vanish.
-    closed = multiplicity_c2_closed(lam, mu)
-    weyl = multiplicity_c2_weyl_sum(lam, mu)
+    result = multiplicity_c2_closed(lam, mu)
+    weyl = weyl_sum(sp4.ALGEBRA, lam, mu)
     return (
-        closed.value != weyl.eval_at_one(),
-        bool((lam.m - mu.m) % 2 and (closed.case.in_n[1] or closed.case.in_n[3] or weyl)),
+        result.value != weyl.eval_at_one(),
+        bool((lam.m - mu.m) % 2 and (result.case.in_n[1] or result.case.in_n[3] or weyl)),
     )
 
 
 class _Algebra(NamedTuple):
     """What every subcommand needs from one algebra.
 
-    The callables look the library functions up as module globals when
-    they run, so a traced or patched function is the one called.
+    The shared routes take ``record``. The callables look the library
+    functions up as module globals when they run, so a traced or patched
+    function is the one called.
     """
 
-    rs: RootSystem
+    record: Algebra
     qpartition: Callable[[RootCoord], QPoly]  # the q-analog kernel
     count: Callable[[RootCoord], int]  # closed partition count at q = 1
-    closed: Callable[[FundCoord, FundCoord], MultiplicityResult]  # what qmult and table print
     case_fields: tuple[str, ...]  # names of the values in case.as_tuple()
-    case: Callable[[FundCoord, FundCoord], object]
     pair_checks: tuple[str, ...]  # the two flags of pair_mismatches
     tuple_checks: tuple[str, ...]  # one mismatch flag each per (lam, mu)
     tuple_mismatches: Callable[[FundCoord, FundCoord], tuple[bool, ...]]
@@ -195,29 +181,25 @@ class _Algebra(NamedTuple):
         """The kernel at (m, n) against the enumerator, and at q = 1 against the count."""
         v = RootCoord(m, n)
         poly = self.qpartition(v)
-        enumerated = qpartition_enumerated(self.rs.positive_roots, v)
+        enumerated = qpartition_enumerated(self.record.rs.positive_roots, v)
         return poly != enumerated, poly.eval_at_one() != self.count(v)
 
 
 _ALGEBRAS = {
     "g2": _Algebra(
-        G2,
+        g2_multiplicity.ALGEBRA,
         lambda v: qpartition(v),
         lambda v: partition_tarski(v),
-        lambda lam, mu: qmultiplicity_closed(lam, mu),
         CaseData._fields[:-2],
-        lambda lam, mu: compute_abcdef(lam, mu),
         ("qpartition_vs_bruteforce", "tarski_vs_qpartition_at_one"),
         ("qmult_closed_vs_weyl_sum", "multiplicity_qpoly_vs_tarski", "case_audit"),
         _g2_tuple_mismatches,
     ),
     "c2": _Algebra(
-        C2,
+        sp4.ALGEBRA,
         lambda v: qpartition_c2(v),
         lambda v: partition_c2_closed(v),
-        lambda lam, mu: qmultiplicity_c2_closed(lam, mu),
         Sp4CaseData._fields[:-2],
-        lambda lam, mu: compute_case_c2(lam, mu),
         ("qpartition_vs_bruteforce", "partition_closed_vs_qpartition_at_one"),
         ("mult_closed_vs_weyl_sum_at_one", "odd_parity_vanishing"),
         _c2_tuple_mismatches,
@@ -227,21 +209,21 @@ _ALGEBRAS = {
 
 def _cmd_case(args: argparse.Namespace) -> int:
     algebra = _ALGEBRAS[args.algebra]
-    lam, mu = _weight_pair(args, algebra.rs)
-    case = algebra.case(lam, mu)
-    fields = dict(zip(algebra.case_fields, case.as_tuple()))
+    lam, mu = _weight_pair(args, algebra.record.rs)
+    data = case(algebra.record, lam, mu)
+    fields = dict(zip(algebra.case_fields, data.as_tuple()))
     if args.fmt == "json":
         payload = {
             "algebra": args.algebra,
             "lambda": [lam.m, lam.n],
             "mu": [mu.m, mu.n],
             **fields,
-            "in_n": list(case.in_n),
-            "case": case.case_label,
+            "in_n": list(data.in_n),
+            "case": data.case_label,
         }
         print(json.dumps(payload, **_JSON))
     else:
-        print(f"case {case.case_label}: " + " ".join(f"{k}={v}" for k, v in fields.items()))
+        print(f"case {data.case_label}: " + " ".join(f"{k}={v}" for k, v in fields.items()))
     return 0
 
 
@@ -278,10 +260,10 @@ def _table_lines(algebra: str, grid_max: int) -> list[str]:
     case_template = ",".join(["%d"] * len(spec.case_fields))
     weights = [(FundCoord(m, n), f"{m},{n}") for m, n in product(range(grid_max + 1), repeat=2)]
     for (lam, lam_text), (mu, mu_text) in product(weights, repeat=2):
-        _, _, case, _, mq, m_at_one = spec.closed(lam, mu)
-        values = case_template % case.as_tuple()
+        _, _, data, _, mq, m_at_one = closed(spec.record, lam, mu)
+        values = case_template % data.as_tuple()
         coeffs = "|".join(map(str, mq.coeffs))
-        lines.append(f"{lam_text},{mu_text},{values},{case.case_label},{coeffs},{m_at_one}")
+        lines.append(f"{lam_text},{mu_text},{values},{data.case_label},{coeffs},{m_at_one}")
     return lines
 
 

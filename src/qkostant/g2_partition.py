@@ -1,8 +1,8 @@
 """Kostant's partition function for g2 and its q-analog, three ways.
 
 ``qpartition`` evaluates the quadruple-sum closed form of the q-analog in
-O(N) time, ``partition_witnesses``/``qpartition_bruteforce`` enumerate
-the actual decompositions into positive roots, and ``tarski_g``/
+O(N) time, ``qpartition_bruteforce`` counts the decompositions into
+positive roots that ``rootsys.decompositions`` enumerates, and ``tarski_g``/
 ``tarski_h``/``partition_tarski`` give Tarski's classical piecewise values
 at q = 1.
 The three agree everywhere; the test suite holds them to that.
@@ -13,42 +13,15 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from operator import add
-from typing import Iterator, NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import InternalConsistencyError
 from .qpoly import QPoly, checked_int
-from .rootsys import G2, RootCoord, _as_root, decompositions, qpartition_enumerated
-
-
-class PartitionWitness(NamedTuple):
-    """Multiplicities of the six positive roots in one decomposition.
-
-    Fields follow the root order a1, a2, a1+a2, 2a1+a2, 3a1+a2, 3a1+2a2.
-    """
-
-    n1: int
-    n2: int
-    n3: int
-    n4: int
-    n5: int
-    n6: int
-
-    @property
-    def total_roots(self) -> int:
-        return self.n1 + self.n2 + self.n3 + self.n4 + self.n5 + self.n6
-
-
-def partition_witnesses(v: RootCoord) -> Iterator[PartitionWitness]:
-    """Iterate over every decomposition of v into positive roots.
-
-    Loops run over the non-simple roots highest first; the simple-root
-    counts n1, n2 are then forced by the target coordinates.
-    """
-    return map(PartitionWitness._make, decompositions(G2.positive_roots, v))
+from .rootsys import G2, RootCoord, _as_root, qpartition_enumerated
 
 
 def qpartition_bruteforce(v: RootCoord) -> QPoly:
-    """Definitional q-analog: one q^(number of roots) per witness."""
+    """Definitional q-analog: one q^(number of roots) per decomposition."""
     return qpartition_enumerated(G2.positive_roots, v)
 
 

@@ -4,15 +4,18 @@ All weights live in the simple-root basis: c1*a1 + c2*a2 is the pair
 (c1, c2), and a group element acts as a 2x2 integer matrix on such pairs.
 A :class:`RootSystem` record holds the data that tells g2 and sp4 apart.
 The Weyl group, the brute-force partition enumerator, the coordinate
-conversions, the nonzero Weyl-sum terms, the alternation-set terms that
-the closed formulas read and the record they return are written once against it.
+conversions, the nonzero Weyl-sum terms and the alternation-set terms
+that the closed formulas read are written once against it. An
+:class:`Algebra` record adds the algebra's partition kernel and case
+builder; the closed q route, the Weyl sum and the case are written once
+against that.
 """
 
 from __future__ import annotations
 
 import collections
 from functools import cache, lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import InternalConsistencyError
 from .qpoly import QPoly
@@ -338,26 +341,6 @@ def alternation_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int])
     return shifts, label or "ZERO", terms
 
 
-class MultiplicityResult(NamedTuple):
-    """One closed q-route evaluation of either algebra: its case record, and in
-    terms (name, sign, RootCoord) of each term, whose q-partition it sums."""
-
-    lam: FundCoord
-    mu: FundCoord
-    case: tuple
-    terms: tuple[tuple[str, int, RootCoord], ...]
-    mq: QPoly
-    m_at_one: int
-
-
-def closed_result(lam, mu, case: tuple, terms: list, mq: QPoly) -> MultiplicityResult:
-    """The record of a closed q route; a negative coefficient raises InternalConsistencyError."""
-    lam, mu = _as_fund(lam), _as_fund(mu)
-    if mq.coeffs and min(mq.coeffs) < 0:
-        raise InternalConsistencyError(f"negative coefficient in m_q({lam}, {mu}) = {mq!r}")
-    return MultiplicityResult(lam, mu, case, tuple(terms), mq, mq.eval_at_one())
-
-
 def weyl_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> list:
     """(sign, sigma(lam + rho) - (mu + rho)) of each nonzero term of the Weyl sum.
 
@@ -374,3 +357,53 @@ def weyl_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> lis
         for sign, u, v in shifted_orbit(rs, m, n)
         if u >= mu1 and v >= mu2 and not (u - mu1) % 2 and not (v - mu2) % 2
     ]
+
+
+class MultiplicityResult(NamedTuple):
+    """One closed q-route evaluation of either algebra: its case record, and in
+    terms (name, sign, RootCoord) of each term, whose q-partition it sums."""
+
+    lam: FundCoord
+    mu: FundCoord
+    case: tuple
+    terms: tuple[tuple[str, int, RootCoord], ...]
+    mq: QPoly
+    m_at_one: int
+
+
+class Algebra(NamedTuple):
+    """What the shared routes need from one algebra besides its root system.
+
+    ``term_sum`` maps (sign, RootCoord) pairs with nonnegative coordinates
+    to the signed sum of their q-partitions. ``case_data`` builds the case
+    record from alternation_terms' shifts and label.
+    """
+
+    rs: RootSystem
+    term_sum: Callable[[list], QPoly]
+    case_data: Callable[[list, str], tuple]
+
+
+def closed(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> MultiplicityResult:
+    """m_q(lam, mu) as the term_sum of the alternation terms its case combines.
+
+    A negative coefficient raises InternalConsistencyError.
+    """
+    shifts, label, terms = alternation_terms(alg.rs, lam, mu)
+    mq = alg.term_sum([(sign, v) for _, sign, v in terms])
+    lam, mu = _as_fund(lam), _as_fund(mu)
+    if mq.coeffs and min(mq.coeffs) < 0:
+        raise InternalConsistencyError(f"negative coefficient in m_q({lam}, {mu}) = {mq!r}")
+    case_data = alg.case_data(shifts, label)
+    return MultiplicityResult(lam, mu, case_data, tuple(terms), mq, mq.eval_at_one())
+
+
+def weyl_sum(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> QPoly:
+    """m_q(lam, mu) as the alternating sum over the whole Weyl group (weyl_terms)."""
+    return alg.term_sum(weyl_terms(alg.rs, lam, mu))
+
+
+def case(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> tuple:
+    """The case record of (lam, mu), read off the alternation set."""
+    shifts, label, _ = alternation_terms(alg.rs, lam, mu)
+    return alg.case_data(shifts, label)

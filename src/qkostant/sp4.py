@@ -4,8 +4,9 @@ Positive roots in the simple-root basis: a1, a2, a1+a2, 2a1+a2. The
 fundamental weights live outside the root lattice (w1 = a1 + a2/2), so the
 Weyl-sum oracle tracks weights in doubled root coordinates and drops any
 term whose shifted weight fails to land back on the root lattice; the closed
-q route sums only the terms P, Q, R of the alternation set. Both add their
-terms' O(1) breakpoint events into one list and walk it once, writing each
+q route sums only the terms P, Q, R of the alternation set. Both are the
+shared rootsys routes fed ALGEBRA, whose term sum _c2_sum adds the terms'
+O(1) breakpoint events into one list and walks it once, writing each
 linear piece of the coefficients with one slice assignment.
 """
 
@@ -19,6 +20,7 @@ from .errors import InternalConsistencyError
 from .qpoly import INT64_MAX, INT64_MIN, QPoly, checked_int
 from .rootsys import (
     C2,
+    Algebra,
     FundCoord,
     Mat,
     MultiplicityResult,
@@ -26,11 +28,12 @@ from .rootsys import (
     _as_fund,
     _as_root,
     alternation_terms,
-    closed_result,
+    case,
+    closed,
     doubled,
     qpartition_enumerated,
     weyl_elements,
-    weyl_terms,
+    weyl_sum,
 )
 
 
@@ -199,10 +202,12 @@ def _case_data(shifts: list[tuple[int, int, int]], label: str) -> Sp4CaseData:
     return Sp4CaseData(a, two_b, c, two_d, (a >= 0, b_ok, c >= 0, d_ok), label)
 
 
+ALGEBRA = Algebra(C2, _c2_sum, _case_data)
+
+
 def compute_case_c2(lam: FundCoord, mu: FundCoord) -> Sp4CaseData:
     """The case integers of (lam, mu), read off the alternation set, and their case."""
-    shifts, label, _ = alternation_terms(C2, lam, mu)
-    return _case_data(shifts, label)
+    return case(ALGEBRA, lam, mu)
 
 
 class Sp4MultiplicityResult(NamedTuple):
@@ -238,9 +243,7 @@ def multiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> Sp4MultiplicityResu
 
 def qmultiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> MultiplicityResult:
     """m_q(lam, mu) for sp4: one _c2_sum of the terms of P, Q, R that its case combines."""
-    shifts, label, terms = alternation_terms(C2, lam, mu)
-    mq = _c2_sum([(sign, v) for _, sign, v in terms])
-    return closed_result(lam, mu, _case_data(shifts, label), terms, mq)
+    return closed(ALGEBRA, lam, mu)
 
 
 @cache
@@ -260,4 +263,4 @@ def multiplicity_c2_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:
 
     The term of sigma is the q-partition of sigma(lam + rho) - (mu + rho).
     """
-    return _c2_sum(weyl_terms(C2, lam, mu))
+    return weyl_sum(ALGEBRA, lam, mu)

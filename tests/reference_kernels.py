@@ -33,7 +33,7 @@ are kept below, so the walk can be held to them witness for witness.
 from itertools import accumulate, repeat
 from operator import add, sub
 
-from qkostant.g2_partition import PartitionWitness, qpartition
+from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
 from qkostant.rootsys import RootCoord, weyl_group
 from qkostant.sp4 import Sp4CaseData, fundamental_weights_c2, qpartition_c2, weyl_group_c2
@@ -212,10 +212,11 @@ def multiplicity_c2_weyl_sum_unpruned(lam, mu) -> QPoly:
 def partition_witnesses_nested(v):
     """g2: every decomposition of v into positive roots, as nested loops.
 
-    Loops run over the non-simple roots highest first; the simple-root
-    counts n1, n2 are then forced by the target coordinates. The loop
-    bounds keep every intermediate remainder nonnegative, so each tuple
-    yielded is a genuine witness.
+    Yields the count of each root in G2.positive_roots order. Loops run
+    over the non-simple roots highest first; the simple-root counts n1, n2
+    are then forced by the target coordinates. The loop bounds keep every
+    intermediate remainder nonnegative, so each tuple yielded is a genuine
+    witness.
     """
     m, n = v
     if m < 0 or n < 0:
@@ -227,7 +228,7 @@ def partition_witnesses_nested(v):
             for n4 in range(min(m5 // 2, r5) + 1):
                 m4, r4 = m5 - 2 * n4, r5 - n4
                 for n3 in range(min(m4, r4) + 1):
-                    yield PartitionWitness(m4 - n3, r4 - n3, n3, n4, n5, n6)
+                    yield (m4 - n3, r4 - n3, n3, n4, n5, n6)
 
 
 def qpartition_c2_bruteforce_nested(v: RootCoord) -> QPoly:

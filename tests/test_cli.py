@@ -374,10 +374,10 @@ class TestPinnedOutput:
 
     def test_c2_qmult_and_table_do_not_run_the_weyl_sum(self, capsys, monkeypatch):
         # They print the closed q route; only verify runs the oracle.
-        def oracle(lam, mu):
-            raise AssertionError("the sp4 Weyl sum ran")
+        def oracle(alg, lam, mu):
+            raise AssertionError("the Weyl sum ran")
 
-        monkeypatch.setattr(cli, "multiplicity_c2_weyl_sum", oracle)
+        monkeypatch.setattr(cli, "weyl_sum", oracle)
         qmult = ["qmult", "--algebra", "c2", "--lambda", "2,0", "--mu", "0,0"]
         assert invoke(capsys, *qmult) == (0, "q^3 + q\n", "")
         assert invoke(capsys, *qmult, "--format", "json") == (0, '{"coeffs":[0,1,0,1]}\n', "")
@@ -406,13 +406,13 @@ class TestFusedChecksStayIndependent:
     """verify evaluates each tuple once; each check must still count on its own."""
 
     def test_wrong_weyl_sum_counts_once(self, capsys, monkeypatch):
-        real = cli.qmultiplicity_weyl_sum
+        real = cli.weyl_sum
 
-        def corrupted(lam, mu):
-            poly = real(lam, mu)
+        def corrupted(alg, lam, mu):
+            poly = real(alg, lam, mu)
             return poly + QPoly([1]) if (tuple(lam), tuple(mu)) == ((2, 1), (1, 0)) else poly
 
-        monkeypatch.setattr(cli, "qmultiplicity_weyl_sum", corrupted)
+        monkeypatch.setattr(cli, "weyl_sum", corrupted)
         code, counts = _mismatch_counts(capsys, "g2")
         assert code == 1
         assert counts == {
@@ -443,16 +443,16 @@ class TestFusedChecksStayIndependent:
         }
 
     def test_forbidden_case_label_counts_once(self, capsys, monkeypatch):
-        real = cli.qmultiplicity_closed
+        real = cli.closed
 
-        def corrupted(lam, mu):
-            result = real(lam, mu)
+        def corrupted(alg, lam, mu):
+            result = real(alg, lam, mu)
             if (tuple(lam), tuple(mu)) != ((2, 1), (1, 0)):
                 return result
             # P and S without Q: a term set no case combines.
             return result._replace(case=result.case._replace(case_label="PS"))
 
-        monkeypatch.setattr(cli, "qmultiplicity_closed", corrupted)
+        monkeypatch.setattr(cli, "closed", corrupted)
         code, counts = _mismatch_counts(capsys, "g2")
         assert code == 1
         assert counts == {
@@ -464,14 +464,14 @@ class TestFusedChecksStayIndependent:
         }
 
     def test_wrong_c2_weyl_sum_at_odd_parity_counts_in_both(self, capsys, monkeypatch):
-        real = cli.multiplicity_c2_weyl_sum
+        real = cli.weyl_sum
         odd = ((3, 1), (0, 2))  # m - x = 3 is odd: the true sum is zero
 
-        def corrupted(lam, mu):
-            poly = real(lam, mu)
+        def corrupted(alg, lam, mu):
+            poly = real(alg, lam, mu)
             return poly + QPoly([0, 1]) if (tuple(lam), tuple(mu)) == odd else poly
 
-        monkeypatch.setattr(cli, "multiplicity_c2_weyl_sum", corrupted)
+        monkeypatch.setattr(cli, "weyl_sum", corrupted)
         code, counts = _mismatch_counts(capsys, "c2")
         assert code == 1
         assert counts == {

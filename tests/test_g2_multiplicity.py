@@ -4,7 +4,7 @@ The 12-term alternating Weyl sum is the oracle; the case-selected closed
 route must match it polynomial-for-polynomial on grids and random pairs.
 """
 
-from itertools import combinations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,14 +13,10 @@ from hypothesis import strategies as st
 from qkostant import g2_multiplicity, g2_partition
 from qkostant.errors import CoefficientOverflowError
 from qkostant.g2_multiplicity import (
-    ALLOWED_SIGNATURES,
-    TERM_NAMES,
-    audit_cases,
     compute_abcdef,
     multiplicity,
     qmultiplicity_closed,
     qmultiplicity_weyl_sum,
-    signature,
 )
 from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
@@ -295,36 +291,3 @@ class TestMultiplicity:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             multiplicity(FundCoord(0, 1), FundCoord(0, 0), "freudenthal")
-
-
-class TestAudit:
-    def test_signature_rendering(self):
-        assert signature(()) == "0"
-        assert signature(("P",)) == "P"
-        assert signature(("P", "Q", "R", "S", "T")) == "P-Q-R+S+T"
-        assert signature(("Q", "S")) == "-Q+S"
-
-    def test_grid_zero_sees_only_p(self):
-        report = audit_cases(0)
-        assert report.observed_signatures == ("P",)
-        assert report.counterexamples == ()
-
-    def test_all_eight_signatures_realized_at_six(self):
-        report = audit_cases(6)
-        assert set(report.observed_signatures) == ALLOWED_SIGNATURES
-        assert report.counterexamples == ()
-
-    def test_forbidden_combinations_never_appear(self):
-        every_signature = {
-            signature(subset)
-            for size in range(6)
-            for subset in combinations(TERM_NAMES, size)
-        }
-        forbidden = every_signature - ALLOWED_SIGNATURES
-        assert len(forbidden) == 24
-        observed = set(audit_cases(6).observed_signatures)
-        assert observed & forbidden == set()
-
-    def test_negative_grid_rejected(self):
-        with pytest.raises(ValueError):
-            audit_cases(-1)

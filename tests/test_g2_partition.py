@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from qkostant.errors import CoefficientOverflowError
 from qkostant.g2_partition import (
     partition_tarski,
-    partition_witnesses,
     qpartition,
     qpartition_bruteforce,
     tarski_g,
     tarski_h,
 )
-from qkostant.rootsys import G2, RootCoord
+from qkostant.rootsys import G2, RootCoord, decompositions
 
 # Values computed by the enumerator and frozen; (7,4) is the cross-check
 # point between the enumerator and the quadruple sum.
@@ -33,24 +32,27 @@ BRUTE_FIXTURES = {
 }
 
 
+def witnesses(v):
+    """Every decomposition of v into the g2 roots, as a count per root."""
+    return decompositions(G2.positive_roots, v)
+
+
 class TestWitnesses:
     def test_each_witness_reconstructs_the_weight(self):
         for m, n in product(range(12), repeat=2):
-            target = RootCoord(m, n)
-            for w in partition_witnesses(target):
-                counts = (w.n1, w.n2, w.n3, w.n4, w.n5, w.n6)
+            for counts in witnesses(RootCoord(m, n)):
+                assert len(counts) == len(G2.positive_roots)
                 c1 = sum(k * r.c1 for k, r in zip(counts, G2.positive_roots))
                 c2 = sum(k * r.c2 for k, r in zip(counts, G2.positive_roots))
                 assert (c1, c2) == (m, n)
-                assert w.total_roots == sum(counts)
 
     def test_witnesses_are_distinct(self):
-        ws = list(partition_witnesses(RootCoord(6, 4)))
+        ws = list(witnesses(RootCoord(6, 4)))
         assert len(ws) == len(set(ws))
 
     def test_negative_weight_has_no_witnesses(self):
-        assert list(partition_witnesses(RootCoord(-1, 5))) == []
-        assert list(partition_witnesses(RootCoord(5, -1))) == []
+        assert list(witnesses(RootCoord(-1, 5))) == []
+        assert list(witnesses(RootCoord(5, -1))) == []
 
 
 class TestQPartition:
@@ -86,7 +88,7 @@ class TestQPartition:
                 continue
             coeffs = qpartition(RootCoord(m, n)).coeffs
             fewest = min(
-                (w.total_roots for w in partition_witnesses(RootCoord(m, n))),
+                (sum(counts) for counts in witnesses(RootCoord(m, n))),
                 default=None,
             )
             if not coeffs:

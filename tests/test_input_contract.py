@@ -6,16 +6,15 @@ InternalConsistencyError instead.
 
 import pytest
 
-from qkostant.g2_multiplicity import audit_cases, qmultiplicity_closed, qmultiplicity_weyl_sum
+from qkostant.g2_multiplicity import qmultiplicity_closed, qmultiplicity_weyl_sum
 from qkostant.g2_partition import (
     partition_tarski,
-    partition_witnesses,
     qpartition,
     qpartition_bruteforce,
     tarski_g,
     tarski_h,
 )
-from qkostant.rootsys import C2, G2, RootCoord, to_fund, to_root
+from qkostant.rootsys import C2, G2, RootCoord, decompositions, to_fund, to_root
 from qkostant.sp4 import (
     compute_case_c2,
     multiplicity_c2_closed,
@@ -61,10 +60,7 @@ BAD_CALLS = {
     "partition_tarski-scalar": lambda: partition_tarski(5),
     "qpartition_bruteforce-float": lambda: qpartition_bruteforce((2.0, 1)),
     "qpartition_bruteforce-bool": lambda: qpartition_bruteforce((True, 1)),
-    "partition_witnesses-float": lambda: list(partition_witnesses((2.5, 1))),
-    "audit_cases-float": lambda: audit_cases(2.5),
-    "audit_cases-str": lambda: audit_cases("3"),
-    "audit_cases-bool": lambda: audit_cases(True),
+    "decompositions-float": lambda: list(decompositions(G2.positive_roots, (2.5, 1))),
 }
 
 

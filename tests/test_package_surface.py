@@ -11,11 +11,23 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Removed wrappers and aliases, with what replaces them: to_root(G2 or C2, w),
 # to_fund(G2 or C2, v), G2.positive_roots, C2.positive_roots, QPoly() and
-# QPoly([1]).
+# QPoly([1]); verify's case_audit for the case-signature audit, and
+# rootsys.decompositions(G2.positive_roots, v) for the g2 witnesses.
 REMOVED = {
-    "qkostant.rootsys": ("fund_to_root", "root_to_fund", "POSITIVE_ROOTS"),
+    "qkostant.rootsys": ("fund_to_root", "root_to_fund", "POSITIVE_ROOTS", "closed_result"),
     "qkostant.sp4": ("fund_to_root_c2", "root_to_fund_c2", "POSITIVE_ROOTS_C2"),
     "qkostant.qpoly": ("ZERO", "ONE"),
+    "qkostant.g2_multiplicity": (
+        "audit_cases",
+        "AuditReport",
+        "ALLOWED_SIGNATURES",
+        "signature",
+        "label_signature",
+        "TERM_SIGNS",
+        "_WORD_SIGNS",
+        "TERM_NAMES",
+    ),
+    "qkostant.g2_partition": ("partition_witnesses", "PartitionWitness"),
 }
 
 

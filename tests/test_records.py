@@ -2,15 +2,14 @@
 
 import pytest
 
+from qkostant import g2_multiplicity
 from qkostant.g2_multiplicity import (
-    AuditReport,
     CaseData,
     MultiplicityResult,
-    audit_cases,
     compute_abcdef,
     qmultiplicity_closed,
 )
-from qkostant.rootsys import C2, G2, FundCoord, RootSystem, WeylElement, weyl_elements
+from qkostant.rootsys import C2, G2, Algebra, FundCoord, RootSystem, WeylElement, weyl_elements
 from qkostant.sp4 import (
     Sp4CaseData,
     Sp4MultiplicityResult,
@@ -27,7 +26,7 @@ FIELDS = {
     WeylElement: ("word", "length", "matrix"),
     CaseData: ("a", "b", "c", "d", "e", "f", "in_n", "case_label"),
     MultiplicityResult: ("lam", "mu", "case", "terms", "mq", "m_at_one"),
-    AuditReport: ("grid_max", "observed_signatures", "counterexamples"),
+    Algebra: ("rs", "term_sum", "case_data"),
     Sp4CaseData: ("a", "two_b", "c", "two_d", "in_n", "case_label"),
     Sp4MultiplicityResult: ("lam", "mu", "case", "value"),
 }
@@ -37,7 +36,7 @@ INSTANCES = {
     WeylElement: lambda: weyl_elements(G2)[1],
     CaseData: lambda: compute_abcdef(LAM, MU),
     MultiplicityResult: lambda: qmultiplicity_closed(LAM, MU),
-    AuditReport: lambda: audit_cases(1),
+    Algebra: lambda: g2_multiplicity.ALGEBRA,
     Sp4CaseData: lambda: compute_case_c2(LAM, MU),
     Sp4MultiplicityResult: lambda: multiplicity_c2_closed(LAM, MU),
 }

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from qkostant import sp4
 from qkostant.g2_multiplicity import qmultiplicity_weyl_sum
-from qkostant.g2_partition import partition_witnesses, qpartition
+from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
 from qkostant.rootsys import (
     C2,
@@ -395,7 +395,9 @@ class TestEnumerator:
     def test_g2_witnesses_match_nested_loops_in_order(self):
         for m, n in product(range(21), repeat=2):
             v = RootCoord(m, n)
-            assert list(partition_witnesses(v)) == list(partition_witnesses_nested(v)), (m, n)
+            assert list(decompositions(G2.positive_roots, v)) == list(
+                partition_witnesses_nested(v)
+            ), (m, n)
 
     def test_c2_witnesses_match_nested_loops_in_order(self):
         for m, n in product(range(21), repeat=2):

@@ -1,4 +1,5 @@
-"""Structural tests for the g2 root system and its Weyl group."""
+"""Structural tests for the g2 root system and its Weyl group, and for the
+core's genericity: a B2 record that only the tests know runs through it."""
 
 import random
 import re
@@ -10,19 +11,39 @@ from qkostant.rootsys import (
     C2,
     G2,
     IDENTITY,
+    Algebra,
     FundCoord,
     RootCoord,
+    RootSystem,
     alternation_terms,
+    closed,
     doubled,
     mat_det,
     mat_mul,
+    qpartition_enumerated,
     to_fund,
     to_root,
     weyl_elements,
     weyl_group,
+    weyl_sum,
 )
+from qkostant.sp4 import _c2_sum, qmultiplicity_c2_closed, qpartition_c2
 
 from shift_forms import FUND_TO_ROOT, RHO, SHIFT_FORMS, sigma_shift
+
+
+# sp4 with its simple roots swapped: a1 long, a2 short. The package has no
+# B2 record; the core must serve it from these fields alone.
+B2 = RootSystem(
+    name="b2",
+    positive_roots=(RootCoord(1, 0), RootCoord(0, 1), RootCoord(1, 1), RootCoord(1, 2)),
+    # s1: a1 -> -a1, a2 -> a1 + a2;  s2: a1 -> a1 + 2a2, a2 -> -a2.
+    s1=((-1, 1), (0, 1)),
+    s2=((1, 0), (2, -1)),
+    two_w1=(2, 2),  # w1 = a1 + a2
+    two_w2=(1, 2),  # w2 = a1/2 + a2
+    alternation=(("P", "1"), ("Q", "s2"), ("R", "s1")),
+)
 
 
 def by_word():
@@ -174,7 +195,7 @@ def act(matrix, v):
     return (p * v[0] + q * v[1], r * v[0] + s * v[1])
 
 
-@pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
+@pytest.mark.parametrize("rs", [G2, C2, B2], ids=["g2", "c2", "b2"])
 class TestRootSystemRecords:
     """Each record's literals against what its reflections force."""
 
@@ -239,3 +260,25 @@ class TestRootSystemRecords:
                     reached.add(elem.word)
             assert alternation_terms(rs, (m, n), (x, y))[0] == [shifts[w] for w in words]
         assert reached == set(words)
+
+
+class TestB2:
+    """Swapping the coordinates of every weight maps B2 onto sp4, so each B2
+    answer of the core is an sp4 answer read with its coordinates swapped."""
+
+    def test_enumerator_is_the_swapped_sp4_kernel(self):
+        for m, n in product(range(16), repeat=2):
+            enumerated = qpartition_enumerated(B2.positive_roots, RootCoord(m, n))
+            assert enumerated == qpartition_c2(RootCoord(n, m)), (m, n)
+
+    def test_shared_routes_are_the_swapped_sp4_route(self):
+        b2 = Algebra(
+            B2,
+            lambda terms: _c2_sum([(sign, (n, m)) for sign, (m, n) in terms]),
+            lambda shifts, label: label,
+        )
+        for m, n, x, y in product(range(8), repeat=4):
+            result = closed(b2, (m, n), (x, y))
+            c2 = qmultiplicity_c2_closed((n, m), (y, x))
+            assert (result.mq, result.case) == (c2.mq, c2.case.case_label), (m, n, x, y)
+            assert weyl_sum(b2, (m, n), (x, y)) == result.mq, (m, n, x, y)
