@@ -4,7 +4,7 @@ The 12-term alternating Weyl sum is the oracle; the case-selected closed
 route must match it polynomial-for-polynomial on grids and random pairs.
 """
 
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from qkostant import g2_multiplicity, g2_partition
 from qkostant.errors import CoefficientOverflowError
 from qkostant.g2_multiplicity import (
+    CASE_LABELS,
     compute_abcdef,
     multiplicity,
     qmultiplicity_closed,
@@ -291,3 +292,36 @@ class TestMultiplicity:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
             multiplicity(FundCoord(0, 1), FundCoord(0, 0), "freudenthal")
+
+
+def _live_terms(case) -> str:
+    # P = (a, b), Q = (c, b), R = (a, d), S = (c, e), T = (f, d): a term
+    # contributes when both of its shift coordinates lie in the cone.
+    a, b, c, d, e, f = case.in_n
+    live = zip("PQRST", (a and b, c and b, a and d, c and e, f and d))
+    return "".join(name for name, inside in live if inside) or "ZERO"
+
+
+def _observed_labels(grid_max: int) -> set[str]:
+    observed = set()
+    for m, n, x, y in product(range(grid_max + 1), repeat=4):
+        case = compute_abcdef(FundCoord(m, n), FundCoord(x, y))
+        assert case.case_label == _live_terms(case)
+        observed.add(case.case_label)
+    return observed
+
+
+class TestAudit:
+    def test_grid_zero_sees_only_p(self):
+        assert _observed_labels(0) == {"P"}
+
+    def test_all_eight_signatures_realized_at_six(self):
+        assert _observed_labels(6) == set(CASE_LABELS)
+
+    def test_forbidden_combinations_never_appear(self):
+        every_label = {
+            "".join(subset) or "ZERO" for size in range(6) for subset in combinations("PQRST", size)
+        }
+        forbidden = every_label - set(CASE_LABELS)
+        assert len(forbidden) == 24
+        assert _observed_labels(6) & forbidden == set()
