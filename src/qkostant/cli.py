@@ -140,11 +140,10 @@ def _g2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
     # One closed evaluation serves three checks: its m_at_one is exactly
     # what multiplicity(..., "qpoly") returns, its terms are the ones
     # multiplicity(..., "tarski") sums, and its case is the one the case
-    # command prints. It runs before the Weyl sum, so on a cold tuple the
-    # fused kernel is held to the cached per-term polynomials.
-    result = closed(g2_multiplicity.ALGEBRA, lam, mu)
+    # command prints. Both sides read the sweep's cached per-term polynomials.
+    result = closed(g2_multiplicity.SWEEP, lam, mu)
     return (
-        result.mq != weyl_sum(g2_multiplicity.ALGEBRA, lam, mu),
+        result.mq != weyl_sum(g2_multiplicity.SWEEP, lam, mu),
         result.m_at_one != tarski_sum(result.terms),
         result.case.case_label not in CASE_LABELS,
     )
@@ -164,12 +163,14 @@ def _c2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
 class _Algebra(NamedTuple):
     """What every subcommand needs from one algebra.
 
-    The shared routes take ``record``. The callables look the library
-    functions up as module globals when they run, so a traced or patched
-    function is the one called.
+    The shared routes take ``record`` for one-off queries and ``sweep`` for
+    table's grid, which meets each term many times. The callables look the
+    library functions up as module globals when they run, so a traced or
+    patched function is the one called.
     """
 
     record: Algebra
+    sweep: Algebra
     qpartition: Callable[[RootCoord], QPoly]  # the q-analog kernel
     count: Callable[[RootCoord], int]  # closed partition count at q = 1
     case_fields: tuple[str, ...]  # names of the values in case.as_tuple()
@@ -188,6 +189,7 @@ class _Algebra(NamedTuple):
 _ALGEBRAS = {
     "g2": _Algebra(
         g2_multiplicity.ALGEBRA,
+        g2_multiplicity.SWEEP,
         lambda v: qpartition(v),
         lambda v: partition_tarski(v),
         CaseData._fields[:-2],
@@ -197,6 +199,7 @@ _ALGEBRAS = {
     ),
     "c2": _Algebra(
         sp4.ALGEBRA,
+        sp4.ALGEBRA,  # sp4's kernel has no cache
         lambda v: qpartition_c2(v),
         lambda v: partition_c2_closed(v),
         Sp4CaseData._fields[:-2],
@@ -260,7 +263,7 @@ def _table_lines(algebra: str, grid_max: int) -> list[str]:
     case_template = ",".join(["%d"] * len(spec.case_fields))
     weights = [(FundCoord(m, n), f"{m},{n}") for m, n in product(range(grid_max + 1), repeat=2)]
     for (lam, lam_text), (mu, mu_text) in product(weights, repeat=2):
-        _, _, data, _, mq, m_at_one = closed(spec.record, lam, mu)
+        _, _, data, _, mq, m_at_one = closed(spec.sweep, lam, mu)
         values = case_template % data.as_tuple()
         coeffs = "|".join(map(str, mq.coeffs))
         lines.append(f"{lam_text},{mu_text},{values},{data.case_label},{coeffs},{m_at_one}")

@@ -5,8 +5,10 @@ those of the Weyl alternation set 1, s1, s2, s2s1, s1s2; a term is
 combined exactly when its shifted weight lies on the positive cone
 (rootsys.alternation_terms). The oracle route runs the full 12-term
 alternating Weyl sum. Both are the shared rootsys routes fed ALGEBRA, whose
-term sum fuses a query's terms or reads them from the qpartition cache.
-Both recover the classical multiplicity at q = 1.
+term sum _g2_sum fuses a query's terms into one marker chain, with no
+qpartition cache read or write. SWEEP, the record of the table and verify
+sweeps, sums the cached qpartition polynomials instead. Both recover the
+classical multiplicity at q = 1.
 """
 
 from __future__ import annotations
@@ -56,29 +58,16 @@ def _case_data(shifts: list[tuple[int, int, int]], label: str) -> CaseData:
     return CaseData(a, b, c, d, e, f, (a >= 0, b >= 0, c >= 0, d >= 0, e >= 0, f >= 0), label)
 
 
-# Every term _term_sum has met; keys only, unbounded like the qpartition cache.
-_met_terms: set[RootCoord] = set()
+def _cached_sum(terms: list[tuple[int, RootCoord]]) -> QPoly:
+    """The signed sum of the cached qpartition polynomials of (sign, RootCoord) terms."""
+    return QPoly.signed_sum((sign, qpartition(v)) for sign, v in terms)
 
 
-def _term_sum(terms: list[tuple[int, RootCoord]]) -> QPoly:
-    """The signed sum of qpartition over (sign, RootCoord) terms.
-
-    A sum none of whose terms was met before adds every term's markers
-    into one set of lists and runs one chain, with no per-term polynomial
-    and no qpartition cache entry. A sum that meets a term again adds the
-    cached qpartition polynomials instead, so a sweep over many
-    overlapping queries computes each term once.
-    """
-    keys = [v for _, v in terms]
-    if keys and _met_terms.isdisjoint(keys):
-        mq = _g2_sum(terms)
-    else:
-        mq = QPoly.signed_sum((sign, qpartition(v)) for sign, v in terms)
-    _met_terms.update(keys)
-    return mq
-
-
-ALGEBRA = Algebra(G2, _term_sum, _case_data)
+# A one-off query fuses its terms into one marker chain and leaves the cache
+# alone; a sweep over many overlapping queries (table, verify) computes each
+# term once and reads it from the qpartition cache after that.
+ALGEBRA = Algebra(G2, _g2_sum, _case_data)
+SWEEP = ALGEBRA._replace(term_sum=_cached_sum)
 
 
 def compute_abcdef(lam: FundCoord, mu: FundCoord) -> CaseData:

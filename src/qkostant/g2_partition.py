@@ -10,6 +10,7 @@ The three agree everywhere; the test suite holds them to that.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 from itertools import accumulate
 from operator import add
@@ -107,12 +108,15 @@ def _g2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
     """The sum of sign * qpartition((m, n)) over (sign, (m, n)) pairs with m, n >= 0.
 
     The polynomial S_1(S_2(points + S_3(tops) + S_1(runs))) of the markers
-    that _g2_marks adds for every term, up to the largest degree m + n.
+    that _g2_marks adds for every term, up to the largest degree m + n. A
+    degree too large for a list raises ValueError before anything is built.
     """
     if not terms:
         return QPoly()
     degree = max(m + n for _, (m, n) in terms)
     size = degree + 7
+    if size > sys.maxsize:
+        raise ValueError(f"degree {degree} is too large for a coefficient list")
     points = [0] * size  # entries of E at n-i, n-i+1 and n-i+2
     tops = [0] * size  # second differences, stride 3: the +1 at t+3 over j
     runs = [0] * size  # first differences: unit-stride runs of E

@@ -12,6 +12,7 @@ linear piece of the coefficients with one slice assignment.
 
 from __future__ import annotations
 
+import sys
 from functools import cache
 from itertools import repeat
 from typing import NamedTuple, Sequence
@@ -116,7 +117,8 @@ def _c2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
     """The sum of sign * qpartition_c2((m, n)) over (sign, (m, n)) pairs with m, n >= 0.
 
     The events of a sum are its terms' events together, so any number of
-    terms is one walk, with no per-term polynomial.
+    terms is one walk, with no per-term polynomial. A degree too large for a
+    list raises ValueError before the walk allocates one.
     """
     if not terms:
         return QPoly()
@@ -126,6 +128,8 @@ def _c2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
         _c2_events(events, m, n, sign)
         if m + n > degree:
             degree = m + n
+    if degree + 1 > sys.maxsize:
+        raise ValueError(f"degree {degree} is too large for a coefficient list")
     return _c2_walk(events, degree)
 
 

@@ -247,6 +247,23 @@ class TestErrors:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("qpartition", "99999999999999999999,0"),
+            ("qpartition", "--algebra", "c2", "99999999999999999998,0"),
+            ("qmult", "--lambda", "99999999999999999999,0", "--mu", "0,0"),
+            ("qmult", "--algebra", "c2", "--lambda", "99999999999999999998,0", "--mu", "0,0"),
+        ],
+        ids=["g2-qpartition", "c2-qpartition", "g2-qmult", "c2-qmult"],
+    )
+    def test_degree_past_any_list_is_a_value_error(self, capsys, argv):
+        # The coefficient list would need more than sys.maxsize entries; the
+        # kernels refuse before allocating instead of raising OverflowError.
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("qkostant: error: degree ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("qpartition", "20000,10000", "--at-q", "3"),
             ("partition", ",".join(["9" * 1100] * 2)),
         ],

@@ -5,15 +5,18 @@ route must match it polynomial-for-polynomial on grids and random pairs.
 """
 
 from itertools import combinations, product
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkostant import g2_multiplicity, g2_partition
+from qkostant import cli, g2_partition
 from qkostant.errors import CoefficientOverflowError
 from qkostant.g2_multiplicity import (
+    ALGEBRA,
     CASE_LABELS,
+    SWEEP,
     compute_abcdef,
     multiplicity,
     qmultiplicity_closed,
@@ -21,7 +24,7 @@ from qkostant.g2_multiplicity import (
 )
 from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
-from qkostant.rootsys import G2, FundCoord
+from qkostant.rootsys import G2, FundCoord, closed, weyl_sum
 
 from mutants import g2_marks_ignoring_sign
 from reference_kernels import case_label_g2_tree
@@ -162,16 +165,10 @@ class TestClosedFormula:
             assert combined == result.mq
 
 
-def _forget_met_terms():
-    g2_multiplicity._met_terms.clear()
-    qpartition.cache_clear()
-
-
 @pytest.fixture
-def cold_closed_route():
-    """No term met by the closed route and no cached qpartition; the rest of
-    the suite would otherwise warm both, and the fused path would hardly run."""
-    _forget_met_terms()
+def cold_cache():
+    """No cached qpartition; the rest of the suite would otherwise warm it."""
+    qpartition.cache_clear()
 
 
 def _recombined(result):
@@ -182,38 +179,66 @@ small_lam_pairs = st.tuples(
     st.integers(0, 80), st.integers(0, 80), st.integers(0, 80), st.integers(0, 80)
 )
 
+GRID7 = [(FundCoord(m, n), FundCoord(x, y)) for m, n, x, y in product(range(8), repeat=4)]
+
+
+def _deep_pairs(count: int, seed: int) -> list[tuple[FundCoord, FundCoord]]:
+    """Pairs shaped like the benchmark's deep g2 queries: lam in [20,80]^2, mu <= lam/4."""
+    rng = Random(seed)
+    pairs = []
+    for _ in range(count):
+        m, n = rng.randint(20, 80), rng.randint(20, 80)
+        pairs.append((FundCoord(m, n), FundCoord(rng.randint(0, m // 4), rng.randint(0, n // 4))))
+    return pairs
+
+
+DEEP_PAIRS = _deep_pairs(16, seed=18)
+
 
 class TestClosedRoutePaths:
-    """A query with no term met before is fused: one marker list, one chain,
-    no qpartition cache entry. A query that meets a term again sums the
-    cached qpartition polynomials."""
+    """ALGEBRA, the one-off queries' record, fuses a query's terms: one
+    marker list, one chain, no qpartition cache read or write. SWEEP, the
+    record of table and verify, sums the cached qpartition polynomials.
+    The two agree on every query."""
 
     def test_cold_queries_are_fused_and_match_the_weyl_sum(self):
         for m, n, x, y in product(range(7), repeat=4):
             lam, mu = FundCoord(m, n), FundCoord(x, y)
-            _forget_met_terms()
+            qpartition.cache_clear()
             result = qmultiplicity_closed(lam, mu)
             assert qpartition.cache_info().currsize == 0, (m, n, x, y)
             assert result.mq == qmultiplicity_weyl_sum(lam, mu), (m, n, x, y)
             assert result.mq == _recombined(result), (m, n, x, y)
 
-    def test_fused_marker_signs_are_load_bearing(self, monkeypatch, cold_closed_route):
+    def test_fused_marker_signs_are_load_bearing(self, monkeypatch, cold_cache):
         """The mutant agrees with the builder on qpartition's own one-term
-        sums (sign 1), so only the fused sum of a cold query changes."""
+        sums (sign 1), so only the fused sum of a query changes."""
         monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_ignoring_sign)
         with pytest.raises(AssertionError):
             self.test_cold_queries_are_fused_and_match_the_weyl_sum()
 
-    def test_warm_queries_sum_cached_terms(self, cold_closed_route):
+    def test_one_off_routes_leave_the_cache_untouched(self, cold_cache):
+        queries = GRID7[::7] + DEEP_PAIRS
+        for warm in (False, True):
+            if warm:
+                for lam, mu in queries:
+                    closed(SWEEP, lam, mu)
+            before = qpartition.cache_info()
+            assert (before.currsize > 0) == warm
+            for lam, mu in queries:
+                qmultiplicity_closed(lam, mu)
+                qmultiplicity_weyl_sum(lam, mu)
+            assert qpartition.cache_info() == before
+
+    def test_warm_queries_sum_cached_terms(self, cold_cache):
         grid = [(FundCoord(m, n), FundCoord(x, y)) for m, n, x, y in product(range(7), repeat=4)]
-        first = [qmultiplicity_closed(lam, mu).mq for lam, mu in grid]
+        first = [closed(SWEEP, lam, mu).mq for lam, mu in grid]
         for (lam, mu), mq in zip(grid, first):
-            hits = qpartition.cache_info().hits
-            misses = qpartition.cache_info().misses
-            result = qmultiplicity_closed(lam, mu)
+            before = qpartition.cache_info()
+            result = closed(SWEEP, lam, mu)
             info = qpartition.cache_info()
             # Every term is read from the qpartition cache, once per term.
-            assert info.hits + info.misses - hits - misses == len(result.terms)
+            assert (info.hits - before.hits, info.misses) == (len(result.terms), before.misses)
             assert result.mq == mq == qmultiplicity_weyl_sum(lam, mu), (lam, mu)
             assert result.mq == _recombined(result), (lam, mu)
 
@@ -222,26 +247,53 @@ class TestClosedRoutePaths:
     def test_both_paths_match_the_weyl_sum(self, point):
         m, n, x, y = point
         lam, mu = FundCoord(m, n), FundCoord(x, y)
-        _forget_met_terms()
-        oracle = qmultiplicity_weyl_sum(lam, mu)
-        _forget_met_terms()
-        cold = qmultiplicity_closed(lam, mu)
-        assert qpartition.cache_info().currsize == 0
-        warm = qmultiplicity_closed(lam, mu)
-        assert qpartition.cache_info().currsize == len(warm.terms)
-        assert cold.mq == warm.mq == oracle
-        assert cold.terms == warm.terms
+        fused = qmultiplicity_closed(lam, mu)
+        cached = closed(SWEEP, lam, mu)
+        assert fused.mq == cached.mq == qmultiplicity_weyl_sum(lam, mu) == weyl_sum(SWEEP, lam, mu)
+        assert fused.terms == cached.terms
 
-    def test_a_reused_term_fills_the_cache(self, cold_closed_route):
-        first = qmultiplicity_closed(FundCoord(5, 6), FundCoord(0, 0))
-        assert len(first.terms) == 5
-        assert qpartition.cache_info().currsize == 0
-        # Adding w1 to both weights keeps P = lam - mu and moves Q.
-        second = qmultiplicity_closed(FundCoord(6, 6), FundCoord(1, 0))
-        assert second.terms[0] == first.terms[0]
-        assert second.terms[1] != first.terms[1]
-        assert qpartition.cache_info().currsize == len(second.terms)
-        assert second.mq == qmultiplicity_weyl_sum(FundCoord(6, 6), FundCoord(1, 0))
+    @staticmethod
+    def _assert_records_agree(pairs):
+        for lam, mu in pairs:
+            fused = closed(ALGEBRA, lam, mu)
+            cached = closed(SWEEP, lam, mu)
+            assert fused.terms == cached.terms, (lam, mu)
+            assert fused.case.case_label == cached.case.case_label, (lam, mu)
+            assert fused.mq == cached.mq == _recombined(fused), (lam, mu)
+
+    def test_fused_and_cached_records_agree_on_the_grid(self):
+        self._assert_records_agree(GRID7)
+
+    def test_fused_and_cached_records_agree_on_deep_pairs(self):
+        # Every deep pair combines four or five signed terms.
+        assert {len(closed(ALGEBRA, lam, mu).terms) for lam, mu in DEEP_PAIRS} == {4, 5}
+        self._assert_records_agree(DEEP_PAIRS)
+
+    @pytest.mark.parametrize("pairs", [GRID7, DEEP_PAIRS], ids=["grid", "deep"])
+    def test_fused_marker_signs_break_the_agreement(self, monkeypatch, pairs):
+        monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_ignoring_sign)
+        with pytest.raises(AssertionError):
+            self._assert_records_agree(pairs)
+
+    def test_a_sweep_leaves_one_off_answers_unchanged(self, tmp_path, cold_cache):
+        queries = GRID7[::97] + DEEP_PAIRS[:4]
+
+        def answers():
+            return [
+                (qmultiplicity_closed(lam, mu), qmultiplicity_weyl_sum(lam, mu))
+                for lam, mu in queries
+            ]
+
+        before = answers()
+        assert cli.run(["table", "--max", "6", "--output", str(tmp_path / "table.csv")]) == 0
+        assert qpartition.cache_info().currsize > 0  # table sweeps on SWEEP
+        assert answers() == before
+        qpartition.cache_clear()
+        assert cli.run(["verify", "--max", "3"]) == 0
+        # verify's pair checks cache the 16 points of [0,3]^2; its tuple
+        # checks, on SWEEP, cache their terms too.
+        assert qpartition.cache_info().currsize > 16
+        assert answers() == before
 
 
 class TestWeylSum:

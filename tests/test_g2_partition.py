@@ -97,6 +97,13 @@ class TestQPartition:
                 assert fewest == next(i for i, c in enumerate(coeffs) if c)
 
 
+    def test_degree_past_any_list_is_a_value_error(self):
+        before = qpartition.cache_info()
+        with pytest.raises(ValueError, match="degree 100000000000000000000 "):
+            qpartition(RootCoord(10**20, 0))
+        assert qpartition.cache_info().currsize == before.currsize
+
+
 class TestTarskiPolynomials:
     @pytest.mark.parametrize(
         "k,expected", [(-2, 0), (-1, 0), (0, 1), (1, 2), (2, 4), (3, 8), (4, 13), (5, 20)]

@@ -60,6 +60,10 @@ class TestQPartition:
         assert qpartition_c2(RootCoord(-1, 3)) == QPoly()
         assert qpartition_c2(RootCoord(3, -1)) == QPoly()
 
+    def test_degree_past_any_list_is_a_value_error(self):
+        with pytest.raises(ValueError, match="degree 100000000000000000000 "):
+            qpartition_c2(RootCoord(10**20, 0))
+
 
 class TestWalk:
     """The event walk checks each linear piece at its two ends only."""

@@ -21,9 +21,7 @@ from math import comb
 
 import pytest
 
-from qkostant import g2_multiplicity
 from qkostant.g2_multiplicity import multiplicity, qmultiplicity_closed
-from qkostant.g2_partition import qpartition
 from qkostant.rootsys import FundCoord
 from qkostant.sp4 import multiplicity_c2_closed, multiplicity_c2_weyl_sum, qmultiplicity_c2_closed
 
@@ -122,12 +120,11 @@ def test_harmonic_series_fixtures():
 def test_harmonic_identity(algebra):
     """sum_lam dim L(lam) [q^k] m_q(lam, 0) over every lam <= k*theta, k <= 40.
 
-    g2 reaches lam at root coordinates (120, 80). The closed route forgets
-    the terms it has met first, so these queries start on its fused path.
-    sp4 holds its Weyl sum and its closed q route to the identity each.
+    g2 reaches lam at root coordinates (120, 80). Its closed route fuses
+    every query's terms into one marker chain, so the identity checks that
+    chain at every lam. sp4 holds its Weyl sum and its closed q route to
+    the identity each.
     """
-    g2_multiplicity._met_terms.clear()
-    qpartition.cache_clear()
     _, _, doubled_root, (t1, t2) = HARMONIC[algebra]
     top = HARMONIC_DEGREE
     routes = Q_MULTIPLICITY[algebra]
