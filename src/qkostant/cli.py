@@ -12,13 +12,14 @@ import argparse
 import json
 import re
 import sys
+from functools import partial
 from itertools import product
 from operator import add
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import CoefficientOverflowError
 from . import g2_multiplicity, sp4
-from .g2_multiplicity import CASE_LABELS, CaseData, multiplicity, tarski_sum
+from .g2_multiplicity import CASE_LABELS, CaseData, multiplicity
 from .g2_partition import partition_tarski, qpartition
 from .qpoly import QPoly
 from .rootsys import (
@@ -28,6 +29,8 @@ from .rootsys import (
     RootSystem,
     case,
     closed,
+    count_sum,
+    memoized,
     qpartition_enumerated,
     to_fund,
     to_root,
@@ -136,24 +139,24 @@ def _cmd_mult(args: argparse.Namespace) -> int:
     return 0
 
 
-def _g2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
+def _g2_tuple_mismatches(record: Algebra, lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
     # One closed evaluation serves three checks: its m_at_one is exactly
     # what multiplicity(..., "qpoly") returns, its terms are the ones
     # multiplicity(..., "tarski") sums, and its case is the one the case
-    # command prints. Both sides read the sweep's cached per-term polynomials.
-    result = closed(g2_multiplicity.SWEEP, lam, mu)
+    # command prints. Both sides read the sweep's memoized term polynomials.
+    result = closed(record, lam, mu)
     return (
-        result.mq != weyl_sum(g2_multiplicity.SWEEP, lam, mu),
-        result.m_at_one != tarski_sum(result.terms),
+        result.mq != weyl_sum(record, lam, mu),
+        result.m_at_one != count_sum(record, result.terms),
         result.case.case_label not in CASE_LABELS,
     )
 
 
-def _c2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
+def _c2_tuple_mismatches(record: Algebra, lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
     # One Weyl sum serves both checks; an odd m - x puts mu off lam's
     # root-lattice coset, where the case flags and the sum must vanish.
     result = multiplicity_c2_closed(lam, mu)
-    weyl = weyl_sum(sp4.ALGEBRA, lam, mu)
+    weyl = weyl_sum(record, lam, mu)
     return (
         result.value != weyl.eval_at_one(),
         bool((lam.m - mu.m) % 2 and (result.case.in_n[1] or result.case.in_n[3] or weyl)),
@@ -163,20 +166,19 @@ def _c2_tuple_mismatches(lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
 class _Algebra(NamedTuple):
     """What every subcommand needs from one algebra.
 
-    The shared routes take ``record`` for one-off queries and ``sweep`` for
-    table's grid, which meets each term many times. The callables look the
-    library functions up as module globals when they run, so a traced or
-    patched function is the one called.
+    The shared routes take ``record``; table and verify, whose grids meet each
+    term many times, take one memoized(record) per command instead. The
+    callables look the library functions up as module globals when they run,
+    so a traced or patched function is the one called.
     """
 
     record: Algebra
-    sweep: Algebra
     qpartition: Callable[[RootCoord], QPoly]  # the q-analog kernel
     count: Callable[[RootCoord], int]  # closed partition count at q = 1
     case_fields: tuple[str, ...]  # names of the values in case.as_tuple()
     pair_checks: tuple[str, ...]  # the two flags of pair_mismatches
     tuple_checks: tuple[str, ...]  # one mismatch flag each per (lam, mu)
-    tuple_mismatches: Callable[[FundCoord, FundCoord], tuple[bool, ...]]
+    tuple_mismatches: Callable[[Algebra, FundCoord, FundCoord], tuple[bool, ...]]
 
     def pair_mismatches(self, m: int, n: int) -> tuple[bool, bool]:
         """The kernel at (m, n) against the enumerator, and at q = 1 against the count."""
@@ -189,7 +191,6 @@ class _Algebra(NamedTuple):
 _ALGEBRAS = {
     "g2": _Algebra(
         g2_multiplicity.ALGEBRA,
-        g2_multiplicity.SWEEP,
         lambda v: qpartition(v),
         lambda v: partition_tarski(v),
         CaseData._fields[:-2],
@@ -199,7 +200,6 @@ _ALGEBRAS = {
     ),
     "c2": _Algebra(
         sp4.ALGEBRA,
-        sp4.ALGEBRA,  # sp4's kernel has no cache
         lambda v: qpartition_c2(v),
         lambda v: partition_c2_closed(v),
         Sp4CaseData._fields[:-2],
@@ -234,12 +234,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max < 0:
         raise ValueError("--max must be nonnegative")
     algebra = _ALGEBRAS[args.algebra]
+    # One memo per command: the tuple checks meet each term many times.
+    tuple_mismatches = partial(algebra.tuple_mismatches, memoized(algebra.record))
     axis = range(args.max + 1)
     weights = [FundCoord(m, n) for m, n in product(axis, repeat=2)]
     checks = []
     for names, dim, points, mismatches in (
         (algebra.pair_checks, 2, product(axis, repeat=2), algebra.pair_mismatches),
-        (algebra.tuple_checks, 4, product(weights, repeat=2), algebra.tuple_mismatches),
+        (algebra.tuple_checks, 4, product(weights, repeat=2), tuple_mismatches),
     ):
         totals = [0] * len(names)
         for point in points:
@@ -259,11 +261,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _table_lines(algebra: str, grid_max: int) -> list[str]:
     spec = _ALGEBRAS[algebra]
+    record = memoized(spec.record)
     lines = [f"m,n,x,y,{','.join(spec.case_fields)},case,mq_coeffs,m_at_1"]
     case_template = ",".join(["%d"] * len(spec.case_fields))
     weights = [(FundCoord(m, n), f"{m},{n}") for m, n in product(range(grid_max + 1), repeat=2)]
     for (lam, lam_text), (mu, mu_text) in product(weights, repeat=2):
-        _, _, data, _, mq, m_at_one = closed(spec.sweep, lam, mu)
+        _, _, data, _, mq, m_at_one = closed(record, lam, mu)
         values = case_template % data.as_tuple()
         coeffs = "|".join(map(str, mq.coeffs))
         lines.append(f"{lam_text},{mu_text},{values},{data.case_label},{coeffs},{m_at_one}")

@@ -5,27 +5,27 @@ those of the Weyl alternation set 1, s1, s2, s2s1, s1s2; a term is
 combined exactly when its shifted weight lies on the positive cone
 (rootsys.alternation_terms). The oracle route runs the full 12-term
 alternating Weyl sum. Both are the shared rootsys routes fed ALGEBRA, whose
-term sum _g2_sum fuses a query's terms into one marker chain, with no
-qpartition cache read or write. SWEEP, the record of the table and verify
-sweeps, sums the cached qpartition polynomials instead. Both recover the
-classical multiplicity at q = 1.
+term sum _g2_sum fuses a query's terms into one marker chain; the table and
+verify sweeps feed them rootsys.memoized(ALGEBRA) instead. Both recover the
+classical multiplicity at q = 1, and rootsys.count_sum gives it from
+Tarski's counts.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .g2_partition import _g2_sum, _partition_tarski, qpartition
-from .qpoly import QPoly, checked_int
+from .g2_partition import _g2_sum, _partition_tarski
+from .qpoly import QPoly
 from .rootsys import (
     G2,
     Algebra,
     FundCoord,
     MultiplicityResult,
-    RootCoord,
     alternation_terms,
     case,
     closed,
+    count_sum,
     weyl_sum,
 )
 
@@ -58,16 +58,7 @@ def _case_data(shifts: list[tuple[int, int, int]], label: str) -> CaseData:
     return CaseData(a, b, c, d, e, f, (a >= 0, b >= 0, c >= 0, d >= 0, e >= 0, f >= 0), label)
 
 
-def _cached_sum(terms: list[tuple[int, RootCoord]]) -> QPoly:
-    """The signed sum of the cached qpartition polynomials of (sign, RootCoord) terms."""
-    return QPoly.signed_sum((sign, qpartition(v)) for sign, v in terms)
-
-
-# A one-off query fuses its terms into one marker chain and leaves the cache
-# alone; a sweep over many overlapping queries (table, verify) computes each
-# term once and reads it from the qpartition cache after that.
-ALGEBRA = Algebra(G2, _g2_sum, _case_data)
-SWEEP = ALGEBRA._replace(term_sum=_cached_sum)
+ALGEBRA = Algebra(G2, _g2_sum, _case_data, _partition_tarski)
 
 
 def compute_abcdef(lam: FundCoord, mu: FundCoord) -> CaseData:
@@ -90,26 +81,16 @@ def qmultiplicity_weyl_sum(lam: FundCoord, mu: FundCoord) -> QPoly:
     return weyl_sum(ALGEBRA, lam, mu)
 
 
-def tarski_sum(terms) -> int:
-    """The signed sum of Tarski's counts over (name, sign, RootCoord) terms.
-
-    The terms' exact counts are summed first and only the total is
-    range-checked, so a term outside the signed 64-bit range is fine when
-    the multiplicity is not.
-    """
-    return checked_int(sum(sign * _partition_tarski(m, n) for _, sign, (m, n) in terms))
-
-
 def multiplicity(lam: FundCoord, mu: FundCoord, method: str = "qpoly") -> int:
     """Classical weight multiplicity m(lam, mu).
 
     method="qpoly" evaluates the q-polynomial route at q = 1; "tarski"
     combines Tarski's integer partition values case by case instead
-    (tarski_sum). A value outside the signed 64-bit range raises
+    (rootsys.count_sum). A value outside the signed 64-bit range raises
     CoefficientOverflowError.
     """
     if method == "qpoly":
         return qmultiplicity_closed(lam, mu).m_at_one
     if method == "tarski":
-        return tarski_sum(alternation_terms(G2, lam, mu)[2])
+        return count_sum(ALGEBRA, alternation_terms(G2, lam, mu)[2])
     raise ValueError(f"unknown method {method!r}, expected 'qpoly' or 'tarski'")

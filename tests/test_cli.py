@@ -441,14 +441,14 @@ class TestFusedChecksStayIndependent:
         }
 
     def test_wrong_tarski_multiplicity_counts_once(self, capsys, monkeypatch):
-        real = cli.tarski_sum
+        real = cli.count_sum
         target = tuple(alternation_terms(G2, (3, 0), (0, 1))[2])
 
-        def corrupted(terms):
-            value = real(terms)
+        def corrupted(alg, terms):
+            value = real(alg, terms)
             return value + 1 if tuple(terms) == target else value
 
-        monkeypatch.setattr(cli, "tarski_sum", corrupted)
+        monkeypatch.setattr(cli, "count_sum", corrupted)
         code, counts = _mismatch_counts(capsys, "g2")
         assert code == 1
         assert counts == {

@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkostant import cli, g2_partition
-from qkostant.errors import CoefficientOverflowError
+from qkostant import cli, g2_multiplicity, g2_partition, sp4
+from qkostant.errors import CoefficientOverflowError, InternalConsistencyError
 from qkostant.g2_multiplicity import (
     ALGEBRA,
     CASE_LABELS,
-    SWEEP,
     compute_abcdef,
     multiplicity,
     qmultiplicity_closed,
@@ -24,9 +23,18 @@ from qkostant.g2_multiplicity import (
 )
 from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
-from qkostant.rootsys import G2, FundCoord, closed, weyl_sum
+from qkostant.rootsys import (
+    G2,
+    FundCoord,
+    alternation_terms,
+    closed,
+    memoized,
+    weyl_sum,
+    weyl_terms,
+)
+from qkostant.sp4 import qpartition_c2
 
-from mutants import g2_marks_ignoring_sign
+from mutants import c2_events_ignoring_sign, g2_marks_ignoring_sign
 from reference_kernels import case_label_g2_tree
 from shift_forms import SHIFT_FORMS
 
@@ -165,12 +173,6 @@ class TestClosedFormula:
             assert combined == result.mq
 
 
-@pytest.fixture
-def cold_cache():
-    """No cached qpartition; the rest of the suite would otherwise warm it."""
-    qpartition.cache_clear()
-
-
 def _recombined(result):
     return QPoly.signed_sum((sign, qpartition(v)) for _, sign, v in result.terms)
 
@@ -197,50 +199,52 @@ DEEP_PAIRS = _deep_pairs(16, seed=18)
 
 class TestClosedRoutePaths:
     """ALGEBRA, the one-off queries' record, fuses a query's terms: one
-    marker list, one chain, no qpartition cache read or write. SWEEP, the
-    record of table and verify, sums the cached qpartition polynomials.
-    The two agree on every query."""
+    marker list, one chain. memoized(ALGEBRA), the record that table and
+    verify build once per command, sums per-term polynomials, each computed
+    once. The two agree on every query, and so do sp4's."""
 
     def test_cold_queries_are_fused_and_match_the_weyl_sum(self):
         for m, n, x, y in product(range(7), repeat=4):
             lam, mu = FundCoord(m, n), FundCoord(x, y)
-            qpartition.cache_clear()
             result = qmultiplicity_closed(lam, mu)
-            assert qpartition.cache_info().currsize == 0, (m, n, x, y)
             assert result.mq == qmultiplicity_weyl_sum(lam, mu), (m, n, x, y)
             assert result.mq == _recombined(result), (m, n, x, y)
 
-    def test_fused_marker_signs_are_load_bearing(self, monkeypatch, cold_cache):
+    def test_fused_marker_signs_are_load_bearing(self, monkeypatch):
         """The mutant agrees with the builder on qpartition's own one-term
         sums (sign 1), so only the fused sum of a query changes."""
         monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_ignoring_sign)
         with pytest.raises(AssertionError):
             self.test_cold_queries_are_fused_and_match_the_weyl_sum()
 
-    def test_one_off_routes_leave_the_cache_untouched(self, cold_cache):
-        queries = GRID7[::7] + DEEP_PAIRS
-        for warm in (False, True):
-            if warm:
-                for lam, mu in queries:
-                    closed(SWEEP, lam, mu)
-            before = qpartition.cache_info()
-            assert (before.currsize > 0) == warm
-            for lam, mu in queries:
-                qmultiplicity_closed(lam, mu)
-                qmultiplicity_weyl_sum(lam, mu)
-            assert qpartition.cache_info() == before
+    @pytest.mark.parametrize("command", ["table", "verify"])
+    @pytest.mark.parametrize("algebra", ["g2", "c2"])
+    def test_each_sweep_computes_each_term_once(self, monkeypatch, capsys, algebra, command):
+        """One spy call per distinct term in each run: the memo is neither
+        missing nor shared across sweeps."""
+        spec = cli._ALGEBRAS[algebra]
+        calls = []
 
-    def test_warm_queries_sum_cached_terms(self, cold_cache):
-        grid = [(FundCoord(m, n), FundCoord(x, y)) for m, n, x, y in product(range(7), repeat=4)]
-        first = [closed(SWEEP, lam, mu).mq for lam, mu in grid]
-        for (lam, mu), mq in zip(grid, first):
-            before = qpartition.cache_info()
-            result = closed(SWEEP, lam, mu)
-            info = qpartition.cache_info()
-            # Every term is read from the qpartition cache, once per term.
-            assert (info.hits - before.hits, info.misses) == (len(result.terms), before.misses)
-            assert result.mq == mq == qmultiplicity_weyl_sum(lam, mu), (lam, mu)
-            assert result.mq == _recombined(result), (lam, mu)
+        def spy(terms):
+            calls.append(list(terms))
+            return spec.record.term_sum(terms)
+
+        record = spec.record._replace(term_sum=spy)
+        monkeypatch.setitem(cli._ALGEBRAS, algebra, spec._replace(record=record))
+        expected = set()
+        for m, n, x, y in product(range(4), repeat=4):
+            expected.update(v for _, _, v in alternation_terms(record.rs, (m, n), (x, y))[2])
+            if command == "verify":
+                expected.update(v for _, v in weyl_terms(record.rs, (m, n), (x, y)))
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            assert cli.run([command, "--algebra", algebra, "--max", "3"]) == 0
+            assert all(len(terms) == 1 and terms[0][0] == 1 for terms in calls)
+            assert sorted(terms[0][1] for terms in calls) == sorted(expected)
+            counts.append(len(calls))
+        capsys.readouterr()
+        assert counts[0] == counts[1] == len(expected)
 
     @given(small_lam_pairs)
     @settings(max_examples=60, deadline=None)
@@ -248,34 +252,46 @@ class TestClosedRoutePaths:
         m, n, x, y = point
         lam, mu = FundCoord(m, n), FundCoord(x, y)
         fused = qmultiplicity_closed(lam, mu)
-        cached = closed(SWEEP, lam, mu)
-        assert fused.mq == cached.mq == qmultiplicity_weyl_sum(lam, mu) == weyl_sum(SWEEP, lam, mu)
-        assert fused.terms == cached.terms
+        memo = memoized(ALGEBRA)
+        memoed = closed(memo, lam, mu)
+        assert fused.mq == memoed.mq == qmultiplicity_weyl_sum(lam, mu) == weyl_sum(memo, lam, mu)
+        assert fused.terms == memoed.terms
 
     @staticmethod
-    def _assert_records_agree(pairs):
+    def _assert_records_agree(alg, kernel, pairs):
+        memo = memoized(alg)
         for lam, mu in pairs:
-            fused = closed(ALGEBRA, lam, mu)
-            cached = closed(SWEEP, lam, mu)
-            assert fused.terms == cached.terms, (lam, mu)
-            assert fused.case.case_label == cached.case.case_label, (lam, mu)
-            assert fused.mq == cached.mq == _recombined(fused), (lam, mu)
+            fused = closed(alg, lam, mu)
+            memoed = closed(memo, lam, mu)
+            assert fused.terms == memoed.terms, (lam, mu)
+            assert fused.case.case_label == memoed.case.case_label, (lam, mu)
+            recombined = QPoly.signed_sum((sign, kernel(v)) for _, sign, v in fused.terms)
+            assert fused.mq == memoed.mq == recombined, (lam, mu)
 
     def test_fused_and_cached_records_agree_on_the_grid(self):
-        self._assert_records_agree(GRID7)
+        self._assert_records_agree(ALGEBRA, qpartition, GRID7)
 
     def test_fused_and_cached_records_agree_on_deep_pairs(self):
         # Every deep pair combines four or five signed terms.
         assert {len(closed(ALGEBRA, lam, mu).terms) for lam, mu in DEEP_PAIRS} == {4, 5}
-        self._assert_records_agree(DEEP_PAIRS)
+        self._assert_records_agree(ALGEBRA, qpartition, DEEP_PAIRS)
 
     @pytest.mark.parametrize("pairs", [GRID7, DEEP_PAIRS], ids=["grid", "deep"])
     def test_fused_marker_signs_break_the_agreement(self, monkeypatch, pairs):
         monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_ignoring_sign)
         with pytest.raises(AssertionError):
-            self._assert_records_agree(pairs)
+            self._assert_records_agree(ALGEBRA, qpartition, pairs)
 
-    def test_a_sweep_leaves_one_off_answers_unchanged(self, tmp_path, cold_cache):
+    @pytest.mark.parametrize("pairs", [GRID7, DEEP_PAIRS], ids=["grid", "deep"])
+    def test_sp4_fused_and_cached_records_agree(self, pairs):
+        self._assert_records_agree(sp4.ALGEBRA, qpartition_c2, pairs)
+
+    def test_sp4_fused_event_signs_break_the_agreement(self, monkeypatch):
+        monkeypatch.setattr(sp4, "_c2_events", c2_events_ignoring_sign)
+        with pytest.raises(AssertionError):
+            self._assert_records_agree(sp4.ALGEBRA, qpartition_c2, GRID7)
+
+    def test_a_sweep_leaves_one_off_answers_unchanged(self, tmp_path):
         queries = GRID7[::97] + DEEP_PAIRS[:4]
 
         def answers():
@@ -286,13 +302,8 @@ class TestClosedRoutePaths:
 
         before = answers()
         assert cli.run(["table", "--max", "6", "--output", str(tmp_path / "table.csv")]) == 0
-        assert qpartition.cache_info().currsize > 0  # table sweeps on SWEEP
         assert answers() == before
-        qpartition.cache_clear()
         assert cli.run(["verify", "--max", "3"]) == 0
-        # verify's pair checks cache the 16 points of [0,3]^2; its tuple
-        # checks, on SWEEP, cache their terms too.
-        assert qpartition.cache_info().currsize > 16
         assert answers() == before
 
 
@@ -340,6 +351,12 @@ class TestMultiplicity:
     def test_tarski_value_outside_int64_overflows(self):
         with pytest.raises(CoefficientOverflowError):
             multiplicity(FundCoord(10**6, 10**6), FundCoord(0, 0), method="tarski")
+
+    def test_negative_tarski_total_is_inconsistent(self, monkeypatch):
+        """The shared integer route refuses a negative total for g2 as for sp4."""
+        monkeypatch.setattr(g2_multiplicity, "ALGEBRA", ALGEBRA._replace(count=lambda m, n: -1))
+        with pytest.raises(InternalConsistencyError, match="negative multiplicity -1 "):
+            multiplicity(FundCoord(0, 0), FundCoord(0, 0), method="tarski")
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -98,10 +98,8 @@ class TestQPartition:
 
 
     def test_degree_past_any_list_is_a_value_error(self):
-        before = qpartition.cache_info()
         with pytest.raises(ValueError, match="degree 100000000000000000000 "):
             qpartition(RootCoord(10**20, 0))
-        assert qpartition.cache_info().currsize == before.currsize
 
 
 class TestTarskiPolynomials:

@@ -12,7 +12,9 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # Removed wrappers and aliases, with what replaces them: to_root(G2 or C2, w),
 # to_fund(G2 or C2, v), G2.positive_roots, C2.positive_roots, QPoly() and
 # QPoly([1]); verify's case_audit for the case-signature audit, and
-# rootsys.decompositions(G2.positive_roots, v) for the g2 witnesses.
+# rootsys.decompositions(G2.positive_roots, v) for the g2 witnesses;
+# rootsys.memoized(ALGEBRA) for the g2 sweep record and its qpartition cache,
+# and rootsys.count_sum(ALGEBRA, terms) for tarski_sum.
 REMOVED = {
     "qkostant.rootsys": ("fund_to_root", "root_to_fund", "POSITIVE_ROOTS", "closed_result"),
     "qkostant.sp4": ("fund_to_root_c2", "root_to_fund_c2", "POSITIVE_ROOTS_C2"),
@@ -26,8 +28,11 @@ REMOVED = {
         "TERM_SIGNS",
         "_WORD_SIGNS",
         "TERM_NAMES",
+        "SWEEP",
+        "_cached_sum",
+        "tarski_sum",
     ),
-    "qkostant.g2_partition": ("partition_witnesses", "PartitionWitness"),
+    "qkostant.g2_partition": ("partition_witnesses", "PartitionWitness", "_qpartition"),
 }
 
 
@@ -51,6 +56,7 @@ def test_public_removed_and_bench_names():
         assert present == [], module
         assert [n for n in names if hasattr(qkostant, n) or n in qkostant.__all__] == []
     assert not hasattr(QPoly, "is_zero")
+    assert not hasattr(qkostant.qpartition, "cache_info")
 
     imports = list(_bench_imports())
     assert imports, "no qkostant imports found in bench/"

@@ -26,7 +26,7 @@ FIELDS = {
     WeylElement: ("word", "length", "matrix"),
     CaseData: ("a", "b", "c", "d", "e", "f", "in_n", "case_label"),
     MultiplicityResult: ("lam", "mu", "case", "terms", "mq", "m_at_one"),
-    Algebra: ("rs", "term_sum", "case_data"),
+    Algebra: ("rs", "term_sum", "case_data", "count"),
     Sp4CaseData: ("a", "two_b", "c", "two_d", "in_n", "case_label"),
     Sp4MultiplicityResult: ("lam", "mu", "case", "value"),
 }

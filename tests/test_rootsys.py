@@ -17,6 +17,7 @@ from qkostant.rootsys import (
     RootSystem,
     alternation_terms,
     closed,
+    count_sum,
     doubled,
     mat_det,
     mat_mul,
@@ -27,7 +28,13 @@ from qkostant.rootsys import (
     weyl_group,
     weyl_sum,
 )
-from qkostant.sp4 import _c2_sum, qmultiplicity_c2_closed, qpartition_c2
+from qkostant.sp4 import (
+    _c2_sum,
+    _closed_form,
+    multiplicity_c2_closed,
+    qmultiplicity_c2_closed,
+    qpartition_c2,
+)
 
 from shift_forms import FUND_TO_ROOT, RHO, SHIFT_FORMS, sigma_shift
 
@@ -43,6 +50,12 @@ B2 = RootSystem(
     two_w1=(2, 2),  # w1 = a1 + a2
     two_w2=(1, 2),  # w2 = a1/2 + a2
     alternation=(("P", "1"), ("Q", "s2"), ("R", "s1")),
+)
+B2_ALGEBRA = Algebra(
+    B2,
+    lambda terms: _c2_sum([(sign, (n, m)) for sign, (m, n) in terms]),
+    lambda shifts, label: label,
+    lambda m, n: _closed_form(n, m),
 )
 
 
@@ -272,13 +285,14 @@ class TestB2:
             assert enumerated == qpartition_c2(RootCoord(n, m)), (m, n)
 
     def test_shared_routes_are_the_swapped_sp4_route(self):
-        b2 = Algebra(
-            B2,
-            lambda terms: _c2_sum([(sign, (n, m)) for sign, (m, n) in terms]),
-            lambda shifts, label: label,
-        )
         for m, n, x, y in product(range(8), repeat=4):
-            result = closed(b2, (m, n), (x, y))
+            result = closed(B2_ALGEBRA, (m, n), (x, y))
             c2 = qmultiplicity_c2_closed((n, m), (y, x))
             assert (result.mq, result.case) == (c2.mq, c2.case.case_label), (m, n, x, y)
-            assert weyl_sum(b2, (m, n), (x, y)) == result.mq, (m, n, x, y)
+            assert weyl_sum(B2_ALGEBRA, (m, n), (x, y)) == result.mq, (m, n, x, y)
+
+    def test_shared_integer_route_is_the_swapped_sp4_route(self):
+        for m, n, x, y in product(range(8), repeat=4):
+            terms = alternation_terms(B2, (m, n), (x, y))[2]
+            expected = multiplicity_c2_closed((n, m), (y, x)).value
+            assert count_sum(B2_ALGEBRA, terms) == expected, (m, n, x, y)
