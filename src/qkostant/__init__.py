@@ -6,7 +6,6 @@ from .errors import CoefficientOverflowError, InternalConsistencyError
 from .g2_multiplicity import (
     CaseData,
     MultiplicityResult,
-    compute_abcdef,
     multiplicity,
     qmultiplicity_closed,
     qmultiplicity_weyl_sum,
@@ -23,12 +22,10 @@ from .rootsys import C2, G2, FundCoord, RootCoord, WeylElement, to_fund, to_root
 from .sp4 import (
     Sp4CaseData,
     Sp4MultiplicityResult,
-    compute_case_c2,
     fundamental_weights_c2,
     multiplicity_c2_closed,
     multiplicity_c2_weyl_sum,
     partition_c2_closed,
-    qmultiplicity_c2_closed,
     qpartition_c2,
     qpartition_c2_bruteforce,
     weyl_group_c2,
@@ -49,15 +46,12 @@ __all__ = [
     "Sp4CaseData",
     "Sp4MultiplicityResult",
     "WeylElement",
-    "compute_abcdef",
-    "compute_case_c2",
     "fundamental_weights_c2",
     "multiplicity",
     "multiplicity_c2_closed",
     "multiplicity_c2_weyl_sum",
     "partition_c2_closed",
     "partition_tarski",
-    "qmultiplicity_c2_closed",
     "qmultiplicity_closed",
     "qmultiplicity_weyl_sum",
     "qpartition",

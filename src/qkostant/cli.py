@@ -230,24 +230,28 @@ def _cmd_case(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _grid(args: argparse.Namespace) -> tuple[_Algebra, Algebra, list[tuple[FundCoord, str]]]:
+    """The algebra row, its memoized record and the [0,--max]^2 weights with their "m,n"."""
     if args.max < 0:
         raise ValueError("--max must be nonnegative")
-    algebra = _ALGEBRAS[args.algebra]
-    # One memo per command: the tuple checks meet each term many times.
-    tuple_mismatches = partial(algebra.tuple_mismatches, memoized(algebra.record))
-    axis = range(args.max + 1)
-    weights = [FundCoord(m, n) for m, n in product(axis, repeat=2)]
+    spec = _ALGEBRAS[args.algebra]
+    weights = [(FundCoord(m, n), f"{m},{n}") for m, n in product(range(args.max + 1), repeat=2)]
+    return spec, memoized(spec.record), weights
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    spec, record, grid = _grid(args)
+    weights = [lam for lam, _ in grid]
     checks = []
-    for names, dim, points, mismatches in (
-        (algebra.pair_checks, 2, product(axis, repeat=2), algebra.pair_mismatches),
-        (algebra.tuple_checks, 4, product(weights, repeat=2), tuple_mismatches),
+    for names, power, points, mismatches in (
+        (spec.pair_checks, 1, weights, spec.pair_mismatches),
+        (spec.tuple_checks, 2, product(weights, repeat=2), partial(spec.tuple_mismatches, record)),
     ):
         totals = [0] * len(names)
         for point in points:
             totals = list(map(add, totals, mismatches(*point)))
         checks += (
-            {"name": name, "cases": len(axis) ** dim, "mismatches": total}
+            {"name": name, "cases": len(weights) ** power, "mismatches": total}
             for name, total in zip(names, totals)
         )
     if args.fmt == "json":
@@ -259,29 +263,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(check["mismatches"] == 0 for check in checks) else 1
 
 
-def _table_lines(algebra: str, grid_max: int) -> list[str]:
-    spec = _ALGEBRAS[algebra]
-    record = memoized(spec.record)
+def _cmd_table(args: argparse.Namespace) -> int:
+    spec, record, weights = _grid(args)
     lines = [f"m,n,x,y,{','.join(spec.case_fields)},case,mq_coeffs,m_at_1"]
     case_template = ",".join(["%d"] * len(spec.case_fields))
-    weights = [(FundCoord(m, n), f"{m},{n}") for m, n in product(range(grid_max + 1), repeat=2)]
     for (lam, lam_text), (mu, mu_text) in product(weights, repeat=2):
         _, _, data, _, mq, m_at_one = closed(record, lam, mu)
         values = case_template % data.as_tuple()
         coeffs = "|".join(map(str, mq.coeffs))
         lines.append(f"{lam_text},{mu_text},{values},{data.case_label},{coeffs},{m_at_one}")
-    return lines
-
-
-def _cmd_table(args: argparse.Namespace) -> int:
-    if args.max < 0:
-        raise ValueError("--max must be nonnegative")
-    data = "\n".join(_table_lines(args.algebra, args.max)) + "\n"
+    text = "\n".join(lines) + "\n"
     if args.output in (None, "-"):
-        sys.stdout.write(data)
+        sys.stdout.write(text)
     else:
         with open(args.output, "w", encoding="ascii", newline="") as handle:
-            handle.write(data)
+            handle.write(text)
     return 0
 
 

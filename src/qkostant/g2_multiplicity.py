@@ -23,7 +23,6 @@ from .rootsys import (
     FundCoord,
     MultiplicityResult,
     alternation_terms,
-    case,
     closed,
     count_sum,
     weyl_sum,
@@ -59,11 +58,6 @@ def _case_data(shifts: list[tuple[int, int, int]], label: str) -> CaseData:
 
 
 ALGEBRA = Algebra(G2, _g2_sum, _case_data, _partition_tarski)
-
-
-def compute_abcdef(lam: FundCoord, mu: FundCoord) -> CaseData:
-    """The case integers of (lam, mu), read off the alternation set, and their case."""
-    return case(ALGEBRA, lam, mu)
 
 
 def qmultiplicity_closed(lam: FundCoord, mu: FundCoord) -> MultiplicityResult:

@@ -1,4 +1,4 @@
-"""The rank-2 root-system core shared by g2 and sp4, and the g2 constants.
+"""The rank-2 root-system core shared by g2 and sp4, and their records G2 and C2.
 
 All weights live in the simple-root basis: c1*a1 + c2*a2 is the pair
 (c1, c2), and a group element acts as a 2x2 integer matrix on such pairs.

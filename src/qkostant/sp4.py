@@ -24,13 +24,10 @@ from .rootsys import (
     Algebra,
     FundCoord,
     Mat,
-    MultiplicityResult,
     RootCoord,
     _as_fund,
     _as_root,
     alternation_terms,
-    case,
-    closed,
     count_sum,
     doubled,
     qpartition_enumerated,
@@ -210,11 +207,6 @@ def _case_data(shifts: list[tuple[int, int, int]], label: str) -> Sp4CaseData:
 ALGEBRA = Algebra(C2, _c2_sum, _case_data, _closed_form)
 
 
-def compute_case_c2(lam: FundCoord, mu: FundCoord) -> Sp4CaseData:
-    """The case integers of (lam, mu), read off the alternation set, and their case."""
-    return case(ALGEBRA, lam, mu)
-
-
 class Sp4MultiplicityResult(NamedTuple):
     lam: FundCoord
     mu: FundCoord
@@ -236,11 +228,6 @@ def multiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> Sp4MultiplicityResu
     shifts, label, terms = alternation_terms(C2, lam, mu)
     value = count_sum(ALGEBRA, terms)
     return Sp4MultiplicityResult(_as_fund(lam), _as_fund(mu), _case_data(shifts, label), value)
-
-
-def qmultiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> MultiplicityResult:
-    """m_q(lam, mu) for sp4: one _c2_sum of the terms of P, Q, R that its case combines."""
-    return closed(ALGEBRA, lam, mu)
 
 
 @cache

@@ -10,10 +10,10 @@ import json
 import time
 from itertools import product
 
+from qkostant import g2_multiplicity, rootsys
 from qkostant.cli import run as cli_run
 from qkostant.g2_multiplicity import (
     CASE_LABELS,
-    compute_abcdef,
     qmultiplicity_closed,
     qmultiplicity_weyl_sum,
 )
@@ -138,7 +138,7 @@ def test_criterion_06_case_audit():
     # A label spells the terms it combines, so the labels that occur are the
     # signed term sets that occur.
     observed = {
-        compute_abcdef(FundCoord(m, n), FundCoord(x, y)).case_label
+        rootsys.case(g2_multiplicity.ALGEBRA, FundCoord(m, n), FundCoord(x, y)).case_label
         for m, n, x, y in product(range(7), repeat=4)
     }
     witnesses = [
@@ -153,7 +153,7 @@ def test_criterion_06_case_audit():
     ]
     witnesses_ok = True
     for (m, n, x, y), vector, label in witnesses:
-        case = compute_abcdef(FundCoord(m, n), FundCoord(x, y))
+        case = rootsys.case(g2_multiplicity.ALGEBRA, FundCoord(m, n), FundCoord(x, y))
         if case.as_tuple() != vector or case.case_label != label:
             witnesses_ok = False
     ok = observed == set(CASE_LABELS) and witnesses_ok  # all 8 realized, nothing else

@@ -282,8 +282,9 @@ class TestErrors:
         assert (code, out) == (1, "")
 
     def test_negative_grid_rejected(self, capsys):
-        code, _, err = invoke(capsys, "verify", "--max", "-1")
-        assert code == 1
+        for command in ("verify", "table"):
+            code, out, err = invoke(capsys, command, "--max", "-1")
+            assert (code, out, err) == (1, "", "qkostant: error: --max must be nonnegative\n")
 
     def test_help_exits_zero(self, capsys):
         assert invoke(capsys, "--help")[0] == 0

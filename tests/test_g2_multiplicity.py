@@ -11,12 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkostant import cli, g2_multiplicity, g2_partition, sp4
+from qkostant import cli, g2_multiplicity, g2_partition, rootsys, sp4
 from qkostant.errors import CoefficientOverflowError, InternalConsistencyError
 from qkostant.g2_multiplicity import (
     ALGEBRA,
     CASE_LABELS,
-    compute_abcdef,
     multiplicity,
     qmultiplicity_closed,
     qmultiplicity_weyl_sum,
@@ -59,19 +58,19 @@ class TestCaseData:
     @pytest.mark.parametrize("point,vector,label", CASE_WITNESSES)
     def test_case_vectors(self, point, vector, label):
         m, n, x, y = point
-        case = compute_abcdef(FundCoord(m, n), FundCoord(x, y))
+        case = rootsys.case(ALGEBRA, FundCoord(m, n), FundCoord(x, y))
         assert case.as_tuple() == vector
         assert case.case_label == label
         assert case.in_n == tuple(v >= 0 for v in vector)
 
     def test_highest_root_case(self):
-        case = compute_abcdef(FundCoord(0, 1), FundCoord(0, 0))
+        case = rootsys.case(ALGEBRA, FundCoord(0, 1), FundCoord(0, 0))
         assert case.as_tuple() == (3, 2, 2, 0, -1, -4)
         assert case.case_label == "PQR"
 
     @staticmethod
     def _tree_label(m, n, x, y):
-        case = compute_abcdef(FundCoord(m, n), FundCoord(x, y))
+        case = rootsys.case(ALGEBRA, FundCoord(m, n), FundCoord(x, y))
         return case.case_label, case_label_g2_tree(tuple(v >= 0 for v in case.as_tuple()))
 
     def test_case_labels_follow_the_decision_tree(self):
@@ -93,7 +92,7 @@ class TestCaseData:
         coords = {"P": "ab", "Q": "cb", "R": "ad", "S": "ce", "T": "fd"}
         assert G2.alternation == tuple(words.items())
         for m, n, x, y in product(range(9), repeat=4):
-            case = compute_abcdef(FundCoord(m, n), FundCoord(x, y))
+            case = rootsys.case(ALGEBRA, FundCoord(m, n), FundCoord(x, y))
             for name, word in words.items():
                 expected = SHIFT_FORMS[word](m, n, x, y)
                 got = tuple(getattr(case, field) for field in coords[name])
@@ -102,7 +101,7 @@ class TestCaseData:
     def test_impossible_sign_patterns_never_occur(self):
         # Each pair/triple below is contradictory for dominant weights.
         for m, n, x, y in product(range(9), repeat=4):
-            case = compute_abcdef(FundCoord(m, n), FundCoord(x, y))
+            case = rootsys.case(ALGEBRA, FundCoord(m, n), FundCoord(x, y))
             a, b, c, d, e, f = case.as_tuple()
             assert not (e >= 0 and d < 0)
             assert not (f >= 0 and c < 0)
@@ -374,7 +373,7 @@ def _live_terms(case) -> str:
 def _observed_labels(grid_max: int) -> set[str]:
     observed = set()
     for m, n, x, y in product(range(grid_max + 1), repeat=4):
-        case = compute_abcdef(FundCoord(m, n), FundCoord(x, y))
+        case = rootsys.case(ALGEBRA, FundCoord(m, n), FundCoord(x, y))
         assert case.case_label == _live_terms(case)
         observed.add(case.case_label)
     return observed

@@ -6,6 +6,7 @@ InternalConsistencyError instead.
 
 import pytest
 
+from qkostant import rootsys, sp4
 from qkostant.g2_multiplicity import qmultiplicity_closed, qmultiplicity_weyl_sum
 from qkostant.g2_partition import (
     partition_tarski,
@@ -16,7 +17,6 @@ from qkostant.g2_partition import (
 )
 from qkostant.rootsys import C2, G2, RootCoord, decompositions, to_fund, to_root
 from qkostant.sp4 import (
-    compute_case_c2,
     multiplicity_c2_closed,
     multiplicity_c2_weyl_sum,
     partition_c2_closed,
@@ -31,14 +31,15 @@ def _warm(kernel, v):
     return kernel(v)
 
 
-# The fund_to_root and root_to_fund ids name the direction of to_root and to_fund.
+# The fund_to_root and root_to_fund ids name the direction of to_root and to_fund,
+# and the compute_case_c2 ids name rootsys.case on sp4.ALGEBRA.
 BAD_CALLS = {
     "tarski_g-float": lambda: tarski_g(2.0),
     "tarski_h-float": lambda: tarski_h(2.0),
     "qmultiplicity_closed-negative": lambda: qmultiplicity_closed((-2, 0), (0, 0)),
     "multiplicity_c2_closed-negative": lambda: multiplicity_c2_closed((-2, 0), (0, 0)),
     "qmultiplicity_weyl_sum-negative": lambda: qmultiplicity_weyl_sum((-3, 0), (0, 0)),
-    "compute_case_c2-float": lambda: compute_case_c2((2.0, 0), (0, 0)),
+    "compute_case_c2-float": lambda: rootsys.case(sp4.ALGEBRA, (2.0, 0), (0, 0)),
     "qmultiplicity_closed-float": lambda: qmultiplicity_closed((1.0, 0), (0, 0)),
     "qpartition-float": lambda: _warm(qpartition, RootCoord(2.0, 1)),
     "qpartition-bool": lambda: _warm(qpartition, (True, 0)),
@@ -48,7 +49,7 @@ BAD_CALLS = {
     "qmultiplicity_closed-scalar": lambda: qmultiplicity_closed(5, (0, 0)),
     "qmultiplicity_weyl_sum-scalar-mu": lambda: qmultiplicity_weyl_sum((1, 1), 5),
     "multiplicity_c2_weyl_sum-triple": lambda: multiplicity_c2_weyl_sum((1, 2, 3), (0, 0)),
-    "compute_case_c2-single": lambda: compute_case_c2((2,), (0, 0)),
+    "compute_case_c2-single": lambda: rootsys.case(sp4.ALGEBRA, (2,), (0, 0)),
     "fund_to_root-float": lambda: to_root(G2, (2.0, 0)),
     "fund_to_root-bool": lambda: to_root(G2, (True, 0)),
     "fund_to_root_c2-float": lambda: to_root(C2, (2.0, 0)),

@@ -9,9 +9,10 @@ from itertools import product
 
 import pytest
 
+from qkostant import rootsys, sp4
 from qkostant.g2_multiplicity import multiplicity, qmultiplicity_closed
 from qkostant.rootsys import FundCoord
-from qkostant.sp4 import multiplicity_c2_closed, multiplicity_c2_weyl_sum, qmultiplicity_c2_closed
+from qkostant.sp4 import multiplicity_c2_closed, multiplicity_c2_weyl_sum
 
 from kostka_foulkes import ALGEBRAS, kostka_foulkes, level, root_in_fund
 
@@ -52,5 +53,5 @@ def test_sp4_routes_equal_kostka_foulkes(m):
         lam, mu = FundCoord(m, n), FundCoord(x, y)
         expected = kostka_foulkes("c2", lam, mu)
         assert list(multiplicity_c2_weyl_sum(lam, mu).coeffs) == expected, (m, n, x, y)
-        assert list(qmultiplicity_c2_closed(lam, mu).mq.coeffs) == expected, (m, n, x, y)
+        assert list(rootsys.closed(sp4.ALGEBRA, lam, mu).mq.coeffs) == expected, (m, n, x, y)
         assert multiplicity_c2_closed(lam, mu).value == sum(expected), (m, n, x, y)

@@ -17,7 +17,13 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # and rootsys.count_sum(ALGEBRA, terms) for tarski_sum.
 REMOVED = {
     "qkostant.rootsys": ("fund_to_root", "root_to_fund", "POSITIVE_ROOTS", "closed_result"),
-    "qkostant.sp4": ("fund_to_root_c2", "root_to_fund_c2", "POSITIVE_ROOTS_C2"),
+    "qkostant.sp4": (
+        "fund_to_root_c2",
+        "root_to_fund_c2",
+        "POSITIVE_ROOTS_C2",
+        "compute_case_c2",
+        "qmultiplicity_c2_closed",
+    ),
     "qkostant.qpoly": ("ZERO", "ONE"),
     "qkostant.g2_multiplicity": (
         "audit_cases",
@@ -31,6 +37,7 @@ REMOVED = {
         "SWEEP",
         "_cached_sum",
         "tarski_sum",
+        "compute_abcdef",
     ),
     "qkostant.g2_partition": ("partition_witnesses", "PartitionWitness", "_qpartition"),
 }

@@ -1,21 +1,20 @@
 """The result, case and root-system records: immutable named tuples."""
 
+from functools import partial
+
 import pytest
 
-from qkostant import g2_multiplicity
+from qkostant import g2_multiplicity, rootsys, sp4
 from qkostant.g2_multiplicity import (
     CaseData,
     MultiplicityResult,
-    compute_abcdef,
     qmultiplicity_closed,
 )
 from qkostant.rootsys import C2, G2, Algebra, FundCoord, RootSystem, WeylElement, weyl_elements
 from qkostant.sp4 import (
     Sp4CaseData,
     Sp4MultiplicityResult,
-    compute_case_c2,
     multiplicity_c2_closed,
-    qmultiplicity_c2_closed,
 )
 
 LAM, MU = FundCoord(2, 1), FundCoord(0, 1)
@@ -34,10 +33,10 @@ FIELDS = {
 INSTANCES = {
     RootSystem: lambda: G2,
     WeylElement: lambda: weyl_elements(G2)[1],
-    CaseData: lambda: compute_abcdef(LAM, MU),
+    CaseData: lambda: rootsys.case(g2_multiplicity.ALGEBRA, LAM, MU),
     MultiplicityResult: lambda: qmultiplicity_closed(LAM, MU),
     Algebra: lambda: g2_multiplicity.ALGEBRA,
-    Sp4CaseData: lambda: compute_case_c2(LAM, MU),
+    Sp4CaseData: lambda: rootsys.case(sp4.ALGEBRA, LAM, MU),
     Sp4MultiplicityResult: lambda: multiplicity_c2_closed(LAM, MU),
 }
 
@@ -83,11 +82,15 @@ def test_root_systems_differ_from_a_plain_tuple_of_their_fields(rs):
     assert fields != rs
 
 
-@pytest.mark.parametrize(
-    "route",
-    [qmultiplicity_closed, multiplicity_c2_closed, qmultiplicity_c2_closed],
-    ids=lambda f: f.__name__,
-)
+# The last id names the sp4 closed q route that rootsys.closed on sp4.ALGEBRA replaced.
+ROUTES = {
+    "qmultiplicity_closed": qmultiplicity_closed,
+    "multiplicity_c2_closed": multiplicity_c2_closed,
+    "qmultiplicity_c2_closed": partial(rootsys.closed, sp4.ALGEBRA),
+}
+
+
+@pytest.mark.parametrize("route", list(ROUTES.values()), ids=list(ROUTES))
 @pytest.mark.parametrize("convert", [tuple, list], ids=lambda f: f.__name__)
 def test_result_holds_fund_coords_of_plain_inputs(route, convert):
     result = route(convert((2, 1)), convert((0, 1)))

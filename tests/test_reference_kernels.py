@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkostant import sp4
+from qkostant import rootsys, sp4
 from qkostant.g2_multiplicity import qmultiplicity_weyl_sum
 from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
@@ -37,9 +37,7 @@ from qkostant.rootsys import (
     weyl_terms,
 )
 from qkostant.sp4 import (
-    compute_case_c2,
     multiplicity_c2_weyl_sum,
-    qmultiplicity_c2_closed,
     qpartition_c2,
     qpartition_c2_bruteforce,
 )
@@ -289,7 +287,7 @@ class TestC2SumKernel:
     @pytest.mark.parametrize("m,n,x,y", C2_DEEP_POINTS)
     def test_equals_markers_at_deep_points(self, m, n, x, y):
         lam, mu = FundCoord(m, n), FundCoord(x, y)
-        closed = [(sign, v) for _, sign, v in qmultiplicity_c2_closed(lam, mu).terms]
+        closed = [(sign, v) for _, sign, v in rootsys.closed(sp4.ALGEBRA, lam, mu).terms]
         for terms in (list(weyl_terms(C2, lam, mu)), closed):
             got = sp4._c2_sum(terms)
             assert got == c2_sum_markers(terms)
@@ -326,12 +324,12 @@ class TestWeylSums:
         lam, mu = FundCoord(m, n), FundCoord(x, y)
         unpruned = multiplicity_c2_weyl_sum_unpruned(lam, mu)
         assert multiplicity_c2_weyl_sum(lam, mu) == unpruned
-        assert qmultiplicity_c2_closed(lam, mu).mq == unpruned
+        assert rootsys.closed(sp4.ALGEBRA, lam, mu).mq == unpruned
 
     def test_c2_closed_route_equals_unpruned_on_grid(self):
         for m, n, x, y in product(range(8), repeat=4):
             lam, mu = FundCoord(m, n), FundCoord(x, y)
-            assert sp4.qmultiplicity_c2_closed(lam, mu).mq == multiplicity_c2_weyl_sum_unpruned(
+            assert rootsys.closed(sp4.ALGEBRA, lam, mu).mq == multiplicity_c2_weyl_sum_unpruned(
                 lam, mu
             ), (m, n, x, y)
 
@@ -378,7 +376,7 @@ def test_sp4_case_integers_equal_the_affine_forms():
     # decision tree and the package off the terms on the positive cone.
     for m, n, x, y in product(range(11), repeat=4):
         lam, mu = FundCoord(m, n), FundCoord(x, y)
-        assert compute_case_c2(lam, mu) == compute_case_c2_affine(lam, mu), (m, n, x, y)
+        assert rootsys.case(sp4.ALGEBRA, lam, mu) == compute_case_c2_affine(lam, mu), (m, n, x, y)
 
 
 @given(st.tuples(*[st.integers(0, 400)] * 4))
@@ -386,7 +384,7 @@ def test_sp4_case_integers_equal_the_affine_forms():
 def test_sp4_case_integers_equal_the_affine_forms_at_large_weights(point):
     m, n, x, y = point
     lam, mu = FundCoord(m, n), FundCoord(x, y)
-    assert compute_case_c2(lam, mu) == compute_case_c2_affine(lam, mu)
+    assert rootsys.case(sp4.ALGEBRA, lam, mu) == compute_case_c2_affine(lam, mu)
 
 
 class TestEnumerator:

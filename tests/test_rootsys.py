@@ -7,6 +7,9 @@ from itertools import product
 
 import pytest
 
+from qkostant import g2_multiplicity, sp4
+from qkostant.errors import InternalConsistencyError
+from qkostant.qpoly import QPoly
 from qkostant.rootsys import (
     C2,
     G2,
@@ -32,7 +35,6 @@ from qkostant.sp4 import (
     _c2_sum,
     _closed_form,
     multiplicity_c2_closed,
-    qmultiplicity_c2_closed,
     qpartition_c2,
 )
 
@@ -287,7 +289,7 @@ class TestB2:
     def test_shared_routes_are_the_swapped_sp4_route(self):
         for m, n, x, y in product(range(8), repeat=4):
             result = closed(B2_ALGEBRA, (m, n), (x, y))
-            c2 = qmultiplicity_c2_closed((n, m), (y, x))
+            c2 = closed(sp4.ALGEBRA, (n, m), (y, x))
             assert (result.mq, result.case) == (c2.mq, c2.case.case_label), (m, n, x, y)
             assert weyl_sum(B2_ALGEBRA, (m, n), (x, y)) == result.mq, (m, n, x, y)
 
@@ -296,3 +298,11 @@ class TestB2:
             terms = alternation_terms(B2, (m, n), (x, y))[2]
             expected = multiplicity_c2_closed((n, m), (y, x)).value
             assert count_sum(B2_ALGEBRA, terms) == expected, (m, n, x, y)
+
+
+@pytest.mark.parametrize("alg", [g2_multiplicity.ALGEBRA, sp4.ALGEBRA], ids=["g2", "c2"])
+def test_negative_closed_coefficient_is_inconsistent(alg):
+    """The shared closed route refuses a term sum with a negative coefficient."""
+    broken = alg._replace(term_sum=lambda terms: QPoly([1, -1]))
+    with pytest.raises(InternalConsistencyError, match="negative coefficient in m_q"):
+        closed(broken, (1, 1), (0, 0))

@@ -10,17 +10,15 @@ from itertools import product
 
 import pytest
 
-from qkostant import sp4
+from qkostant import rootsys, sp4
 from qkostant.errors import CoefficientOverflowError
 from qkostant.qpoly import INT64_MAX, INT64_MIN, QPoly
 from qkostant.rootsys import C2, FundCoord, RootCoord, mat_det, to_fund, to_root
 from qkostant.sp4 import (
-    compute_case_c2,
     fundamental_weights_c2,
     multiplicity_c2_closed,
     multiplicity_c2_weyl_sum,
     partition_c2_closed,
-    qmultiplicity_c2_closed,
     qpartition_c2,
     qpartition_c2_bruteforce,
     weyl_group_c2,
@@ -68,8 +66,9 @@ class TestQPartition:
 class TestWalk:
     """The event walk checks each linear piece at its two ends only."""
 
-    # One event at index 0 with step g: the even coefficients are
-    # c_2r = jump + g(r+1), so jump puts value at index.
+    # One event at index 0 with step g: on index's parity class p,
+    # c_2r+p = jump + g(r+1), where jump is the event's jump (p = 0) or
+    # jump_next (p = 1). So jump puts value at index; the other class stays small.
     @pytest.mark.parametrize(
         "step,index,value",
         [
@@ -83,10 +82,17 @@ class TestWalk:
             (0, 10, INT64_MAX + 1),
             (0, 10, INT64_MIN),
             (0, 10, INT64_MIN - 1),
+            (1, 9, INT64_MAX),  # the rising end of the odd class
+            (1, 9, INT64_MAX + 1),
+            (-1, 9, INT64_MIN),  # its falling end
+            (-1, 9, INT64_MIN - 1),
+            (-1, 1, INT64_MAX),  # its falling start
+            (-1, 1, INT64_MAX + 1),
         ],
     )
     def test_piece_ends_are_range_checked(self, step, index, value):
-        events = [(0, step, value - step * (index // 2 + 1), 0)]
+        jump = value - step * (index // 2 + 1)
+        events = [(0, step, 0, jump) if index % 2 else (0, step, jump, 0)]
         if INT64_MIN <= value <= INT64_MAX:
             assert sp4._c2_walk(events, 10).coeffs[index] == value
         else:
@@ -188,13 +194,13 @@ class TestWeylGroupData:
 
 class TestCaseSelection:
     def test_equal_weights_select_p(self):
-        case = compute_case_c2(FundCoord(1, 0), FundCoord(1, 0))
+        case = rootsys.case(sp4.ALGEBRA, FundCoord(1, 0), FundCoord(1, 0))
         assert (case.a, case.two_b, case.c, case.two_d) == (0, 0, -2, -2)
         assert case.case_label == "P"
 
     def test_odd_difference_kills_b_and_d_together(self):
         for m, n, x, y in product(range(9), repeat=4):
-            case = compute_case_c2(FundCoord(m, n), FundCoord(x, y))
+            case = rootsys.case(sp4.ALGEBRA, FundCoord(m, n), FundCoord(x, y))
             if (m - x) % 2:
                 assert not case.in_n[1] and not case.in_n[3]
                 assert case.case_label == "ZERO"
@@ -211,7 +217,7 @@ class TestCaseSelection:
         ],
     )
     def test_labels(self, lam, mu, label):
-        assert compute_case_c2(FundCoord(*lam), FundCoord(*mu)).case_label == label
+        assert rootsys.case(sp4.ALGEBRA, FundCoord(*lam), FundCoord(*mu)).case_label == label
 
 
 class TestMultiplicity:
@@ -248,7 +254,7 @@ class TestMultiplicity:
         for m, n, x, y in product(range(11), repeat=4):
             lam, mu = FundCoord(m, n), FundCoord(x, y)
             weyl = multiplicity_c2_weyl_sum(lam, mu)
-            closed = qmultiplicity_c2_closed(lam, mu)
+            closed = rootsys.closed(sp4.ALGEBRA, lam, mu)
             assert closed.mq == weyl, (m, n, x, y)
             value = multiplicity_c2_closed(lam, mu).value
             assert closed.m_at_one == value == weyl.eval_at_one(), (m, n, x, y)

@@ -21,9 +21,10 @@ from math import comb
 
 import pytest
 
+from qkostant import rootsys, sp4
 from qkostant.g2_multiplicity import multiplicity, qmultiplicity_closed
 from qkostant.rootsys import FundCoord
-from qkostant.sp4 import multiplicity_c2_closed, multiplicity_c2_weyl_sum, qmultiplicity_c2_closed
+from qkostant.sp4 import multiplicity_c2_closed, multiplicity_c2_weyl_sum
 
 # Positive roots in the simple-root basis, |a_i|^2 / 2 of the two simple
 # roots (a1 short in both algebras), and the order of the Weyl group.
@@ -93,7 +94,7 @@ Q_MULTIPLICITY = {
     "g2": (lambda lam: qmultiplicity_closed(lam, FundCoord(0, 0)).mq,),
     "c2": (
         lambda lam: multiplicity_c2_weyl_sum(lam, FundCoord(0, 0)),
-        lambda lam: qmultiplicity_c2_closed(lam, FundCoord(0, 0)).mq,
+        lambda lam: rootsys.closed(sp4.ALGEBRA, lam, FundCoord(0, 0)).mq,
     ),
 }
 
