@@ -1,7 +1,9 @@
 """Kostant's partition function for g2 and its q-analog, three ways.
 
-``qpartition`` evaluates the quadruple-sum closed form of the q-analog in
-O(N) time, ``qpartition_bruteforce`` counts the decompositions into
+``qpartition`` builds the q-analog from the closed form of D·℘_q, D =
+(1-q)(1-q^2)(1-q^3)(1-q^4): at most 30 coefficients per term, each a
+quasi-polynomial in (m, n), and four prefix sums that divide D out in
+O(N) time. ``qpartition_bruteforce`` counts the decompositions into
 positive roots that ``rootsys.decompositions`` enumerates, and ``tarski_g``/
 ``tarski_h``/``partition_tarski`` give Tarski's classical piecewise values
 at q = 1.
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import sys
 from itertools import accumulate
-from operator import add
 from typing import Sequence
 
 from .errors import InternalConsistencyError
@@ -25,116 +26,163 @@ def qpartition_bruteforce(v: RootCoord) -> QPoly:
     return qpartition_enumerated(G2.positive_roots, v)
 
 
-def _g2_marks(
-    points: list[int], tops: list[int], runs: list[int], m: int, n: int, sign: int
-) -> None:
-    """Add sign times the markers of the g2 q-partition at (m, n) >= 0 into three lists.
+# The markers of D·℘_q(m, n) for D = (1-q)(1-q^2)(1-q^3)(1-q^4), see _g2_marks.
+# A wall's weights are the quasi-polynomial (a*x*x + b*x + c) // den in one
+# coordinate x of (m, n): `_quasi` stores one (a, b, c) triple per marker,
+# with c read off x's residue class, and the division is exact on every class.
 
-    The lists must hold at least m + n + 7 entries; _g2_sum turns them
-    into the coefficients. Evaluates the quadruple sum over counts
-    (i, j, k, l) of the roots 3a1+2a2, 3a1+a2, 2a1+a2, a1+a2 with O(1)
-    work per i. For fixed (i, j), with a = m-3i-3j, b = n-2i-j and
-    t = m+n-4i-3j, each k = 0..min(a//2, b) contributes the exponent run
-    [start(k), t-2k] over l; the starts are t-b-k while k < a-b and t-a
-    from then on.
 
-    The coefficients are the prefix sums of +1 at each run start and -1
-    just past each run end. With S_d the stride-d prefix sum, they are
-    S_1(S_2(E)) for a marker list E: w starts at x enter E as +w at x and
-    -w at x+2, and the run ends t+1, t-1, ... of one (i, j) as -1 at the
-    lowest and +1 at t+3. As j steps, each entry moves in an arithmetic
-    progression with two breakpoints: below j1 = a0-2*b0 the k-runs reach
-    k = b, and from j2 = ceil((a0-b0)/2) on no start moves. Here a0, b0
-    are a, b at j = 0, and j1, j2 are clamped to [0, J+1] for
-    J = min(a0//3, b0). So per i, E gets one stride-3 progression (kept in
-    ``tops``), up to two unit-stride runs (``runs``) and three closed-form
-    weights (``points``): E = points + S_3(tops) + S_1(runs). No loop over
-    j, k or l is run. Every marker of one term cancels past its degree
-    m + n, so the chain of a longer list gives exact zeros there.
+def _quasi(den: int, quad: tuple, lin: tuple, *consts: tuple) -> tuple:
+    """(den, rows): rows[r] holds the (a, b, c) of each marker for x % len(consts) == r."""
+    return den, tuple(tuple(zip(quad, lin, c)) for c in consts)
+
+
+# The wall at degree n: markers at n+1..n+9. x = m for m <= 2n, where for
+# m > n the part in x = m - n is added, and x = 3n - m for 2n <= m <= 3n.
+_N_WALL_M = _quasi(
+    12,
+    (-1, -1, 0, 1, 2, 1, 0, -1, -1),
+    (-12, -16, -8, 4, 20, 16, 8, -4, -8),
+    (-36, -72, -72, -84, -24, -24, 0, -12, -12),
+    (-35, -67, -88, -65, -46, -5, -8, -7, -15),
+    (-32, -72, -80, -84, -24, -24, 8, -12, -16),
+    (-39, -63, -84, -69, -42, -9, -12, -3, -15),
+    (-32, -76, -76, -80, -28, -20, 4, -16, -12),
+    (-35, -63, -92, -69, -42, -9, -4, -3, -19),
+)
+_N_WALL_M_MINUS_N = _quasi(
+    4,
+    (1, 1, 0, -1, -2, -1, 0, 1, 1),
+    (4, 4, 0, -4, -8, -4, 0, 4, 4),
+    (4, 4, 8, 4, 8, 4, 8, 4, 4),
+    (3, 7, 4, 9, 2, 9, 4, 7, 3),
+)
+_N_WALL_3N_MINUS_M = _quasi(
+    12,
+    (-1, -1, 0, 1, 2, 1, 0, -1, -1),
+    (-12, -20, -16, -4, 16, 20, 16, 4, -4),
+    (-36, -96, -132, -168, -108, -72, -12, 0, 0),
+    (-35, -87, -152, -153, -126, -57, -16, 9, -7),
+    (-32, -100, -136, -164, -112, -68, -8, -4, 0),
+    (-39, -87, -144, -153, -126, -57, -24, 9, -3),
+    (-32, -96, -140, -168, -108, -72, -4, 0, -4),
+    (-35, -91, -148, -149, -130, -53, -20, 5, -3),
+)
+# The wall at degree m - n: markers at m-n+1..m-n+7, for m >= 3n/2; x =
+# 2m - 3n up to m = 2n and x = n from there on.
+_M_MINUS_N_WALL_2M_MINUS_3N = _quasi(
+    2,
+    (0, 0, 0, 0, 0, 0, 0),
+    (-1, -1, -1, 0, 1, 1, 1),
+    (-4, -10, -14, -16, -12, -8, -2),
+    (-5, -7, -17, -14, -15, -5, -3),
+)
+_M_MINUS_N_WALL_N = _quasi(
+    2,
+    (0, 0, 0, 0, 0, 0, 0),
+    (-1, -1, -1, 0, 1, 1, 1),
+    (-2, -4, 0, 0, 6, 2, 4),
+    (-3, -1, -3, 2, 3, 5, 3),
+)
+# The lowest degree, by m % 3: from n - m//3 for m <= 3n/2, from ceil(m/3)
+# for 3n/2 <= m <= 3n; and from m - 2n for m >= 3n.
+_LOW_NARROW = ((1, 2, 5, 6, 7, 4, 2), (1, 4, 5, 7, 5, 4, 1), (2, 4, 7, 6, 5, 2, 1))
+_LOW_MIDDLE = ((1, 3, 9, 11, 14, 9, 6, 1), (3, 6, 12, 12, 12, 6, 3), (1, 6, 9, 14, 11, 9, 3, 1))
+_LOW_WIDE = (1, 0, 1)
+# The walls at degree m for m > n and at 2n - m for n < m <= 3n/2: from m+5
+# and 2n-m+1.
+_FLAT_WALL = (-1, -1, -2, -1, -1)
+
+
+def _add_wall(marks: list[int], at: int, sign: int, x: int, wall: tuple) -> None:
+    """Add sign times a _quasi wall's weights at x into marks, from index at on."""
+    den, rows = wall
+    xx = x * x
+    for a, b, c in rows[x % len(rows)]:
+        marks[at] += sign * (a * xx + b * x + c) // den
+        at += 1
+
+
+def _g2_marks(marks: list[int], m: int, n: int, sign: int) -> None:
+    """Add sign times the coefficients of D·℘_q(m, n) at (m, n) >= 0 into marks.
+
+    D = (1-q)(1-q^2)(1-q^3)(1-q^4), and marks must hold at least m + n + 11
+    entries; _g2_sum divides D out with four strided prefix sums. The
+    coefficient of q^d in ℘_q(m, n) counts the decompositions of (m, n)
+    into d positive roots, a vector partition function of (m, n, d). On
+    each chamber it is a quasi-polynomial (Sturmfels 1995, Brion-Vergne
+    1997) that D annihilates in d, so D·℘_q is zero except next to the
+    walls that cut the line of fixed (m, n): at most 30 coefficients in at
+    most five groups. Which walls the support [lowest degree, m + n] meets
+    is set by Tarski's five regions of (m, n) (see _partition_tarski), and
+    next to each wall the coefficients are quasi-polynomials of degree at
+    most 2 in one coordinate of (m, n). The +1 at m + n + 10 is the same
+    in every region. The weights were read off the previous kernel, which
+    looped over the copies of 3a1+2a2, by exact interpolation inside each
+    region; the tests hold this builder to it on whole grids, on sums and
+    at points that reach every region, wall and residue class.
+
+    The work per term is O(1): one region test and at most 39 additions,
+    into at most 30 coefficients.
     """
-    long_runs = 0  # runs [m-n-j1+1, m-n], one for every i with j1 > 0
-    a0, b0, t0 = m, n, m + n  # a, b and t at j = 0 for the current i
-    for _ in range(min(m // 3, n // 2) + 1):
-        stop = a0 // 3 + 1 if a0 // 3 < b0 else b0 + 1  # J + 1
-        j1 = a0 - 2 * b0
-        if j1 >= stop:
-            j1 = stop
-        if j1 > 0:
-            # j < j1: a > 2b and k runs to b. The lowest start t-2b and the
-            # lowest run end t-2b+1 leave one entry, +1 at t-2b = m-n-j.
-            runs[m - n + 1 - j1] += sign
-            long_runs += 1
+    marks[m + n + 10] += sign
+    if m <= n:  # m <= n
+        low, at = _LOW_NARROW[m % 3], n - m // 3
+        _add_wall(marks, n + 1, sign, m, _N_WALL_M)
+    else:
+        for i, w in enumerate(_FLAT_WALL, m + 5):
+            marks[i] += sign * w
+        if m <= 2 * n:
+            if 2 * m <= 3 * n:  # n <= m <= 3n/2
+                low, at = _LOW_NARROW[m % 3], n - m // 3
+                for i, w in enumerate(_FLAT_WALL, 2 * n - m + 1):
+                    marks[i] += sign * w
+            else:  # 3n/2 <= m <= 2n
+                low, at = _LOW_MIDDLE[m % 3], -(-m // 3)
+                _add_wall(marks, m - n + 1, sign, 2 * m - 3 * n, _M_MINUS_N_WALL_2M_MINUS_3N)
+            _add_wall(marks, n + 1, sign, m, _N_WALL_M)
+            _add_wall(marks, n + 1, sign, m - n, _N_WALL_M_MINUS_N)
         else:
-            j1 = 0
-        j2 = (a0 - b0 + 1) // 2
-        if j2 < j1:
-            j2 = j1
-        elif j2 > stop:
-            j2 = stop
-        if j2:
-            # j < j2: the moving starts end at t-b = m-2i-2j, so E has -1 at
-            # m-2i-2j+1 and m-2i-2j+2, one run over all these j.
-            hi = t0 - b0 + 3
-            runs[hi - 2 * j2] -= sign
-            runs[hi] += sign
-        tops[t0 + 6 - 3 * stop] += sign
-        tops[t0 + 6] -= sign
-        # j >= j1: k runs to a//2, and the lowest run end is n-i+1 or n-i+2
-        # by the parity of a; odd counts the odd a = a0-3j over [j1, J].
-        span = stop - j1
-        odd = (span + ((a0 + j1) & 1)) // 2
-        # j in [j1, j2): the moving starts begin at n-i+1. The fixed starts
-        # at t-a = n-i number b-a+1+a//2 there and a//2+1 for j >= j2; the
-        # a//2 are summed in closed form over [j1, J].
-        moving = j2 - j1
-        fixed = (
-            moving * (b0 - a0 + j1 + j2)
-            + (span * (2 * a0 - 3 * (j1 + stop - 1)) // 2 - odd) // 2
-            + stop
-            - j2
-        )
-        p = t0 - a0
-        points[p] += sign * fixed
-        points[p + 1] += sign * (moving - span + odd)
-        points[p + 2] += sign * (moving - odd - fixed)
-        a0 -= 3
-        b0 -= 2
-        t0 -= 4
-    runs[m - n + 1] -= sign * long_runs
+            _add_wall(marks, m - n + 1, sign, n, _M_MINUS_N_WALL_N)
+            if m <= 3 * n:  # 2n <= m <= 3n
+                low, at = _LOW_MIDDLE[m % 3], -(-m // 3)
+                _add_wall(marks, n + 1, sign, 3 * n - m, _N_WALL_3N_MINUS_M)
+            else:  # 3n <= m
+                low, at = _LOW_WIDE, m - 2 * n
+    for w in low:
+        marks[at] += sign * w
+        at += 1
 
 
 def _g2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
     """The sum of sign * qpartition((m, n)) over (sign, (m, n)) pairs with m, n >= 0.
 
-    The polynomial S_1(S_2(points + S_3(tops) + S_1(runs))) of the markers
-    that _g2_marks adds for every term, up to the largest degree m + n. A
-    degree too large for a list raises ValueError before anything is built.
+    Every term adds its markers of D·℘_q (see _g2_marks) into one list, and
+    the stride-4, -3, -2 and -1 prefix sums divide D out once for the whole
+    sum, up to the largest degree m + n. A degree too large for a list
+    raises ValueError before anything is built.
     """
     if not terms:
         return QPoly()
     degree = max(m + n for _, (m, n) in terms)
-    size = degree + 7
+    size = degree + 11
     if size > sys.maxsize:
         raise ValueError(f"degree {degree} is too large for a coefficient list")
-    points = [0] * size  # entries of E at n-i, n-i+1 and n-i+2
-    tops = [0] * size  # second differences, stride 3: the +1 at t+3 over j
-    runs = [0] * size  # first differences: unit-stride runs of E
+    marks = [0] * size
     for sign, (m, n) in terms:
-        _g2_marks(points, tops, runs, m, n, sign)
-    tops[0::3] = accumulate(tops[0::3])
-    tops[1::3] = accumulate(tops[1::3])
-    tops[2::3] = accumulate(tops[2::3])
-    marks = list(map(add, map(add, points, tops), accumulate(runs)))
+        _g2_marks(marks, m, n, sign)
     del marks[degree + 1 :]  # prefix sums never look ahead
-    marks[0::2] = accumulate(marks[0::2])
-    marks[1::2] = accumulate(marks[1::2])
+    for stride in (4, 3, 2):
+        for r in range(stride):
+            marks[r::stride] = accumulate(marks[r::stride])
     return QPoly(accumulate(marks))
 
 
 def qpartition(v: RootCoord) -> QPoly:
     """q-analog of Kostant's partition function for g2, closed form.
 
-    The one-term _g2_sum, in O(N) time for N = m + n.
+    The one-term _g2_sum: O(1) Python work and O(N) C-level prefix sums for
+    N = m + n.
     """
     m, n = _as_root(v)
     if m < 0 or n < 0:

@@ -4,8 +4,12 @@ A test that runs one of these and sees it disagree with an oracle shows
 that the part it removes is load-bearing.
 """
 
+from operator import add
+
 from qkostant.g2_partition import _g2_marks
 from qkostant.sp4 import _c2_events, _closed_form
+
+from reference_kernels import g2_marker_groups
 
 
 def closed_form_without_edge_region(m: int, n: int) -> int:
@@ -19,11 +23,29 @@ def closed_form_without_edge_region(m: int, n: int) -> int:
     return _closed_form(m, n)
 
 
-def g2_marks_ignoring_sign(
-    points: list[int], tops: list[int], runs: list[int], m: int, n: int, sign: int
-) -> None:
+def g2_marks_ignoring_sign(marks: list[int], m: int, n: int, sign: int) -> None:
     """g2's marker builder with every term added as if its sign were +1."""
-    _g2_marks(points, tops, runs, m, n, 1)
+    _g2_marks(marks, m, n, 1)
+
+
+def g2_marks_moving(wall: str, by: int | None):
+    """g2's marker builder with the group at one wall moved by `by` degrees,
+    or dropped for None. g2_marker_groups says where each group sits."""
+
+    def mutant(marks: list[int], m: int, n: int, sign: int) -> None:
+        own = [0] * (m + n + 12)
+        _g2_marks(own, m, n, sign)
+        for name, at, width in g2_marker_groups(m, n):
+            if name == wall:
+                group = own[at : at + width]
+                own[at : at + width] = [0] * width
+                if by is not None:
+                    at += by
+                    own[at : at + width] = map(add, own[at : at + width], group)
+        stop = min(len(own), len(marks))
+        marks[:stop] = map(add, marks[:stop], own[:stop])
+
+    return mutant
 
 
 def c2_events_ignoring_sign(events: list, m: int, n: int, sign: int) -> None:

@@ -1,8 +1,8 @@
 """Direct, unoptimised forms of the package's sums, kept as second oracles.
 
 ``qpartition`` and ``qpartition_c2`` in the package evaluate the q-partition
-sums in O(N) through strided difference arrays, with a loop over i only
-for g2 and no loop for sp4. The loops below walk the sums term by term
+sums with O(1) Python work per term and O(N) prefix sums, with no loop
+over the copies of any root. The loops below walk the sums term by term
 instead: O(N^3) for g2 and O(N^2) for sp4, still far cheaper than
 enumerating decompositions, so they can check the kernels at points where
 brute force is out of reach. Between the two sit the kernels the package
@@ -11,7 +11,12 @@ and ``qpartition_c2_loop`` (sp4, O(N), loops over i), kept verbatim with
 their caches dropped; they reach larger points still. ``c2_sum_markers``
 is the sp4 sum kernel that the breakpoint walk replaced, kept verbatim:
 every term adds its signed run markers into one difference array, whose
-one prefix sum is the result.
+one prefix sum is the result. ``g2_sum_loop`` is the g2 sum kernel that
+the closed-form markers of D·℘_q replaced, kept verbatim: its builder
+``_g2_marks`` loops over the copies i of 3a1+2a2 with O(1) work per i.
+``g2_marker_groups`` and ``g2_closed_form_cases`` say, from m and n
+alone, where the new builder's marker groups sit and which case of its
+closed form each reaches.
 
 The package's Weyl sums cache the shifted orbit of lambda and skip the
 terms that are zero. The unpruned sums below evaluate every term of the
@@ -30,8 +35,10 @@ list of positive roots. The hand-written g2 and sp4 loop nests it replaced
 are kept below, so the walk can be held to them witness for witness.
 """
 
+import sys
 from itertools import accumulate, repeat
 from operator import add, sub
+from typing import Sequence
 
 from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
@@ -107,6 +114,180 @@ def qpartition_double_loop(v: RootCoord) -> QPoly:
     even[0::2] = accumulate(even[0::2])
     even[1::2] = accumulate(even[1::2])
     return QPoly(accumulate(map(add, map(add, flat, accumulate(unit)), even)))
+
+
+def _g2_marks(
+    points: list[int], tops: list[int], runs: list[int], m: int, n: int, sign: int
+) -> None:
+    """Add sign times the markers of the g2 q-partition at (m, n) >= 0 into three lists.
+
+    The lists must hold at least m + n + 7 entries; g2_sum_loop turns them
+    into the coefficients. Evaluates the quadruple sum over counts
+    (i, j, k, l) of the roots 3a1+2a2, 3a1+a2, 2a1+a2, a1+a2 with O(1)
+    work per i. For fixed (i, j), with a = m-3i-3j, b = n-2i-j and
+    t = m+n-4i-3j, each k = 0..min(a//2, b) contributes the exponent run
+    [start(k), t-2k] over l; the starts are t-b-k while k < a-b and t-a
+    from then on.
+
+    The coefficients are the prefix sums of +1 at each run start and -1
+    just past each run end. With S_d the stride-d prefix sum, they are
+    S_1(S_2(E)) for a marker list E: w starts at x enter E as +w at x and
+    -w at x+2, and the run ends t+1, t-1, ... of one (i, j) as -1 at the
+    lowest and +1 at t+3. As j steps, each entry moves in an arithmetic
+    progression with two breakpoints: below j1 = a0-2*b0 the k-runs reach
+    k = b, and from j2 = ceil((a0-b0)/2) on no start moves. Here a0, b0
+    are a, b at j = 0, and j1, j2 are clamped to [0, J+1] for
+    J = min(a0//3, b0). So per i, E gets one stride-3 progression (kept in
+    ``tops``), up to two unit-stride runs (``runs``) and three closed-form
+    weights (``points``): E = points + S_3(tops) + S_1(runs). No loop over
+    j, k or l is run. Every marker of one term cancels past its degree
+    m + n, so the chain of a longer list gives exact zeros there.
+    """
+    long_runs = 0  # runs [m-n-j1+1, m-n], one for every i with j1 > 0
+    a0, b0, t0 = m, n, m + n  # a, b and t at j = 0 for the current i
+    for _ in range(min(m // 3, n // 2) + 1):
+        stop = a0 // 3 + 1 if a0 // 3 < b0 else b0 + 1  # J + 1
+        j1 = a0 - 2 * b0
+        if j1 >= stop:
+            j1 = stop
+        if j1 > 0:
+            # j < j1: a > 2b and k runs to b. The lowest start t-2b and the
+            # lowest run end t-2b+1 leave one entry, +1 at t-2b = m-n-j.
+            runs[m - n + 1 - j1] += sign
+            long_runs += 1
+        else:
+            j1 = 0
+        j2 = (a0 - b0 + 1) // 2
+        if j2 < j1:
+            j2 = j1
+        elif j2 > stop:
+            j2 = stop
+        if j2:
+            # j < j2: the moving starts end at t-b = m-2i-2j, so E has -1 at
+            # m-2i-2j+1 and m-2i-2j+2, one run over all these j.
+            hi = t0 - b0 + 3
+            runs[hi - 2 * j2] -= sign
+            runs[hi] += sign
+        tops[t0 + 6 - 3 * stop] += sign
+        tops[t0 + 6] -= sign
+        # j >= j1: k runs to a//2, and the lowest run end is n-i+1 or n-i+2
+        # by the parity of a; odd counts the odd a = a0-3j over [j1, J].
+        span = stop - j1
+        odd = (span + ((a0 + j1) & 1)) // 2
+        # j in [j1, j2): the moving starts begin at n-i+1. The fixed starts
+        # at t-a = n-i number b-a+1+a//2 there and a//2+1 for j >= j2; the
+        # a//2 are summed in closed form over [j1, J].
+        moving = j2 - j1
+        fixed = (
+            moving * (b0 - a0 + j1 + j2)
+            + (span * (2 * a0 - 3 * (j1 + stop - 1)) // 2 - odd) // 2
+            + stop
+            - j2
+        )
+        p = t0 - a0
+        points[p] += sign * fixed
+        points[p + 1] += sign * (moving - span + odd)
+        points[p + 2] += sign * (moving - odd - fixed)
+        a0 -= 3
+        b0 -= 2
+        t0 -= 4
+    runs[m - n + 1] -= sign * long_runs
+
+
+def g2_sum_loop(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
+    """The sum of sign * qpartition((m, n)) over (sign, (m, n)) pairs with m, n >= 0.
+
+    The polynomial S_1(S_2(points + S_3(tops) + S_1(runs))) of the markers
+    that _g2_marks adds for every term, up to the largest degree m + n. A
+    degree too large for a list raises ValueError before anything is built.
+    """
+    if not terms:
+        return QPoly()
+    degree = max(m + n for _, (m, n) in terms)
+    size = degree + 7
+    if size > sys.maxsize:
+        raise ValueError(f"degree {degree} is too large for a coefficient list")
+    points = [0] * size  # entries of E at n-i, n-i+1 and n-i+2
+    tops = [0] * size  # second differences, stride 3: the +1 at t+3 over j
+    runs = [0] * size  # first differences: unit-stride runs of E
+    for sign, (m, n) in terms:
+        _g2_marks(points, tops, runs, m, n, sign)
+    tops[0::3] = accumulate(tops[0::3])
+    tops[1::3] = accumulate(tops[1::3])
+    tops[2::3] = accumulate(tops[2::3])
+    marks = list(map(add, map(add, points, tops), accumulate(runs)))
+    del marks[degree + 1 :]  # prefix sums never look ahead
+    marks[0::2] = accumulate(marks[0::2])
+    marks[1::2] = accumulate(marks[1::2])
+    return QPoly(accumulate(marks))
+
+
+def g2_region(m: int, n: int) -> str:
+    """Tarski's region of (m, n) >= 0, a to e, the first that holds."""
+    if m <= n:
+        return "a"
+    if 2 * m <= 3 * n:
+        return "b"
+    if m <= 2 * n:
+        return "c"
+    if m <= 3 * n:
+        return "d"
+    return "e"
+
+
+def g2_marker_groups(m: int, n: int) -> list[tuple[str, int, int]]:
+    """(wall, first index, width) of each group of D·℘_q(m, n), by region.
+
+    The walls are the degrees where the chamber of (m, n, d) changes along
+    the support of ℘_q(m, n): its lowest degree, m - n, 2n - m, n and m,
+    and its end m + n, past which the group at m + n + 10 cancels the rest.
+    """
+    region = g2_region(m, n)
+    groups = [("top", m + n + 10, 1)]
+    if region in "ab":
+        groups.append(("lowest", n - m // 3, 7))
+    elif region in "cd":
+        groups.append(("lowest", -(-m // 3), 8))
+    else:
+        groups.append(("lowest", m - 2 * n, 3))
+    if region != "e":
+        groups.append(("n", n + 1, 9))
+    if region != "a":
+        groups.append(("m", m + 5, 5))
+    if region == "b":
+        groups.append(("2n-m", 2 * n - m + 1, 5))
+    if region in "cde":
+        groups.append(("m-n", m - n + 1, 7))
+    return groups
+
+
+def g2_closed_form_cases(m: int, n: int) -> set:
+    """Which cases of the closed form of D·℘_q the point (m, n) >= 0 reaches.
+
+    A case is a region with the residue class of each coordinate that a
+    wall's weights depend on there: m % 3 at the lowest degree (one case
+    for m >= 3n), m % 6, (m - n) % 2 or (3n - m) % 6 at n, and (2m - 3n) % 2
+    or n % 2 at m - n. Points on a line between two regions, on an axis or
+    at the origin are a case of their own as well.
+    """
+    region = g2_region(m, n)
+    cases = {(region, "lowest", m % 3 if region != "e" else None)}
+    if region == "a":
+        cases.add((region, "n", (m % 6, None)))
+    elif region in "bc":
+        cases.add((region, "n", (m % 6, (m - n) % 2)))
+    elif region == "d":
+        cases.add((region, "n", ((3 * n - m) % 6, None)))
+    if region == "c":
+        cases.add((region, "m-n", (2 * m - 3 * n) % 2))
+    elif region in "de":
+        cases.add((region, "m-n", n % 2))
+    if m == n == 0:
+        return cases | {("line", "origin")}
+    lines = {"m = n": m == n, "2m = 3n": 2 * m == 3 * n, "m = 2n": m == 2 * n,
+             "m = 3n": m == 3 * n, "m = 0": m == 0, "n = 0": n == 0}
+    cases.update(("line", name) for name, on in lines.items() if on)
+    return cases
 
 
 def qpartition_c2_loop(v: RootCoord) -> QPoly:

@@ -35,6 +35,17 @@ CASE_JSON_GRID4_SHA256 = {
     "g2": "cdd34f0e9afd0a75d2367b06859515081b0d93ab197321e7d3c1365736a87ed9",
     "c2": "b4b737dc9171b401ab54ac6a41ec918d38c7373863700d5be7ebff83c0447c9e",
 }
+# SHA-256 of the stdout of deep g2 queries, recorded before the marker
+# builder's loop over i was replaced; each output also equals the O(N^2)
+# qpartition_double_loop reference.
+DEEP_G2_SHA256 = {
+    ("qmult", "--lambda", "600,600", "--mu", "100,50"):
+        "768fb8ea4c7003484a14d9c07af1f3b5e1587a824b086e9b2f028f8386acb5d5",
+    ("qmult", "--lambda", "80,80", "--mu", "10,10"):
+        "b151c38dd4616c64bf07e4f70f9c086035a6659a0c10178efc151f2fcd2a63cd",
+    ("qpartition", "3000,2000"):
+        "d4391de5d8d932c4e49b7e7780ef9b67878308043b3fdf53ae0d75a3e4f4e907",
+}
 VERIFY_MAX6_STDOUT = {
     "g2": (
         '{"algebra":"g2","checks":['
@@ -404,6 +415,12 @@ class TestPinnedOutput:
         code, out, _ = invoke(capsys, "table", "--algebra", "c2", "--max", "6")
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == TABLE_MAX6_SHA256["c2"]
+
+    @pytest.mark.parametrize("args", sorted(DEEP_G2_SHA256), ids=" ".join)
+    def test_deep_g2_output_hash(self, capsys, args):
+        code, out, _ = invoke(capsys, *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == DEEP_G2_SHA256[args]
 
     @pytest.mark.parametrize("algebra", ["g2", "c2"])
     def test_verify_max6_stdout(self, capsys, algebra):

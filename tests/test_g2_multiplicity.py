@@ -34,7 +34,7 @@ from qkostant.rootsys import (
 from qkostant.sp4 import qpartition_c2
 
 from mutants import c2_events_ignoring_sign, g2_marks_ignoring_sign
-from reference_kernels import case_label_g2_tree
+from reference_kernels import case_label_g2_tree, g2_sum_loop
 from shift_forms import SHIFT_FORMS
 
 # One witness per admissible case, with its full (a, b, c, d, e, f) vector.
@@ -274,6 +274,12 @@ class TestClosedRoutePaths:
         # Every deep pair combines four or five signed terms.
         assert {len(closed(ALGEBRA, lam, mu).terms) for lam, mu in DEEP_PAIRS} == {4, 5}
         self._assert_records_agree(ALGEBRA, qpartition, DEEP_PAIRS)
+
+    def test_fused_terms_of_deep_pairs_equal_the_loop(self):
+        # The loop over i that the closed-form markers replaced, on the same sums.
+        for lam, mu in DEEP_PAIRS:
+            terms = [(sign, v) for _, sign, v in closed(ALGEBRA, lam, mu).terms]
+            assert g2_partition._g2_sum(terms) == g2_sum_loop(terms), (lam, mu)
 
     @pytest.mark.parametrize("pairs", [GRID7, DEEP_PAIRS], ids=["grid", "deep"])
     def test_fused_marker_signs_break_the_agreement(self, monkeypatch, pairs):

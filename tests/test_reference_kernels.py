@@ -8,7 +8,11 @@ still. The pruned, orbit-cached Weyl sums and the sp4 closed q route are
 held equal to the unpruned alternating sums term for term, and the shared
 decomposition enumerator to the hand-written loops it replaced.
 The sp4 case integers and labels, read off the alternation set, are held
-to the affine forms they replaced. The sp4 sum kernel walks the breakpoint
+to the affine forms they replaced. The g2 sum kernel adds the closed-form
+markers of D·℘_q; it is held to the loop over i it replaced on single
+terms, on seeded fused queries, at deep points and at points that reach
+every case of its closed form, and mutants that move one group of markers
+show that those checks see each group. The sp4 sum kernel walks the breakpoint
 events of all its terms at once; it is held to the difference-array kernel
 it replaced on single terms, on seeded signed sums and at deep points. The
 sp4 Weyl sum and the closed q route both run it, the unpruned sum builds
@@ -23,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkostant import rootsys, sp4
+from qkostant import g2_partition, rootsys, sp4
 from qkostant.g2_multiplicity import qmultiplicity_weyl_sum
 from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
@@ -32,6 +36,7 @@ from qkostant.rootsys import (
     G2,
     FundCoord,
     RootCoord,
+    alternation_terms,
     decompositions,
     shifted_orbit,
     weyl_terms,
@@ -41,10 +46,12 @@ from qkostant.sp4 import (
     qpartition_c2,
     qpartition_c2_bruteforce,
 )
-from mutants import c2_events_ignoring_sign, c2_events_unclipped
+from mutants import c2_events_ignoring_sign, c2_events_unclipped, g2_marks_moving
 from reference_kernels import (
     c2_sum_markers,
     compute_case_c2_affine,
+    g2_closed_form_cases,
+    g2_sum_loop,
     multiplicity_c2_weyl_sum_unpruned,
     partition_witnesses_nested,
     qmultiplicity_weyl_sum_unpruned,
@@ -128,7 +135,8 @@ def g2_regimes(m, n):
     return seen
 
 
-# Points whose i-steps reach every j-range and clamp of the g2 kernel.
+# Points whose i-steps reach every j-range and clamp of the loop over i
+# that the g2 kernel used before (reference_kernels.g2_sum_loop).
 G2_J_RANGE_POINTS = [(0, 0), (1, 0), (12, 6), (15, 7), (300, 130)]
 
 
@@ -211,8 +219,94 @@ class TestG2Kernel:
     @pytest.mark.parametrize("m,n", G2_J_RANGE_POINTS)
     def test_equals_double_loop_at_j_range_points(self, m, n):
         v = RootCoord(m, n)
-        assert qpartition(v) == qpartition_double_loop(v)
+        assert qpartition(v) == g2_sum_loop([(1, (m, n))]) == qpartition_double_loop(v)
         assert qpartition(v) == qpartition_triple_sum(m, n)
+
+
+# Points that together reach every case of the g2 closed form: each region
+# with every residue class its walls' weights depend on, each line between
+# two regions, the axes and the origin.
+G2_CASE_POINTS = [
+    (0, 0), (0, 70), (13, 57), (14, 56), (15, 55), (16, 54), (35, 34), (35, 35),
+    (36, 33), (37, 32), (37, 33), (38, 31), (38, 32), (39, 30), (39, 31), (40, 29),
+    (40, 30), (41, 27), (41, 29), (42, 26), (42, 27), (42, 28), (43, 26), (43, 27),
+    (44, 25), (44, 26), (45, 24), (45, 25), (46, 23), (46, 24), (47, 22), (47, 24),
+    (48, 21), (49, 20), (49, 21), (50, 20), (51, 17), (53, 17), (70, 0),
+]
+
+
+def _g2_queries(rng, count):
+    """The closed and the Weyl-sum terms of count seeded queries shaped like
+    the benchmark's deep g2 ones: lam in [20,80]^2, mu <= lam/4."""
+    sums = []
+    for _ in range(count):
+        m, n = rng.randint(20, 80), rng.randint(20, 80)
+        lam, mu = FundCoord(m, n), FundCoord(rng.randint(0, m // 4), rng.randint(0, n // 4))
+        sums.append([(sign, v) for _, sign, v in alternation_terms(G2, lam, mu)[2]])
+        sums.append(weyl_terms(G2, lam, mu))
+    return sums
+
+
+G2_SEEDED_QUERIES = _g2_queries(Random(21), 200)
+
+
+class TestG2SumKernel:
+    """The closed-form markers of D·℘_q against the loop over i they replaced."""
+
+    def test_equals_loop_on_every_single_term(self):
+        for m, n in product(range(61), repeat=2):
+            for sign in (1, -1):
+                got = g2_partition._g2_sum([(sign, (m, n))])
+                assert got == g2_sum_loop([(sign, (m, n))]), (sign, m, n)
+                _assert_canonical(got)
+
+    def test_equals_loop_on_seeded_queries(self):
+        for terms in G2_SEEDED_QUERIES:
+            got = g2_partition._g2_sum(terms)
+            assert got == g2_sum_loop(terms), terms
+            _assert_canonical(got)
+
+    @pytest.mark.parametrize("m,n", [(3000, 2000), (10000, 10000)])
+    def test_equals_loop_at_deep_points(self, m, n):
+        assert g2_partition._g2_sum([(1, (m, n))]) == g2_sum_loop([(1, (m, n))])
+
+    def test_case_points_cover_every_case(self):
+        every = set().union(*(g2_closed_form_cases(m, n) for m, n in product(range(121), repeat=2)))
+        covered = set().union(*(g2_closed_form_cases(m, n) for m, n in G2_CASE_POINTS))
+        assert covered == every
+        assert len(every) == 62
+
+    @pytest.mark.parametrize("m,n", G2_CASE_POINTS)
+    def test_equals_loop_at_case_points(self, m, n):
+        got = qpartition(RootCoord(m, n))
+        assert got == g2_sum_loop([(1, (m, n))]) == qpartition_triple_sum(m, n)
+
+    def test_marker_weights_divide_exactly(self):
+        # (a*x*x + b*x + c) mod den depends on x mod len(rows) * den alone.
+        walls = [
+            g2_partition._N_WALL_M,
+            g2_partition._N_WALL_M_MINUS_N,
+            g2_partition._N_WALL_3N_MINUS_M,
+            g2_partition._M_MINUS_N_WALL_2M_MINUS_3N,
+            g2_partition._M_MINUS_N_WALL_N,
+        ]
+        for den, rows in walls:
+            for x in range(len(rows) * den):
+                assert all((a * x * x + b * x + c) % den == 0 for a, b, c in rows[x % len(rows)])
+
+    @pytest.mark.parametrize("wall", ["lowest", "m-n", "2n-m", "n", "m"])
+    def test_moving_a_group_breaks_the_grid(self, monkeypatch, wall):
+        monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_moving(wall, 1))
+        with pytest.raises(AssertionError):
+            self.test_equals_loop_on_every_single_term()
+
+    def test_dropping_the_end_group_breaks_the_sums(self, monkeypatch):
+        """The +1 at m + n + 10 lies past its own term's degree, so only a
+        sum with a longer term sees it."""
+        monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_moving("top", None))
+        self.test_equals_loop_on_every_single_term()
+        with pytest.raises(AssertionError):
+            self.test_equals_loop_on_seeded_queries()
 
 
 class TestC2Kernel:
