@@ -27,14 +27,17 @@ from .rootsys import (
     FundCoord,
     RootCoord,
     RootSystem,
+    alternation_terms_at,
     case,
     closed,
+    closed_at,
     count_sum,
+    grid_points,
     memoized,
     qpartition_enumerated,
     to_fund,
     to_root,
-    weyl_sum,
+    weyl_terms_at,
 )
 from .sp4 import Sp4CaseData, multiplicity_c2_closed, partition_c2_closed, qpartition_c2
 
@@ -139,27 +142,31 @@ def _cmd_mult(args: argparse.Namespace) -> int:
     return 0
 
 
-def _g2_tuple_mismatches(record: Algebra, lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
+def _g2_tuple_mismatches(record: Algebra, lam: FundCoord, mu: FundCoord, orbit: tuple,
+                         mu_shift: tuple[int, int]) -> tuple[bool, bool, bool]:
     # One closed evaluation serves three checks: its m_at_one is exactly
     # what multiplicity(..., "qpoly") returns, its terms are the ones
     # multiplicity(..., "tarski") sums, and its case is the one the case
     # command prints. Both sides read the sweep's memoized term polynomials.
-    result = closed(record, lam, mu)
+    result = closed_at(record, lam, mu, orbit, mu_shift)
     return (
-        result.mq != weyl_sum(record, lam, mu),
+        result.mq != record.term_sum(weyl_terms_at(orbit, mu_shift)),
         result.m_at_one != count_sum(record, result.terms),
         result.case.case_label not in CASE_LABELS,
     )
 
 
-def _c2_tuple_mismatches(record: Algebra, lam: FundCoord, mu: FundCoord) -> tuple[bool, ...]:
-    # One Weyl sum serves both checks; an odd m - x puts mu off lam's
+def _c2_tuple_mismatches(record: Algebra, lam: FundCoord, mu: FundCoord, orbit: tuple,
+                         mu_shift: tuple[int, int]) -> tuple[bool, bool]:
+    # The count route over the alternation terms is what multiplicity_c2_closed
+    # returns; one Weyl sum serves both checks. An odd m - x puts mu off lam's
     # root-lattice coset, where the case flags and the sum must vanish.
-    result = multiplicity_c2_closed(lam, mu)
-    weyl = weyl_sum(record, lam, mu)
+    shifts, label, terms = alternation_terms_at(record.rs, orbit, mu_shift)
+    weyl = record.term_sum(weyl_terms_at(orbit, mu_shift))
+    in_n = record.case_data(shifts, label).in_n
     return (
-        result.value != weyl.eval_at_one(),
-        bool((lam.m - mu.m) % 2 and (result.case.in_n[1] or result.case.in_n[3] or weyl)),
+        count_sum(record, terms) != weyl.eval_at_one(),
+        bool((lam.m - mu.m) % 2 and (in_n[1] or in_n[3] or weyl)),
     )
 
 
@@ -178,7 +185,7 @@ class _Algebra(NamedTuple):
     case_fields: tuple[str, ...]  # names of the values in case.as_tuple()
     pair_checks: tuple[str, ...]  # the two flags of pair_mismatches
     tuple_checks: tuple[str, ...]  # one mismatch flag each per (lam, mu)
-    tuple_mismatches: Callable[[Algebra, FundCoord, FundCoord], tuple[bool, ...]]
+    tuple_mismatches: Callable[..., tuple[bool, ...]]  # (record, *a point of grid_points)
 
     def pair_mismatches(self, m: int, n: int) -> tuple[bool, bool]:
         """The kernel at (m, n) against the enumerator, and at q = 1 against the count."""
@@ -230,28 +237,30 @@ def _cmd_case(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid(args: argparse.Namespace) -> tuple[_Algebra, Algebra, list[tuple[FundCoord, str]]]:
-    """The algebra row, its memoized record and the [0,--max]^2 weights with their "m,n"."""
+def _grid(args: argparse.Namespace) -> tuple[_Algebra, Algebra]:
+    """The algebra row and its memoized record, once --max is checked."""
     if args.max < 0:
         raise ValueError("--max must be nonnegative")
     spec = _ALGEBRAS[args.algebra]
-    weights = [(FundCoord(m, n), f"{m},{n}") for m, n in product(range(args.max + 1), repeat=2)]
-    return spec, memoized(spec.record), weights
+    return spec, memoized(spec.record)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec, record, grid = _grid(args)
-    weights = [lam for lam, _ in grid]
+    spec, record = _grid(args)
+    side = args.max + 1
     checks = []
-    for names, power, points, mismatches in (
-        (spec.pair_checks, 1, weights, spec.pair_mismatches),
-        (spec.tuple_checks, 2, product(weights, repeat=2), partial(spec.tuple_mismatches, record)),
+    for names, cases, points, mismatches in (
+        (spec.pair_checks, side**2, product(range(side), repeat=2), spec.pair_mismatches),
+        (spec.tuple_checks, side**4, grid_points(record.rs, args.max),
+         partial(spec.tuple_mismatches, record)),
     ):
         totals = [0] * len(names)
         for point in points:
-            totals = list(map(add, totals, mismatches(*point)))
+            flags = mismatches(*point)
+            if True in flags:
+                totals = list(map(add, totals, flags))
         checks += (
-            {"name": name, "cases": len(weights) ** power, "mismatches": total}
+            {"name": name, "cases": cases, "mismatches": total}
             for name, total in zip(names, totals)
         )
     if args.fmt == "json":
@@ -264,14 +273,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    spec, record, weights = _grid(args)
+    spec, record = _grid(args)
     lines = [f"m,n,x,y,{','.join(spec.case_fields)},case,mq_coeffs,m_at_1"]
-    case_template = ",".join(["%d"] * len(spec.case_fields))
-    for (lam, lam_text), (mu, mu_text) in product(weights, repeat=2):
-        _, _, data, _, mq, m_at_one = closed(record, lam, mu)
-        values = case_template % data.as_tuple()
+    width = len(spec.case_fields)
+    case_template = ",".join(["%d"] * width)
+    coords = {(m, n): f"{m},{n}" for m, n in product(range(args.max + 1), repeat=2)}
+    for lam, mu, orbit, mu_shift in grid_points(record.rs, args.max):
+        _, _, data, _, mq, m_at_one = closed_at(record, lam, mu, orbit, mu_shift)
+        values = case_template % data[:width]  # the fields of data.as_tuple()
         coeffs = "|".join(map(str, mq.coeffs))
-        lines.append(f"{lam_text},{mu_text},{values},{data.case_label},{coeffs},{m_at_one}")
+        lines.append(f"{coords[lam]},{coords[mu]},{values},{data.case_label},{coeffs},{m_at_one}")
     text = "\n".join(lines) + "\n"
     if args.output in (None, "-"):
         sys.stdout.write(text)

@@ -22,6 +22,7 @@ from .rootsys import (
     Algebra,
     FundCoord,
     MultiplicityResult,
+    _new_tuple,
     alternation_terms,
     closed,
     count_sum,
@@ -54,7 +55,8 @@ def _case_data(shifts: list[tuple[int, int, int]], label: str) -> CaseData:
     # g2 weights lie in the root lattice.
     (_, a, b), (_, c, _), (_, _, d), (_, _, e), (_, f, _) = shifts
     a, b, c, d, e, f = a >> 1, b >> 1, c >> 1, d >> 1, e >> 1, f >> 1
-    return CaseData(a, b, c, d, e, f, (a >= 0, b >= 0, c >= 0, d >= 0, e >= 0, f >= 0), label)
+    in_n = (a >= 0, b >= 0, c >= 0, d >= 0, e >= 0, f >= 0)
+    return _new_tuple(CaseData, (a, b, c, d, e, f, in_n, label))
 
 
 ALGEBRA = Algebra(G2, _g2_sum, _case_data, _partition_tarski)

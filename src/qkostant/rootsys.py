@@ -38,6 +38,11 @@ def mat_det(a: Mat) -> int:
     return a[0][0] * a[1][1] - a[0][1] * a[1][0]
 
 
+# Builds a named tuple from a tuple of its fields in one C call, skipping the
+# Python-level __new__ of typing.NamedTuple; the sweeps' per-point code uses it.
+_new_tuple = tuple.__new__
+
+
 class RootCoord(NamedTuple):
     """A weight in the simple-root basis; either coordinate may be negative."""
 
@@ -314,6 +319,48 @@ def shifted_orbit(rs: RootSystem, m: int, n: int) -> tuple[tuple[int, int, int],
     return tuple(orbit)
 
 
+def _point(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> tuple:
+    """(lam, mu, orbit, mu_shift) of one pair, as grid_points yields each point.
+
+    orbit is shifted_orbit of lam and mu_shift = 2 * (mu + rho) in root
+    coordinates. A non-dominant lam or mu raises ValueError, lam first.
+    """
+    lam, mu = _as_fund(lam), _as_fund(mu)
+    return lam, mu, shifted_orbit(rs, lam.m, lam.n), doubled(rs, (mu.m + 1, mu.n + 1))
+
+
+def grid_points(rs: RootSystem, top: int) -> Iterator[tuple]:
+    """(lam, mu, orbit, mu_shift) at every (lam, mu) of [0, top]^4, in lexicographic order.
+
+    lam and mu are FundCoords, orbit is shifted_orbit of lam and mu_shift =
+    2 * (mu + rho) in root coordinates: the arguments of the *_at cores. Each
+    weight is validated once, each lam's orbit is looked up once per row and
+    each mu's shift is computed once per call, not once per point.
+    """
+    weights = [FundCoord(m, n) for m in range(top + 1) for n in range(top + 1)]
+    mus = [(mu, doubled(rs, (mu.m + 1, mu.n + 1))) for mu in weights]
+    for lam in weights:
+        orbit = shifted_orbit(rs, lam.m, lam.n)
+        for mu, mu_shift in mus:
+            yield lam, mu, orbit, mu_shift
+
+
+def alternation_terms_at(rs: RootSystem, orbit: tuple, mu_shift: tuple[int, int]) -> tuple:
+    """alternation_terms of the lam whose shifted_orbit is orbit and the mu of mu_shift."""
+    mu1, mu2 = mu_shift
+    shifts = []
+    label = ""
+    terms = []
+    for (name, _), (sign, u, v) in zip(rs.alternation, orbit):
+        u -= mu1
+        v -= mu2
+        shifts.append((sign, u, v))
+        if u >= 0 and v >= 0 and not (u | v) & 1:
+            label += name
+            terms.append((name, sign, _new_tuple(RootCoord, (u >> 1, v >> 1))))
+    return shifts, label or "ZERO", terms
+
+
 def alternation_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> tuple:
     """(shifts, label, terms) of the alternation set of (lam, mu), off the cached orbit.
 
@@ -325,20 +372,18 @@ def alternation_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int])
     names in order, or is "ZERO"; terms holds (name, sign, RootCoord) of each.
     A non-dominant lam or mu raises ValueError.
     """
-    m, n = _as_fund(lam)
-    x, y = _as_fund(mu)
-    mu1, mu2 = doubled(rs, (x + 1, y + 1))
-    shifts = []
-    label = ""
-    terms = []
-    for (name, _), (sign, u, v) in zip(rs.alternation, shifted_orbit(rs, m, n)):
-        u -= mu1
-        v -= mu2
-        shifts.append((sign, u, v))
-        if u >= 0 and v >= 0 and not (u | v) & 1:
-            label += name
-            terms.append((name, sign, RootCoord(u >> 1, v >> 1)))
-    return shifts, label or "ZERO", terms
+    _, _, orbit, mu_shift = _point(rs, lam, mu)
+    return alternation_terms_at(rs, orbit, mu_shift)
+
+
+def weyl_terms_at(orbit: tuple, mu_shift: tuple[int, int]) -> list:
+    """weyl_terms of the lam whose shifted_orbit is orbit and the mu of mu_shift."""
+    mu1, mu2 = mu_shift
+    return [
+        (sign, _new_tuple(RootCoord, ((u - mu1) >> 1, (v - mu2) >> 1)))
+        for sign, u, v in orbit
+        if u >= mu1 and v >= mu2 and not (u - mu1) % 2 and not (v - mu2) % 2
+    ]
 
 
 def weyl_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> list:
@@ -349,14 +394,8 @@ def weyl_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> lis
     other elements sigma are listed, with sign (-1)^length(sigma). lam and mu
     are (m, n) pairs in the fundamental basis; a non-dominant one raises ValueError.
     """
-    m, n = _as_fund(lam)
-    x, y = _as_fund(mu)
-    mu1, mu2 = doubled(rs, (x + 1, y + 1))
-    return [
-        (sign, RootCoord((u - mu1) >> 1, (v - mu2) >> 1))
-        for sign, u, v in shifted_orbit(rs, m, n)
-        if u >= mu1 and v >= mu2 and not (u - mu1) % 2 and not (v - mu2) % 2
-    ]
+    _, _, orbit, mu_shift = _point(rs, lam, mu)
+    return weyl_terms_at(orbit, mu_shift)
 
 
 class MultiplicityResult(NamedTuple):
@@ -388,13 +427,23 @@ class Algebra(NamedTuple):
 
 def memoized(alg: Algebra) -> Algebra:
     """alg with a term_sum that computes each distinct term once, as one one-term
-    alg.term_sum call kept in a dict that lives only as long as the returned record."""
+    alg.term_sum call kept in a dict that lives only as long as the returned record.
+
+    A lone +1 term returns its stored polynomial and an empty sum one shared
+    QPoly(), so only a sum of two or more terms builds (and range-checks) a
+    new polynomial, through QPoly.signed_sum.
+    """
     memo: dict = {}
+    zero = QPoly()
 
     def term_sum(terms: list) -> QPoly:
+        if not terms:
+            return zero
         for _, v in terms:
             if v not in memo:
                 memo[v] = alg.term_sum([(1, v)])
+        if len(terms) == 1 and terms[0][0] == 1:
+            return memo[terms[0][1]]
         return QPoly.signed_sum((sign, memo[v]) for sign, v in terms)
 
     return alg._replace(term_sum=term_sum)
@@ -413,18 +462,25 @@ def count_sum(alg: Algebra, terms) -> int:
     return checked_int(value)
 
 
+def closed_at(alg: Algebra, lam: FundCoord, mu: FundCoord, orbit: tuple,
+              mu_shift: tuple[int, int]) -> MultiplicityResult:
+    """closed at one point (lam, mu, orbit, mu_shift) as grid_points yields it."""
+    shifts, label, terms = alternation_terms_at(alg.rs, orbit, mu_shift)
+    mq = alg.term_sum([(sign, v) for _, sign, v in terms])
+    if mq.coeffs and min(mq.coeffs) < 0:
+        raise InternalConsistencyError(f"negative coefficient in m_q({lam}, {mu}) = {mq!r}")
+    case_data = alg.case_data(shifts, label)
+    return _new_tuple(
+        MultiplicityResult, (lam, mu, case_data, tuple(terms), mq, mq.eval_at_one())
+    )
+
+
 def closed(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> MultiplicityResult:
     """m_q(lam, mu) as the term_sum of the alternation terms its case combines.
 
     A negative coefficient raises InternalConsistencyError.
     """
-    shifts, label, terms = alternation_terms(alg.rs, lam, mu)
-    mq = alg.term_sum([(sign, v) for _, sign, v in terms])
-    lam, mu = _as_fund(lam), _as_fund(mu)
-    if mq.coeffs and min(mq.coeffs) < 0:
-        raise InternalConsistencyError(f"negative coefficient in m_q({lam}, {mu}) = {mq!r}")
-    case_data = alg.case_data(shifts, label)
-    return MultiplicityResult(lam, mu, case_data, tuple(terms), mq, mq.eval_at_one())
+    return closed_at(alg, *_point(alg.rs, lam, mu))
 
 
 def weyl_sum(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> QPoly:

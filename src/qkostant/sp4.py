@@ -27,6 +27,7 @@ from .rootsys import (
     RootCoord,
     _as_fund,
     _as_root,
+    _new_tuple,
     alternation_terms,
     count_sum,
     doubled,
@@ -201,7 +202,7 @@ def _case_data(shifts: list[tuple[int, int, int]], label: str) -> Sp4CaseData:
     a, c = two_a >> 1, two_c >> 1
     b_ok = two_b >= 0 and two_b % 2 == 0
     d_ok = two_d >= 0 and two_d % 2 == 0
-    return Sp4CaseData(a, two_b, c, two_d, (a >= 0, b_ok, c >= 0, d_ok), label)
+    return _new_tuple(Sp4CaseData, (a, two_b, c, two_d, (a >= 0, b_ok, c >= 0, d_ok), label))
 
 
 ALGEBRA = Algebra(C2, _c2_sum, _case_data, _closed_form)

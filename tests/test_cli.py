@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from qkostant import cli
+from qkostant import cli, rootsys
 from qkostant.cli import run
 from qkostant.qpoly import QPoly
-from qkostant.rootsys import C2, G2, RootCoord, alternation_terms, to_root
+from qkostant.rootsys import C2, G2, RootCoord, _point, alternation_terms, to_root
 from qkostant.g2_partition import qpartition
 
 # Recorded from the CLI before the verify loops were fused; any change to
@@ -402,11 +402,13 @@ class TestPinnedOutput:
         assert digest.hexdigest() == CASE_JSON_GRID4_SHA256[algebra]
 
     def test_c2_qmult_and_table_do_not_run_the_weyl_sum(self, capsys, monkeypatch):
-        # They print the closed q route; only verify runs the oracle.
-        def oracle(alg, lam, mu):
+        # They print the closed q route; only verify runs the oracle, whose
+        # terms come from weyl_terms_at in one-pair and sweep routes alike.
+        def oracle(orbit, mu_shift):
             raise AssertionError("the Weyl sum ran")
 
-        monkeypatch.setattr(cli, "weyl_sum", oracle)
+        monkeypatch.setattr(cli, "weyl_terms_at", oracle)
+        monkeypatch.setattr(rootsys, "weyl_terms_at", oracle)
         qmult = ["qmult", "--algebra", "c2", "--lambda", "2,0", "--mu", "0,0"]
         assert invoke(capsys, *qmult) == (0, "q^3 + q\n", "")
         assert invoke(capsys, *qmult, "--format", "json") == (0, '{"coeffs":[0,1,0,1]}\n', "")
@@ -438,16 +440,23 @@ def _mismatch_counts(capsys, algebra):
 
 
 class TestFusedChecksStayIndependent:
-    """verify evaluates each tuple once; each check must still count on its own."""
+    """verify evaluates each tuple once; each check must still count on its own.
+
+    Each test corrupts one of the per-point seams that verify's sweep calls:
+    closed_at, weyl_terms_at and count_sum as cli names, and the case builder
+    of the record that the sweep is handed.
+    """
 
     def test_wrong_weyl_sum_counts_once(self, capsys, monkeypatch):
-        real = cli.weyl_sum
+        real = cli.weyl_terms_at
+        target = _point(G2, (2, 1), (1, 0))[2:]  # (orbit, mu_shift)
 
-        def corrupted(alg, lam, mu):
-            poly = real(alg, lam, mu)
-            return poly + QPoly([1]) if (tuple(lam), tuple(mu)) == ((2, 1), (1, 0)) else poly
+        def corrupted(orbit, mu_shift):
+            terms = real(orbit, mu_shift)
+            # One more term at weight 0 adds qpartition(0, 0) = 1 to the sum.
+            return terms + [(1, RootCoord(0, 0))] if (orbit, mu_shift) == target else terms
 
-        monkeypatch.setattr(cli, "weyl_sum", corrupted)
+        monkeypatch.setattr(cli, "weyl_terms_at", corrupted)
         code, counts = _mismatch_counts(capsys, "g2")
         assert code == 1
         assert counts == {
@@ -478,16 +487,16 @@ class TestFusedChecksStayIndependent:
         }
 
     def test_forbidden_case_label_counts_once(self, capsys, monkeypatch):
-        real = cli.closed
+        real = cli.closed_at
 
-        def corrupted(alg, lam, mu):
-            result = real(alg, lam, mu)
+        def corrupted(alg, lam, mu, orbit, mu_shift):
+            result = real(alg, lam, mu, orbit, mu_shift)
             if (tuple(lam), tuple(mu)) != ((2, 1), (1, 0)):
                 return result
             # P and S without Q: a term set no case combines.
             return result._replace(case=result.case._replace(case_label="PS"))
 
-        monkeypatch.setattr(cli, "closed", corrupted)
+        monkeypatch.setattr(cli, "closed_at", corrupted)
         code, counts = _mismatch_counts(capsys, "g2")
         assert code == 1
         assert counts == {
@@ -499,14 +508,15 @@ class TestFusedChecksStayIndependent:
         }
 
     def test_wrong_c2_weyl_sum_at_odd_parity_counts_in_both(self, capsys, monkeypatch):
-        real = cli.weyl_sum
-        odd = ((3, 1), (0, 2))  # m - x = 3 is odd: the true sum is zero
+        real = cli.weyl_terms_at
+        odd = _point(C2, (3, 1), (0, 2))[2:]  # m - x = 3 is odd: the true sum is zero
 
-        def corrupted(alg, lam, mu):
-            poly = real(alg, lam, mu)
-            return poly + QPoly([0, 1]) if (tuple(lam), tuple(mu)) == odd else poly
+        def corrupted(orbit, mu_shift):
+            terms = real(orbit, mu_shift)
+            # One more term at a1 adds qpartition_c2(1, 0) = q to the sum.
+            return terms + [(1, RootCoord(1, 0))] if (orbit, mu_shift) == odd else terms
 
-        monkeypatch.setattr(cli, "weyl_sum", corrupted)
+        monkeypatch.setattr(cli, "weyl_terms_at", corrupted)
         code, counts = _mismatch_counts(capsys, "c2")
         assert code == 1
         assert counts == {
@@ -517,17 +527,19 @@ class TestFusedChecksStayIndependent:
         }
 
     def test_wrong_c2_case_flag_at_odd_parity_counts_in_parity_only(self, capsys, monkeypatch):
-        real = cli.multiplicity_c2_closed
-        odd = ((3, 1), (0, 2))
+        spec = cli._ALGEBRAS["c2"]
+        real = spec.record.case_data
+        odd = alternation_terms(C2, (3, 1), (0, 2))[0]
 
-        def corrupted(lam, mu):
-            result = real(lam, mu)
-            if (tuple(lam), tuple(mu)) != odd:
-                return result
-            a_ok, _, c_ok, d_ok = result.case.in_n
-            return result._replace(case=result.case._replace(in_n=(a_ok, True, c_ok, d_ok)))
+        def corrupted(shifts, label):
+            data = real(shifts, label)
+            if shifts != odd:
+                return data
+            a_ok, _, c_ok, d_ok = data.in_n
+            return data._replace(in_n=(a_ok, True, c_ok, d_ok))
 
-        monkeypatch.setattr(cli, "multiplicity_c2_closed", corrupted)
+        record = spec.record._replace(case_data=corrupted)
+        monkeypatch.setitem(cli._ALGEBRAS, "c2", spec._replace(record=record))
         code, counts = _mismatch_counts(capsys, "c2")
         assert code == 1
         assert counts == {

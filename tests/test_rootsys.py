@@ -8,8 +8,8 @@ from itertools import product
 import pytest
 
 from qkostant import g2_multiplicity, sp4
-from qkostant.errors import InternalConsistencyError
-from qkostant.qpoly import QPoly
+from qkostant.errors import CoefficientOverflowError, InternalConsistencyError
+from qkostant.qpoly import INT64_MAX, QPoly
 from qkostant.rootsys import (
     C2,
     G2,
@@ -19,17 +19,23 @@ from qkostant.rootsys import (
     RootCoord,
     RootSystem,
     alternation_terms,
+    alternation_terms_at,
     closed,
+    closed_at,
     count_sum,
     doubled,
+    grid_points,
     mat_det,
     mat_mul,
+    memoized,
     qpartition_enumerated,
     to_fund,
     to_root,
     weyl_elements,
     weyl_group,
     weyl_sum,
+    weyl_terms,
+    weyl_terms_at,
 )
 from qkostant.sp4 import (
     _c2_sum,
@@ -306,3 +312,62 @@ def test_negative_closed_coefficient_is_inconsistent(alg):
     broken = alg._replace(term_sum=lambda terms: QPoly([1, -1]))
     with pytest.raises(InternalConsistencyError, match="negative coefficient in m_q"):
         closed(broken, (1, 1), (0, 0))
+
+
+ALGEBRAS = [g2_multiplicity.ALGEBRA, sp4.ALGEBRA, B2_ALGEBRA]
+
+
+@pytest.mark.parametrize("memo", [False, True], ids=["fused", "memoized"])
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=["g2", "c2", "b2"])
+def test_grid_points_and_cores_are_the_one_pair_routes(alg, memo):
+    """What table and verify sweep, point by point, against the one-pair routes."""
+    record = memoized(alg) if memo else alg
+    points = list(grid_points(alg.rs, 6))
+    assert [(*lam, *mu) for lam, mu, _, _ in points] == list(product(range(7), repeat=4))
+    for lam, mu, orbit, mu_shift in points:
+        pair = (tuple(lam), tuple(mu))
+        assert type(lam) is FundCoord and type(mu) is FundCoord
+        terms = alternation_terms_at(alg.rs, orbit, mu_shift)
+        assert terms == alternation_terms(alg.rs, *pair), pair
+        assert all(type(v) is RootCoord for _, _, v in terms[2])
+        weyl = weyl_terms_at(orbit, mu_shift)
+        assert weyl == weyl_terms(alg.rs, *pair), pair
+        assert all(type(v) is RootCoord for _, v in weyl)
+        result = closed_at(record, lam, mu, orbit, mu_shift)
+        assert result == closed(alg, *pair), pair
+        assert type(result) is type(closed(record, *pair))
+
+
+def test_grid_points_of_a_negative_bound_is_empty():
+    assert list(grid_points(G2, -1)) == []
+
+
+class TestMemoizedTermSum:
+    """memoized's term sum builds a polynomial only for two or more terms."""
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=["g2", "c2", "b2"])
+    def test_a_lone_plus_one_term_is_the_stored_polynomial(self, alg):
+        memo = memoized(alg)
+        v = RootCoord(3, 2)
+        stored = memo.term_sum([(1, v)])
+        assert stored == alg.term_sum([(1, v)])
+        assert memo.term_sum([(1, v)]) is stored
+        assert memo.term_sum([(-1, v)]) == -stored  # a lone -1 term is summed
+
+    @pytest.mark.parametrize("alg", ALGEBRAS, ids=["g2", "c2", "b2"])
+    def test_an_empty_sum_is_one_shared_zero(self, alg):
+        memo = memoized(alg)
+        zero = memo.term_sum([])
+        assert zero == QPoly()
+        assert memo.term_sum([]) is zero
+        assert memoized(alg).term_sum([]) is not zero  # one zero per record
+
+    def test_an_intermediate_sum_may_leave_int64_when_the_result_fits(self):
+        big = {RootCoord(0, 0): QPoly([INT64_MAX]), RootCoord(1, 0): QPoly([INT64_MAX, 2]),
+               RootCoord(0, 1): QPoly([INT64_MAX, 1])}
+        memo = memoized(sp4.ALGEBRA._replace(term_sum=lambda terms: big[terms[0][1]]))
+        a, b, c = big
+        # INT64_MAX + INT64_MAX leaves the range before - INT64_MAX brings it back.
+        assert memo.term_sum([(1, a), (1, b), (-1, c)]) == QPoly([INT64_MAX, 1])
+        with pytest.raises(CoefficientOverflowError):
+            memo.term_sum([(1, a), (1, b)])
