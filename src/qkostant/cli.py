@@ -17,14 +17,15 @@ from itertools import product
 from operator import add
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import CoefficientOverflowError
+from .errors import CoefficientOverflowError, InternalConsistencyError
 from . import g2_multiplicity, sp4
 from .g2_multiplicity import CASE_LABELS, CaseData, multiplicity
 from .g2_partition import partition_tarski, qpartition
-from .qpoly import QPoly
+from .qpoly import QPoly, checked_int
 from .rootsys import (
     Algebra,
     FundCoord,
+    QPartitionBox,
     RootCoord,
     RootSystem,
     alternation_terms_at,
@@ -32,6 +33,7 @@ from .rootsys import (
     closed,
     closed_at,
     count_sum,
+    doubled,
     grid_points,
     memoized,
     qpartition_enumerated,
@@ -142,30 +144,69 @@ def _cmd_mult(args: argparse.Namespace) -> int:
     return 0
 
 
-def _g2_tuple_mismatches(record: Algebra, lam: FundCoord, mu: FundCoord, orbit: tuple,
-                         mu_shift: tuple[int, int]) -> tuple[bool, bool, bool]:
-    # One closed evaluation serves three checks: its m_at_one is exactly
-    # what multiplicity(..., "qpoly") returns, its terms are the ones
-    # multiplicity(..., "tarski") sums, and its case is the one the case
-    # command prints. Both sides read the sweep's memoized term polynomials.
-    result = closed_at(record, lam, mu, orbit, mu_shift)
+def _count_differs(record: Algebra, terms, value: int) -> bool:
+    """Whether count_sum of terms differs from value; a count route that raises
+    InternalConsistencyError is broken, so it differs."""
+    try:
+        return count_sum(record, terms) != value
+    except InternalConsistencyError:
+        return True
+
+
+def _g2_weyl_box(record: Algebra, top: int) -> QPartitionBox:
+    """The box of every Weyl term of [0, top]^4: lam = (top, top), mu = 0 and
+    sigma = 1 give the largest, lam itself, which is (5 top, 3 top) for g2."""
+    top1, top2 = doubled(record.rs, (top, top))
+    return QPartitionBox(record.rs.positive_roots, top1 >> 1, top2 >> 1)
+
+
+def _g2_tuple_mismatches(record: Algebra, box: QPartitionBox, lam: FundCoord, mu: FundCoord,
+                         orbit: tuple, mu_shift: tuple[int, int]) -> tuple[bool, bool, bool]:
+    # One closed evaluation serves three checks: its mq is what qmult prints
+    # on the command's memo, held to the Weyl sum read off the box; its
+    # m_at_one is what multiplicity(..., "qpoly") returns and its terms the
+    # ones multiplicity(..., "tarski") sums; its case is what case prints. A
+    # closed route that raises InternalConsistencyError fails all three.
+    try:
+        result = closed_at(record, lam, mu, orbit, mu_shift)
+    except InternalConsistencyError:
+        return True, True, True
     return (
-        result.mq != record.term_sum(weyl_terms_at(orbit, mu_shift)),
-        result.m_at_one != count_sum(record, result.terms),
+        not box.equals_sum(result.mq, weyl_terms_at(orbit, mu_shift)),
+        _count_differs(record, result.terms, result.m_at_one),
         result.case.case_label not in CASE_LABELS,
     )
 
 
-def _c2_tuple_mismatches(record: Algebra, lam: FundCoord, mu: FundCoord, orbit: tuple,
+def _c2_weyl_at_one(record: Algebra, _top: int) -> Callable[[list], int]:
+    """The Weyl sum at q = 1 of (sign, v) terms, from the exact coefficient sum of
+    each distinct v's memo polynomial, taken once per command; the grid bound
+    is not needed. Only the total is range-checked, as count_sum does."""
+    values: dict = {}
+
+    def at_one(terms: list) -> int:
+        total = 0
+        for sign, v in terms:
+            if v not in values:
+                values[v] = sum(record.term_sum([(1, v)]).coeffs)
+            total += sign * values[v]
+        return checked_int(total)
+
+    return at_one
+
+
+def _c2_tuple_mismatches(record: Algebra, weyl_at_one: Callable[[list], int], lam: FundCoord,
+                         mu: FundCoord, orbit: tuple,
                          mu_shift: tuple[int, int]) -> tuple[bool, bool]:
     # The count route over the alternation terms is what multiplicity_c2_closed
-    # returns; one Weyl sum serves both checks. An odd m - x puts mu off lam's
-    # root-lattice coset, where the case flags and the sum must vanish.
+    # returns, held to the Weyl sum at one. An odd m - x puts mu off lam's
+    # root-lattice coset, where the case flags must be off and no Weyl term
+    # may reach the positive cone on the root lattice.
     shifts, label, terms = alternation_terms_at(record.rs, orbit, mu_shift)
-    weyl = record.term_sum(weyl_terms_at(orbit, mu_shift))
+    weyl = weyl_terms_at(orbit, mu_shift)
     in_n = record.case_data(shifts, label).in_n
     return (
-        count_sum(record, terms) != weyl.eval_at_one(),
+        _count_differs(record, terms, weyl_at_one(weyl)),
         bool((lam.m - mu.m) % 2 and (in_n[1] or in_n[3] or weyl)),
     )
 
@@ -174,9 +215,14 @@ class _Algebra(NamedTuple):
     """What every subcommand needs from one algebra.
 
     The shared routes take ``record``; table and verify, whose grids meet each
-    term many times, take one memoized(record) per command instead. The
-    callables look the library functions up as module globals when they run,
-    so a traced or patched function is the one called.
+    term many times, take one memoized(record) per command instead, which
+    computes each term's polynomial and count once. verify builds its Weyl
+    side once per command, before any check runs, as ``weyl_oracle`` of that
+    record and --max: g2's is a QPartitionBox filled from the definition of
+    ℘_q, refused up front past its byte budget; c2's sums each distinct
+    term's value at q = 1 once. The callables look the library functions up
+    as module globals when they run, so a traced or patched function is the
+    one called.
     """
 
     record: Algebra
@@ -185,7 +231,8 @@ class _Algebra(NamedTuple):
     case_fields: tuple[str, ...]  # names of the values in case.as_tuple()
     pair_checks: tuple[str, ...]  # the two flags of pair_mismatches
     tuple_checks: tuple[str, ...]  # one mismatch flag each per (lam, mu)
-    tuple_mismatches: Callable[..., tuple[bool, ...]]  # (record, *a point of grid_points)
+    tuple_mismatches: Callable[..., tuple[bool, ...]]  # (record, oracle, *a point of grid_points)
+    weyl_oracle: Callable[[Algebra, int], object]  # (record, --max) -> tuple_mismatches' oracle
 
     def pair_mismatches(self, m: int, n: int) -> tuple[bool, bool]:
         """The kernel at (m, n) against the enumerator, and at q = 1 against the count."""
@@ -204,6 +251,7 @@ _ALGEBRAS = {
         ("qpartition_vs_bruteforce", "tarski_vs_qpartition_at_one"),
         ("qmult_closed_vs_weyl_sum", "multiplicity_qpoly_vs_tarski", "case_audit"),
         _g2_tuple_mismatches,
+        _g2_weyl_box,
     ),
     "c2": _Algebra(
         sp4.ALGEBRA,
@@ -213,6 +261,7 @@ _ALGEBRAS = {
         ("qpartition_vs_bruteforce", "partition_closed_vs_qpartition_at_one"),
         ("mult_closed_vs_weyl_sum_at_one", "odd_parity_vanishing"),
         _c2_tuple_mismatches,
+        _c2_weyl_at_one,
     ),
 }
 
@@ -247,12 +296,13 @@ def _grid(args: argparse.Namespace) -> tuple[_Algebra, Algebra]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec, record = _grid(args)
+    oracle = spec.weyl_oracle(record, args.max)
     side = args.max + 1
     checks = []
     for names, cases, points, mismatches in (
         (spec.pair_checks, side**2, product(range(side), repeat=2), spec.pair_mismatches),
         (spec.tuple_checks, side**4, grid_points(record.rs, args.max),
-         partial(spec.tuple_mismatches, record)),
+         partial(spec.tuple_mismatches, record, oracle)),
     ):
         totals = [0] * len(names)
         for point in points:

@@ -3,9 +3,10 @@
 All weights live in the simple-root basis: c1*a1 + c2*a2 is the pair
 (c1, c2), and a group element acts as a 2x2 integer matrix on such pairs.
 A :class:`RootSystem` record holds the data that tells g2 and sp4 apart.
-The Weyl group, the brute-force partition enumerator, the coordinate
-conversions, the nonzero Weyl-sum terms and the alternation-set terms
-that the closed formulas read are written once against it. An
+The Weyl group, the brute-force partition enumerator, the box of
+q-partitions filled from their definition, the coordinate conversions, the
+nonzero Weyl-sum terms and the alternation-set terms that the closed
+formulas read are written once against it. An
 :class:`Algebra` record adds the algebra's partition kernel, case builder
 and q = 1 count; the closed q route, the Weyl sum, the case, the sweep memo
 and the integer route are written once against that.
@@ -290,6 +291,92 @@ def qpartition_enumerated(roots: tuple[RootCoord, ...], v: RootCoord) -> QPoly:
     return QPoly(counts)
 
 
+# The most bytes of 64-bit lanes a QPartitionBox may hold: 8 * sum(c1 + c2 + 1)
+# over the box, about 0.6 MB for verify --max 10 and 248 MB for --max 80 (g2).
+BOX_BYTE_BUDGET = 1 << 28
+
+
+class QPartitionBox:
+    """℘_q(c1, c2) at every 0 <= c1 <= top1, 0 <= c2 <= top2, from its definition alone.
+
+    ℘_q(v) is the coefficient of x^v in the product over the positive roots
+    α of 1/(1 - q·x^α). Multiplying a series by one factor is one ascending
+    pass P[v] += q·P[v - α] over the box (the unbounded-knapsack recurrence),
+    so one pass per root, started from P[0] = 1, fills the whole box. The box
+    reads nothing but ``roots``: it shares no code with the kernels or the
+    Weyl sums. Each polynomial is one Python int with one 64-bit lane per
+    coefficient (Kronecker packing), so q· is a shift by 64 bits.
+
+    A box past BOX_BYTE_BUDGET (so also one of more than sys.maxsize points)
+    raises ValueError before anything is allocated. A pass at q = 1 then
+    bounds every coefficient by its point's count, and a box with a count of
+    at least 2^63 / (2 * len(roots)) raises ValueError: a rank-2 Weyl group
+    has 2 * len(roots) elements, so a signed sum of one entry per element
+    keeps every coefficient inside (-2^63, 2^63) (see equals_sum).
+    """
+
+    def __init__(self, roots, top1: int, top2: int) -> None:
+        if top1 < 0 or top2 < 0:
+            raise ValueError(f"a box needs nonnegative bounds, got ({top1}, {top2})")
+        cells = (top1 + 1) * (top2 + 1)
+        lane_bytes = 8 * ((top2 + 1) * top1 * (top1 + 1) // 2
+                          + (top1 + 1) * top2 * (top2 + 1) // 2 + cells)
+        if lane_bytes > BOX_BYTE_BUDGET:
+            raise ValueError(
+                f"a partition box up to ({top1}, {top2}) needs {lane_bytes} bytes,"
+                f" more than the budget of {BOX_BYTE_BUDGET}"
+            )
+        order = 2 * len(roots)  # of the Weyl group
+        if max(map(max, self._fill(roots, top1, top2, 0))) * order >> 63:
+            raise ValueError(
+                f"a count of the box up to ({top1}, {top2}) times {order} Weyl terms"
+                " does not fit a signed 64-bit lane"
+            )
+        self._rows = self._fill(roots, top1, top2, 64)
+        from array import array  # only verify and the tests build a box
+
+        self._array = array
+
+    @staticmethod
+    def _fill(roots, top1: int, top2: int, shift: int) -> list[list[int]]:
+        """One ascending pass per root: rows[c1][c2] += q·rows[c1 - a1][c2 - a2]."""
+        rows = [[0] * (top2 + 1) for _ in range(top1 + 1)]
+        rows[0][0] = 1
+        for a1, a2 in roots:
+            for c1 in range(a1, top1 + 1):
+                row, back = rows[c1], rows[c1 - a1]
+                for c2 in range(a2, top2 + 1):
+                    row[c2] += back[c2 - a2] << shift
+        return rows
+
+    def __getitem__(self, v: tuple[int, int]) -> QPoly:
+        c1, c2 = v
+        lanes = self._array("Q")
+        lanes.frombytes(self._rows[c1][c2].to_bytes(8 * (c1 + c2 + 1), "little"))
+        return QPoly(lanes)
+
+    def equals_sum(self, poly: QPoly, terms) -> bool:
+        """Whether poly, whose coefficients lie in [0, 2^63), is Σ sign·℘_q(v) over
+        (sign, (c1, c2)) terms inside the box, at most one per Weyl element.
+
+        Both sides are compared packed. array('q') and int.from_bytes pack poly
+        into P = Σ c_i·2^(64i). The sum of the packed entries is W = Σ w_i·2^(64i),
+        where w_i is the true coefficient of the Weyl sum: packing is linear,
+        and no lane of an entry carries. Each w_i lies in (-2^63, 2^63), since
+        the box bounds every count, so |w_i - c_i| < 2^64. If some w_i != c_i,
+        the lowest such i gives W - P = (w_i - c_i)·2^(64i) modulo 2^(64(i+1)),
+        which is not 0. So W == P exactly when every w_i == c_i.
+        """
+        rows = self._rows
+        weyl = 0
+        for sign, (c1, c2) in terms:
+            if sign == 1:
+                weyl += rows[c1][c2]
+            else:
+                weyl -= rows[c1][c2]
+        return weyl == int.from_bytes(self._array("q", poly.coeffs).tobytes(), "little")
+
+
 # Distinct (algebra, highest weight) pairs whose shifted Weyl orbit the Weyl
 # sum keeps cached; 512 covers every lambda of a [0,15]^2 grid for both algebras.
 ORBIT_CACHE_SIZE = 512
@@ -426,12 +513,15 @@ class Algebra(NamedTuple):
 
 
 def memoized(alg: Algebra) -> Algebra:
-    """alg with a term_sum that computes each distinct term once, as one one-term
-    alg.term_sum call kept in a dict that lives only as long as the returned record.
+    """alg with a term_sum and a count that compute each distinct term once, kept
+    in dicts that live only as long as the returned record.
 
-    A lone +1 term returns its stored polynomial and an empty sum one shared
-    QPoly(), so only a sum of two or more terms builds (and range-checks) a
-    new polynomial, through QPoly.signed_sum.
+    term_sum computes a term as one one-term alg.term_sum call. A lone +1 term
+    returns its stored polynomial and an empty sum one shared QPoly(), so only
+    a sum of two or more terms builds (and range-checks) a new polynomial,
+    through QPoly.signed_sum. count is alg.count under functools.cache, so
+    count_sum over the record, which verify runs at every tuple, calls
+    alg.count once per distinct term.
     """
     memo: dict = {}
     zero = QPoly()
@@ -446,7 +536,7 @@ def memoized(alg: Algebra) -> Algebra:
             return memo[terms[0][1]]
         return QPoly.signed_sum((sign, memo[v]) for sign, v in terms)
 
-    return alg._replace(term_sum=term_sum)
+    return alg._replace(term_sum=term_sum, count=cache(alg.count))
 
 
 def count_sum(alg: Algebra, terms) -> int:

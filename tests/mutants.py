@@ -6,7 +6,8 @@ that the part it removes is load-bearing.
 
 from operator import add
 
-from qkostant.g2_partition import _g2_marks
+from qkostant.g2_partition import _g2_marks, _g2_sum
+from qkostant.qpoly import QPoly
 from qkostant.sp4 import _c2_events, _closed_form
 
 from reference_kernels import g2_marker_groups
@@ -26,6 +27,41 @@ def closed_form_without_edge_region(m: int, n: int) -> int:
 def g2_marks_ignoring_sign(marks: list[int], m: int, n: int, sign: int) -> None:
     """g2's marker builder with every term added as if its sign were +1."""
     _g2_marks(marks, m, n, 1)
+
+
+def _reshaping_deep_terms(shift):
+    """A g2 term sum that hands every one-term result of degree > 12, that is
+    every term past the pair box of verify --max 6, to shift(coeffs)."""
+
+    def mutant(terms: list) -> QPoly:
+        result = _g2_sum(terms)
+        if len(terms) == 1 and len(result.coeffs) > 13:
+            coeffs = list(result.coeffs)
+            shift(coeffs)
+            return QPoly(coeffs)
+        return result
+
+    return mutant
+
+
+def _move_the_top_unit_down(coeffs: list[int]) -> None:
+    coeffs[-1] -= 1
+    coeffs[-2] += 1
+
+
+def _dip_in_the_middle(coeffs: list[int]) -> None:
+    half = len(coeffs) // 2
+    coeffs[half] += 1
+    coeffs[half + 1] -= 1
+
+
+# Moves one unit from the top coefficient of each deep term to the one below:
+# no coefficient goes negative and the value at q = 1 does not change.
+g2_sum_moving_the_top_unit = _reshaping_deep_terms(_move_the_top_unit_down)
+# Moves one unit from the middle coefficient + 1 of each deep term to the
+# middle one: the value at q = 1 does not change, but some closed results of
+# one term get a negative coefficient.
+g2_sum_with_a_dip = _reshaping_deep_terms(_dip_in_the_middle)
 
 
 def g2_marks_moving(wall: str, by: int | None):

@@ -1,26 +1,41 @@
 """Both kernels and both closed routes against the kernel-free box oracle.
 
-The box fills ℘_q over a whole box from the definition, one pass per
-positive root (see box_oracle.py). It holds ``qpartition`` and
-``qpartition_c2`` at every point of a box, and the fused and memoized
-closed q routes of both algebras to Σ sign·box[term] over the Weyl terms
-at every dominant mu below a seeded set of lambda <= (40, 40). A marker
-builder that loses the sign of a term agrees with the box on every
-one-term kernel call, so only the closed routes see it.
+rootsys.QPartitionBox fills ℘_q over a whole box from the definition, one
+pass per positive root, and verify reads g2's Weyl side from one. It holds
+``qpartition`` and ``qpartition_c2`` at every point of a box, and the fused
+and memoized closed q routes of both algebras to Σ sign·box[term] over the
+Weyl terms at every dominant mu below a seeded set of lambda <= (40, 40),
+both as QPoly sums and through the packed comparison equals_sum that verify
+runs. A marker builder that loses the sign of a term agrees with the box on
+every one-term kernel call, so only the closed routes see it. The box's
+refusals (past its byte budget, or a count too large for its lanes) and the
+exactness of the packed comparison at the edges of the 64-bit range are
+tested here too.
 """
 
 from itertools import product
+from math import comb
 from random import Random
 
 import pytest
 
 from qkostant import g2_multiplicity, g2_partition, sp4
 from qkostant.g2_partition import qpartition
-from qkostant.qpoly import QPoly
-from qkostant.rootsys import C2, G2, FundCoord, RootCoord, closed, doubled, memoized, weyl_terms
+from qkostant.qpoly import INT64_MAX, QPoly
+from qkostant.rootsys import (
+    BOX_BYTE_BUDGET,
+    C2,
+    G2,
+    FundCoord,
+    QPartitionBox,
+    RootCoord,
+    closed,
+    doubled,
+    memoized,
+    weyl_terms,
+)
 from qkostant.sp4 import qpartition_c2
 
-from box_oracle import QPartitionBox
 from mutants import c2_events_ignoring_sign, g2_marks_ignoring_sign
 
 ALGEBRAS = {"g2": g2_multiplicity.ALGEBRA, "c2": sp4.ALGEBRA}
@@ -56,9 +71,12 @@ def _assert_routes_match_the_box(name, box):
     alg = ALGEBRAS[name]
     memo = memoized(alg)
     for lam, mu in PAIRS[name]:
-        expected = QPoly.signed_sum((sign, box[v]) for sign, v in weyl_terms(alg.rs, lam, mu))
-        assert closed(alg, lam, mu).mq == expected, (name, lam, mu)
-        assert closed(memo, lam, mu).mq == expected, (name, lam, mu)
+        terms = weyl_terms(alg.rs, lam, mu)
+        expected = QPoly.signed_sum((sign, box[v]) for sign, v in terms)
+        for record in (alg, memo):
+            mq = closed(record, lam, mu).mq
+            assert mq == expected, (name, lam, mu)
+            assert box.equals_sum(mq, terms), (name, lam, mu)
 
 
 class TestBox:
@@ -69,8 +87,56 @@ class TestBox:
 
     def test_a_count_past_a_lane_is_refused(self):
         # Forty copies of a1: the count at (40, 0) is C(79, 39) > 2^64.
-        with pytest.raises(ValueError, match="does not fit 64 bits"):
+        with pytest.raises(ValueError, match="does not fit a signed 64-bit lane"):
             QPartitionBox([RootCoord(1, 0)] * 40, 40, 0)
+
+    def test_a_count_is_refused_from_two_to_the_63_over_the_group_order(self):
+        # Twenty copies of a1, whose group order the box takes as 40: the count
+        # at (t, 0) is C(t + 19, 19), and 40 * C(t + 19, 19) first reaches 2^63
+        # at t = 56, where the count itself still fits 64 bits.
+        roots = [RootCoord(1, 0)] * 20
+        assert 40 * comb(74, 19) < 1 << 63 <= 40 * comb(75, 19) < 40 << 64
+        assert QPartitionBox(roots, 55, 0)[55, 0] == QPoly([0] * 55 + [comb(74, 19)])
+        with pytest.raises(ValueError, match="does not fit a signed 64-bit lane"):
+            QPartitionBox(roots, 56, 0)
+
+    def test_a_box_past_the_byte_budget_is_refused_before_it_is_built(self, monkeypatch):
+        def no_fill(*args):
+            raise AssertionError("the box was filled")
+
+        monkeypatch.setattr(QPartitionBox, "_fill", staticmethod(no_fill))
+        # 8 * sum(c1 + c2 + 1) is 248174088 bytes over [0, 400]x[0, 240], the box
+        # of verify --max 80, and 483769608 over [0, 500]x[0, 300], that of --max 100.
+        for top1, top2 in ((500, 300), (10**11, 10**11), (10**30, 0)):
+            with pytest.raises(ValueError, match="more than the budget"):
+                QPartitionBox(G2.positive_roots, top1, top2)
+        with pytest.raises(AssertionError, match="was filled"):
+            QPartitionBox(G2.positive_roots, 400, 240)
+        assert BOX_BYTE_BUDGET == 1 << 28
+
+    def test_a_negative_bound_is_refused(self):
+        with pytest.raises(ValueError, match="nonnegative bounds"):
+            QPartitionBox(G2.positive_roots, -1, 0)
+
+    def test_the_packed_comparison_is_exact_at_the_lane_edges(self):
+        box = QPartitionBox(G2.positive_roots, 4, 4)
+        v, w = RootCoord(3, 2), RootCoord(2, 1)
+        terms = [(1, v), (-1, w)]
+        diff = list((box[v] - box[w]).coeffs)
+        assert diff == [0, 0, 1, 1, 1, 1] and box.equals_sum(QPoly(diff), terms)
+        # A wrong coefficient differs, whether it is one off or INT64_MAX.
+        for i in range(len(diff)):
+            for wrong_value in (diff[i] + 1, diff[i] - 1, INT64_MAX):
+                if wrong_value >= 0:
+                    wrong = diff[:i] + [wrong_value] + diff[i + 1 :]
+                    assert not box.equals_sum(QPoly(wrong), terms), (i, wrong_value)
+        # q - 1 borrows from its top lane: it packs to 2^64 - 1, which matches
+        # no polynomial with coefficients in [0, 2^63).
+        q_minus_one = [(1, RootCoord(1, 0)), (-1, RootCoord(0, 0))]
+        for poly in (QPoly([INT64_MAX]), QPoly([0, 1]), QPoly([INT64_MAX, 1]), QPoly()):
+            assert not box.equals_sum(poly, q_minus_one), poly
+        assert box.equals_sum(QPoly(), [(1, v), (-1, v)])
+        assert not box.equals_sum(QPoly(), [(1, RootCoord(0, 0))])
 
     def test_g2_kernel_matches_the_box(self):
         box = QPartitionBox(G2.positive_roots, 120, 80)

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -12,9 +14,21 @@ import pytest
 
 from qkostant import cli, rootsys
 from qkostant.cli import run
+from qkostant.errors import InternalConsistencyError
 from qkostant.qpoly import QPoly
-from qkostant.rootsys import C2, G2, RootCoord, _point, alternation_terms, to_root
+from qkostant.rootsys import (
+    C2,
+    G2,
+    RootCoord,
+    _point,
+    alternation_terms,
+    grid_points,
+    to_root,
+    weyl_terms_at,
+)
 from qkostant.g2_partition import qpartition
+
+from mutants import g2_sum_moving_the_top_unit, g2_sum_with_a_dip
 
 # Recorded from the CLI before the verify loops were fused; any change to
 # the checks, their order or their counts shows up here.
@@ -433,10 +447,28 @@ class TestPinnedOutput:
         )
 
 
-def _mismatch_counts(capsys, algebra):
-    code, out, _ = invoke(capsys, "verify", "--algebra", algebra, "--max", "3")
+def _mismatch_counts(capsys, algebra, top=3):
+    code, out, err = invoke(capsys, "verify", "--algebra", algebra, "--max", str(top))
+    assert err == ""
     counts = {check["name"]: check["mismatches"] for check in json.loads(out)["checks"]}
     return code, counts
+
+
+def _g2_counts(weyl, tarski, case):
+    return {
+        "qpartition_vs_bruteforce": 0,
+        "tarski_vs_qpartition_at_one": 0,
+        "qmult_closed_vs_weyl_sum": weyl,
+        "multiplicity_qpoly_vs_tarski": tarski,
+        "case_audit": case,
+    }
+
+
+def _with_record(monkeypatch, algebra, **fields):
+    """Hand verify the algebra's record with the given fields replaced."""
+    spec = cli._ALGEBRAS[algebra]
+    record = spec.record._replace(**fields)
+    monkeypatch.setitem(cli._ALGEBRAS, algebra, spec._replace(record=record))
 
 
 class TestFusedChecksStayIndependent:
@@ -548,6 +580,136 @@ class TestFusedChecksStayIndependent:
             "mult_closed_vs_weyl_sum_at_one": 0,
             "odd_parity_vanishing": 1,
         }
+
+
+class TestVerifyOracles:
+    """verify's Weyl sides do not share the sweep memo's polynomials with the
+    closed side, each per-term oracle runs once per distinct term, and g2's
+    box is refused before anything is allocated when it is past its budget."""
+
+    def test_the_box_sees_a_kernel_fault_that_keeps_every_count(self, capsys, monkeypatch):
+        # Every one-term result of degree > 12 moves one unit from its top
+        # coefficient to the one below: past the pair box of --max 6, and the
+        # same at q = 1. A Weyl side summed from the same memo agrees with it.
+        _with_record(monkeypatch, "g2", term_sum=g2_sum_moving_the_top_unit)
+        assert _mismatch_counts(capsys, "g2", 6) == (1, _g2_counts(561, 0, 0))
+
+    def test_a_refused_box_exits_one_at_once_with_nothing_allocated(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = invoke(capsys, "verify", "--max", "10000000000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err.startswith("qkostant: error: a partition box up to (50000000000, 30000000000)")
+        assert err.endswith(", more than the budget of 268435456\n")
+        assert err.count("\n") == 1
+        assert peak < 1 << 20
+
+    def test_the_byte_budget_takes_g2_grids_up_to_82(self, capsys, monkeypatch):
+        def no_fill(*args):
+            raise AssertionError("the box was filled")
+
+        monkeypatch.setattr(rootsys.QPartitionBox, "_fill", staticmethod(no_fill))
+        code, out, err = invoke(capsys, "verify", "--max", "83")
+        assert (code, out) == (1, "")
+        assert "a partition box up to (415, 249) needs" in err
+        with pytest.raises(AssertionError, match="was filled"):
+            run(["verify", "--max", "82"])
+
+    @pytest.mark.parametrize("algebra", ["g2", "c2"])
+    def test_each_count_runs_once_per_distinct_term(self, capsys, monkeypatch, algebra):
+        spec = cli._ALGEBRAS[algebra]
+        calls = Counter()
+
+        def count(m, n):
+            calls[RootCoord(m, n)] += 1
+            return spec.record.count(m, n)
+
+        _with_record(monkeypatch, algebra, count=count)
+        assert invoke(capsys, "verify", "--algebra", algebra, "--max", "6") == (
+            0, VERIFY_MAX6_STDOUT[algebra], "",
+        )
+        rs = spec.record.rs
+        terms = {
+            v for lam, mu, _, _ in grid_points(rs, 6) for _, _, v in alternation_terms(rs, lam, mu)[2]
+        }
+        assert set(calls) == terms
+        assert set(calls.values()) == {1}
+
+    def test_each_c2_weyl_term_value_runs_once_per_distinct_term(self, capsys, monkeypatch):
+        calls = Counter()
+        memoized = cli.memoized
+
+        def counting_memoized(alg):
+            record = memoized(alg)
+
+            def term_sum(terms):
+                calls.update(v for _, v in terms)
+                return record.term_sum(terms)
+
+            return record._replace(term_sum=term_sum)
+
+        monkeypatch.setattr(cli, "memoized", counting_memoized)
+        assert invoke(capsys, "verify", "--algebra", "c2", "--max", "6") == (
+            0, VERIFY_MAX6_STDOUT["c2"], "",
+        )
+        terms = {
+            v for _, _, orbit, shift in grid_points(C2, 6) for _, v in weyl_terms_at(orbit, shift)
+        }
+        assert set(calls) == terms
+        assert set(calls.values()) == {1}
+
+
+class TestBrokenRoutes:
+    """A route that raises InternalConsistencyError at a tuple counts one
+    mismatch in each tuple check that reads it; the sweep goes on, exits 1
+    and writes its report."""
+
+    def test_a_kernel_fault_that_makes_a_coefficient_negative(self, capsys, monkeypatch):
+        # Every one-term result of degree > 12 moves one unit from its middle
+        # coefficient + 1 to the middle one. At nine tuples a lone term's
+        # closed result then has a negative coefficient, and closed_at raises.
+        _with_record(monkeypatch, "g2", term_sum=g2_sum_with_a_dip)
+        assert _mismatch_counts(capsys, "g2", 6) == (1, _g2_counts(554, 9, 9))
+
+    def test_a_raising_closed_route_counts_in_all_three_g2_checks(self, capsys, monkeypatch):
+        real = cli.closed_at
+
+        def broken(alg, lam, mu, orbit, mu_shift):
+            if (tuple(lam), tuple(mu)) == ((2, 1), (1, 0)):
+                raise InternalConsistencyError("negative coefficient")
+            return real(alg, lam, mu, orbit, mu_shift)
+
+        monkeypatch.setattr(cli, "closed_at", broken)
+        assert _mismatch_counts(capsys, "g2") == (1, _g2_counts(1, 1, 1))
+
+    @pytest.mark.parametrize(
+        "algebra,lam,mu,counts",
+        [
+            ("g2", (3, 0), (0, 1), _g2_counts(0, 1, 0)),
+            ("c2", (3, 1), (1, 0), {
+                "qpartition_vs_bruteforce": 0,
+                "partition_closed_vs_qpartition_at_one": 0,
+                "mult_closed_vs_weyl_sum_at_one": 1,
+                "odd_parity_vanishing": 0,
+            }),
+        ],
+    )
+    def test_a_raising_count_route_counts_in_its_own_check(self, capsys, monkeypatch,
+                                                           algebra, lam, mu, counts):
+        real = cli.count_sum
+        target = tuple(alternation_terms(cli._ALGEBRAS[algebra].record.rs, lam, mu)[2])
+        assert target
+
+        def broken(alg, terms):
+            if tuple(terms) == target:
+                raise InternalConsistencyError("negative multiplicity")
+            return real(alg, terms)
+
+        monkeypatch.setattr(cli, "count_sum", broken)
+        assert _mismatch_counts(capsys, algebra) == (1, counts)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -342,6 +342,14 @@ def test_grid_points_of_a_negative_bound_is_empty():
     assert list(grid_points(G2, -1)) == []
 
 
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=["g2", "c2", "b2"])
+def test_count_sum_over_the_memo_is_the_plain_count_sum(alg):
+    memo = memoized(alg)
+    for lam, mu, orbit, mu_shift in grid_points(alg.rs, 6):
+        terms = alternation_terms_at(alg.rs, orbit, mu_shift)[2]
+        assert count_sum(memo, terms) == count_sum(alg, terms), (lam, mu)
+
+
 class TestMemoizedTermSum:
     """memoized's term sum builds a polynomial only for two or more terms."""
 
