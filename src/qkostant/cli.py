@@ -161,14 +161,15 @@ def _g2_weyl_box(record: Algebra, top: int) -> QPartitionBox:
 
 
 def _g2_tuple_mismatches(record: Algebra, box: QPartitionBox, lam: FundCoord, mu: FundCoord,
-                         orbit: tuple, mu_shift: tuple[int, int]) -> tuple[bool, bool, bool]:
+                         row: tuple, orbit: tuple,
+                         mu_shift: tuple[int, int]) -> tuple[bool, bool, bool]:
     # One closed evaluation serves three checks: its mq is what qmult prints
     # on the command's memo, held to the Weyl sum read off the box; its
     # m_at_one is what multiplicity(..., "qpoly") returns and its terms the
     # ones multiplicity(..., "tarski") sums; its case is what case prints. A
     # closed route that raises InternalConsistencyError fails all three.
     try:
-        result = closed_at(record, lam, mu, orbit, mu_shift)
+        result = closed_at(record, lam, mu, row, mu_shift)
     except InternalConsistencyError:
         return True, True, True
     return (
@@ -196,13 +197,13 @@ def _c2_weyl_at_one(record: Algebra, _top: int) -> Callable[[list], int]:
 
 
 def _c2_tuple_mismatches(record: Algebra, weyl_at_one: Callable[[list], int], lam: FundCoord,
-                         mu: FundCoord, orbit: tuple,
+                         mu: FundCoord, row: tuple, orbit: tuple,
                          mu_shift: tuple[int, int]) -> tuple[bool, bool]:
     # The count route over the alternation terms is what multiplicity_c2_closed
     # returns, held to the Weyl sum at one. An odd m - x puts mu off lam's
     # root-lattice coset, where the case flags must be off and no Weyl term
     # may reach the positive cone on the root lattice.
-    shifts, label, terms = alternation_terms_at(record.rs, orbit, mu_shift)
+    shifts, label, terms = alternation_terms_at(row, mu_shift)
     weyl = weyl_terms_at(orbit, mu_shift)
     in_n = record.case_data(shifts, label).in_n
     return (
@@ -328,8 +329,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     width = len(spec.case_fields)
     case_template = ",".join(["%d"] * width)
     coords = {(m, n): f"{m},{n}" for m, n in product(range(args.max + 1), repeat=2)}
-    for lam, mu, orbit, mu_shift in grid_points(record.rs, args.max):
-        _, _, data, _, mq, m_at_one = closed_at(record, lam, mu, orbit, mu_shift)
+    for lam, mu, row, _, mu_shift in grid_points(record.rs, args.max):
+        _, _, data, _, mq, m_at_one = closed_at(record, lam, mu, row, mu_shift)
         values = case_template % data[:width]  # the fields of data.as_tuple()
         coeffs = "|".join(map(str, mq.coeffs))
         lines.append(f"{coords[lam]},{coords[mu]},{values},{data.case_label},{coeffs},{m_at_one}")

@@ -406,39 +406,47 @@ def shifted_orbit(rs: RootSystem, m: int, n: int) -> tuple[tuple[int, int, int],
     return tuple(orbit)
 
 
-def _point(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> tuple:
-    """(lam, mu, orbit, mu_shift) of one pair, as grid_points yields each point.
+def _alternation_row(rs: RootSystem, orbit: tuple) -> list:
+    """(name, sign, u, v) of each term of rs.alternation, off orbit = shifted_orbit of lam."""
+    return [(name, sign, u, v) for (name, _), (sign, u, v) in zip(rs.alternation, orbit)]
 
-    orbit is shifted_orbit of lam and mu_shift = 2 * (mu + rho) in root
-    coordinates. A non-dominant lam or mu raises ValueError, lam first.
+
+def _point(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> tuple:
+    """(lam, mu, orbit, mu_shift) of one pair: orbit is shifted_orbit of lam and
+    mu_shift = 2 * (mu + rho) in root coordinates, as grid_points yields them.
+
+    A non-dominant lam or mu raises ValueError, lam first.
     """
     lam, mu = _as_fund(lam), _as_fund(mu)
     return lam, mu, shifted_orbit(rs, lam.m, lam.n), doubled(rs, (mu.m + 1, mu.n + 1))
 
 
 def grid_points(rs: RootSystem, top: int) -> Iterator[tuple]:
-    """(lam, mu, orbit, mu_shift) at every (lam, mu) of [0, top]^4, in lexicographic order.
+    """(lam, mu, row, orbit, mu_shift) at every (lam, mu) of [0, top]^4, in lexicographic order.
 
-    lam and mu are FundCoords, orbit is shifted_orbit of lam and mu_shift =
-    2 * (mu + rho) in root coordinates: the arguments of the *_at cores. Each
-    weight is validated once, each lam's orbit is looked up once per row and
-    each mu's shift is computed once per call, not once per point.
+    lam and mu are FundCoords, orbit is shifted_orbit of lam, row zips its
+    first len(rs.alternation) elements with their names as (name, sign, u, v),
+    and mu_shift = 2 * (mu + rho) in root coordinates: the arguments of the
+    *_at cores. Each weight is validated once, each lam's orbit is looked up
+    and its row zipped once, and each mu's shift is computed once per call,
+    not once per point.
     """
     weights = [FundCoord(m, n) for m in range(top + 1) for n in range(top + 1)]
     mus = [(mu, doubled(rs, (mu.m + 1, mu.n + 1))) for mu in weights]
     for lam in weights:
         orbit = shifted_orbit(rs, lam.m, lam.n)
+        row = _alternation_row(rs, orbit)
         for mu, mu_shift in mus:
-            yield lam, mu, orbit, mu_shift
+            yield lam, mu, row, orbit, mu_shift
 
 
-def alternation_terms_at(rs: RootSystem, orbit: tuple, mu_shift: tuple[int, int]) -> tuple:
-    """alternation_terms of the lam whose shifted_orbit is orbit and the mu of mu_shift."""
+def alternation_terms_at(row: list, mu_shift: tuple[int, int]) -> tuple:
+    """alternation_terms of the lam of row (see grid_points) and the mu of mu_shift."""
     mu1, mu2 = mu_shift
     shifts = []
     label = ""
     terms = []
-    for (name, _), (sign, u, v) in zip(rs.alternation, orbit):
+    for name, sign, u, v in row:
         u -= mu1
         v -= mu2
         shifts.append((sign, u, v))
@@ -460,7 +468,7 @@ def alternation_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int])
     A non-dominant lam or mu raises ValueError.
     """
     _, _, orbit, mu_shift = _point(rs, lam, mu)
-    return alternation_terms_at(rs, orbit, mu_shift)
+    return alternation_terms_at(_alternation_row(rs, orbit), mu_shift)
 
 
 def weyl_terms_at(orbit: tuple, mu_shift: tuple[int, int]) -> list:
@@ -518,23 +526,73 @@ def memoized(alg: Algebra) -> Algebra:
 
     term_sum computes a term as one one-term alg.term_sum call. A lone +1 term
     returns its stored polynomial and an empty sum one shared QPoly(), so only
-    a sum of two or more terms builds (and range-checks) a new polynomial,
-    through QPoly.signed_sum. count is alg.count under functools.cache, so
-    count_sum over the record, which verify runs at every tuple, calls
-    alg.count once per distinct term.
+    a sum of two or more terms builds a new polynomial. count is alg.count
+    under functools.cache, so count_sum over the record, which verify runs at
+    every tuple, calls alg.count once per distinct term.
+
+    A sum of two or more terms is taken in packed form (Kronecker
+    substitution q -> 2^64). Beside each term's polynomial the memo keeps its
+    packing P = Σ c_i·2^(64i), made once when the term is stored: with U the
+    term's coefficients as the unsigned int of their array('q') bytes and B
+    the int with 2^63 in each of their lanes, P = (U ^ B) - B. Packing is
+    linear, so the signed sum of the terms' P is S = Σ s_i·2^(64i), s_i the
+    true coefficients of the sum. Let w be the bit length of the widest
+    stored coefficient (a running maximum) and k the number of terms. When
+    k·2^w <= 2^63, every |s_i| < 2^63: then each lane of S + B lies in
+    [0, 2^64), no lane carries, and the array('q') lanes of (S + B) ^ B are
+    the s_i. Their number, S.bit_length() // 64 + 1, is the top nonzero
+    lane's index plus one (one lane for S = 0): S lies within 2^(64t - 1) of
+    s_t·2^(64t) for the top nonzero s_t. The lanes fit int64, so the result
+    needs no range check.
+    Past that bound the sum falls back to QPoly.signed_sum, whose one range
+    check is on the result: it may raise CoefficientOverflowError where the
+    packed form could carry between lanes.
     """
+    from array import array  # only the sweeps memoize; importing the CLI skips it
+
     memo: dict = {}
+    packed: dict = {}
     zero = QPoly()
+    biases = [0, 1 << 63]  # biases[n]: 2^63 in each of n lanes
+    width = 0
+
+    def store(v) -> QPoly:
+        nonlocal width
+        poly = memo[v] = alg.term_sum([(1, v)])
+        cs = poly.coeffs
+        while len(biases) <= len(cs):
+            biases.append(biases[-1] | 1 << (64 * len(biases) - 1))
+        bias = biases[len(cs)]
+        packed[v] = (int.from_bytes(array("q", cs).tobytes(), "little") ^ bias) - bias
+        if cs:
+            width = max(width, max(cs).bit_length(), min(cs).bit_length())
+        return poly
 
     def term_sum(terms: list) -> QPoly:
-        if not terms:
-            return zero
-        for _, v in terms:
-            if v not in memo:
-                memo[v] = alg.term_sum([(1, v)])
-        if len(terms) == 1 and terms[0][0] == 1:
-            return memo[terms[0][1]]
-        return QPoly.signed_sum((sign, memo[v]) for sign, v in terms)
+        if len(terms) < 2:
+            if not terms:
+                return zero
+            sign, v = terms[0]
+            if sign == 1:
+                poly = memo.get(v)
+                return store(v) if poly is None else poly
+        total = 0
+        for sign, v in terms:
+            if v not in packed:
+                store(v)
+            if sign == 1:
+                total += packed[v]
+            elif sign == -1:
+                total -= packed[v]
+            else:
+                raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+        if len(terms) << width > 1 << 63:
+            return QPoly.signed_sum((sign, memo[v]) for sign, v in terms)
+        lanes = total.bit_length() // 64 + 1
+        bias = biases[lanes]
+        coeffs = array("q")
+        coeffs.frombytes(((total + bias) ^ bias).to_bytes(8 * lanes, "little"))
+        return QPoly._from_checked(tuple(coeffs))
 
     return alg._replace(term_sum=term_sum, count=cache(alg.count))
 
@@ -546,20 +604,41 @@ def count_sum(alg: Algebra, terms) -> int:
     range is fine when the multiplicity is not. A negative total raises
     InternalConsistencyError.
     """
-    value = sum(sign * alg.count(m, n) for _, sign, (m, n) in terms)
+    count = alg.count
+    value = 0
+    for _, sign, (m, n) in terms:  # a plain loop: sum() over a generator is slower here
+        value += sign * count(m, n)
     if value < 0:
         raise InternalConsistencyError(f"negative multiplicity {value} from the terms {terms}")
     return checked_int(value)
 
 
-def closed_at(alg: Algebra, lam: FundCoord, mu: FundCoord, orbit: tuple,
+def closed_at(alg: Algebra, lam: FundCoord, mu: FundCoord, row: list,
               mu_shift: tuple[int, int]) -> MultiplicityResult:
-    """closed at one point (lam, mu, orbit, mu_shift) as grid_points yields it."""
-    shifts, label, terms = alternation_terms_at(alg.rs, orbit, mu_shift)
-    mq = alg.term_sum([(sign, v) for _, sign, v in terms])
+    """closed at one point (lam, mu, row, mu_shift) of grid_points.
+
+    The per-point core of table and verify: one pass over row runs the cone
+    tests of alternation_terms_at and collects, beside the terms, the
+    (sign, RootCoord) pairs that alg.term_sum takes.
+    """
+    mu1, mu2 = mu_shift
+    shifts = []
+    label = ""
+    terms = []
+    pairs = []
+    for name, sign, u, v in row:
+        u -= mu1
+        v -= mu2
+        shifts.append((sign, u, v))
+        if u >= 0 and v >= 0 and not (u | v) & 1:
+            label += name
+            w = _new_tuple(RootCoord, (u >> 1, v >> 1))
+            terms.append((name, sign, w))
+            pairs.append((sign, w))
+    mq = alg.term_sum(pairs)
     if mq.coeffs and min(mq.coeffs) < 0:
         raise InternalConsistencyError(f"negative coefficient in m_q({lam}, {mu}) = {mq!r}")
-    case_data = alg.case_data(shifts, label)
+    case_data = alg.case_data(shifts, label or "ZERO")
     return _new_tuple(
         MultiplicityResult, (lam, mu, case_data, tuple(terms), mq, mq.eval_at_one())
     )
@@ -570,7 +649,8 @@ def closed(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> Multiplic
 
     A negative coefficient raises InternalConsistencyError.
     """
-    return closed_at(alg, *_point(alg.rs, lam, mu))
+    lam, mu, orbit, mu_shift = _point(alg.rs, lam, mu)
+    return closed_at(alg, lam, mu, _alternation_row(alg.rs, orbit), mu_shift)
 
 
 def weyl_sum(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> QPoly:

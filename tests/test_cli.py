@@ -475,8 +475,9 @@ class TestFusedChecksStayIndependent:
     """verify evaluates each tuple once; each check must still count on its own.
 
     Each test corrupts one of the per-point seams that verify's sweep calls:
-    closed_at, weyl_terms_at and count_sum as cli names, and the case builder
-    of the record that the sweep is handed.
+    the closed core closed_at (handed each lam's row), weyl_terms_at (handed
+    its orbit) and count_sum as cli names, and the case builder of the record
+    that the sweep is handed.
     """
 
     def test_wrong_weyl_sum_counts_once(self, capsys, monkeypatch):
@@ -521,8 +522,8 @@ class TestFusedChecksStayIndependent:
     def test_forbidden_case_label_counts_once(self, capsys, monkeypatch):
         real = cli.closed_at
 
-        def corrupted(alg, lam, mu, orbit, mu_shift):
-            result = real(alg, lam, mu, orbit, mu_shift)
+        def corrupted(alg, lam, mu, row, mu_shift):
+            result = real(alg, lam, mu, row, mu_shift)
             if (tuple(lam), tuple(mu)) != ((2, 1), (1, 0)):
                 return result
             # P and S without Q: a term set no case combines.
@@ -633,7 +634,7 @@ class TestVerifyOracles:
         )
         rs = spec.record.rs
         terms = {
-            v for lam, mu, _, _ in grid_points(rs, 6) for _, _, v in alternation_terms(rs, lam, mu)[2]
+            v for lam, mu, *_ in grid_points(rs, 6) for _, _, v in alternation_terms(rs, lam, mu)[2]
         }
         assert set(calls) == terms
         assert set(calls.values()) == {1}
@@ -656,7 +657,7 @@ class TestVerifyOracles:
             0, VERIFY_MAX6_STDOUT["c2"], "",
         )
         terms = {
-            v for _, _, orbit, shift in grid_points(C2, 6) for _, v in weyl_terms_at(orbit, shift)
+            v for *_, orbit, shift in grid_points(C2, 6) for _, v in weyl_terms_at(orbit, shift)
         }
         assert set(calls) == terms
         assert set(calls.values()) == {1}
@@ -725,3 +726,18 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out == "[]\n"
+
+
+def test_importing_the_cli_does_not_load_array():
+    # Only the sweeps pack polynomials into 64-bit lanes (the memo and g2's
+    # box), and both import array when they are built.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys; before = set(sys.modules); import qkostant.cli; "
+        "print('array' in set(sys.modules) - before)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "False\n"
