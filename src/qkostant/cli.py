@@ -21,7 +21,7 @@ from .errors import CoefficientOverflowError, InternalConsistencyError
 from . import g2_multiplicity, sp4
 from .g2_multiplicity import CASE_LABELS, CaseData, multiplicity
 from .g2_partition import partition_tarski, qpartition
-from .qpoly import QPoly, checked_int
+from .qpoly import QPoly
 from .rootsys import (
     Algebra,
     FundCoord,
@@ -153,11 +153,12 @@ def _count_differs(record: Algebra, terms, value: int) -> bool:
         return True
 
 
-def _g2_weyl_box(record: Algebra, top: int) -> QPartitionBox:
+def _weyl_box(rs: RootSystem, top: int) -> QPartitionBox:
     """The box of every Weyl term of [0, top]^4: lam = (top, top), mu = 0 and
-    sigma = 1 give the largest, lam itself, which is (5 top, 3 top) for g2."""
-    top1, top2 = doubled(record.rs, (top, top))
-    return QPartitionBox(record.rs.positive_roots, top1 >> 1, top2 >> 1)
+    sigma = 1 give the largest, lam itself: (5 top, 3 top) for g2 and
+    (2 top, floor(1.5 top)) for c2."""
+    top1, top2 = doubled(rs, (top, top))
+    return QPartitionBox(rs.positive_roots, top1 >> 1, top2 >> 1)
 
 
 def _g2_tuple_mismatches(record: Algebra, box: QPartitionBox, lam: FundCoord, mu: FundCoord,
@@ -179,35 +180,18 @@ def _g2_tuple_mismatches(record: Algebra, box: QPartitionBox, lam: FundCoord, mu
     )
 
 
-def _c2_weyl_at_one(record: Algebra, _top: int) -> Callable[[list], int]:
-    """The Weyl sum at q = 1 of (sign, v) terms, from the exact coefficient sum of
-    each distinct v's memo polynomial, taken once per command; the grid bound
-    is not needed. Only the total is range-checked, as count_sum does."""
-    values: dict = {}
-
-    def at_one(terms: list) -> int:
-        total = 0
-        for sign, v in terms:
-            if v not in values:
-                values[v] = sum(record.term_sum([(1, v)]).coeffs)
-            total += sign * values[v]
-        return checked_int(total)
-
-    return at_one
-
-
-def _c2_tuple_mismatches(record: Algebra, weyl_at_one: Callable[[list], int], lam: FundCoord,
-                         mu: FundCoord, row: tuple, orbit: tuple,
+def _c2_tuple_mismatches(record: Algebra, box: QPartitionBox, lam: FundCoord, mu: FundCoord,
+                         row: tuple, orbit: tuple,
                          mu_shift: tuple[int, int]) -> tuple[bool, bool]:
     # The count route over the alternation terms is what multiplicity_c2_closed
-    # returns, held to the Weyl sum at one. An odd m - x puts mu off lam's
-    # root-lattice coset, where the case flags must be off and no Weyl term
-    # may reach the positive cone on the root lattice.
-    shifts, label, terms = alternation_terms_at(row, mu_shift)
+    # returns, held to the Weyl sum at one read off the box's counts. An odd
+    # m - x puts mu off lam's root-lattice coset, where the case flags must be
+    # off and no Weyl term may reach the positive cone on the root lattice.
+    shifts, label, terms, _ = alternation_terms_at(row, mu_shift)
     weyl = weyl_terms_at(orbit, mu_shift)
     in_n = record.case_data(shifts, label).in_n
     return (
-        _count_differs(record, terms, weyl_at_one(weyl)),
+        _count_differs(record, terms, box.sum_at_one(weyl)),
         bool((lam.m - mu.m) % 2 and (in_n[1] or in_n[3] or weyl)),
     )
 
@@ -217,13 +201,12 @@ class _Algebra(NamedTuple):
 
     The shared routes take ``record``; table and verify, whose grids meet each
     term many times, take one memoized(record) per command instead, which
-    computes each term's polynomial and count once. verify builds its Weyl
-    side once per command, before any check runs, as ``weyl_oracle`` of that
-    record and --max: g2's is a QPartitionBox filled from the definition of
-    ℘_q, refused up front past its byte budget; c2's sums each distinct
-    term's value at q = 1 once. The callables look the library functions up
-    as module globals when they run, so a traced or patched function is the
-    one called.
+    computes each term's polynomial and count once. verify reads the Weyl
+    side of both algebras off one QPartitionBox per command, filled from the
+    definition of ℘_q before any check runs and refused up front past its
+    byte budget: g2 compares polynomials with it, c2 counts at q = 1. The
+    callables look the library functions up as module globals when they
+    run, so a traced or patched function is the one called.
     """
 
     record: Algebra
@@ -232,8 +215,7 @@ class _Algebra(NamedTuple):
     case_fields: tuple[str, ...]  # names of the values in case.as_tuple()
     pair_checks: tuple[str, ...]  # the two flags of pair_mismatches
     tuple_checks: tuple[str, ...]  # one mismatch flag each per (lam, mu)
-    tuple_mismatches: Callable[..., tuple[bool, ...]]  # (record, oracle, *a point of grid_points)
-    weyl_oracle: Callable[[Algebra, int], object]  # (record, --max) -> tuple_mismatches' oracle
+    tuple_mismatches: Callable[..., tuple[bool, ...]]  # (record, box, *a point of grid_points)
 
     def pair_mismatches(self, m: int, n: int) -> tuple[bool, bool]:
         """The kernel at (m, n) against the enumerator, and at q = 1 against the count."""
@@ -252,7 +234,6 @@ _ALGEBRAS = {
         ("qpartition_vs_bruteforce", "tarski_vs_qpartition_at_one"),
         ("qmult_closed_vs_weyl_sum", "multiplicity_qpoly_vs_tarski", "case_audit"),
         _g2_tuple_mismatches,
-        _g2_weyl_box,
     ),
     "c2": _Algebra(
         sp4.ALGEBRA,
@@ -262,7 +243,6 @@ _ALGEBRAS = {
         ("qpartition_vs_bruteforce", "partition_closed_vs_qpartition_at_one"),
         ("mult_closed_vs_weyl_sum_at_one", "odd_parity_vanishing"),
         _c2_tuple_mismatches,
-        _c2_weyl_at_one,
     ),
 }
 
@@ -297,13 +277,13 @@ def _grid(args: argparse.Namespace) -> tuple[_Algebra, Algebra]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec, record = _grid(args)
-    oracle = spec.weyl_oracle(record, args.max)
+    box = _weyl_box(record.rs, args.max)
     side = args.max + 1
     checks = []
     for names, cases, points, mismatches in (
         (spec.pair_checks, side**2, product(range(side), repeat=2), spec.pair_mismatches),
         (spec.tuple_checks, side**4, grid_points(record.rs, args.max),
-         partial(spec.tuple_mismatches, record, oracle)),
+         partial(spec.tuple_mismatches, record, box)),
     ):
         totals = [0] * len(names)
         for point in points:

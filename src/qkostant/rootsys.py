@@ -305,14 +305,16 @@ class QPartitionBox:
     so one pass per root, started from P[0] = 1, fills the whole box. The box
     reads nothing but ``roots``: it shares no code with the kernels or the
     Weyl sums. Each polynomial is one Python int with one 64-bit lane per
-    coefficient (Kronecker packing), so q· is a shift by 64 bits.
+    coefficient (Kronecker packing), so q· is a shift by 64 bits. A first
+    pass at q = 1 fills the counts ℘(c1, c2), which the box keeps beside the
+    polynomials: equals_sum reads the polynomials, sum_at_one the counts.
 
     A box past BOX_BYTE_BUDGET (so also one of more than sys.maxsize points)
-    raises ValueError before anything is allocated. A pass at q = 1 then
-    bounds every coefficient by its point's count, and a box with a count of
-    at least 2^63 / (2 * len(roots)) raises ValueError: a rank-2 Weyl group
-    has 2 * len(roots) elements, so a signed sum of one entry per element
-    keeps every coefficient inside (-2^63, 2^63) (see equals_sum).
+    raises ValueError before anything is allocated. The counts bound every
+    coefficient, and a box with a count of at least 2^63 / (2 * len(roots))
+    raises ValueError: a rank-2 Weyl group has 2 * len(roots) elements, so a
+    signed sum of one entry per element keeps every coefficient inside
+    (-2^63, 2^63) (see equals_sum).
     """
 
     def __init__(self, roots, top1: int, top2: int) -> None:
@@ -327,7 +329,8 @@ class QPartitionBox:
                 f" more than the budget of {BOX_BYTE_BUDGET}"
             )
         order = 2 * len(roots)  # of the Weyl group
-        if max(map(max, self._fill(roots, top1, top2, 0))) * order >> 63:
+        self._counts = self._fill(roots, top1, top2, 0)
+        if max(map(max, self._counts)) * order >> 63:
             raise ValueError(
                 f"a count of the box up to ({top1}, {top2}) times {order} Weyl terms"
                 " does not fit a signed 64-bit lane"
@@ -375,6 +378,15 @@ class QPartitionBox:
             else:
                 weyl -= rows[c1][c2]
         return weyl == int.from_bytes(self._array("q", poly.coeffs).tobytes(), "little")
+
+    def sum_at_one(self, terms) -> int:
+        """Σ sign·℘(v) at q = 1 over (sign, (c1, c2)) terms inside the box; only
+        the total is range-checked."""
+        counts = self._counts
+        total = 0
+        for sign, (c1, c2) in terms:
+            total += sign * counts[c1][c2]
+        return checked_int(total)
 
 
 # Distinct (algebra, highest weight) pairs whose shifted Weyl orbit the Weyl
@@ -446,26 +458,30 @@ def alternation_terms_at(row: list, mu_shift: tuple[int, int]) -> tuple:
     shifts = []
     label = ""
     terms = []
+    pairs = []
     for name, sign, u, v in row:
         u -= mu1
         v -= mu2
         shifts.append((sign, u, v))
         if u >= 0 and v >= 0 and not (u | v) & 1:
             label += name
-            terms.append((name, sign, _new_tuple(RootCoord, (u >> 1, v >> 1))))
-    return shifts, label or "ZERO", terms
+            w = _new_tuple(RootCoord, (u >> 1, v >> 1))
+            terms.append((name, sign, w))
+            pairs.append((sign, w))
+    return shifts, label or "ZERO", terms, pairs
 
 
 def alternation_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> tuple:
-    """(shifts, label, terms) of the alternation set of (lam, mu), off the cached orbit.
+    """(shifts, label, terms, pairs) of the alternation set of (lam, mu), off the cached orbit.
 
     shifts holds (sign, u, v) for each term of rs.alternation, in order: the
     sign is (-1)^length(sigma) and (u, v) = 2 * (sigma(lam + rho) - (mu + rho))
     in root coordinates. A term contributes exactly when its shifted weight
     lies on the positive cone and the root lattice, that is when u and v are
     nonnegative and even, as in weyl_terms. label spells the contributing
-    names in order, or is "ZERO"; terms holds (name, sign, RootCoord) of each.
-    A non-dominant lam or mu raises ValueError.
+    names in order, or is "ZERO"; terms holds (name, sign, RootCoord) of each,
+    and pairs the same (sign, RootCoord), as term_sum takes them. A
+    non-dominant lam or mu raises ValueError.
     """
     _, _, orbit, mu_shift = _point(rs, lam, mu)
     return alternation_terms_at(_alternation_row(rs, orbit), mu_shift)
@@ -615,30 +631,13 @@ def count_sum(alg: Algebra, terms) -> int:
 
 def closed_at(alg: Algebra, lam: FundCoord, mu: FundCoord, row: list,
               mu_shift: tuple[int, int]) -> MultiplicityResult:
-    """closed at one point (lam, mu, row, mu_shift) of grid_points.
-
-    The per-point core of table and verify: one pass over row runs the cone
-    tests of alternation_terms_at and collects, beside the terms, the
-    (sign, RootCoord) pairs that alg.term_sum takes.
-    """
-    mu1, mu2 = mu_shift
-    shifts = []
-    label = ""
-    terms = []
-    pairs = []
-    for name, sign, u, v in row:
-        u -= mu1
-        v -= mu2
-        shifts.append((sign, u, v))
-        if u >= 0 and v >= 0 and not (u | v) & 1:
-            label += name
-            w = _new_tuple(RootCoord, (u >> 1, v >> 1))
-            terms.append((name, sign, w))
-            pairs.append((sign, w))
+    """closed at one point (lam, mu, row, mu_shift) of grid_points: the per-point
+    core of table and verify."""
+    shifts, label, terms, pairs = alternation_terms_at(row, mu_shift)
     mq = alg.term_sum(pairs)
     if mq.coeffs and min(mq.coeffs) < 0:
         raise InternalConsistencyError(f"negative coefficient in m_q({lam}, {mu}) = {mq!r}")
-    case_data = alg.case_data(shifts, label or "ZERO")
+    case_data = alg.case_data(shifts, label)
     return _new_tuple(
         MultiplicityResult, (lam, mu, case_data, tuple(terms), mq, mq.eval_at_one())
     )
@@ -660,5 +659,5 @@ def weyl_sum(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> QPoly:
 
 def case(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> tuple:
     """The case record of (lam, mu), read off the alternation set."""
-    shifts, label, _ = alternation_terms(alg.rs, lam, mu)
+    shifts, label, *_ = alternation_terms(alg.rs, lam, mu)
     return alg.case_data(shifts, label)

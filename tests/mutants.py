@@ -8,7 +8,7 @@ from operator import add
 
 from qkostant.g2_partition import _g2_marks, _g2_sum
 from qkostant.qpoly import QPoly
-from qkostant.sp4 import _c2_events, _closed_form
+from qkostant.sp4 import _c2_events, _c2_sum, _closed_form
 
 from reference_kernels import g2_marker_groups
 
@@ -97,3 +97,22 @@ def c2_events_unclipped(events: list, m: int, n: int, sign: int) -> None:
     """
     _c2_events(events, m, n, sign)
     events.remove((m + n + 3, sign, 0, 0))
+
+
+def _c2_deep(v) -> bool:
+    """Whether a term lies past the pair box of verify --max 6: c1 + c2 > 12."""
+    return v[0] + v[1] > 12
+
+
+def c2_count_one_too_high(m: int, n: int) -> int:
+    """sp4's q = 1 count, one too high on every deep term."""
+    return _closed_form(m, n) + _c2_deep((m, n))
+
+
+def c2_sum_one_too_high(terms: list) -> QPoly:
+    """sp4's term sum whose one-term result on a deep term has its constant
+    coefficient one too high: at q = 1 it agrees with c2_count_one_too_high."""
+    result = _c2_sum(terms)
+    if len(terms) == 1 and _c2_deep(terms[0][1]):
+        return QPoly((result.coeffs[0] + 1,) + result.coeffs[1:])
+    return result

@@ -1,8 +1,9 @@
 """Both kernels and both closed routes against the kernel-free box oracle.
 
 rootsys.QPartitionBox fills ℘_q over a whole box from the definition, one
-pass per positive root, and verify reads g2's Weyl side from one. It holds
-``qpartition`` and ``qpartition_c2`` at every point of a box, and the fused
+pass per positive root, and verify reads the Weyl side of both algebras from
+one. It holds ``qpartition`` and ``qpartition_c2`` at every point of a box,
+its counts summed at q = 1 to the closed counts, and the fused
 and memoized closed q routes of both algebras to Σ sign·box[term] over the
 Weyl terms at every dominant mu below a seeded set of lambda <= (40, 40),
 both as QPoly sums and through the packed comparison equals_sum that verify
@@ -20,7 +21,7 @@ from random import Random
 import pytest
 
 from qkostant import g2_multiplicity, g2_partition, sp4
-from qkostant.g2_partition import qpartition
+from qkostant.g2_partition import partition_tarski, qpartition
 from qkostant.qpoly import INT64_MAX, QPoly
 from qkostant.rootsys import (
     BOX_BYTE_BUDGET,
@@ -34,7 +35,7 @@ from qkostant.rootsys import (
     memoized,
     weyl_terms,
 )
-from qkostant.sp4 import qpartition_c2
+from qkostant.sp4 import partition_c2_closed, qpartition_c2
 
 from mutants import c2_events_ignoring_sign, g2_marks_ignoring_sign
 
@@ -137,6 +138,18 @@ class TestBox:
             assert not box.equals_sum(poly, q_minus_one), poly
         assert box.equals_sum(QPoly(), [(1, v), (-1, v)])
         assert not box.equals_sum(QPoly(), [(1, RootCoord(0, 0))])
+
+    @pytest.mark.parametrize("name,count", [("g2", partition_tarski), ("c2", partition_c2_closed)])
+    def test_the_sum_at_one_matches_the_counts(self, boxes, name, count):
+        box = boxes[name]
+        rs = ALGEBRAS[name].rs
+        pool = sorted({v for lam, mu in PAIRS[name] for _, v in weyl_terms(rs, lam, mu)})
+        rng = Random(25)
+        for _ in range(300):
+            terms = [(rng.choice((1, -1)), rng.choice(pool)) for _ in range(rng.randint(0, 12))]
+            total = box.sum_at_one(terms)
+            assert total == sum(sign * count(v) for sign, v in terms), terms
+            assert total == sum(sign * box[v].eval_at_one() for sign, v in terms), terms
 
     def test_g2_kernel_matches_the_box(self):
         box = QPartitionBox(G2.positive_roots, 120, 80)

@@ -24,11 +24,15 @@ from qkostant.rootsys import (
     alternation_terms,
     grid_points,
     to_root,
-    weyl_terms_at,
 )
 from qkostant.g2_partition import qpartition
 
-from mutants import g2_sum_moving_the_top_unit, g2_sum_with_a_dip
+from mutants import (
+    c2_count_one_too_high,
+    c2_sum_one_too_high,
+    g2_sum_moving_the_top_unit,
+    g2_sum_with_a_dip,
+)
 
 # Recorded from the CLI before the verify loops were fused; any change to
 # the checks, their order or their counts shows up here.
@@ -583,10 +587,48 @@ class TestFusedChecksStayIndependent:
         }
 
 
+def _lane_bytes(top1, top2):
+    """8 * sum(c1 + c2 + 1) over the box [0, top1]x[0, top2], row by row."""
+    return 8 * sum((c1 + 1) * (top2 + 1) + top2 * (top2 + 1) // 2 for c1 in range(top1 + 1))
+
+
+def _assert_refused_at_once(capsys, algebra, box):
+    """verify --max 10^10 exits 1 with one error line naming box, nothing on
+    stdout and under 1 MiB allocated."""
+    tracemalloc.start()
+    try:
+        code, out, err = invoke(capsys, "verify", "--algebra", algebra, "--max", "10000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"qkostant: error: a partition box up to {box}")
+    assert err.endswith(", more than the budget of 268435456\n")
+    assert err.count("\n") == 1
+    assert peak < 1 << 20
+
+
+def _assert_largest_grid(capsys, monkeypatch, algebra, top, refused, fits):
+    """BOX_BYTE_BUDGET takes the box of --max top (fits) but not that of
+    top + 1 (refused), which verify refuses before it fills any box."""
+    assert _lane_bytes(*refused) > rootsys.BOX_BYTE_BUDGET >= _lane_bytes(*fits)
+
+    def no_fill(*args):
+        raise AssertionError("the box was filled")
+
+    monkeypatch.setattr(rootsys.QPartitionBox, "_fill", staticmethod(no_fill))
+    code, out, err = invoke(capsys, "verify", "--algebra", algebra, "--max", str(top + 1))
+    assert (code, out) == (1, "")
+    assert f"a partition box up to {refused} needs" in err
+    with pytest.raises(AssertionError, match="was filled"):
+        run(["verify", "--algebra", algebra, "--max", str(top)])
+
+
 class TestVerifyOracles:
-    """verify's Weyl sides do not share the sweep memo's polynomials with the
-    closed side, each per-term oracle runs once per distinct term, and g2's
-    box is refused before anything is allocated when it is past its budget."""
+    """verify's Weyl side is one box per command, filled from the definition
+    of ℘_q: it shares no polynomial with the sweep memo or the c2 kernel,
+    each count runs once per distinct term, and a box past its budget is
+    refused before anything is allocated, for both algebras."""
 
     def test_the_box_sees_a_kernel_fault_that_keeps_every_count(self, capsys, monkeypatch):
         # Every one-term result of degree > 12 moves one unit from its top
@@ -595,29 +637,36 @@ class TestVerifyOracles:
         _with_record(monkeypatch, "g2", term_sum=g2_sum_moving_the_top_unit)
         assert _mismatch_counts(capsys, "g2", 6) == (1, _g2_counts(561, 0, 0))
 
+    def test_the_box_sees_a_c2_count_fault_the_kernel_shares(self, capsys, monkeypatch):
+        # Count and one-term kernel are both one too high at q = 1 past the
+        # pair box of --max 6, so a Weyl side summed from the kernel's values
+        # at one would agree with the count route. The box does not: a tuple
+        # fails where the signs of its deep alternation terms do not cancel.
+        _with_record(monkeypatch, "c2", count=c2_count_one_too_high,
+                     term_sum=c2_sum_one_too_high)
+        expected = sum(
+            sum(sign for _, sign, v in alternation_terms(C2, lam, mu)[2] if sum(v) > 12) != 0
+            for lam, mu, *_ in grid_points(C2, 6)
+        )
+        assert expected == 46
+        assert _mismatch_counts(capsys, "c2", 6) == (1, {
+            "qpartition_vs_bruteforce": 0,
+            "partition_closed_vs_qpartition_at_one": 0,
+            "mult_closed_vs_weyl_sum_at_one": expected,
+            "odd_parity_vanishing": 0,
+        })
+
     def test_a_refused_box_exits_one_at_once_with_nothing_allocated(self, capsys):
-        tracemalloc.start()
-        try:
-            code, out, err = invoke(capsys, "verify", "--max", "10000000000")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (code, out) == (1, "")
-        assert err.startswith("qkostant: error: a partition box up to (50000000000, 30000000000)")
-        assert err.endswith(", more than the budget of 268435456\n")
-        assert err.count("\n") == 1
-        assert peak < 1 << 20
+        _assert_refused_at_once(capsys, "g2", (50000000000, 30000000000))
+
+    def test_a_refused_c2_box_exits_one_at_once_with_nothing_allocated(self, capsys):
+        _assert_refused_at_once(capsys, "c2", (20000000000, 15000000000))
 
     def test_the_byte_budget_takes_g2_grids_up_to_82(self, capsys, monkeypatch):
-        def no_fill(*args):
-            raise AssertionError("the box was filled")
+        _assert_largest_grid(capsys, monkeypatch, "g2", 82, (415, 249), (410, 246))
 
-        monkeypatch.setattr(rootsys.QPartitionBox, "_fill", staticmethod(no_fill))
-        code, out, err = invoke(capsys, "verify", "--max", "83")
-        assert (code, out) == (1, "")
-        assert "a partition box up to (415, 249) needs" in err
-        with pytest.raises(AssertionError, match="was filled"):
-            run(["verify", "--max", "82"])
+    def test_the_byte_budget_takes_c2_grids_up_to_185(self, capsys, monkeypatch):
+        _assert_largest_grid(capsys, monkeypatch, "c2", 185, (372, 279), (370, 277))
 
     @pytest.mark.parametrize("algebra", ["g2", "c2"])
     def test_each_count_runs_once_per_distinct_term(self, capsys, monkeypatch, algebra):
@@ -639,28 +688,15 @@ class TestVerifyOracles:
         assert set(calls) == terms
         assert set(calls.values()) == {1}
 
-    def test_each_c2_weyl_term_value_runs_once_per_distinct_term(self, capsys, monkeypatch):
-        calls = Counter()
-        memoized = cli.memoized
+    def test_c2_verify_makes_no_term_sum_call(self, capsys, monkeypatch):
+        # Its tuple checks run at q = 1, the count route against the box.
+        def term_sum(terms):
+            raise AssertionError("term_sum ran")
 
-        def counting_memoized(alg):
-            record = memoized(alg)
-
-            def term_sum(terms):
-                calls.update(v for _, v in terms)
-                return record.term_sum(terms)
-
-            return record._replace(term_sum=term_sum)
-
-        monkeypatch.setattr(cli, "memoized", counting_memoized)
+        _with_record(monkeypatch, "c2", term_sum=term_sum)
         assert invoke(capsys, "verify", "--algebra", "c2", "--max", "6") == (
             0, VERIFY_MAX6_STDOUT["c2"], "",
         )
-        terms = {
-            v for *_, orbit, shift in grid_points(C2, 6) for _, v in weyl_terms_at(orbit, shift)
-        }
-        assert set(calls) == terms
-        assert set(calls.values()) == {1}
 
 
 class TestBrokenRoutes:
@@ -729,8 +765,8 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 def test_importing_the_cli_does_not_load_array():
-    # Only the sweeps pack polynomials into 64-bit lanes (the memo and g2's
-    # box), and both import array when they are built.
+    # Only the sweeps pack polynomials into 64-bit lanes (the memo and
+    # verify's box), and both import array when they are built.
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys; before = set(sys.modules); import qkostant.cli; "
