@@ -2,8 +2,9 @@
 
 ``qpartition`` builds the q-analog from the closed form of D·℘_q, D =
 (1-q)(1-q^2)(1-q^3)(1-q^4): at most 30 coefficients per term, each a
-quasi-polynomial in (m, n), and four prefix sums that divide D out in
-O(N) time. ``qpartition_bruteforce`` counts the decompositions into
+quasi-polynomial in (m, n), and one exact division of their packed int by
+D(2^32), or four prefix sums for coefficients past 31 bits, that divides D
+out in O(N) time. ``qpartition_bruteforce`` counts the decompositions into
 positive roots that ``rootsys.decompositions`` enumerates, and ``tarski_g``/
 ``tarski_h``/``partition_tarski`` give Tarski's classical piecewise values
 at q = 1.
@@ -14,6 +15,8 @@ from __future__ import annotations
 
 import sys
 from itertools import accumulate
+from struct import Struct
+from struct import error as StructError
 from typing import Sequence
 
 from .errors import InternalConsistencyError
@@ -107,16 +110,16 @@ def _g2_marks(marks: list[int], m: int, n: int, sign: int) -> None:
     """Add sign times the coefficients of D·℘_q(m, n) at (m, n) >= 0 into marks.
 
     D = (1-q)(1-q^2)(1-q^3)(1-q^4), and marks must hold at least m + n + 11
-    entries; _g2_sum divides D out with four strided prefix sums. The
-    coefficient of q^d in ℘_q(m, n) counts the decompositions of (m, n)
-    into d positive roots, a vector partition function of (m, n, d). On
-    each chamber it is a quasi-polynomial (Sturmfels 1995, Brion-Vergne
-    1997) that D annihilates in d, so D·℘_q is zero except next to the
-    walls that cut the line of fixed (m, n): at most 30 coefficients in at
-    most five groups. Which walls the support [lowest degree, m + n] meets
-    is set by Tarski's five regions of (m, n) (see _partition_tarski), and
-    next to each wall the coefficients are quasi-polynomials of degree at
-    most 2 in one coordinate of (m, n). The +1 at m + n + 10 is the same
+    entries; _g2_sum divides D out again. The coefficient of q^d in
+    ℘_q(m, n) counts the decompositions of (m, n) into d positive roots, a
+    vector partition function of (m, n, d). On each chamber it is a
+    quasi-polynomial (Sturmfels 1995, Brion-Vergne 1997) that D annihilates
+    in d, so D·℘_q is zero except next to the walls that cut the line of
+    fixed (m, n): at most 30 coefficients in at most five groups. Which
+    walls the support [lowest degree, m + n] meets is set by Tarski's five
+    regions of (m, n) (see _partition_tarski), and next to each wall the
+    coefficients are quasi-polynomials of degree at most 2 in one
+    coordinate of (m, n). The +1 at m + n + 10 is the same
     in every region. The weights were read off the previous kernel, which
     looped over the copies of 3a1+2a2, by exact interpolation inside each
     region; the tests hold this builder to it on whole grids, on sums and
@@ -154,13 +157,36 @@ def _g2_marks(marks: list[int], m: int, n: int, sign: int) -> None:
         at += 1
 
 
+# D = (1-q)(1-q^2)(1-q^3)(1-q^4) at q = 2^32, the lane width of _g2_sum's packing.
+_D_PACKED = (1 - (1 << 32)) * (1 - (1 << 64)) * (1 - (1 << 96)) * (1 - (1 << 128))
+
+
 def _g2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
     """The sum of sign * qpartition((m, n)) over (sign, (m, n)) pairs with m, n >= 0.
 
     Every term adds its markers of D·℘_q (see _g2_marks) into one list, and
-    the stride-4, -3, -2 and -1 prefix sums divide D out once for the whole
-    sum, up to the largest degree m + n. A degree too large for a list
+    D is divided out once for the whole sum. A degree too large for a list
     raises ValueError before anything is built.
+
+    B = Σ C(min(n, m//2) + 3, 3) over the terms bounds every coefficient of
+    the sum: a decomposition of (m, n) into d roots is fixed by d and by its
+    numbers of 2a1+a2, 3a1+a2 and 3a1+2a2, which add up to at most
+    min(n, m//2), so a term counts at most C(min(n, m//2) + 3, 3) of them
+    in any degree. When B < 2^31 and every marker fits a signed 32-bit
+    lane, the markers are packed as one int, M = Σ marks_i·2^(32i)
+    (Kronecker substitution q -> 2^32: with U the unsigned int of their
+    little-endian int32 bytes and E the int with 2^31 in each lane,
+    M = (U ^ E) - E). The list holds every marker, the +1 at m + n + 10 of
+    each term too, so M = D(2^32)·S for S = Σ s_i·2^(32i), the sum packed
+    the same way, and one exact division by D(2^32) yields S. Every
+    |s_i| <= B < 2^31, so each lane of S + E lies in [0, 2^32), none
+    carries, and the int32 lanes of (S + E) ^ E are the s_i; they fit
+    int64, so the result needs no range check. A remainder means the
+    markers of some term are not a multiple of D, a fault of _g2_marks, and
+    raises InternalConsistencyError.
+
+    Past that bound the stride-4, -3, -2 and -1 prefix sums divide D out up
+    to the largest degree m + n, and QPoly range-checks the result.
     """
     if not terms:
         return QPoly()
@@ -169,8 +195,26 @@ def _g2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
     if size > sys.maxsize:
         raise ValueError(f"degree {degree} is too large for a coefficient list")
     marks = [0] * size
+    bound = 0
     for sign, (m, n) in terms:
         _g2_marks(marks, m, n, sign)
+        k = (n if 2 * n <= m else m >> 1) + 3  # min() is a slower call here
+        bound += k * (k - 1) * (k - 2) // 6
+    if bound >> 31 == 0:
+        try:
+            packed = Struct(f"<{size}i").pack(*marks)
+        except StructError:  # a marker past 32 bits
+            pass
+        else:
+            ones = int.from_bytes(b"\0\0\0\x80" * size, "little")  # E
+            total, rem = divmod((int.from_bytes(packed, "little") ^ ones) - ones, _D_PACKED)
+            if rem:
+                raise InternalConsistencyError(
+                    f"the markers of a g2 sum up to degree {degree} are not a multiple of D"
+                )
+            ones >>= 320  # E in degree + 1 lanes
+            packed = ((total + ones) ^ ones).to_bytes(4 * degree + 4, "little")
+            return QPoly._from_checked(Struct(f"<{degree + 1}i").unpack(packed))
     del marks[degree + 1 :]  # prefix sums never look ahead
     for stride in (4, 3, 2):
         for r in range(stride):
@@ -181,8 +225,8 @@ def _g2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
 def qpartition(v: RootCoord) -> QPoly:
     """q-analog of Kostant's partition function for g2, closed form.
 
-    The one-term _g2_sum: O(1) Python work and O(N) C-level prefix sums for
-    N = m + n.
+    The one-term _g2_sum: O(1) Python work and O(N) C-level work (one packed
+    division, or prefix sums past 31 bits) for N = m + n.
     """
     m, n = _as_root(v)
     if m < 0 or n < 0:

@@ -18,7 +18,7 @@ from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .errors import InternalConsistencyError
-from .qpoly import INT64_MAX, INT64_MIN, QPoly, checked_int
+from .qpoly import QPoly, checked_int
 from .rootsys import (
     C2,
     Algebra,
@@ -67,14 +67,20 @@ def _c2_walk(events: list, degree: int) -> QPoly:
 
     Sorts the events in place, appends an end marker and walks them once.
     Between two event positions g is constant, so each parity class is an
-    arithmetic progression, written with one strided slice assignment from
-    a range and range-checked at its two ends; a coefficient outside the
-    signed 64-bit range raises CoefficientOverflowError.
+    arithmetic progression. A constant piece is written and range-checked
+    at once; a rising or falling one is listed, and the lowest and highest
+    of their ends, lo and hi, are range-checked after the walk. A
+    coefficient outside the signed 64-bit range raises
+    CoefficientOverflowError. Each listed piece is then written with one
+    strided slice assignment, sliced from one container of the values
+    lo..hi: a list when hi - lo <= degree, so each distinct value is made
+    once, and the range itself otherwise, so memory stays O(degree).
     """
     stop = degree + 1
     events.sort()
     events.append((stop, 0, 0, 0))  # the first event at or past stop ends the walk
     out = [0] * stop
+    pieces = []  # (start, end, first, last, step) of each rising or falling piece
     # The piece from a on: u = c_{a-2} plus the jump at a, v = c_{a-1} plus
     # the jump at a+1, and g its step.
     a = u = v = g = 0
@@ -86,16 +92,10 @@ def _c2_walk(events: list, degree: int) -> QPoly:
             nb = j - a - na  # and of the other class
             if g:
                 first, u = u + g, u + na * g
-                if not (INT64_MIN <= first <= INT64_MAX and INT64_MIN <= u <= INT64_MAX):
-                    checked_int(first)
-                    checked_int(u)
-                out[a:j:2] = range(first, u + g, g)
+                pieces.append((a, j, first, u, g))
                 if nb:
                     first, v = v + g, v + nb * g
-                    if not (INT64_MIN <= first <= INT64_MAX and INT64_MIN <= v <= INT64_MAX):
-                        checked_int(first)
-                        checked_int(v)
-                    out[a + 1 : j : 2] = range(first, v + g, g)
+                    pieces.append((a + 1, j, first, v, g))
             else:
                 if u:
                     out[a:j:2] = repeat(checked_int(u), na)
@@ -109,6 +109,16 @@ def _c2_walk(events: list, degree: int) -> QPoly:
         g += step
         u += jump
         v += jump_next
+    if pieces:
+        ends = [end for piece in pieces for end in piece[2:4]]
+        lo, hi = min(ends), max(ends)
+        checked_int(lo)
+        checked_int(hi)
+        # Compare hi - lo, not len(range(...)), which cannot exceed sys.maxsize.
+        values = list(range(lo, hi + 1)) if hi - lo < stop else range(lo, hi + 1)
+        for start, end, first, last, g in pieces:
+            last += g - lo  # the index one step past last, where -1 would wrap
+            out[start:end:2] = values[first - lo : last if last >= 0 else None : g]
     return QPoly._from_checked(tuple(out))
 
 

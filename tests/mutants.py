@@ -84,6 +84,20 @@ def g2_marks_moving(wall: str, by: int | None):
     return mutant
 
 
+def g2_marks_adding_d(scale: int):
+    """g2's marker builder that also adds sign * scale * D from degree 0 on,
+    D = (1-q)(1-q^2)(1-q^3)(1-q^4): every term's polynomial gains
+    sign * scale in its constant coefficient, and with |scale| >= 2^31 its
+    markers leave int32."""
+
+    def mutant(marks: list[int], m: int, n: int, sign: int) -> None:
+        _g2_marks(marks, m, n, sign)
+        for i, d in enumerate((1, -1, -1, 0, 0, 2, 0, 0, -1, -1, 1)):
+            marks[i] += sign * scale * d
+
+    return mutant
+
+
 def c2_events_ignoring_sign(events: list, m: int, n: int, sign: int) -> None:
     """sp4's event builder with every term added as if its sign were +1."""
     _c2_events(events, m, n, 1)

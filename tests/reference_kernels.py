@@ -37,6 +37,7 @@ are kept below, so the walk can be held to them witness for witness.
 
 import sys
 from itertools import accumulate, repeat
+from math import comb
 from operator import add, sub
 from typing import Sequence
 
@@ -220,6 +221,14 @@ def g2_sum_loop(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
     marks[0::2] = accumulate(marks[0::2])
     marks[1::2] = accumulate(marks[1::2])
     return QPoly(accumulate(marks))
+
+
+def g2_sum_bound(terms: Sequence[tuple[int, tuple[int, int]]]) -> int:
+    """Σ C(min(n, m//2) + 3, 3) over (sign, (m, n)) terms, which bounds every
+    coefficient of their signed sum: a decomposition of (m, n) into d roots
+    is fixed by d and by its numbers of 2a1+a2, 3a1+a2 and 3a1+2a2, which
+    add up to at most min(n, m//2)."""
+    return sum(comb(min(n, m // 2) + 3, 3) for _, (m, n) in terms)
 
 
 def g2_region(m: int, n: int) -> str:

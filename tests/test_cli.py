@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qkostant import cli, rootsys
+from qkostant import cli, g2_partition, rootsys
 from qkostant.cli import run
 from qkostant.errors import InternalConsistencyError
 from qkostant.qpoly import QPoly
@@ -30,6 +30,7 @@ from qkostant.g2_partition import qpartition
 from mutants import (
     c2_count_one_too_high,
     c2_sum_one_too_high,
+    g2_marks_adding_d,
     g2_sum_moving_the_top_unit,
     g2_sum_with_a_dip,
 )
@@ -63,6 +64,18 @@ DEEP_G2_SHA256 = {
         "b151c38dd4616c64bf07e4f70f9c086035a6659a0c10178efc151f2fcd2a63cd",
     ("qpartition", "3000,2000"):
         "d4391de5d8d932c4e49b7e7780ef9b67878308043b3fdf53ae0d75a3e4f4e907",
+    # Recorded before the packed division by D: its coefficients need more
+    # than 31 bits, so it still runs the prefix sums.
+    ("qpartition", "10000,10000"):
+        "fa0f3df58ddd56a737a13ffbabfd9e20be3ee5de0ad77626b4ebed2c05526079",
+}
+# SHA-256 of the stdout of deep sp4 queries, recorded before the walk wrote
+# its pieces from one list of their values.
+DEEP_C2_SHA256 = {
+    ("qmult", "--algebra", "c2", "--lambda", "2500,2500", "--mu", "624,312"):
+        "3febb025a3e79caa7eb5c9396733fc0583648f352c053dbf811e55b45b766646",
+    ("qpartition", "--algebra", "c2", "5000,3750"):
+        "8d5bba6c9b147e051f609e35e1d476902a2e42c39711f9fb6778877cd17c90ed",
 }
 VERIFY_MAX6_STDOUT = {
     "g2": (
@@ -245,6 +258,18 @@ class TestErrors:
     def test_overflow_exits_two(self, capsys):
         code, _, err = invoke(capsys, "qpartition", "3,2", "--at-q", "100000")
         assert code == 2 and "overflow" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("qpartition", "3,2"), ("qmult", "--lambda", "1,1", "--mu", "0,0")]
+    )
+    def test_g2_coefficient_outside_int64_exits_two(self, capsys, monkeypatch, argv):
+        # Real g2 coefficients leave int64 only at degrees in the millions; a
+        # marker builder that adds 2^70 * D makes one at (3, 2). Its markers
+        # leave int32 under the packed division's bound, so the prefix sums
+        # run, and QPoly's range check refuses the result.
+        monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_adding_d(1 << 70))
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "") and "overflow" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -441,6 +466,12 @@ class TestPinnedOutput:
         code, out, _ = invoke(capsys, *args)
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == DEEP_G2_SHA256[args]
+
+    @pytest.mark.parametrize("args", sorted(DEEP_C2_SHA256), ids=" ".join)
+    def test_deep_c2_output_hash(self, capsys, args):
+        code, out, _ = invoke(capsys, *args)
+        assert code == 0
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == DEEP_C2_SHA256[args]
 
     @pytest.mark.parametrize("algebra", ["g2", "c2"])
     def test_verify_max6_stdout(self, capsys, algebra):

@@ -11,8 +11,10 @@ The sp4 case integers and labels, read off the alternation set, are held
 to the affine forms they replaced. The g2 sum kernel adds the closed-form
 markers of D·℘_q; it is held to the loop over i it replaced on single
 terms, on seeded fused queries, at deep points and at points that reach
-every case of its closed form, and mutants that move one group of markers
-show that those checks see each group. The sp4 sum kernel walks the breakpoint
+every case of its closed form, on both sides of the bound of 2^31 under
+which it divides packed markers, and mutants that move one group of
+markers show that the packed division refuses them below that bound and
+the deep checks see each group past it. The sp4 sum kernel walks the breakpoint
 events of all its terms at once; it is held to the difference-array kernel
 it replaced on single terms, on seeded signed sums and at deep points. The
 sp4 Weyl sum and the closed q route both run it, the unpruned sum builds
@@ -29,6 +31,7 @@ from hypothesis import strategies as st
 
 from qkostant import g2_partition, rootsys, sp4
 from qkostant.g2_multiplicity import qmultiplicity_weyl_sum
+from qkostant.errors import CoefficientOverflowError, InternalConsistencyError
 from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
 from qkostant.rootsys import (
@@ -46,11 +49,18 @@ from qkostant.sp4 import (
     qpartition_c2,
     qpartition_c2_bruteforce,
 )
-from mutants import c2_events_ignoring_sign, c2_events_unclipped, g2_marks_moving
+from mutants import (
+    c2_events_ignoring_sign,
+    c2_events_unclipped,
+    g2_marks_adding_d,
+    g2_marks_moving,
+)
 from reference_kernels import (
     c2_sum_markers,
     compute_case_c2_affine,
     g2_closed_form_cases,
+    g2_marker_groups,
+    g2_sum_bound,
     g2_sum_loop,
     multiplicity_c2_weyl_sum_unpruned,
     partition_witnesses_nested,
@@ -294,19 +304,85 @@ class TestG2SumKernel:
             for x in range(len(rows) * den):
                 assert all((a * x * x + b * x + c) % den == 0 for a, b, c in rows[x % len(rows)])
 
-    @pytest.mark.parametrize("wall", ["lowest", "m-n", "2n-m", "n", "m"])
-    def test_moving_a_group_breaks_the_grid(self, monkeypatch, wall):
+    @pytest.mark.parametrize(
+        "wall,point",
+        [
+            ("lowest", (4700, 4800)),
+            ("m-n", (6000, 3500)),
+            ("2n-m", (5000, 4000)),
+            ("n", (5000, 4000)),
+            ("m", (5000, 4000)),
+        ],
+        ids=["lowest", "m-n", "2n-m", "n", "m"],
+    )
+    def test_moving_a_group_breaks_the_grid(self, monkeypatch, wall, point):
+        """Below the bound of 2^31 a moved group leaves markers that D does not
+        divide, so the packed division raises on a single term; past it, at a
+        point whose markers include the group, the prefix sums give a wrong
+        polynomial that the deep check sees."""
+        assert g2_sum_bound([(1, point)]) >> 31
+        assert wall in {name for name, _, _ in g2_marker_groups(*point)}
         monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_moving(wall, 1))
-        with pytest.raises(AssertionError):
+        with pytest.raises(InternalConsistencyError, match="not a multiple of D"):
             self.test_equals_loop_on_every_single_term()
+        with pytest.raises(AssertionError):
+            self.test_equals_loop_at_deep_points(*point)
 
     def test_dropping_the_end_group_breaks_the_sums(self, monkeypatch):
-        """The +1 at m + n + 10 lies past its own term's degree, so only a
-        sum with a longer term sees it."""
+        """The +1 at m + n + 10 lies past its own term's degree. The packed
+        division reads it, so a single term below the bound raises; past the
+        bound the prefix sums never look ahead, so only a sum with a longer
+        term sees it."""
         monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_moving("top", None))
-        self.test_equals_loop_on_every_single_term()
-        with pytest.raises(AssertionError):
-            self.test_equals_loop_on_seeded_queries()
+        with pytest.raises(InternalConsistencyError, match="not a multiple of D"):
+            self.test_equals_loop_on_every_single_term()
+        self.test_equals_loop_at_deep_points(10000, 10000)
+        terms = [(1, (10000, 10000)), (-1, (3, 2))]
+        assert g2_sum_bound(terms) >> 31
+        assert g2_partition._g2_sum(terms) != g2_sum_loop(terms)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_loop_on_both_sides_of_the_bound(self, data):
+        """Signed lists of 1-7 terms: narrow ones stay under the bound of 2^31,
+        where the markers are divided packed, and wide ones, with one term
+        past it, take the prefix sums."""
+        wide = data.draw(st.booleans(), label="wide")
+        point = st.tuples(st.integers(0, 400), st.integers(0, 300))
+        signs = st.sampled_from((1, -1))
+        terms = data.draw(
+            st.lists(st.tuples(signs, point), min_size=not wide, max_size=7 - wide)
+        )
+        if wide:
+            far = st.tuples(st.integers(4700, 5200), st.integers(2350, 2600))
+            at = data.draw(st.integers(0, len(terms)), label="at")
+            terms.insert(at, (data.draw(signs), data.draw(far, label="far")))
+        assert bool(g2_sum_bound(terms) >> 31) == wide
+        got = g2_partition._g2_sum(terms)
+        assert got == g2_sum_loop(terms)
+        _assert_canonical(got)
+
+    def test_the_bound_holds_every_coefficient(self):
+        # It is attained exactly where min(n, m//2) = 0 on this grid.
+        for m, n in product(range(121), range(81)):
+            bound = g2_sum_bound([(1, (m, n))])
+            top = max(qpartition(RootCoord(m, n)).coeffs)
+            assert top <= bound and (top == bound) == (min(n, m // 2) == 0), (m, n)
+
+    @pytest.mark.parametrize("scale", [1 << 40, -(1 << 40), 1 << 70])
+    def test_a_marker_past_32_bits_takes_the_prefix_sums(self, monkeypatch, scale):
+        """Below the bound, a marker outside int32 is divided by the prefix
+        sums, and QPoly's range check sees a coefficient outside int64."""
+        monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_adding_d(scale))
+        terms = [(1, (3, 2))]
+        assert not g2_sum_bound(terms) >> 31
+        if abs(scale) >> 63:
+            with pytest.raises(CoefficientOverflowError):
+                g2_partition._g2_sum(terms)
+        else:
+            expected = list(g2_sum_loop(terms).coeffs)
+            expected[0] += scale
+            assert g2_partition._g2_sum(terms).coeffs == tuple(expected)
 
 
 class TestC2Kernel:

@@ -6,6 +6,8 @@ edge-region mutation test shows the m = 2n-1 branch of the closed
 partition form is load-bearing.
 """
 
+import sys
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -110,6 +112,35 @@ class TestWalk:
     )
     def test_no_trailing_zero(self, events, coeffs):
         assert sp4._c2_walk(events, 4).coeffs == coeffs
+
+    def test_values_spanning_more_than_sysmaxsize_are_not_listed(self):
+        # Rising pieces from near INT64_MIN (odd class) and up to INT64_MAX
+        # (even class): their values span 2^64 - 1, more than sys.maxsize, so
+        # the walk slices a range instead of listing them.
+        events = [(0, 1, INT64_MAX - 6, INT64_MIN - 1)]
+        tracemalloc.start()
+        try:
+            coeffs = sp4._c2_walk(events, 10).coeffs
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coeffs[0::2] == tuple(range(INT64_MAX - 5, INT64_MAX + 1))
+        assert coeffs[1::2] == tuple(range(INT64_MIN, INT64_MIN + 5))
+        assert INT64_MAX - INT64_MIN > sys.maxsize and peak < 1 << 16
+
+    @pytest.mark.parametrize(
+        "events,coeffs",
+        [
+            ([(0, -1, 10, 10)], (9, 9, 8, 8, 7, 7, 6, 6, 5, 5)),
+            ([(0, -1, 10, 11)], (9, 10, 8, 9, 7, 8, 6, 7, 5, 6)),  # the even class alone
+            ([(0, -2, 12, 12)], (10, 10, 8, 8, 6, 6, 4, 4, 2, 2)),
+            ([(0, 3, 0, 0), (5, -6, 0, 0)], (3, 3, 6, 6, 9, 3, 6, 0, 3, -3)),
+        ],
+    )
+    def test_falling_piece_ending_at_the_lowest_value(self, events, coeffs):
+        # One step past the lowest value's index is a slice stop of -1 or
+        # -2, which would wrap to the end of the value list.
+        assert sp4._c2_walk(events, 9).coeffs == coeffs
 
     def test_events_past_the_degree_are_ignored(self):
         assert sp4._c2_walk([(2, 1, 0, 0), (5, 7, 1, 1)], 4).coeffs == (0, 0, 1, 1, 2)
