@@ -12,9 +12,9 @@ import argparse
 import json
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from itertools import product
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import CoefficientOverflowError, InternalConsistencyError
@@ -35,7 +35,6 @@ from .rootsys import (
     count_sum,
     doubled,
     grid_points,
-    memoized,
     qpartition_enumerated,
     to_fund,
     to_root,
@@ -153,40 +152,47 @@ def _count_differs(record: Algebra, terms, value: int) -> bool:
         return True
 
 
-def _weyl_box(rs: RootSystem, top: int) -> QPartitionBox:
-    """The box of every Weyl term of [0, top]^4: lam = (top, top), mu = 0 and
-    sigma = 1 give the largest, lam itself: (5 top, 3 top) for g2 and
-    (2 top, floor(1.5 top)) for c2."""
-    top1, top2 = doubled(rs, (top, top))
-    return QPartitionBox(rs.positive_roots, top1 >> 1, top2 >> 1)
+def _kernel_differs(kernel: Algebra, box: QPartitionBox, v: RootCoord) -> bool:
+    """Whether the kernel's one-term value at v differs from box[v]; a kernel
+    that raises InternalConsistencyError is broken, so it differs."""
+    try:
+        return not box.equals_sum(kernel.term_sum([(1, v)]), [(1, v)])
+    except InternalConsistencyError:
+        return True
 
 
-def _g2_tuple_mismatches(record: Algebra, box: QPartitionBox, lam: FundCoord, mu: FundCoord,
-                         row: tuple, orbit: tuple,
-                         mu_shift: tuple[int, int]) -> tuple[bool, bool, bool]:
-    # One closed evaluation serves three checks: its mq is what qmult prints
-    # on the command's memo, held to the Weyl sum read off the box; its
-    # m_at_one is what multiplicity(..., "qpoly") returns and its terms the
-    # ones multiplicity(..., "tarski") sums; its case is what case prints. A
+_term_weight = itemgetter(2)  # the RootCoord of a (name, sign, RootCoord) term
+
+
+def _g2_tuple_mismatches(kernel_differs: Callable[[RootCoord], bool], record: Algebra,
+                         box: QPartitionBox, lam: FundCoord, mu: FundCoord, row: tuple,
+                         orbit: tuple, mu_shift: tuple[int, int]) -> tuple[bool, bool, bool]:
+    # One closed evaluation off the box serves three checks. Its mq, what
+    # table prints, is held to the Weyl sum off the box, and each of its terms
+    # to the kernel that qmult runs; its m_at_one is what
+    # multiplicity(..., "qpoly") returns and its terms the ones
+    # multiplicity(..., "tarski") sums; its case is what case prints. A
     # closed route that raises InternalConsistencyError fails all three.
     try:
         result = closed_at(record, lam, mu, row, mu_shift)
     except InternalConsistencyError:
         return True, True, True
     return (
-        not box.equals_sum(result.mq, weyl_terms_at(orbit, mu_shift)),
+        any(map(kernel_differs, map(_term_weight, result.terms)))
+        or not box.equals_sum(result.mq, weyl_terms_at(orbit, mu_shift)),
         _count_differs(record, result.terms, result.m_at_one),
         result.case.case_label not in CASE_LABELS,
     )
 
 
-def _c2_tuple_mismatches(record: Algebra, box: QPartitionBox, lam: FundCoord, mu: FundCoord,
-                         row: tuple, orbit: tuple,
-                         mu_shift: tuple[int, int]) -> tuple[bool, bool]:
+def _c2_tuple_mismatches(kernel_differs: Callable[[RootCoord], bool], record: Algebra,
+                         box: QPartitionBox, lam: FundCoord, mu: FundCoord, row: tuple,
+                         orbit: tuple, mu_shift: tuple[int, int]) -> tuple[bool, bool]:
     # The count route over the alternation terms is what multiplicity_c2_closed
     # returns, held to the Weyl sum at one read off the box's counts. An odd
     # m - x puts mu off lam's root-lattice coset, where the case flags must be
     # off and no Weyl term may reach the positive cone on the root lattice.
+    # Both checks run at q = 1, so neither reads the kernel.
     shifts, label, terms, _ = alternation_terms_at(row, mu_shift)
     weyl = weyl_terms_at(orbit, mu_shift)
     in_n = record.case_data(shifts, label).in_n
@@ -199,12 +205,11 @@ def _c2_tuple_mismatches(record: Algebra, box: QPartitionBox, lam: FundCoord, mu
 class _Algebra(NamedTuple):
     """What every subcommand needs from one algebra.
 
-    The shared routes take ``record``; table and verify, whose grids meet each
-    term many times, take one memoized(record) per command instead, which
-    computes each term's polynomial and count once. verify reads the Weyl
-    side of both algebras off one QPartitionBox per command, filled from the
-    definition of ℘_q before any check runs and refused up front past its
-    byte budget: g2 compares polynomials with it, c2 counts at q = 1. The
+    The one-off routes take ``record``, whose term sum is the kernel. table
+    and verify build one QPartitionBox per command, refused up front past its
+    byte budget, and take a copy of record that sums ℘_q off it and caches
+    each count. g2's verify compares polynomials and holds the kernel to the
+    box at each distinct alternation term; c2's counts at q = 1. The
     callables look the library functions up as module globals when they
     run, so a traced or patched function is the one called.
     """
@@ -215,7 +220,7 @@ class _Algebra(NamedTuple):
     case_fields: tuple[str, ...]  # names of the values in case.as_tuple()
     pair_checks: tuple[str, ...]  # the two flags of pair_mismatches
     tuple_checks: tuple[str, ...]  # one mismatch flag each per (lam, mu)
-    tuple_mismatches: Callable[..., tuple[bool, ...]]  # (record, box, *a point of grid_points)
+    tuple_mismatches: Callable[..., tuple[bool, ...]]  # (kernel_differs, record, box, *point)
 
     def pair_mismatches(self, m: int, n: int) -> tuple[bool, bool]:
         """The kernel at (m, n) against the enumerator, and at q = 1 against the count."""
@@ -267,23 +272,27 @@ def _cmd_case(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid(args: argparse.Namespace) -> tuple[_Algebra, Algebra]:
-    """The algebra row and its memoized record, once --max is checked."""
+def _grid(args: argparse.Namespace) -> tuple[_Algebra, Algebra, QPartitionBox]:
+    """The algebra row, the sweep record and the box of every Weyl term of
+    [0, --max]^4 that the record sums ℘_q off, once --max is checked. The
+    largest term is lam = (top, top) itself: (5 top, 3 top) for g2."""
     if args.max < 0:
         raise ValueError("--max must be nonnegative")
     spec = _ALGEBRAS[args.algebra]
-    return spec, memoized(spec.record)
+    top1, top2 = doubled(spec.record.rs, (args.max, args.max))
+    box = QPartitionBox(spec.record.rs.positive_roots, top1 >> 1, top2 >> 1)
+    return spec, spec.record._replace(term_sum=box.term_sum, count=cache(spec.record.count)), box
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec, record = _grid(args)
-    box = _weyl_box(record.rs, args.max)
+    spec, record, box = _grid(args)
+    kernel_differs = cache(partial(_kernel_differs, spec.record, box))
     side = args.max + 1
     checks = []
     for names, cases, points, mismatches in (
         (spec.pair_checks, side**2, product(range(side), repeat=2), spec.pair_mismatches),
         (spec.tuple_checks, side**4, grid_points(record.rs, args.max),
-         partial(spec.tuple_mismatches, record, box)),
+         partial(spec.tuple_mismatches, kernel_differs, record, box)),
     ):
         totals = [0] * len(names)
         for point in points:
@@ -304,7 +313,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    spec, record = _grid(args)
+    spec, record, _ = _grid(args)
     lines = [f"m,n,x,y,{','.join(spec.case_fields)},case,mq_coeffs,m_at_1"]
     width = len(spec.case_fields)
     case_template = ",".join(["%d"] * width)

@@ -8,8 +8,8 @@ q-partitions filled from their definition, the coordinate conversions, the
 nonzero Weyl-sum terms and the alternation-set terms that the closed
 formulas read are written once against it. An
 :class:`Algebra` record adds the algebra's partition kernel, case builder
-and q = 1 count; the closed q route, the Weyl sum, the case, the sweep memo
-and the integer route are written once against that.
+and q = 1 count; the closed q route, the Weyl sum, the case and the integer
+route are written once against that.
 """
 
 from __future__ import annotations
@@ -292,7 +292,7 @@ def qpartition_enumerated(roots: tuple[RootCoord, ...], v: RootCoord) -> QPoly:
 
 
 # The most bytes of 64-bit lanes a QPartitionBox may hold: 8 * sum(c1 + c2 + 1)
-# over the box, about 0.6 MB for verify --max 10 and 248 MB for --max 80 (g2).
+# over the box, about 0.6 MB for a g2 sweep of --max 10 and 248 MB for --max 80.
 BOX_BYTE_BUDGET = 1 << 28
 
 
@@ -307,14 +307,15 @@ class QPartitionBox:
     Weyl sums. Each polynomial is one Python int with one 64-bit lane per
     coefficient (Kronecker packing), so q· is a shift by 64 bits. A first
     pass at q = 1 fills the counts ℘(c1, c2), which the box keeps beside the
-    polynomials: equals_sum reads the polynomials, sum_at_one the counts.
+    polynomials: term_sum and equals_sum read the polynomials, sum_at_one
+    the counts.
 
     A box past BOX_BYTE_BUDGET (so also one of more than sys.maxsize points)
     raises ValueError before anything is allocated. The counts bound every
     coefficient, and a box with a count of at least 2^63 / (2 * len(roots))
     raises ValueError: a rank-2 Weyl group has 2 * len(roots) elements, so a
     signed sum of one entry per element keeps every coefficient inside
-    (-2^63, 2^63) (see equals_sum).
+    (-2^63, 2^63) (see term_sum).
     """
 
     def __init__(self, roots, top1: int, top2: int) -> None:
@@ -336,7 +337,9 @@ class QPartitionBox:
                 " does not fit a signed 64-bit lane"
             )
         self._rows = self._fill(roots, top1, top2, 64)
-        from array import array  # only verify and the tests build a box
+        # 2^63 in each lane of the widest entry, ℘_q(top1, top2), and so of any sum.
+        self._bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * (top1 + top2 + 1), "little")
+        from array import array  # only the sweeps and the tests build a box
 
         self._array = array
 
@@ -358,26 +361,50 @@ class QPartitionBox:
         lanes.frombytes(self._rows[c1][c2].to_bytes(8 * (c1 + c2 + 1), "little"))
         return QPoly(lanes)
 
-    def equals_sum(self, poly: QPoly, terms) -> bool:
-        """Whether poly, whose coefficients lie in [0, 2^63), is Σ sign·℘_q(v) over
-        (sign, (c1, c2)) terms inside the box, at most one per Weyl element.
-
-        Both sides are compared packed. array('q') and int.from_bytes pack poly
-        into P = Σ c_i·2^(64i). The sum of the packed entries is W = Σ w_i·2^(64i),
-        where w_i is the true coefficient of the Weyl sum: packing is linear,
-        and no lane of an entry carries. Each w_i lies in (-2^63, 2^63), since
-        the box bounds every count, so |w_i - c_i| < 2^64. If some w_i != c_i,
-        the lowest such i gives W - P = (w_i - c_i)·2^(64i) modulo 2^(64(i+1)),
-        which is not 0. So W == P exactly when every w_i == c_i.
-        """
+    def _packed(self, terms) -> int:
+        """Σ sign·box[v] packed, Σ s_i·2^(64i) with s_i the sum's true
+        coefficients: packing is linear."""
         rows = self._rows
-        weyl = 0
+        total = 0
         for sign, (c1, c2) in terms:
             if sign == 1:
-                weyl += rows[c1][c2]
+                total += rows[c1][c2]
             else:
-                weyl -= rows[c1][c2]
-        return weyl == int.from_bytes(self._array("q", poly.coeffs).tobytes(), "little")
+                total -= rows[c1][c2]
+        return total
+
+    def term_sum(self, terms) -> QPoly:
+        """Σ sign·℘_q(v) over (sign, (c1, c2)) terms inside the box, at most one per
+        Weyl element, decoded once.
+
+        The box bounds every count, so each s_i of the packed sum S lies in
+        (-2^63, 2^63). With B the int that holds 2^63 in each lane of the box,
+        every lane of S + B lies in (0, 2^64): no lane carries, and the lanes of
+        (S + B) ^ B are the s_i as signed 64-bit ints. Its lanes past the top
+        nonzero s_i are zero, so its bytes up to its bit length are the
+        coefficients, which need no range check.
+        """
+        if not terms:  # half of g2's sweep tuples and three quarters of c2's
+            return QPoly()
+        bias = self._bias
+        packed = (self._packed(terms) + bias) ^ bias
+        coeffs = self._array("q")
+        coeffs.frombytes(packed.to_bytes((packed.bit_length() + 63) // 64 * 8, "little"))
+        return QPoly._from_checked(tuple(coeffs))
+
+    def equals_sum(self, poly: QPoly, terms) -> bool:
+        """Whether poly is term_sum(terms), compared packed: exact when poly's
+        coefficients lie in [0, 2^63), or the terms are one +1 term.
+
+        P, the int of poly's array('q') bytes, holds c_i modulo 2^64 in lane i;
+        the packed sum W holds w_i in (-2^63, 2^63) (see term_sum). With every
+        c_i in [0, 2^63), |w_i - c_i| < 2^64, so the lowest i with w_i != c_i
+        leaves W - P != 0 modulo 2^(64(i+1)). One +1 term has every w_i in
+        [0, 2^63): W and P are then base-2^64 numerals, equal exactly when
+        every c_i modulo 2^64, and so every c_i, is w_i.
+        """
+        packed = int.from_bytes(self._array("q", poly.coeffs).tobytes(), "little")
+        return self._packed(terms) == packed
 
     def sum_at_one(self, terms) -> int:
         """Σ sign·℘(v) at q = 1 over (sign, (c1, c2)) terms inside the box; only
@@ -534,83 +561,6 @@ class Algebra(NamedTuple):
     term_sum: Callable[[list], QPoly]
     case_data: Callable[[list, str], tuple]
     count: Callable[[int, int], int]
-
-
-def memoized(alg: Algebra) -> Algebra:
-    """alg with a term_sum and a count that compute each distinct term once, kept
-    in dicts that live only as long as the returned record.
-
-    term_sum computes a term as one one-term alg.term_sum call. A lone +1 term
-    returns its stored polynomial and an empty sum one shared QPoly(), so only
-    a sum of two or more terms builds a new polynomial. count is alg.count
-    under functools.cache, so count_sum over the record, which verify runs at
-    every tuple, calls alg.count once per distinct term.
-
-    A sum of two or more terms is taken in packed form (Kronecker
-    substitution q -> 2^64). Beside each term's polynomial the memo keeps its
-    packing P = Σ c_i·2^(64i), made once when the term is stored: with U the
-    term's coefficients as the unsigned int of their array('q') bytes and B
-    the int with 2^63 in each of their lanes, P = (U ^ B) - B. Packing is
-    linear, so the signed sum of the terms' P is S = Σ s_i·2^(64i), s_i the
-    true coefficients of the sum. Let w be the bit length of the widest
-    stored coefficient (a running maximum) and k the number of terms. When
-    k·2^w <= 2^63, every |s_i| < 2^63: then each lane of S + B lies in
-    [0, 2^64), no lane carries, and the array('q') lanes of (S + B) ^ B are
-    the s_i. Their number, S.bit_length() // 64 + 1, is the top nonzero
-    lane's index plus one (one lane for S = 0): S lies within 2^(64t - 1) of
-    s_t·2^(64t) for the top nonzero s_t. The lanes fit int64, so the result
-    needs no range check.
-    Past that bound the sum falls back to QPoly.signed_sum, whose one range
-    check is on the result: it may raise CoefficientOverflowError where the
-    packed form could carry between lanes.
-    """
-    from array import array  # only the sweeps memoize; importing the CLI skips it
-
-    memo: dict = {}
-    packed: dict = {}
-    zero = QPoly()
-    biases = [0, 1 << 63]  # biases[n]: 2^63 in each of n lanes
-    width = 0
-
-    def store(v) -> QPoly:
-        nonlocal width
-        poly = memo[v] = alg.term_sum([(1, v)])
-        cs = poly.coeffs
-        while len(biases) <= len(cs):
-            biases.append(biases[-1] | 1 << (64 * len(biases) - 1))
-        bias = biases[len(cs)]
-        packed[v] = (int.from_bytes(array("q", cs).tobytes(), "little") ^ bias) - bias
-        if cs:
-            width = max(width, max(cs).bit_length(), min(cs).bit_length())
-        return poly
-
-    def term_sum(terms: list) -> QPoly:
-        if len(terms) < 2:
-            if not terms:
-                return zero
-            sign, v = terms[0]
-            if sign == 1:
-                poly = memo.get(v)
-                return store(v) if poly is None else poly
-        total = 0
-        for sign, v in terms:
-            if v not in packed:
-                store(v)
-            if sign == 1:
-                total += packed[v]
-            elif sign == -1:
-                total -= packed[v]
-            else:
-                raise ValueError(f"sign must be 1 or -1, got {sign!r}")
-        if len(terms) << width > 1 << 63:
-            return QPoly.signed_sum((sign, memo[v]) for sign, v in terms)
-        lanes = total.bit_length() // 64 + 1
-        bias = biases[lanes]
-        coeffs = array("q")
-        coeffs.frombytes(((total + bias) ^ bias).to_bytes(8 * lanes, "little"))
-        return QPoly._from_checked(tuple(coeffs))
-
-    return alg._replace(term_sum=term_sum, count=cache(alg.count))
 
 
 def count_sum(alg: Algebra, terms) -> int:

@@ -1,17 +1,18 @@
 """Both kernels and both closed routes against the kernel-free box oracle.
 
 rootsys.QPartitionBox fills ℘_q over a whole box from the definition, one
-pass per positive root, and verify reads the Weyl side of both algebras from
+pass per positive root, and table and verify read every ℘_q they sum from
 one. It holds ``qpartition`` and ``qpartition_c2`` at every point of a box,
-its counts summed at q = 1 to the closed counts, and the fused
-and memoized closed q routes of both algebras to Σ sign·box[term] over the
-Weyl terms at every dominant mu below a seeded set of lambda <= (40, 40),
-both as QPoly sums and through the packed comparison equals_sum that verify
-runs. A marker builder that loses the sign of a term agrees with the box on
-every one-term kernel call, so only the closed routes see it. The box's
+its counts summed at q = 1 to the closed counts, and the fused closed q
+routes of both algebras to Σ sign·box[term] over the Weyl terms at every
+dominant mu below a seeded set of lambda <= (40, 40), both as QPoly sums and
+through the packed comparison equals_sum that verify runs. A marker builder
+that loses the sign of a term agrees with the box on every one-term kernel
+call, so only the fused routes see it. The box's term sum, which table and
+verify feed closed_at, is held to QPoly.signed_sum of its entries. The box's
 refusals (past its byte budget, or a count too large for its lanes) and the
-exactness of the packed comparison at the edges of the 64-bit range are
-tested here too.
+exactness of its packed sums at the edges of the 64-bit range are tested
+here too.
 """
 
 from itertools import product
@@ -19,6 +20,8 @@ from math import comb
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkostant import g2_multiplicity, g2_partition, sp4
 from qkostant.g2_partition import partition_tarski, qpartition
@@ -32,7 +35,6 @@ from qkostant.rootsys import (
     RootCoord,
     closed,
     doubled,
-    memoized,
     weyl_terms,
 )
 from qkostant.sp4 import partition_c2_closed, qpartition_c2
@@ -70,14 +72,12 @@ def boxes():
 
 def _assert_routes_match_the_box(name, box):
     alg = ALGEBRAS[name]
-    memo = memoized(alg)
     for lam, mu in PAIRS[name]:
         terms = weyl_terms(alg.rs, lam, mu)
         expected = QPoly.signed_sum((sign, box[v]) for sign, v in terms)
-        for record in (alg, memo):
-            mq = closed(record, lam, mu).mq
-            assert mq == expected, (name, lam, mu)
-            assert box.equals_sum(mq, terms), (name, lam, mu)
+        mq = closed(alg, lam, mu).mq
+        assert mq == expected, (name, lam, mu)
+        assert box.equals_sum(mq, terms), (name, lam, mu)
 
 
 class TestBox:
@@ -139,6 +139,26 @@ class TestBox:
         assert box.equals_sum(QPoly(), [(1, v), (-1, v)])
         assert not box.equals_sum(QPoly(), [(1, RootCoord(0, 0))])
 
+    @pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
+    def test_an_empty_term_sum_is_zero_and_a_negative_term_decodes(self, rs):
+        box = SMALL_BOXES[rs.name]
+        assert box.term_sum([]) == QPoly()
+        for v in (RootCoord(0, 0), RootCoord(1, 0), RootCoord(3, 2), RootCoord(24, 16)):
+            assert box.term_sum([(1, v)]) == box[v]
+            assert box.term_sum([(-1, v)]) == -box[v]
+            assert box.term_sum([(1, v), (-1, v)]) == QPoly()
+
+    def test_the_term_sum_is_exact_at_the_lane_bound(self):
+        # Twenty copies of a1, whose group order the box takes as 40: forty
+        # terms of ℘_q(55, 0) = C(74, 19)·q^55 sum to 0.93·2^63 on either side.
+        box = QPartitionBox([RootCoord(1, 0)] * 20, 55, 0)
+        top = 40 * comb(74, 19)
+        assert 0.9 * 2**63 < top <= INT64_MAX
+        for sign in (1, -1):
+            assert box.term_sum([(sign, RootCoord(55, 0))] * 40) == QPoly([0] * 55 + [sign * top])
+        below = [(-1, RootCoord(55, 0))] * 39 + [(1, RootCoord(54, 0))]
+        assert box.term_sum(below) == QPoly([0] * 54 + [comb(73, 19), -39 * comb(74, 19)])
+
     @pytest.mark.parametrize("name,count", [("g2", partition_tarski), ("c2", partition_c2_closed)])
     def test_the_sum_at_one_matches_the_counts(self, boxes, name, count):
         box = boxes[name]
@@ -162,6 +182,26 @@ class TestBox:
             assert qpartition_c2(RootCoord(m, n)) == box[m, n], (m, n)
 
 
+SMALL_BOXES = {rs.name: QPartitionBox(rs.positive_roots, 24, 16) for rs in (G2, C2)}
+
+
+@st.composite
+def _signed_terms(draw, rs):
+    """Up to one (sign, v) per Weyl element of rs, v in SMALL_BOXES[rs.name]."""
+    v = st.builds(RootCoord, st.integers(0, 24), st.integers(0, 16))
+    term = st.tuples(st.sampled_from((1, -1)), v)
+    return draw(st.lists(term, max_size=2 * len(rs.positive_roots)))
+
+
+@pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_the_term_sum_is_the_signed_sum_of_the_entries(rs, data):
+    terms = data.draw(_signed_terms(rs))
+    box = SMALL_BOXES[rs.name]
+    assert box.term_sum(terms) == QPoly.signed_sum((sign, box[v]) for sign, v in terms)
+
+
 class TestClosedRoutes:
     def test_pairs_reach_deep_weights_of_each_lambda(self):
         # Every dominant mu <= lam is a weight of L(lam), so no pair is zero.
@@ -171,7 +211,7 @@ class TestClosedRoutes:
             assert all(closed(ALGEBRAS[name], lam, mu).mq for lam, mu in pairs), name
 
     @pytest.mark.parametrize("name", ["g2", "c2"])
-    def test_fused_and_memoized_routes_match_the_box(self, boxes, name):
+    def test_fused_routes_match_the_box(self, boxes, name):
         _assert_routes_match_the_box(name, boxes[name])
 
     @pytest.mark.parametrize(

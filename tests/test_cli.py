@@ -623,12 +623,12 @@ def _lane_bytes(top1, top2):
     return 8 * sum((c1 + 1) * (top2 + 1) + top2 * (top2 + 1) // 2 for c1 in range(top1 + 1))
 
 
-def _assert_refused_at_once(capsys, algebra, box):
-    """verify --max 10^10 exits 1 with one error line naming box, nothing on
+def _assert_refused_at_once(capsys, command, algebra, box):
+    """command --max 10^10 exits 1 with one error line naming box, nothing on
     stdout and under 1 MiB allocated."""
     tracemalloc.start()
     try:
-        code, out, err = invoke(capsys, "verify", "--algebra", algebra, "--max", "10000000000")
+        code, out, err = invoke(capsys, command, "--algebra", algebra, "--max", "10000000000")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -639,34 +639,62 @@ def _assert_refused_at_once(capsys, algebra, box):
     assert peak < 1 << 20
 
 
-def _assert_largest_grid(capsys, monkeypatch, algebra, top, refused, fits):
+def _assert_largest_grid(capsys, monkeypatch, command, algebra, top, refused, fits):
     """BOX_BYTE_BUDGET takes the box of --max top (fits) but not that of
-    top + 1 (refused), which verify refuses before it fills any box."""
+    top + 1 (refused), which command refuses before it fills any box."""
     assert _lane_bytes(*refused) > rootsys.BOX_BYTE_BUDGET >= _lane_bytes(*fits)
 
     def no_fill(*args):
         raise AssertionError("the box was filled")
 
     monkeypatch.setattr(rootsys.QPartitionBox, "_fill", staticmethod(no_fill))
-    code, out, err = invoke(capsys, "verify", "--algebra", algebra, "--max", str(top + 1))
+    code, out, err = invoke(capsys, command, "--algebra", algebra, "--max", str(top + 1))
     assert (code, out) == (1, "")
     assert f"a partition box up to {refused} needs" in err
     with pytest.raises(AssertionError, match="was filled"):
-        run(["verify", "--algebra", algebra, "--max", str(top)])
+        run([command, "--algebra", algebra, "--max", str(top)])
+
+
+def _g2_tuples_with_a_term(deep):
+    """The number of tuples of verify --max 6 with an alternation term v for which deep(v)."""
+    return sum(
+        any(deep(v) for _, _, v in alternation_terms(G2, lam, mu)[2])
+        for lam, mu, *_ in grid_points(G2, 6)
+    )
 
 
 class TestVerifyOracles:
-    """verify's Weyl side is one box per command, filled from the definition
-    of ℘_q: it shares no polynomial with the sweep memo or the c2 kernel,
-    each count runs once per distinct term, and a box past its budget is
-    refused before anything is allocated, for both algebras."""
+    """verify reads ℘_q off one box per command, filled from the definition:
+    it shares no polynomial with the kernels, g2 holds the kernel to it at
+    each distinct alternation term, each count runs once per distinct term,
+    and a box past its budget is refused before anything is allocated, for
+    both algebras and for table too."""
 
     def test_the_box_sees_a_kernel_fault_that_keeps_every_count(self, capsys, monkeypatch):
         # Every one-term result of degree > 12 moves one unit from its top
         # coefficient to the one below: past the pair box of --max 6, and the
-        # same at q = 1. A Weyl side summed from the same memo agrees with it.
+        # same at q = 1. Each tuple with such a term fails the kernel's
+        # one-term check against the box.
         _with_record(monkeypatch, "g2", term_sum=g2_sum_moving_the_top_unit)
-        assert _mismatch_counts(capsys, "g2", 6) == (1, _g2_counts(561, 0, 0))
+        expected = _g2_tuples_with_a_term(lambda v: sum(v) > 12)
+        assert expected == 561
+        assert _mismatch_counts(capsys, "g2", 6) == (1, _g2_counts(expected, 0, 0))
+
+    def test_a_kernel_raising_at_one_term_fails_the_tuples_of_that_term(self, capsys,
+                                                                        monkeypatch):
+        # The closed route reads the box, so only the one-term check sees it.
+        real = cli._ALGEBRAS["g2"].record.term_sum
+        broken = RootCoord(8, 5)
+
+        def term_sum(terms):
+            if terms == [(1, broken)]:
+                raise InternalConsistencyError("not a multiple of D")
+            return real(terms)
+
+        _with_record(monkeypatch, "g2", term_sum=term_sum)
+        expected = _g2_tuples_with_a_term(lambda v: v == broken)
+        assert expected == 30
+        assert _mismatch_counts(capsys, "g2", 6) == (1, _g2_counts(expected, 0, 0))
 
     def test_the_box_sees_a_c2_count_fault_the_kernel_shares(self, capsys, monkeypatch):
         # Count and one-term kernel are both one too high at q = 1 past the
@@ -688,16 +716,28 @@ class TestVerifyOracles:
         })
 
     def test_a_refused_box_exits_one_at_once_with_nothing_allocated(self, capsys):
-        _assert_refused_at_once(capsys, "g2", (50000000000, 30000000000))
+        _assert_refused_at_once(capsys, "verify", "g2", (50000000000, 30000000000))
 
     def test_a_refused_c2_box_exits_one_at_once_with_nothing_allocated(self, capsys):
-        _assert_refused_at_once(capsys, "c2", (20000000000, 15000000000))
+        _assert_refused_at_once(capsys, "verify", "c2", (20000000000, 15000000000))
+
+    @pytest.mark.parametrize("algebra,box", [("g2", (50000000000, 30000000000)),
+                                             ("c2", (20000000000, 15000000000))])
+    def test_a_refused_table_exits_one_at_once_with_nothing_allocated(self, capsys,
+                                                                      algebra, box):
+        _assert_refused_at_once(capsys, "table", algebra, box)
 
     def test_the_byte_budget_takes_g2_grids_up_to_82(self, capsys, monkeypatch):
-        _assert_largest_grid(capsys, monkeypatch, "g2", 82, (415, 249), (410, 246))
+        _assert_largest_grid(capsys, monkeypatch, "verify", "g2", 82, (415, 249), (410, 246))
 
     def test_the_byte_budget_takes_c2_grids_up_to_185(self, capsys, monkeypatch):
-        _assert_largest_grid(capsys, monkeypatch, "c2", 185, (372, 279), (370, 277))
+        _assert_largest_grid(capsys, monkeypatch, "verify", "c2", 185, (372, 279), (370, 277))
+
+    @pytest.mark.parametrize("algebra,top,refused,fits", [("g2", 82, (415, 249), (410, 246)),
+                                                          ("c2", 185, (372, 279), (370, 277))])
+    def test_the_byte_budget_takes_the_same_table_grids(self, capsys, monkeypatch,
+                                                        algebra, top, refused, fits):
+        _assert_largest_grid(capsys, monkeypatch, "table", algebra, top, refused, fits)
 
     @pytest.mark.parametrize("algebra", ["g2", "c2"])
     def test_each_count_runs_once_per_distinct_term(self, capsys, monkeypatch, algebra):
@@ -720,11 +760,14 @@ class TestVerifyOracles:
         assert set(calls.values()) == {1}
 
     def test_c2_verify_makes_no_term_sum_call(self, capsys, monkeypatch):
-        # Its tuple checks run at q = 1, the count route against the box.
-        def term_sum(terms):
+        # Its tuple checks run at q = 1, the count route against the box, so
+        # neither the kernel nor the box's term sum, which the sweep record
+        # calls, may run.
+        def term_sum(*args):
             raise AssertionError("term_sum ran")
 
         _with_record(monkeypatch, "c2", term_sum=term_sum)
+        monkeypatch.setattr(rootsys.QPartitionBox, "term_sum", term_sum)
         assert invoke(capsys, "verify", "--algebra", "c2", "--max", "6") == (
             0, VERIFY_MAX6_STDOUT["c2"], "",
         )
@@ -737,10 +780,13 @@ class TestBrokenRoutes:
 
     def test_a_kernel_fault_that_makes_a_coefficient_negative(self, capsys, monkeypatch):
         # Every one-term result of degree > 12 moves one unit from its middle
-        # coefficient + 1 to the middle one. At nine tuples a lone term's
-        # closed result then has a negative coefficient, and closed_at raises.
+        # coefficient + 1 to the middle one, some of them below zero. The
+        # closed route reads the box, so it does not raise; each tuple with
+        # such a term fails the kernel's one-term check against the box.
         _with_record(monkeypatch, "g2", term_sum=g2_sum_with_a_dip)
-        assert _mismatch_counts(capsys, "g2", 6) == (1, _g2_counts(554, 9, 9))
+        expected = _g2_tuples_with_a_term(lambda v: sum(v) > 12)
+        assert expected == 561
+        assert _mismatch_counts(capsys, "g2", 6) == (1, _g2_counts(expected, 0, 0))
 
     def test_a_raising_closed_route_counts_in_all_three_g2_checks(self, capsys, monkeypatch):
         real = cli.closed_at
@@ -796,8 +842,8 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 def test_importing_the_cli_does_not_load_array():
-    # Only the sweeps pack polynomials into 64-bit lanes (the memo and
-    # verify's box), and both import array when they are built.
+    # Only the sweeps pack polynomials into 64-bit lanes, in their box, which
+    # imports array when it is built.
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
         "import sys; before = set(sys.modules); import qkostant.cli; "

@@ -12,11 +12,14 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # Removed wrappers and aliases, with what replaces them: to_root(G2 or C2, w),
 # to_fund(G2 or C2, v), G2.positive_roots, C2.positive_roots, QPoly() and
 # QPoly([1]); verify's case_audit for the case-signature audit, and
-# rootsys.decompositions(G2.positive_roots, v) for the g2 witnesses;
-# rootsys.memoized(ALGEBRA) for the g2 sweep record and its qpartition cache,
-# and rootsys.count_sum(ALGEBRA, terms) for tarski_sum.
+# rootsys.decompositions(G2.positive_roots, v) for the g2 witnesses; the
+# sweeps' record, whose term sum is QPartitionBox.term_sum, for the g2 sweep
+# record, its qpartition cache and rootsys.memoized; and
+# rootsys.count_sum(ALGEBRA, terms) for tarski_sum.
 REMOVED = {
-    "qkostant.rootsys": ("fund_to_root", "root_to_fund", "POSITIVE_ROOTS", "closed_result"),
+    "qkostant.rootsys": (
+        "fund_to_root", "root_to_fund", "POSITIVE_ROOTS", "closed_result", "memoized",
+    ),
     "qkostant.sp4": (
         "fund_to_root_c2",
         "root_to_fund_c2",

@@ -6,18 +6,17 @@ import re
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from qkostant import g2_multiplicity, sp4
-from qkostant.errors import CoefficientOverflowError, InternalConsistencyError
-from qkostant.qpoly import INT64_MAX, INT64_MIN, QPoly
+from qkostant.errors import InternalConsistencyError
+from qkostant.qpoly import QPoly
 from qkostant.rootsys import (
     C2,
     G2,
     IDENTITY,
     Algebra,
     FundCoord,
+    QPartitionBox,
     RootCoord,
     RootSystem,
     alternation_terms,
@@ -30,7 +29,6 @@ from qkostant.rootsys import (
     grid_points,
     mat_det,
     mat_mul,
-    memoized,
     qpartition_enumerated,
     to_fund,
     to_root,
@@ -320,11 +318,16 @@ def test_negative_closed_coefficient_is_inconsistent(alg):
 ALGEBRAS = [g2_multiplicity.ALGEBRA, sp4.ALGEBRA, B2_ALGEBRA]
 
 
-@pytest.mark.parametrize("memo", [False, True], ids=["fused", "memoized"])
+@pytest.mark.parametrize("box", [False, True], ids=["fused", "box"])
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=["g2", "c2", "b2"])
-def test_grid_points_and_cores_are_the_one_pair_routes(alg, memo):
-    """What table and verify sweep, point by point, against the one-pair routes."""
-    record = memoized(alg) if memo else alg
+def test_grid_points_and_cores_are_the_one_pair_routes(alg, box):
+    """What table and verify sweep, point by point, against the one-pair routes;
+    the sweeps' record sums ℘_q off the box of every Weyl term of the grid."""
+    record = alg
+    if box:
+        top1, top2 = doubled(alg.rs, (6, 6))
+        record = alg._replace(term_sum=QPartitionBox(alg.rs.positive_roots, top1 >> 1,
+                                                     top2 >> 1).term_sum)
     points = list(grid_points(alg.rs, 6))
     assert [(*lam, *mu) for lam, mu, *_ in points] == list(product(range(7), repeat=4))
     for lam, mu, row, orbit, mu_shift in points:
@@ -345,108 +348,3 @@ def test_grid_points_and_cores_are_the_one_pair_routes(alg, memo):
 
 def test_grid_points_of_a_negative_bound_is_empty():
     assert list(grid_points(G2, -1)) == []
-
-
-@pytest.mark.parametrize("alg", ALGEBRAS, ids=["g2", "c2", "b2"])
-def test_count_sum_over_the_memo_is_the_plain_count_sum(alg):
-    memo = memoized(alg)
-    for lam, mu, row, _, mu_shift in grid_points(alg.rs, 6):
-        terms = alternation_terms_at(row, mu_shift)[2]
-        assert count_sum(memo, terms) == count_sum(alg, terms), (lam, mu)
-
-
-class TestMemoizedTermSum:
-    """memoized's term sum builds a polynomial only for two or more terms."""
-
-    @pytest.mark.parametrize("alg", ALGEBRAS, ids=["g2", "c2", "b2"])
-    def test_a_lone_plus_one_term_is_the_stored_polynomial(self, alg):
-        memo = memoized(alg)
-        v = RootCoord(3, 2)
-        stored = memo.term_sum([(1, v)])
-        assert stored == alg.term_sum([(1, v)])
-        assert memo.term_sum([(1, v)]) is stored
-        assert memo.term_sum([(-1, v)]) == -stored  # a lone -1 term is summed
-
-    @pytest.mark.parametrize("alg", ALGEBRAS, ids=["g2", "c2", "b2"])
-    def test_an_empty_sum_is_one_shared_zero(self, alg):
-        memo = memoized(alg)
-        zero = memo.term_sum([])
-        assert zero == QPoly()
-        assert memo.term_sum([]) is zero
-        assert memoized(alg).term_sum([]) is not zero  # one zero per record
-
-    def test_an_intermediate_sum_may_leave_int64_when_the_result_fits(self):
-        big = {RootCoord(0, 0): QPoly([INT64_MAX]), RootCoord(1, 0): QPoly([INT64_MAX, 2]),
-               RootCoord(0, 1): QPoly([INT64_MAX, 1])}
-        memo = memoized(sp4.ALGEBRA._replace(term_sum=lambda terms: big[terms[0][1]]))
-        a, b, c = big
-        # INT64_MAX + INT64_MAX leaves the range before - INT64_MAX brings it back.
-        assert memo.term_sum([(1, a), (1, b), (-1, c)]) == QPoly([INT64_MAX, 1])
-        with pytest.raises(CoefficientOverflowError):
-            memo.term_sum([(1, a), (1, b)])
-
-    def test_the_lane_bound_packs_up_to_k_times_2_to_the_w(self, monkeypatch):
-        # Entries of bit length 60: eight terms stay packed (8 * 2^60 = 2^63),
-        # a ninth sends the sum to QPoly.signed_sum.
-        a, b = RootCoord(0, 0), RootCoord(1, 0)
-        stored = {a: QPoly([(1 << 60) - 1]), b: QPoly([(1 << 60) - 1, -(1 << 59)])}
-        memo = memoized(sp4.ALGEBRA._replace(term_sum=lambda terms: stored[terms[0][1]]))
-        signed_sum = QPoly.signed_sum.__func__
-        calls = []
-
-        def counting(cls, terms):
-            calls.append(terms)
-            return signed_sum(cls, terms)
-
-        monkeypatch.setattr(QPoly, "signed_sum", classmethod(counting))
-        eight = [(1, a), (-1, b)] * 4
-        assert memo.term_sum(eight) == QPoly([0, 1 << 61])
-        assert calls == []
-        assert memo.term_sum(eight + [(1, a)]) == QPoly([(1 << 60) - 1, 1 << 61])
-        assert len(calls) == 1
-
-
-# Coefficient lists of length 0-70 in one magnitude class per list, the
-# class's two edges (INT64_MIN and INT64_MAX for the widest) drawn often,
-# with up to six trailing zeros.
-_LANE_BOUNDS = (1, 41, 1 << 20, 1 << 40, 1 << 59, 1 << 60, 1 << 61, 1 << 63)
-
-
-@st.composite
-def _coefficient_list(draw):
-    bound = draw(st.sampled_from(_LANE_BOUNDS))
-    lane = st.one_of(st.integers(-bound, bound - 1), st.sampled_from((-bound, bound - 1, 0)))
-    return draw(st.lists(lane, max_size=64)) + [0] * draw(st.integers(0, 6))
-
-
-@st.composite
-def _memo_sums(draw):
-    """Up to 12 stored polynomials and 1-4 sums of 1-12 signed references to them."""
-    polys = draw(st.lists(_coefficient_list(), min_size=1, max_size=12))
-    term = st.tuples(st.sampled_from((1, -1)), st.integers(0, len(polys) - 1))
-    return polys, draw(st.lists(st.lists(term, min_size=1, max_size=12), min_size=1, max_size=4))
-
-
-@settings(max_examples=200, deadline=None)
-@given(_memo_sums())
-@example(([[INT64_MAX], [INT64_MAX, 1]], [[(1, 0), (1, 1)]]))  # past the bound; raises
-@example(([[INT64_MIN], [INT64_MAX]], [[(-1, 1), (1, 0)], [(-1, 0)]]))  # fits; then raises
-@example(([[1 << 59, -(1 << 59)], [-1, 0, 7]], [[(1, 0)] * 16 + [(-1, 1)] * 4]))  # fallback
-@example(([[(1 << 59) - 1] * 3, [1]], [[(1, 0)] * 11 + [(-1, 1)]]))  # fallback, result fits
-@example(([[-3, 0, 0, 2, 0], [3, 0, 0, -2]], [[(1, 0), (1, 1)], [(-1, 0), (-1, 1), (1, 0)]]))
-def test_the_memos_packed_sum_is_the_signed_sum(drawn):
-    """memoized's term_sum equals QPoly.signed_sum of the stored polynomials
-    wherever that returns, and raises CoefficientOverflowError where it raises;
-    the sums of one example share one memo, so its widest entry carries over."""
-    polys, sums = drawn
-    stored = {RootCoord(i, 0): QPoly(cs) for i, cs in enumerate(polys)}
-    memo = memoized(sp4.ALGEBRA._replace(term_sum=lambda terms: stored[terms[0][1]]))
-    for indices in sums:
-        terms = [(sign, RootCoord(i, 0)) for sign, i in indices]
-        try:
-            expected = QPoly.signed_sum((sign, stored[v]) for sign, v in terms)
-        except CoefficientOverflowError:
-            with pytest.raises(CoefficientOverflowError):
-                memo.term_sum(terms)
-        else:
-            assert memo.term_sum(terms) == expected
