@@ -15,7 +15,7 @@ route are written once against that.
 from __future__ import annotations
 
 import collections
-from functools import cache, lru_cache
+from functools import cache
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import InternalConsistencyError
@@ -307,8 +307,8 @@ class QPartitionBox:
     Weyl sums. Each polynomial is one Python int with one 64-bit lane per
     coefficient (Kronecker packing), so q· is a shift by 64 bits. A first
     pass at q = 1 fills the counts ℘(c1, c2), which the box keeps beside the
-    polynomials: term_sum and equals_sum read the polynomials, sum_at_one
-    the counts.
+    polynomials, and one signed loop sums either: term_sum, box[v] and
+    equals_sum the polynomials, sum_at_one the counts.
 
     A box past BOX_BYTE_BUDGET (so also one of more than sys.maxsize points)
     raises ValueError before anything is allocated. The counts bound every
@@ -356,69 +356,58 @@ class QPartitionBox:
         return rows
 
     def __getitem__(self, v: tuple[int, int]) -> QPoly:
-        c1, c2 = v
-        lanes = self._array("Q")
-        lanes.frombytes(self._rows[c1][c2].to_bytes(8 * (c1 + c2 + 1), "little"))
-        return QPoly(lanes)
+        return self.term_sum([(1, v)])
 
-    def _packed(self, terms) -> int:
-        """Σ sign·box[v] packed, Σ s_i·2^(64i) with s_i the sum's true
-        coefficients: packing is linear."""
-        rows = self._rows
+    @staticmethod
+    def _signed(terms, table: list[list[int]]) -> int:
+        """Σ sign·table[c1][c2] over (sign, (c1, c2)) terms; a sign other than 1 or -1
+        raises ValueError. Over the q-lane rows this is the packed sum Σ s_i·2^(64i),
+        s_i the sum's true coefficients: packing is linear."""
         total = 0
         for sign, (c1, c2) in terms:
             if sign == 1:
-                total += rows[c1][c2]
+                total += table[c1][c2]
+            elif sign == -1:
+                total -= table[c1][c2]
             else:
-                total -= rows[c1][c2]
+                raise ValueError(f"sign must be 1 or -1, got {sign!r}")
         return total
 
     def term_sum(self, terms) -> QPoly:
         """Σ sign·℘_q(v) over (sign, (c1, c2)) terms inside the box, at most one per
-        Weyl element, decoded once.
+        Weyl element, each sign 1 or -1, decoded once.
 
         The box bounds every count, so each s_i of the packed sum S lies in
         (-2^63, 2^63). With B the int that holds 2^63 in each lane of the box,
         every lane of S + B lies in (0, 2^64): no lane carries, and the lanes of
         (S + B) ^ B are the s_i as signed 64-bit ints. Its lanes past the top
         nonzero s_i are zero, so its bytes up to its bit length are the
-        coefficients, which need no range check.
+        coefficients, which need no range check. Any other sign raises ValueError.
         """
         if not terms:  # half of g2's sweep tuples and three quarters of c2's
             return QPoly()
         bias = self._bias
-        packed = (self._packed(terms) + bias) ^ bias
+        packed = (self._signed(terms, self._rows) + bias) ^ bias
         coeffs = self._array("q")
         coeffs.frombytes(packed.to_bytes((packed.bit_length() + 63) // 64 * 8, "little"))
         return QPoly._from_checked(tuple(coeffs))
 
     def equals_sum(self, poly: QPoly, terms) -> bool:
-        """Whether poly is term_sum(terms), compared packed: exact when poly's
-        coefficients lie in [0, 2^63), or the terms are one +1 term.
+        """Whether poly is term_sum(terms), compared packed; exact when poly's
+        coefficients lie in [0, 2^63), as those of closed_at's mq do.
 
-        P, the int of poly's array('q') bytes, holds c_i modulo 2^64 in lane i;
-        the packed sum W holds w_i in (-2^63, 2^63) (see term_sum). With every
-        c_i in [0, 2^63), |w_i - c_i| < 2^64, so the lowest i with w_i != c_i
-        leaves W - P != 0 modulo 2^(64(i+1)). One +1 term has every w_i in
-        [0, 2^63): W and P are then base-2^64 numerals, equal exactly when
-        every c_i modulo 2^64, and so every c_i, is w_i.
+        P, the int of poly's array('q') bytes, holds c_i in lane i; the packed
+        sum W holds w_i in (-2^63, 2^63) (see term_sum). With every c_i in
+        [0, 2^63), |w_i - c_i| < 2^64, so the lowest i with w_i != c_i leaves
+        W - P != 0 modulo 2^(64(i+1)). A sign other than 1 or -1 raises ValueError.
         """
         packed = int.from_bytes(self._array("q", poly.coeffs).tobytes(), "little")
-        return self._packed(terms) == packed
+        return self._signed(terms, self._rows) == packed
 
     def sum_at_one(self, terms) -> int:
-        """Σ sign·℘(v) at q = 1 over (sign, (c1, c2)) terms inside the box; only
-        the total is range-checked."""
-        counts = self._counts
-        total = 0
-        for sign, (c1, c2) in terms:
-            total += sign * counts[c1][c2]
-        return checked_int(total)
-
-
-# Distinct (algebra, highest weight) pairs whose shifted Weyl orbit the Weyl
-# sum keeps cached; 512 covers every lambda of a [0,15]^2 grid for both algebras.
-ORBIT_CACHE_SIZE = 512
+        """Σ sign·℘(v) at q = 1 over (sign, (c1, c2)) terms inside the box, each
+        sign 1 or -1; only the total is range-checked. Any other sign raises ValueError."""
+        return checked_int(self._signed(terms, self._counts))
 
 
 @cache
@@ -429,13 +418,13 @@ def _orbit_order(rs: RootSystem) -> tuple[WeylElement, ...]:
     return (*first, *by_word.values())
 
 
-@lru_cache(maxsize=ORBIT_CACHE_SIZE, typed=True)
 def shifted_orbit(rs: RootSystem, m: int, n: int) -> tuple[tuple[int, int, int], ...]:
     """(sign, u, v) of sigma(2 * (lam + rho)) for every Weyl element sigma.
 
     Doubled root coordinates, lam = m*w1 + n*w2 and rho = w1 + w2. The
-    orbit depends on lam alone, so a grid sweep computes it once per lam
-    instead of once per (lam, mu). rs.alternation comes first, in order.
+    orbit depends on lam alone, so grid_points computes it once per lam,
+    not once per (lam, mu), and no call keeps it for the next: its 8 or 12
+    matrix products take a few microseconds. rs.alternation comes first.
     """
     u, v = doubled(rs, (m + 1, n + 1))
     orbit = []
@@ -499,7 +488,7 @@ def alternation_terms_at(row: list, mu_shift: tuple[int, int]) -> tuple:
 
 
 def alternation_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> tuple:
-    """(shifts, label, terms, pairs) of the alternation set of (lam, mu), off the cached orbit.
+    """(shifts, label, terms, pairs) of the alternation set of (lam, mu), off lam's shifted orbit.
 
     shifts holds (sign, u, v) for each term of rs.alternation, in order: the
     sign is (-1)^length(sigma) and (u, v) = 2 * (sigma(lam + rho) - (mu + rho))
@@ -551,10 +540,12 @@ class MultiplicityResult(NamedTuple):
 class Algebra(NamedTuple):
     """What the shared routes need from one algebra besides its root system.
 
-    ``term_sum`` maps (sign, RootCoord) pairs with nonnegative coordinates
-    to the signed sum of their q-partitions. ``case_data`` builds the case
-    record from alternation_terms' shifts and label. ``count`` is the exact
-    partition count at q = 1 of one term (m, n) >= 0, with no 64-bit check.
+    ``term_sum`` maps (sign, RootCoord) pairs with nonnegative coordinates,
+    each sign 1 or -1 (the box raises ValueError for any other; the kernels
+    do not check), to the signed sum of their q-partitions. ``case_data``
+    builds the case record from alternation_terms' shifts and label.
+    ``count`` is the exact partition count at q = 1 of one term (m, n) >= 0,
+    with no 64-bit check.
     """
 
     rs: RootSystem

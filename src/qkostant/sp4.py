@@ -13,7 +13,6 @@ linear piece of the coefficients with one slice assignment.
 from __future__ import annotations
 
 import sys
-from functools import cache
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -241,7 +240,6 @@ def multiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> Sp4MultiplicityResu
     return Sp4MultiplicityResult(_as_fund(lam), _as_fund(mu), _case_data(shifts, label), value)
 
 
-@cache
 def weyl_group_c2() -> tuple[tuple[Mat, int], ...]:
     """The 8 sp4 Weyl elements as (matrix, length), sorted by length, then matrix."""
     group = ((elem.matrix, elem.length) for elem in weyl_elements(C2))

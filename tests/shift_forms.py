@@ -4,7 +4,7 @@ Transcribed independently of the matrix machinery they are checked against.
 
 ``sigma_shift`` computes the same weights from the group matrices. The
 package no longer uses it: its closed routes and Weyl sums read the shifts
-off the cached orbit in doubled coordinates. It stays here, with the g2
+off the shifted orbit in doubled coordinates. It stays here, with the g2
 constants it needs, for the tests that hold the matrices to these forms.
 """
 

@@ -10,9 +10,9 @@ through the packed comparison equals_sum that verify runs. A marker builder
 that loses the sign of a term agrees with the box on every one-term kernel
 call, so only the fused routes see it. The box's term sum, which table and
 verify feed closed_at, is held to QPoly.signed_sum of its entries. The box's
-refusals (past its byte budget, or a count too large for its lanes) and the
-exactness of its packed sums at the edges of the 64-bit range are tested
-here too.
+refusals (past its byte budget, a count too large for its lanes, or a sign
+other than 1 or -1) and the exactness of its packed sums at the edges of the
+64-bit range are tested here too.
 """
 
 from itertools import product
@@ -35,6 +35,7 @@ from qkostant.rootsys import (
     RootCoord,
     closed,
     doubled,
+    qpartition_enumerated,
     weyl_terms,
 )
 from qkostant.sp4 import partition_c2_closed, qpartition_c2
@@ -141,12 +142,28 @@ class TestBox:
 
     @pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
     def test_an_empty_term_sum_is_zero_and_a_negative_term_decodes(self, rs):
+        # box[v] is term_sum([(1, v)]), so the decode is held to the enumerator.
         box = SMALL_BOXES[rs.name]
         assert box.term_sum([]) == QPoly()
         for v in (RootCoord(0, 0), RootCoord(1, 0), RootCoord(3, 2), RootCoord(24, 16)):
-            assert box.term_sum([(1, v)]) == box[v]
-            assert box.term_sum([(-1, v)]) == -box[v]
+            enumerated = qpartition_enumerated(rs.positive_roots, v)
+            assert box[v] == box.term_sum([(1, v)]) == enumerated
+            assert box.term_sum([(-1, v)]) == -enumerated
             assert box.term_sum([(1, v), (-1, v)]) == QPoly()
+
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_a_sign_other_than_one_or_minus_one_is_refused(self, sign):
+        box = SMALL_BOXES["g2"]
+        v = RootCoord(3, 2)
+        for call in (
+            lambda terms: box.term_sum(terms),
+            lambda terms: box.equals_sum(box[v], terms),
+            lambda terms: box.sum_at_one(terms),
+        ):
+            with pytest.raises(ValueError, match="sign must be 1 or -1"):
+                call([(sign, v)])
+            with pytest.raises(ValueError, match="sign must be 1 or -1"):
+                call([(1, v), (sign, RootCoord(0, 0))])
 
     def test_the_term_sum_is_exact_at_the_lane_bound(self):
         # Twenty copies of a1, whose group order the box takes as 40: forty

@@ -5,6 +5,7 @@ import importlib
 from pathlib import Path
 
 import qkostant
+from qkostant import rootsys, sp4
 from qkostant.qpoly import QPoly
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -14,11 +15,13 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # QPoly([1]); verify's case_audit for the case-signature audit, and
 # rootsys.decompositions(G2.positive_roots, v) for the g2 witnesses; the
 # sweeps' record, whose term sum is QPartitionBox.term_sum, for the g2 sweep
-# record, its qpartition cache and rootsys.memoized; and
-# rootsys.count_sum(ALGEBRA, terms) for tarski_sum.
+# record, its qpartition cache and rootsys.memoized;
+# rootsys.count_sum(ALGEBRA, terms) for tarski_sum; and nothing for
+# ORBIT_CACHE_SIZE, as shifted_orbit keeps no orbit between calls.
 REMOVED = {
     "qkostant.rootsys": (
         "fund_to_root", "root_to_fund", "POSITIVE_ROOTS", "closed_result", "memoized",
+        "ORBIT_CACHE_SIZE",
     ),
     "qkostant.sp4": (
         "fund_to_root_c2",
@@ -67,6 +70,9 @@ def test_public_removed_and_bench_names():
         assert [n for n in names if hasattr(qkostant, n) or n in qkostant.__all__] == []
     assert not hasattr(QPoly, "is_zero")
     assert not hasattr(qkostant.qpartition, "cache_info")
+    # Only weyl_elements and the orbit order, one entry per record, outlive a call.
+    assert not hasattr(rootsys.shifted_orbit, "cache_info")
+    assert not hasattr(sp4.weyl_group_c2, "cache_info")
 
     imports = list(_bench_imports())
     assert imports, "no qkostant imports found in bench/"

@@ -41,7 +41,6 @@ from qkostant.rootsys import (
     RootCoord,
     alternation_terms,
     decompositions,
-    shifted_orbit,
     weyl_terms,
 )
 from qkostant.sp4 import (
@@ -524,21 +523,6 @@ class TestWeylSums:
               for m, n, x, y in C2_WEYL_POINTS]
         assert any(g2) and not all(g2)
         assert any(c2) and not all(c2)
-
-    @pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
-    def test_orbit_cache_is_bounded(self, rs):
-        maxsize = shifted_orbit.cache_info().maxsize
-        assert maxsize is not None and maxsize > 0
-        for m in range(maxsize + 10):
-            shifted_orbit(rs, m, 1)
-        assert shifted_orbit.cache_info().currsize <= maxsize
-
-    @pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
-    def test_orbit_cache_keeps_types_apart(self, rs):
-        # 1001.0 == 1001 and hashes alike; a shared entry would hand integer
-        # callers the float orbit cached first.
-        shifted_orbit(rs, 1001.0, 7)
-        assert all(type(c) is int for term in shifted_orbit(rs, 1001, 7) for c in term)
 
 
 def test_sp4_case_integers_equal_the_affine_forms():

@@ -284,6 +284,45 @@ class TestRootSystemRecords:
         assert reached == set(words)
 
 
+# w1 and w2 doubled, in root coordinates, written here rather than read from
+# doubled() or the records' two_w1 and two_w2, so that the sign test below
+# shares no weight data with the code whose alternation set it bounds.
+DOUBLED_FUNDAMENTAL_WEIGHTS = {"g2": ((4, 2), (6, 4)), "c2": ((2, 1), (2, 2))}
+
+# The coordinates k that make each element outside the alternation set vanish.
+VANISHING_COORDINATES = {
+    "g2": {"s1s2s1": {0}, "s2s1s2": {1}, "(s1s2)^2": {0, 1}, "(s2s1)^2": {0, 1},
+           "s1(s2s1)^2": {0, 1}, "s2(s1s2)^2": {0, 1}, "(s1s2)^3": {0, 1}},
+    "c2": {"s1s2": {0}, "s2s1": {1}, "s1s2s1": {0, 1}, "s2s1s2": {0, 1}, "(s1s2)^2": {0, 1}},
+}
+
+
+@pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
+def test_no_element_outside_the_alternation_set_reaches_the_cone_at_any_pair(rs):
+    """The alternation set, at every dominant pair, not only on a grid.
+
+    sigma(lam + rho) - (mu + rho) = m sigma(w1) + n sigma(w2) + (sigma rho - rho) - mu
+    for lam = m w1 + n w2. The root coordinates of w1 and w2, and so of every
+    dominant mu, are nonnegative. So where sigma(w1)_k <= 0, sigma(w2)_k <= 0
+    and (sigma rho - rho)_k < 0, coordinate k of the shifted weight is
+    negative for every m, n >= 0 and every dominant mu, and sigma's term
+    vanishes. Exactly the elements outside rs.alternation have such a k; the
+    grid test above shows that each element of the set does reach the cone.
+    """
+    w1, w2 = DOUBLED_FUNDAMENTAL_WEIGHTS[rs.name]
+    assert min(w1 + w2) >= 0
+    rho = (w1[0] + w2[0], w1[1] + w2[1])
+    vanishing = {}
+    for elem in weyl_elements(rs):
+        s_w1, s_w2, s_rho = (act(elem.matrix, w) for w in (w1, w2, rho))
+        ks = {k for k in (0, 1) if s_w1[k] <= 0 and s_w2[k] <= 0 and s_rho[k] < rho[k]}
+        if ks:
+            vanishing[elem.word] = ks
+    assert vanishing == VANISHING_COORDINATES[rs.name]
+    assert set(vanishing).isdisjoint(word for _, word in rs.alternation)
+    assert len(vanishing) + len(rs.alternation) == len(weyl_elements(rs))
+
+
 class TestB2:
     """Swapping the coordinates of every weight maps B2 onto sp4, so each B2
     answer of the core is an sp4 answer read with its coordinates swapped."""
