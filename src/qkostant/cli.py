@@ -14,7 +14,7 @@ import re
 import sys
 from functools import cache, partial
 from itertools import product
-from operator import add, itemgetter
+from operator import add
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import CoefficientOverflowError, InternalConsistencyError
@@ -28,10 +28,11 @@ from .rootsys import (
     QPartitionBox,
     RootCoord,
     RootSystem,
+    alternation_terms,
     alternation_terms_at,
     case,
-    closed,
     closed_at,
+    closed_mq,
     count_sum,
     doubled,
     grid_points,
@@ -127,7 +128,9 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _cmd_qmult(args: argparse.Namespace) -> int:
     record = _ALGEBRAS[args.algebra].record
     lam, mu = _weight_pair(args, record.rs)
-    print(_poly_output(closed(record, lam, mu).mq, args.fmt, args.at_q))
+    # m_q alone: the closed route's value at one may overflow where no coefficient does.
+    mq = closed_mq(record, lam, mu, alternation_terms(record.rs, lam, mu)[2])
+    print(_poly_output(mq, args.fmt, args.at_q))
     return 0
 
 
@@ -161,9 +164,6 @@ def _kernel_differs(kernel: Algebra, box: QPartitionBox, v: RootCoord) -> bool:
         return True
 
 
-_term_weight = itemgetter(2)  # the RootCoord of a (name, sign, RootCoord) term
-
-
 def _g2_tuple_mismatches(kernel_differs: Callable[[RootCoord], bool], record: Algebra,
                          box: QPartitionBox, lam: FundCoord, mu: FundCoord, row: tuple,
                          orbit: tuple, mu_shift: tuple[int, int]) -> tuple[bool, bool, bool]:
@@ -178,8 +178,8 @@ def _g2_tuple_mismatches(kernel_differs: Callable[[RootCoord], bool], record: Al
     except InternalConsistencyError:
         return True, True, True
     return (
-        any(map(kernel_differs, map(_term_weight, result.terms)))
-        or not box.equals_sum(result.mq, weyl_terms_at(orbit, mu_shift)),
+        any(kernel_differs(v) for _, v in result.terms)
+        or box.term_sum(weyl_terms_at(orbit, mu_shift)) != result.mq,
         _count_differs(record, result.terms, result.m_at_one),
         result.case.case_label not in CASE_LABELS,
     )
@@ -193,7 +193,7 @@ def _c2_tuple_mismatches(kernel_differs: Callable[[RootCoord], bool], record: Al
     # m - x puts mu off lam's root-lattice coset, where the case flags must be
     # off and no Weyl term may reach the positive cone on the root lattice.
     # Both checks run at q = 1, so neither reads the kernel.
-    shifts, label, terms, _ = alternation_terms_at(row, mu_shift)
+    shifts, label, terms = alternation_terms_at(row, mu_shift)
     weyl = weyl_terms_at(orbit, mu_shift)
     in_n = record.case_data(shifts, label).in_n
     return (

@@ -307,8 +307,8 @@ class QPartitionBox:
     Weyl sums. Each polynomial is one Python int with one 64-bit lane per
     coefficient (Kronecker packing), so q· is a shift by 64 bits. A first
     pass at q = 1 fills the counts ℘(c1, c2), which the box keeps beside the
-    polynomials, and one signed loop sums either: term_sum, box[v] and
-    equals_sum the polynomials, sum_at_one the counts.
+    polynomials, and one signed loop sums either: term_sum and box[v] the
+    polynomials, sum_at_one the counts.
 
     A box past BOX_BYTE_BUDGET (so also one of more than sys.maxsize points)
     raises ValueError before anything is allocated. The counts bound every
@@ -360,17 +360,23 @@ class QPartitionBox:
 
     @staticmethod
     def _signed(terms, table: list[list[int]]) -> int:
-        """Σ sign·table[c1][c2] over (sign, (c1, c2)) terms; a sign other than 1 or -1
-        raises ValueError. Over the q-lane rows this is the packed sum Σ s_i·2^(64i),
-        s_i the sum's true coefficients: packing is linear."""
+        """Σ sign·table[c1][c2] over (sign, (c1, c2)) terms; a sign other than 1 or -1,
+        or a term outside the box, raises ValueError. Over the q-lane rows this is the
+        packed sum Σ s_i·2^(64i), s_i the sum's true coefficients: packing is linear."""
         total = 0
-        for sign, (c1, c2) in terms:
-            if sign == 1:
-                total += table[c1][c2]
-            elif sign == -1:
-                total -= table[c1][c2]
-            else:
-                raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+        try:
+            for sign, (c1, c2) in terms:
+                if c1 | c2 < 0:  # a negative index would read a row from its far end
+                    raise IndexError
+                if sign == 1:
+                    total += table[c1][c2]
+                elif sign == -1:
+                    total -= table[c1][c2]
+                else:
+                    raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+        except IndexError:
+            raise ValueError(f"the term {(sign, (c1, c2))} lies outside the box up to"
+                             f" ({len(table) - 1}, {len(table[0]) - 1})") from None
         return total
 
     def term_sum(self, terms) -> QPoly:
@@ -382,7 +388,7 @@ class QPartitionBox:
         every lane of S + B lies in (0, 2^64): no lane carries, and the lanes of
         (S + B) ^ B are the s_i as signed 64-bit ints. Its lanes past the top
         nonzero s_i are zero, so its bytes up to its bit length are the
-        coefficients, which need no range check. Any other sign raises ValueError.
+        coefficients, which need no range check. Other terms raise ValueError.
         """
         if not terms:  # half of g2's sweep tuples and three quarters of c2's
             return QPoly()
@@ -392,21 +398,9 @@ class QPartitionBox:
         coeffs.frombytes(packed.to_bytes((packed.bit_length() + 63) // 64 * 8, "little"))
         return QPoly._from_checked(tuple(coeffs))
 
-    def equals_sum(self, poly: QPoly, terms) -> bool:
-        """Whether poly is term_sum(terms), compared packed; exact when poly's
-        coefficients lie in [0, 2^63), as those of closed_at's mq do.
-
-        P, the int of poly's array('q') bytes, holds c_i in lane i; the packed
-        sum W holds w_i in (-2^63, 2^63) (see term_sum). With every c_i in
-        [0, 2^63), |w_i - c_i| < 2^64, so the lowest i with w_i != c_i leaves
-        W - P != 0 modulo 2^(64(i+1)). A sign other than 1 or -1 raises ValueError.
-        """
-        packed = int.from_bytes(self._array("q", poly.coeffs).tobytes(), "little")
-        return self._signed(terms, self._rows) == packed
-
     def sum_at_one(self, terms) -> int:
         """Σ sign·℘(v) at q = 1 over (sign, (c1, c2)) terms inside the box, each
-        sign 1 or -1; only the total is range-checked. Any other sign raises ValueError."""
+        sign 1 or -1; only the total is range-checked. Other terms raise ValueError."""
         return checked_int(self._signed(terms, self._counts))
 
 
@@ -474,30 +468,27 @@ def alternation_terms_at(row: list, mu_shift: tuple[int, int]) -> tuple:
     shifts = []
     label = ""
     terms = []
-    pairs = []
     for name, sign, u, v in row:
         u -= mu1
         v -= mu2
         shifts.append((sign, u, v))
         if u >= 0 and v >= 0 and not (u | v) & 1:
             label += name
-            w = _new_tuple(RootCoord, (u >> 1, v >> 1))
-            terms.append((name, sign, w))
-            pairs.append((sign, w))
-    return shifts, label or "ZERO", terms, pairs
+            terms.append((sign, _new_tuple(RootCoord, (u >> 1, v >> 1))))
+    return shifts, label or "ZERO", terms
 
 
 def alternation_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> tuple:
-    """(shifts, label, terms, pairs) of the alternation set of (lam, mu), off lam's shifted orbit.
+    """(shifts, label, terms) of the alternation set of (lam, mu), off lam's shifted orbit.
 
     shifts holds (sign, u, v) for each term of rs.alternation, in order: the
     sign is (-1)^length(sigma) and (u, v) = 2 * (sigma(lam + rho) - (mu + rho))
     in root coordinates. A term contributes exactly when its shifted weight
     lies on the positive cone and the root lattice, that is when u and v are
     nonnegative and even, as in weyl_terms. label spells the contributing
-    names in order, or is "ZERO"; terms holds (name, sign, RootCoord) of each,
-    and pairs the same (sign, RootCoord), as term_sum takes them. A
-    non-dominant lam or mu raises ValueError.
+    names in order, or is "ZERO"; terms holds (sign, RootCoord) of each, as
+    term_sum takes them, so the name of terms[i] is label[i]. A non-dominant
+    lam or mu raises ValueError.
     """
     _, _, orbit, mu_shift = _point(rs, lam, mu)
     return alternation_terms_at(_alternation_row(rs, orbit), mu_shift)
@@ -527,12 +518,13 @@ def weyl_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> lis
 
 class MultiplicityResult(NamedTuple):
     """One closed q-route evaluation of either algebra: its case record, and in
-    terms (name, sign, RootCoord) of each term, whose q-partition it sums."""
+    terms (sign, RootCoord) of each term, whose q-partition it sums; the case
+    label spells the terms' names in order."""
 
     lam: FundCoord
     mu: FundCoord
     case: tuple
-    terms: tuple[tuple[str, int, RootCoord], ...]
+    terms: tuple[tuple[int, RootCoord], ...]
     mq: QPoly
     m_at_one: int
 
@@ -555,7 +547,7 @@ class Algebra(NamedTuple):
 
 
 def count_sum(alg: Algebra, terms) -> int:
-    """The signed sum of alg.count over (name, sign, RootCoord) terms: m(lam, mu) at q = 1.
+    """The signed sum of alg.count over (sign, RootCoord) terms: m(lam, mu) at q = 1.
 
     Only the exact total is range-checked, so a term outside the signed 64-bit
     range is fine when the multiplicity is not. A negative total raises
@@ -563,25 +555,30 @@ def count_sum(alg: Algebra, terms) -> int:
     """
     count = alg.count
     value = 0
-    for _, sign, (m, n) in terms:  # a plain loop: sum() over a generator is slower here
+    for sign, (m, n) in terms:  # a plain loop: sum() over a generator is slower here
         value += sign * count(m, n)
     if value < 0:
         raise InternalConsistencyError(f"negative multiplicity {value} from the terms {terms}")
     return checked_int(value)
 
 
+def closed_mq(alg: Algebra, lam: FundCoord, mu: FundCoord, terms) -> QPoly:
+    """m_q(lam, mu), alg.term_sum of its alternation terms, even where its value at q = 1
+    leaves 64 bits; a negative coefficient raises InternalConsistencyError."""
+    mq = alg.term_sum(terms)
+    if mq.coeffs and min(mq.coeffs) < 0:
+        raise InternalConsistencyError(f"negative coefficient in m_q({lam}, {mu}) = {mq!r}")
+    return mq
+
+
 def closed_at(alg: Algebra, lam: FundCoord, mu: FundCoord, row: list,
               mu_shift: tuple[int, int]) -> MultiplicityResult:
     """closed at one point (lam, mu, row, mu_shift) of grid_points: the per-point
     core of table and verify."""
-    shifts, label, terms, pairs = alternation_terms_at(row, mu_shift)
-    mq = alg.term_sum(pairs)
-    if mq.coeffs and min(mq.coeffs) < 0:
-        raise InternalConsistencyError(f"negative coefficient in m_q({lam}, {mu}) = {mq!r}")
-    case_data = alg.case_data(shifts, label)
-    return _new_tuple(
-        MultiplicityResult, (lam, mu, case_data, tuple(terms), mq, mq.eval_at_one())
-    )
+    shifts, label, terms = alternation_terms_at(row, mu_shift)
+    mq = closed_mq(alg, lam, mu, terms)
+    data = (lam, mu, alg.case_data(shifts, label), tuple(terms), mq, mq.eval_at_one())
+    return _new_tuple(MultiplicityResult, data)
 
 
 def closed(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> MultiplicityResult:

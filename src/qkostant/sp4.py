@@ -235,7 +235,7 @@ def multiplicity_c2_closed(lam: FundCoord, mu: FundCoord) -> Sp4MultiplicityResu
     summed by rootsys.count_sum, which range-checks only the total, so a
     term outside the signed 64-bit range is fine when the value is not.
     """
-    shifts, label, terms, _ = alternation_terms(C2, lam, mu)
+    shifts, label, terms = alternation_terms(C2, lam, mu)
     value = count_sum(ALGEBRA, terms)
     return Sp4MultiplicityResult(_as_fund(lam), _as_fund(mu), _case_data(shifts, label), value)
 

@@ -6,15 +6,16 @@ one. It holds ``qpartition`` and ``qpartition_c2`` at every point of a box,
 its counts summed at q = 1 to the closed counts, and the fused closed q
 routes of both algebras to Σ sign·box[term] over the Weyl terms at every
 dominant mu below a seeded set of lambda <= (40, 40), both as QPoly sums and
-through the packed comparison equals_sum that verify runs. A marker builder
+through the box's own term sum, decoded, as verify compares them. A marker builder
 that loses the sign of a term agrees with the box on every one-term kernel
 call, so only the fused routes see it. The box's term sum, which table and
 verify feed closed_at, is held to QPoly.signed_sum of its entries. The box's
-refusals (past its byte budget, a count too large for its lanes, or a sign
-other than 1 or -1) and the exactness of its packed sums at the edges of the
-64-bit range are tested here too.
+refusals (past its byte budget, a count too large for its lanes, a sign
+other than 1 or -1, or a term outside it) and the exactness of its packed
+sums at the edges of the 64-bit range are tested here too.
 """
 
+import re
 from itertools import product
 from math import comb
 from random import Random
@@ -78,7 +79,7 @@ def _assert_routes_match_the_box(name, box):
         expected = QPoly.signed_sum((sign, box[v]) for sign, v in terms)
         mq = closed(alg, lam, mu).mq
         assert mq == expected, (name, lam, mu)
-        assert box.equals_sum(mq, terms), (name, lam, mu)
+        assert box.term_sum(terms) == mq, (name, lam, mu)
 
 
 class TestBox:
@@ -120,26 +121,6 @@ class TestBox:
         with pytest.raises(ValueError, match="nonnegative bounds"):
             QPartitionBox(G2.positive_roots, -1, 0)
 
-    def test_the_packed_comparison_is_exact_at_the_lane_edges(self):
-        box = QPartitionBox(G2.positive_roots, 4, 4)
-        v, w = RootCoord(3, 2), RootCoord(2, 1)
-        terms = [(1, v), (-1, w)]
-        diff = list((box[v] - box[w]).coeffs)
-        assert diff == [0, 0, 1, 1, 1, 1] and box.equals_sum(QPoly(diff), terms)
-        # A wrong coefficient differs, whether it is one off or INT64_MAX.
-        for i in range(len(diff)):
-            for wrong_value in (diff[i] + 1, diff[i] - 1, INT64_MAX):
-                if wrong_value >= 0:
-                    wrong = diff[:i] + [wrong_value] + diff[i + 1 :]
-                    assert not box.equals_sum(QPoly(wrong), terms), (i, wrong_value)
-        # q - 1 borrows from its top lane: it packs to 2^64 - 1, which matches
-        # no polynomial with coefficients in [0, 2^63).
-        q_minus_one = [(1, RootCoord(1, 0)), (-1, RootCoord(0, 0))]
-        for poly in (QPoly([INT64_MAX]), QPoly([0, 1]), QPoly([INT64_MAX, 1]), QPoly()):
-            assert not box.equals_sum(poly, q_minus_one), poly
-        assert box.equals_sum(QPoly(), [(1, v), (-1, v)])
-        assert not box.equals_sum(QPoly(), [(1, RootCoord(0, 0))])
-
     @pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
     def test_an_empty_term_sum_is_zero_and_a_negative_term_decodes(self, rs):
         # box[v] is term_sum([(1, v)]), so the decode is held to the enumerator.
@@ -157,13 +138,30 @@ class TestBox:
         v = RootCoord(3, 2)
         for call in (
             lambda terms: box.term_sum(terms),
-            lambda terms: box.equals_sum(box[v], terms),
             lambda terms: box.sum_at_one(terms),
         ):
             with pytest.raises(ValueError, match="sign must be 1 or -1"):
                 call([(sign, v)])
             with pytest.raises(ValueError, match="sign must be 1 or -1"):
                 call([(1, v), (sign, RootCoord(0, 0))])
+
+    @pytest.mark.parametrize("v", [(-1, 2), (2, -1), (-1, -1), (7, 0), (0, 5), (7, 5)])
+    def test_a_term_outside_the_box_is_refused(self, v):
+        # Up to (6, 4): a negative coordinate must not read a row from its far
+        # end (box[-1, 2] as ℘_q(6, 2)), and one past the top has no row.
+        box = QPartitionBox(G2.positive_roots, 6, 4)
+        term = re.escape(f"{(1, v)}")
+        for call in (
+            lambda: box[v],
+            lambda: box.term_sum([(1, v)]),
+            lambda: box.sum_at_one([(1, v)]),
+            lambda: box.term_sum([(1, RootCoord(6, 4)), (1, v)]),
+            lambda: box.sum_at_one([(-1, RootCoord(0, 0)), (1, v)]),
+        ):
+            with pytest.raises(ValueError, match=f"term {term} lies outside the box up to"
+                                                 r" \(6, 4\)"):
+                call()
+        assert box[6, 4] == qpartition_enumerated(G2.positive_roots, RootCoord(6, 4))
 
     def test_the_term_sum_is_exact_at_the_lane_bound(self):
         # Twenty copies of a1, whose group order the box takes as 40: forty

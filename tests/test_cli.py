@@ -15,10 +15,12 @@ import pytest
 from qkostant import cli, g2_partition, rootsys
 from qkostant.cli import run
 from qkostant.errors import InternalConsistencyError
+from qkostant.g2_multiplicity import qmultiplicity_weyl_sum
 from qkostant.qpoly import QPoly
 from qkostant.rootsys import (
     C2,
     G2,
+    FundCoord,
     RootCoord,
     _point,
     alternation_terms,
@@ -297,6 +299,21 @@ class TestErrors:
         # The P term's count is past INT64_MAX (9223372037000250000 for c2,
         # 9223542489342780625 for g2); only the multiplicity is range-checked.
         assert invoke(capsys, *argv)[:2] == (0, f"{value}\n")
+
+    def test_qmult_prints_coefficients_whose_value_at_one_is_outside_int64(self, capsys):
+        # m(lam, mu) = 23612055571388994445 has 65 bits, but no coefficient of
+        # m_q has more than 47: qmult prints them, while mult and the value at
+        # q = 1 still overflow.
+        pair = ("--lambda", "100000,100000", "--mu", "0,0")
+        code, out, err = invoke(capsys, "qmult", *pair, "--format", "json")
+        assert (code, err) == (0, "")
+        coeffs = json.loads(out)["coeffs"]
+        lam, mu = FundCoord(100000, 100000), FundCoord(0, 0)
+        assert coeffs == list(qmultiplicity_weyl_sum(lam, mu).coeffs)
+        assert (sum(coeffs), max(coeffs).bit_length()) == (23612055571388994445, 47)
+        for argv in (("mult", *pair), ("qmult", *pair, "--at-q", "1")):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (2, "") and "23612055571388994445" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -658,7 +675,7 @@ def _assert_largest_grid(capsys, monkeypatch, command, algebra, top, refused, fi
 def _g2_tuples_with_a_term(deep):
     """The number of tuples of verify --max 6 with an alternation term v for which deep(v)."""
     return sum(
-        any(deep(v) for _, _, v in alternation_terms(G2, lam, mu)[2])
+        any(deep(v) for _, v in alternation_terms(G2, lam, mu)[2])
         for lam, mu, *_ in grid_points(G2, 6)
     )
 
@@ -704,7 +721,7 @@ class TestVerifyOracles:
         _with_record(monkeypatch, "c2", count=c2_count_one_too_high,
                      term_sum=c2_sum_one_too_high)
         expected = sum(
-            sum(sign for _, sign, v in alternation_terms(C2, lam, mu)[2] if sum(v) > 12) != 0
+            sum(sign for sign, v in alternation_terms(C2, lam, mu)[2] if sum(v) > 12) != 0
             for lam, mu, *_ in grid_points(C2, 6)
         )
         assert expected == 46
@@ -754,7 +771,7 @@ class TestVerifyOracles:
         )
         rs = spec.record.rs
         terms = {
-            v for lam, mu, *_ in grid_points(rs, 6) for _, _, v in alternation_terms(rs, lam, mu)[2]
+            v for lam, mu, *_ in grid_points(rs, 6) for _, v in alternation_terms(rs, lam, mu)[2]
         }
         assert set(calls) == terms
         assert set(calls.values()) == {1}

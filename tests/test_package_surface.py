@@ -16,8 +16,9 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # rootsys.decompositions(G2.positive_roots, v) for the g2 witnesses; the
 # sweeps' record, whose term sum is QPartitionBox.term_sum, for the g2 sweep
 # record, its qpartition cache and rootsys.memoized;
-# rootsys.count_sum(ALGEBRA, terms) for tarski_sum; and nothing for
-# ORBIT_CACHE_SIZE, as shifted_orbit keeps no orbit between calls.
+# rootsys.count_sum(ALGEBRA, terms) for tarski_sum; nothing for
+# ORBIT_CACHE_SIZE, as shifted_orbit keeps no orbit between calls; and
+# term_sum compared decoded for QPartitionBox.equals_sum.
 REMOVED = {
     "qkostant.rootsys": (
         "fund_to_root", "root_to_fund", "POSITIVE_ROOTS", "closed_result", "memoized",
@@ -69,6 +70,7 @@ def test_public_removed_and_bench_names():
         assert present == [], module
         assert [n for n in names if hasattr(qkostant, n) or n in qkostant.__all__] == []
     assert not hasattr(QPoly, "is_zero")
+    assert not hasattr(rootsys.QPartitionBox, "equals_sum")
     assert not hasattr(qkostant.qpartition, "cache_info")
     # Only weyl_elements and the orbit order, one entry per record, outlive a call.
     assert not hasattr(rootsys.shifted_orbit, "cache_info")

@@ -361,7 +361,9 @@ ALGEBRAS = [g2_multiplicity.ALGEBRA, sp4.ALGEBRA, B2_ALGEBRA]
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=["g2", "c2", "b2"])
 def test_grid_points_and_cores_are_the_one_pair_routes(alg, box):
     """What table and verify sweep, point by point, against the one-pair routes;
-    the sweeps' record sums ℘_q off the box of every Weyl term of the grid."""
+    the sweeps' record sums ℘_q off the box of every Weyl term of the grid.
+    A result's terms are the (sign, RootCoord) pairs that term_sum and
+    count_sum take, one per letter of the label."""
     record = alg
     if box:
         top1, top2 = doubled(alg.rs, (6, 6))
@@ -375,7 +377,7 @@ def test_grid_points_and_cores_are_the_one_pair_routes(alg, box):
         assert row == [(name, *elem) for (name, _), elem in zip(alg.rs.alternation, orbit)]
         terms = alternation_terms_at(row, mu_shift)
         assert terms == alternation_terms(alg.rs, *pair), pair
-        assert all(type(v) is RootCoord for _, _, v in terms[2])
+        assert all(type(v) is RootCoord for _, v in terms[2])
         weyl = weyl_terms_at(orbit, mu_shift)
         assert weyl == weyl_terms(alg.rs, *pair), pair
         assert all(type(v) is RootCoord for _, v in weyl)
@@ -383,6 +385,10 @@ def test_grid_points_and_cores_are_the_one_pair_routes(alg, box):
         assert result == closed(alg, *pair), pair
         assert (result.case, result.terms) == (case(alg, *pair), tuple(terms[2])), pair
         assert type(result) is type(closed(record, *pair))
+        assert alg.term_sum(result.terms) == result.mq, pair
+        assert count_sum(alg, result.terms) == result.m_at_one, pair
+        label = terms[1]
+        assert len(result.terms) == (0 if label == "ZERO" else len(label)), pair
 
 
 def test_grid_points_of_a_negative_bound_is_empty():
