@@ -36,7 +36,6 @@ from .rootsys import (
     count_sum,
     doubled,
     grid_points,
-    qpartition_enumerated,
     to_fund,
     to_root,
     weyl_terms_at,
@@ -222,12 +221,15 @@ class _Algebra(NamedTuple):
     tuple_checks: tuple[str, ...]  # one mismatch flag each per (lam, mu)
     tuple_mismatches: Callable[..., tuple[bool, ...]]  # (kernel_differs, record, box, *point)
 
-    def pair_mismatches(self, m: int, n: int) -> tuple[bool, bool]:
-        """The kernel at (m, n) against the enumerator, and at q = 1 against the count."""
+    def pair_mismatches(self, box: QPartitionBox, m: int, n: int) -> tuple[bool, bool]:
+        """The kernel at (m, n) against the box, and at q = 1 against the count;
+        a kernel that raises InternalConsistencyError fails both."""
         v = RootCoord(m, n)
-        poly = self.qpartition(v)
-        enumerated = qpartition_enumerated(self.record.rs.positive_roots, v)
-        return poly != enumerated, poly.eval_at_one() != self.count(v)
+        try:
+            poly = self.qpartition(v)
+        except InternalConsistencyError:
+            return True, True
+        return poly != box[v], poly.eval_at_one() != self.count(v)
 
 
 _ALGEBRAS = {
@@ -290,7 +292,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     side = args.max + 1
     checks = []
     for names, cases, points, mismatches in (
-        (spec.pair_checks, side**2, product(range(side), repeat=2), spec.pair_mismatches),
+        (spec.pair_checks, side**2, product(range(side), repeat=2),
+         partial(spec.pair_mismatches, box)),
         (spec.tuple_checks, side**4, grid_points(record.rs, args.max),
          partial(spec.tuple_mismatches, kernel_differs, record, box)),
     ):

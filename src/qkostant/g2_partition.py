@@ -3,21 +3,18 @@
 ``qpartition`` builds the q-analog from the closed form of D·℘_q, D =
 (1-q)(1-q^2)(1-q^3)(1-q^4): at most 30 coefficients per term, each a
 quasi-polynomial in (m, n), and one exact division of their packed int by
-D(2^32), or four prefix sums for coefficients past 31 bits, that divides D
-out in O(N) time. ``qpartition_bruteforce`` counts the decompositions into
+D(2^w), lanes of w bits read off a bound on the coefficients, divides D out
+in O(N) time. ``qpartition_bruteforce`` counts the decompositions into
 positive roots that ``rootsys.decompositions`` enumerates, and ``tarski_g``/
 ``tarski_h``/``partition_tarski`` give Tarski's classical piecewise values
-at q = 1.
-The three agree everywhere; the test suite holds them to that.
+at q = 1. The three agree everywhere; the test suite holds them to that.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import accumulate
 from struct import Struct
-from struct import error as StructError
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError
 from .qpoly import QPoly, checked_int
@@ -97,136 +94,135 @@ _LOW_WIDE = (1, 0, 1)
 _FLAT_WALL = (-1, -1, -2, -1, -1)
 
 
-def _add_wall(marks: list[int], at: int, sign: int, x: int, wall: tuple) -> None:
-    """Add sign times a _quasi wall's weights at x into marks, from index at on."""
-    den, rows = wall
-    xx = x * x
-    for a, b, c in rows[x % len(rows)]:
-        marks[at] += sign * (a * xx + b * x + c) // den
-        at += 1
+def _packed_groups(width: int) -> tuple:
+    """The marker groups of _g2_marks packed at `width` bits per degree: each
+    _quasi wall as (den, a, b, c by residue class), then the fixed groups."""
+    def pack(values: Iterable[int]) -> int:  # Σ values[j]·2^(width·j)
+        return sum(v << width * j for j, v in enumerate(values))
+
+    def wall(den: int, rows: tuple) -> tuple:
+        a, b, _ = zip(*rows[0])
+        return den, pack(a), pack(b), tuple(pack(c for _, _, c in row) for row in rows)
+
+    return (
+        wall(*_N_WALL_M), wall(*_N_WALL_M_MINUS_N), wall(*_N_WALL_3N_MINUS_M),
+        wall(*_M_MINUS_N_WALL_2M_MINUS_3N), wall(*_M_MINUS_N_WALL_N),
+        tuple(map(pack, _LOW_NARROW)), tuple(map(pack, _LOW_MIDDLE)),
+        pack(_LOW_WIDE), pack(_FLAT_WALL),
+    )
 
 
-def _g2_marks(marks: list[int], m: int, n: int, sign: int) -> None:
-    """Add sign times the coefficients of D·℘_q(m, n) at (m, n) >= 0 into marks.
+# The groups at the lane widths of every sum whose coefficients fit int64.
+_PACKED = {width: _packed_groups(width) for width in (32, 64)}
 
-    D = (1-q)(1-q^2)(1-q^3)(1-q^4), and marks must hold at least m + n + 11
-    entries; _g2_sum divides D out again. The coefficient of q^d in
-    ℘_q(m, n) counts the decompositions of (m, n) into d positive roots, a
-    vector partition function of (m, n, d). On each chamber it is a
-    quasi-polynomial (Sturmfels 1995, Brion-Vergne 1997) that D annihilates
-    in d, so D·℘_q is zero except next to the walls that cut the line of
-    fixed (m, n): at most 30 coefficients in at most five groups. Which
-    walls the support [lowest degree, m + n] meets is set by Tarski's five
-    regions of (m, n) (see _partition_tarski), and next to each wall the
-    coefficients are quasi-polynomials of degree at most 2 in one
-    coordinate of (m, n). The +1 at m + n + 10 is the same
+
+def _wall(wall: tuple, x: int) -> int:
+    """A packed wall's weights at x, all lanes in one exact division."""
+    den, a, b, cs = wall
+    return (a * x * x + b * x + cs[x % len(cs)]) // den
+
+
+def _g2_marks(m: int, n: int, sign: int, width: int) -> int:
+    """sign times the coefficients of D·℘_q(m, n) at (m, n) >= 0, packed at
+    `width` bits per degree: Σ sign·c_d·2^(width·d).
+
+    D = (1-q)(1-q^2)(1-q^3)(1-q^4), which _g2_sum divides out again. The
+    coefficient of q^d in ℘_q(m, n) counts the decompositions of (m, n)
+    into d positive roots, a vector partition function of (m, n, d). On
+    each chamber it is a quasi-polynomial (Sturmfels 1995, Brion-Vergne
+    1997) that D annihilates in d, so D·℘_q is zero except next to the
+    walls that cut the line of fixed (m, n): at most 30 coefficients in at
+    most five groups. Which walls the support [lowest degree, m + n] meets
+    is set by Tarski's five regions of (m, n) (see _partition_tarski), and
+    next to each wall the coefficients are quasi-polynomials of degree at
+    most 2 in one coordinate of (m, n). The +1 at m + n + 10 is the same
     in every region. The weights were read off the previous kernel, which
     looped over the copies of 3a1+2a2, by exact interpolation inside each
     region; the tests hold this builder to it on whole grids, on sums and
-    at points that reach every region, wall and residue class.
-
-    The work per term is O(1): one region test and at most 39 additions,
-    into at most 30 coefficients.
+    at points that reach every region, wall and residue class. The Python
+    work per term is O(1): a region test, at most three packed wall
+    evaluations and five shifted groups.
     """
-    marks[m + n + 10] += sign
+    groups = _PACKED.get(width) or _packed_groups(width)
+    n_m, n_m_minus_n, n_3n_minus_m, mn_2m_minus_3n, mn_n, narrow, middle, wide, flat = groups
     if m <= n:  # m <= n
-        low, at = _LOW_NARROW[m % 3], n - m // 3
-        _add_wall(marks, n + 1, sign, m, _N_WALL_M)
+        low, at = narrow[m % 3], n - m // 3
+        marks = _wall(n_m, m) << (n + 1) * width
     else:
-        for i, w in enumerate(_FLAT_WALL, m + 5):
-            marks[i] += sign * w
+        marks = flat << (m + 5) * width
         if m <= 2 * n:
             if 2 * m <= 3 * n:  # n <= m <= 3n/2
-                low, at = _LOW_NARROW[m % 3], n - m // 3
-                for i, w in enumerate(_FLAT_WALL, 2 * n - m + 1):
-                    marks[i] += sign * w
+                low, at = narrow[m % 3], n - m // 3
+                marks += flat << (2 * n - m + 1) * width
             else:  # 3n/2 <= m <= 2n
-                low, at = _LOW_MIDDLE[m % 3], -(-m // 3)
-                _add_wall(marks, m - n + 1, sign, 2 * m - 3 * n, _M_MINUS_N_WALL_2M_MINUS_3N)
-            _add_wall(marks, n + 1, sign, m, _N_WALL_M)
-            _add_wall(marks, n + 1, sign, m - n, _N_WALL_M_MINUS_N)
+                low, at = middle[m % 3], -(-m // 3)
+                marks += _wall(mn_2m_minus_3n, 2 * m - 3 * n) << (m - n + 1) * width
+            marks += (_wall(n_m, m) + _wall(n_m_minus_n, m - n)) << (n + 1) * width
         else:
-            _add_wall(marks, m - n + 1, sign, n, _M_MINUS_N_WALL_N)
+            marks += _wall(mn_n, n) << (m - n + 1) * width
             if m <= 3 * n:  # 2n <= m <= 3n
-                low, at = _LOW_MIDDLE[m % 3], -(-m // 3)
-                _add_wall(marks, n + 1, sign, 3 * n - m, _N_WALL_3N_MINUS_M)
+                low, at = middle[m % 3], -(-m // 3)
+                marks += _wall(n_3n_minus_m, 3 * n - m) << (n + 1) * width
             else:  # 3n <= m
-                low, at = _LOW_WIDE, m - 2 * n
-    for w in low:
-        marks[at] += sign * w
-        at += 1
+                low, at = wide, m - 2 * n
+    return sign * (marks + (low << at * width) + (1 << (m + n + 10) * width))
 
 
-# D = (1-q)(1-q^2)(1-q^3)(1-q^4) at q = 2^32, the lane width of _g2_sum's packing.
-_D_PACKED = (1 - (1 << 32)) * (1 - (1 << 64)) * (1 - (1 << 96)) * (1 - (1 << 128))
+def _lane_width(bound: int) -> int:
+    """_g2_sum's lanes for coefficients within ±bound: 32 or 64k bits, with a sign bit to spare."""
+    return 32 if bound >> 31 == 0 else 64 * (bound.bit_length() // 64 + 1)
 
 
 def _g2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
     """The sum of sign * qpartition((m, n)) over (sign, (m, n)) pairs with m, n >= 0.
 
-    Every term adds its markers of D·℘_q (see _g2_marks) into one list, and
-    D is divided out once for the whole sum. A degree too large for a list
-    raises ValueError before anything is built.
-
-    B = Σ C(min(n, m//2) + 3, 3) over the terms bounds every coefficient of
-    the sum: a decomposition of (m, n) into d roots is fixed by d and by its
-    numbers of 2a1+a2, 3a1+a2 and 3a1+2a2, which add up to at most
-    min(n, m//2), so a term counts at most C(min(n, m//2) + 3, 3) of them
-    in any degree. When B < 2^31 and every marker fits a signed 32-bit
-    lane, the markers are packed as one int, M = Σ marks_i·2^(32i)
-    (Kronecker substitution q -> 2^32: with U the unsigned int of their
-    little-endian int32 bytes and E the int with 2^31 in each lane,
-    M = (U ^ E) - E). The list holds every marker, the +1 at m + n + 10 of
-    each term too, so M = D(2^32)·S for S = Σ s_i·2^(32i), the sum packed
-    the same way, and one exact division by D(2^32) yields S. Every
-    |s_i| <= B < 2^31, so each lane of S + E lies in [0, 2^32), none
-    carries, and the int32 lanes of (S + E) ^ E are the s_i; they fit
-    int64, so the result needs no range check. A remainder means the
-    markers of some term are not a multiple of D, a fault of _g2_marks, and
-    raises InternalConsistencyError.
-
-    Past that bound the stride-4, -3, -2 and -1 prefix sums divide D out up
-    to the largest degree m + n, and QPoly range-checks the result.
+    The terms' packed markers of D·℘_q (see _g2_marks) are added and D is
+    divided out once; a degree too large for a coefficient list raises
+    ValueError first. B = Σ C(min(n, m//2) + 3, 3) over the terms bounds
+    every coefficient of the sum: a decomposition of (m, n) into d roots is
+    fixed by d and by its numbers of 2a1+a2, 3a1+a2 and 3a1+2a2, which add
+    up to at most min(n, m//2). The lanes are w = _lane_width(B) bits wide.
+    Packing is Kronecker substitution q -> 2^w: the markers add up to
+    D(2^w)·S for S = Σ s_i·2^(w·i), and one exact division yields S; a
+    remainder means markers that D does not divide, a fault of _g2_marks,
+    and raises InternalConsistencyError. With E the int with 2^(w-1) in
+    each of the degree + 1 lanes, every lane of S + E lies in [0, 2^w) as
+    B < 2^(w-1), none carries, and the signed lanes of (S + E) ^ E are the
+    s_i. At 32 and 64 bits they fit int64 unchecked; wider lanes go through
+    QPoly's range check.
     """
     if not terms:
         return QPoly()
     degree = max(m + n for _, (m, n) in terms)
-    size = degree + 11
-    if size > sys.maxsize:
+    if degree + 11 > sys.maxsize:
         raise ValueError(f"degree {degree} is too large for a coefficient list")
-    marks = [0] * size
     bound = 0
-    for sign, (m, n) in terms:
-        _g2_marks(marks, m, n, sign)
+    for _, (m, n) in terms:
         k = (n if 2 * n <= m else m >> 1) + 3  # min() is a slower call here
         bound += k * (k - 1) * (k - 2) // 6
-    if bound >> 31 == 0:
-        try:
-            packed = Struct(f"<{size}i").pack(*marks)
-        except StructError:  # a marker past 32 bits
-            pass
-        else:
-            ones = int.from_bytes(b"\0\0\0\x80" * size, "little")  # E
-            total, rem = divmod((int.from_bytes(packed, "little") ^ ones) - ones, _D_PACKED)
-            if rem:
-                raise InternalConsistencyError(
-                    f"the markers of a g2 sum up to degree {degree} are not a multiple of D"
-                )
-            ones >>= 320  # E in degree + 1 lanes
-            packed = ((total + ones) ^ ones).to_bytes(4 * degree + 4, "little")
-            return QPoly._from_checked(Struct(f"<{degree + 1}i").unpack(packed))
-    del marks[degree + 1 :]  # prefix sums never look ahead
-    for stride in (4, 3, 2):
-        for r in range(stride):
-            marks[r::stride] = accumulate(marks[r::stride])
-    return QPoly(accumulate(marks))
+    width = _lane_width(bound)
+    packed = 0
+    for sign, (m, n) in terms:
+        packed += _g2_marks(m, n, sign, width)
+    q = 1 << width
+    packed, rem = divmod(packed, (1 - q) * (1 - q**2) * (1 - q**3) * (1 - q**4))
+    if rem:
+        raise InternalConsistencyError(f"g2 markers up to degree {degree} are not a multiple of D")
+    size = width >> 3  # bytes per lane
+    ones = int.from_bytes((bytes(size - 1) + b"\x80") * (degree + 1), "little")  # E
+    lanes = ((packed + ones) ^ ones).to_bytes(size * (degree + 1), "little")
+    if width <= 64:
+        lane = "i" if width == 32 else "q"
+        return QPoly._from_checked(Struct(f"<{degree + 1}{lane}").unpack(lanes))
+    return QPoly(int.from_bytes(lanes[i : i + size], "little", signed=True)
+                 for i in range(0, len(lanes), size))
 
 
 def qpartition(v: RootCoord) -> QPoly:
     """q-analog of Kostant's partition function for g2, closed form.
 
     The one-term _g2_sum: O(1) Python work and O(N) C-level work (one packed
-    division, or prefix sums past 31 bits) for N = m + n.
+    division) for N = m + n.
     """
     m, n = _as_root(v)
     if m < 0 or n < 0:

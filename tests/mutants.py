@@ -24,9 +24,9 @@ def closed_form_without_edge_region(m: int, n: int) -> int:
     return _closed_form(m, n)
 
 
-def g2_marks_ignoring_sign(marks: list[int], m: int, n: int, sign: int) -> None:
+def g2_marks_ignoring_sign(m: int, n: int, sign: int, width: int) -> int:
     """g2's marker builder with every term added as if its sign were +1."""
-    _g2_marks(marks, m, n, 1)
+    return _g2_marks(m, n, 1, width)
 
 
 def _reshaping_deep_terms(shift):
@@ -64,22 +64,38 @@ g2_sum_moving_the_top_unit = _reshaping_deep_terms(_move_the_top_unit_down)
 g2_sum_with_a_dip = _reshaping_deep_terms(_dip_in_the_middle)
 
 
+def _lanes(packed: int, width: int, count: int) -> list[int]:
+    """The first `count` signed lanes of a packed int, each within 2^(width-1)."""
+    size = width >> 3
+    ones = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    data = (packed + ones).to_bytes(size * count, "little")
+    return [int.from_bytes(data[i : i + size], "little") - (1 << width - 1)
+            for i in range(0, len(data), size)]
+
+
+def _packed(lanes: list[int], width: int) -> int:
+    """The lanes packed again, the inverse of _lanes."""
+    size = width >> 3
+    ones = int.from_bytes((bytes(size - 1) + b"\x80") * len(lanes), "little")
+    half = 1 << width - 1
+    return int.from_bytes(b"".join((v + half).to_bytes(size, "little") for v in lanes),
+                          "little") - ones
+
+
 def g2_marks_moving(wall: str, by: int | None):
     """g2's marker builder with the group at one wall moved by `by` degrees,
     or dropped for None. g2_marker_groups says where each group sits."""
 
-    def mutant(marks: list[int], m: int, n: int, sign: int) -> None:
-        own = [0] * (m + n + 12)
-        _g2_marks(own, m, n, sign)
-        for name, at, width in g2_marker_groups(m, n):
+    def mutant(m: int, n: int, sign: int, width: int) -> int:
+        own = _lanes(_g2_marks(m, n, sign, width), width, m + n + 12)
+        for name, at, size in g2_marker_groups(m, n):
             if name == wall:
-                group = own[at : at + width]
-                own[at : at + width] = [0] * width
+                group = own[at : at + size]
+                own[at : at + size] = [0] * size
                 if by is not None:
                     at += by
-                    own[at : at + width] = map(add, own[at : at + width], group)
-        stop = min(len(own), len(marks))
-        marks[:stop] = map(add, marks[:stop], own[:stop])
+                    own[at : at + size] = map(add, own[at : at + size], group)
+        return _packed(own, width)
 
     return mutant
 
@@ -87,13 +103,12 @@ def g2_marks_moving(wall: str, by: int | None):
 def g2_marks_adding_d(scale: int):
     """g2's marker builder that also adds sign * scale * D from degree 0 on,
     D = (1-q)(1-q^2)(1-q^3)(1-q^4): every term's polynomial gains
-    sign * scale in its constant coefficient, and with |scale| >= 2^31 its
-    markers leave int32."""
+    sign * scale in its constant coefficient. With |scale| past the lanes
+    the quotient's lanes carry into one another."""
 
-    def mutant(marks: list[int], m: int, n: int, sign: int) -> None:
-        _g2_marks(marks, m, n, sign)
-        for i, d in enumerate((1, -1, -1, 0, 0, 2, 0, 0, -1, -1, 1)):
-            marks[i] += sign * scale * d
+    def mutant(m: int, n: int, sign: int, width: int) -> int:
+        d = _packed([1, -1, -1, 0, 0, 2, 0, 0, -1, -1, 1], width)
+        return _g2_marks(m, n, sign, width) + sign * scale * d
 
     return mutant
 

@@ -1,7 +1,7 @@
 """Direct, unoptimised forms of the package's sums, kept as second oracles.
 
 ``qpartition`` and ``qpartition_c2`` in the package evaluate the q-partition
-sums with O(1) Python work per term and O(N) prefix sums, with no loop
+sums with O(1) Python work per term and O(N) C-level work, with no loop
 over the copies of any root. The loops below walk the sums term by term
 instead: O(N^3) for g2 and O(N^2) for sp4, still far cheaper than
 enumerating decompositions, so they can check the kernels at points where
@@ -18,13 +18,13 @@ the closed-form markers of D·℘_q replaced, kept verbatim: its builder
 alone, where the new builder's marker groups sit and which case of its
 closed form each reaches.
 
-The package's Weyl sums cache the shifted orbit of lambda and skip the
-terms that are zero. The unpruned sums below evaluate every term of the
+The package's Weyl sums build the shifted orbit of lambda once per call
+and skip the terms that are zero. The unpruned sums below evaluate every term of the
 alternating sum as written: all 12 ``sigma_shift`` terms for g2 and all 8
 matrix terms for sp4, dropping only those off the root lattice.
 
 The package reads the case integers of both algebras off the alternation
-terms of the cached Weyl orbit, and their case labels off the terms whose
+terms of the shifted Weyl orbit, and their case labels off the terms whose
 shifted weight lies on the positive cone. ``compute_case_c2_affine`` is the
 hand-written sp4 affine form, labels included, that this replaced, and
 ``case_label_g2_tree`` the g2 decision tree over the signs of a..f; both

@@ -57,8 +57,11 @@ CASE_JSON_GRID4_SHA256 = {
     "c2": "b4b737dc9171b401ab54ac6a41ec918d38c7373863700d5be7ebff83c0447c9e",
 }
 # SHA-256 of the stdout of deep g2 queries, recorded before the marker
-# builder's loop over i was replaced; each output also equals the O(N^2)
-# qpartition_double_loop reference.
+# builder's loop over i was replaced (the first four) and before every sum
+# was divided in lanes of a width read off its bound (the last); each output
+# also equals the O(N^2) qpartition_double_loop reference. The first three
+# sums take 32-bit lanes, and the last two, whose coefficients need more
+# than 31 bits, 64-bit lanes: one term, and five terms.
 DEEP_G2_SHA256 = {
     ("qmult", "--lambda", "600,600", "--mu", "100,50"):
         "768fb8ea4c7003484a14d9c07af1f3b5e1587a824b086e9b2f028f8386acb5d5",
@@ -66,10 +69,10 @@ DEEP_G2_SHA256 = {
         "b151c38dd4616c64bf07e4f70f9c086035a6659a0c10178efc151f2fcd2a63cd",
     ("qpartition", "3000,2000"):
         "d4391de5d8d932c4e49b7e7780ef9b67878308043b3fdf53ae0d75a3e4f4e907",
-    # Recorded before the packed division by D: its coefficients need more
-    # than 31 bits, so it still runs the prefix sums.
     ("qpartition", "10000,10000"):
         "fa0f3df58ddd56a737a13ffbabfd9e20be3ee5de0ad77626b4ebed2c05526079",
+    ("qmult", "--lambda", "1000,1000", "--mu", "100,50"):
+        "e03b2d45984ecc403a71210709ee368f3cdfd37aa34e644ad337d4db22234ee0",
 }
 # SHA-256 of the stdout of deep sp4 queries, recorded before the walk wrote
 # its pieces from one list of their values.
@@ -265,11 +268,12 @@ class TestErrors:
         "argv", [("qpartition", "3,2"), ("qmult", "--lambda", "1,1", "--mu", "0,0")]
     )
     def test_g2_coefficient_outside_int64_exits_two(self, capsys, monkeypatch, argv):
-        # Real g2 coefficients leave int64 only at degrees in the millions; a
-        # marker builder that adds 2^70 * D makes one at (3, 2). Its markers
-        # leave int32 under the packed division's bound, so the prefix sums
-        # run, and QPoly's range check refuses the result.
+        # Real g2 coefficients leave int64 only at degrees in the millions,
+        # where the lanes are wider than 64 bits; a marker builder that adds
+        # 2^70 * D makes one at (3, 2). With its lanes forced to 128 bits, as
+        # at those degrees, QPoly's range check refuses the result.
         monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_adding_d(1 << 70))
+        monkeypatch.setattr(g2_partition, "_lane_width", lambda bound: 128)
         code, out, err = invoke(capsys, *argv)
         assert (code, out) == (2, "") and "overflow" in err
 
@@ -779,14 +783,30 @@ class TestVerifyOracles:
     def test_c2_verify_makes_no_term_sum_call(self, capsys, monkeypatch):
         # Its tuple checks run at q = 1, the count route against the box, so
         # neither the kernel nor the box's term sum, which the sweep record
-        # calls, may run.
+        # calls, may run. The pair checks read box entries, which keep the
+        # box's own one-term sum.
         def term_sum(*args):
             raise AssertionError("term_sum ran")
 
+        entry = rootsys.QPartitionBox.term_sum
         _with_record(monkeypatch, "c2", term_sum=term_sum)
+        monkeypatch.setattr(rootsys.QPartitionBox, "__getitem__",
+                            lambda box, v: entry(box, [(1, v)]))
         monkeypatch.setattr(rootsys.QPartitionBox, "term_sum", term_sum)
         assert invoke(capsys, "verify", "--algebra", "c2", "--max", "6") == (
             0, VERIFY_MAX6_STDOUT["c2"], "",
+        )
+
+    @pytest.mark.parametrize("algebra", ["g2", "c2"])
+    def test_the_pair_checks_read_the_box_not_the_enumerator(self, capsys, monkeypatch,
+                                                             algebra):
+        # The command's box covers [0,N]^2, so no decomposition is enumerated.
+        def decompositions(*args):
+            raise AssertionError("the enumerator ran")
+
+        monkeypatch.setattr(rootsys, "decompositions", decompositions)
+        assert invoke(capsys, "verify", "--algebra", algebra, "--max", "6") == (
+            0, VERIFY_MAX6_STDOUT[algebra], "",
         )
 
 
@@ -815,6 +835,22 @@ class TestBrokenRoutes:
 
         monkeypatch.setattr(cli, "closed_at", broken)
         assert _mismatch_counts(capsys, "g2") == (1, _g2_counts(1, 1, 1))
+
+    @pytest.mark.parametrize("algebra,kernel", [("g2", "qpartition"), ("c2", "qpartition_c2")])
+    def test_a_raising_kernel_counts_in_both_pair_checks(self, capsys, monkeypatch,
+                                                         algebra, kernel):
+        real = getattr(cli, kernel)
+
+        def broken(v):
+            if tuple(v) == (2, 1):
+                raise InternalConsistencyError("not a multiple of D")
+            return real(v)
+
+        monkeypatch.setattr(cli, kernel, broken)
+        code, counts = _mismatch_counts(capsys, algebra)
+        assert code == 1
+        pairs = cli._ALGEBRAS[algebra].pair_checks
+        assert counts == {name: int(name in pairs) for name in counts}
 
     @pytest.mark.parametrize(
         "algebra,lam,mu,counts",

