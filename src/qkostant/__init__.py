@@ -1,5 +1,5 @@
 """Exact Kostant partition functions, q-analogs, and weight multiplicities
-for the Lie algebras g2 and sp4, with built-in brute-force and Weyl-sum
+for the Lie algebras g2 and sp4, with built-in definitional and Weyl-sum
 oracles for every closed formula."""
 
 from .errors import CoefficientOverflowError, InternalConsistencyError

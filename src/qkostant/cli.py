@@ -223,13 +223,17 @@ class _Algebra(NamedTuple):
 
     def pair_mismatches(self, box: QPartitionBox, m: int, n: int) -> tuple[bool, bool]:
         """The kernel at (m, n) against the box, and at q = 1 against the count;
-        a kernel that raises InternalConsistencyError fails both."""
+        a kernel that raises InternalConsistencyError fails both, a count that
+        raises it the second."""
         v = RootCoord(m, n)
         try:
             poly = self.qpartition(v)
         except InternalConsistencyError:
             return True, True
-        return poly != box[v], poly.eval_at_one() != self.count(v)
+        try:
+            return poly != box[v], poly.eval_at_one() != self.count(v)
+        except InternalConsistencyError:
+            return poly != box[v], True
 
 
 _ALGEBRAS = {

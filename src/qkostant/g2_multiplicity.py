@@ -5,9 +5,9 @@ those of the Weyl alternation set 1, s1, s2, s2s1, s1s2; a term is
 combined exactly when its shifted weight lies on the positive cone
 (rootsys.alternation_terms). The oracle route runs the full 12-term
 alternating Weyl sum. Both are the shared rootsys routes fed ALGEBRA, whose
-term sum _g2_sum fuses a query's terms into one marker chain; the table and
-verify sweeps feed rootsys.closed_at a copy of ALGEBRA whose term sum reads
-℘_q off the command's QPartitionBox instead. Both recover the classical
+term sum _g2_sum adds a query's packed markers of D·℘_q, divided by D once;
+the sweeps feed rootsys.closed_at a copy of ALGEBRA whose term sum reads ℘_q
+off the command's QPartitionBox instead. Both recover the classical
 multiplicity at q = 1, and rootsys.count_sum gives it from Tarski's counts.
 """
 

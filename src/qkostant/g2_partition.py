@@ -1,13 +1,13 @@
-"""Kostant's partition function for g2 and its q-analog, three ways.
+"""Kostant's partition function for g2 and its q-analog.
 
 ``qpartition`` builds the q-analog from the closed form of D·℘_q, D =
 (1-q)(1-q^2)(1-q^3)(1-q^4): at most 30 coefficients per term, each a
 quasi-polynomial in (m, n), and one exact division of their packed int by
 D(2^w), lanes of w bits read off a bound on the coefficients, divides D out
-in O(N) time. ``qpartition_bruteforce`` counts the decompositions into
-positive roots that ``rootsys.decompositions`` enumerates, and ``tarski_g``/
-``tarski_h``/``partition_tarski`` give Tarski's classical piecewise values
-at q = 1. The three agree everywhere; the test suite holds them to that.
+in O(N) time. ``qpartition_bruteforce`` reads ℘_q off its definition, the
+box of ``rootsys.qpartition_defined``, and ``tarski_g``/``tarski_h``/
+``partition_tarski`` give Tarski's classical piecewise values at q = 1. The
+three agree everywhere; the test suite holds them to that.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from typing import Iterable, Sequence
 
 from .errors import InternalConsistencyError
 from .qpoly import QPoly, checked_int
-from .rootsys import G2, RootCoord, _as_root, qpartition_enumerated
+from .rootsys import G2, RootCoord, _as_root, qpartition_defined
 
 
 def qpartition_bruteforce(v: RootCoord) -> QPoly:
-    """Definitional q-analog: one q^(number of roots) per decomposition."""
-    return qpartition_enumerated(G2.positive_roots, v)
+    """Definitional q-analog, read off the box up to v (rootsys.qpartition_defined)."""
+    return qpartition_defined(G2.positive_roots, v)
 
 
 # The markers of D·℘_q(m, n) for D = (1-q)(1-q^2)(1-q^3)(1-q^4), see _g2_marks.

@@ -3,8 +3,8 @@
 All weights live in the simple-root basis: c1*a1 + c2*a2 is the pair
 (c1, c2), and a group element acts as a 2x2 integer matrix on such pairs.
 A :class:`RootSystem` record holds the data that tells g2 and sp4 apart.
-The Weyl group, the brute-force partition enumerator, the box of
-q-partitions filled from their definition, the coordinate conversions, the
+The Weyl group, the box of q-partitions filled from their definition (and
+qpartition_defined, one entry of it), the coordinate conversions, the
 nonzero Weyl-sum terms and the alternation-set terms that the closed
 formulas read are written once against it. An
 :class:`Algebra` record adds the algebra's partition kernel, case builder
@@ -257,40 +257,6 @@ def weyl_group() -> tuple[WeylElement, ...]:
     return weyl_elements(G2)
 
 
-def _decompose(roots, m: int, n: int, counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    if not roots:
-        yield (m, n, *counts)
-        return
-    (a, b), rest = roots[0], roots[1:]
-    for k in range(min(m // a, n // b) + 1):
-        yield from _decompose(rest, m - k * a, n - k * b, (k, *counts))
-
-
-def decompositions(roots: tuple[RootCoord, ...], v: RootCoord) -> Iterator[tuple[int, ...]]:
-    """Yield the count of each root in every decomposition of v into roots.
-
-    ``roots`` starts with the simple roots a1, a2, and the counts come in
-    the same order. Loops run over the non-simple roots highest first; the
-    simple-root counts are then forced by the target coordinates. The loop
-    bounds keep every remainder nonnegative, so each tuple yielded is a
-    genuine decomposition.
-    """
-    m, n = _as_root(v)
-    if m >= 0 and n >= 0:
-        yield from _decompose(roots[:1:-1], m, n, ())
-
-
-def qpartition_enumerated(roots: tuple[RootCoord, ...], v: RootCoord) -> QPoly:
-    """Definitional q-analog: one q^(number of roots) per decomposition."""
-    m, n = _as_root(v)
-    if m < 0 or n < 0:
-        return QPoly()
-    counts = [0] * (m + n + 1)
-    for witness in decompositions(roots, v):
-        counts[sum(witness)] += 1
-    return QPoly(counts)
-
-
 # The most bytes of 64-bit lanes a QPartitionBox may hold: 8 * sum(c1 + c2 + 1)
 # over the box, about 0.6 MB for a g2 sweep of --max 10 and 248 MB for --max 80.
 BOX_BYTE_BUDGET = 1 << 28
@@ -402,6 +368,19 @@ class QPartitionBox:
         """Σ sign·℘(v) at q = 1 over (sign, (c1, c2)) terms inside the box, each
         sign 1 or -1; only the total is range-checked. Other terms raise ValueError."""
         return checked_int(self._signed(terms, self._counts))
+
+
+def qpartition_defined(roots, v: tuple[int, int]) -> QPoly:
+    """℘_q(v) by its definition: the entry at v of the box up to v over roots.
+
+    A v off the positive cone gives the zero polynomial. A v that is not a
+    pair of integers, and one whose box passes BOX_BYTE_BUDGET (near (400,
+    240) for g2), raise ValueError, the latter before anything is allocated.
+    """
+    c1, c2 = _as_root(v)
+    if c1 < 0 or c2 < 0:
+        return QPoly()
+    return QPartitionBox(roots, c1, c2)[c1, c2]
 
 
 @cache

@@ -30,7 +30,7 @@ from .rootsys import (
     alternation_terms,
     count_sum,
     doubled,
-    qpartition_enumerated,
+    qpartition_defined,
     weyl_elements,
     weyl_sum,
 )
@@ -153,8 +153,8 @@ def qpartition_c2(v: RootCoord) -> QPoly:
 
 
 def qpartition_c2_bruteforce(v: RootCoord) -> QPoly:
-    """Definitional oracle: enumerate decompositions into the four roots."""
-    return qpartition_enumerated(C2.positive_roots, v)
+    """Definitional q-analog, read off the box up to v (rootsys.qpartition_defined)."""
+    return qpartition_defined(C2.positive_roots, v)
 
 
 def _closed_form(m: int, n: int) -> int:

@@ -30,20 +30,23 @@ hand-written sp4 affine form, labels included, that this replaced, and
 ``case_label_g2_tree`` the g2 decision tree over the signs of a..f; both
 are kept verbatim.
 
-The package enumerates decompositions with one recursive walk over any
-list of positive roots. The hand-written g2 and sp4 loop nests it replaced
-are kept below, so the walk can be held to them witness for witness.
+``decompositions`` enumerates decompositions with one recursive walk over
+any list of positive roots, and ``qpartition_enumerated`` counts them by
+size: the definitional q-analog, kept here, apart from the package, as the
+oracle that its box of q-partitions is held to. The hand-written g2 and sp4
+loop nests the walk replaced are kept below, so it can be held to them
+witness for witness.
 """
 
 import sys
 from itertools import accumulate, repeat
 from math import comb
 from operator import add, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
-from qkostant.rootsys import RootCoord, weyl_group
+from qkostant.rootsys import RootCoord, _as_root, weyl_group
 from qkostant.sp4 import Sp4CaseData, fundamental_weights_c2, qpartition_c2, weyl_group_c2
 
 from shift_forms import sigma_shift
@@ -397,6 +400,40 @@ def multiplicity_c2_weyl_sum_unpruned(lam, mu) -> QPoly:
             continue
         terms.append(((-1) ** length, qpartition_c2(RootCoord(u // 2, v // 2))))
     return QPoly.signed_sum(terms)
+
+
+def _decompose(roots, m: int, n: int, counts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    if not roots:
+        yield (m, n, *counts)
+        return
+    (a, b), rest = roots[0], roots[1:]
+    for k in range(min(m // a, n // b) + 1):
+        yield from _decompose(rest, m - k * a, n - k * b, (k, *counts))
+
+
+def decompositions(roots: tuple[RootCoord, ...], v: RootCoord) -> Iterator[tuple[int, ...]]:
+    """Yield the count of each root in every decomposition of v into roots.
+
+    ``roots`` starts with the simple roots a1, a2, and the counts come in
+    the same order. Loops run over the non-simple roots highest first; the
+    simple-root counts are then forced by the target coordinates. The loop
+    bounds keep every remainder nonnegative, so each tuple yielded is a
+    genuine decomposition.
+    """
+    m, n = _as_root(v)
+    if m >= 0 and n >= 0:
+        yield from _decompose(roots[:1:-1], m, n, ())
+
+
+def qpartition_enumerated(roots: tuple[RootCoord, ...], v: RootCoord) -> QPoly:
+    """Definitional q-analog: one q^(number of roots) per decomposition."""
+    m, n = _as_root(v)
+    if m < 0 or n < 0:
+        return QPoly()
+    counts = [0] * (m + n + 1)
+    for witness in decompositions(roots, v):
+        counts[sum(witness)] += 1
+    return QPoly(counts)
 
 
 def partition_witnesses_nested(v):

@@ -11,11 +11,14 @@ that loses the sign of a term agrees with the box on every one-term kernel
 call, so only the fused routes see it. The box's term sum, which table and
 verify feed closed_at, is held to QPoly.signed_sum of its entries. The box's
 refusals (past its byte budget, a count too large for its lanes, a sign
-other than 1 or -1, or a term outside it) and the exactness of its packed
-sums at the edges of the 64-bit range are tested here too.
+other than 1 or -1, or a term outside it), the refusal of the definitional
+routes qpartition_bruteforce and qpartition_c2_bruteforce past that budget,
+and the exactness of its packed sums at the edges of the 64-bit range are
+tested here too. The box is held to the test-side enumerator.
 """
 
 import re
+import tracemalloc
 from itertools import product
 from math import comb
 from random import Random
@@ -36,12 +39,12 @@ from qkostant.rootsys import (
     RootCoord,
     closed,
     doubled,
-    qpartition_enumerated,
     weyl_terms,
 )
 from qkostant.sp4 import partition_c2_closed, qpartition_c2
 
 from mutants import c2_events_ignoring_sign, g2_marks_ignoring_sign
+from reference_kernels import qpartition_enumerated
 
 ALGEBRAS = {"g2": g2_multiplicity.ALGEBRA, "c2": sp4.ALGEBRA}
 
@@ -86,7 +89,18 @@ class TestBox:
     def test_small_box_matches_the_enumerator(self):
         box = QPartitionBox(G2.positive_roots, 12, 12)
         for m, n in product(range(13), repeat=2):
-            assert box[m, n] == g2_partition.qpartition_bruteforce(RootCoord(m, n)), (m, n)
+            assert box[m, n] == qpartition_enumerated(G2.positive_roots, RootCoord(m, n)), (m, n)
+
+    @pytest.mark.parametrize(
+        "rs,route,top",
+        [(G2, g2_partition.qpartition_bruteforce, 30), (C2, sp4.qpartition_c2_bruteforce, 40)],
+        ids=["g2", "c2"],
+    )
+    def test_the_definitional_routes_match_the_enumerator(self, rs, route, top):
+        # The grids of test_criterion_04, which holds the kernels to these routes.
+        for m, n in product(range(top + 1), repeat=2):
+            v = RootCoord(m, n)
+            assert route(v) == qpartition_enumerated(rs.positive_roots, v), (m, n)
 
     def test_a_count_past_a_lane_is_refused(self):
         # Forty copies of a1: the count at (40, 0) is C(79, 39) > 2^64.
@@ -116,6 +130,39 @@ class TestBox:
         with pytest.raises(AssertionError, match="was filled"):
             QPartitionBox(G2.positive_roots, 400, 240)
         assert BOX_BYTE_BUDGET == 1 << 28
+
+    @pytest.mark.parametrize(
+        "route,fits,refused",
+        [
+            (g2_partition.qpartition_bruteforce, (410, 246), (415, 249)),
+            (sp4.qpartition_c2_bruteforce, (321, 321), (322, 322)),
+        ],
+        ids=["g2", "c2"],
+    )
+    def test_the_definitional_routes_refuse_a_weight_past_the_budget_at_once(
+        self, monkeypatch, route, fits, refused
+    ):
+        # Each route reads its entry off the box up to the weight itself: the
+        # boxes of verify --max 82 and 83 for g2, and of c2 weights (321, 321)
+        # and (322, 322), lie on either side of the budget.
+        for v in (refused, (10**10, 10**10)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="more than the budget"):
+                    route(RootCoord(*v))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+
+        def no_fill(*args):
+            raise AssertionError("the box was filled")
+
+        monkeypatch.setattr(QPartitionBox, "_fill", staticmethod(no_fill))
+        with pytest.raises(AssertionError, match="was filled"):
+            route(RootCoord(*fits))
+        # Off the positive cone no box is built at all.
+        assert route(RootCoord(-1, 5)) == route(RootCoord(5, -1)) == QPoly()
 
     def test_a_negative_bound_is_refused(self):
         with pytest.raises(ValueError, match="nonnegative bounds"):

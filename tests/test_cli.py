@@ -797,18 +797,6 @@ class TestVerifyOracles:
             0, VERIFY_MAX6_STDOUT["c2"], "",
         )
 
-    @pytest.mark.parametrize("algebra", ["g2", "c2"])
-    def test_the_pair_checks_read_the_box_not_the_enumerator(self, capsys, monkeypatch,
-                                                             algebra):
-        # The command's box covers [0,N]^2, so no decomposition is enumerated.
-        def decompositions(*args):
-            raise AssertionError("the enumerator ran")
-
-        monkeypatch.setattr(rootsys, "decompositions", decompositions)
-        assert invoke(capsys, "verify", "--algebra", algebra, "--max", "6") == (
-            0, VERIFY_MAX6_STDOUT[algebra], "",
-        )
-
 
 class TestBrokenRoutes:
     """A route that raises InternalConsistencyError at a tuple counts one
@@ -851,6 +839,24 @@ class TestBrokenRoutes:
         assert code == 1
         pairs = cli._ALGEBRAS[algebra].pair_checks
         assert counts == {name: int(name in pairs) for name in counts}
+
+    @pytest.mark.parametrize(
+        "algebra,count", [("g2", "partition_tarski"), ("c2", "partition_c2_closed")]
+    )
+    def test_a_raising_pair_count_counts_in_the_pair_count_check(self, capsys, monkeypatch,
+                                                                 algebra, count):
+        real = getattr(cli, count)
+
+        def broken(v):
+            if tuple(v) == (2, 1):
+                raise InternalConsistencyError("negative count")
+            return real(v)
+
+        monkeypatch.setattr(cli, count, broken)
+        code, counts = _mismatch_counts(capsys, algebra)
+        assert code == 1
+        count_check = cli._ALGEBRAS[algebra].pair_checks[1]
+        assert counts == {name: int(name == count_check) for name in counts}
 
     @pytest.mark.parametrize(
         "algebra,lam,mu,counts",

@@ -1,6 +1,6 @@
-"""Partition-function tests. The brute-force enumerator is the ground
-truth here: its frozen outputs pin the closed forms, and grid scans hold
-the three evaluation routes together."""
+"""Partition-function tests. The definition is the ground truth here: the
+test-side enumerator's frozen outputs pin the definitional box and the
+closed forms, and grid scans hold the three evaluation routes together."""
 
 from itertools import product
 
@@ -16,7 +16,9 @@ from qkostant.g2_partition import (
     tarski_g,
     tarski_h,
 )
-from qkostant.rootsys import G2, RootCoord, decompositions
+from qkostant.rootsys import G2, RootCoord
+
+from reference_kernels import decompositions
 
 # Values computed by the enumerator and frozen; (7,4) is the cross-check
 # point between the enumerator and the quadruple sum.

@@ -15,7 +15,7 @@ from qkostant.g2_partition import (
     tarski_g,
     tarski_h,
 )
-from qkostant.rootsys import C2, G2, RootCoord, decompositions, to_fund, to_root
+from qkostant.rootsys import C2, G2, RootCoord, to_fund, to_root
 from qkostant.sp4 import (
     multiplicity_c2_closed,
     multiplicity_c2_weyl_sum,
@@ -54,7 +54,6 @@ BAD_CALLS = {
     "partition_tarski-scalar": lambda: partition_tarski(5),
     "qpartition_bruteforce-float": lambda: qpartition_bruteforce((2.0, 1)),
     "qpartition_bruteforce-bool": lambda: qpartition_bruteforce((True, 1)),
-    "decompositions-float": lambda: list(decompositions(G2.positive_roots, (2.5, 1))),
 }
 
 

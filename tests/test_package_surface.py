@@ -12,8 +12,10 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Removed wrappers and aliases, with what replaces them: to_root(G2 or C2, w),
 # to_fund(G2 or C2, v), G2.positive_roots, C2.positive_roots, QPoly() and
-# QPoly([1]); verify's case_audit for the case-signature audit, and
-# rootsys.decompositions(G2.positive_roots, v) for the g2 witnesses; the
+# QPoly([1]); verify's case_audit for the case-signature audit;
+# rootsys.qpartition_defined(roots, v), one entry of the definitional box,
+# for the g2 witnesses and the decomposition enumerator, which the tests
+# keep as reference_kernels.decompositions and .qpartition_enumerated; the
 # sweeps' record, whose term sum is QPartitionBox.term_sum, for the g2 sweep
 # record, its qpartition cache and rootsys.memoized;
 # rootsys.count_sum(ALGEBRA, terms) for tarski_sum; nothing for
@@ -22,7 +24,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 REMOVED = {
     "qkostant.rootsys": (
         "fund_to_root", "root_to_fund", "POSITIVE_ROOTS", "closed_result", "memoized",
-        "ORBIT_CACHE_SIZE",
+        "ORBIT_CACHE_SIZE", "decompositions", "_decompose", "qpartition_enumerated",
     ),
     "qkostant.sp4": (
         "fund_to_root_c2",

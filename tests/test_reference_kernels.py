@@ -5,8 +5,8 @@ test_g2_partition.py and test_sp4.py; the direct sums reach the large
 points where enumeration is out of reach, and the kernels the package
 used before (the g2 loop over i and j, the sp4 loop over i) larger ones
 still. The pruned, orbit-cached Weyl sums and the sp4 closed q route are
-held equal to the unpruned alternating sums term for term, and the shared
-decomposition enumerator to the hand-written loops it replaced.
+held equal to the unpruned alternating sums term for term, and the
+test-side decomposition enumerator to the hand-written loops it replaced.
 The sp4 case integers and labels, read off the alternation set, are held
 to the affine forms they replaced. The g2 sum kernel adds the closed-form
 markers of D·℘_q; it is held to the loop over i it replaced on single
@@ -41,7 +41,6 @@ from qkostant.rootsys import (
     FundCoord,
     RootCoord,
     alternation_terms,
-    decompositions,
     weyl_terms,
 )
 from qkostant.sp4 import (
@@ -57,6 +56,7 @@ from mutants import (
 from reference_kernels import (
     c2_sum_markers,
     compute_case_c2_affine,
+    decompositions,
     g2_closed_form_cases,
     g2_marker_groups,
     g2_sum_bound,
@@ -68,6 +68,7 @@ from reference_kernels import (
     qpartition_c2_double_sum,
     qpartition_c2_loop,
     qpartition_double_loop,
+    qpartition_enumerated,
     qpartition_triple_sum,
     witnesses_c2_nested,
 )
@@ -546,7 +547,8 @@ def test_sp4_case_integers_equal_the_affine_forms_at_large_weights(point):
 
 
 class TestEnumerator:
-    """The shared enumerator against the hand-written loops it replaced."""
+    """The test-side enumerator against the hand-written loops it replaced,
+    and sp4's definitional box against the loops too."""
 
     def test_g2_witnesses_match_nested_loops_in_order(self):
         for m, n in product(range(21), repeat=2):
@@ -564,7 +566,9 @@ class TestEnumerator:
     def test_c2_bruteforce_matches_nested_loops(self):
         for m, n in product(range(21), repeat=2):
             v = RootCoord(m, n)
-            assert qpartition_c2_bruteforce(v) == qpartition_c2_bruteforce_nested(v), (m, n)
+            nested = qpartition_c2_bruteforce_nested(v)
+            assert qpartition_enumerated(C2.positive_roots, v) == nested, (m, n)
+            assert qpartition_c2_bruteforce(v) == nested, (m, n)
 
     @pytest.mark.parametrize("roots", [G2.positive_roots, C2.positive_roots], ids=["g2", "c2"])
     def test_every_witness_sums_to_its_target(self, roots):

@@ -29,7 +29,7 @@ from qkostant.rootsys import (
     grid_points,
     mat_det,
     mat_mul,
-    qpartition_enumerated,
+    qpartition_defined,
     to_fund,
     to_root,
     weyl_elements,
@@ -45,6 +45,7 @@ from qkostant.sp4 import (
     qpartition_c2,
 )
 
+from reference_kernels import qpartition_enumerated
 from shift_forms import FUND_TO_ROOT, RHO, SHIFT_FORMS, sigma_shift
 
 
@@ -330,6 +331,7 @@ class TestB2:
     def test_enumerator_is_the_swapped_sp4_kernel(self):
         for m, n in product(range(16), repeat=2):
             enumerated = qpartition_enumerated(B2.positive_roots, RootCoord(m, n))
+            assert enumerated == qpartition_defined(B2.positive_roots, (m, n)), (m, n)
             assert enumerated == qpartition_c2(RootCoord(n, m)), (m, n)
 
     def test_shared_routes_are_the_swapped_sp4_route(self):

@@ -1,6 +1,7 @@
 """Tests for the sp4 partition and multiplicity formulas.
 
-Two oracles anchor everything: the four-root brute-force enumerator for
+Two oracles anchor everything: ℘_q from its definition (the box that
+qpartition_c2_bruteforce reads, pinned by frozen enumerator outputs) for
 partition values, and the order-8 Weyl sum for multiplicities. The
 edge-region mutation test shows the m = 2n-1 branch of the closed
 partition form is load-bearing.
