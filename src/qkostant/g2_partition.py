@@ -210,7 +210,10 @@ def _g2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
         raise InternalConsistencyError(f"g2 markers up to degree {degree} are not a multiple of D")
     size = width >> 3  # bytes per lane
     ones = int.from_bytes((bytes(size - 1) + b"\x80") * (degree + 1), "little")  # E
-    lanes = ((packed + ones) ^ ones).to_bytes(size * (degree + 1), "little")
+    try:
+        lanes = ((packed + ones) ^ ones).to_bytes(size * (degree + 1), "little")
+    except OverflowError:  # S + E outside its lanes: markers off by a multiple of D
+        raise InternalConsistencyError(f"g2 sum up to degree {degree} leaves its lanes") from None
     if width <= 64:
         lane = "i" if width == 32 else "q"
         return QPoly._from_checked(Struct(f"<{degree + 1}{lane}").unpack(lanes))

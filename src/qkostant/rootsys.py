@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import collections
 from functools import cache
+from struct import Struct
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import InternalConsistencyError
@@ -42,6 +43,8 @@ def mat_det(a: Mat) -> int:
 # Builds a named tuple from a tuple of its fields in one C call, skipping the
 # Python-level __new__ of typing.NamedTuple; the sweeps' per-point code uses it.
 _new_tuple = tuple.__new__
+
+_ZERO = QPoly()  # what a sum of no terms returns; a QPoly is immutable
 
 
 class RootCoord(NamedTuple):
@@ -271,7 +274,8 @@ class QPartitionBox:
     so one pass per root, started from P[0] = 1, fills the whole box. The box
     reads nothing but ``roots``: it shares no code with the kernels or the
     Weyl sums. Each polynomial is one Python int with one 64-bit lane per
-    coefficient (Kronecker packing), so q· is a shift by 64 bits. A first
+    coefficient (Kronecker packing), so q· is a shift by 64 bits, and a sum
+    of L lanes is decoded by one little-endian struct unpack. A first
     pass at q = 1 fills the counts ℘(c1, c2), which the box keeps beside the
     polynomials, and one signed loop sums either: term_sum and box[v] the
     polynomials, sum_at_one the counts.
@@ -305,9 +309,8 @@ class QPartitionBox:
         self._rows = self._fill(roots, top1, top2, 64)
         # 2^63 in each lane of the widest entry, ℘_q(top1, top2), and so of any sum.
         self._bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * (top1 + top2 + 1), "little")
-        from array import array  # only the sweeps and the tests build a box
-
-        self._array = array
+        # The decoder of a sum of L lanes, L = 0 ... top1 + top2 + 1.
+        self._unpack = [Struct(f"<{lanes}q").unpack for lanes in range(top1 + top2 + 2)]
 
     @staticmethod
     def _fill(roots, top1: int, top2: int, shift: int) -> list[list[int]]:
@@ -347,22 +350,22 @@ class QPartitionBox:
 
     def term_sum(self, terms) -> QPoly:
         """Σ sign·℘_q(v) over (sign, (c1, c2)) terms inside the box, at most one per
-        Weyl element, each sign 1 or -1, decoded once.
+        Weyl element, each sign 1 or -1; no terms give the zero polynomial at once.
 
         The box bounds every count, so each s_i of the packed sum S lies in
         (-2^63, 2^63). With B the int that holds 2^63 in each lane of the box,
         every lane of S + B lies in (0, 2^64): no lane carries, and the lanes of
         (S + B) ^ B are the s_i as signed 64-bit ints. Its lanes past the top
-        nonzero s_i are zero, so its bytes up to its bit length are the
-        coefficients, which need no range check. Other terms raise ValueError.
+        nonzero s_i are zero, so its L lanes up to its bit length, read as
+        little-endian int64s in one unpack, are the coefficients, which need no
+        range check. Other terms raise ValueError.
         """
-        if not terms:  # half of g2's sweep tuples and three quarters of c2's
-            return QPoly()
+        if not terms:
+            return _ZERO
         bias = self._bias
         packed = (self._signed(terms, self._rows) + bias) ^ bias
-        coeffs = self._array("q")
-        coeffs.frombytes(packed.to_bytes((packed.bit_length() + 63) // 64 * 8, "little"))
-        return QPoly._from_checked(tuple(coeffs))
+        lanes = (packed.bit_length() + 63) >> 6
+        return QPoly._from_checked(self._unpack[lanes](packed.to_bytes(8 * lanes, "little")))
 
     def sum_at_one(self, terms) -> int:
         """Σ sign·℘(v) at q = 1 over (sign, (c1, c2)) terms inside the box, each
@@ -553,8 +556,11 @@ def closed_mq(alg: Algebra, lam: FundCoord, mu: FundCoord, terms) -> QPoly:
 def closed_at(alg: Algebra, lam: FundCoord, mu: FundCoord, row: list,
               mu_shift: tuple[int, int]) -> MultiplicityResult:
     """closed at one point (lam, mu, row, mu_shift) of grid_points: the per-point
-    core of table and verify."""
+    core of table and verify. A point with no alternation term sums nothing."""
     shifts, label, terms = alternation_terms_at(row, mu_shift)
+    if not terms:
+        data = (lam, mu, alg.case_data(shifts, label), (), _ZERO, 0)
+        return _new_tuple(MultiplicityResult, data)
     mq = closed_mq(alg, lam, mu, terms)
     data = (lam, mu, alg.case_data(shifts, label), tuple(terms), mq, mq.eval_at_one())
     return _new_tuple(MultiplicityResult, data)

@@ -13,8 +13,9 @@ verify feed closed_at, is held to QPoly.signed_sum of its entries. The box's
 refusals (past its byte budget, a count too large for its lanes, a sign
 other than 1 or -1, or a term outside it), the refusal of the definitional
 routes qpartition_bruteforce and qpartition_c2_bruteforce past that budget,
-and the exactness of its packed sums at the edges of the 64-bit range are
-tested here too. The box is held to the test-side enumerator.
+the exactness of its packed sums at the edges of the 64-bit range, and its
+decode at both ends of the lane count are tested here too. The box is held
+to the test-side enumerator.
 """
 
 import re
@@ -170,14 +171,25 @@ class TestBox:
 
     @pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
     def test_an_empty_term_sum_is_zero_and_a_negative_term_decodes(self, rs):
-        # box[v] is term_sum([(1, v)]), so the decode is held to the enumerator.
+        # box[v] is term_sum([(1, v)]), so the decode is held to the enumerator
+        # at both ends of its lane count: no lane for a sum that cancels, one
+        # for ℘_q(0, 0) = 1, and top1 + top2 + 1 = 41 for the widest entry,
+        # ℘_q(24, 16), whose degree is its number of simple roots.
         box = SMALL_BOXES[rs.name]
         assert box.term_sum([]) == QPoly()
-        for v in (RootCoord(0, 0), RootCoord(1, 0), RootCoord(3, 2), RootCoord(24, 16)):
-            enumerated = qpartition_enumerated(rs.positive_roots, v)
-            assert box[v] == box.term_sum([(1, v)]) == enumerated
-            assert box.term_sum([(-1, v)]) == -enumerated
+        enumerated = {
+            v: qpartition_enumerated(rs.positive_roots, v)
+            for v in (RootCoord(0, 0), RootCoord(1, 0), RootCoord(3, 2), RootCoord(24, 16))
+        }
+        assert len(enumerated[0, 0].coeffs) == 1 and len(enumerated[24, 16].coeffs) == 41
+        for v, poly in enumerated.items():
+            assert box[v] == box.term_sum([(1, v)]) == poly
+            assert box.term_sum([(-1, v)]) == -poly
             assert box.term_sum([(1, v), (-1, v)]) == QPoly()
+        # Lanes of both signs: ℘_q(3, 2) has low terms that ℘_q(24, 16) lacks.
+        mixed = box.term_sum([(1, RootCoord(3, 2)), (-1, RootCoord(24, 16))])
+        assert mixed == enumerated[3, 2] - enumerated[24, 16]
+        assert min(mixed.coeffs) < 0 < max(mixed.coeffs) and len(mixed.coeffs) == 41
 
     @pytest.mark.parametrize("sign", [0, 2, -2])
     def test_a_sign_other_than_one_or_minus_one_is_refused(self, sign):

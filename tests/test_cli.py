@@ -901,15 +901,21 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 
 
 def test_importing_the_cli_does_not_load_array():
-    # Only the sweeps pack polynomials into 64-bit lanes, in their box, which
-    # imports array when it is built.
+    # The sweeps' box decodes its packed sums with struct, which the g2 kernel
+    # loads already: neither importing the CLI nor running table or verify,
+    # for either algebra, loads array.
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (
-        "import sys; before = set(sys.modules); import qkostant.cli; "
-        "print('array' in set(sys.modules) - before)"
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "from qkostant.cli import run\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [run([command, '--max', '2', '--algebra', algebra])\n"
+        "             for command in ('table', 'verify') for algebra in ('g2', 'c2')]\n"
+        "print(codes, 'array' in set(sys.modules) - before)"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
-    assert out == "False\n"
+    assert out == "[0, 0, 0, 0] False\n"

@@ -14,7 +14,8 @@ terms, on seeded fused queries, at deep points and at points that reach
 every case of its closed form, on both sides of the bound of 2^31 that
 picks its lane width and at every width that holds the bound, and mutants
 that move one group of markers show that the packed division refuses
-them on both sides of that bound. The sp4 sum kernel walks the breakpoint
+them on both sides of that bound; markers off by a multiple of D that
+carries out of the top lane are refused by the decode. The sp4 sum kernel walks the breakpoint
 events of all its terms at once; it is held to the difference-array kernel
 it replaced on single terms, on seeded signed sums and at deep points. The
 sp4 Weyl sum and the closed q route both run it, the unpruned sum builds
@@ -51,6 +52,7 @@ from qkostant.sp4 import (
 from mutants import (
     c2_events_ignoring_sign,
     c2_events_unclipped,
+    g2_marks_adding_d,
     g2_marks_moving,
 )
 from reference_kernels import (
@@ -339,6 +341,14 @@ class TestG2SumKernel:
         for wide in ([(1, (10000, 10000))], terms):
             with pytest.raises(InternalConsistencyError, match="not a multiple of D"):
                 g2_partition._g2_sum(wide)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_carry_out_of_the_top_lane_breaks_the_sum(self, monkeypatch, sign):
+        """Markers off by 2^40·D are still a multiple of D, but the quotient's one
+        32-bit lane at (0, 0) cannot hold ±(1 + 2^40): the decode raises."""
+        monkeypatch.setattr(g2_partition, "_g2_marks", g2_marks_adding_d(1 << 40))
+        with pytest.raises(InternalConsistencyError, match="leaves its lanes"):
+            g2_partition._g2_sum([(sign, (0, 0))])
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -348,12 +348,19 @@ class TestB2:
             assert count_sum(B2_ALGEBRA, terms) == expected, (m, n, x, y)
 
 
-@pytest.mark.parametrize("alg", [g2_multiplicity.ALGEBRA, sp4.ALGEBRA], ids=["g2", "c2"])
-def test_negative_closed_coefficient_is_inconsistent(alg):
-    """The shared closed route refuses a term sum with a negative coefficient."""
+@pytest.mark.parametrize(
+    "alg,lam",
+    [(g2_multiplicity.ALGEBRA, (1, 1)), (sp4.ALGEBRA, (2, 0))],
+    ids=["g2", "c2"],
+)
+def test_negative_closed_coefficient_is_inconsistent(alg, lam):
+    """The shared closed route refuses a term sum with a negative coefficient.
+    Each point has alternation terms (c2's (1, 1), (0, 0) has none, so no
+    term sum runs there)."""
+    assert alternation_terms(alg.rs, lam, (0, 0))[2]
     broken = alg._replace(term_sum=lambda terms: QPoly([1, -1]))
     with pytest.raises(InternalConsistencyError, match="negative coefficient in m_q"):
-        closed(broken, (1, 1), (0, 0))
+        closed(broken, lam, (0, 0))
 
 
 ALGEBRAS = [g2_multiplicity.ALGEBRA, sp4.ALGEBRA, B2_ALGEBRA]
@@ -391,6 +398,33 @@ def test_grid_points_and_cores_are_the_one_pair_routes(alg, box):
         assert count_sum(alg, result.terms) == result.m_at_one, pair
         label = terms[1]
         assert len(result.terms) == (0 if label == "ZERO" else len(label)), pair
+
+
+@pytest.mark.parametrize(
+    "alg,top", [(g2_multiplicity.ALGEBRA, 6), (sp4.ALGEBRA, 8)], ids=["g2", "c2"]
+)
+def test_a_term_free_point_runs_no_term_sum(monkeypatch, alg, top):
+    """closed_at at a point with no alternation term on the positive cone
+    returns zero, its case record and no terms, without summing: neither the
+    kernel nor the box is asked."""
+
+    def no_sum(*args):
+        raise AssertionError("a term sum ran")
+
+    top1, top2 = doubled(alg.rs, (top, top))
+    box = QPartitionBox(alg.rs.positive_roots, top1 >> 1, top2 >> 1)
+    monkeypatch.setattr(QPartitionBox, "term_sum", no_sum)
+    records = (alg._replace(term_sum=no_sum), alg._replace(term_sum=box.term_sum))
+    free = 0
+    for lam, mu, row, _, mu_shift in grid_points(alg.rs, top):
+        if alternation_terms_at(row, mu_shift)[2]:
+            continue
+        free += 1
+        for record in records:
+            result = closed_at(record, lam, mu, row, mu_shift)
+            assert (result.mq, result.m_at_one, result.terms) == (QPoly(), 0, ()), (lam, mu)
+            assert result.case == case(alg, lam, mu), (lam, mu)
+    assert free > (top + 1) ** 4 // 3
 
 
 def test_grid_points_of_a_negative_bound_is_empty():

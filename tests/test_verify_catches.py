@@ -85,6 +85,11 @@ ITEM_2 = "ROADMAP item 2: every check of verify reads the same orbit and mu shif
 MUTANTS = [
     ("g2", "g2_marks_adding_d(1)", _in_module(g2_partition, "_g2_marks", g2_marks_adding_d(1)),
      None),
+    # Past the 32-bit lanes of a small sum: the quotient's lanes carry into one
+    # another, so qpartition 3,2 prints "... + 257q", and at (0, 0) the carry
+    # leaves the top lane, where the kernel raises InternalConsistencyError.
+    ("g2", "g2_marks_adding_d(1<<40)",
+     _in_module(g2_partition, "_g2_marks", g2_marks_adding_d(1 << 40)), None),
     ("g2", "g2_marks_moving(top,None)",
      _in_module(g2_partition, "_g2_marks", g2_marks_moving("top", None)), None),
     ("g2", "g2_marks_moving(lowest,1)",
