@@ -319,8 +319,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all(check["mismatches"] == 0 for check in checks) else 1
 
 
+class _Text(dict):
+    """Each int's decimal text, made on its first lookup."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
+
+
 def _cmd_table(args: argparse.Namespace) -> int:
     spec, record, _ = _grid(args)
+    text = _Text().__getitem__  # str runs once per distinct coefficient of the command
     lines = [f"m,n,x,y,{','.join(spec.case_fields)},case,mq_coeffs,m_at_1"]
     width = len(spec.case_fields)
     case_template = ",".join(["%d"] * width)
@@ -328,14 +337,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     for lam, mu, row, _, mu_shift in grid_points(record.rs, args.max):
         _, _, data, _, mq, m_at_one = closed_at(record, lam, mu, row, mu_shift)
         values = case_template % data[:width]  # the fields of data.as_tuple()
-        coeffs = "|".join(map(str, mq.coeffs))
+        coeffs = "|".join(map(text, mq.coeffs))
         lines.append(f"{coords[lam]},{coords[mu]},{values},{data.case_label},{coeffs},{m_at_one}")
-    text = "\n".join(lines) + "\n"
+    csv = "\n".join(lines) + "\n"
     if args.output in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.write(csv)
     else:
         with open(args.output, "w", encoding="ascii", newline="") as handle:
-            handle.write(text)
+            handle.write(csv)
     return 0
 
 

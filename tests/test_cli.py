@@ -412,10 +412,29 @@ class TestTable:
         rows = out.splitlines()
         assert "0,1,0,0,3,2,2,0,-1,-4,PQR,0|1|0|0|0|1,2" in rows
 
-    def test_stdout_runs_are_identical(self, capsys):
+    def test_stdout_runs_are_identical(self, capsys, monkeypatch):
         first = invoke(capsys, "table", "--max", "2")
         second = invoke(capsys, "table", "--max", "2")
         assert first == second
+        # Each coefficient's text is made once per command and then reused:
+        # large values, and a value repeated within a row, print as str does.
+        big = QPoly([0, 7, 2**31, 2**40, 2**61, 7])
+        suffix = ",0|7|2147483648|1099511627776|2305843009213693952|7,2305844110872805390"
+        for algebra in ("g2", "c2"):
+            plain = invoke(capsys, "table", "--algebra", algebra, "--max", "2")[1].splitlines()
+            with monkeypatch.context() as patch:
+                patch.setattr(rootsys.QPartitionBox, "term_sum", lambda self, terms: big)
+                code, out, _ = invoke(capsys, "table", "--algebra", algebra, "--max", "2")
+            rows = out.splitlines()
+            assert code == 0 and len(rows) == len(plain) == 82
+            zero = [row.split(",")[-3] == "ZERO" for row in rows[1:]]
+            assert any(zero) and not all(zero)
+            for is_zero, row, plain_row in zip(zero, rows[1:], plain[1:]):
+                if is_zero:
+                    assert row == plain_row
+                else:
+                    assert row.endswith(suffix)
+                    assert row.rsplit(",", 2)[0] == plain_row.rsplit(",", 2)[0]
 
     def test_file_output_deterministic(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
