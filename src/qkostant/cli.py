@@ -15,13 +15,12 @@ import sys
 from functools import cache, partial
 from itertools import product
 from operator import add
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import CoefficientOverflowError, InternalConsistencyError
 from . import g2_multiplicity, sp4
-from .g2_multiplicity import CASE_LABELS, CaseData, multiplicity
-from .g2_partition import partition_tarski, qpartition
-from .qpoly import QPoly
+from .g2_multiplicity import CASE_LABELS, CaseData
+from .qpoly import QPoly, checked_int
 from .rootsys import (
     Algebra,
     FundCoord,
@@ -31,6 +30,7 @@ from .rootsys import (
     alternation_terms,
     alternation_terms_at,
     case,
+    closed,
     closed_at,
     closed_mq,
     count_sum,
@@ -40,7 +40,7 @@ from .rootsys import (
     to_root,
     weyl_terms_at,
 )
-from .sp4 import Sp4CaseData, multiplicity_c2_closed, partition_c2_closed, qpartition_c2
+from .sp4 import Sp4CaseData
 
 _JSON = {"separators": (",", ":"), "sort_keys": True}
 
@@ -78,9 +78,11 @@ def _parse_pair(text: str) -> tuple[int, int]:
 
 
 def _partition_weight(args: argparse.Namespace, rs: RootSystem) -> RootCoord | None:
-    """Weight for the partition commands; None when off the root lattice."""
+    """Weight for the partition commands; None off the root lattice or the
+    positive cone, where the partition function is zero."""
     pair = _parse_pair(args.coords)
-    return to_root(rs, pair) if args.basis == "fund" else RootCoord(*pair)
+    v = to_root(rs, pair) if args.basis == "fund" else RootCoord(*pair)
+    return None if v is None or min(v) < 0 else v
 
 
 def _weight_pair(args: argparse.Namespace, rs: RootSystem) -> tuple[FundCoord, FundCoord]:
@@ -109,17 +111,17 @@ def _poly_output(poly: QPoly, fmt: str, at_q: int | None) -> str:
 
 
 def _cmd_qpartition(args: argparse.Namespace) -> int:
-    algebra = _ALGEBRAS[args.algebra]
-    weight = _partition_weight(args, algebra.record.rs)
-    poly = QPoly() if weight is None else algebra.qpartition(weight)
+    record = _ALGEBRAS[args.algebra].record
+    weight = _partition_weight(args, record.rs)
+    poly = QPoly() if weight is None else record.term_sum([(1, weight)])
     print(_poly_output(poly, args.fmt, args.at_q))
     return 0
 
 
 def _cmd_partition(args: argparse.Namespace) -> int:
-    algebra = _ALGEBRAS[args.algebra]
-    weight = _partition_weight(args, algebra.record.rs)
-    value = 0 if weight is None else algebra.count(weight)
+    record = _ALGEBRAS[args.algebra].record
+    weight = _partition_weight(args, record.rs)
+    value = 0 if weight is None else checked_int(record.count(*weight))
     print(_value_output(value, args.fmt))
     return 0
 
@@ -134,13 +136,14 @@ def _cmd_qmult(args: argparse.Namespace) -> int:
 
 
 def _cmd_mult(args: argparse.Namespace) -> int:
-    lam, mu = _weight_pair(args, _ALGEBRAS[args.algebra].record.rs)
-    if args.algebra == "g2":
-        value = multiplicity(lam, mu, method=args.method)
-    else:
-        if args.method == "tarski":
-            raise ValueError("--method tarski applies to the g2 algebra only")
-        value = multiplicity_c2_closed(lam, mu).value
+    record = _ALGEBRAS[args.algebra].record
+    lam, mu = _weight_pair(args, record.rs)
+    if args.algebra == "c2" and args.method == "tarski":
+        raise ValueError("--method tarski applies to the g2 algebra only")
+    if args.algebra == "g2" and args.method == "qpoly":
+        value = closed(record, lam, mu).m_at_one
+    else:  # the count route, O(1) per term
+        value = count_sum(record, alternation_terms(record.rs, lam, mu)[2])
     print(_value_output(value, args.fmt))
     return 0
 
@@ -154,44 +157,51 @@ def _count_differs(record: Algebra, terms, value: int) -> bool:
         return True
 
 
-def _kernel_differs(kernel: Algebra, box: QPartitionBox, v: RootCoord) -> bool:
-    """Whether the kernel's one-term value at v differs from box[v]; a kernel
-    that raises InternalConsistencyError is broken, so it differs."""
+def _kernel_mismatches(kernel: Algebra, record: Algebra, box: QPartitionBox,
+                       m: int, n: int) -> tuple[bool, bool]:
+    """The kernel's one-term value at (m, n) against box[m, n], and at q = 1
+    against record's count; a kernel that raises InternalConsistencyError
+    fails both, a count that raises it the second."""
+    v = RootCoord(m, n)
     try:
-        return kernel.term_sum([(1, v)]) != box[v]
+        poly = kernel.term_sum([(1, v)])
     except InternalConsistencyError:
-        return True
+        return True, True
+    try:
+        return poly != box[v], poly.eval_at_one() != record.count(m, n)
+    except InternalConsistencyError:
+        return poly != box[v], True
 
 
-def _g2_tuple_mismatches(kernel_differs: Callable[[RootCoord], bool], record: Algebra,
+def _g2_tuple_mismatches(kernel_mismatches: Callable[[int, int], tuple], record: Algebra,
                          box: QPartitionBox, lam: FundCoord, mu: FundCoord, row: tuple,
                          orbit: tuple, mu_shift: tuple[int, int]) -> tuple[bool, bool, bool]:
     # One closed evaluation off the box serves three checks. Its mq, what
     # table prints, is held to the Weyl sum off the box, and each of its terms
-    # to the kernel that qmult runs; its m_at_one is what
-    # multiplicity(..., "qpoly") returns and its terms the ones
-    # multiplicity(..., "tarski") sums; its case is what case prints. A
-    # closed route that raises InternalConsistencyError fails all three.
+    # to the kernel that qmult runs; its m_at_one is what mult prints and its
+    # terms the ones mult --method tarski sums; its case is what case
+    # prints. A closed route that raises InternalConsistencyError fails all
+    # three.
     try:
         result = closed_at(record, lam, mu, row, mu_shift)
     except InternalConsistencyError:
         return True, True, True
     return (
-        any(kernel_differs(v) for _, v in result.terms)
+        any(kernel_mismatches(*v)[0] for _, v in result.terms)
         or box.term_sum(weyl_terms_at(orbit, mu_shift)) != result.mq,
         _count_differs(record, result.terms, result.m_at_one),
         result.case.case_label not in CASE_LABELS,
     )
 
 
-def _c2_tuple_mismatches(kernel_differs: Callable[[RootCoord], bool], record: Algebra,
+def _c2_tuple_mismatches(kernel_mismatches: Callable[[int, int], tuple], record: Algebra,
                          box: QPartitionBox, lam: FundCoord, mu: FundCoord, row: tuple,
                          orbit: tuple, mu_shift: tuple[int, int]) -> tuple[bool, bool]:
-    # The count route over the alternation terms is what multiplicity_c2_closed
-    # returns, held to the Weyl sum at one read off the box's counts. An odd
-    # m - x puts mu off lam's root-lattice coset, where the case flags must be
-    # off and no Weyl term may reach the positive cone on the root lattice.
-    # Both checks run at q = 1, so neither reads the kernel.
+    # The count route over the alternation terms is what mult prints, held
+    # to the Weyl sum at one read off the box's counts. An odd m - x puts mu
+    # off lam's root-lattice coset, where the case flags must be off and no
+    # Weyl term may reach the positive cone on the root lattice. Both checks
+    # run at q = 1, so neither reads the kernel.
     shifts, label, terms = alternation_terms_at(row, mu_shift)
     weyl = weyl_terms_at(orbit, mu_shift)
     in_n = record.case_data(shifts, label).in_n
@@ -204,43 +214,25 @@ def _c2_tuple_mismatches(kernel_differs: Callable[[RootCoord], bool], record: Al
 class _Algebra(NamedTuple):
     """What every subcommand needs from one algebra.
 
-    The one-off routes take ``record``, whose term sum is the kernel. table
+    ``record`` is the only way in to the algebra's kernel and count: the
+    one-off routes take it as it is, so its term sum is the kernel. table
     and verify build one QPartitionBox per command, refused up front past its
     byte budget, and take a copy of record that sums ℘_q off it and caches
-    each count. g2's verify compares polynomials and holds the kernel to the
-    box at each distinct alternation term; c2's counts at q = 1. The
-    callables look the library functions up as module globals when they
-    run, so a traced or patched function is the one called.
+    each count. verify holds the kernel to the box, and to the cached count
+    at q = 1, once per distinct point of the pair box and of g2's alternation
+    terms; g2's tuple checks compare polynomials, c2's counts at q = 1.
     """
 
     record: Algebra
-    qpartition: Callable[[RootCoord], QPoly]  # the q-analog kernel
-    count: Callable[[RootCoord], int]  # closed partition count at q = 1
     case_fields: tuple[str, ...]  # names of the values in case.as_tuple()
-    pair_checks: tuple[str, ...]  # the two flags of pair_mismatches
+    pair_checks: tuple[str, ...]  # the two flags of _kernel_mismatches
     tuple_checks: tuple[str, ...]  # one mismatch flag each per (lam, mu)
-    tuple_mismatches: Callable[..., tuple[bool, ...]]  # (kernel_differs, record, box, *point)
-
-    def pair_mismatches(self, box: QPartitionBox, m: int, n: int) -> tuple[bool, bool]:
-        """The kernel at (m, n) against the box, and at q = 1 against the count;
-        a kernel that raises InternalConsistencyError fails both, a count that
-        raises it the second."""
-        v = RootCoord(m, n)
-        try:
-            poly = self.qpartition(v)
-        except InternalConsistencyError:
-            return True, True
-        try:
-            return poly != box[v], poly.eval_at_one() != self.count(v)
-        except InternalConsistencyError:
-            return poly != box[v], True
+    tuple_mismatches: Callable[..., tuple[bool, ...]]  # (kernel_mismatches, record, box, *point)
 
 
 _ALGEBRAS = {
     "g2": _Algebra(
         g2_multiplicity.ALGEBRA,
-        lambda v: qpartition(v),
-        lambda v: partition_tarski(v),
         CaseData._fields[:-2],
         ("qpartition_vs_bruteforce", "tarski_vs_qpartition_at_one"),
         ("qmult_closed_vs_weyl_sum", "multiplicity_qpoly_vs_tarski", "case_audit"),
@@ -248,8 +240,6 @@ _ALGEBRAS = {
     ),
     "c2": _Algebra(
         sp4.ALGEBRA,
-        lambda v: qpartition_c2(v),
-        lambda v: partition_c2_closed(v),
         Sp4CaseData._fields[:-2],
         ("qpartition_vs_bruteforce", "partition_closed_vs_qpartition_at_one"),
         ("mult_closed_vs_weyl_sum_at_one", "odd_parity_vanishing"),
@@ -292,14 +282,14 @@ def _grid(args: argparse.Namespace) -> tuple[_Algebra, Algebra, QPartitionBox]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec, record, box = _grid(args)
-    kernel_differs = cache(partial(_kernel_differs, spec.record, box))
+    # One kernel check per distinct point, shared by the pair box and g2's tuples.
+    kernel_mismatches = cache(partial(_kernel_mismatches, spec.record, record, box))
     side = args.max + 1
     checks = []
     for names, cases, points, mismatches in (
-        (spec.pair_checks, side**2, product(range(side), repeat=2),
-         partial(spec.pair_mismatches, box)),
+        (spec.pair_checks, side**2, product(range(side), repeat=2), kernel_mismatches),
         (spec.tuple_checks, side**4, grid_points(record.rs, args.max),
-         partial(spec.tuple_mismatches, kernel_differs, record, box)),
+         partial(spec.tuple_mismatches, kernel_mismatches, record, box)),
     ):
         totals = [0] * len(names)
         for point in points:
@@ -327,24 +317,32 @@ class _Text(dict):
         return text
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
-    spec, record, _ = _grid(args)
+def _table_blocks(spec: _Algebra, record: Algebra, top: int) -> Iterator[str]:
+    """The CSV of table --max top: its header, then one block of rows per lam."""
+    yield f"m,n,x,y,{','.join(spec.case_fields)},case,mq_coeffs,m_at_1\n"
     text = _Text().__getitem__  # str runs once per distinct coefficient of the command
-    lines = [f"m,n,x,y,{','.join(spec.case_fields)},case,mq_coeffs,m_at_1"]
     width = len(spec.case_fields)
     case_template = ",".join(["%d"] * width)
-    coords = {(m, n): f"{m},{n}" for m, n in product(range(args.max + 1), repeat=2)}
-    for lam, mu, row, _, mu_shift in grid_points(record.rs, args.max):
+    coords = {(m, n): f"{m},{n}" for m, n in product(range(top + 1), repeat=2)}
+    rows = []
+    for lam, mu, row, _, mu_shift in grid_points(record.rs, top):
         _, _, data, _, mq, m_at_one = closed_at(record, lam, mu, row, mu_shift)
         values = case_template % data[:width]  # the fields of data.as_tuple()
         coeffs = "|".join(map(text, mq.coeffs))
-        lines.append(f"{coords[lam]},{coords[mu]},{values},{data.case_label},{coeffs},{m_at_one}")
-    csv = "\n".join(lines) + "\n"
+        rows.append(f"{coords[lam]},{coords[mu]},{values},{data.case_label},{coeffs},{m_at_one}\n")
+        if len(rows) == len(coords):  # lam's last mu
+            yield "".join(rows)
+            rows.clear()
+
+
+def _cmd_table(args: argparse.Namespace) -> int:
+    spec, record, _ = _grid(args)  # checks --max and the box budget before any file opens
+    blocks = _table_blocks(spec, record, args.max)
     if args.output in (None, "-"):
-        sys.stdout.write(csv)
+        sys.stdout.writelines(blocks)
     else:
         with open(args.output, "w", encoding="ascii", newline="") as handle:
-            handle.write(csv)
+            handle.writelines(blocks)
     return 0
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from qkostant import cli, g2_partition, rootsys
+from qkostant import cli, g2_partition, rootsys, sp4
 from qkostant.cli import run
 from qkostant.errors import InternalConsistencyError
 from qkostant.g2_multiplicity import qmultiplicity_weyl_sum
@@ -441,6 +441,21 @@ class TestTable:
         for path in paths:
             assert invoke(capsys, "table", "--max", "2", "--output", str(path))[0] == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+        code, out, _ = invoke(capsys, "table", "--max", "2")
+        assert code == 0 and paths[0].read_bytes() == out.encode("ascii")
+
+    def test_a_written_table_is_streamed(self, tmp_path, capsys):
+        # Rows go out one lam block at a time: the peak holds the box and one
+        # block, less than the file itself, not the whole CSV.
+        path = tmp_path / "t.csv"
+        tracemalloc.start()
+        try:
+            code = run(["table", "--algebra", "c2", "--max", "12", "--output", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr() == ("", "")
+        assert peak < path.stat().st_size
 
     def test_c2_table_columns(self, capsys):
         _, out, _ = invoke(capsys, "table", "--algebra", "c2", "--max", "1")
@@ -544,6 +559,35 @@ def _with_record(monkeypatch, algebra, **fields):
     spec = cli._ALGEBRAS[algebra]
     record = spec.record._replace(**fields)
     monkeypatch.setitem(cli._ALGEBRAS, algebra, spec._replace(record=record))
+
+
+# One-off commands that read the kernel or the count: at lam = mu the only
+# alternation term is P at 0, so mult sums one term and a shifted count shows.
+RECORD_PROBES = (
+    ("qpartition", "3,2"),
+    ("partition", "3,2"),
+    ("qmult", "--lambda", "1,1", "--mu", "1,1"),
+    ("mult", "--lambda", "1,1", "--mu", "1,1"),
+)
+
+
+@pytest.mark.parametrize("algebra", ["g2", "c2"])
+def test_every_command_reaches_the_algebra_through_its_row_record(capsys, monkeypatch,
+                                                                  algebra):
+    # A record whose kernel adds 1 and whose count adds 2, put in the row
+    # alone, changes every one-off output and fails both pair checks at every
+    # pair: the kernel against the box, and its value at one against the count.
+    plain = [invoke(capsys, *probe, "--algebra", algebra) for probe in RECORD_PROBES]
+    record = cli._ALGEBRAS[algebra].record
+    _with_record(monkeypatch, algebra,
+                 term_sum=lambda terms: record.term_sum(terms) + QPoly([1]),
+                 count=lambda m, n: record.count(m, n) + 2)
+    for probe, before in zip(RECORD_PROBES, plain):
+        code, out, err = invoke(capsys, *probe, "--algebra", algebra)
+        assert (code, err) == (0, "") and out != before[1], probe
+    code, counts = _mismatch_counts(capsys, algebra)
+    assert code == 1
+    assert [counts[name] for name in cli._ALGEBRAS[algebra].pair_checks] == [16, 16]
 
 
 class TestFusedChecksStayIndependent:
@@ -663,12 +707,13 @@ def _lane_bytes(top1, top2):
     return 8 * sum((c1 + 1) * (top2 + 1) + top2 * (top2 + 1) // 2 for c1 in range(top1 + 1))
 
 
-def _assert_refused_at_once(capsys, command, algebra, box):
-    """command --max 10^10 exits 1 with one error line naming box, nothing on
-    stdout and under 1 MiB allocated."""
+def _assert_refused_at_once(capsys, command, algebra, box, *extra):
+    """command --max 10^10, with the arguments extra, exits 1 with one error
+    line naming box, nothing on stdout and under 1 MiB allocated."""
     tracemalloc.start()
     try:
-        code, out, err = invoke(capsys, command, "--algebra", algebra, "--max", "10000000000")
+        code, out, err = invoke(capsys, command, "--algebra", algebra, "--max", "10000000000",
+                                *extra)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -695,11 +740,11 @@ def _assert_largest_grid(capsys, monkeypatch, command, algebra, top, refused, fi
         run([command, "--algebra", algebra, "--max", str(top)])
 
 
-def _g2_tuples_with_a_term(deep):
-    """The number of tuples of verify --max 6 with an alternation term v for which deep(v)."""
+def _tuples_with_a_term(deep, rs=G2, top=6):
+    """The number of tuples of verify --max top with an alternation term v for which deep(v)."""
     return sum(
-        any(deep(v) for _, v in alternation_terms(G2, lam, mu)[2])
-        for lam, mu, *_ in grid_points(G2, 6)
+        any(deep(v) for _, v in alternation_terms(rs, lam, mu)[2])
+        for lam, mu, *_ in grid_points(rs, top)
     )
 
 
@@ -716,7 +761,7 @@ class TestVerifyOracles:
         # same at q = 1. Each tuple with such a term fails the kernel's
         # one-term check against the box.
         _with_record(monkeypatch, "g2", term_sum=g2_sum_moving_the_top_unit)
-        expected = _g2_tuples_with_a_term(lambda v: sum(v) > 12)
+        expected = _tuples_with_a_term(lambda v: sum(v) > 12)
         assert expected == 561
         assert _mismatch_counts(capsys, "g2", 6) == (1, _g2_counts(expected, 0, 0))
 
@@ -732,7 +777,7 @@ class TestVerifyOracles:
             return real(terms)
 
         _with_record(monkeypatch, "g2", term_sum=term_sum)
-        expected = _g2_tuples_with_a_term(lambda v: v == broken)
+        expected = _tuples_with_a_term(lambda v: v == broken)
         assert expected == 30
         assert _mismatch_counts(capsys, "g2", 6) == (1, _g2_counts(expected, 0, 0))
 
@@ -763,9 +808,13 @@ class TestVerifyOracles:
 
     @pytest.mark.parametrize("algebra,box", [("g2", (50000000000, 30000000000)),
                                              ("c2", (20000000000, 15000000000))])
-    def test_a_refused_table_exits_one_at_once_with_nothing_allocated(self, capsys,
+    def test_a_refused_table_exits_one_at_once_with_nothing_allocated(self, capsys, tmp_path,
                                                                       algebra, box):
         _assert_refused_at_once(capsys, "table", algebra, box)
+        # The box is refused before the output file is opened.
+        path = tmp_path / "none.csv"
+        _assert_refused_at_once(capsys, "table", algebra, box, "--output", str(path))
+        assert not path.exists()
 
     def test_the_byte_budget_takes_g2_grids_up_to_82(self, capsys, monkeypatch):
         _assert_largest_grid(capsys, monkeypatch, "verify", "g2", 82, (415, 249), (410, 246))
@@ -802,19 +851,28 @@ class TestVerifyOracles:
     def test_c2_verify_makes_no_term_sum_call(self, capsys, monkeypatch):
         # Its tuple checks run at q = 1, the count route against the box, so
         # neither the kernel nor the box's term sum, which the sweep record
-        # calls, may run. The pair checks read box entries, which keep the
-        # box's own one-term sum.
+        # calls, may run there. The pair checks run the kernel once per point,
+        # against box entries, which keep the box's own one-term sum.
+        kernel = cli._ALGEBRAS["c2"].record.term_sum
+        calls = Counter()
+
+        def spy(terms):
+            ((_, v),) = terms
+            calls[v] += 1
+            return kernel(terms)
+
         def term_sum(*args):
             raise AssertionError("term_sum ran")
 
         entry = rootsys.QPartitionBox.term_sum
-        _with_record(monkeypatch, "c2", term_sum=term_sum)
+        _with_record(monkeypatch, "c2", term_sum=spy)
         monkeypatch.setattr(rootsys.QPartitionBox, "__getitem__",
                             lambda box, v: entry(box, [(1, v)]))
         monkeypatch.setattr(rootsys.QPartitionBox, "term_sum", term_sum)
         assert invoke(capsys, "verify", "--algebra", "c2", "--max", "6") == (
             0, VERIFY_MAX6_STDOUT["c2"], "",
         )
+        assert calls == Counter(product(range(7), repeat=2))
 
 
 class TestBrokenRoutes:
@@ -828,7 +886,7 @@ class TestBrokenRoutes:
         # closed route reads the box, so it does not raise; each tuple with
         # such a term fails the kernel's one-term check against the box.
         _with_record(monkeypatch, "g2", term_sum=g2_sum_with_a_dip)
-        expected = _g2_tuples_with_a_term(lambda v: sum(v) > 12)
+        expected = _tuples_with_a_term(lambda v: sum(v) > 12)
         assert expected == 561
         assert _mismatch_counts(capsys, "g2", 6) == (1, _g2_counts(expected, 0, 0))
 
@@ -843,39 +901,63 @@ class TestBrokenRoutes:
         monkeypatch.setattr(cli, "closed_at", broken)
         assert _mismatch_counts(capsys, "g2") == (1, _g2_counts(1, 1, 1))
 
+    # Each second parameter names the library function that wraps the
+    # record's field; verify does not call it, so it keeps its value.
     @pytest.mark.parametrize("algebra,kernel", [("g2", "qpartition"), ("c2", "qpartition_c2")])
     def test_a_raising_kernel_counts_in_both_pair_checks(self, capsys, monkeypatch,
                                                          algebra, kernel):
-        real = getattr(cli, kernel)
+        # The kernel runs once per distinct point, so g2's tuple check also
+        # counts each tuple with the alternation term (2, 1); c2's tuple
+        # checks read no kernel.
+        real = cli._ALGEBRAS[algebra].record.term_sum
 
-        def broken(v):
-            if tuple(v) == (2, 1):
+        def broken(terms):
+            if terms == [(1, (2, 1))]:
                 raise InternalConsistencyError("not a multiple of D")
-            return real(v)
+            return real(terms)
 
-        monkeypatch.setattr(cli, kernel, broken)
+        _with_record(monkeypatch, algebra, term_sum=broken)
         code, counts = _mismatch_counts(capsys, algebra)
         assert code == 1
-        pairs = cli._ALGEBRAS[algebra].pair_checks
-        assert counts == {name: int(name in pairs) for name in counts}
+        spec = cli._ALGEBRAS[algebra]
+        expected = dict.fromkeys(counts, 0)
+        expected.update(dict.fromkeys(spec.pair_checks, 1))
+        if algebra == "g2":
+            tuples = _tuples_with_a_term(lambda v: v == (2, 1), G2, 3)
+            assert tuples == 12
+            expected["qmult_closed_vs_weyl_sum"] = tuples
+        assert counts == expected
+        library = {"qpartition": g2_partition.qpartition, "qpartition_c2": sp4.qpartition_c2}
+        assert library[kernel](RootCoord(2, 1)) == real([(1, RootCoord(2, 1))])
 
     @pytest.mark.parametrize(
         "algebra,count", [("g2", "partition_tarski"), ("c2", "partition_c2_closed")]
     )
     def test_a_raising_pair_count_counts_in_the_pair_count_check(self, capsys, monkeypatch,
                                                                  algebra, count):
-        real = getattr(cli, count)
+        # The sweep record's cached count serves the pair check and the tuple
+        # count route alike, so each tuple with the alternation term (2, 1)
+        # counts in the tuple count check too.
+        real = cli._ALGEBRAS[algebra].record.count
 
-        def broken(v):
-            if tuple(v) == (2, 1):
+        def broken(m, n):
+            if (m, n) == (2, 1):
                 raise InternalConsistencyError("negative count")
-            return real(v)
+            return real(m, n)
 
-        monkeypatch.setattr(cli, count, broken)
+        _with_record(monkeypatch, algebra, count=broken)
         code, counts = _mismatch_counts(capsys, algebra)
         assert code == 1
-        count_check = cli._ALGEBRAS[algebra].pair_checks[1]
-        assert counts == {name: int(name == count_check) for name in counts}
+        spec = cli._ALGEBRAS[algebra]
+        tuples = _tuples_with_a_term(lambda v: v == (2, 1), spec.record.rs, 3)
+        assert tuples == {"g2": 12, "c2": 8}[algebra]
+        expected = dict.fromkeys(counts, 0)
+        expected[spec.pair_checks[1]] = 1
+        expected[spec.tuple_checks[0] if algebra == "c2" else spec.tuple_checks[1]] = tuples
+        assert counts == expected
+        library = {"partition_tarski": g2_partition.partition_tarski,
+                   "partition_c2_closed": sp4.partition_c2_closed}
+        assert library[count](RootCoord(2, 1)) == real(2, 1)
 
     @pytest.mark.parametrize(
         "algebra,lam,mu,counts",

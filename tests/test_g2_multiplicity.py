@@ -216,10 +216,11 @@ class TestClosedRoutePaths:
     @pytest.mark.parametrize("command", ["table", "verify"])
     @pytest.mark.parametrize("algebra", ["g2", "c2"])
     def test_each_sweep_computes_each_term_once(self, monkeypatch, capsys, algebra, command):
-        """Both sweeps read ℘_q off their box. g2's verify holds the kernel to it
-        with one one-term call per distinct closed-route term in each run, a
-        check neither missing nor shared across sweeps; table and c2's
-        verify, whose tuple checks run at q = 1, call no kernel."""
+        """Both sweeps read ℘_q off their box. verify holds the kernel to it
+        with one one-term call per distinct point of the pair box and of g2's
+        closed-route terms in each run, a check neither missing nor shared
+        across sweeps; table calls no kernel, and neither do c2's tuple
+        checks, which run at q = 1."""
         spec = cli._ALGEBRAS[algebra]
         calls = []
 
@@ -230,6 +231,8 @@ class TestClosedRoutePaths:
         record = spec.record._replace(term_sum=spy)
         monkeypatch.setitem(cli._ALGEBRAS, algebra, spec._replace(record=record))
         expected = set()
+        if command == "verify":
+            expected.update(product(range(4), repeat=2))
         if (algebra, command) == ("g2", "verify"):
             for m, n, x, y in product(range(4), repeat=4):
                 expected.update(v for _, v in alternation_terms(record.rs, (m, n), (x, y))[2])
