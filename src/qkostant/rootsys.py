@@ -177,18 +177,13 @@ def to_root(rs: RootSystem, w: tuple[int, int]) -> RootCoord | None:
 def to_fund(rs: RootSystem, v: RootCoord) -> FundCoord:
     """Fundamental coordinates of a root-lattice weight.
 
-    Raises ValueError, naming v and its fundamental coordinates, when the
-    weight is not dominant; the solve itself is always exact because the
-    root lattice sits inside the weight lattice.
+    The coordinates are read off the reflections: s_i(v) = v - <v, a_i^v>a_i,
+    so m = c1 - s1(v)_1 and n = c2 - s2(v)_2. Raises ValueError, naming v
+    and its fundamental coordinates, when the weight is not dominant.
     """
     c1, c2 = _as_root(v)
-    (p, r), (q, s) = rs.two_w1, rs.two_w2
-    det = p * s - q * r
-    m_num = 2 * (s * c1 - q * c2)
-    n_num = 2 * (p * c2 - r * c1)
-    if m_num % det or n_num % det:
-        raise InternalConsistencyError(f"non-integral fundamental coordinates for {(c1, c2)}")
-    m, n = m_num // det, n_num // det
+    ((p1, q1), _), (_, (p2, q2)) = rs.s1, rs.s2
+    m, n = c1 - (p1 * c1 + q1 * c2), c2 - (p2 * c1 + q2 * c2)
     if m < 0 or n < 0:
         raise ValueError(
             f"root-basis weight ({c1}, {c2}) is not dominant: its fundamental"
@@ -280,8 +275,10 @@ class QPartitionBox:
     polynomials, and one signed loop sums either: term_sum and box[v] the
     polynomials, sum_at_one the counts.
 
-    A box past BOX_BYTE_BUDGET (so also one of more than sys.maxsize points)
-    raises ValueError before anything is allocated. The counts bound every
+    Bounds that are not nonnegative ints (bool included), roots that are not
+    pairs of nonnegative ints other than (0, 0), and a box past
+    BOX_BYTE_BUDGET (so also one of more than sys.maxsize points) raise
+    ValueError before anything is allocated. The counts bound every
     coefficient, and a box with a count of at least 2^63 / (2 * len(roots))
     raises ValueError: a rank-2 Weyl group has 2 * len(roots) elements, so a
     signed sum of one entry per element keeps every coefficient inside
@@ -289,8 +286,11 @@ class QPartitionBox:
     """
 
     def __init__(self, roots, top1: int, top2: int) -> None:
-        if top1 < 0 or top2 < 0:
-            raise ValueError(f"a box needs nonnegative bounds, got ({top1}, {top2})")
+        if type(top1) is not int or type(top2) is not int or top1 < 0 or top2 < 0:
+            raise ValueError(f"a box needs nonnegative bounds of type int, got {(top1, top2)!r}")
+        roots = tuple(map(_as_root, roots))
+        if any(a1 < 0 or a2 < 0 or a1 == a2 == 0 for a1, a2 in roots):
+            raise ValueError(f"box roots must be nonzero nonnegative pairs, got {roots}")
         cells = (top1 + 1) * (top2 + 1)
         lane_bytes = 8 * ((top2 + 1) * top1 * (top1 + 1) // 2
                           + (top1 + 1) * top2 * (top2 + 1) // 2 + cells)

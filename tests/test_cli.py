@@ -1,5 +1,6 @@
 """Command-line interface tests, driven through run() for speed."""
 
+import ast
 import hashlib
 import json
 import os
@@ -37,18 +38,27 @@ from mutants import (
     g2_sum_with_a_dip,
 )
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
 # Recorded from the CLI before the verify loops were fused; any change to
 # the checks, their order or their counts shows up here.
 TABLE_MAX6_SHA256 = {
     "g2": "3d89a33398f92e26cf545b4c32dab2ecdd64103b607f00c28a4a7fc71311be90",
     "c2": "3933187990f30d6e738fa8d69b243de4290f36cadf1b4b867a71274a500d9fdf",
 }
-# table --max 10, the grid size the benchmark runs, recorded at the same
-# commit as the benchmark's own copy of these digests.
+# table --max 2 and --max 10, the grid sizes the benchmark runs, recorded at
+# the same commit as the benchmark's own copy of these digests,
+# bench/workloads.py::TABLE_SHA256, which they must equal.
+TABLE_MAX2_SHA256 = {
+    "g2": "72b6c410ee623786a5091da53a20413759e9e5c5e9db496a37bbc0a277b5d575",
+    "c2": "5db9753815c693671458675eeb51c3d3756dc8d807ba2101ad4e254718a82735",
+}
 TABLE_MAX10_SHA256 = {
     "g2": "00b0a4baa51beca9b2c0353d16a48d1e2e3c0822bd5461da255f13da710e8e3d",
     "c2": "a34d7d02e44588ad936907cb1076df2053fdfef81323904848b71dc7050be107",
 }
+# table --algebra c2 --max 12, written with --output one lam block at a time.
+C2_TABLE_MAX12_SHA256 = "7d27616a44fcdf3f2507e3a65174483a76803cf8b264d8d37db87e244a42f229"
 # SHA-256 of the concatenated `case --format json` stdout over every tuple
 # of [0,4]^4 in lexicographic order; it covers in_n, including the sp4
 # parity flags that the table CSV leaves out.
@@ -81,6 +91,21 @@ DEEP_C2_SHA256 = {
         "3febb025a3e79caa7eb5c9396733fc0583648f352c053dbf811e55b45b766646",
     ("qpartition", "--algebra", "c2", "5000,3750"):
         "8d5bba6c9b147e051f609e35e1d476902a2e42c39711f9fb6778877cd17c90ed",
+}
+VERIFY_MAX3_TEXT = {
+    "g2": (
+        "qpartition_vs_bruteforce: 16 cases, 0 mismatches\n"
+        "tarski_vs_qpartition_at_one: 16 cases, 0 mismatches\n"
+        "qmult_closed_vs_weyl_sum: 256 cases, 0 mismatches\n"
+        "multiplicity_qpoly_vs_tarski: 256 cases, 0 mismatches\n"
+        "case_audit: 256 cases, 0 mismatches\n"
+    ),
+    "c2": (
+        "qpartition_vs_bruteforce: 16 cases, 0 mismatches\n"
+        "partition_closed_vs_qpartition_at_one: 16 cases, 0 mismatches\n"
+        "mult_closed_vs_weyl_sum_at_one: 256 cases, 0 mismatches\n"
+        "odd_parity_vanishing: 256 cases, 0 mismatches\n"
+    ),
 }
 VERIFY_MAX6_STDOUT = {
     "g2": (
@@ -122,6 +147,7 @@ class TestSingleEvaluations:
         code, out, _ = invoke(capsys, "qmult", "--lambda", "0,3", "--mu", "1,2")
         assert code == 0
         assert out == "q^2\n"
+        assert invoke(capsys, "qmult", "--lambda", "1,0", "--mu", "0,0") == (0, "q^3\n", "")
 
     def test_qpartition_json(self, capsys):
         code, out, _ = invoke(
@@ -129,6 +155,10 @@ class TestSingleEvaluations:
         )
         assert code == 0
         assert out == '{"coeffs":[0,1,2,2,1,1]}\n'
+        # sp4's at the same weight, as text.
+        assert invoke(capsys, "qpartition", "--algebra", "c2", "3,2") == (
+            0, "q^5 + q^4 + 2q^3 + q^2\n", "",
+        )
 
     def test_json_output_round_trips(self, capsys):
         _, out, _ = invoke(capsys, "qpartition", "7,4", "--format", "json")
@@ -149,11 +179,14 @@ class TestSingleEvaluations:
         assert invoke(capsys, "partition", "3,2")[:2] == (0, "7\n")
         assert invoke(capsys, "partition", "--algebra", "c2", "3,2")[:2] == (0, "5\n")
         assert invoke(capsys, "partition", "--", "-1,5")[:2] == (0, "0\n")
+        assert invoke(capsys, "partition", "9,5")[:2] == (0, "60\n")
+        assert invoke(capsys, "partition", "--algebra", "c2", "9,5")[:2] == (0, "20\n")
 
     @pytest.mark.parametrize(
         "argv",
-        [("qpartition", "--", "-1,2"), ("partition", "--algebra", "c2", "--", "-1,2")],
-        ids=["g2-qpartition", "c2-partition"],
+        [("qpartition", "--", "-1,2"), ("partition", "--algebra", "c2", "--", "-1,2"),
+         ("qpartition", "--", "-1,0"), ("partition", "--algebra", "c2", "--", "-1,0")],
+        ids=["g2-qpartition", "c2-partition", "g2-qpartition-minus-a1", "c2-partition-minus-a1"],
     )
     def test_negative_root_coordinates_follow_a_double_dash(self, capsys, argv):
         # Without "--", argparse reads -1,2 as an option and the weight is missing.
@@ -171,6 +204,8 @@ class TestSingleEvaluations:
             "--format", "json",
         )
         assert (code, out) == (0, '{"coeffs":[]}\n')
+        text = invoke(capsys, "qpartition", "--algebra", "c2", "--basis", "fund", "1,0")
+        assert text == (0, "0\n", "")
 
     def test_mult_methods(self, capsys):
         assert invoke(capsys, "mult", "--lambda", "0,1", "--mu", "0,0")[:2] == (0, "2\n")
@@ -180,6 +215,11 @@ class TestSingleEvaluations:
         assert invoke(capsys, "mult", "--algebra", "c2", "--lambda", "2,1", "--mu", "0,0")[
             :2
         ] == (0, "3\n")
+        # A deep one-off g2 query runs the fused q route, which Tarski's O(1)
+        # count matches.
+        for option in ((), ("--method", "tarski")):
+            argv = ("mult", "--lambda", "80,80", "--mu", "10,10", *option)
+            assert invoke(capsys, *argv) == (0, "9419753\n", ""), option
 
     @pytest.mark.parametrize("algebra", ["g2", "c2"])
     @pytest.mark.parametrize("command", ["qmult", "mult", "case", "qpartition"])
@@ -213,11 +253,16 @@ class TestSingleEvaluations:
         payload = json.loads(out)
         assert payload["case"] == "PQRST"
         assert [payload[k] for k in "abcdef"] == [28, 17, 22, 10, 4, 1]
+        # The text form, of a weight named in the root basis: (3, 2) is w2.
+        text = invoke(capsys, "case", "--basis", "root", "--lambda", "3,2", "--mu", "0,0")
+        assert text == (0, "case PQR: a=3 b=2 c=2 d=0 e=-1 f=-4\n", "")
 
     def test_case_text_c2(self, capsys):
         code, out, _ = invoke(capsys, "case", "--algebra", "c2", "--lambda", "0,2", "--mu", "0,0")
         assert code == 0
         assert out == "case PQ: a=2 two_b=4 c=1 two_d=-2\n"
+        code, out, _ = invoke(capsys, "case", "--algebra", "c2", "--lambda", "3,2", "--mu", "1,0")
+        assert (code, out) == (0, "case PQR: a=4 two_b=6 c=0 two_d=0\n")
 
 
 class TestErrors:
@@ -320,21 +365,24 @@ class TestErrors:
             assert (code, out) == (2, "") and "23612055571388994445" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv,degree",
         [
-            ("qpartition", "99999999999999999999,0"),
-            ("qpartition", "--algebra", "c2", "99999999999999999998,0"),
-            ("qmult", "--lambda", "99999999999999999999,0", "--mu", "0,0"),
-            ("qmult", "--algebra", "c2", "--lambda", "99999999999999999998,0", "--mu", "0,0"),
+            (("qpartition", "99999999999999999999,0"), 99999999999999999999),
+            (("qpartition", "--algebra", "c2", "99999999999999999998,0"), 99999999999999999998),
+            (("qmult", "--lambda", "99999999999999999999,0", "--mu", "0,0"),
+             299999999999999999997),
+            (("qmult", "--algebra", "c2", "--lambda", "99999999999999999998,0", "--mu", "0,0"),
+             149999999999999999997),
         ],
         ids=["g2-qpartition", "c2-qpartition", "g2-qmult", "c2-qmult"],
     )
-    def test_degree_past_any_list_is_a_value_error(self, capsys, argv):
+    def test_degree_past_any_list_is_a_value_error(self, capsys, argv, degree):
         # The coefficient list would need more than sys.maxsize entries; the
-        # kernels refuse before allocating instead of raising OverflowError.
-        code, out, err = invoke(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert err.startswith("qkostant: error: degree ") and err.count("\n") == 1
+        # kernels refuse before allocating instead of raising OverflowError,
+        # with one error line and no traceback.
+        assert invoke(capsys, *argv) == (
+            1, "", f"qkostant: error: degree {degree} is too large for a coefficient list\n",
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -391,6 +439,9 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "--max", "1", "--format", "text")
         assert code == 0
         assert "0 mismatches" in out
+        for algebra, text in VERIFY_MAX3_TEXT.items():
+            argv = ("verify", "--max", "3", "--algebra", algebra, "--format", "text")
+            assert invoke(capsys, *argv) == (0, text, ""), algebra
 
     def test_latex_format_rejected(self, capsys):
         # The report has no LaTeX form.
@@ -421,7 +472,9 @@ class TestTable:
         big = QPoly([0, 7, 2**31, 2**40, 2**61, 7])
         suffix = ",0|7|2147483648|1099511627776|2305843009213693952|7,2305844110872805390"
         for algebra in ("g2", "c2"):
-            plain = invoke(capsys, "table", "--algebra", algebra, "--max", "2")[1].splitlines()
+            text = invoke(capsys, "table", "--algebra", algebra, "--max", "2")[1]
+            assert hashlib.sha256(text.encode("ascii")).hexdigest() == TABLE_MAX2_SHA256[algebra]
+            plain = text.splitlines()
             with monkeypatch.context() as patch:
                 patch.setattr(rootsys.QPartitionBox, "term_sum", lambda self, terms: big)
                 code, out, _ = invoke(capsys, "table", "--algebra", algebra, "--max", "2")
@@ -456,6 +509,7 @@ class TestTable:
             tracemalloc.stop()
         assert code == 0 and capsys.readouterr() == ("", "")
         assert peak < path.stat().st_size
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == C2_TABLE_MAX12_SHA256
 
     def test_c2_table_columns(self, capsys):
         _, out, _ = invoke(capsys, "table", "--algebra", "c2", "--max", "1")
@@ -527,6 +581,25 @@ class TestPinnedOutput:
         code, out, _ = invoke(capsys, *args)
         assert code == 0
         assert hashlib.sha256(out.encode("ascii")).hexdigest() == DEEP_C2_SHA256[args]
+
+    def test_pins_shared_with_the_benchmark_agree(self):
+        # The benchmark keeps its own copies: the table digests it checks each
+        # run against, and the check names a verify run must print.
+        tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+        bench = {
+            node.targets[0].id: ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in ("TABLE_SHA256", "VERIFY_CHECKS")
+        }
+        assert bench["TABLE_SHA256"] == {
+            (algebra, top): pins[algebra]
+            for top, pins in ((2, TABLE_MAX2_SHA256), (10, TABLE_MAX10_SHA256))
+            for algebra in ("g2", "c2")
+        }
+        assert bench["VERIFY_CHECKS"] == {
+            name: spec.pair_checks + spec.tuple_checks for name, spec in cli._ALGEBRAS.items()
+        }
 
     @pytest.mark.parametrize("algebra", ["g2", "c2"])
     def test_verify_max6_stdout(self, capsys, algebra):
@@ -989,12 +1062,12 @@ class TestBrokenRoutes:
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # A one-shot CLI call pays for every module it imports; these two
     # alone cost more than the rest of the package.
-    src = Path(__file__).resolve().parents[1] / "src"
+    home = Path(cli.__file__).resolve().parents[1]  # where the suite's qkostant lives
     probe = (
         "import sys; before = set(sys.modules); import qkostant.cli; "
         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
     )
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(home)}
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout
@@ -1005,7 +1078,7 @@ def test_importing_the_cli_does_not_load_array():
     # The sweeps' box decodes its packed sums with struct, which the g2 kernel
     # loads already: neither importing the CLI nor running table or verify,
     # for either algebra, loads array.
-    src = Path(__file__).resolve().parents[1] / "src"
+    home = Path(cli.__file__).resolve().parents[1]  # where the suite's qkostant lives
     probe = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
@@ -1015,7 +1088,7 @@ def test_importing_the_cli_does_not_load_array():
         "             for command in ('table', 'verify') for algebra in ('g2', 'c2')]\n"
         "print(codes, 'array' in set(sys.modules) - before)"
     )
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(home)}
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     ).stdout

@@ -1,7 +1,7 @@
 """Bad input raises ValueError at the Python entry points, as in the CLI.
 
-Each call below once returned a float, a silent zero, a TypeError or an
-InternalConsistencyError instead.
+Each call below once returned a float, a silent zero, a TypeError, an
+IndexError or an InternalConsistencyError instead, or built a box.
 """
 
 import pytest
@@ -15,7 +15,7 @@ from qkostant.g2_partition import (
     tarski_g,
     tarski_h,
 )
-from qkostant.rootsys import C2, G2, RootCoord, to_fund, to_root
+from qkostant.rootsys import C2, G2, QPartitionBox, RootCoord, to_fund, to_root
 from qkostant.sp4 import (
     multiplicity_c2_closed,
     multiplicity_c2_weyl_sum,
@@ -54,6 +54,11 @@ BAD_CALLS = {
     "partition_tarski-scalar": lambda: partition_tarski(5),
     "qpartition_bruteforce-float": lambda: qpartition_bruteforce((2.0, 1)),
     "qpartition_bruteforce-bool": lambda: qpartition_bruteforce((True, 1)),
+    "QPartitionBox-float-bound": lambda: QPartitionBox(G2.positive_roots, 1.5, 2),
+    "QPartitionBox-str-bound": lambda: QPartitionBox(G2.positive_roots, "3", 2),
+    "QPartitionBox-bool-bound": lambda: QPartitionBox(G2.positive_roots, True, 2),
+    "QPartitionBox-zero-root": lambda: QPartitionBox([(0, 0), (1, 0)], 2, 0)[0, 0],
+    "QPartitionBox-negative-root": lambda: QPartitionBox([(1, -1), (0, 1)], 2, 2),
 }
 
 

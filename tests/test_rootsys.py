@@ -101,9 +101,16 @@ class TestConstants:
         assert ((2 * p, 2 * r), (2 * q, 2 * s)) == (G2.two_w1, G2.two_w2)
 
     def test_round_trip_on_grid(self):
-        for m, n in product(range(8), repeat=2):
-            w = FundCoord(m, n)
-            assert to_fund(G2, to_root(G2, w)) == w
+        # doubled reads two_w1 and two_w2, and to_fund the reflections, so the
+        # round trip ties the one pair of fields to the other, through the
+        # doubled weights also at sp4's and B2's half-integral ones.
+        for rs, m, n in product((G2, C2, B2), range(-8, 8), range(-8, 8)):
+            two_v = doubled(rs, (m, n))
+            if m < 0 or n < 0:
+                with pytest.raises(ValueError, match=rf"coordinates \({2 * m}, {2 * n}\)"):
+                    to_fund(rs, two_v)
+            else:
+                assert to_fund(rs, two_v) == FundCoord(2 * m, 2 * n), (rs.name, m, n)
 
     def test_root_to_fund_rejects_non_dominant(self):
         with pytest.raises(ValueError, match=r"\(1, 0\) is not dominant.*\(2, -1\)"):
