@@ -13,7 +13,7 @@ import json
 import re
 import sys
 from functools import cache, partial
-from itertools import product
+from itertools import chain, count, product, repeat
 from operator import add
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -24,18 +24,22 @@ from .qpoly import QPoly, checked_int
 from .rootsys import (
     Algebra,
     FundCoord,
+    GridRow,
     QPartitionBox,
     RootCoord,
     RootSystem,
     alternation_terms,
-    alternation_terms_at,
     case,
+    case_steps,
     closed,
-    closed_at,
     closed_mq,
     count_sum,
     doubled,
-    grid_points,
+    grid_rows,
+    line_step,
+    row_cases,
+    row_labels,
+    spans_of,
     to_fund,
     to_root,
     weyl_terms_at,
@@ -157,58 +161,133 @@ def _count_differs(record: Algebra, terms, value: int) -> bool:
         return True
 
 
-def _kernel_mismatches(kernel: Algebra, record: Algebra, box: QPartitionBox,
+def _kernel_mismatches(kernel: Algebra, count: Callable[[int, int], int], box: QPartitionBox,
                        m: int, n: int) -> tuple[bool, bool]:
     """The kernel's one-term value at (m, n) against box[m, n], and at q = 1
-    against record's count; a kernel that raises InternalConsistencyError
-    fails both, a count that raises it the second."""
+    against count; a kernel that raises InternalConsistencyError fails both, a
+    count that raises it the second."""
     v = RootCoord(m, n)
     try:
         poly = kernel.term_sum([(1, v)])
     except InternalConsistencyError:
         return True, True
     try:
-        return poly != box[v], poly.eval_at_one() != record.count(m, n)
+        return poly != box[v], poly.eval_at_one() != count(m, n)
     except InternalConsistencyError:
         return poly != box[v], True
 
 
-def _g2_tuple_mismatches(kernel_mismatches: Callable[[int, int], tuple], record: Algebra,
-                         box: QPartitionBox, lam: FundCoord, mu: FundCoord, row: tuple,
-                         orbit: tuple, mu_shift: tuple[int, int]) -> tuple[bool, bool, bool]:
-    # One closed evaluation off the box serves three checks. Its mq, what
-    # table prints, is held to the Weyl sum off the box, and each of its terms
-    # to the kernel that qmult runs; its m_at_one is what mult prints and its
-    # terms the ones mult --method tarski sums; its case is what case
-    # prints. A closed route that raises InternalConsistencyError fails all
-    # three.
+def _count_differs_from_box(count: Callable[[int, int], int], box: QPartitionBox,
+                            m: int, n: int) -> bool:
+    """Whether count(m, n) differs from the box's count at (m, n), or raises
+    InternalConsistencyError."""
     try:
-        result = closed_at(record, lam, mu, row, mu_shift)
+        return count(m, n) != box.sum_at_one([(1, (m, n))])
     except InternalConsistencyError:
-        return True, True, True
-    return (
-        any(kernel_mismatches(*v)[0] for _, v in result.terms)
-        or box.term_sum(weyl_terms_at(orbit, mu_shift)) != result.mq,
-        _count_differs(record, result.terms, result.m_at_one),
-        result.case.case_label not in CASE_LABELS,
-    )
+        return True
 
 
-def _c2_tuple_mismatches(kernel_mismatches: Callable[[int, int], tuple], record: Algebra,
-                         box: QPartitionBox, lam: FundCoord, mu: FundCoord, row: tuple,
-                         orbit: tuple, mu_shift: tuple[int, int]) -> tuple[bool, bool]:
+class _Reach(dict):
+    """For each term v of a sweep row's first tuple, whether a point that its run
+    along the row reaches fails ``bad``, which runs once per distinct point.
+
+    Where no term of a row reaches a failing point, each count the row's
+    count routes read is the box's count, so they equal the box's count row."""
+
+    def __init__(self, rs: RootSystem, top: int, bad: Callable[[int, int], bool]) -> None:
+        super().__init__()
+        self.rs, self.top, self.bad = rs, top, cache(bad)
+
+    def __missing__(self, v: RootCoord) -> bool:
+        (a, b), (c1, c2) = line_step(self.rs), v
+        (span,) = spans_of(self.rs, [(1, v)], self.top)
+        failed = self[v] = True in [self.bad(c1 - y * a, c2 - y * b) for y in range(span)]
+        return failed
+
+    def fails(self, row: GridRow) -> bool:
+        """Whether any term of the row reaches a failing point; each term is looked up."""
+        return True in [self[v] for _, v in row.terms]
+
+
+def _terms_at(row: GridRow, y: int, step: tuple[int, int]) -> list:
+    """The alternation terms of the tuple (lam, (x, y)) of row, as term_sum takes them."""
+    a, b = step
+    return [(sign, RootCoord(c1 - y * a, c2 - y * b))
+            for (sign, (c1, c2)), span in zip(row.terms, row.spans) if y < span]
+
+
+def _g2_row_checks(record: Algebra, box: QPartitionBox, top: int,
+                   kernel_mismatches: Callable[[int, int], tuple],
+                   count: Callable[[int, int], int]) -> list[int]:
+    # One closed row off the box serves three checks per tuple. Its m_q, what
+    # table prints, is held to the Weyl row off the box, and each alternation
+    # term to the kernel that qmult runs; its value at one, what mult prints,
+    # to the count route that mult --method tarski sums; its case label, what
+    # case prints, to CASE_LABELS. A negative coefficient, where the closed
+    # route raises InternalConsistencyError, fails all three. A row decodes
+    # tuple by tuple only where one of them fails.
+    rs, slots, polys = record.rs, top + 1, box.polys
+    bias, step = polys.run(slots)[0], line_step(rs)
+    counted = record._replace(count=count)
+    reach = _Reach(rs, top, lambda m, n: kernel_mismatches(m, n)[0]
+                   or _count_differs_from_box(count, box, m, n))
+    valid = {}  # whether every label of a row is a case label, by (label, *spans)
+    totals = [0, 0, 0]
+    for row in grid_rows(rs, top):
+        closed = polys.row(row.terms, slots)
+        weyl_terms = weyl_terms_at(row.orbit, row.mu_shift)
+        weyl = closed if weyl_terms == row.terms else polys.row(weyl_terms, slots)
+        key = (row.label, *row.spans)
+        if key not in valid:
+            valid[key] = set(row_labels(row, top)).issubset(CASE_LABELS)
+        if reach.fails(row) or closed != weyl or bias & ~closed or not valid[key]:
+            full = [polys.lanes] * slots
+            for y, label, mq, mq_weyl in zip(
+                range(slots), row_labels(row, top),
+                polys.prefixes(polys.slots(closed, slots), full),
+                polys.prefixes(polys.slots(weyl, slots), full),
+            ):
+                if min(mq) < 0:
+                    flags = (True, True, True)
+                else:
+                    terms = _terms_at(row, y, step)
+                    flags = (
+                        mq != mq_weyl or any(kernel_mismatches(*v)[0] for _, v in terms),
+                        _count_differs(counted, terms, sum(mq)),
+                        label not in CASE_LABELS,
+                    )
+                totals = list(map(add, totals, flags))
+    return totals
+
+
+def _c2_row_checks(record: Algebra, box: QPartitionBox, top: int,
+                   kernel_mismatches: Callable[[int, int], tuple],
+                   count: Callable[[int, int], int]) -> list[int]:
     # The count route over the alternation terms is what mult prints, held
-    # to the Weyl sum at one read off the box's counts. An odd m - x puts mu
+    # to the Weyl row at one read off the box's counts. An odd m - x puts mu
     # off lam's root-lattice coset, where the case flags must be off and no
     # Weyl term may reach the positive cone on the root lattice. Both checks
     # run at q = 1, so neither reads the kernel.
-    shifts, label, terms = alternation_terms_at(row, mu_shift)
-    weyl = weyl_terms_at(orbit, mu_shift)
-    in_n = record.case_data(shifts, label).in_n
-    return (
-        _count_differs(record, terms, box.sum_at_one(weyl)),
-        bool((lam.m - mu.m) % 2 and (in_n[1] or in_n[3] or weyl)),
-    )
+    rs, slots, counts = record.rs, top + 1, box.counts
+    bias, step = counts.run(slots)[0], line_step(rs)
+    counted = record._replace(count=count)
+    reach = _Reach(rs, top, partial(_count_differs_from_box, count, box))
+    totals = [0, 0]
+    for row in grid_rows(rs, top):
+        weyl_terms = weyl_terms_at(row.orbit, row.mu_shift)
+        if (row.lam.m - row.x) % 2:
+            odd = set(range(max(spans_of(rs, weyl_terms, top), default=0)))
+            for y0, y1, case in row_cases(record, row, top):
+                if case.in_n[1] or case.in_n[3]:
+                    odd.update(range(y0, y1))
+            totals[1] += len(odd)
+        closed = counts.row(row.terms, slots)
+        weyl = closed if weyl_terms == row.terms else counts.row(weyl_terms, slots)
+        if reach.fails(row) or closed != weyl or bias & ~closed:
+            for y, (at_one,) in enumerate(counts.prefixes(counts.slots(weyl, slots),
+                                                          [1] * slots)):
+                totals[0] += _count_differs(counted, _terms_at(row, y, step), at_one)
+    return totals
 
 
 class _Algebra(NamedTuple):
@@ -217,17 +296,20 @@ class _Algebra(NamedTuple):
     ``record`` is the only way in to the algebra's kernel and count: the
     one-off routes take it as it is, so its term sum is the kernel. table
     and verify build one QPartitionBox per command, refused up front past its
-    byte budget, and take a copy of record that sums ℘_q off it and caches
-    each count. verify holds the kernel to the box, and to the cached count
-    at q = 1, once per distinct point of the pair box and of g2's alternation
-    terms; g2's tuple checks compare polynomials, c2's counts at q = 1.
+    byte budget, whose lines the rows of rootsys.grid_rows follow: each
+    (lam, x) row of tuples sums its terms off the box as one packed int.
+    verify holds the kernel to the box, and to the count at q = 1, once per
+    distinct point of the pair box and of the alternation terms (g2; c2 holds
+    there the count to the box); g2's tuple checks compare polynomial rows,
+    c2's count rows.
     """
 
     record: Algebra
     case_fields: tuple[str, ...]  # names of the values in case.as_tuple()
     pair_checks: tuple[str, ...]  # the two flags of _kernel_mismatches
     tuple_checks: tuple[str, ...]  # one mismatch flag each per (lam, mu)
-    tuple_mismatches: Callable[..., tuple[bool, ...]]  # (kernel_mismatches, record, box, *point)
+    # The totals of tuple_checks: (record, box, top, kernel_mismatches, count).
+    tuple_mismatches: Callable[..., list[int]]
 
 
 _ALGEBRAS = {
@@ -236,14 +318,14 @@ _ALGEBRAS = {
         CaseData._fields[:-2],
         ("qpartition_vs_bruteforce", "tarski_vs_qpartition_at_one"),
         ("qmult_closed_vs_weyl_sum", "multiplicity_qpoly_vs_tarski", "case_audit"),
-        _g2_tuple_mismatches,
+        _g2_row_checks,
     ),
     "c2": _Algebra(
         sp4.ALGEBRA,
         Sp4CaseData._fields[:-2],
         ("qpartition_vs_bruteforce", "partition_closed_vs_qpartition_at_one"),
         ("mult_closed_vs_weyl_sum_at_one", "odd_parity_vanishing"),
-        _c2_tuple_mismatches,
+        _c2_row_checks,
     ),
 }
 
@@ -268,38 +350,37 @@ def _cmd_case(args: argparse.Namespace) -> int:
     return 0
 
 
-def _grid(args: argparse.Namespace) -> tuple[_Algebra, Algebra, QPartitionBox]:
-    """The algebra row, the sweep record and the box of every Weyl term of
-    [0, --max]^4 that the record sums ℘_q off, once --max is checked. The
-    largest term is lam = (top, top) itself: (5 top, 3 top) for g2."""
+def _grid(args: argparse.Namespace) -> tuple[_Algebra, QPartitionBox]:
+    """The algebra row and the box of every Weyl term of [0, --max]^4, on the
+    lines that the sweep rows follow, once --max is checked. The largest term is
+    lam = (top, top) itself: (5 top, 3 top) for g2."""
     if args.max < 0:
         raise ValueError("--max must be nonnegative")
     spec = _ALGEBRAS[args.algebra]
-    top1, top2 = doubled(spec.record.rs, (args.max, args.max))
-    box = QPartitionBox(spec.record.rs.positive_roots, top1 >> 1, top2 >> 1)
-    return spec, spec.record._replace(term_sum=box.term_sum, count=cache(spec.record.count)), box
+    rs = spec.record.rs
+    top1, top2 = doubled(rs, (args.max, args.max))
+    return spec, QPartitionBox(rs.positive_roots, top1 >> 1, top2 >> 1, line_step(rs))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec, record, box = _grid(args)
+    spec, box = _grid(args)
+    record = spec.record
+    count = cache(record.count)
     # One kernel check per distinct point, shared by the pair box and g2's tuples.
-    kernel_mismatches = cache(partial(_kernel_mismatches, spec.record, record, box))
+    kernel_mismatches = cache(partial(_kernel_mismatches, record, count, box))
     side = args.max + 1
-    checks = []
-    for names, cases, points, mismatches in (
-        (spec.pair_checks, side**2, product(range(side), repeat=2), kernel_mismatches),
-        (spec.tuple_checks, side**4, grid_points(record.rs, args.max),
-         partial(spec.tuple_mismatches, kernel_mismatches, record, box)),
-    ):
-        totals = [0] * len(names)
-        for point in points:
-            flags = mismatches(*point)
-            if True in flags:
-                totals = list(map(add, totals, flags))
-        checks += (
-            {"name": name, "cases": cases, "mismatches": total}
-            for name, total in zip(names, totals)
-        )
+    totals = [0, 0]
+    for m, n in product(range(side), repeat=2):
+        flags = kernel_mismatches(m, n)
+        if True in flags:
+            totals = list(map(add, totals, flags))
+    tuple_totals = spec.tuple_mismatches(record, box, args.max, kernel_mismatches, count)
+    checks = [
+        {"name": name, "cases": cases, "mismatches": total}
+        for names, cases, counts in ((spec.pair_checks, side**2, totals),
+                                     (spec.tuple_checks, side**4, tuple_totals))
+        for name, total in zip(names, counts)
+    ]
     if args.fmt == "json":
         report = {"algebra": args.algebra, "grid_max": args.max, "checks": checks}
         print(json.dumps(report, **_JSON))
@@ -317,27 +398,48 @@ class _Text(dict):
         return text
 
 
-def _table_blocks(spec: _Algebra, record: Algebra, top: int) -> Iterator[str]:
-    """The CSV of table --max top: its header, then one block of rows per lam."""
+def _table_blocks(spec: _Algebra, box: QPartitionBox, top: int) -> Iterator[str]:
+    """The CSV of table --max top: its header, then one block of rows per lam.
+
+    Each (lam, x) row of tuples is one closed row off the box, decoded once, and
+    its lines are joined in C. A tuple has a term exactly while P does, and then
+    its m_q has degree ht(lam - mu), the height of P, with top coefficient 1: it
+    is that many lanes plus one of the tuple's slot. The case fields of the row's
+    first tuple move by case_steps per y."""
     yield f"m,n,x,y,{','.join(spec.case_fields)},case,mq_coeffs,m_at_1\n"
+    record = spec.record
     text = _Text().__getitem__  # str runs once per distinct coefficient of the command
     width = len(spec.case_fields)
-    case_template = ",".join(["%d"] * width)
-    coords = {(m, n): f"{m},{n}" for m, n in product(range(top + 1), repeat=2)}
-    rows = []
-    for lam, mu, row, _, mu_shift in grid_points(record.rs, top):
-        _, _, data, _, mq, m_at_one = closed_at(record, lam, mu, row, mu_shift)
-        values = case_template % data[:width]  # the fields of data.as_tuple()
-        coeffs = "|".join(map(text, mq.coeffs))
-        rows.append(f"{coords[lam]},{coords[mu]},{values},{data.case_label},{coeffs},{m_at_one}\n")
-        if len(rows) == len(coords):  # lam's last mu
-            yield "".join(rows)
-            rows.clear()
+    steps = case_steps(record, width)
+    a, b = line_step(record.rs)
+    slots = top + 1
+    polys = box.polys
+    bias = polys.run(slots)[0]
+    mus = [[f"{x},{y}" for y in range(slots)] for x in range(slots)]
+    block = []
+    for row in grid_rows(record.rs, top):
+        closed = polys.row(row.terms, slots)
+        if bias & ~closed:
+            raise InternalConsistencyError(
+                f"negative coefficient in m_q({row.lam}, ({row.x}, y)) for some y <= {top}")
+        reach = row.spans[0] if row.terms else 0  # P's span: no other term outlasts it
+        _, u, v = row.shifts[0]
+        degree = (u + v) >> 1  # of P at y = 0, where P lies on the root lattice
+        mqs = list(polys.prefixes(polys.slots(closed, slots),
+                                  range(degree + 1, degree + 1 - reach * (a + b), -(a + b))))
+        fields = map(count, record.case_data(row.shifts, row.label)[:width], steps)
+        coeffs = chain(map("|".join, map(map, repeat(text), mqs)), repeat("", slots - reach))
+        at_one = chain(map(sum, mqs), repeat(0, slots - reach))
+        line = f"{row.lam.m},{row.lam.n},%s,{'%d,' * width}%s,%s,%d\n".__mod__
+        block += map(line, zip(mus[row.x], *fields, row_labels(row, top), coeffs, at_one))
+        if row.x == top:  # lam's last mu
+            yield "".join(block)
+            block.clear()
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    spec, record, _ = _grid(args)  # checks --max and the box budget before any file opens
-    blocks = _table_blocks(spec, record, args.max)
+    spec, box = _grid(args)  # checks --max and the box budget before any file opens
+    blocks = _table_blocks(spec, box, args.max)
     if args.output in (None, "-"):
         sys.stdout.writelines(blocks)
     else:

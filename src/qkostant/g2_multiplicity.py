@@ -6,8 +6,8 @@ combined exactly when its shifted weight lies on the positive cone
 (rootsys.alternation_terms). The oracle route runs the full 12-term
 alternating Weyl sum. Both are the shared rootsys routes fed ALGEBRA, whose
 term sum _g2_sum adds a query's packed markers of D·℘_q, divided by D once;
-the sweeps feed rootsys.closed_at a copy of ALGEBRA whose term sum reads ℘_q
-off the command's QPartitionBox instead. Both recover the classical
+the sweeps read whole rows of ℘_q sums off the command's QPartitionBox
+instead (rootsys.grid_rows). Both recover the classical
 multiplicity at q = 1, and rootsys.count_sum gives it from Tarski's counts.
 """
 

@@ -5,8 +5,9 @@ All weights live in the simple-root basis: c1*a1 + c2*a2 is the pair
 A :class:`RootSystem` record holds the data that tells g2 and sp4 apart.
 The Weyl group, the box of q-partitions filled from their definition (and
 qpartition_defined, one entry of it), the coordinate conversions, the
-nonzero Weyl-sum terms and the alternation-set terms that the closed
-formulas read are written once against it. An
+nonzero Weyl-sum terms, the alternation-set terms that the closed
+formulas read and the row core of the sweeps (grid_rows) are written once
+against it. An
 :class:`Algebra` record adds the algebra's partition kernel, case builder
 and q = 1 count; the closed q route, the Weyl sum, the case and the integer
 route are written once against that.
@@ -16,6 +17,9 @@ from __future__ import annotations
 
 import collections
 from functools import cache
+from itertools import repeat
+from math import gcd
+from operator import getitem
 from struct import Struct
 from typing import Callable, Iterator, NamedTuple
 
@@ -255,8 +259,9 @@ def weyl_group() -> tuple[WeylElement, ...]:
     return weyl_elements(G2)
 
 
-# The most bytes of 64-bit lanes a QPartitionBox may hold: 8 * sum(c1 + c2 + 1)
-# over the box, about 0.6 MB for a g2 sweep of --max 10 and 248 MB for --max 80.
+# The most bytes a QPartitionBox may hold: (4 * (top1 + top2 + 1) + 8) per point, a
+# slot of 32-bit lanes and a 64-bit count (twice the lane bytes where the counts need
+# 64-bit lanes), about 0.5 MB for a g2 sweep of --max 10 and 268 MB for --max 82.
 BOX_BYTE_BUDGET = 1 << 28
 
 
@@ -268,49 +273,67 @@ class QPartitionBox:
     pass P[v] += q·P[v - α] over the box (the unbounded-knapsack recurrence),
     so one pass per root, started from P[0] = 1, fills the whole box. The box
     reads nothing but ``roots``: it shares no code with the kernels or the
-    Weyl sums. Each polynomial is one Python int with one 64-bit lane per
-    coefficient (Kronecker packing), so q· is a shift by 64 bits, and a sum
-    of L lanes is decoded by one little-endian struct unpack. A first
-    pass at q = 1 fills the counts ℘(c1, c2), which the box keeps beside the
-    polynomials, and one signed loop sums either: term_sum and box[v] the
-    polynomials, sum_at_one the counts.
+    Weyl sums. A first pass at q = 1 fills the counts ℘(c1, c2).
+
+    The box keeps its entries on the lines of direction ``step``: each line
+    is one Python int that holds its points highest first, one slot per
+    point (Kronecker packing). A count takes a 64-bit slot; a polynomial a
+    slot of top1 + top2 + 1 lanes, one per coefficient, of 32 bits when the
+    largest count times the Weyl group's order 2 * len(roots) is below 2^31
+    and of 64 bits otherwise. So q· is a shift by one lane, the entries of
+    v, v - step, v - 2 step, ... are the line of v shifted right to v's slot,
+    and one signed loop, _Lines.signed, serves term_sum and box[v] (one slot
+    of ``polys``), sum_at_one (one slot of ``counts``) and the rows of both
+    (a run of slots): the sweeps read a whole run of tuples at once.
 
     Bounds that are not nonnegative ints (bool included), roots that are not
-    pairs of nonnegative ints other than (0, 0), and a box past
-    BOX_BYTE_BUDGET (so also one of more than sys.maxsize points) raise
-    ValueError before anything is allocated. The counts bound every
-    coefficient, and a box with a count of at least 2^63 / (2 * len(roots))
-    raises ValueError: a rank-2 Weyl group has 2 * len(roots) elements, so a
-    signed sum of one entry per element keeps every coefficient inside
-    (-2^63, 2^63) (see term_sum).
+    an iterable of pairs of nonnegative ints other than (0, 0), a step that
+    is not a pair of coprime positive ints, and a box past BOX_BYTE_BUDGET (so also
+    one of more than sys.maxsize points) raise ValueError before anything is
+    allocated. The counts bound every coefficient, and a box with a count of
+    at least 2^63 / (2 * len(roots)) raises ValueError: a rank-2 Weyl group
+    has 2 * len(roots) elements, so a signed sum of one entry per element
+    keeps every coefficient inside the signed range of a lane (see term_sum).
     """
 
-    def __init__(self, roots, top1: int, top2: int) -> None:
+    def __init__(self, roots, top1: int, top2: int, step: tuple[int, int] = (1, 1)) -> None:
         if type(top1) is not int or type(top2) is not int or top1 < 0 or top2 < 0:
             raise ValueError(f"a box needs nonnegative bounds of type int, got {(top1, top2)!r}")
-        roots = tuple(map(_as_root, roots))
+        try:
+            roots = tuple(map(_as_root, roots))
+        except TypeError:
+            raise ValueError(f"box roots must be an iterable of pairs, got {roots!r}") from None
         if any(a1 < 0 or a2 < 0 or a1 == a2 == 0 for a1, a2 in roots):
             raise ValueError(f"box roots must be nonzero nonnegative pairs, got {roots}")
-        cells = (top1 + 1) * (top2 + 1)
-        lane_bytes = 8 * ((top2 + 1) * top1 * (top1 + 1) // 2
-                          + (top1 + 1) * top2 * (top2 + 1) // 2 + cells)
-        if lane_bytes > BOX_BYTE_BUDGET:
-            raise ValueError(
-                f"a partition box up to ({top1}, {top2}) needs {lane_bytes} bytes,"
-                f" more than the budget of {BOX_BYTE_BUDGET}"
-            )
+        a, b = _as_root(step)
+        if a <= 0 or b <= 0 or gcd(a, b) != 1:  # so b*c1 - a*c2 tells the lines apart
+            raise ValueError(f"a box step must be a pair of coprime positive ints, got {step!r}")
+        lanes = top1 + top2 + 1  # of a polynomial slot: the degree of ℘_q(top1, top2), plus one
+        self._check_budget(top1, top2, 4 * lanes + 8)
         order = 2 * len(roots)  # of the Weyl group
-        self._counts = self._fill(roots, top1, top2, 0)
-        if max(map(max, self._counts)) * order >> 63:
+        counts = self._fill(roots, top1, top2, 0)
+        peak = max(map(max, counts)) * order
+        if peak >> 63:
             raise ValueError(
                 f"a count of the box up to ({top1}, {top2}) times {order} Weyl terms"
                 " does not fit a signed 64-bit lane"
             )
-        self._rows = self._fill(roots, top1, top2, 64)
-        # 2^63 in each lane of the widest entry, ℘_q(top1, top2), and so of any sum.
-        self._bias = int.from_bytes(b"\0\0\0\0\0\0\0\x80" * (top1 + top2 + 1), "little")
-        # The decoder of a sum of L lanes, L = 0 ... top1 + top2 + 1.
-        self._unpack = [Struct(f"<{lanes}q").unpack for lanes in range(top1 + top2 + 2)]
+        width = 32 if peak < 1 << 31 else 64
+        if width == 64:
+            self._check_budget(top1, top2, 8 * lanes + 8)
+        self._top, self._step = (top1, top2), (a, b)
+        self.counts = _Lines(self._pack(counts, 64), 64, 1, self._top, self._step)
+        polys = self._pack(self._fill(roots, top1, top2, width), width * lanes)
+        self.polys = _Lines(polys, width, lanes, self._top, self._step)
+
+    @staticmethod
+    def _check_budget(top1: int, top2: int, point_bytes: int) -> None:
+        need = (top1 + 1) * (top2 + 1) * point_bytes
+        if need > BOX_BYTE_BUDGET:
+            raise ValueError(
+                f"a partition box up to ({top1}, {top2}) needs {need} bytes,"
+                f" more than the budget of {BOX_BYTE_BUDGET}"
+            )
 
     @staticmethod
     def _fill(roots, top1: int, top2: int, shift: int) -> list[list[int]]:
@@ -324,53 +347,141 @@ class QPartitionBox:
                     row[c2] += back[c2 - a2] << shift
         return rows
 
+    def _pack(self, rows: list[list[int]], slot_bits: int) -> list[int]:
+        """One int per line of direction step, its points highest first, slot_bits
+        apiece; the line of (c1, c2) is number b*c1 - a*c2 + a*top2. A line's points
+        lie in its top's row of rows and below, so the rows are packed from the top
+        down, one line at a time in C, and each row is dropped once its lines are:
+        the box is not held twice. A row whose every point is a line of one slot
+        (each point of qpartition_defined's box) is taken as it is."""
+        (top1, top2), (a, b) = self._top, self._step
+        size = slot_bits >> 3
+        lines = [0] * (b * top1 + a * top2 + 1)
+        for c1 in range(top1, -1, -1):
+            if c1 < a and c1 + a > top1:  # each point of the row is a line of one slot
+                lines[b * c1:b * c1 + a * top2 + 1:a] = reversed(rows[c1])
+                continue
+            # The highest points of their lines: a row at the right edge, or the top.
+            for c2 in range(top2 + 1) if c1 + a > top1 else range(max(0, top2 + 1 - b), top2 + 1):
+                points = min(c1 // a, c2 // b) + 1
+                entries = map(getitem, map(rows.__getitem__, range(c1, c1 - points * a, -a)),
+                              range(c2, c2 - points * b, -b))
+                packed = b"".join(map(int.to_bytes, entries, repeat(size), repeat("little")))
+                lines[b * c1 - a * c2 + a * top2] = int.from_bytes(packed, "little")
+            rows[c1] = None
+        return lines
+
     def __getitem__(self, v: tuple[int, int]) -> QPoly:
         return self.term_sum([(1, v)])
-
-    @staticmethod
-    def _signed(terms, table: list[list[int]]) -> int:
-        """Σ sign·table[c1][c2] over (sign, (c1, c2)) terms; a sign other than 1 or -1,
-        or a term outside the box, raises ValueError. Over the q-lane rows this is the
-        packed sum Σ s_i·2^(64i), s_i the sum's true coefficients: packing is linear."""
-        total = 0
-        try:
-            for sign, (c1, c2) in terms:
-                if c1 | c2 < 0:  # a negative index would read a row from its far end
-                    raise IndexError
-                if sign == 1:
-                    total += table[c1][c2]
-                elif sign == -1:
-                    total -= table[c1][c2]
-                else:
-                    raise ValueError(f"sign must be 1 or -1, got {sign!r}")
-        except IndexError:
-            raise ValueError(f"the term {(sign, (c1, c2))} lies outside the box up to"
-                             f" ({len(table) - 1}, {len(table[0]) - 1})") from None
-        return total
 
     def term_sum(self, terms) -> QPoly:
         """Σ sign·℘_q(v) over (sign, (c1, c2)) terms inside the box, at most one per
         Weyl element, each sign 1 or -1; no terms give the zero polynomial at once.
 
         The box bounds every count, so each s_i of the packed sum S lies in
-        (-2^63, 2^63). With B the int that holds 2^63 in each lane of the box,
-        every lane of S + B lies in (0, 2^64): no lane carries, and the lanes of
-        (S + B) ^ B are the s_i as signed 64-bit ints. Its lanes past the top
-        nonzero s_i are zero, so its L lanes up to its bit length, read as
-        little-endian int64s in one unpack, are the coefficients, which need no
-        range check. Other terms raise ValueError.
+        (-2^(w-1), 2^(w-1)) for its lane width w. With B the int that holds
+        2^(w-1) in each lane of a slot, every lane of the first slot of S + B lies
+        in (0, 2^w): no lane carries, and the lanes of the slot of S + B, xor B,
+        are the s_i as signed w-bit ints. Its lanes past the top nonzero s_i are
+        zero, so its lanes up to its bit length, read as little-endian ints in
+        one unpack, are the coefficients, which need no range check. Other terms
+        raise ValueError.
         """
         if not terms:
             return _ZERO
-        bias = self._bias
-        packed = (self._signed(terms, self._rows) + bias) ^ bias
-        lanes = (packed.bit_length() + 63) >> 6
-        return QPoly._from_checked(self._unpack[lanes](packed.to_bytes(8 * lanes, "little")))
+        polys = self.polys
+        packed = polys.row(terms, 1) ^ polys.run(1)[0]
+        lanes = -(-packed.bit_length() // polys.lane_bits)
+        return QPoly._from_checked(polys.unpack(packed, lanes))
 
     def sum_at_one(self, terms) -> int:
         """Σ sign·℘(v) at q = 1 over (sign, (c1, c2)) terms inside the box, each
         sign 1 or -1; only the total is range-checked. Other terms raise ValueError."""
-        return checked_int(self._signed(terms, self._counts))
+        counts = self.counts
+        return checked_int(counts.signed(terms, counts.run(1)[1]))
+
+
+class _Lines:
+    """One kind of a box's entries on its lines: ``ints`` holds one int per line of
+    direction ``step`` in the box up to ``top``, with a slot of ``lanes`` lanes of
+    ``lane_bits`` bits per point, highest point first."""
+
+    __slots__ = ("ints", "lane_bits", "lanes", "slot_bits", "_top", "_step", "_structs",
+                 "_runs")
+
+    def __init__(self, ints: list[int], lane_bits: int, lanes: int, top: tuple[int, int],
+                 step: tuple[int, int]) -> None:
+        self.ints, self.lane_bits, self.lanes = ints, lane_bits, lanes
+        self.slot_bits = lane_bits * lanes
+        self._top, self._step = top, step
+        code = "i" if lane_bits == 32 else "q"
+        # The decoder of 0 ... lanes lanes, made once per box.
+        self._structs = [Struct(f"<{count}{code}") for count in range(lanes + 1)]
+        self._runs: dict[int, tuple[int, int]] = {}
+
+    def signed(self, terms, mask: int = 0) -> int:
+        """Σ sign·(the line of v shifted right to v's slot) over (sign, (c1, c2))
+        terms, each run cut to its first slot by mask when mask is given; a sign
+        other than 1 or -1, or a term outside the box, raises ValueError. Slot y
+        of the sum is Σ sign·entry(v - y·step): a line ends where its points
+        leave the box, so past a line's end a run is zero. Packing is linear, so
+        each lane of a slot holds the true signed sum of its coefficients, but
+        for the borrows of the lanes below it."""
+        (top1, top2), (a, b) = self._top, self._step
+        lines, width, offset = self.ints, self.slot_bits, a * top2
+        total = 0
+        try:
+            for sign, (c1, c2) in terms:
+                if c1 | c2 < 0:  # a negative index would read a line from its far end
+                    raise IndexError
+                up = min((top1 - c1) // a, (top2 - c2) // b)  # slots above v on its line
+                if up < 0:
+                    raise IndexError
+                run = lines[b * c1 - a * c2 + offset] >> up * width
+                if mask:
+                    run &= mask
+                if sign == 1:
+                    total += run
+                elif sign == -1:
+                    total -= run
+                else:
+                    raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+        except IndexError:
+            raise ValueError(f"the term {(sign, (c1, c2))} lies outside the box up to"
+                             f" ({top1}, {top2})") from None
+        return total
+
+    def run(self, slots: int) -> tuple[int, int]:
+        """(bias, mask) of a run of slots: 2^(w-1) in each of its lanes, and all its bits."""
+        consts = self._runs.get(slots)
+        if consts is None:
+            lane = (1 << self.lane_bits - 1).to_bytes(self.lane_bits >> 3, "little")
+            bias = int.from_bytes(lane * (self.lanes * slots), "little")
+            consts = self._runs[slots] = bias, (1 << self.slot_bits * slots) - 1
+        return consts
+
+    def row(self, terms, slots: int) -> int:
+        """The sums of a sweep row: Σ sign·entry(v - y·step) in slot y < slots, over
+        (sign, v) terms, at most one per Weyl element (see term_sum), biased by
+        run(slots)[0] and kept to its lowest slots. A lane whose bias bit is clear
+        is negative."""
+        bias, mask = self.run(slots)
+        return (self.signed(terms) + bias) & mask
+
+    def unpack(self, packed: int, lanes: int) -> tuple[int, ...]:
+        """The lowest lanes of packed, lanes <= self.lanes, as signed ints."""
+        return self._structs[lanes].unpack(packed.to_bytes(lanes * self.lane_bits >> 3, "little"))
+
+    def slots(self, row: int, slots: int) -> bytes:
+        """A row's slots, as row gives them, unbiased into two's-complement lanes."""
+        return (row ^ self.run(slots)[0]).to_bytes(slots * self.slot_bits >> 3, "little")
+
+    def prefixes(self, raw: bytes, lanes) -> Iterator[tuple[int, ...]]:
+        """The lowest lanes[y] lanes of slot y of raw, as slots gives it, as signed
+        ints, for each y < len(lanes); decoded in C."""
+        size = self.slot_bits >> 3
+        return map(Struct.unpack_from, map(self._structs.__getitem__, lanes), repeat(raw),
+                   range(0, len(lanes) * size, size))
 
 
 def qpartition_defined(roots, v: tuple[int, int]) -> QPoly:
@@ -379,11 +490,13 @@ def qpartition_defined(roots, v: tuple[int, int]) -> QPoly:
     A v off the positive cone gives the zero polynomial. A v that is not a
     pair of integers, and one whose box passes BOX_BYTE_BUDGET (near (400,
     240) for g2), raise ValueError, the latter before anything is allocated.
+    The box's step, (c1 + 1, 1), leaves every point on a line of its own,
+    which packs as it is: one entry is read, so no line is worth building.
     """
     c1, c2 = _as_root(v)
     if c1 < 0 or c2 < 0:
         return QPoly()
-    return QPartitionBox(roots, c1, c2)[c1, c2]
+    return QPartitionBox(roots, c1, c2, (c1 + 1, 1))[c1, c2]
 
 
 @cache
@@ -398,8 +511,8 @@ def shifted_orbit(rs: RootSystem, m: int, n: int) -> tuple[tuple[int, int, int],
     """(sign, u, v) of sigma(2 * (lam + rho)) for every Weyl element sigma.
 
     Doubled root coordinates, lam = m*w1 + n*w2 and rho = w1 + w2. The
-    orbit depends on lam alone, so grid_points computes it once per lam,
-    not once per (lam, mu), and no call keeps it for the next: its 8 or 12
+    orbit depends on lam alone, so grid_rows computes it once per lam, not
+    once per (lam, mu), and no call keeps it for the next: its 8 or 12
     matrix products take a few microseconds. rs.alternation comes first.
     """
     u, v = doubled(rs, (m + 1, n + 1))
@@ -410,6 +523,11 @@ def shifted_orbit(rs: RootSystem, m: int, n: int) -> tuple[tuple[int, int, int],
     return tuple(orbit)
 
 
+def _mu_shift(rs: RootSystem, x: int, y: int) -> tuple[int, int]:
+    """2 * (mu + rho) in root coordinates, for mu = x*w1 + y*w2."""
+    return doubled(rs, (x + 1, y + 1))
+
+
 def _alternation_row(rs: RootSystem, orbit: tuple) -> list:
     """(name, sign, u, v) of each term of rs.alternation, off orbit = shifted_orbit of lam."""
     return [(name, sign, u, v) for (name, _), (sign, u, v) in zip(rs.alternation, orbit)]
@@ -417,35 +535,16 @@ def _alternation_row(rs: RootSystem, orbit: tuple) -> list:
 
 def _point(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> tuple:
     """(lam, mu, orbit, mu_shift) of one pair: orbit is shifted_orbit of lam and
-    mu_shift = 2 * (mu + rho) in root coordinates, as grid_points yields them.
+    mu_shift = 2 * (mu + rho) in root coordinates.
 
     A non-dominant lam or mu raises ValueError, lam first.
     """
     lam, mu = _as_fund(lam), _as_fund(mu)
-    return lam, mu, shifted_orbit(rs, lam.m, lam.n), doubled(rs, (mu.m + 1, mu.n + 1))
-
-
-def grid_points(rs: RootSystem, top: int) -> Iterator[tuple]:
-    """(lam, mu, row, orbit, mu_shift) at every (lam, mu) of [0, top]^4, in lexicographic order.
-
-    lam and mu are FundCoords, orbit is shifted_orbit of lam, row zips its
-    first len(rs.alternation) elements with their names as (name, sign, u, v),
-    and mu_shift = 2 * (mu + rho) in root coordinates: the arguments of the
-    *_at cores. Each weight is validated once, each lam's orbit is looked up
-    and its row zipped once, and each mu's shift is computed once per call,
-    not once per point.
-    """
-    weights = [FundCoord(m, n) for m in range(top + 1) for n in range(top + 1)]
-    mus = [(mu, doubled(rs, (mu.m + 1, mu.n + 1))) for mu in weights]
-    for lam in weights:
-        orbit = shifted_orbit(rs, lam.m, lam.n)
-        row = _alternation_row(rs, orbit)
-        for mu, mu_shift in mus:
-            yield lam, mu, row, orbit, mu_shift
+    return lam, mu, shifted_orbit(rs, lam.m, lam.n), _mu_shift(rs, mu.m, mu.n)
 
 
 def alternation_terms_at(row: list, mu_shift: tuple[int, int]) -> tuple:
-    """alternation_terms of the lam of row (see grid_points) and the mu of mu_shift."""
+    """alternation_terms of the lam whose _alternation_row is row and the mu of mu_shift."""
     mu1, mu2 = mu_shift
     shifts = []
     label = ""
@@ -496,6 +595,111 @@ def weyl_terms(rs: RootSystem, lam: tuple[int, int], mu: tuple[int, int]) -> lis
     """
     _, _, orbit, mu_shift = _point(rs, lam, mu)
     return weyl_terms_at(orbit, mu_shift)
+
+
+def line_step(rs: RootSystem) -> tuple[int, int]:
+    """w2 in root coordinates: how far every term of a sweep row moves, against
+    its sign, from one tuple to the next. A w2 off the root lattice raises ValueError."""
+    u, v = rs.two_w2
+    if u % 2 or v % 2:
+        raise ValueError(f"{rs.name}'s w2 is off the root lattice, so its sweep rows do not"
+                         " follow the lines of a box")
+    return u >> 1, v >> 1
+
+
+class GridRow(NamedTuple):
+    """One (lam, x) row of a sweep of [0, top]^4: the tuples (lam, (x, y)), y = 0 ... top.
+
+    orbit is shifted_orbit of lam and mu_shift is that of mu = (x, 0), so
+    shifts, label and terms are alternation_terms_at of the row's first tuple,
+    and weyl_terms_at(orbit, mu_shift) its Weyl terms. Raising y by one moves
+    every term by -w2 (line_step), which keeps the parity of its doubled
+    coordinates: each term lies on the positive cone and the root lattice for
+    a prefix of the row, the first spans[i] tuples for terms[i]. So the term
+    sums of the whole row are runs of the lines of a box with step w2
+    (_Lines.row), and the name of terms[i] is in the label at y exactly
+    while y < spans[i].
+    """
+
+    lam: FundCoord
+    x: int
+    orbit: tuple
+    mu_shift: tuple[int, int]
+    shifts: list
+    label: str
+    terms: list
+    spans: list
+
+
+def spans_of(rs: RootSystem, terms, top: int) -> list[int]:
+    """For each (sign, v) term of a row's first tuple, how many tuples of the row it
+    reaches: min(c1 // a, c2 // b) + 1 for v = (c1, c2) and w2 = (a, b), at most top + 1."""
+    a, b = line_step(rs)
+    stop = top + 1
+    return [min(stop, c1 // a + 1, c2 // b + 1) for _, (c1, c2) in terms]
+
+
+def grid_rows(rs: RootSystem, top: int) -> Iterator[GridRow]:
+    """The GridRow of every (lam, x) of [0, top]^2, in lexicographic order: the
+    row core of table and verify. Each weight is validated once, each lam's
+    orbit and each mu_shift are computed once, and each row runs
+    alternation_terms_at once, at y = 0."""
+    line_step(rs)
+    weights = [FundCoord(m, n) for m in range(top + 1) for n in range(top + 1)]
+    mu_shifts = [_mu_shift(rs, x, 0) for x in range(top + 1)]
+    for lam in weights:
+        orbit = shifted_orbit(rs, lam.m, lam.n)
+        alternation = _alternation_row(rs, orbit)
+        for x, mu_shift in enumerate(mu_shifts):
+            shifts, label, terms = alternation_terms_at(alternation, mu_shift)
+            data = (lam, x, orbit, mu_shift, shifts, label, terms, spans_of(rs, terms, top))
+            yield _new_tuple(GridRow, data)
+
+
+def row_labels(row: GridRow, top: int) -> list[str]:
+    """The alternation label of each tuple (lam, (x, y)) of the row, y = 0 ... top:
+    the names of the terms whose spans pass y, or "ZERO"."""
+    labels = []
+    y = 0
+    for end in sorted(set(row.spans)):  # the first y that one or more names have left
+        label = "".join([name for name, span in zip(row.label, row.spans) if span >= end])
+        labels += [label] * (end - y)
+        y = end
+    return labels + ["ZERO"] * (top + 1 - y)
+
+
+def row_cases(alg: "Algebra", row: GridRow, top: int) -> list[tuple[int, int, tuple]]:
+    """(y0, y1, case) for each run y0 <= y < y1 of the row's tuples over which every
+    alternation shift keeps the signs of its coordinates; case is alg.case_data at
+    (lam, (x, y0)). A shift moves by -2 w2 per y, so each coordinate changes sign at
+    most once: a row has at most 2 len(shifts) + 1 runs, and over each the label
+    and every membership flag of the case hold."""
+    du, dv = alg.rs.two_w2
+    cuts = {top + 1}
+    for _, u, v in row.shifts:  # the first y at which u, or v, is negative
+        if 0 <= u < top * du:
+            cuts.add(u // du + 1)
+        if 0 <= v < top * dv:
+            cuts.add(v // dv + 1)
+    labels = row_labels(row, top)
+    runs = []
+    y0 = 0
+    for y1 in sorted(cuts):
+        shifts = [(sign, u - y0 * du, v - y0 * dv) for sign, u, v in row.shifts]
+        runs.append((y0, y1, alg.case_data(shifts, labels[y0])))
+        y0 = y1
+    return runs
+
+
+def case_steps(alg: "Algebra", width: int) -> tuple[int, ...]:
+    """How much each of the first width fields of alg's case record moves from one
+    tuple of a sweep row to the next: the fields are affine in the shifts, which
+    all move by -2 w2."""
+    du, dv = alg.rs.two_w2
+    count = len(alg.rs.alternation)
+    here = alg.case_data([(1, 0, 0)] * count, "ZERO")[:width]
+    there = alg.case_data([(1, -du, -dv)] * count, "ZERO")[:width]
+    return tuple(b - a for a, b in zip(here, there))
 
 
 class MultiplicityResult(NamedTuple):
@@ -555,8 +759,8 @@ def closed_mq(alg: Algebra, lam: FundCoord, mu: FundCoord, terms) -> QPoly:
 
 def closed_at(alg: Algebra, lam: FundCoord, mu: FundCoord, row: list,
               mu_shift: tuple[int, int]) -> MultiplicityResult:
-    """closed at one point (lam, mu, row, mu_shift) of grid_points: the per-point
-    core of table and verify. A point with no alternation term sums nothing."""
+    """closed at one pair, given the _alternation_row of lam and the shift of mu
+    (see _point). A pair with no alternation term sums nothing."""
     shifts, label, terms = alternation_terms_at(row, mu_shift)
     if not terms:
         data = (lam, mu, alg.case_data(shifts, label), (), _ZERO, 0)

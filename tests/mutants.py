@@ -8,7 +8,7 @@ from operator import add
 
 from qkostant.g2_partition import _g2_marks, _g2_sum
 from qkostant.qpoly import QPoly
-from qkostant.rootsys import _point, grid_points, shifted_orbit
+from qkostant.rootsys import _mu_shift, shifted_orbit
 from qkostant.sp4 import _c2_events, _c2_sum, _closed_form
 
 from reference_kernels import g2_marker_groups
@@ -153,29 +153,16 @@ def _shifted_orbit_with_a_wrong_rho(rs, m: int, n: int) -> tuple:
     return shifted_orbit(rs, m + 1, n)
 
 
-def _mu_shift_with_a_wrong_rho(rs, mu_shift: tuple[int, int]) -> tuple[int, int]:
-    """2 * (mu + 2w1 + w2) from mu_shift = 2 * (mu + w1 + w2)."""
-    return mu_shift[0] + rs.two_w1[0], mu_shift[1] + rs.two_w1[1]
-
-
-def _point_with_a_wrong_rho(rs, lam, mu) -> tuple:
-    lam, mu, orbit, mu_shift = _point(rs, lam, mu)
-    return lam, mu, orbit, _mu_shift_with_a_wrong_rho(rs, mu_shift)
-
-
-def _grid_points_with_a_wrong_rho(rs, top: int):
-    for lam, mu, row, orbit, mu_shift in grid_points(rs, top):
-        yield lam, mu, row, orbit, _mu_shift_with_a_wrong_rho(rs, mu_shift)
+def _mu_shift_with_a_wrong_rho(rs, x: int, y: int) -> tuple[int, int]:
+    """2 * (mu + 2w1 + w2) in root coordinates, for mu = x*w1 + y*w2."""
+    return _mu_shift(rs, x + 1, y)
 
 
 # rho taken as 2w1 + w2 instead of w1 + w2, in lam + rho and in mu + rho alike:
-# replacements for the three rootsys names through which the one-off routes and
-# the sweeps read both shifts, so both sides of every comparison verify makes
-# move together. _point and grid_points read the orbit through
-# rootsys.shifted_orbit, so all three go in together, and grid_points also in
-# the CLI, which imports it by name.
+# replacements for the two rootsys names through which the one-off routes
+# (by way of _point) and the sweep rows (grid_rows) read both shifts, so both
+# sides of every comparison verify makes move together.
 RHO_AS_2W1_PLUS_W2 = {
     "shifted_orbit": _shifted_orbit_with_a_wrong_rho,
-    "_point": _point_with_a_wrong_rho,
-    "grid_points": _grid_points_with_a_wrong_rho,
+    "_mu_shift": _mu_shift_with_a_wrong_rho,
 }

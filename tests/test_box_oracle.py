@@ -6,10 +6,10 @@ one. It holds ``qpartition`` and ``qpartition_c2`` at every point of a box,
 its counts summed at q = 1 to the closed counts, and the fused closed q
 routes of both algebras to Σ sign·box[term] over the Weyl terms at every
 dominant mu below a seeded set of lambda <= (40, 40), both as QPoly sums and
-through the box's own term sum, decoded, as verify compares them. A marker builder
-that loses the sign of a term agrees with the box on every one-term kernel
-call, so only the fused routes see it. The box's term sum, which table and
-verify feed closed_at, is held to QPoly.signed_sum of its entries. The box's
+through the box's own term sum, decoded. A marker builder that loses the
+sign of a term agrees with the box on every one-term kernel call, so only
+the fused routes see it. The box's term sum, the first slot of the row sums
+that table and verify read, is held to QPoly.signed_sum of its entries. The box's
 refusals (past its byte budget, a count too large for its lanes, a sign
 other than 1 or -1, or a term outside it), the refusal of the definitional
 routes qpartition_bruteforce and qpartition_c2_bruteforce past that budget,
@@ -123,8 +123,9 @@ class TestBox:
             raise AssertionError("the box was filled")
 
         monkeypatch.setattr(QPartitionBox, "_fill", staticmethod(no_fill))
-        # 8 * sum(c1 + c2 + 1) is 248174088 bytes over [0, 400]x[0, 240], the box
-        # of verify --max 80, and 483769608 over [0, 500]x[0, 300], that of --max 100.
+        # (4 * (top1 + top2 + 1) + 8) bytes per point is 248560652 over
+        # [0, 400]x[0, 240], the box of verify --max 80, and 484372812 over
+        # [0, 500]x[0, 300], that of --max 100.
         for top1, top2 in ((500, 300), (10**11, 10**11), (10**30, 0)):
             with pytest.raises(ValueError, match="more than the budget"):
                 QPartitionBox(G2.positive_roots, top1, top2)

@@ -23,9 +23,9 @@ from qkostant.rootsys import (
     G2,
     FundCoord,
     RootCoord,
+    _alternation_row,
     _point,
     alternation_terms,
-    grid_points,
     to_root,
 )
 from qkostant.g2_partition import qpartition
@@ -476,7 +476,9 @@ class TestTable:
             assert hashlib.sha256(text.encode("ascii")).hexdigest() == TABLE_MAX2_SHA256[algebra]
             plain = text.splitlines()
             with monkeypatch.context() as patch:
-                patch.setattr(rootsys.QPartitionBox, "term_sum", lambda self, terms: big)
+                # The decode of each row's slots hands table the coefficients.
+                patch.setattr(rootsys._Lines, "prefixes",
+                              lambda self, raw, lanes: [big.coeffs] * len(lanes))
                 code, out, _ = invoke(capsys, "table", "--algebra", algebra, "--max", "2")
             rows = out.splitlines()
             assert code == 0 and len(rows) == len(plain) == 82
@@ -664,12 +666,16 @@ def test_every_command_reaches_the_algebra_through_its_row_record(capsys, monkey
 
 
 class TestFusedChecksStayIndependent:
-    """verify evaluates each tuple once; each check must still count on its own.
+    """verify sums each (lam, x) row of tuples once; each check must still count
+    each tuple on its own.
 
-    Each test corrupts one of the per-point seams that verify's sweep calls:
-    the closed core closed_at (handed each lam's row), weyl_terms_at (handed
-    its orbit) and count_sum as cli names, and the case builder of the record
-    that the sweep is handed.
+    Each test corrupts one seam of the row core at one tuple: the Weyl terms
+    of a row (weyl_terms_at as cli names it, handed the orbit and the shift of
+    the row's first tuple), the count that the count route reads, the label
+    that the row's alternation terms spell (rootsys.alternation_terms_at), and
+    the case builder of the record, which c2's parity check reads once per run
+    of a row over which the case's flags hold. A term added to a row's first
+    tuple at a point where its line ends reaches that tuple alone.
     """
 
     def test_wrong_weyl_sum_counts_once(self, capsys, monkeypatch):
@@ -693,14 +699,11 @@ class TestFusedChecksStayIndependent:
         }
 
     def test_wrong_tarski_multiplicity_counts_once(self, capsys, monkeypatch):
-        real = cli.count_sum
-        target = tuple(alternation_terms(G2, (3, 0), (0, 1))[2])
-
-        def corrupted(alg, terms):
-            value = real(alg, terms)
-            return value + 1 if tuple(terms) == target else value
-
-        monkeypatch.setattr(cli, "count_sum", corrupted)
+        # (15, 9) is lam = (3, 3) itself: the P term of (lam, 0), of no other
+        # tuple of [0, 3]^4, and past the pair box.
+        real = cli._ALGEBRAS["g2"].record.count
+        assert _tuples_with_a_term(lambda v: v == (15, 9), G2, 3) == 1
+        _with_record(monkeypatch, "g2", count=lambda m, n: real(m, n) + ((m, n) == (15, 9)))
         code, counts = _mismatch_counts(capsys, "g2")
         assert code == 1
         assert counts == {
@@ -712,16 +715,20 @@ class TestFusedChecksStayIndependent:
         }
 
     def test_forbidden_case_label_counts_once(self, capsys, monkeypatch):
-        real = cli.closed_at
+        real = rootsys.alternation_terms_at
+        _, _, orbit, mu_shift = _point(G2, (2, 1), (1, 0))
+        target = (_alternation_row(G2, orbit), mu_shift)
 
-        def corrupted(alg, lam, mu, row, mu_shift):
-            result = real(alg, lam, mu, row, mu_shift)
-            if (tuple(lam), tuple(mu)) != ((2, 1), (1, 0)):
-                return result
-            # P and S without Q: a term set no case combines.
-            return result._replace(case=result.case._replace(case_label="PS"))
+        def corrupted(row, shift):
+            shifts, label, terms = real(row, shift)
+            if (row, shift) != target:
+                return shifts, label, terms
+            # P and S without Q: a term set no case combines. Q and R leave the
+            # row after its first tuple, where the label is P again.
+            assert label == "PQR"
+            return shifts, "PSR", terms
 
-        monkeypatch.setattr(cli, "closed_at", corrupted)
+        monkeypatch.setattr(rootsys, "alternation_terms_at", corrupted)
         code, counts = _mismatch_counts(capsys, "g2")
         assert code == 1
         assert counts == {
@@ -734,7 +741,7 @@ class TestFusedChecksStayIndependent:
 
     def test_wrong_c2_weyl_sum_at_odd_parity_counts_in_both(self, capsys, monkeypatch):
         real = cli.weyl_terms_at
-        odd = _point(C2, (3, 1), (0, 2))[2:]  # m - x = 3 is odd: the true sum is zero
+        odd = _point(C2, (3, 1), (0, 0))[2:]  # m - x = 3 is odd: the true sum is zero
 
         def corrupted(orbit, mu_shift):
             terms = real(orbit, mu_shift)
@@ -754,7 +761,9 @@ class TestFusedChecksStayIndependent:
     def test_wrong_c2_case_flag_at_odd_parity_counts_in_parity_only(self, capsys, monkeypatch):
         spec = cli._ALGEBRAS["c2"]
         real = spec.record.case_data
-        odd = alternation_terms(C2, (3, 1), (0, 2))[0]
+        # The first run of the row lam = (3, 1), x = 0 is its first tuple alone:
+        # c = -y is nonnegative there only.
+        odd = alternation_terms(C2, (3, 1), (0, 0))[0]
 
         def corrupted(shifts, label):
             data = real(shifts, label)
@@ -776,8 +785,9 @@ class TestFusedChecksStayIndependent:
 
 
 def _lane_bytes(top1, top2):
-    """8 * sum(c1 + c2 + 1) over the box [0, top1]x[0, top2], row by row."""
-    return 8 * sum((c1 + 1) * (top2 + 1) + top2 * (top2 + 1) // 2 for c1 in range(top1 + 1))
+    """The bytes of the box [0, top1]x[0, top2] at 32-bit lanes: a slot of
+    top1 + top2 + 1 lanes and a 64-bit count per point."""
+    return (top1 + 1) * (top2 + 1) * (4 * (top1 + top2 + 1) + 8)
 
 
 def _assert_refused_at_once(capsys, command, algebra, box, *extra):
@@ -813,11 +823,15 @@ def _assert_largest_grid(capsys, monkeypatch, command, algebra, top, refused, fi
         run([command, "--algebra", algebra, "--max", str(top)])
 
 
+def _pairs(top):
+    """(lam, mu) at every tuple of [0, top]^4, in the order table prints them."""
+    return [((m, n), (x, y)) for m, n, x, y in product(range(top + 1), repeat=4)]
+
+
 def _tuples_with_a_term(deep, rs=G2, top=6):
     """The number of tuples of verify --max top with an alternation term v for which deep(v)."""
     return sum(
-        any(deep(v) for _, v in alternation_terms(rs, lam, mu)[2])
-        for lam, mu, *_ in grid_points(rs, top)
+        any(deep(v) for _, v in alternation_terms(rs, lam, mu)[2]) for lam, mu in _pairs(top)
     )
 
 
@@ -863,7 +877,7 @@ class TestVerifyOracles:
                      term_sum=c2_sum_one_too_high)
         expected = sum(
             sum(sign for sign, v in alternation_terms(C2, lam, mu)[2] if sum(v) > 12) != 0
-            for lam, mu, *_ in grid_points(C2, 6)
+            for lam, mu in _pairs(6)
         )
         assert expected == 46
         assert _mismatch_counts(capsys, "c2", 6) == (1, {
@@ -916,16 +930,16 @@ class TestVerifyOracles:
         )
         rs = spec.record.rs
         terms = {
-            v for lam, mu, *_ in grid_points(rs, 6) for _, v in alternation_terms(rs, lam, mu)[2]
+            v for lam, mu in _pairs(6) for _, v in alternation_terms(rs, lam, mu)[2]
         }
         assert set(calls) == terms
         assert set(calls.values()) == {1}
 
     def test_c2_verify_makes_no_term_sum_call(self, capsys, monkeypatch):
-        # Its tuple checks run at q = 1, the count route against the box, so
-        # neither the kernel nor the box's term sum, which the sweep record
-        # calls, may run there. The pair checks run the kernel once per point,
-        # against box entries, which keep the box's own one-term sum.
+        # Its tuple checks run at q = 1, the count route against the box's
+        # count rows, so neither the kernel nor the box's term sum may run
+        # there. The pair checks run the kernel once per point, against box
+        # entries, which keep the box's own one-term sum.
         kernel = cli._ALGEBRAS["c2"].record.term_sum
         calls = Counter()
 
@@ -964,14 +978,27 @@ class TestBrokenRoutes:
         assert _mismatch_counts(capsys, "g2", 6) == (1, _g2_counts(expected, 0, 0))
 
     def test_a_raising_closed_route_counts_in_all_three_g2_checks(self, capsys, monkeypatch):
-        real = cli.closed_at
+        # The closed route raises at a negative coefficient; in a closed row
+        # that is a negative lane. One more term -℘_q(0, 0) = -1, among both the
+        # alternation and the Weyl terms, puts one in the constant lane of the
+        # first tuple of the row lam = (2, 1), x = 1, whose m_q has no constant
+        # term, and nowhere else: the line of (0, 0) ends there.
+        real_alternation, real_weyl = rootsys.alternation_terms_at, cli.weyl_terms_at
+        _, _, orbit, mu_shift = _point(G2, (2, 1), (1, 0))
+        extra = [(-1, RootCoord(0, 0))]
 
-        def broken(alg, lam, mu, orbit, mu_shift):
-            if (tuple(lam), tuple(mu)) == ((2, 1), (1, 0)):
-                raise InternalConsistencyError("negative coefficient")
-            return real(alg, lam, mu, orbit, mu_shift)
+        def alternation(row, shift):
+            shifts, label, terms = real_alternation(row, shift)
+            if (row, shift) == (_alternation_row(G2, orbit), mu_shift):
+                terms = terms + extra
+            return shifts, label, terms
 
-        monkeypatch.setattr(cli, "closed_at", broken)
+        def weyl(row_orbit, shift):
+            terms = real_weyl(row_orbit, shift)
+            return terms + extra if (row_orbit, shift) == (orbit, mu_shift) else terms
+
+        monkeypatch.setattr(rootsys, "alternation_terms_at", alternation)
+        monkeypatch.setattr(cli, "weyl_terms_at", weyl)
         assert _mismatch_counts(capsys, "g2") == (1, _g2_counts(1, 1, 1))
 
     # Each second parameter names the library function that wraps the
@@ -1008,9 +1035,9 @@ class TestBrokenRoutes:
     )
     def test_a_raising_pair_count_counts_in_the_pair_count_check(self, capsys, monkeypatch,
                                                                  algebra, count):
-        # The sweep record's cached count serves the pair check and the tuple
-        # count route alike, so each tuple with the alternation term (2, 1)
-        # counts in the tuple count check too.
+        # verify's cached count serves the pair check and the tuple count
+        # route alike, so each tuple with the alternation term (2, 1) counts
+        # in the tuple count check too.
         real = cli._ALGEBRAS[algebra].record.count
 
         def broken(m, n):
@@ -1035,8 +1062,8 @@ class TestBrokenRoutes:
     @pytest.mark.parametrize(
         "algebra,lam,mu,counts",
         [
-            ("g2", (3, 0), (0, 1), _g2_counts(0, 1, 0)),
-            ("c2", (3, 1), (1, 0), {
+            ("g2", (3, 3), (0, 0), _g2_counts(0, 1, 0)),
+            ("c2", (3, 3), (1, 0), {
                 "qpartition_vs_bruteforce": 0,
                 "partition_closed_vs_qpartition_at_one": 0,
                 "mult_closed_vs_weyl_sum_at_one": 1,
@@ -1046,16 +1073,22 @@ class TestBrokenRoutes:
     )
     def test_a_raising_count_route_counts_in_its_own_check(self, capsys, monkeypatch,
                                                            algebra, lam, mu, counts):
-        real = cli.count_sum
-        target = tuple(alternation_terms(cli._ALGEBRAS[algebra].record.rs, lam, mu)[2])
-        assert target
+        # The count route reads each distinct term's count once, so a count
+        # that raises fails the count route of each tuple with that alternation
+        # term. The first term of (lam, mu) that no other tuple of [0, 3]^4 has
+        # lies past the pair box, so nothing else reads its count.
+        rs = cli._ALGEBRAS[algebra].record.rs
+        real = cli._ALGEBRAS[algebra].record.count
+        point = next(v for _, v in alternation_terms(rs, lam, mu)[2]
+                     if _tuples_with_a_term(lambda w: w == v, rs, 3) == 1)
+        assert max(point) > 3
 
-        def broken(alg, terms):
-            if tuple(terms) == target:
-                raise InternalConsistencyError("negative multiplicity")
-            return real(alg, terms)
+        def broken(m, n):
+            if (m, n) == point:
+                raise InternalConsistencyError("negative count")
+            return real(m, n)
 
-        monkeypatch.setattr(cli, "count_sum", broken)
+        _with_record(monkeypatch, algebra, count=broken)
         assert _mismatch_counts(capsys, algebra) == (1, counts)
 
 

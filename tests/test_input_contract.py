@@ -59,6 +59,10 @@ BAD_CALLS = {
     "QPartitionBox-bool-bound": lambda: QPartitionBox(G2.positive_roots, True, 2),
     "QPartitionBox-zero-root": lambda: QPartitionBox([(0, 0), (1, 0)], 2, 0)[0, 0],
     "QPartitionBox-negative-root": lambda: QPartitionBox([(1, -1), (0, 1)], 2, 2),
+    "QPartitionBox-int-roots": lambda: QPartitionBox(5, 2, 2),
+    "QPartitionBox-none-roots": lambda: QPartitionBox(None, 2, 2),
+    "QPartitionBox-zero-step": lambda: QPartitionBox(G2.positive_roots, 2, 2, (0, 1)),
+    "QPartitionBox-step-sharing-a-factor": lambda: QPartitionBox(G2.positive_roots, 2, 2, (2, 2)),
 }
 
 

@@ -1,6 +1,7 @@
 """Structural tests for the g2 root system and its Weyl group, and for the
 core's genericity: a B2 record that only the tests know runs through it."""
 
+import math
 import random
 import re
 from itertools import product
@@ -19,17 +20,24 @@ from qkostant.rootsys import (
     QPartitionBox,
     RootCoord,
     RootSystem,
+    _alternation_row,
+    _mu_shift,
+    _point,
     alternation_terms,
     alternation_terms_at,
     case,
+    case_steps,
     closed,
     closed_at,
     count_sum,
     doubled,
-    grid_points,
+    grid_rows,
+    line_step,
     mat_det,
     mat_mul,
     qpartition_defined,
+    row_cases,
+    row_labels,
     to_fund,
     to_root,
     weyl_elements,
@@ -373,21 +381,33 @@ def test_negative_closed_coefficient_is_inconsistent(alg, lam):
 ALGEBRAS = [g2_multiplicity.ALGEBRA, sp4.ALGEBRA, B2_ALGEBRA]
 
 
+def _points(rs, top):
+    """(lam, mu, row, orbit, mu_shift) at every (lam, mu) of [0, top]^4: the
+    arguments of the per-point cores, as the one-pair routes make them."""
+    for m, n, x, y in product(range(top + 1), repeat=4):
+        lam, mu, orbit, mu_shift = _point(rs, (m, n), (x, y))
+        yield lam, mu, _alternation_row(rs, orbit), orbit, mu_shift
+
+
+def _sweep_box(rs, top):
+    """The box of every Weyl term of [0, top]^4, on the lines of the sweep rows."""
+    top1, top2 = doubled(rs, (top, top))
+    return QPartitionBox(rs.positive_roots, top1 >> 1, top2 >> 1, line_step(rs))
+
+
 @pytest.mark.parametrize("box", [False, True], ids=["fused", "box"])
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=["g2", "c2", "b2"])
 def test_grid_points_and_cores_are_the_one_pair_routes(alg, box):
-    """What table and verify sweep, point by point, against the one-pair routes;
-    the sweeps' record sums ℘_q off the box of every Weyl term of the grid.
-    A result's terms are the (sign, RootCoord) pairs that term_sum and
+    """The per-point cores, point by point over [0, 6]^4, against the one-pair
+    routes; with box, the record sums ℘_q off the box of every Weyl term of the
+    grid. A result's terms are the (sign, RootCoord) pairs that term_sum and
     count_sum take, one per letter of the label."""
     record = alg
     if box:
         top1, top2 = doubled(alg.rs, (6, 6))
         record = alg._replace(term_sum=QPartitionBox(alg.rs.positive_roots, top1 >> 1,
                                                      top2 >> 1).term_sum)
-    points = list(grid_points(alg.rs, 6))
-    assert [(*lam, *mu) for lam, mu, *_ in points] == list(product(range(7), repeat=4))
-    for lam, mu, row, orbit, mu_shift in points:
+    for lam, mu, row, orbit, mu_shift in _points(alg.rs, 6):
         pair = (tuple(lam), tuple(mu))
         assert type(lam) is FundCoord and type(mu) is FundCoord
         assert row == [(name, *elem) for (name, _), elem in zip(alg.rs.alternation, orbit)]
@@ -423,7 +443,7 @@ def test_a_term_free_point_runs_no_term_sum(monkeypatch, alg, top):
     monkeypatch.setattr(QPartitionBox, "term_sum", no_sum)
     records = (alg._replace(term_sum=no_sum), alg._replace(term_sum=box.term_sum))
     free = 0
-    for lam, mu, row, _, mu_shift in grid_points(alg.rs, top):
+    for lam, mu, row, _, mu_shift in _points(alg.rs, top):
         if alternation_terms_at(row, mu_shift)[2]:
             continue
         free += 1
@@ -435,4 +455,82 @@ def test_a_term_free_point_runs_no_term_sum(monkeypatch, alg, top):
 
 
 def test_grid_points_of_a_negative_bound_is_empty():
-    assert list(grid_points(G2, -1)) == []
+    # The row core that replaced grid_points yields no row either.
+    assert list(grid_rows(G2, -1)) == []
+
+
+@pytest.mark.parametrize("alg", [g2_multiplicity.ALGEBRA, sp4.ALGEBRA], ids=["g2", "c2"])
+def test_the_row_core_is_the_per_point_route(alg):
+    """What table and verify read off each row of the row core, tuple by tuple,
+    against closed_at on a record that sums ℘_q off the same box, for every
+    N in 0 ... 8: the case fields (the first tuple's, moved by case_steps), the
+    label, the case record of each run of row_cases, the coefficients (the
+    first ht(lam - mu) + 1 lanes of the tuple's slot of the closed row, where
+    it has a term) and m_at_1; and each slot of the Weyl row against the box's
+    term_sum of the tuple's Weyl terms."""
+    rs = alg.rs
+    width = len(alg.case_data([(1, 0, 0)] * len(rs.alternation), "ZERO").as_tuple())
+    steps = case_steps(alg, width)
+    a, b = line_step(rs)
+    for top in range(9):
+        box = _sweep_box(rs, top)
+        record = alg._replace(term_sum=box.term_sum)
+        polys, slots = box.polys, top + 1
+        rows = list(grid_rows(rs, top))
+        assert [(*row.lam, row.x) for row in rows] == list(product(range(slots), repeat=3))
+        for row in rows:
+            full = [polys.lanes] * slots
+            closed_row = list(polys.prefixes(polys.slots(polys.row(row.terms, slots), slots),
+                                             full))
+            weyl_terms = weyl_terms_at(row.orbit, row.mu_shift)
+            weyl_row = list(polys.prefixes(polys.slots(polys.row(weyl_terms, slots), slots),
+                                           full))
+            first = alg.case_data(row.shifts, row.label).as_tuple()
+            labels = row_labels(row, top)
+            runs = row_cases(alg, row, top)
+            assert [y0 for y0, *_ in runs] == sorted({y0 for y0, *_ in runs})
+            assert (runs[0][0], runs[-1][1]) == (0, slots)
+            for y in range(slots):
+                mu = (row.x, y)
+                orbit, mu_shift = _point(rs, row.lam, mu)[2:]
+                assert (orbit, _mu_shift(rs, row.x, 0)) == (row.orbit, row.mu_shift)
+                expected = closed_at(record, row.lam, FundCoord(*mu),
+                                     _alternation_row(rs, orbit), mu_shift)
+                where = (tuple(row.lam), mu)
+                assert tuple(f + y * s for f, s in zip(first, steps)) == \
+                    expected.case.as_tuple(), where
+                assert labels[y] == expected.case.case_label, where
+                [run_case] = [c for y0, y1, c in runs if y0 <= y < y1]
+                assert run_case.in_n == expected.case.in_n, where
+                assert run_case.case_label == expected.case.case_label, where
+                # A tuple with a term has the degree of lam - mu; the lanes past it are 0.
+                degree = -1
+                if row.terms and y < row.spans[0]:
+                    degree = ((row.shifts[0][1] + row.shifts[0][2]) >> 1) - y * (a + b)
+                coeffs = closed_row[y][:degree + 1]
+                assert coeffs == expected.mq.coeffs, where
+                assert not any(closed_row[y][degree + 1:]), where
+                assert sum(coeffs) == expected.m_at_one, where
+                weyl = box.term_sum(weyl_terms_at(orbit, mu_shift))
+                assert weyl_row[y] == weyl.coeffs + (0,) * (polys.lanes - len(weyl.coeffs)), where
+
+
+def test_a_box_whose_counts_need_64_bit_lanes_takes_them():
+    """a1, a2 and sixty copies of a1 + a2: order 124, and ℘_q(m, n) has the
+    coefficient C(j + 59, 59) at degree m + n - j for j <= min(m, n). The count
+    at (5, 5), C(65, 5), times 124 is below 2^31 and that at (6, 6) is not, so
+    the box up to (6, 6) takes 64-bit lanes and that up to (6, 5) 32-bit ones.
+    Every entry of the wider box is that sum, and the enumerator's where its
+    decompositions are few enough to list."""
+    roots = [RootCoord(1, 0), RootCoord(0, 1)] + [RootCoord(1, 1)] * 60
+    assert 124 * math.comb(65, 5) < 1 << 31 <= 124 * math.comb(66, 6)
+    assert QPartitionBox(roots, 6, 5).polys.lane_bits == 32
+    box = QPartitionBox(roots, 6, 6)
+    assert box.polys.lane_bits == 64
+    for m, n in product(range(7), repeat=2):
+        coeffs = [0] * (m + n + 1)
+        for j in range(min(m, n) + 1):
+            coeffs[m + n - j] = math.comb(j + 59, 59)
+        assert box[m, n] == QPoly(coeffs), (m, n)
+        if min(m, n) <= 2:
+            assert box[m, n] == qpartition_enumerated(roots, RootCoord(m, n)), (m, n)

@@ -76,7 +76,6 @@ def _in_module(module, name, mutant, field=None):
 def _rho_fault(monkeypatch, algebra):
     for name, mutant in RHO_AS_2W1_PLUS_W2.items():
         monkeypatch.setattr(rootsys, name, mutant)
-    monkeypatch.setattr(cli, "grid_points", RHO_AS_2W1_PLUS_W2["grid_points"])
 
 
 ITEM_1 = "ROADMAP item 1: verify does not run the kernels' multi-term path"
@@ -152,3 +151,17 @@ def test_verify_catches_the_mutant(capsys, monkeypatch, algebra, name, apply):
     report = json.loads(captured.out)
     assert captured.err == ""
     assert code == 1, report
+
+
+@pytest.mark.parametrize("algebra", ["g2", "c2"])
+def test_the_rho_fault_reaches_the_sweep_rows(capsys, monkeypatch, algebra):
+    # The sweeps read their orbits and mu shifts through the names the fault
+    # replaces: table prints other rows under it. So verify's pass under the
+    # fault (a strict xfail above) is a miss of its checks, not of the patch.
+    argv = ["table", "--max", "3", "--algebra", algebra]
+    assert run(argv) == 0
+    clean = capsys.readouterr().out
+    _rho_fault(monkeypatch, algebra)
+    assert run(argv) == 0
+    faulty = capsys.readouterr().out
+    assert faulty != clean and len(faulty.splitlines()) == len(clean.splitlines()) == 257
