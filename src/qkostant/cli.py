@@ -161,52 +161,36 @@ def _count_differs(record: Algebra, terms, value: int) -> bool:
         return True
 
 
-def _kernel_mismatches(kernel: Algebra, count: Callable[[int, int], int], box: QPartitionBox,
-                       m: int, n: int) -> tuple[bool, bool]:
+def _kernel_mismatches(record: Algebra, box: QPartitionBox, m: int, n: int) -> tuple[bool, bool]:
     """The kernel's one-term value at (m, n) against box[m, n], and at q = 1
-    against count; a kernel that raises InternalConsistencyError fails both, a
-    count that raises it the second."""
+    against the record's count; a kernel that raises InternalConsistencyError
+    fails both, a count that raises it the second."""
     v = RootCoord(m, n)
     try:
-        poly = kernel.term_sum([(1, v)])
+        poly = record.term_sum([(1, v)])
     except InternalConsistencyError:
         return True, True
     try:
-        return poly != box[v], poly.eval_at_one() != count(m, n)
+        return poly != box[v], poly.eval_at_one() != record.count(m, n)
     except InternalConsistencyError:
         return poly != box[v], True
 
 
-def _count_differs_from_box(count: Callable[[int, int], int], box: QPartitionBox,
-                            m: int, n: int) -> bool:
-    """Whether count(m, n) differs from the box's count at (m, n), or raises
-    InternalConsistencyError."""
-    try:
-        return count(m, n) != box.sum_at_one([(1, (m, n))])
-    except InternalConsistencyError:
-        return True
+def _reach(rs: RootSystem, bad: Callable[[int, int], bool]) -> Callable[[GridRow], bool]:
+    """Whether a term of a sweep row meets, over the tuples it spans, a point that
+    fails ``bad``; each term is looked up by (term, span), and bad runs once per point.
 
+    Where no term of a row meets a failing point, each count the row's count
+    routes read is the box's count, so they equal the box's count row."""
+    a, b = line_step(rs)
+    bad = cache(bad)
 
-class _Reach(dict):
-    """For each term v of a sweep row's first tuple, whether a point that its run
-    along the row reaches fails ``bad``, which runs once per distinct point.
+    @cache
+    def term_fails(v: RootCoord, span: int) -> bool:
+        c1, c2 = v
+        return True in [bad(c1 - y * a, c2 - y * b) for y in range(span)]
 
-    Where no term of a row reaches a failing point, each count the row's
-    count routes read is the box's count, so they equal the box's count row."""
-
-    def __init__(self, rs: RootSystem, top: int, bad: Callable[[int, int], bool]) -> None:
-        super().__init__()
-        self.rs, self.top, self.bad = rs, top, cache(bad)
-
-    def __missing__(self, v: RootCoord) -> bool:
-        (a, b), (c1, c2) = line_step(self.rs), v
-        (span,) = spans_of(self.rs, [(1, v)], self.top)
-        failed = self[v] = True in [self.bad(c1 - y * a, c2 - y * b) for y in range(span)]
-        return failed
-
-    def fails(self, row: GridRow) -> bool:
-        """Whether any term of the row reaches a failing point; each term is looked up."""
-        return True in [self[v] for _, v in row.terms]
+    return lambda row: True in [term_fails(v, span) for (_, v), span in zip(row.terms, row.spans)]
 
 
 def _terms_at(row: GridRow, y: int, step: tuple[int, int]) -> list:
@@ -217,8 +201,7 @@ def _terms_at(row: GridRow, y: int, step: tuple[int, int]) -> list:
 
 
 def _g2_row_checks(record: Algebra, box: QPartitionBox, top: int,
-                   kernel_mismatches: Callable[[int, int], tuple],
-                   count: Callable[[int, int], int]) -> list[int]:
+                   kernel_mismatches: Callable[[int, int], tuple]) -> list[int]:
     # One closed row off the box serves three checks per tuple. Its m_q, what
     # table prints, is held to the Weyl row off the box, and each alternation
     # term to the kernel that qmult runs; its value at one, what mult prints,
@@ -226,11 +209,13 @@ def _g2_row_checks(record: Algebra, box: QPartitionBox, top: int,
     # case prints, to CASE_LABELS. A negative coefficient, where the closed
     # route raises InternalConsistencyError, fails all three. A row decodes
     # tuple by tuple only where one of them fails.
-    rs, slots, polys = record.rs, top + 1, box.polys
-    bias, step = polys.run(slots)[0], line_step(rs)
-    counted = record._replace(count=count)
-    reach = _Reach(rs, top, lambda m, n: kernel_mismatches(m, n)[0]
-                   or _count_differs_from_box(count, box, m, n))
+    rs, slots, polys, step = record.rs, top + 1, box.polys, line_step(record.rs)
+    # A point fails where the kernel differs from the box or the count from the
+    # box's count. Where the kernel equals the box, its value at one is the box's
+    # count, so the memo's second flag then says whether the count differs from
+    # it; a raising kernel sets both flags, a raising count the second. So either
+    # flag marks a failing point, and no box count is read.
+    reach = _reach(rs, lambda m, n: True in kernel_mismatches(m, n))
     valid = {}  # whether every label of a row is a case label, by (label, *spans)
     totals = [0, 0, 0]
     for row in grid_rows(rs, top):
@@ -240,12 +225,11 @@ def _g2_row_checks(record: Algebra, box: QPartitionBox, top: int,
         key = (row.label, *row.spans)
         if key not in valid:
             valid[key] = set(row_labels(row, top)).issubset(CASE_LABELS)
-        if reach.fails(row) or closed != weyl or bias & ~closed or not valid[key]:
+        if reach(row) or closed != weyl or polys.negative(closed, slots) or not valid[key]:
             full = [polys.lanes] * slots
             for y, label, mq, mq_weyl in zip(
                 range(slots), row_labels(row, top),
-                polys.prefixes(polys.slots(closed, slots), full),
-                polys.prefixes(polys.slots(weyl, slots), full),
+                polys.decode(closed, slots, full), polys.decode(weyl, slots, full),
             ):
                 if min(mq) < 0:
                     flags = (True, True, True)
@@ -253,7 +237,7 @@ def _g2_row_checks(record: Algebra, box: QPartitionBox, top: int,
                     terms = _terms_at(row, y, step)
                     flags = (
                         mq != mq_weyl or any(kernel_mismatches(*v)[0] for _, v in terms),
-                        _count_differs(counted, terms, sum(mq)),
+                        _count_differs(record, terms, sum(mq)),
                         label not in CASE_LABELS,
                     )
                 totals = list(map(add, totals, flags))
@@ -261,17 +245,14 @@ def _g2_row_checks(record: Algebra, box: QPartitionBox, top: int,
 
 
 def _c2_row_checks(record: Algebra, box: QPartitionBox, top: int,
-                   kernel_mismatches: Callable[[int, int], tuple],
-                   count: Callable[[int, int], int]) -> list[int]:
+                   kernel_mismatches: Callable[[int, int], tuple]) -> list[int]:
     # The count route over the alternation terms is what mult prints, held
     # to the Weyl row at one read off the box's counts. An odd m - x puts mu
     # off lam's root-lattice coset, where the case flags must be off and no
     # Weyl term may reach the positive cone on the root lattice. Both checks
     # run at q = 1, so neither reads the kernel.
-    rs, slots, counts = record.rs, top + 1, box.counts
-    bias, step = counts.run(slots)[0], line_step(rs)
-    counted = record._replace(count=count)
-    reach = _Reach(rs, top, partial(_count_differs_from_box, count, box))
+    rs, slots, counts, step = record.rs, top + 1, box.counts, line_step(record.rs)
+    reach = _reach(rs, lambda *v: _count_differs(record, [(1, v)], box.sum_at_one([(1, v)])))
     totals = [0, 0]
     for row in grid_rows(rs, top):
         weyl_terms = weyl_terms_at(row.orbit, row.mu_shift)
@@ -283,10 +264,9 @@ def _c2_row_checks(record: Algebra, box: QPartitionBox, top: int,
             totals[1] += len(odd)
         closed = counts.row(row.terms, slots)
         weyl = closed if weyl_terms == row.terms else counts.row(weyl_terms, slots)
-        if reach.fails(row) or closed != weyl or bias & ~closed:
-            for y, (at_one,) in enumerate(counts.prefixes(counts.slots(weyl, slots),
-                                                          [1] * slots)):
-                totals[0] += _count_differs(counted, _terms_at(row, y, step), at_one)
+        if reach(row) or closed != weyl or counts.negative(closed, slots):
+            for y, (at_one,) in enumerate(counts.decode(weyl, slots, [1] * slots)):
+                totals[0] += _count_differs(record, _terms_at(row, y, step), at_one)
     return totals
 
 
@@ -308,7 +288,7 @@ class _Algebra(NamedTuple):
     case_fields: tuple[str, ...]  # names of the values in case.as_tuple()
     pair_checks: tuple[str, ...]  # the two flags of _kernel_mismatches
     tuple_checks: tuple[str, ...]  # one mismatch flag each per (lam, mu)
-    # The totals of tuple_checks: (record, box, top, kernel_mismatches, count).
+    # The totals of tuple_checks: (record, box, top, kernel_mismatches).
     tuple_mismatches: Callable[..., list[int]]
 
 
@@ -364,17 +344,17 @@ def _grid(args: argparse.Namespace) -> tuple[_Algebra, QPartitionBox]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec, box = _grid(args)
-    record = spec.record
-    count = cache(record.count)
-    # One kernel check per distinct point, shared by the pair box and g2's tuples.
-    kernel_mismatches = cache(partial(_kernel_mismatches, record, count, box))
+    # One record per command, whose count runs once per distinct point, and one
+    # kernel check per distinct point, shared by the pair box and g2's tuples.
+    record = spec.record._replace(count=cache(spec.record.count))
+    kernel_mismatches = cache(partial(_kernel_mismatches, record, box))
     side = args.max + 1
     totals = [0, 0]
     for m, n in product(range(side), repeat=2):
         flags = kernel_mismatches(m, n)
         if True in flags:
             totals = list(map(add, totals, flags))
-    tuple_totals = spec.tuple_mismatches(record, box, args.max, kernel_mismatches, count)
+    tuple_totals = spec.tuple_mismatches(record, box, args.max, kernel_mismatches)
     checks = [
         {"name": name, "cases": cases, "mismatches": total}
         for names, cases, counts in ((spec.pair_checks, side**2, totals),
@@ -414,19 +394,18 @@ def _table_blocks(spec: _Algebra, box: QPartitionBox, top: int) -> Iterator[str]
     a, b = line_step(record.rs)
     slots = top + 1
     polys = box.polys
-    bias = polys.run(slots)[0]
     mus = [[f"{x},{y}" for y in range(slots)] for x in range(slots)]
     block = []
     for row in grid_rows(record.rs, top):
         closed = polys.row(row.terms, slots)
-        if bias & ~closed:
+        if polys.negative(closed, slots):
             raise InternalConsistencyError(
                 f"negative coefficient in m_q({row.lam}, ({row.x}, y)) for some y <= {top}")
         reach = row.spans[0] if row.terms else 0  # P's span: no other term outlasts it
         _, u, v = row.shifts[0]
         degree = (u + v) >> 1  # of P at y = 0, where P lies on the root lattice
-        mqs = list(polys.prefixes(polys.slots(closed, slots),
-                                  range(degree + 1, degree + 1 - reach * (a + b), -(a + b))))
+        mqs = list(polys.decode(closed, slots,
+                                range(degree + 1, degree + 1 - reach * (a + b), -(a + b))))
         fields = map(count, record.case_data(row.shifts, row.label)[:width], steps)
         coeffs = chain(map("|".join, map(map, repeat(text), mqs)), repeat("", slots - reach))
         at_one = chain(map(sum, mqs), repeat(0, slots - reach))

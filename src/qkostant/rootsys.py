@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import collections
 from functools import cache
-from itertools import repeat
+from itertools import islice, repeat
 from math import gcd
 from operator import getitem
 from struct import Struct
@@ -293,7 +293,8 @@ class QPartitionBox:
     allocated. The counts bound every coefficient, and a box with a count of
     at least 2^63 / (2 * len(roots)) raises ValueError: a rank-2 Weyl group
     has 2 * len(roots) elements, so a signed sum of one entry per element
-    keeps every coefficient inside the signed range of a lane (see term_sum).
+    keeps every coefficient inside the signed range of a lane (see term_sum,
+    which refuses more terms).
     """
 
     def __init__(self, roots, top1: int, top2: int, step: tuple[int, int] = (1, 1)) -> None:
@@ -321,7 +322,7 @@ class QPartitionBox:
         width = 32 if peak < 1 << 31 else 64
         if width == 64:
             self._check_budget(top1, top2, 8 * lanes + 8)
-        self._top, self._step = (top1, top2), (a, b)
+        self._top, self._step, self._order = (top1, top2), (a, b), order
         self.counts = _Lines(self._pack(counts, 64), 64, 1, self._top, self._step)
         polys = self._pack(self._fill(roots, top1, top2, width), width * lanes)
         self.polys = _Lines(polys, width, lanes, self._top, self._step)
@@ -384,11 +385,16 @@ class QPartitionBox:
         in (0, 2^w): no lane carries, and the lanes of the slot of S + B, xor B,
         are the s_i as signed w-bit ints. Its lanes past the top nonzero s_i are
         zero, so its lanes up to its bit length, read as little-endian ints in
-        one unpack, are the coefficients, which need no range check. Other terms
-        raise ValueError.
+        one unpack, are the coefficients, which need no range check. More terms
+        than the Weyl group has elements, counted as they are read, and other
+        terms raise ValueError.
         """
         if not terms:
             return _ZERO
+        terms = list(islice(terms, self._order + 1))  # reads one term past the bound at most
+        if len(terms) > self._order:
+            raise ValueError(f"a term sum of the box takes at most {self._order} terms,"
+                             " one per Weyl element")
         polys = self.polys
         packed = polys.row(terms, 1) ^ polys.run(1)[0]
         lanes = -(-packed.bit_length() // polys.lane_bits)
@@ -472,16 +478,17 @@ class _Lines:
         """The lowest lanes of packed, lanes <= self.lanes, as signed ints."""
         return self._structs[lanes].unpack(packed.to_bytes(lanes * self.lane_bits >> 3, "little"))
 
-    def slots(self, row: int, slots: int) -> bytes:
-        """A row's slots, as row gives them, unbiased into two's-complement lanes."""
-        return (row ^ self.run(slots)[0]).to_bytes(slots * self.slot_bits >> 3, "little")
+    def negative(self, row: int, slots: int) -> bool:
+        """Whether a lane of a run of slots, as row gives it, is negative."""
+        return self.run(slots)[0] & ~row != 0
 
-    def prefixes(self, raw: bytes, lanes) -> Iterator[tuple[int, ...]]:
-        """The lowest lanes[y] lanes of slot y of raw, as slots gives it, as signed
-        ints, for each y < len(lanes); decoded in C."""
+    def decode(self, row: int, slots: int, lanes) -> Iterator[tuple[int, ...]]:
+        """The lowest lanes[y] lanes of slot y of a run of slots, as row gives it, as
+        signed ints, for each y < min(len(lanes), slots); decoded in C."""
         size = self.slot_bits >> 3
+        raw = (row ^ self.run(slots)[0]).to_bytes(slots * size, "little")
         return map(Struct.unpack_from, map(self._structs.__getitem__, lanes), repeat(raw),
-                   range(0, len(lanes) * size, size))
+                   range(0, len(raw), size))
 
 
 def qpartition_defined(roots, v: tuple[int, int]) -> QPoly:
@@ -757,26 +764,20 @@ def closed_mq(alg: Algebra, lam: FundCoord, mu: FundCoord, terms) -> QPoly:
     return mq
 
 
-def closed_at(alg: Algebra, lam: FundCoord, mu: FundCoord, row: list,
-              mu_shift: tuple[int, int]) -> MultiplicityResult:
-    """closed at one pair, given the _alternation_row of lam and the shift of mu
-    (see _point). A pair with no alternation term sums nothing."""
-    shifts, label, terms = alternation_terms_at(row, mu_shift)
+def closed(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> MultiplicityResult:
+    """m_q(lam, mu) as the term_sum of the alternation terms its case combines; a
+    pair with no alternation term sums nothing.
+
+    A negative coefficient raises InternalConsistencyError.
+    """
+    lam, mu, orbit, mu_shift = _point(alg.rs, lam, mu)
+    shifts, label, terms = alternation_terms_at(_alternation_row(alg.rs, orbit), mu_shift)
     if not terms:
         data = (lam, mu, alg.case_data(shifts, label), (), _ZERO, 0)
         return _new_tuple(MultiplicityResult, data)
     mq = closed_mq(alg, lam, mu, terms)
     data = (lam, mu, alg.case_data(shifts, label), tuple(terms), mq, mq.eval_at_one())
     return _new_tuple(MultiplicityResult, data)
-
-
-def closed(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> MultiplicityResult:
-    """m_q(lam, mu) as the term_sum of the alternation terms its case combines.
-
-    A negative coefficient raises InternalConsistencyError.
-    """
-    lam, mu, orbit, mu_shift = _point(alg.rs, lam, mu)
-    return closed_at(alg, lam, mu, _alternation_row(alg.rs, orbit), mu_shift)
 
 
 def weyl_sum(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> QPoly:

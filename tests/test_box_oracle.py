@@ -20,7 +20,7 @@ to the test-side enumerator.
 
 import re
 import tracemalloc
-from itertools import product
+from itertools import product, repeat
 from math import comb
 from random import Random
 
@@ -233,6 +233,18 @@ class TestBox:
             assert box.term_sum([(sign, RootCoord(55, 0))] * 40) == QPoly([0] * 55 + [sign * top])
         below = [(-1, RootCoord(55, 0))] * 39 + [(1, RootCoord(54, 0))]
         assert box.term_sum(below) == QPoly([0] * 54 + [comb(73, 19), -39 * comb(74, 19)])
+
+    def test_more_terms_than_the_weyl_group_are_refused(self):
+        # The lanes are sized for one term per Weyl element, 12 for g2. The
+        # terms are counted as they are read, so an endless generator is
+        # refused too, and a generator within the bound sums as its list does.
+        box = SMALL_BOXES["g2"]
+        terms = [(1, RootCoord(24, 16)), (-1, RootCoord(3, 2))] * 6
+        assert box.term_sum(iter(terms)) == box.term_sum(terms) == QPoly.signed_sum(
+            (sign, box[v]) for sign, v in terms)
+        for more in (terms + [(1, RootCoord(0, 0))], repeat((1, RootCoord(24, 16)))):
+            with pytest.raises(ValueError, match="takes at most 12 terms"):
+                box.term_sum(more)
 
     @pytest.mark.parametrize("name,count", [("g2", partition_tarski), ("c2", partition_c2_closed)])
     def test_the_sum_at_one_matches_the_counts(self, boxes, name, count):

@@ -477,8 +477,8 @@ class TestTable:
             plain = text.splitlines()
             with monkeypatch.context() as patch:
                 # The decode of each row's slots hands table the coefficients.
-                patch.setattr(rootsys._Lines, "prefixes",
-                              lambda self, raw, lanes: [big.coeffs] * len(lanes))
+                patch.setattr(rootsys._Lines, "decode",
+                              lambda self, row, slots, lanes: [big.coeffs] * len(lanes))
                 code, out, _ = invoke(capsys, "table", "--algebra", algebra, "--max", "2")
             rows = out.splitlines()
             assert code == 0 and len(rows) == len(plain) == 82
@@ -934,6 +934,16 @@ class TestVerifyOracles:
         }
         assert set(calls) == terms
         assert set(calls.values()) == {1}
+
+    def test_g2_verify_reads_no_box_count(self, capsys, monkeypatch):
+        # A row's count routes are held to the box's counts through the kernel
+        # memo: where the kernel equals the box, its value at one is the box's
+        # count, so the memo's count flag already compares the count with it.
+        def sum_at_one(*args):
+            raise AssertionError("sum_at_one ran")
+
+        monkeypatch.setattr(rootsys.QPartitionBox, "sum_at_one", sum_at_one)
+        assert invoke(capsys, "verify", "--max", "6") == (0, VERIFY_MAX6_STDOUT["g2"], "")
 
     def test_c2_verify_makes_no_term_sum_call(self, capsys, monkeypatch):
         # Its tuple checks run at q = 1, the count route against the box's

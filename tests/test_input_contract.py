@@ -63,6 +63,10 @@ BAD_CALLS = {
     "QPartitionBox-none-roots": lambda: QPartitionBox(None, 2, 2),
     "QPartitionBox-zero-step": lambda: QPartitionBox(G2.positive_roots, 2, 2, (0, 1)),
     "QPartitionBox-step-sharing-a-factor": lambda: QPartitionBox(G2.positive_roots, 2, 2, (2, 2)),
+    # 1758 copies of ℘_q(40, 3), whose top coefficient is 1221759, would pass the
+    # 32-bit lanes that a box of 7 roots takes for at most 14 terms.
+    "QPartitionBox-terms-past-the-weyl-group": lambda: QPartitionBox(
+        [RootCoord(1, 0)] * 6 + [RootCoord(0, 1)], 40, 3).term_sum([(1, (40, 3))] * 1758),
 }
 
 

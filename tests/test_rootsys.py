@@ -28,7 +28,6 @@ from qkostant.rootsys import (
     case,
     case_steps,
     closed,
-    closed_at,
     count_sum,
     doubled,
     grid_rows,
@@ -417,7 +416,7 @@ def test_grid_points_and_cores_are_the_one_pair_routes(alg, box):
         weyl = weyl_terms_at(orbit, mu_shift)
         assert weyl == weyl_terms(alg.rs, *pair), pair
         assert all(type(v) is RootCoord for _, v in weyl)
-        result = closed_at(record, lam, mu, row, mu_shift)
+        result = closed(record, lam, mu)
         assert result == closed(alg, *pair), pair
         assert (result.case, result.terms) == (case(alg, *pair), tuple(terms[2])), pair
         assert type(result) is type(closed(record, *pair))
@@ -431,7 +430,7 @@ def test_grid_points_and_cores_are_the_one_pair_routes(alg, box):
     "alg,top", [(g2_multiplicity.ALGEBRA, 6), (sp4.ALGEBRA, 8)], ids=["g2", "c2"]
 )
 def test_a_term_free_point_runs_no_term_sum(monkeypatch, alg, top):
-    """closed_at at a point with no alternation term on the positive cone
+    """closed at a point with no alternation term on the positive cone
     returns zero, its case record and no terms, without summing: neither the
     kernel nor the box is asked."""
 
@@ -448,7 +447,7 @@ def test_a_term_free_point_runs_no_term_sum(monkeypatch, alg, top):
             continue
         free += 1
         for record in records:
-            result = closed_at(record, lam, mu, row, mu_shift)
+            result = closed(record, lam, mu)
             assert (result.mq, result.m_at_one, result.terms) == (QPoly(), 0, ()), (lam, mu)
             assert result.case == case(alg, lam, mu), (lam, mu)
     assert free > (top + 1) ** 4 // 3
@@ -462,7 +461,7 @@ def test_grid_points_of_a_negative_bound_is_empty():
 @pytest.mark.parametrize("alg", [g2_multiplicity.ALGEBRA, sp4.ALGEBRA], ids=["g2", "c2"])
 def test_the_row_core_is_the_per_point_route(alg):
     """What table and verify read off each row of the row core, tuple by tuple,
-    against closed_at on a record that sums ℘_q off the same box, for every
+    against closed on a record that sums ℘_q off the same box, for every
     N in 0 ... 8: the case fields (the first tuple's, moved by case_steps), the
     label, the case record of each run of row_cases, the coefficients (the
     first ht(lam - mu) + 1 lanes of the tuple's slot of the closed row, where
@@ -480,11 +479,9 @@ def test_the_row_core_is_the_per_point_route(alg):
         assert [(*row.lam, row.x) for row in rows] == list(product(range(slots), repeat=3))
         for row in rows:
             full = [polys.lanes] * slots
-            closed_row = list(polys.prefixes(polys.slots(polys.row(row.terms, slots), slots),
-                                             full))
+            closed_row = list(polys.decode(polys.row(row.terms, slots), slots, full))
             weyl_terms = weyl_terms_at(row.orbit, row.mu_shift)
-            weyl_row = list(polys.prefixes(polys.slots(polys.row(weyl_terms, slots), slots),
-                                           full))
+            weyl_row = list(polys.decode(polys.row(weyl_terms, slots), slots, full))
             first = alg.case_data(row.shifts, row.label).as_tuple()
             labels = row_labels(row, top)
             runs = row_cases(alg, row, top)
@@ -494,8 +491,7 @@ def test_the_row_core_is_the_per_point_route(alg):
                 mu = (row.x, y)
                 orbit, mu_shift = _point(rs, row.lam, mu)[2:]
                 assert (orbit, _mu_shift(rs, row.x, 0)) == (row.orbit, row.mu_shift)
-                expected = closed_at(record, row.lam, FundCoord(*mu),
-                                     _alternation_row(rs, orbit), mu_shift)
+                expected = closed(record, row.lam, FundCoord(*mu))
                 where = (tuple(row.lam), mu)
                 assert tuple(f + y * s for f, s in zip(first, steps)) == \
                     expected.case.as_tuple(), where
