@@ -38,7 +38,6 @@ from .rootsys import (
     grid_rows,
     line_step,
     row_cases,
-    row_labels,
     spans_of,
     to_fund,
     to_root,
@@ -209,27 +208,28 @@ def _g2_row_checks(record: Algebra, box: QPartitionBox, top: int,
     # case prints, to CASE_LABELS. A negative coefficient, where the closed
     # route raises InternalConsistencyError, fails all three. A row decodes
     # tuple by tuple only where one of them fails.
-    rs, slots, polys, step = record.rs, top + 1, box.polys, line_step(record.rs)
+    rs, slots, step = record.rs, top + 1, line_step(record.rs)
+    polys = box.polys.run(slots)
     # A point fails where the kernel differs from the box or the count from the
     # box's count. Where the kernel equals the box, its value at one is the box's
     # count, so the memo's second flag then says whether the count differs from
     # it; a raising kernel sets both flags, a raising count the second. So either
     # flag marks a failing point, and no box count is read.
     reach = _reach(rs, lambda m, n: True in kernel_mismatches(m, n))
-    valid = {}  # whether every label of a row is a case label, by (label, *spans)
+    valid = {}  # whether every label of a row is a case label, by the row's labels
     totals = [0, 0, 0]
     for row in grid_rows(rs, top):
-        closed = polys.row(row.terms, slots)
+        closed = polys.row(row.terms)
         weyl_terms = weyl_terms_at(row.orbit, row.mu_shift)
-        weyl = closed if weyl_terms == row.terms else polys.row(weyl_terms, slots)
-        key = (row.label, *row.spans)
-        if key not in valid:
-            valid[key] = set(row_labels(row, top)).issubset(CASE_LABELS)
-        if reach(row) or closed != weyl or polys.negative(closed, slots) or not valid[key]:
-            full = [polys.lanes] * slots
+        weyl = closed if weyl_terms == row.terms else polys.row(weyl_terms)
+        labels = row.labels
+        labelled = valid.get(labels)
+        if labelled is None:
+            labelled = valid[labels] = set(labels).issubset(CASE_LABELS)
+        if reach(row) or closed != weyl or polys.negative(closed) or not labelled:
+            full = [box.polys.lanes] * slots
             for y, label, mq, mq_weyl in zip(
-                range(slots), row_labels(row, top),
-                polys.decode(closed, slots, full), polys.decode(weyl, slots, full),
+                range(slots), labels, polys.decode(closed, full), polys.decode(weyl, full),
             ):
                 if min(mq) < 0:
                     flags = (True, True, True)
@@ -251,21 +251,22 @@ def _c2_row_checks(record: Algebra, box: QPartitionBox, top: int,
     # off lam's root-lattice coset, where the case flags must be off and no
     # Weyl term may reach the positive cone on the root lattice. Both checks
     # run at q = 1, so neither reads the kernel.
-    rs, slots, counts, step = record.rs, top + 1, box.counts, line_step(record.rs)
+    rs, slots, step = record.rs, top + 1, line_step(record.rs)
+    counts = box.counts.run(slots)
     reach = _reach(rs, lambda *v: _count_differs(record, [(1, v)], box.sum_at_one([(1, v)])))
     totals = [0, 0]
     for row in grid_rows(rs, top):
         weyl_terms = weyl_terms_at(row.orbit, row.mu_shift)
         if (row.lam.m - row.x) % 2:
-            odd = set(range(max(spans_of(rs, weyl_terms, top), default=0)))
+            odd = set(range(max(spans_of(step, weyl_terms, top), default=0)))
             for y0, y1, case in row_cases(record, row, top):
                 if case.in_n[1] or case.in_n[3]:
                     odd.update(range(y0, y1))
             totals[1] += len(odd)
-        closed = counts.row(row.terms, slots)
-        weyl = closed if weyl_terms == row.terms else counts.row(weyl_terms, slots)
-        if reach(row) or closed != weyl or counts.negative(closed, slots):
-            for y, (at_one,) in enumerate(counts.decode(weyl, slots, [1] * slots)):
+        closed = counts.row(row.terms)
+        weyl = closed if weyl_terms == row.terms else counts.row(weyl_terms)
+        if reach(row) or closed != weyl or counts.negative(closed):
+            for y, (at_one,) in enumerate(counts.decode(weyl, [1] * slots)):
                 totals[0] += _count_differs(record, _terms_at(row, y, step), at_one)
     return totals
 
@@ -393,24 +394,24 @@ def _table_blocks(spec: _Algebra, box: QPartitionBox, top: int) -> Iterator[str]
     steps = case_steps(record, width)
     a, b = line_step(record.rs)
     slots = top + 1
-    polys = box.polys
+    polys = box.polys.run(slots)
     mus = [[f"{x},{y}" for y in range(slots)] for x in range(slots)]
     block = []
     for row in grid_rows(record.rs, top):
-        closed = polys.row(row.terms, slots)
-        if polys.negative(closed, slots):
+        closed = polys.row(row.terms)
+        if polys.negative(closed):
             raise InternalConsistencyError(
                 f"negative coefficient in m_q({row.lam}, ({row.x}, y)) for some y <= {top}")
         reach = row.spans[0] if row.terms else 0  # P's span: no other term outlasts it
         _, u, v = row.shifts[0]
         degree = (u + v) >> 1  # of P at y = 0, where P lies on the root lattice
-        mqs = list(polys.decode(closed, slots,
-                                range(degree + 1, degree + 1 - reach * (a + b), -(a + b))))
+        mqs = list(polys.decode(closed, range(degree + 1, degree + 1 - reach * (a + b), -(a + b))))
         fields = map(count, record.case_data(row.shifts, row.label)[:width], steps)
         coeffs = chain(map("|".join, map(map, repeat(text), mqs)), repeat("", slots - reach))
         at_one = chain(map(sum, mqs), repeat(0, slots - reach))
-        line = f"{row.lam.m},{row.lam.n},%s,{'%d,' * width}%s,%s,%d\n".__mod__
-        block += map(line, zip(mus[row.x], *fields, row_labels(row, top), coeffs, at_one))
+        if not row.x:  # lam's first mu
+            line = f"{row.lam.m},{row.lam.n},%s,{'%d,' * width}%s,%s,%d\n".__mod__
+        block += map(line, zip(mus[row.x], *fields, row.labels, coeffs, at_one))
         if row.x == top:  # lam's last mu
             yield "".join(block)
             block.clear()

@@ -386,25 +386,36 @@ class QPartitionBox:
         are the s_i as signed w-bit ints. Its lanes past the top nonzero s_i are
         zero, so its lanes up to its bit length, read as little-endian ints in
         one unpack, are the coefficients, which need no range check. More terms
-        than the Weyl group has elements, counted as they are read, and other
-        terms raise ValueError.
+        than the Weyl group has elements, counted as they are read, terms that
+        are not an iterable, and other terms raise ValueError.
         """
+        terms = list(islice(_iter_terms(terms), self._order + 1))  # one past the bound at most
         if not terms:
             return _ZERO
-        terms = list(islice(terms, self._order + 1))  # reads one term past the bound at most
         if len(terms) > self._order:
             raise ValueError(f"a term sum of the box takes at most {self._order} terms,"
                              " one per Weyl element")
         polys = self.polys
-        packed = polys.row(terms, 1) ^ polys.run(1)[0]
+        run = polys.run(1)
+        packed = run.row(terms) ^ run.bias
         lanes = -(-packed.bit_length() // polys.lane_bits)
         return QPoly._from_checked(polys.unpack(packed, lanes))
 
     def sum_at_one(self, terms) -> int:
         """Σ sign·℘(v) at q = 1 over (sign, (c1, c2)) terms inside the box, each
-        sign 1 or -1; only the total is range-checked. Other terms raise ValueError."""
+        sign 1 or -1; only the total is range-checked. Other terms, and terms that
+        are not an iterable, raise ValueError."""
         counts = self.counts
-        return checked_int(counts.signed(terms, counts.run(1)[1]))
+        return checked_int(counts.signed(_iter_terms(terms), counts.run(1).mask))
+
+
+def _iter_terms(terms) -> Iterator:
+    """iter(terms), checked once per call: anything but an iterable raises ValueError."""
+    try:
+        return iter(terms)
+    except TypeError:
+        raise ValueError(f"terms must be an iterable of (sign, (c1, c2)) pairs,"
+                         f" got {terms!r}") from None
 
 
 class _Lines:
@@ -423,7 +434,7 @@ class _Lines:
         code = "i" if lane_bits == 32 else "q"
         # The decoder of 0 ... lanes lanes, made once per box.
         self._structs = [Struct(f"<{count}{code}") for count in range(lanes + 1)]
-        self._runs: dict[int, tuple[int, int]] = {}
+        self._runs: dict[int, _Run] = {}
 
     def signed(self, terms, mask: int = 0) -> int:
         """Σ sign·(the line of v shifted right to v's slot) over (sign, (c1, c2))
@@ -440,7 +451,9 @@ class _Lines:
             for sign, (c1, c2) in terms:
                 if c1 | c2 < 0:  # a negative index would read a line from its far end
                     raise IndexError
-                up = min((top1 - c1) // a, (top2 - c2) // b)  # slots above v on its line
+                up, high = (top1 - c1) // a, (top2 - c2) // b  # slots above v on its line
+                if high < up:
+                    up = high
                 if up < 0:
                     raise IndexError
                 run = lines[b * c1 - a * c2 + offset] >> up * width
@@ -457,38 +470,52 @@ class _Lines:
                              f" ({top1}, {top2})") from None
         return total
 
-    def run(self, slots: int) -> tuple[int, int]:
-        """(bias, mask) of a run of slots: 2^(w-1) in each of its lanes, and all its bits."""
-        consts = self._runs.get(slots)
-        if consts is None:
-            lane = (1 << self.lane_bits - 1).to_bytes(self.lane_bits >> 3, "little")
-            bias = int.from_bytes(lane * (self.lanes * slots), "little")
-            consts = self._runs[slots] = bias, (1 << self.slot_bits * slots) - 1
-        return consts
-
-    def row(self, terms, slots: int) -> int:
-        """The sums of a sweep row: Σ sign·entry(v - y·step) in slot y < slots, over
-        (sign, v) terms, at most one per Weyl element (see term_sum), biased by
-        run(slots)[0] and kept to its lowest slots. A lane whose bias bit is clear
-        is negative."""
-        bias, mask = self.run(slots)
-        return (self.signed(terms) + bias) & mask
+    def run(self, slots: int) -> "_Run":
+        """The run of slots slots from a term's slot on, as a sweep row reads it;
+        made on the first call for slots and kept with the box."""
+        run = self._runs.get(slots)
+        if run is None:
+            run = self._runs[slots] = _Run(self, slots)
+        return run
 
     def unpack(self, packed: int, lanes: int) -> tuple[int, ...]:
         """The lowest lanes of packed, lanes <= self.lanes, as signed ints."""
         return self._structs[lanes].unpack(packed.to_bytes(lanes * self.lane_bits >> 3, "little"))
 
-    def negative(self, row: int, slots: int) -> bool:
-        """Whether a lane of a run of slots, as row gives it, is negative."""
-        return self.run(slots)[0] & ~row != 0
 
-    def decode(self, row: int, slots: int, lanes) -> Iterator[tuple[int, ...]]:
-        """The lowest lanes[y] lanes of slot y of a run of slots, as row gives it, as
-        signed ints, for each y < min(len(lanes), slots); decoded in C."""
-        size = self.slot_bits >> 3
-        raw = (row ^ self.run(slots)[0]).to_bytes(slots * size, "little")
-        return map(Struct.unpack_from, map(self._structs.__getitem__, lanes), repeat(raw),
-                   range(0, len(raw), size))
+class _Run:
+    """A run of ``slots`` slots of a _Lines, with its constants: ``bias`` holds
+    2^(w-1) in each of its lanes and ``mask`` all its bits. A sweep takes its run
+    once per command, so its rows pay for none of them."""
+
+    __slots__ = ("lines", "bias", "mask", "_bytes", "_offsets", "_struct")
+
+    def __init__(self, lines: _Lines, slots: int) -> None:
+        lane = (1 << lines.lane_bits - 1).to_bytes(lines.lane_bits >> 3, "little")
+        size = lines.slot_bits >> 3
+        self.lines = lines
+        self.bias = int.from_bytes(lane * (lines.lanes * slots), "little")
+        self.mask = (1 << lines.slot_bits * slots) - 1
+        self._bytes, self._offsets = slots * size, range(0, slots * size, size)
+        self._struct = lines._structs.__getitem__
+
+    def row(self, terms) -> int:
+        """The sums of a sweep row: Σ sign·entry(v - y·step) in slot y < slots, over
+        (sign, v) terms, at most one per Weyl element (see term_sum), biased by
+        bias and kept to the run's slots. A lane whose bias bit is clear is
+        negative."""
+        return (self.lines.signed(terms) + self.bias) & self.mask
+
+    def negative(self, row: int) -> bool:
+        """Whether a lane of row, as row() gives it, is negative: whether a bias
+        bit of row is clear."""
+        return row & self.bias != self.bias
+
+    def decode(self, row: int, lanes) -> Iterator[tuple[int, ...]]:
+        """The lowest lanes[y] lanes of slot y of row, as row() gives it, as signed
+        ints, for each y < min(len(lanes), slots); decoded in C."""
+        raw = (row ^ self.bias).to_bytes(self._bytes, "little")
+        return map(Struct.unpack_from, map(self._struct, lanes), repeat(raw), self._offsets)
 
 
 def qpartition_defined(roots, v: tuple[int, int]) -> QPoly:
@@ -624,8 +651,9 @@ class GridRow(NamedTuple):
     coordinates: each term lies on the positive cone and the root lattice for
     a prefix of the row, the first spans[i] tuples for terms[i]. So the term
     sums of the whole row are runs of the lines of a box with step w2
-    (_Lines.row), and the name of terms[i] is in the label at y exactly
-    while y < spans[i].
+    (_Run.row), and the name of terms[i] is in the label at y exactly
+    while y < spans[i]. labels is row_labels(label, spans, top), one tuple
+    shared by the rows of a sweep with the same shape, (label, *spans).
     """
 
     lam: FundCoord
@@ -636,51 +664,61 @@ class GridRow(NamedTuple):
     label: str
     terms: list
     spans: list
+    labels: tuple[str, ...]
 
 
-def spans_of(rs: RootSystem, terms, top: int) -> list[int]:
+def spans_of(step: tuple[int, int], terms, top: int) -> list[int]:
     """For each (sign, v) term of a row's first tuple, how many tuples of the row it
-    reaches: min(c1 // a, c2 // b) + 1 for v = (c1, c2) and w2 = (a, b), at most top + 1."""
-    a, b = line_step(rs)
+    reaches: min(c1 // a, c2 // b) + 1 for v = (c1, c2) and step = w2 = (a, b),
+    at most top + 1."""
+    a, b = step
     stop = top + 1
     return [min(stop, c1 // a + 1, c2 // b + 1) for _, (c1, c2) in terms]
+
+
+def row_labels(label: str, spans, top: int) -> tuple[str, ...]:
+    """The alternation label of each tuple (lam, (x, y)) of a row whose first tuple
+    has label and spans, y = 0 ... top: the names whose spans pass y, or "ZERO"."""
+    labels = []
+    y = 0
+    for end in sorted(set(spans)):  # the first y that one or more names have left
+        names = "".join([name for name, span in zip(label, spans) if span >= end])
+        labels += [names] * (end - y)
+        y = end
+    return tuple(labels + ["ZERO"] * (top + 1 - y))
 
 
 def grid_rows(rs: RootSystem, top: int) -> Iterator[GridRow]:
     """The GridRow of every (lam, x) of [0, top]^2, in lexicographic order: the
     row core of table and verify. Each weight is validated once, each lam's
     orbit and each mu_shift are computed once, and each row runs
-    alternation_terms_at once, at y = 0."""
-    line_step(rs)
+    alternation_terms_at once, at y = 0. The step is read once per call, and
+    row_labels runs once per distinct shape (label, *spans): a memo of this
+    call, a few hundred shapes at top = 10, dropped with it."""
+    step = line_step(rs)
     weights = [FundCoord(m, n) for m in range(top + 1) for n in range(top + 1)]
     mu_shifts = [_mu_shift(rs, x, 0) for x in range(top + 1)]
+    shapes: dict[tuple, tuple[str, ...]] = {}
     for lam in weights:
         orbit = shifted_orbit(rs, lam.m, lam.n)
         alternation = _alternation_row(rs, orbit)
         for x, mu_shift in enumerate(mu_shifts):
             shifts, label, terms = alternation_terms_at(alternation, mu_shift)
-            data = (lam, x, orbit, mu_shift, shifts, label, terms, spans_of(rs, terms, top))
+            spans = spans_of(step, terms, top)
+            shape = (label, *spans)
+            labels = shapes.get(shape)
+            if labels is None:
+                labels = shapes[shape] = row_labels(label, spans, top)
+            data = (lam, x, orbit, mu_shift, shifts, label, terms, spans, labels)
             yield _new_tuple(GridRow, data)
-
-
-def row_labels(row: GridRow, top: int) -> list[str]:
-    """The alternation label of each tuple (lam, (x, y)) of the row, y = 0 ... top:
-    the names of the terms whose spans pass y, or "ZERO"."""
-    labels = []
-    y = 0
-    for end in sorted(set(row.spans)):  # the first y that one or more names have left
-        label = "".join([name for name, span in zip(row.label, row.spans) if span >= end])
-        labels += [label] * (end - y)
-        y = end
-    return labels + ["ZERO"] * (top + 1 - y)
 
 
 def row_cases(alg: "Algebra", row: GridRow, top: int) -> list[tuple[int, int, tuple]]:
     """(y0, y1, case) for each run y0 <= y < y1 of the row's tuples over which every
     alternation shift keeps the signs of its coordinates; case is alg.case_data at
-    (lam, (x, y0)). A shift moves by -2 w2 per y, so each coordinate changes sign at
-    most once: a row has at most 2 len(shifts) + 1 runs, and over each the label
-    and every membership flag of the case hold."""
+    (lam, (x, y0)), with the row's label at y0. A shift moves by -2 w2 per y, so
+    each coordinate changes sign at most once: a row has at most 2 len(shifts) + 1
+    runs, and over each the label and every membership flag of the case hold."""
     du, dv = alg.rs.two_w2
     cuts = {top + 1}
     for _, u, v in row.shifts:  # the first y at which u, or v, is negative
@@ -688,7 +726,7 @@ def row_cases(alg: "Algebra", row: GridRow, top: int) -> list[tuple[int, int, tu
             cuts.add(u // du + 1)
         if 0 <= v < top * dv:
             cuts.add(v // dv + 1)
-    labels = row_labels(row, top)
+    labels = row.labels
     runs = []
     y0 = 0
     for y1 in sorted(cuts):

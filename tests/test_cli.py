@@ -477,8 +477,8 @@ class TestTable:
             plain = text.splitlines()
             with monkeypatch.context() as patch:
                 # The decode of each row's slots hands table the coefficients.
-                patch.setattr(rootsys._Lines, "decode",
-                              lambda self, row, slots, lanes: [big.coeffs] * len(lanes))
+                patch.setattr(rootsys._Run, "decode",
+                              lambda self, row, lanes: [big.coeffs] * len(lanes))
                 code, out, _ = invoke(capsys, "table", "--algebra", algebra, "--max", "2")
             rows = out.splitlines()
             assert code == 0 and len(rows) == len(plain) == 82

@@ -24,6 +24,10 @@ from qkostant.sp4 import (
 )
 
 
+def _small_box():
+    return QPartitionBox(G2.positive_roots, 4, 4)
+
+
 # The fund_to_root and root_to_fund ids name the direction of to_root and to_fund,
 # and the compute_case_c2 ids name rootsys.case on sp4.ALGEBRA.
 BAD_CALLS = {
@@ -63,6 +67,12 @@ BAD_CALLS = {
     "QPartitionBox-none-roots": lambda: QPartitionBox(None, 2, 2),
     "QPartitionBox-zero-step": lambda: QPartitionBox(G2.positive_roots, 2, 2, (0, 1)),
     "QPartitionBox-step-sharing-a-factor": lambda: QPartitionBox(G2.positive_roots, 2, 2, (2, 2)),
+    # Not an iterable of terms: checked once per call, before any term is read.
+    "QPartitionBox-term_sum-none": lambda: _small_box().term_sum(None),
+    "QPartitionBox-term_sum-zero": lambda: _small_box().term_sum(0),
+    "QPartitionBox-term_sum-int": lambda: _small_box().term_sum(5),
+    "QPartitionBox-sum_at_one-none": lambda: _small_box().sum_at_one(None),
+    "QPartitionBox-sum_at_one-zero": lambda: _small_box().sum_at_one(0),
     # 1758 copies of ℘_q(40, 3), whose top coefficient is 1221759, would pass the
     # 32-bit lanes that a box of 7 roots takes for at most 14 terms.
     "QPartitionBox-terms-past-the-weyl-group": lambda: QPartitionBox(

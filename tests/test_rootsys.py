@@ -474,16 +474,17 @@ def test_the_row_core_is_the_per_point_route(alg):
     for top in range(9):
         box = _sweep_box(rs, top)
         record = alg._replace(term_sum=box.term_sum)
-        polys, slots = box.polys, top + 1
+        slots = top + 1
+        polys, lanes = box.polys.run(slots), box.polys.lanes
         rows = list(grid_rows(rs, top))
         assert [(*row.lam, row.x) for row in rows] == list(product(range(slots), repeat=3))
         for row in rows:
-            full = [polys.lanes] * slots
-            closed_row = list(polys.decode(polys.row(row.terms, slots), slots, full))
+            full = [lanes] * slots
+            closed_row = list(polys.decode(polys.row(row.terms), full))
             weyl_terms = weyl_terms_at(row.orbit, row.mu_shift)
-            weyl_row = list(polys.decode(polys.row(weyl_terms, slots), slots, full))
+            weyl_row = list(polys.decode(polys.row(weyl_terms), full))
             first = alg.case_data(row.shifts, row.label).as_tuple()
-            labels = row_labels(row, top)
+            labels = row_labels(row.label, row.spans, top)
             runs = row_cases(alg, row, top)
             assert [y0 for y0, *_ in runs] == sorted({y0 for y0, *_ in runs})
             assert (runs[0][0], runs[-1][1]) == (0, slots)
@@ -508,7 +509,81 @@ def test_the_row_core_is_the_per_point_route(alg):
                 assert not any(closed_row[y][degree + 1:]), where
                 assert sum(coeffs) == expected.m_at_one, where
                 weyl = box.term_sum(weyl_terms_at(orbit, mu_shift))
-                assert weyl_row[y] == weyl.coeffs + (0,) * (polys.lanes - len(weyl.coeffs)), where
+                assert weyl_row[y] == weyl.coeffs + (0,) * (lanes - len(weyl.coeffs)), where
+
+
+@pytest.mark.parametrize("alg", [g2_multiplicity.ALGEBRA, sp4.ALGEBRA], ids=["g2", "c2"])
+def test_the_shape_memo_is_the_per_row_labels(alg):
+    """grid_rows labels each distinct shape (label, *spans) once per call: every
+    row's labels equal row_labels of its own label and spans, the rows of one
+    shape share one tuple, and row_cases reads the same runs off the memo as off
+    labels built for the row alone, for every N in 0 ... 8."""
+    for top in range(9):
+        shapes = {}
+        for row in grid_rows(alg.rs, top):
+            own = row_labels(row.label, row.spans, top)
+            assert row.labels == own and len(own) == top + 1, (row.lam, row.x)
+            assert shapes.setdefault((row.label, *row.spans), row.labels) is row.labels
+            alone = row._replace(labels=own)
+            assert row_cases(alg, row, top) == row_cases(alg, alone, top), (row.lam, row.x)
+        assert len({id(labels) for labels in shapes.values()}) == len(shapes)
+
+
+def _negative_lanes(lines, slots, row):
+    """(slot, lane) of each negative lane of a row of lines.run(slots), decoded in full."""
+    full = [lines.lanes] * slots
+    return [(y, i) for y, slot in enumerate(lines.run(slots).decode(row, full))
+            for i, lane in enumerate(slot) if lane < 0]
+
+
+@pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
+def test_the_one_op_negativity_test_is_a_decoded_negative_lane(rs):
+    """_Run.negative, one & and one compare, against "some lane of the decoded
+    row is negative", on the polynomial and count rows of signed term sums of at
+    most |W| random terms, on the sweep boxes of N = 2 and 4."""
+    rng = random.Random(f"negative/{rs.name}")
+    order = 2 * len(rs.positive_roots)
+    for top in (2, 4):
+        box = _sweep_box(rs, top)
+        top1, top2 = (c >> 1 for c in doubled(rs, (top, top)))
+        for lines in (box.polys, box.counts):
+            for slots in (1, 2, top + 1):
+                run = lines.run(slots)
+                seen = set()
+                for _ in range(300):
+                    terms = [(rng.choice((1, -1)), (rng.randint(0, top1), rng.randint(0, top2)))
+                             for _ in range(rng.randint(1, order))]
+                    row = run.row(terms)
+                    negative = bool(_negative_lanes(lines, slots, row))
+                    assert run.negative(row) == negative, terms
+                    seen.add(negative)
+                assert seen == {True, False}
+
+
+def test_the_one_op_negativity_test_sees_each_end_of_a_row():
+    """On a box of the simple roots alone, where ℘_q(c1, c2) = q^(c1 + c2), a row
+    with exactly one negative lane: slot 0, lane 0; the last lane of the last
+    slot (a run of one slot at the top corner); the lowest lane of the last slot
+    of a longer run; and the last slot of a row of 64-bit counts."""
+    step, top1, top2 = (3, 2), 20, 12
+    box = QPartitionBox([(1, 0), (0, 1)], top1, top2, step)
+    lanes = box.polys.lanes
+    slots = 5
+    last = (step[0] * (slots - 1), step[1] * (slots - 1))  # reaches every slot of the run
+    short = (last[0] + 1, last[1] - 1)  # the same degrees, one slot fewer
+    cases = [
+        (box.polys, slots, [(-1, (0, 0))], [(0, 0)]),
+        (box.polys, 1, [(-1, (top1, top2))], [(0, lanes - 1)]),
+        (box.polys, slots, [(1, short), (-1, last)], [(slots - 1, 0)]),
+        (box.counts, slots, [(1, short), (-1, last)], [(slots - 1, 0)]),
+    ]
+    assert box.counts.lane_bits == 64 and box.polys.lane_bits == 32
+    for lines, run_slots, terms, where in cases:
+        run = lines.run(run_slots)
+        row = run.row(terms)
+        assert _negative_lanes(lines, run_slots, row) == where, terms
+        assert run.negative(row), terms
+        assert not run.negative(run.row([(-sign, v) for sign, v in terms])), terms
 
 
 def test_a_box_whose_counts_need_64_bit_lanes_takes_them():
