@@ -34,11 +34,11 @@ from .rootsys import (
     closed,
     closed_mq,
     count_sum,
-    doubled,
     grid_rows,
     line_step,
     row_cases,
     spans_of,
+    sweep_box,
     to_fund,
     to_root,
     weyl_terms_at,
@@ -192,13 +192,6 @@ def _reach(rs: RootSystem, bad: Callable[[int, int], bool]) -> Callable[[GridRow
     return lambda row: True in [term_fails(v, span) for (_, v), span in zip(row.terms, row.spans)]
 
 
-def _terms_at(row: GridRow, y: int, step: tuple[int, int]) -> list:
-    """The alternation terms of the tuple (lam, (x, y)) of row, as term_sum takes them."""
-    a, b = step
-    return [(sign, RootCoord(c1 - y * a, c2 - y * b))
-            for (sign, (c1, c2)), span in zip(row.terms, row.spans) if y < span]
-
-
 def _g2_row_checks(record: Algebra, box: QPartitionBox, top: int,
                    kernel_mismatches: Callable[[int, int], tuple]) -> list[int]:
     # One closed row off the box serves three checks per tuple. Its m_q, what
@@ -208,7 +201,7 @@ def _g2_row_checks(record: Algebra, box: QPartitionBox, top: int,
     # case prints, to CASE_LABELS. A negative coefficient, where the closed
     # route raises InternalConsistencyError, fails all three. A row decodes
     # tuple by tuple only where one of them fails.
-    rs, slots, step = record.rs, top + 1, line_step(record.rs)
+    rs, slots = record.rs, top + 1
     polys = box.polys.run(slots)
     # A point fails where the kernel differs from the box or the count from the
     # box's count. Where the kernel equals the box, its value at one is the box's
@@ -234,7 +227,7 @@ def _g2_row_checks(record: Algebra, box: QPartitionBox, top: int,
                 if min(mq) < 0:
                     flags = (True, True, True)
                 else:
-                    terms = _terms_at(row, y, step)
+                    terms = alternation_terms(rs, row.lam, (row.x, y))[2]
                     flags = (
                         mq != mq_weyl or any(kernel_mismatches(*v)[0] for _, v in terms),
                         _count_differs(record, terms, sum(mq)),
@@ -267,7 +260,8 @@ def _c2_row_checks(record: Algebra, box: QPartitionBox, top: int,
         weyl = closed if weyl_terms == row.terms else counts.row(weyl_terms)
         if reach(row) or closed != weyl or counts.negative(closed):
             for y, (at_one,) in enumerate(counts.decode(weyl, [1] * slots)):
-                totals[0] += _count_differs(record, _terms_at(row, y, step), at_one)
+                terms = alternation_terms(rs, row.lam, (row.x, y))[2]
+                totals[0] += _count_differs(record, terms, at_one)
     return totals
 
 
@@ -276,8 +270,8 @@ class _Algebra(NamedTuple):
 
     ``record`` is the only way in to the algebra's kernel and count: the
     one-off routes take it as it is, so its term sum is the kernel. table
-    and verify build one QPartitionBox per command, refused up front past its
-    byte budget, whose lines the rows of rootsys.grid_rows follow: each
+    and verify build one rootsys.sweep_box per command, refused up front past
+    its byte budget, whose lines the rows of rootsys.grid_rows follow: each
     (lam, x) row of tuples sums its terms off the box as one packed int.
     verify holds the kernel to the box, and to the count at q = 1, once per
     distinct point of the pair box and of the alternation terms (g2; c2 holds
@@ -332,15 +326,11 @@ def _cmd_case(args: argparse.Namespace) -> int:
 
 
 def _grid(args: argparse.Namespace) -> tuple[_Algebra, QPartitionBox]:
-    """The algebra row and the box of every Weyl term of [0, --max]^4, on the
-    lines that the sweep rows follow, once --max is checked. The largest term is
-    lam = (top, top) itself: (5 top, 3 top) for g2."""
+    """The algebra row and its sweep_box of [0, --max]^4, once --max is checked."""
     if args.max < 0:
         raise ValueError("--max must be nonnegative")
     spec = _ALGEBRAS[args.algebra]
-    rs = spec.record.rs
-    top1, top2 = doubled(rs, (args.max, args.max))
-    return spec, QPartitionBox(rs.positive_roots, top1 >> 1, top2 >> 1, line_step(rs))
+    return spec, sweep_box(spec.record.rs, args.max)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -406,7 +396,7 @@ def _table_blocks(spec: _Algebra, box: QPartitionBox, top: int) -> Iterator[str]
         _, u, v = row.shifts[0]
         degree = (u + v) >> 1  # of P at y = 0, where P lies on the root lattice
         mqs = list(polys.decode(closed, range(degree + 1, degree + 1 - reach * (a + b), -(a + b))))
-        fields = map(count, record.case_data(row.shifts, row.label)[:width], steps)
+        fields = map(count, record.case_data(row.shifts, row.labels[0])[:width], steps)
         coeffs = chain(map("|".join, map(map, repeat(text), mqs)), repeat("", slots - reach))
         at_one = chain(map(sum, mqs), repeat(0, slots - reach))
         if not row.x:  # lam's first mu

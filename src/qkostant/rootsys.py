@@ -282,9 +282,9 @@ class QPartitionBox:
     largest count times the Weyl group's order 2 * len(roots) is below 2^31
     and of 64 bits otherwise. So q· is a shift by one lane, the entries of
     v, v - step, v - 2 step, ... are the line of v shifted right to v's slot,
-    and one signed loop, _Lines.signed, serves term_sum and box[v] (one slot
-    of ``polys``), sum_at_one (one slot of ``counts``) and the rows of both
-    (a run of slots): the sweeps read a whole run of tuples at once.
+    and one signed loop, _Lines.signed, serves term_sum and box[v] (``polys``,
+    read one slot at a time), sum_at_one (``counts``, likewise) and the rows of
+    both (their run(k), k slots at a time): the sweeps read a row of tuples at once.
 
     Bounds that are not nonnegative ints (bool included), roots that are not
     an iterable of pairs of nonnegative ints other than (0, 0), a step that
@@ -396,17 +396,17 @@ class QPartitionBox:
             raise ValueError(f"a term sum of the box takes at most {self._order} terms,"
                              " one per Weyl element")
         polys = self.polys
-        run = polys.run(1)
-        packed = run.row(terms) ^ run.bias
-        lanes = -(-packed.bit_length() // polys.lane_bits)
-        return QPoly._from_checked(polys.unpack(packed, lanes))
+        row = polys.row(terms)
+        lanes = -(-(row ^ polys.bias).bit_length() // polys.lane_bits)
+        [coeffs] = polys.decode(row, [lanes])
+        return QPoly._from_checked(coeffs)
 
     def sum_at_one(self, terms) -> int:
         """Σ sign·℘(v) at q = 1 over (sign, (c1, c2)) terms inside the box, each
         sign 1 or -1; only the total is range-checked. Other terms, and terms that
         are not an iterable, raise ValueError."""
         counts = self.counts
-        return checked_int(counts.signed(_iter_terms(terms), counts.run(1).mask))
+        return checked_int(counts.signed(list(_iter_terms(terms)), counts.mask))
 
 
 def _iter_terms(terms) -> Iterator:
@@ -419,36 +419,46 @@ def _iter_terms(terms) -> Iterator:
 
 
 class _Lines:
-    """One kind of a box's entries on its lines: ``ints`` holds one int per line of
-    direction ``step`` in the box up to ``top``, with a slot of ``lanes`` lanes of
-    ``lane_bits`` bits per point, highest point first."""
+    """One kind of a box's entries on its lines, read ``slots`` slots at a time:
+    ``ints`` holds one int per line of direction ``step`` in the box up to ``top``,
+    a slot of ``lanes`` lanes of ``lane_bits`` bits per point, highest point first.
+    ``bias`` holds 2^(w-1) in each lane of the slots read and ``mask`` all their
+    bits. A box's ``polys`` and ``counts`` read one slot, and a sweep its run(k)."""
 
-    __slots__ = ("ints", "lane_bits", "lanes", "slot_bits", "_top", "_step", "_structs",
-                 "_runs")
+    __slots__ = ("ints", "lane_bits", "lanes", "slot_bits", "bias", "mask", "_top", "_step",
+                 "_structs", "_bytes", "_offsets")
 
     def __init__(self, ints: list[int], lane_bits: int, lanes: int, top: tuple[int, int],
-                 step: tuple[int, int]) -> None:
+                 step: tuple[int, int], slots: int = 1, structs: list | None = None) -> None:
         self.ints, self.lane_bits, self.lanes = ints, lane_bits, lanes
-        self.slot_bits = lane_bits * lanes
-        self._top, self._step = top, step
-        code = "i" if lane_bits == 32 else "q"
+        self._top, self._step, self.slot_bits = top, step, lane_bits * lanes
+        code, size = "i" if lane_bits == 32 else "q", self.slot_bits >> 3
         # The decoder of 0 ... lanes lanes, made once per box.
-        self._structs = [Struct(f"<{count}{code}") for count in range(lanes + 1)]
-        self._runs: dict[int, _Run] = {}
+        self._structs = structs or [Struct(f"<{count}{code}") for count in range(lanes + 1)]
+        lane = (1 << lane_bits - 1).to_bytes(lane_bits >> 3, "little")
+        self.bias = int.from_bytes(lane * (lanes * slots), "little")
+        self.mask = (1 << self.slot_bits * slots) - 1
+        self._bytes, self._offsets = slots * size, range(0, slots * size, size)
+
+    def run(self, slots: int) -> "_Lines":
+        """These lines read slots slots at a time, as a sweep row reads them; one per command."""
+        return _Lines(self.ints, self.lane_bits, self.lanes, self._top, self._step, slots,
+                      self._structs)
 
     def signed(self, terms, mask: int = 0) -> int:
-        """Σ sign·(the line of v shifted right to v's slot) over (sign, (c1, c2))
-        terms, each run cut to its first slot by mask when mask is given; a sign
-        other than 1 or -1, or a term outside the box, raises ValueError. Slot y
-        of the sum is Σ sign·entry(v - y·step): a line ends where its points
-        leave the box, so past a line's end a run is zero. Packing is linear, so
-        each lane of a slot holds the true signed sum of its coefficients, but
-        for the borrows of the lanes below it."""
+        """Σ sign·(the line of v shifted right to v's slot) over a list of (sign,
+        (c1, c2)) terms, each run cut to its first slot by mask when mask is given;
+        a term outside the box, of a sign other than 1 or -1, or not a sign and a
+        pair of ints raises ValueError that names it. Slot y of the sum is Σ
+        sign·entry(v - y·step): past a line's end, where its points leave the box,
+        a run is zero. Packing is linear, so each lane of a slot holds the true
+        signed sum of its coefficients, but for the borrows of the lanes below it."""
         (top1, top2), (a, b) = self._top, self._step
         lines, width, offset = self.ints, self.slot_bits, a * top2
         total = 0
         try:
-            for sign, (c1, c2) in terms:
+            for term in terms:
+                sign, (c1, c2) = term
                 if c1 | c2 < 0:  # a negative index would read a line from its far end
                     raise IndexError
                 up, high = (top1 - c1) // a, (top2 - c2) // b  # slots above v on its line
@@ -464,47 +474,23 @@ class _Lines:
                 elif sign == -1:
                     total -= run
                 else:
-                    raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+                    break
+            else:
+                return total
         except IndexError:
             raise ValueError(f"the term {(sign, (c1, c2))} lies outside the box up to"
                              f" ({top1}, {top2})") from None
-        return total
-
-    def run(self, slots: int) -> "_Run":
-        """The run of slots slots from a term's slot on, as a sweep row reads it;
-        made on the first call for slots and kept with the box."""
-        run = self._runs.get(slots)
-        if run is None:
-            run = self._runs[slots] = _Run(self, slots)
-        return run
-
-    def unpack(self, packed: int, lanes: int) -> tuple[int, ...]:
-        """The lowest lanes of packed, lanes <= self.lanes, as signed ints."""
-        return self._structs[lanes].unpack(packed.to_bytes(lanes * self.lane_bits >> 3, "little"))
-
-
-class _Run:
-    """A run of ``slots`` slots of a _Lines, with its constants: ``bias`` holds
-    2^(w-1) in each of its lanes and ``mask`` all its bits. A sweep takes its run
-    once per command, so its rows pay for none of them."""
-
-    __slots__ = ("lines", "bias", "mask", "_bytes", "_offsets", "_struct")
-
-    def __init__(self, lines: _Lines, slots: int) -> None:
-        lane = (1 << lines.lane_bits - 1).to_bytes(lines.lane_bits >> 3, "little")
-        size = lines.slot_bits >> 3
-        self.lines = lines
-        self.bias = int.from_bytes(lane * (lines.lanes * slots), "little")
-        self.mask = (1 << lines.slot_bits * slots) - 1
-        self._bytes, self._offsets = slots * size, range(0, slots * size, size)
-        self._struct = lines._structs.__getitem__
+        except (TypeError, ValueError):  # not a pair, or a coordinate that is not an int
+            raise ValueError(f"a term must be (sign, (c1, c2)) with int coordinates,"
+                             f" got {term!r}") from None
+        raise ValueError(f"sign must be 1 or -1, got {sign!r} in the term {term!r}")
 
     def row(self, terms) -> int:
         """The sums of a sweep row: Σ sign·entry(v - y·step) in slot y < slots, over
         (sign, v) terms, at most one per Weyl element (see term_sum), biased by
-        bias and kept to the run's slots. A lane whose bias bit is clear is
+        bias and kept to the slots read. A lane whose bias bit is clear is
         negative."""
-        return (self.lines.signed(terms) + self.bias) & self.mask
+        return (self.signed(terms) + self.bias) & self.mask
 
     def negative(self, row: int) -> bool:
         """Whether a lane of row, as row() gives it, is negative: whether a bias
@@ -515,7 +501,8 @@ class _Run:
         """The lowest lanes[y] lanes of slot y of row, as row() gives it, as signed
         ints, for each y < min(len(lanes), slots); decoded in C."""
         raw = (row ^ self.bias).to_bytes(self._bytes, "little")
-        return map(Struct.unpack_from, map(self._struct, lanes), repeat(raw), self._offsets)
+        return map(Struct.unpack_from, map(self._structs.__getitem__, lanes), repeat(raw),
+                   self._offsets)
 
 
 def qpartition_defined(roots, v: tuple[int, int]) -> QPoly:
@@ -641,19 +628,28 @@ def line_step(rs: RootSystem) -> tuple[int, int]:
     return u >> 1, v >> 1
 
 
+def sweep_box(rs: RootSystem, top: int) -> QPartitionBox:
+    """The box of every Weyl term of [0, top]^4, on the lines of line_step that
+    the sweep rows follow. The largest term is lam = (top, top) itself: (5 top,
+    3 top) for g2. A box past BOX_BYTE_BUDGET raises ValueError up front."""
+    top1, top2 = doubled(rs, (top, top))
+    return QPartitionBox(rs.positive_roots, top1 >> 1, top2 >> 1, line_step(rs))
+
+
 class GridRow(NamedTuple):
     """One (lam, x) row of a sweep of [0, top]^4: the tuples (lam, (x, y)), y = 0 ... top.
 
     orbit is shifted_orbit of lam and mu_shift is that of mu = (x, 0), so
-    shifts, label and terms are alternation_terms_at of the row's first tuple,
+    shifts and terms are alternation_terms_at's of the row's first tuple,
     and weyl_terms_at(orbit, mu_shift) its Weyl terms. Raising y by one moves
     every term by -w2 (line_step), which keeps the parity of its doubled
     coordinates: each term lies on the positive cone and the root lattice for
     a prefix of the row, the first spans[i] tuples for terms[i]. So the term
     sums of the whole row are runs of the lines of a box with step w2
-    (_Run.row), and the name of terms[i] is in the label at y exactly
-    while y < spans[i]. labels is row_labels(label, spans, top), one tuple
-    shared by the rows of a sweep with the same shape, (label, *spans).
+    (sweep_box, read by _Lines.row), and the name of terms[i] is in the label
+    at y exactly while y < spans[i]. labels is row_labels(label, spans, top),
+    one tuple shared by the rows of a sweep with the same shape (label,
+    *spans); labels[0] is the label of the first tuple.
     """
 
     lam: FundCoord
@@ -661,7 +657,6 @@ class GridRow(NamedTuple):
     orbit: tuple
     mu_shift: tuple[int, int]
     shifts: list
-    label: str
     terms: list
     spans: list
     labels: tuple[str, ...]
@@ -709,7 +704,7 @@ def grid_rows(rs: RootSystem, top: int) -> Iterator[GridRow]:
             labels = shapes.get(shape)
             if labels is None:
                 labels = shapes[shape] = row_labels(label, spans, top)
-            data = (lam, x, orbit, mu_shift, shifts, label, terms, spans, labels)
+            data = (lam, x, orbit, mu_shift, shifts, terms, spans, labels)
             yield _new_tuple(GridRow, data)
 
 
@@ -781,12 +776,14 @@ def count_sum(alg: Algebra, terms) -> int:
     """The signed sum of alg.count over (sign, RootCoord) terms: m(lam, mu) at q = 1.
 
     Only the exact total is range-checked, so a term outside the signed 64-bit
-    range is fine when the multiplicity is not. A negative total raises
-    InternalConsistencyError.
+    range is fine when the multiplicity is not. A sign other than 1 or -1 raises
+    ValueError, and a negative total InternalConsistencyError.
     """
     count = alg.count
     value = 0
     for sign, (m, n) in terms:  # a plain loop: sum() over a generator is slower here
+        if sign != 1 and sign != -1:
+            raise ValueError(f"sign must be 1 or -1, got {sign!r}")
         value += sign * count(m, n)
     if value < 0:
         raise InternalConsistencyError(f"negative multiplicity {value} from the terms {terms}")
@@ -810,10 +807,7 @@ def closed(alg: Algebra, lam: tuple[int, int], mu: tuple[int, int]) -> Multiplic
     """
     lam, mu, orbit, mu_shift = _point(alg.rs, lam, mu)
     shifts, label, terms = alternation_terms_at(_alternation_row(alg.rs, orbit), mu_shift)
-    if not terms:
-        data = (lam, mu, alg.case_data(shifts, label), (), _ZERO, 0)
-        return _new_tuple(MultiplicityResult, data)
-    mq = closed_mq(alg, lam, mu, terms)
+    mq = closed_mq(alg, lam, mu, terms) if terms else _ZERO
     data = (lam, mu, alg.case_data(shifts, label), tuple(terms), mq, mq.eval_at_one())
     return _new_tuple(MultiplicityResult, data)
 

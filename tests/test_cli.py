@@ -477,7 +477,7 @@ class TestTable:
             plain = text.splitlines()
             with monkeypatch.context() as patch:
                 # The decode of each row's slots hands table the coefficients.
-                patch.setattr(rootsys._Run, "decode",
+                patch.setattr(rootsys._Lines, "decode",
                               lambda self, row, lanes: [big.coeffs] * len(lanes))
                 code, out, _ = invoke(capsys, "table", "--algebra", algebra, "--max", "2")
             rows = out.splitlines()
@@ -934,6 +934,26 @@ class TestVerifyOracles:
         }
         assert set(calls) == terms
         assert set(calls.values()) == {1}
+
+    @pytest.mark.parametrize("algebra", ["g2", "c2"])
+    @pytest.mark.parametrize("command", ["table", "verify"])
+    def test_a_sweep_builds_its_one_box_through_sweep_box(self, capsys, monkeypatch,
+                                                          command, algebra):
+        built, made = [], []
+        real_init = rootsys.QPartitionBox.__init__
+
+        def init(self, *args):
+            made.append(self)
+            real_init(self, *args)
+
+        def sweep_box(rs, top):
+            built.append(rootsys.sweep_box(rs, top))
+            return built[-1]
+
+        monkeypatch.setattr(rootsys.QPartitionBox, "__init__", init)
+        monkeypatch.setattr(cli, "sweep_box", sweep_box)
+        assert invoke(capsys, command, "--algebra", algebra, "--max", "4")[0] == 0
+        assert len(built) == 1 and made == built
 
     def test_g2_verify_reads_no_box_count(self, capsys, monkeypatch):
         # A row's count routes are held to the box's counts through the kernel

@@ -4,9 +4,11 @@ Each call below once returned a float, a silent zero, a TypeError, an
 IndexError or an InternalConsistencyError instead, or built a box.
 """
 
+import re
+
 import pytest
 
-from qkostant import rootsys, sp4
+from qkostant import g2_multiplicity, rootsys, sp4
 from qkostant.g2_multiplicity import qmultiplicity_closed, qmultiplicity_weyl_sum
 from qkostant.g2_partition import (
     partition_tarski,
@@ -91,3 +93,36 @@ def test_a_list_pair_is_a_weight(kernel):
     # A list pair, which no cache could key, is taken like the tuple it spells.
     assert kernel(RootCoord(3, 2))
     assert kernel([3, 2]) == kernel((3, 2)) == kernel(RootCoord(3, 2))
+
+
+# Terms that are not a sign and a pair of ints, the last one of each list the
+# bad one: the box names it, through the one try around its signed loop.
+BAD_TERMS = {
+    "scalar": [5],
+    "scalar-weight": [(1, 5)],
+    "float-coordinate": [(1, (2.0, 1))],
+    "triple-weight": [(1, (1, 2, 3))],
+    "after-a-good-term": [(1, (0, 0)), (-1, (1, 2, 3))],
+}
+
+
+@pytest.mark.parametrize("terms", list(BAD_TERMS.values()), ids=list(BAD_TERMS))
+@pytest.mark.parametrize("method", ["term_sum", "sum_at_one"])
+def test_a_term_that_is_not_a_sign_and_a_pair_of_ints_is_named(method, terms):
+    message = re.escape(f"a term must be (sign, (c1, c2)) with int coordinates, got {terms[-1]!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        getattr(_small_box(), method)(terms)
+
+
+@pytest.mark.parametrize("v", [5, (2.0, 1), (1, 2, 3)], ids=["scalar", "float", "triple"])
+def test_a_box_entry_that_is_not_a_pair_of_ints_is_named(v):
+    with pytest.raises(ValueError, match=re.escape(f"got {(1, v)!r}")):
+        _small_box()[v]
+
+
+@pytest.mark.parametrize("sign", [2, 0])
+@pytest.mark.parametrize("alg", [g2_multiplicity.ALGEBRA, sp4.ALGEBRA], ids=["g2", "c2"])
+def test_count_sum_refuses_a_sign_other_than_one_or_minus_one(alg, sign):
+    # Both once summed sign * count: 2 gave twice the count (4 at (1, 1)), 0 gave 0.
+    with pytest.raises(ValueError, match=f"^sign must be 1 or -1, got {sign}$"):
+        rootsys.count_sum(alg, [(sign, RootCoord(1, 1))])

@@ -37,6 +37,7 @@ from qkostant.rootsys import (
     qpartition_defined,
     row_cases,
     row_labels,
+    sweep_box,
     to_fund,
     to_root,
     weyl_elements,
@@ -388,12 +389,6 @@ def _points(rs, top):
         yield lam, mu, _alternation_row(rs, orbit), orbit, mu_shift
 
 
-def _sweep_box(rs, top):
-    """The box of every Weyl term of [0, top]^4, on the lines of the sweep rows."""
-    top1, top2 = doubled(rs, (top, top))
-    return QPartitionBox(rs.positive_roots, top1 >> 1, top2 >> 1, line_step(rs))
-
-
 @pytest.mark.parametrize("box", [False, True], ids=["fused", "box"])
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=["g2", "c2", "b2"])
 def test_grid_points_and_cores_are_the_one_pair_routes(alg, box):
@@ -472,7 +467,7 @@ def test_the_row_core_is_the_per_point_route(alg):
     steps = case_steps(alg, width)
     a, b = line_step(rs)
     for top in range(9):
-        box = _sweep_box(rs, top)
+        box = sweep_box(rs, top)
         record = alg._replace(term_sum=box.term_sum)
         slots = top + 1
         polys, lanes = box.polys.run(slots), box.polys.lanes
@@ -483,8 +478,8 @@ def test_the_row_core_is_the_per_point_route(alg):
             closed_row = list(polys.decode(polys.row(row.terms), full))
             weyl_terms = weyl_terms_at(row.orbit, row.mu_shift)
             weyl_row = list(polys.decode(polys.row(weyl_terms), full))
-            first = alg.case_data(row.shifts, row.label).as_tuple()
-            labels = row_labels(row.label, row.spans, top)
+            first = alg.case_data(row.shifts, row.labels[0]).as_tuple()
+            labels = row_labels(row.labels[0], row.spans, top)
             runs = row_cases(alg, row, top)
             assert [y0 for y0, *_ in runs] == sorted({y0 for y0, *_ in runs})
             assert (runs[0][0], runs[-1][1]) == (0, slots)
@@ -521,9 +516,10 @@ def test_the_shape_memo_is_the_per_row_labels(alg):
     for top in range(9):
         shapes = {}
         for row in grid_rows(alg.rs, top):
-            own = row_labels(row.label, row.spans, top)
+            label = alternation_terms(alg.rs, row.lam, (row.x, 0))[1]
+            own = row_labels(label, row.spans, top)
             assert row.labels == own and len(own) == top + 1, (row.lam, row.x)
-            assert shapes.setdefault((row.label, *row.spans), row.labels) is row.labels
+            assert shapes.setdefault((label, *row.spans), row.labels) is row.labels
             alone = row._replace(labels=own)
             assert row_cases(alg, row, top) == row_cases(alg, alone, top), (row.lam, row.x)
         assert len({id(labels) for labels in shapes.values()}) == len(shapes)
@@ -538,17 +534,22 @@ def _negative_lanes(lines, slots, row):
 
 @pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
 def test_the_one_op_negativity_test_is_a_decoded_negative_lane(rs):
-    """_Run.negative, one & and one compare, against "some lane of the decoded
+    """_Lines.negative, one & and one compare, against "some lane of the decoded
     row is negative", on the polynomial and count rows of signed term sums of at
-    most |W| random terms, on the sweep boxes of N = 2 and 4."""
+    most |W| random terms, on the sweep boxes of N = 2 and 4. Each run(k) is the
+    same lines read k slots at a time: it shares their ints, and its bias and
+    mask are the one-slot reading's, repeated over k slots."""
     rng = random.Random(f"negative/{rs.name}")
     order = 2 * len(rs.positive_roots)
     for top in (2, 4):
-        box = _sweep_box(rs, top)
+        box = sweep_box(rs, top)
         top1, top2 = (c >> 1 for c in doubled(rs, (top, top)))
         for lines in (box.polys, box.counts):
             for slots in (1, 2, top + 1):
                 run = lines.run(slots)
+                assert run.ints is lines.ints and run.lanes == lines.lanes
+                assert run.bias == sum(lines.bias << y * lines.slot_bits for y in range(slots))
+                assert run.mask == (1 << slots * lines.slot_bits) - 1
                 seen = set()
                 for _ in range(300):
                     terms = [(rng.choice((1, -1)), (rng.randint(0, top1), rng.randint(0, top2)))
