@@ -373,13 +373,13 @@ def _table_blocks(spec: _Algebra, box: QPartitionBox, top: int) -> Iterator[str]
     """The CSV of table --max top: its header, then one block of rows per lam.
 
     Each (lam, x) row of tuples is one closed row off the box, decoded once, and
-    its lines are joined in C. A tuple has a term exactly while P does, and then
-    its m_q has degree ht(lam - mu), the height of P, with top coefficient 1: it
-    is that many lanes plus one of the tuple's slot. The case fields of the row's
-    first tuple move by case_steps per y."""
+    its lines are joined in C from the text of their fields. A tuple has a term
+    exactly while P does, and then its m_q has degree ht(lam - mu), the height of
+    P, with top coefficient 1: it is that many lanes plus one of the tuple's slot.
+    The case fields of the row's first tuple move by case_steps per y."""
     yield f"m,n,x,y,{','.join(spec.case_fields)},case,mq_coeffs,m_at_1\n"
     record = spec.record
-    text = _Text().__getitem__  # str runs once per distinct coefficient of the command
+    text = _Text().__getitem__  # str runs once per distinct int of the command
     width = len(spec.case_fields)
     steps = case_steps(record, width)
     a, b = line_step(record.rs)
@@ -398,12 +398,14 @@ def _table_blocks(spec: _Algebra, box: QPartitionBox, top: int) -> Iterator[str]
         mqs = list(polys.decode(closed, range(degree + 1, degree + 1 - reach * (a + b), -(a + b))))
         fields = map(count, record.case_data(row.shifts, row.labels[0])[:width], steps)
         coeffs = chain(map("|".join, map(map, repeat(text), mqs)), repeat("", slots - reach))
-        at_one = chain(map(sum, mqs), repeat(0, slots - reach))
+        at_one = chain(map(text, map(sum, mqs)), repeat("0", slots - reach))
         if not row.x:  # lam's first mu
-            line = f"{row.lam.m},{row.lam.n},%s,{'%d,' * width}%s,%s,%d\n".__mod__
-        block += map(line, zip(mus[row.x], *fields, row.labels, coeffs, at_one))
+            lam = repeat(f"{row.lam.m},{row.lam.n}")
+        block += map(",".join, zip(lam, mus[row.x], *map(map, repeat(text), fields), row.labels,
+                                   coeffs, at_one))
         if row.x == top:  # lam's last mu
-            yield "".join(block)
+            block.append("")
+            yield "\n".join(block)
             block.clear()
 
 

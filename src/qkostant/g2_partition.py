@@ -112,8 +112,15 @@ def _packed_groups(width: int) -> tuple:
     )
 
 
-# The groups at the lane widths of every sum whose coefficients fit int64.
+def _d_at(width: int) -> int:
+    """D(2^width) for D = (1-q)(1-q^2)(1-q^3)(1-q^4): what _g2_sum divides out."""
+    q = 1 << width
+    return (1 - q) * (1 - q**2) * (1 - q**3) * (1 - q**4)
+
+
+# The groups, and D, at the lane widths of every sum whose coefficients fit int64.
 _PACKED = {width: _packed_groups(width) for width in (32, 64)}
+_D_AT = {width: _d_at(width) for width in (32, 64)}
 
 
 def _wall(wall: tuple, x: int) -> int:
@@ -204,8 +211,7 @@ def _g2_sum(terms: Sequence[tuple[int, tuple[int, int]]]) -> QPoly:
     packed = 0
     for sign, (m, n) in terms:
         packed += _g2_marks(m, n, sign, width)
-    q = 1 << width
-    packed, rem = divmod(packed, (1 - q) * (1 - q**2) * (1 - q**3) * (1 - q**4))
+    packed, rem = divmod(packed, _D_AT.get(width) or _d_at(width))
     if rem:
         raise InternalConsistencyError(f"g2 markers up to degree {degree} are not a multiple of D")
     size = width >> 3  # bytes per lane

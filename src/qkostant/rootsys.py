@@ -259,10 +259,15 @@ def weyl_group() -> tuple[WeylElement, ...]:
     return weyl_elements(G2)
 
 
-# The most bytes a QPartitionBox may hold: (4 * (top1 + top2 + 1) + 8) per point, a
-# slot of 32-bit lanes and a 64-bit count (twice the lane bytes where the counts need
-# 64-bit lanes), about 0.5 MB for a g2 sweep of --max 10 and 268 MB for --max 82.
+# The most bytes a QPartitionBox may hold while it fills: (4 * (top1 + top2 + 1) + 8) per
+# point, a slot of 32-bit lanes and a 64-bit count (twice the lane bytes where the counts
+# need 64-bit lanes), about 0.5 MB for a g2 sweep of --max 10 and 268 MB for --max 82.
 BOX_BYTE_BUDGET = 1 << 28
+
+
+def _lane_width(peak: int) -> int:
+    """The narrowest lane of 8, 16, 32 or 64 bits whose signed range holds ±peak < 2^63."""
+    return next(width for width in (8, 16, 32, 64) if peak >> width - 1 == 0)
 
 
 class QPartitionBox:
@@ -277,24 +282,31 @@ class QPartitionBox:
 
     The box keeps its entries on the lines of direction ``step``: each line
     is one Python int that holds its points highest first, one slot per
-    point (Kronecker packing). A count takes a 64-bit slot; a polynomial a
-    slot of top1 + top2 + 1 lanes, one per coefficient, of 32 bits when the
-    largest count times the Weyl group's order 2 * len(roots) is below 2^31
-    and of 64 bits otherwise. So q· is a shift by one lane, the entries of
-    v, v - step, v - 2 step, ... are the line of v shifted right to v's slot,
-    and one signed loop, _Lines.signed, serves term_sum and box[v] (``polys``,
-    read one slot at a time), sum_at_one (``counts``, likewise) and the rows of
-    both (their run(k), k slots at a time): the sweeps read a row of tuples at once.
+    point (Kronecker packing). A count takes a slot of one lane; a
+    polynomial a slot of top1 + top2 + 1 lanes, one per coefficient. Each
+    kind's lanes are the narrowest of 8, 16, 32 and 64 bits whose signed
+    range holds its largest entry times the Weyl group's order 2 * len(roots)
+    (_lane_width): the largest count for ``counts``, the largest coefficient
+    for ``polys``. The polynomials are filled at lanes of 32 bits, or 64
+    where the counts need them, which hold any coefficient, as no coefficient
+    passes its count; their lines narrow after the fill. A box whose lines
+    all hold one point (qpartition_defined's) is read one entry at a time,
+    so its polynomials keep the lanes they were filled at. So q· is a shift
+    by one lane, the entries of v, v - step, v - 2 step, ... are the line of
+    v shifted right to v's slot, and one signed loop, _Lines.signed, serves
+    term_sum and box[v] (``polys``, read one slot at a time), sum_at_one
+    (``counts``, likewise) and the rows of both (their run(k), k slots at a
+    time): the sweeps read a row of tuples at once.
 
     Bounds that are not nonnegative ints (bool included), roots that are not
     an iterable of pairs of nonnegative ints other than (0, 0), a step that
-    is not a pair of coprime positive ints, and a box past BOX_BYTE_BUDGET (so also
-    one of more than sys.maxsize points) raise ValueError before anything is
-    allocated. The counts bound every coefficient, and a box with a count of
-    at least 2^63 / (2 * len(roots)) raises ValueError: a rank-2 Weyl group
-    has 2 * len(roots) elements, so a signed sum of one entry per element
-    keeps every coefficient inside the signed range of a lane (see term_sum,
-    which refuses more terms).
+    is not a pair of coprime positive ints, and a box past BOX_BYTE_BUDGET at
+    its fill widths (so also one of more than sys.maxsize points) raise
+    ValueError before anything is allocated. A box with a count of at least
+    2^63 / (2 * len(roots)) raises ValueError: a rank-2 Weyl group has
+    2 * len(roots) elements, so a signed sum of one entry per element keeps
+    every lane inside its signed range (see term_sum, which refuses more
+    terms).
     """
 
     def __init__(self, roots, top1: int, top2: int, step: tuple[int, int] = (1, 1)) -> None:
@@ -319,13 +331,18 @@ class QPartitionBox:
                 f"a count of the box up to ({top1}, {top2}) times {order} Weyl terms"
                 " does not fit a signed 64-bit lane"
             )
-        width = 32 if peak < 1 << 31 else 64
-        if width == 64:
+        width = _lane_width(peak)  # of the counts
+        fill = max(width, 32)  # of the polynomials while they fill
+        if fill == 64:
             self._check_budget(top1, top2, 8 * lanes + 8)
         self._top, self._step, self._order = (top1, top2), (a, b), order
-        self.counts = _Lines(self._pack(counts, 64), 64, 1, self._top, self._step)
-        polys = self._pack(self._fill(roots, top1, top2, width), width * lanes)
-        self.polys = _Lines(polys, width, lanes, self._top, self._step)
+        self.counts = _Lines(self._pack(counts, 1, width, width), width, 1, self._top, self._step)
+        polys = self._fill(roots, top1, top2, fill)
+        width = fill
+        if a <= top1 and b <= top2:  # some line holds two points or more
+            width = _lane_width(self._largest_coefficient(polys, roots, lanes, fill) * order)
+        self.polys = _Lines(self._pack(polys, lanes, fill, width), width, lanes, self._top,
+                            self._step)
 
     @staticmethod
     def _check_budget(top1: int, top2: int, point_bytes: int) -> None:
@@ -348,18 +365,45 @@ class QPartitionBox:
                     row[c2] += back[c2 - a2] << shift
         return rows
 
-    def _pack(self, rows: list[list[int]], slot_bits: int) -> list[int]:
-        """One int per line of direction step, its points highest first, slot_bits
-        apiece; the line of (c1, c2) is number b*c1 - a*c2 + a*top2. A line's points
+    @staticmethod
+    def _largest_coefficient(rows: list[list[int]], roots, lanes: int, fill: int) -> int:
+        """The largest coefficient of the polynomials of rows, filled at fill bits a lane,
+        read at the points that no root moves to another point of the box.
+
+        If w - v is a sum of k roots, adding them to each decomposition of v
+        into i roots gives a decomposition of w into i + k roots, and no two
+        alike, so c_i(v) <= c_(i+k)(w). A point v with v + α in the box for a
+        root α is thus bounded at v + α, and as each such move raises c1 + c2,
+        every point is bounded at a point that no root moves inside the box:
+        the largest coefficient is at one of those. Where the roots hold both
+        a1 and a2, that is the top corner alone."""
+        top1, top2 = len(rows) - 1, len(rows[0]) - 1
+        unpack = Struct(f"<{lanes}{'I' if fill == 32 else 'Q'}").unpack
+        size = fill * lanes >> 3
+        largest = 0
+        for c1, row in enumerate(rows):
+            # The roots that keep c1 inside the box must all take c2 past top2.
+            low = max([top2 - a2 + 1 for a1, a2 in roots if c1 + a1 <= top1], default=0)
+            for entry in row[max(low, 0):]:
+                largest = max(largest, *unpack(entry.to_bytes(size, "little")))
+        return largest
+
+    def _pack(self, rows: list[list[int]], lanes: int, fill: int, width: int) -> list[int]:
+        """One int per line of direction step, its points highest first, a slot of
+        lanes lanes of width bits apiece from the entries of rows, lanes of fill
+        bits; the line of (c1, c2) is number b*c1 - a*c2 + a*top2. A line's points
         lie in its top's row of rows and below, so the rows are packed from the top
         down, one line at a time in C, and each row is dropped once its lines are:
-        the box is not held twice. A row whose every point is a line of one slot
-        (each point of qpartition_defined's box) is taken as it is."""
+        the box is not held twice. Where width < fill, each lane of a line's bytes
+        keeps its low width bits, by strided slices: every lane of the box is
+        nonnegative and below 2^(width-1). A row whose every point is a line of one
+        slot (each point of qpartition_defined's box) is taken as it is when its
+        lanes keep their width."""
         (top1, top2), (a, b) = self._top, self._step
-        size = slot_bits >> 3
+        size, wide, keep = fill * lanes >> 3, fill >> 3, width >> 3  # bytes of a slot, lanes
         lines = [0] * (b * top1 + a * top2 + 1)
         for c1 in range(top1, -1, -1):
-            if c1 < a and c1 + a > top1:  # each point of the row is a line of one slot
+            if c1 < a and c1 + a > top1 and width == fill:  # each point of the row is a line
                 lines[b * c1:b * c1 + a * top2 + 1:a] = reversed(rows[c1])
                 continue
             # The highest points of their lines: a row at the right edge, or the top.
@@ -368,6 +412,11 @@ class QPartitionBox:
                 entries = map(getitem, map(rows.__getitem__, range(c1, c1 - points * a, -a)),
                               range(c2, c2 - points * b, -b))
                 packed = b"".join(map(int.to_bytes, entries, repeat(size), repeat("little")))
+                if keep < wide:
+                    narrow = bytearray(len(packed) // wide * keep)
+                    for byte in range(keep):
+                        narrow[byte::keep] = packed[byte::wide]
+                    packed = narrow
                 lines[b * c1 - a * c2 + a * top2] = int.from_bytes(packed, "little")
             rows[c1] = None
         return lines
@@ -379,8 +428,9 @@ class QPartitionBox:
         """Σ sign·℘_q(v) over (sign, (c1, c2)) terms inside the box, at most one per
         Weyl element, each sign 1 or -1; no terms give the zero polynomial at once.
 
-        The box bounds every count, so each s_i of the packed sum S lies in
-        (-2^(w-1), 2^(w-1)) for its lane width w. With B the int that holds
+        No coefficient of the box passes its largest, whose product with the
+        Weyl group's order is below 2^(w-1) for the lane width w, so each s_i
+        of the packed sum S lies in (-2^(w-1), 2^(w-1)). With B the int that holds
         2^(w-1) in each lane of a slot, every lane of the first slot of S + B lies
         in (0, 2^w): no lane carries, and the lanes of the slot of S + B, xor B,
         are the s_i as signed w-bit ints. Its lanes past the top nonzero s_i are
@@ -418,12 +468,17 @@ def _iter_terms(terms) -> Iterator:
                          f" got {terms!r}") from None
 
 
+# The struct code of a signed lane of each width.
+_LANE_CODES = {8: "b", 16: "h", 32: "i", 64: "q"}
+
+
 class _Lines:
     """One kind of a box's entries on its lines, read ``slots`` slots at a time:
     ``ints`` holds one int per line of direction ``step`` in the box up to ``top``,
-    a slot of ``lanes`` lanes of ``lane_bits`` bits per point, highest point first.
-    ``bias`` holds 2^(w-1) in each lane of the slots read and ``mask`` all their
-    bits. A box's ``polys`` and ``counts`` read one slot, and a sweep its run(k)."""
+    a slot of ``lanes`` lanes of ``lane_bits`` bits per point (8, 16, 32 or 64),
+    highest point first. ``bias`` holds 2^(w-1) in each lane of the slots read and
+    ``mask`` all their bits. A box's ``polys`` and ``counts`` read one slot, and a
+    sweep its run(k)."""
 
     __slots__ = ("ints", "lane_bits", "lanes", "slot_bits", "bias", "mask", "_top", "_step",
                  "_structs", "_bytes", "_offsets")
@@ -432,7 +487,7 @@ class _Lines:
                  step: tuple[int, int], slots: int = 1, structs: list | None = None) -> None:
         self.ints, self.lane_bits, self.lanes = ints, lane_bits, lanes
         self._top, self._step, self.slot_bits = top, step, lane_bits * lanes
-        code, size = "i" if lane_bits == 32 else "q", self.slot_bits >> 3
+        code, size = _LANE_CODES[lane_bits], self.slot_bits >> 3
         # The decoder of 0 ... lanes lanes, made once per box.
         self._structs = structs or [Struct(f"<{count}{code}") for count in range(lanes + 1)]
         lane = (1 << lane_bits - 1).to_bytes(lane_bits >> 3, "little")

@@ -8,8 +8,9 @@ from itertools import product
 
 import pytest
 
-from qkostant import g2_multiplicity, sp4
+from qkostant import g2_multiplicity, rootsys, sp4
 from qkostant.errors import InternalConsistencyError
+from qkostant.g2_partition import qpartition
 from qkostant.qpoly import QPoly
 from qkostant.rootsys import (
     C2,
@@ -532,73 +533,99 @@ def _negative_lanes(lines, slots, row):
             for i, lane in enumerate(slot) if lane < 0]
 
 
+LANE_WIDTHS = (8, 16, 32, 64)
+
+
+def _narrowest(peak):
+    """The narrowest lane of LANE_WIDTHS whose signed range holds ±peak."""
+    return min(width for width in LANE_WIDTHS if peak < 1 << width - 1)
+
+
+def _at_least(monkeypatch, width):
+    """Make every box built from here on take lanes of at least width bits."""
+    own = rootsys._lane_width
+    monkeypatch.setattr(rootsys, "_lane_width", lambda peak: max(width, own(peak)))
+
+
 @pytest.mark.parametrize("rs", [G2, C2], ids=["g2", "c2"])
-def test_the_one_op_negativity_test_is_a_decoded_negative_lane(rs):
+def test_the_one_op_negativity_test_is_a_decoded_negative_lane(monkeypatch, rs):
     """_Lines.negative, one & and one compare, against "some lane of the decoded
     row is negative", on the polynomial and count rows of signed term sums of at
-    most |W| random terms, on the sweep boxes of N = 2 and 4. Each run(k) is the
-    same lines read k slots at a time: it shares their ints, and its bias and
-    mask are the one-slot reading's, repeated over k slots."""
+    most |W| random terms, on the sweep boxes of N = 2 and 4, whose lanes are
+    widened to at least 8, 16, 32 and 64 bits in turn. Each run(k) is the same
+    lines read k slots at a time: it shares their ints, and its bias and mask
+    are the one-slot reading's, repeated over k slots."""
     rng = random.Random(f"negative/{rs.name}")
     order = 2 * len(rs.positive_roots)
-    for top in (2, 4):
-        box = sweep_box(rs, top)
-        top1, top2 = (c >> 1 for c in doubled(rs, (top, top)))
-        for lines in (box.polys, box.counts):
-            for slots in (1, 2, top + 1):
-                run = lines.run(slots)
-                assert run.ints is lines.ints and run.lanes == lines.lanes
-                assert run.bias == sum(lines.bias << y * lines.slot_bits for y in range(slots))
-                assert run.mask == (1 << slots * lines.slot_bits) - 1
-                seen = set()
-                for _ in range(300):
-                    terms = [(rng.choice((1, -1)), (rng.randint(0, top1), rng.randint(0, top2)))
-                             for _ in range(rng.randint(1, order))]
-                    row = run.row(terms)
-                    negative = bool(_negative_lanes(lines, slots, row))
-                    assert run.negative(row) == negative, terms
-                    seen.add(negative)
-                assert seen == {True, False}
+    for width in LANE_WIDTHS:
+        _at_least(monkeypatch, width)
+        for top in (2, 4):
+            box = sweep_box(rs, top)
+            top1, top2 = (c >> 1 for c in doubled(rs, (top, top)))
+            for lines in (box.polys, box.counts):
+                assert lines.lane_bits >= width and (width == 8 or lines.lane_bits == width)
+                for slots in (1, 2, top + 1):
+                    run = lines.run(slots)
+                    assert run.ints is lines.ints and run.lanes == lines.lanes
+                    assert run.bias == sum(lines.bias << y * lines.slot_bits
+                                           for y in range(slots))
+                    assert run.mask == (1 << slots * lines.slot_bits) - 1
+                    seen = set()
+                    for _ in range(300):
+                        terms = [(rng.choice((1, -1)),
+                                  (rng.randint(0, top1), rng.randint(0, top2)))
+                                 for _ in range(rng.randint(1, order))]
+                        row = run.row(terms)
+                        negative = bool(_negative_lanes(lines, slots, row))
+                        assert run.negative(row) == negative, (width, terms)
+                        seen.add(negative)
+                    assert seen == {True, False}
 
 
-def test_the_one_op_negativity_test_sees_each_end_of_a_row():
+def test_the_one_op_negativity_test_sees_each_end_of_a_row(monkeypatch):
     """On a box of the simple roots alone, where ℘_q(c1, c2) = q^(c1 + c2), a row
     with exactly one negative lane: slot 0, lane 0; the last lane of the last
     slot (a run of one slot at the top corner); the lowest lane of the last slot
-    of a longer run; and the last slot of a row of 64-bit counts."""
+    of a longer run; and the last slot of a row of counts. Its largest entry, 1,
+    times |W| = 4 fits 8-bit lanes, which the box takes for both kinds; the
+    cases run again with its lanes widened to 16, 32 and 64 bits."""
     step, top1, top2 = (3, 2), 20, 12
-    box = QPartitionBox([(1, 0), (0, 1)], top1, top2, step)
-    lanes = box.polys.lanes
     slots = 5
     last = (step[0] * (slots - 1), step[1] * (slots - 1))  # reaches every slot of the run
     short = (last[0] + 1, last[1] - 1)  # the same degrees, one slot fewer
-    cases = [
-        (box.polys, slots, [(-1, (0, 0))], [(0, 0)]),
-        (box.polys, 1, [(-1, (top1, top2))], [(0, lanes - 1)]),
-        (box.polys, slots, [(1, short), (-1, last)], [(slots - 1, 0)]),
-        (box.counts, slots, [(1, short), (-1, last)], [(slots - 1, 0)]),
-    ]
-    assert box.counts.lane_bits == 64 and box.polys.lane_bits == 32
-    for lines, run_slots, terms, where in cases:
-        run = lines.run(run_slots)
-        row = run.row(terms)
-        assert _negative_lanes(lines, run_slots, row) == where, terms
-        assert run.negative(row), terms
-        assert not run.negative(run.row([(-sign, v) for sign, v in terms])), terms
+    for width in LANE_WIDTHS:
+        _at_least(monkeypatch, width)
+        box = QPartitionBox([(1, 0), (0, 1)], top1, top2, step)
+        assert box.counts.lane_bits == box.polys.lane_bits == width
+        lanes = box.polys.lanes
+        cases = [
+            (box.polys, slots, [(-1, (0, 0))], [(0, 0)]),
+            (box.polys, 1, [(-1, (top1, top2))], [(0, lanes - 1)]),
+            (box.polys, slots, [(1, short), (-1, last)], [(slots - 1, 0)]),
+            (box.counts, slots, [(1, short), (-1, last)], [(slots - 1, 0)]),
+        ]
+        for lines, run_slots, terms, where in cases:
+            run = lines.run(run_slots)
+            row = run.row(terms)
+            assert _negative_lanes(lines, run_slots, row) == where, (width, terms)
+            assert run.negative(row), (width, terms)
+            assert not run.negative(run.row([(-sign, v) for sign, v in terms])), (width, terms)
 
 
 def test_a_box_whose_counts_need_64_bit_lanes_takes_them():
     """a1, a2 and sixty copies of a1 + a2: order 124, and ℘_q(m, n) has the
-    coefficient C(j + 59, 59) at degree m + n - j for j <= min(m, n). The count
-    at (5, 5), C(65, 5), times 124 is below 2^31 and that at (6, 6) is not, so
-    the box up to (6, 6) takes 64-bit lanes and that up to (6, 5) 32-bit ones.
-    Every entry of the wider box is that sum, and the enumerator's where its
-    decompositions are few enough to list."""
+    coefficient C(j + 59, 59) at degree m + n - j for j <= min(m, n). The
+    largest coefficient of the box up to (6, 5), C(64, 5) at its corner, times
+    124 is below 2^31, as is its largest count, C(65, 5), so it takes 32-bit
+    lanes for both; in the box up to (6, 6) both pass 2^31, and it takes 64-bit
+    ones. Every entry of the wider box is that sum, and the enumerator's where
+    its decompositions are few enough to list."""
     roots = [RootCoord(1, 0), RootCoord(0, 1)] + [RootCoord(1, 1)] * 60
-    assert 124 * math.comb(65, 5) < 1 << 31 <= 124 * math.comb(66, 6)
-    assert QPartitionBox(roots, 6, 5).polys.lane_bits == 32
+    assert 124 * math.comb(65, 5) < 1 << 31 <= 124 * math.comb(65, 6)
+    narrow = QPartitionBox(roots, 6, 5)
+    assert narrow.polys.lane_bits == narrow.counts.lane_bits == 32
     box = QPartitionBox(roots, 6, 6)
-    assert box.polys.lane_bits == 64
+    assert box.polys.lane_bits == box.counts.lane_bits == 64
     for m, n in product(range(7), repeat=2):
         coeffs = [0] * (m + n + 1)
         for j in range(min(m, n) + 1):
@@ -606,3 +633,97 @@ def test_a_box_whose_counts_need_64_bit_lanes_takes_them():
         assert box[m, n] == QPoly(coeffs), (m, n)
         if min(m, n) <= 2:
             assert box[m, n] == qpartition_enumerated(roots, RootCoord(m, n)), (m, n)
+
+
+# Each N beside one where a sweep box's lanes widen: g2's counts at N = 1 and 7 and
+# its polynomials at 2 and 17; c2's counts at 4 and its polynomials at 20.
+SWEEP_FLIPS = [(g2_multiplicity.ALGEBRA, top) for top in (1, 2, 6, 7, 16, 17)] + [
+    (sp4.ALGEBRA, top) for top in (3, 4, 19, 20)]
+
+
+@pytest.mark.parametrize("alg,top", SWEEP_FLIPS,
+                         ids=[f"{alg.rs.name}-{top}" for alg, top in SWEEP_FLIPS])
+def test_a_sweep_box_takes_the_narrowest_lanes_that_hold_its_largest_entry(alg, top):
+    """Each kind of a sweep box takes the narrowest lanes of 8, 16, 32 and 64 bits
+    whose signed range holds its largest entry times |W|: the largest coefficient
+    of ℘_q over the box for its polynomials and the largest count for its counts,
+    both read off the algebra's kernel at every point, not off the box. Both
+    kinds change width at one of these N, or at its neighbour here."""
+    rs = alg.rs
+    order = 2 * len(rs.positive_roots)
+    top1, top2 = (c >> 1 for c in doubled(rs, (top, top)))
+    polys = [alg.term_sum([(1, RootCoord(c1, c2))]).coeffs
+             for c1 in range(top1 + 1) for c2 in range(top2 + 1)]
+    box = sweep_box(rs, top)
+    assert box.polys.lane_bits == _narrowest(max(map(max, polys)) * order)
+    assert box.counts.lane_bits == _narrowest(max(map(sum, polys)) * order)
+
+
+def test_a_sweep_box_of_one_point_keeps_the_lanes_it_was_filled_at():
+    """The sweep box of N = 0 holds ℘_q(0, 0) = 1 alone: its one line holds one
+    point, so its polynomials keep the 32-bit lanes of the fill, and its count
+    takes 8 bits."""
+    for rs in (G2, C2):
+        box = sweep_box(rs, 0)
+        assert (box.polys.lane_bits, box.counts.lane_bits) == (32, 8)
+        assert box[0, 0] == QPoly([1])
+
+
+def test_a_box_of_one_point_per_line_reads_no_coefficient(monkeypatch):
+    """qpartition_defined's box, each line of one point, is read one entry at a
+    time, so it reads no largest coefficient to narrow its lanes by; a box with a
+    line of two points does."""
+
+    def no_read(*args):
+        raise AssertionError("a coefficient was read")
+
+    monkeypatch.setattr(QPartitionBox, "_largest_coefficient", staticmethod(no_read))
+    for v in ((0, 0), (5, 0), (0, 5), (12, 8)):
+        assert qpartition_defined(G2.positive_roots, v) == qpartition(RootCoord(*v)), v
+    with pytest.raises(AssertionError, match="was read"):
+        QPartitionBox(G2.positive_roots, 1, 1)
+
+
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_a_box_widens_its_lanes_where_its_largest_entry_times_w_reaches_the_sign_bit(width):
+    """a1 r times, a2 s times and a1 + a2 k times, up to (1, 1): ℘_q(1, 1) =
+    rs·q^2 + k·q, the other entries 1, r·q and s·q, and |W| = 2(r + s + k). |W|
+    is even, so a largest entry times |W| is at most 2^(w-1) - 2 below 2^(w-1):
+    r = s = 1 and k = 2^(w/2 - 1) - 1 put the largest coefficient, k, there,
+    which takes w-bit lanes, and the second root set puts it at 2^(w-1), which
+    takes 2w-bit lanes. The counts take the narrowest lanes that hold the
+    largest count, rs + k, times |W|, and every entry is the formula's."""
+    at = {8: (2, 4, 2), 16: (16, 16, 32), 32: (512, 512, 3072)}[width]
+    below = (1, 1, (1 << width // 2 - 1) - 1)
+    for (r, s, k), lanes in ((below, width), (at, 2 * width)):
+        order = 2 * (r + s + k)
+        assert max(r * s, k) * order == (1 << width - 1) - (2 if lanes == width else 0)
+        box = QPartitionBox([RootCoord(1, 0)] * r + [RootCoord(0, 1)] * s
+                            + [RootCoord(1, 1)] * k, 1, 1)
+        assert box.polys.lane_bits == lanes
+        assert box.counts.lane_bits == _narrowest((r * s + k) * order)
+        assert [box[v] for v in ((0, 0), (1, 0), (0, 1), (1, 1))] == [
+            QPoly([1]), QPoly([0, r]), QPoly([0, s]), QPoly([0, k, r * s])]
+
+
+@pytest.mark.parametrize("top1,top2", [(12, 8), (5, 3), (4, 7)])
+def test_every_step_reads_the_entries_of_the_plain_box(top1, top2):
+    """The lines of every step hold the entries of the box of step (1, 1), also
+    where some rows of the box are lines of one point each and the others are
+    not: each entry, its count, and each slot of the run of a point's line down
+    to the line's end. Every step with a line of two points or more narrows its
+    lanes as the plain box does; the others keep the 32 bits of the fill."""
+    plain = QPartitionBox(G2.positive_roots, top1, top2)
+    assert plain.polys.lane_bits < 32
+    for step in ((1, 1), (2, 1), (1, 2), (3, 2), (4, 3), (3, 5), (7, 5), (top1, 1), (1, top2)):
+        box = QPartitionBox(G2.positive_roots, top1, top2, step)
+        a, b = step
+        narrows = a <= top1 and b <= top2
+        assert box.polys.lane_bits == (plain.polys.lane_bits if narrows else 32), step
+        for v in product(range(top1 + 1), range(top2 + 1)):
+            assert box[v] == plain[v], (step, v)
+            assert box.sum_at_one([(1, v)]) == plain.sum_at_one([(1, v)]), (step, v)
+            slots = min(v[0] // a, v[1] // b) + 1
+            run = box.polys.run(slots)
+            for y, lanes in enumerate(run.decode(run.row([(1, v)]), [box.polys.lanes] * slots)):
+                assert QPoly(lanes) == plain[v[0] - y * a, v[1] - y * b], (step, v, y)
